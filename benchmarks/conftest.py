@@ -5,16 +5,17 @@ Every benchmark regenerates one table or figure of the paper's evaluation
 are built once per session and shared; each benchmark prints the reproduced
 rows/series and also writes them to ``benchmarks/results/<experiment>.txt``
 so the output survives pytest's stdout capture (see EXPERIMENTS.md).  Next
-to each ``.txt``, a structured ``<experiment>.json`` records the test id,
-its wall time, and — when the benchmark passes its rows via ``data=`` — the
+to each ``.txt``, a structured ``<experiment>.json`` records the test id
+and — when the benchmark passes its rows via ``data=`` — the
 machine-readable figures (cycles, energy, speedups) for downstream plotting.
+Neither file records host timing, so both are byte-stable: a diff in them
+means the model changed.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import time
 from pathlib import Path
 
 import pytest
@@ -116,12 +117,10 @@ def record(request):
     """Print a reproduced table/series and persist it under benchmarks/results/.
 
     Writes ``<experiment>.txt`` (the human-readable table) and
-    ``<experiment>.json`` (test id, wall time since the test started, and
-    the structured rows when the benchmark passes them via ``data=``).
-    Function-scoped so the wall time is per figure, not per session.
+    ``<experiment>.json`` (test id and the structured rows when the
+    benchmark passes them via ``data=``).
     """
     RESULTS_DIR.mkdir(exist_ok=True)
-    started = time.perf_counter()
 
     def _record(experiment: str, text: str, data: list | dict | None = None) -> None:
         print(f"\n===== {experiment} =====\n{text}\n")
@@ -129,7 +128,6 @@ def record(request):
         document = {
             "experiment": experiment,
             "test": request.node.nodeid,
-            "wall_time_s": round(time.perf_counter() - started, 3),
             "rows": data,
         }
         (RESULTS_DIR / f"{experiment}.json").write_text(

@@ -50,8 +50,9 @@ class PlatformModel(ABC):
     #: per instance when a profiling/fleet run wants platform spans.
     tracer = NULL_TRACER
     #: Baseline platforms price a (plan, graph) workload that does not depend
-    #: on the accelerator config, so a config batch derives the workload once
-    #: and reuses it for every config (see :meth:`execute_batch`).
+    #: on the accelerator config, so the sweep derives the workload once per
+    #: (dataset, family) group and passes it to :meth:`execute` for every
+    #: config of the group.
     uses_shared_workload = True
 
     def supports(self, family: str) -> bool:
@@ -90,7 +91,7 @@ class PlatformModel(ABC):
 
         ``config`` is accepted for protocol compatibility and ignored — the
         baseline platforms model fixed published hardware.  ``workload`` lets
-        a batch caller supply a pre-derived
+        a caller supply a pre-derived
         :func:`~repro.baselines.workload.workload_from_plan` result; deriving
         it is a pure function of (plan, graph), so sharing it cannot change
         the priced result.
@@ -109,24 +110,3 @@ class PlatformModel(ABC):
             result = self.evaluate(graph, workload)
         span.set(latency_s=result.latency_seconds, energy_j=result.energy_joules)
         return result
-
-    def execute_batch(
-        self,
-        plan: InferencePlan,
-        graph: Graph,
-        configs: list[object | None],
-        *,
-        workload: WorkloadEstimate | None = None,
-    ) -> list[PlatformResult]:
-        """Price one (plan, graph) under a batch of accelerator configs.
-
-        Baseline platforms ignore the accelerator config, so the workload is
-        derived once and each config yields the same priced row — the batch
-        exists so the sweep runner can dispatch baselines and GNNIE cells
-        through one code path.
-        """
-        if workload is None:
-            workload = workload_from_plan(plan, graph)
-        return [
-            self.execute(plan, graph, config, workload=workload) for config in configs
-        ]

@@ -21,7 +21,7 @@ Rules split into two tiers:
   universal tier only.
 
 :func:`verify_plan` memoizes by plan content (plans are frozen, hence
-hashable), so the sweep fleet's batch path verifies each distinct plan
+hashable), so the sweep fleet verifies each distinct plan
 once no matter how many configs it prices — :func:`verify_counters`
 exposes ``runs``/``hits`` so tests can pin that.  ``REPRO_NO_VERIFY=1``
 disables verification entirely (escape hatch; rows are byte-identical

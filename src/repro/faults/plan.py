@@ -19,8 +19,8 @@ __all__ = ["FAULT_KINDS", "FAULT_SITES", "FaultPlan", "FaultSpec", "InjectedFaul
 #: What an armed fault does when it fires.
 FAULT_KINDS = ("raise", "hang", "crash", "torn_write")
 
-#: Instrumented sites.  ``cell`` fires inside worker cell execution (scalar
-#: and batch paths alike); ``store.append`` fires inside
+#: Instrumented sites.  ``cell`` fires inside worker cell execution, once
+#: per cell of a group; ``store.append`` fires inside
 #: :meth:`repro.sweep.store.ResultStore.append` and is the only site where
 #: ``torn_write`` is meaningful.
 FAULT_SITES = ("cell", "store.append")

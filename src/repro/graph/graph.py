@@ -60,6 +60,9 @@ class Graph:
         labels: Optional ``(num_vertices,)`` integer class labels or
             ``(num_vertices, num_labels)`` multi-label indicator matrix.
         name: Dataset name used in reports.
+        pricing: The graph's :class:`~repro.sim.batch.GraphPricingContext`,
+            created on first use by :func:`repro.sim.batch.pricing_context`.
+            A per-process cache: it is never compared, printed or pickled.
     """
 
     adjacency: CSRGraph
@@ -67,6 +70,7 @@ class Graph:
     labels: Optional[np.ndarray] = None
     name: str = "graph"
     num_label_classes: int = field(default=0)
+    pricing: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -86,6 +90,11 @@ class Graph:
                     self.num_label_classes = int(self.labels.max()) + 1 if self.labels.size else 0
                 else:
                     self.num_label_classes = int(self.labels.shape[1])
+
+    def __getstate__(self) -> dict:
+        # The pricing context holds a weak reference back to this graph and
+        # per-process memos; an unpickled copy rebuilds it on demand.
+        return {**self.__dict__, "pricing": None}
 
     # ------------------------------------------------------------------ #
     # Convenience accessors

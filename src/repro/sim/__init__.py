@@ -14,7 +14,7 @@ from repro.sim.design_space import (
     sweep_designs,
     sweep_mac_allocations,
 )
-from repro.sim.engine import LATER_LAYER_DENSITY, GNNIESimulator
+from repro.sim.engine import GNNIESimulator
 from repro.sim.gnnie_executor import GNNIEExecutor
 from repro.sim.trace import phase_table, result_to_dict, result_to_json, results_to_csv
 from repro.sim.results import InferenceResult, LayerResult, PhaseResult, ScaleOutResult
@@ -33,7 +33,6 @@ __all__ = [
     "result_to_json",
     "results_to_csv",
     "phase_table",
-    "LATER_LAYER_DENSITY",
     "InferenceResult",
     "LayerResult",
     "PhaseResult",

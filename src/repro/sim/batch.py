@@ -1,23 +1,21 @@
-"""Per-(plan, graph) pricing precompute shared across config batches.
+"""Graph-pure pricing memos, stored on the graph they describe.
 
-Config-axis batch execution (``GNNIEExecutor.execute_batch``, the sweep
-runner's per-group dispatch) prices thousands of near-identical plans that
-differ only in their :class:`~repro.hw.config.AcceleratorConfig`.  Every
-quantity here is a pure function of the *graph* alone — CSR content
-fingerprints, sampled adjacencies, per-block nonzero counts, exact RLC
-sizes, undirected edge indexes — so computing it once per graph and sharing
-it across configs (and across executor instances, and across GNN families)
-cannot change a single row byte.
+The sweep prices thousands of near-identical plans that differ only in
+their :class:`~repro.hw.config.AcceleratorConfig`.  A
+:class:`GraphPricingContext` memoizes, per graph:
 
-Config-*dependent* memoization (cache-policy simulations, priced phase
-results) deliberately stays per :class:`~repro.sim.gnnie_executor.GNNIEExecutor`
-instance: the sweep worker creates one executor per dataset group, so batch
-cells share those memos while the scalar per-cell path keeps its
-fresh-executor purity guarantee.
+* config-independent precompute: CSR content fingerprints, sampled
+  adjacencies, per-block nonzero counts, exact RLC sizes, undirected edge
+  indexes and multi-chip partitions;
+* cache-policy simulations and priced phases, under self-describing keys
+  that :class:`~repro.sim.gnnie_executor.GNNIEExecutor` builds from the
+  graph content plus every config knob and width the value depends on.
 
-Contexts are keyed by graph identity and dropped when the graph is garbage
-collected, so a long-lived process (the ``jobs=1`` sweep loop, the
-benchmark session) holds at most one context per live graph.
+Every entry is a pure function of (graph, key), so sharing one context
+across executors, families, configs and calls cannot change a row byte.
+The context lives on the graph (:attr:`repro.graph.graph.Graph.pricing`)
+and dies with it; it is not pickled, so a worker process rebuilds it on
+demand.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from repro.models.graphsage import NeighborSampler
 from repro.sparse.feature_matrix import block_nonzero_counts
 from repro.sparse.rlc import rlc_compressed_bits
 
-__all__ = ["GraphPricingContext", "clear_pricing_contexts", "pricing_context"]
+__all__ = ["GraphPricingContext", "adjacency_fingerprint", "pricing_context"]
 
 
 def adjacency_fingerprint(adjacency: CSRGraph) -> tuple[int, int, int]:
@@ -50,15 +48,16 @@ def adjacency_fingerprint(adjacency: CSRGraph) -> tuple[int, int, int]:
 
 
 class GraphPricingContext:
-    """Config-independent precompute for one dataset graph.
+    """Pricing memos for one dataset graph.
 
-    Everything memoized here is deterministic given the graph content (the
-    neighbor sampler is seeded by the vertex count, exactly as the executor
-    always seeded it), so sharing a context across executors, families and
-    batches preserves byte-identical results.
+    Everything memoized here is deterministic given the graph content and
+    the key (the neighbor sampler is seeded by the vertex count, exactly as
+    the executor always seeded it), so sharing a context across executors,
+    families and configs preserves byte-identical results.
     """
 
     def __init__(self, graph: Graph) -> None:
+        #: Weak, because the graph holds this context: no reference cycle.
         self._graph_ref = weakref.ref(graph)
         #: id(adjacency) -> (adjacency, fingerprint).  The strong reference
         #: pins the adjacency so its id cannot be re-used while memoized.
@@ -80,13 +79,9 @@ class GraphPricingContext:
         #: executor copies on both store and hit).
         self.phase_memo: dict[tuple, object] = {}
         #: Cache-policy simulation memo, keyed by the executor's cache key
-        #: *plus* the priming feature length — unlike the executor's own
-        #: per-instance memo (which deliberately omits the feature length so
-        #: one simulation per (graph, buffer config) is shared across a
-        #: plan's layers, first op wins), this key makes the entry a pure
-        #: function of graph content and config, so executors in different
-        #: sweep groups share the expensive run whenever they prime with the
-        #: same width.
+        #: plus the priming width (the feature width the simulation is
+        #: sized for), so every plan that primes an adjacency at the same
+        #: width under the same buffer knobs shares one run.
         self.cache_results: dict[tuple, object] = {}
         #: (chips, method) -> partitioned multi-chip workload (see
         #: :func:`repro.scaleout.partition_workload`).  Partitioning is a
@@ -94,10 +89,6 @@ class GraphPricingContext:
         #: sweeping many designs at one chip count partitions the graph
         #: exactly once.
         self.partitions: dict[tuple, object] = {}
-
-    @property
-    def graph(self) -> Graph | None:
-        return self._graph_ref()
 
     def fingerprint(self, adjacency: CSRGraph) -> tuple[int, int, int]:
         """Memoized O(E) content fingerprint of an adjacency."""
@@ -160,40 +151,9 @@ class GraphPricingContext:
         return graph
 
 
-#: Process-wide context registry, one entry per live graph.
-_CONTEXTS: dict[int, GraphPricingContext] = {}
-
-
-def _evict_context(key: int, context: GraphPricingContext) -> None:
-    """Finalizer target: drop ``context`` from the registry, and only it.
-
-    ``key`` is the dead graph's ``id()``, which a *new* graph may have
-    re-used (ids recycle after GC, and ``clear_pricing_contexts()`` plus a
-    fresh ``pricing_context()`` call can re-register the slot before the old
-    finalizer fires).  An unconditional ``pop(key)`` would then evict the
-    live graph's context and silently drop its shared memos, so the pop is
-    guarded on identity.
-    """
-    if _CONTEXTS.get(key) is context:
-        _CONTEXTS.pop(key, None)
-
-
 def pricing_context(graph: Graph) -> GraphPricingContext:
-    """The shared :class:`GraphPricingContext` of a graph (created on demand)."""
-    key = id(graph)  # repro-check: disable=D103 (weakref.finalize evicts before reuse)
-    context = _CONTEXTS.get(key)
-    if context is not None and context.graph is graph:
-        return context
-    context = GraphPricingContext(graph)
-    _CONTEXTS[key] = context
-    weakref.finalize(graph, _evict_context, key, context)
+    """The graph's :class:`GraphPricingContext` (created on first use)."""
+    context = graph.pricing
+    if not isinstance(context, GraphPricingContext):
+        context = graph.pricing = GraphPricingContext(graph)
     return context
-
-
-def clear_pricing_contexts() -> None:
-    """Drop every live pricing context (its memos rebuild on demand).
-
-    For memory control in long processes, and for benchmarks that want to
-    measure cold-path per-cell pricing without cross-cell sharing.
-    """
-    _CONTEXTS.clear()

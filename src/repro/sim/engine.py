@@ -20,16 +20,11 @@ from repro.graph.graph import Graph
 from repro.hw.config import AcceleratorConfig
 from repro.hw.energy import AreaModel, EnergyModel
 from repro.models.zoo import ModelConfig, model_config
-from repro.plan.ir import HIDDEN_DENSITY
 from repro.plan.lowering import lower_model
 from repro.sim.gnnie_executor import GNNIEExecutor
 from repro.sim.results import InferenceResult
 
-__all__ = ["GNNIESimulator", "LATER_LAYER_DENSITY"]
-
-#: Backwards-compatible alias: modeled nonzero density of post-ReLU
-#: hidden-layer features (now owned by the plan IR).
-LATER_LAYER_DENSITY = HIDDEN_DENSITY
+__all__ = ["GNNIESimulator"]
 
 
 class GNNIESimulator:
@@ -73,11 +68,6 @@ class GNNIESimulator:
     @property
     def area_model(self) -> AreaModel:
         return self._executor.area_model
-
-    @property
-    def _cache_results(self) -> dict:
-        """Cache-simulation memo (shared across runs; see the executor)."""
-        return self._executor._cache_results
 
     # ------------------------------------------------------------------ #
     # Public API

@@ -19,12 +19,15 @@ Modeling notes
 * ``sampled`` adjacency handles are resolved once per execution with the
   pregenerated-stream neighbor sampler; the cache policy then runs on the
   sampled subgraph.
-* The cache-policy simulation is run once per (graph fingerprint, buffer
-  configuration) and deliberately shared across layers and plans as an
-  approximation: the layer feature length changes the per-vertex record
+* The cache-policy simulation is sized by the plan's first
+  :class:`~repro.plan.ir.AggregationOp` over each adjacency (its *priming
+  width*) and shared by every later aggregation op over that adjacency, as
+  an approximation: the layer feature length changes the per-vertex record
   size (and hence the buffer's vertex capacity), but re-simulating per
-  width would dominate runtime, so the first op's width sizes the sim and
-  later ops reuse it.
+  width would dominate runtime.  Simulations and priced phases are
+  memoized on the graph's pricing context under (cache key, priming width),
+  and the executor holds no memo of its own, so a result is a pure function
+  of plan, graph and config: it never depends on what ran before.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from repro.plan.ir import (
     WeightingOp,
 )
 from repro.sim.aggregation_sim import aggregation_phase_from_cache, run_cache_simulation
-from repro.sim.batch import GraphPricingContext, adjacency_fingerprint, pricing_context
+from repro.sim.batch import GraphPricingContext, pricing_context
 from repro.sim.results import InferenceResult, LayerResult, PhaseResult
 from repro.sim.weighting_sim import simulate_weighting, weighting_phase_from_schedule
 
@@ -66,10 +69,6 @@ __all__ = ["GNNIEExecutor"]
 
 #: Throughput of the host-side preprocessing (degree binning), ops/cycle.
 _PREPROCESSING_OPS_PER_CYCLE = 8
-
-#: Backwards-compatible alias; the fingerprint moved to ``repro.sim.batch``
-#: so the sweep worker and the pricing context share one implementation.
-_adjacency_fingerprint = adjacency_fingerprint
 
 
 def _weighting_knobs(cfg: AcceleratorConfig) -> tuple:
@@ -113,6 +112,17 @@ def _aggregation_knobs(cfg: AcceleratorConfig) -> tuple:
     )
 
 
+def _priming_widths(plan: InferencePlan) -> dict[AdjacencyRef, int]:
+    """Each adjacency handle's priming width: the width of the plan's first
+    aggregation op over it, which sizes that adjacency's cache simulation."""
+    widths: dict[AdjacencyRef, int] = {}
+    for stage in plan.layers:
+        for op in stage.ops:
+            if isinstance(op, AggregationOp):
+                widths.setdefault(op.adjacency, op.width)
+    return widths
+
+
 class GNNIEExecutor:
     """Executes inference plans on the GNNIE performance/energy model."""
 
@@ -139,12 +149,6 @@ class GNNIEExecutor:
         #: un-instrumented executor's numbers (and goldens) are untouched.
         self.tracer = tracer or NULL_TRACER
         self.metrics = metrics or NULL_METRICS
-        self._cache_results: dict[tuple, CacheSimulationResult] = {}
-        #: Priced Aggregation phases keyed by (cache key, width, GAT-ness,
-        #: pricing knobs).  Per instance — like the cache-result memo — so a
-        #: batch sharing one executor dedupes identical pricings while the
-        #: scalar fresh-executor-per-cell path keeps its purity guarantee.
-        self._aggregation_memo: dict[tuple, PhaseResult] = {}
 
     # ------------------------------------------------------------------ #
     # Executor protocol
@@ -164,10 +168,11 @@ class GNNIEExecutor:
         # (e.g. a buffer-sweep cell) is simulated at the capacity it names.
         cfg = (config or self.config).resolve_input_buffer(graph.name)
         tracer = self.tracer
-        # Graph-pure precompute (fingerprints, sampled adjacencies, block
-        # nonzero counts, RLC sizes, priced weighting phases) is shared
-        # process-wide per graph; see repro.sim.batch.
+        # Every memo (fingerprints, sampled adjacencies, block nonzero
+        # counts, RLC sizes, cache simulations, priced phases) lives on the
+        # graph's pricing context; see repro.sim.batch.
         context = pricing_context(graph)
+        priming = _priming_widths(plan)
         with tracer.span(
             "inference",
             category="inference",
@@ -185,7 +190,7 @@ class GNNIEExecutor:
                     in_features=stage.in_features,
                     out_features=stage.out_features,
                 ) as layer_span:
-                    layer, slots = self._execute_layer(stage, graph, cfg, context)
+                    layer, slots = self._execute_layer(stage, graph, cfg, context, priming)
                 layers.append(layer)
                 annotations.append((layer, layer_span, slots))
             for layer in layers:
@@ -208,27 +213,6 @@ class GNNIEExecutor:
                 self._annotate_spans(result, annotations, root)
         return result
 
-    def execute_batch(
-        self,
-        plan: InferencePlan,
-        graph: Graph,
-        configs: "list[AcceleratorConfig | None] | tuple[AcceleratorConfig | None, ...]",
-    ) -> list[InferenceResult]:
-        """Price one plan under many configurations on one executor.
-
-        The per-(plan, graph) precompute — CSR fingerprints, neighbor
-        sampling, per-block nonzero counts, exact RLC sizes, the undirected
-        edge index — is computed once (shared via the graph's pricing
-        context), the per-iteration cache columns are priced in one
-        vectorized NumPy pass per distinct workload, and the instance memos
-        dedupe cache-policy simulations by (graph, buffer config) and priced
-        phases by the knobs they read, so N configs cost one graph pass plus
-        N cheap pricing passes.  Each returned result is byte-identical to a
-        fresh executor's ``execute`` for the same config (the batch-vs-scalar
-        equivalence test pins this).
-        """
-        return [self.execute(plan, graph, config) for config in configs]
-
     def chip_area_mm2(self, config: AcceleratorConfig | None = None) -> float:
         return self.area_model.chip_area_mm2(config or self.config)
 
@@ -241,6 +225,7 @@ class GNNIEExecutor:
         graph: Graph,
         cfg: AcceleratorConfig,
         context: GraphPricingContext,
+        priming: dict[AdjacencyRef, int],
     ) -> tuple[LayerResult, dict[str, list]]:
         weighting: PhaseResult | None = None
         attention: PhaseResult | None = None
@@ -291,7 +276,9 @@ class GNNIEExecutor:
             elif isinstance(op, AggregationOp):
                 with tracer.span("op:aggregation", category="op", layer=stage.index) as span:
                     adjacency = self._resolve_adjacency(op.adjacency, graph, context)
-                    phase = self._aggregation_phase(op, adjacency, cfg, context)
+                    phase = self._aggregation_phase(
+                        op, adjacency, cfg, context, priming[op.adjacency]
+                    )
                 aggregation = accumulate(aggregation, phase)
                 note(span, "aggregation", phase)
             elif isinstance(op, DenseMatmulOp):
@@ -411,17 +398,20 @@ class GNNIEExecutor:
         adjacency: CSRGraph,
         cfg: AcceleratorConfig,
         context: GraphPricingContext,
+        priming_width: int,
     ) -> PhaseResult:
-        cache_key = self._cache_key(adjacency, cfg, context)
-        memo_key = (cache_key, op.width, op.weighted, _aggregation_knobs(cfg))
-        cached = self._aggregation_memo.get(memo_key)
+        sim_key = (*self._cache_key(adjacency, cfg, context), priming_width)
+        memo_key = ("aggregation", sim_key, op.width, op.weighted, _aggregation_knobs(cfg))
+        cached = context.phase_memo.get(memo_key)
         if cached is not None:
+            # A priced phase reuses its cache simulation too.
+            self.metrics.counter("executor.cache_sim.memo_hits").inc()
             return replace(cached)
-        cache_result = self._cached_cache_result(adjacency, cfg, op.width, context, cache_key)
+        cache_result = self._cache_result(adjacency, cfg, priming_width, context, sim_key)
         phase = aggregation_phase_from_cache(
             cache_result, adjacency, cfg, op.width, is_gat=op.weighted
         )
-        self._aggregation_memo[memo_key] = replace(phase)
+        context.phase_memo[memo_key] = replace(phase)
         return phase
 
     def _halo_exchange_phase(
@@ -547,11 +537,10 @@ class GNNIEExecutor:
     def _cache_key(
         self, adjacency: CSRGraph, cfg: AcceleratorConfig, context: GraphPricingContext
     ) -> tuple:
-        # feature_length is intentionally absent: one cache sim per (graph,
-        # buffer config) is shared across layers (see the modeling notes).
+        # The priming width completes this key (see the modeling notes).
         # bytes_per_value is present: it sets the per-vertex record size and
         # therefore the buffer's vertex capacity, so quantization variants
-        # sharing one executor must not share one simulation.
+        # must not share one simulation.
         return (
             context.fingerprint(adjacency),
             cfg.input_buffer_bytes,
@@ -565,44 +554,28 @@ class GNNIEExecutor:
             cfg.stream_buffer_depth,
         )
 
-    def _cached_cache_result(
+    def _cache_result(
         self,
         adjacency: CSRGraph,
         cfg: AcceleratorConfig,
-        feature_length: int,
+        priming_width: int,
         context: GraphPricingContext,
-        key: tuple | None = None,
+        key: tuple,
     ) -> CacheSimulationResult:
-        if key is None:
-            key = self._cache_key(adjacency, cfg, context)
-        if key not in self._cache_results:
-            # The per-executor memo decides which feature_length primes the
-            # shared simulation (first op wins — the modeling contract);
-            # the actual run is then deduped process-wide through the
-            # graph context, keyed by (key, feature_length) so it stays a
-            # pure function of graph content and config.  Distinct
-            # executors priming with the same width — the per-family sweep
-            # groups of one dataset — share one simulation run.
-            pure_key = (*key, feature_length)
-            result = context.cache_results.get(pure_key)
-            if result is None:
-                # Metrics are recorded only when the simulation actually
-                # runs; memo hits re-use the numbers without
-                # double-counting events.
-                self.metrics.counter("executor.cache_sim.runs").inc()
-                edge_index = (
-                    context.edge_index(adjacency) if cfg.enable_degree_aware_caching else None
-                )
-                result = run_cache_simulation(
-                    adjacency, cfg, feature_length, metrics=self.metrics, edge_index=edge_index
-                )
-                context.cache_results[pure_key] = result
-            else:
-                self.metrics.counter("executor.cache_sim.context_hits").inc()
-            self._cache_results[key] = result
-        else:
+        """The cache simulation behind ``key``, run once per graph."""
+        result = context.cache_results.get(key)
+        if result is not None:
             self.metrics.counter("executor.cache_sim.memo_hits").inc()
-        return self._cache_results[key]
+            return result
+        # Metrics are recorded only when the simulation actually runs; memo
+        # hits re-use the numbers without double-counting events.
+        self.metrics.counter("executor.cache_sim.runs").inc()
+        edge_index = context.edge_index(adjacency) if cfg.enable_degree_aware_caching else None
+        result = run_cache_simulation(
+            adjacency, cfg, priming_width, metrics=self.metrics, edge_index=edge_index
+        )
+        context.cache_results[key] = result
+        return result
 
     @staticmethod
     def _overlap_layer_memory(layer: LayerResult) -> None:

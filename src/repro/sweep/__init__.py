@@ -7,10 +7,9 @@ treats the simulator as a fleet workload:
 
 * :mod:`repro.sweep.matrix` — :class:`ScenarioMatrix` expands the four axes
   into content-hashed, picklable :class:`SweepCell`\\ s,
-* :mod:`repro.sweep.worker` — :func:`run_cell` executes one cell;
-  :func:`run_batch_timed` executes a whole (dataset, family) group of
-  config cells sharing one graph/plan/executor set (byte-identical rows,
-  one precompute pass),
+* :mod:`repro.sweep.worker` — :func:`run_batch_timed` executes a
+  (dataset, family) group of config cells sharing one graph/plan/executor
+  set (one precompute pass; a single cell is a batch of one),
 * :mod:`repro.sweep.store` — :class:`ResultStore`, an append-only JSONL
   store keyed by cell hash with per-row CRC32 armor; re-running skips
   completed cells, a killed sweep resumes where it stopped, and corrupt
@@ -20,7 +19,7 @@ treats the simulator as a fleet workload:
 * :mod:`repro.sweep.runner` — :func:`run_sweep` fans pending cells across a
   supervised process pool (:class:`RetryPolicy`: bounded retries with
   backoff, per-group timeouts, pool rebuilds on worker crashes,
-  batch→scalar degradation) and streams rows into the store; cells that
+  group→cell degradation) and streams rows into the store; cells that
   fail permanently land as explicit ``failed`` rows.
 
 Deterministic chaos testing for all of the above lives in
@@ -54,8 +53,6 @@ from repro.sweep.worker import (
     failed_row,
     prime_graph_memo,
     run_batch_timed,
-    run_cell,
-    run_cell_timed,
 )
 
 
@@ -95,8 +92,6 @@ __all__ = [
     "prime_graph_memo",
     "repair_store",
     "run_batch_timed",
-    "run_cell",
-    "run_cell_timed",
     "run_sweep",
     "verify_store",
 ]

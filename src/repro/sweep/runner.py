@@ -15,9 +15,9 @@ Since the fault-tolerance layer, the fleet is *supervised* by a
 
 * failed work items are retried with exponential backoff and deterministic
   jitter, up to ``max_attempts``;
-* a *batch* group that exhausts its attempts degrades to the scalar path —
-  each cell retries alone, so one poisoned cell cannot take its whole
-  (dataset, scale, seed, family) group down with it;
+* a (dataset, scale, seed, family) group that exhausts its attempts
+  degrades to single cells — each cell retries alone, as a batch of one, so
+  one poisoned cell cannot take its whole group down with it;
 * a worker crash (``BrokenProcessPool``) rebuilds the pool and requeues
   every in-flight group — crashes are counted separately from ordinary
   failures (bounded by ``max_disruptions``) so a crashing neighbour never
@@ -44,7 +44,6 @@ import concurrent.futures
 import hashlib
 import heapq
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -57,7 +56,6 @@ from repro.sweep.worker import (
     COMPATIBLE_ROW_FORMATS,
     failed_row,
     run_batch_timed,
-    run_cell_timed,
     seed_graph_overrides,
 )
 
@@ -78,7 +76,7 @@ class RetryPolicy:
 
     Args:
         max_attempts: Executions a work item is charged before it is
-            exhausted (a batch group then degrades to scalar; a scalar cell
+            exhausted (a group then degrades to single cells; a single cell
             then fails permanently).
         timeout_seconds: Wall-clock budget per submitted group under a
             worker pool; an expired group's worker is terminated, the pool
@@ -89,8 +87,8 @@ class RetryPolicy:
             further attempt up to ``backoff_max_seconds``.  Jitter is a
             deterministic hash of (cell key, attempt) — replayable chaos.
         backoff_max_seconds: Backoff ceiling.
-        degrade: Whether an exhausted *batch* group retries its cells
-            through the scalar path to isolate the poisoned cell.
+        degrade: Whether an exhausted group retries its cells one at a time
+            to isolate the poisoned cell.
         failed_rows: When ``True`` (the default), permanently-failed cells
             land as explicit ``failed`` store rows and the sweep completes;
             when ``False``, the sweep raises :class:`SweepError` after the
@@ -163,11 +161,12 @@ class SweepError(RuntimeError):
 
 @dataclass
 class _Task:
-    """One supervised work item: a batch group or a single degraded cell."""
+    """One supervised work item: one :func:`run_batch_timed` call."""
 
     #: (store key, cell) per unique pending cell of this item.
     entries: list[tuple[str, SweepCell]]
-    #: ``"batch"`` (one :func:`run_batch_timed` call) or ``"scalar"``.
+    #: ``"batch"`` (a whole group) or ``"cell"`` (one cell a degraded group
+    #: left behind).
     mode: str
     #: Charged attempts completed (failures that consumed retry budget).
     attempt: int = 0
@@ -203,18 +202,6 @@ class _Task:
 
     def describe_cells(self) -> list[str]:
         return [cell.describe() for _, cell in self.entries]
-
-
-def _batch_disabled() -> bool:
-    """``REPRO_NO_BATCH`` escape hatch: force the scalar per-cell path.
-
-    Any non-empty value other than ``"0"`` disables group batching — the CI
-    smoke job uses it to pin batch and scalar stores byte-identical, and it
-    doubles as a field workaround should a plug-in backend ever misbehave
-    under executor sharing.
-    """
-    value = os.environ.get("REPRO_NO_BATCH", "")
-    return bool(value) and value != "0"
 
 
 def _batch_groups(
@@ -340,8 +327,8 @@ class _Supervisor:
 
         Charged failures consume the retry budget; uncharged ones (a
         neighbour crashed the pool) only count against the disruption
-        bound.  An exhausted batch group degrades to per-cell scalar tasks;
-        an exhausted scalar task permanently fails its cell.
+        bound.  An exhausted group degrades to one task per cell; an
+        exhausted single-cell task permanently fails its cell.
         """
         task.errors.append(f"{type(error).__name__}: {error}")
         if charged:
@@ -368,9 +355,9 @@ class _Supervisor:
             )
             return [(task, delay)]
         if task.mode == "batch" and self.policy.degrade:
-            # Degrade: retry the group's cells through the scalar path with
-            # a fresh budget each, so the poisoned cell is isolated and the
-            # healthy majority still lands.
+            # Degrade: retry the group's cells one at a time with a fresh
+            # budget each, so the poisoned cell is isolated and the healthy
+            # majority still lands.
             self.metrics.counter("sweep.groups.degraded").inc()
             with self.tracer.span(
                 "degrade", category="fault", cells=len(task.entries),
@@ -381,7 +368,7 @@ class _Supervisor:
                 (
                     _Task(
                         entries=[entry],
-                        mode="scalar",
+                        mode="cell",
                         base_attempts=task.charged_attempts,
                         errors=list(task.errors),
                     ),
@@ -429,15 +416,13 @@ def run_sweep(
             re-run heals a chaos-damaged store exactly-once.
             ``None`` keeps results in memory only.
         jobs: Worker processes.  ``1`` runs inline in this process (sharing
-            its dataset/executor memos); ``>1`` fans out across a
+            its dataset memo and pricing contexts); ``>1`` fans out across a
             ``ProcessPoolExecutor`` with one deterministic row per cell.
             Either way, pending cells are dispatched one *batch* per
             (dataset, scale, seed, family) group — the group shares its
             graph, lowered plan, baseline workload and per-backend executors
-            (see :func:`~repro.sweep.worker.run_batch_timed`), which is
-            byte-identical to per-cell execution but prices config batches
-            in one pass.  Set ``REPRO_NO_BATCH=1`` to force the scalar
-            per-cell path.
+            (see :func:`~repro.sweep.worker.run_batch_timed`) and prices its
+            config batch in one pass.
         graphs: Optional pre-built graphs keyed by cell dataset name,
             overriding the synthetic registry build (the design-space
             wrappers sweep caller-supplied graphs this way).  Requires an
@@ -464,8 +449,8 @@ def run_sweep(
             ``sweep.groups.degraded``, ``sweep.cell_wall_seconds``,
             ``sweep.jobs``).
         retry: Supervision policy (see :class:`RetryPolicy`); the default
-            retries twice with backoff, degrades failed batch groups to the
-            scalar path, and records permanent failures as explicit
+            retries twice with backoff, degrades failed groups to single
+            cells, and records permanent failures as explicit
             ``failed`` rows.  ``RetryPolicy(max_attempts=1,
             failed_rows=False)`` restores strict fail-fast semantics, with
             every failure reported in one :class:`SweepError`.
@@ -565,16 +550,7 @@ def run_sweep(
 
         supervisor = _Supervisor(policy, finish, finish_failure, metrics, tracer)
 
-        batch = not _batch_disabled()
-        if batch:
-            tasks = [
-                _Task(entries=group, mode="batch") for group in _batch_groups(pending)
-            ]
-        else:
-            tasks = [
-                _Task(entries=[(key, holders[0][1])], mode="scalar")
-                for key, holders in pending.items()
-            ]
+        tasks = [_Task(entries=group, mode="batch") for group in _batch_groups(pending)]
 
         if jobs == 1 or not pending:
             _drive_inline(tasks, supervisor, graphs, trace_cells, metrics)
@@ -617,29 +593,18 @@ def _drive_inline(
         wait = not_before - time.monotonic()
         if wait > 0:
             time.sleep(wait)
-        attempt = task.executions + 1
+        graph = graphs.get(task.entries[0][1].dataset) if graphs else None
         try:
-            if task.mode == "batch":
-                # The group's executors carry this sweep's metrics registry
-                # so the executor-level dedupe counters
-                # (executor.cache_sim.runs / .memo_hits) land next to the
-                # fleet counters.
-                graph = (
-                    graphs.get(task.entries[0][1].dataset) if graphs else None
-                )
-                outcomes = run_batch_timed(
-                    [cell for _, cell in task.entries],
-                    graph,
-                    trace_cells,
-                    metrics=metrics,
-                    attempt=attempt,
-                )
-            else:
-                cell = task.entries[0][1]
-                graph = graphs.get(cell.dataset) if graphs else None
-                outcomes = [
-                    run_cell_timed(cell, graph, trace_cells, attempt=attempt)
-                ]
+            # The group's executors carry this sweep's metrics registry so
+            # the executor-level counters (executor.cache_sim.runs /
+            # .memo_hits) land next to the fleet counters.
+            outcomes = run_batch_timed(
+                [cell for _, cell in task.entries],
+                graph,
+                trace_cells,
+                metrics=metrics,
+                attempt=task.executions + 1,
+            )
         except Exception as error:
             for item, delay in supervisor.fail(task, error, charged=True):
                 queue.append((item, time.monotonic() + delay))
@@ -671,10 +636,6 @@ def _drive_pool(
     inflight: dict[concurrent.futures.Future, _Task] = {}
     deadlines: dict[concurrent.futures.Future, float] = {}
 
-    def as_outcomes(task: _Task, result):
-        """Normalize a future result: scalar futures return one tuple."""
-        return result if task.mode == "batch" else [result]
-
     def make_pool():
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=jobs,
@@ -693,19 +654,13 @@ def _drive_pool(
         return make_pool()
 
     def submit(pool, task: _Task):
-        attempt = task.executions + 1
-        if task.mode == "batch":
-            future = pool.submit(
-                run_batch_timed,
-                [cell for _, cell in task.entries],
-                None,
-                trace_cells,
-                attempt=attempt,
-            )
-        else:
-            future = pool.submit(
-                run_cell_timed, task.entries[0][1], None, trace_cells, attempt=attempt
-            )
+        future = pool.submit(
+            run_batch_timed,
+            [cell for _, cell in task.entries],
+            None,
+            trace_cells,
+            attempt=task.executions + 1,
+        )
         inflight[future] = task
         if policy.timeout_seconds is not None:
             deadlines[future] = time.monotonic() + policy.timeout_seconds
@@ -760,7 +715,7 @@ def _drive_pool(
                 except Exception as error:
                     requeue(supervisor.fail(task, error, charged=True))
                 else:
-                    supervisor.succeed(task, as_outcomes(task, outcomes))
+                    supervisor.succeed(task, outcomes)
             if broken:
                 # The crash poisoned every in-flight future; drain them all
                 # (completed-before-the-crash results still land), requeue
@@ -775,7 +730,7 @@ def _drive_pool(
                     except Exception as error:
                         requeue(supervisor.fail(task, error, charged=True))
                     else:
-                        supervisor.succeed(task, as_outcomes(task, outcomes))
+                        supervisor.succeed(task, outcomes)
                 inflight.clear()
                 deadlines.clear()
                 pool = rebuild_pool(pool)

@@ -1,19 +1,16 @@
 """Sweep worker: executes cells and returns their serializable result rows.
 
-:func:`run_cell` is the scalar unit of work: a module-level function over a
-picklable :class:`~repro.sweep.matrix.SweepCell` so it crosses a
-``ProcessPoolExecutor`` boundary unchanged.  It creates a *fresh* executor
-per cell, so every row is trivially a pure function of its cell spec.
-
-:func:`run_batch_timed` is the batch unit of work the runner dispatches
-since the vectorized-batch layer: one call prices every pending cell of a
-(dataset, scale, seed, family) group while sharing the expensive
-per-(plan, graph) state across the group — the built graph, the lowered
-plan, the baseline workload derivation, and one executor per backend (whose
-content-keyed cache-simulation and phase memos then dedupe across configs).
-Sharing is byte-safe because every executor memo keys on the graph content
-fingerprint plus *every* config knob the memoized value depends on; the
-batch-vs-scalar equivalence test pins rows from both paths byte-identical.
+:func:`run_batch_timed` is the sweep's one unit of work: a module-level
+function over picklable :class:`~repro.sweep.matrix.SweepCell` specs, so
+it crosses a ``ProcessPoolExecutor`` boundary unchanged.  One call prices
+every given cell of a (dataset, scale, seed, family) group while sharing
+the per-(plan, graph) state across the group: the built graph, the lowered
+plan, the baseline workload derivation, and one executor per backend.  A
+single cell is a batch of one.  Sharing is byte-safe because executors hold
+no memo state: every memo lives on the graph's pricing context
+(:mod:`repro.sim.batch`) and keys on the graph content plus every config
+knob and width the memoized value depends on, so a row is a pure function
+of its cell spec.
 
 A per-process dataset memo keyed by (name, scale, seed) keeps the fan-out
 cheap: a worker process that receives many groups of one dataset builds its
@@ -26,7 +23,7 @@ Every metric in the returned rows is a plain int/float.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.faults import trip
 from repro.sweep.matrix import SweepCell, config_to_dict
@@ -42,11 +39,9 @@ __all__ = [
     "failed_row",
     "prime_graph_memo",
     "run_batch_timed",
-    "run_cell",
-    "run_cell_timed",
 ]
 
-#: Result-row schema version, stamped into every row :func:`run_cell` emits.
+#: Result-row schema version, stamped into every success row.
 #: Bumped when the cell-key derivation changes incompatibly, so resuming a
 #: sweep from a store written before the change fails with a clear error
 #: instead of silently re-executing every cell next to the stale rows.
@@ -133,7 +128,7 @@ def _abbreviation_for(cell: SweepCell, graph: "Graph | None") -> str:
 
 
 def _base_row(cell: SweepCell, abbreviation: str) -> dict:
-    """The row skeleton shared by the scalar and batch paths."""
+    """The row skeleton shared by success and failed rows."""
     row = {
         "row_format": ROW_FORMAT,
         "key": cell.key(),
@@ -224,69 +219,14 @@ def _result_metrics(cell: SweepCell, backend, result) -> dict:
     return metrics
 
 
-def run_cell(
-    cell: SweepCell, graph: "Graph | None" = None, *, tracer=None, attempt: int = 1
-) -> dict:
-    """Execute one scenario cell and return its result-store row.
-
-    Args:
-        cell: The fully-specified scenario.
-        graph: Optional pre-built dataset graph (in-process sweeps over
-            caller-supplied graphs); defaults to the memoized synthetic
-            build for the cell's (dataset, scale, seed).
-        tracer: Optional :class:`repro.obs.Tracer` installed on the backend
-            so the execution emits its span hierarchy.  Tracing never
-            touches the row: traced and untraced cells are byte-identical.
-        attempt: 1-based execution attempt (the supervised runner counts
-            retries); only read by the fault-injection plane.
-
-    Returns:
-        A JSON-serializable row.  Backends that do not support the cell's
-        GNN family (e.g. AWB-GCN beyond GCN) still produce a row, with
-        ``supported=False`` and null metrics, so a finished sweep has
-        exactly one row per cell.
-    """
-    from repro.plan.executor import executor
-    from repro.plan.lowering import lower
-
-    _trip_cell_fault(cell, attempt)
-    backend = executor(cell.backend)
-    if tracer is not None and hasattr(backend, "tracer"):
-        backend.tracer = tracer
-    row = _base_row(cell, _abbreviation_for(cell, graph))
-
-    # Unsupported (backend, family) combinations never need the graph, so
-    # the row is produced without building the dataset.
-    supports = getattr(backend, "supports", None)
-    if supports is not None and not supports(cell.family):
-        row["supported"] = False
-        return row
-    if cell.chips != 1 and not getattr(backend, "supports_scaleout", False):
-        row["supported"] = False
-        return row
-
-    if graph is None:
-        graph = _graph_for(cell)
-    plan = lower(cell.family, graph)
-    if cell.chips == 1:
-        result = backend.execute(plan, graph, cell.config)
-    else:
-        from repro.scaleout import execute_scaleout
-
-        result = execute_scaleout(backend, plan, graph, cell.config, chips=cell.chips)
-    row["metrics"] = _result_metrics(cell, backend, result)
-    return row
-
-
 class _BatchGroup:
     """Lazily-built shared state for one (dataset, scale, seed, family) group.
 
     Everything here is either a pure function of the group axes (graph,
-    plan, baseline workload) or an executor whose memos key on graph
-    content plus every relevant config knob — so sharing it across the
-    group's cells cannot change any row.  Laziness matters: a group whose
+    plan, baseline workload) or a stateless executor, so sharing it across
+    the group's cells cannot change any row.  Laziness matters: a group whose
     cells are all unsupported (backend, family) pairs never builds the
-    graph at all, exactly like the scalar path.
+    graph at all.
     """
 
     def __init__(self, graph: "Graph | None" = None, metrics=None) -> None:
@@ -330,13 +270,20 @@ class _BatchGroup:
 def _run_group_cell(
     cell: SweepCell, group: _BatchGroup, tracer=None, attempt: int = 1
 ) -> dict:
-    """One cell of a batch group: :func:`run_cell` semantics, shared state."""
+    """Execute one cell of a group and return its result-store row.
+
+    Backends that do not support the cell's GNN family (e.g. AWB-GCN beyond
+    GCN) or its chip count still produce a row, with ``supported=False``
+    and null metrics, so a finished sweep has exactly one row per cell.
+    """
     _trip_cell_fault(cell, attempt)
     backend = group.executor(cell.backend)
     if tracer is not None and hasattr(backend, "tracer"):
         backend.tracer = tracer
     row = _base_row(cell, _abbreviation_for(cell, group.built_graph))
 
+    # Unsupported (backend, family) combinations never need the graph, so
+    # the row is produced without building the dataset.
     supports = getattr(backend, "supports", None)
     if supports is not None and not supports(cell.family):
         row["supported"] = False
@@ -363,20 +310,19 @@ def _run_group_cell(
 
 
 def _timed_cell(
-    cell: SweepCell, trace: bool, execute: Callable
+    cell: SweepCell, group: _BatchGroup, trace: bool, attempt: int
 ) -> tuple[dict, float, list[dict] | None]:
-    """Time one cell execution, optionally under a fresh per-cell tracer.
+    """Run one cell, optionally under a fresh per-cell tracer.
 
-    ``execute`` receives the tracer (or ``None``) and returns the row.
-    Returns ``(row, wall_seconds, span_records)`` — the runner's per-cell
-    accounting unit for both the scalar and batch paths.
+    Returns ``(row, wall_seconds, span_records)``: the runner's per-cell
+    accounting unit.
     """
     from repro.obs.tracer import Tracer
 
     tracer = Tracer() if trace else None
     start = time.perf_counter()
     if tracer is None:
-        row = execute(None)
+        row = _run_group_cell(cell, group, None, attempt)
     else:
         with tracer.span(
             "cell",
@@ -387,7 +333,7 @@ def _timed_cell(
             config=cell.config.name,
             key=cell.key(),
         ) as span:
-            row = execute(tracer)
+            row = _run_group_cell(cell, group, tracer, attempt)
         metrics = row.get("metrics") or {}
         if "cycles" in metrics:
             span.set(cycles=metrics["cycles"], mac_operations=metrics["mac_operations"])
@@ -395,28 +341,6 @@ def _timed_cell(
     wall = time.perf_counter() - start
     spans = [record.as_dict() for record in tracer.records] if tracer else None
     return row, wall, spans
-
-
-def run_cell_timed(
-    cell: SweepCell,
-    graph: "Graph | None" = None,
-    trace: bool = False,
-    *,
-    attempt: int = 1,
-) -> tuple[dict, float, list[dict] | None]:
-    """Run one cell with host wall-time (and, optionally, span) capture.
-
-    Returns ``(row, wall_seconds, span_records)`` where ``row`` is exactly
-    what :func:`run_cell` produces (byte-identical, traced or not),
-    ``wall_seconds`` is the cell's host execution time, and ``span_records``
-    is the serialized span segment of this process (one ``cell`` root
-    enclosing the backend's ``inference → layer → op`` spans) or ``None``
-    when ``trace`` is off.  Picklable end to end, so the pool path ships
-    segments back to the parent for the merged multi-worker timeline.
-    """
-    return _timed_cell(
-        cell, trace, lambda tracer: run_cell(cell, graph, tracer=tracer, attempt=attempt)
-    )
 
 
 def run_batch_timed(
@@ -427,30 +351,35 @@ def run_batch_timed(
     metrics=None,
     attempt: int = 1,
 ) -> list[tuple[dict, float, list[dict] | None]]:
-    """Run one (dataset, scale, seed, family) group of cells as a batch.
+    """Run one (dataset, scale, seed, family) group of cells.
 
-    The batch unit of work: all cells must share the group axes (they may
-    differ in backend and config).  The group's graph, plan, baseline
-    workload and per-backend executors are built once and shared, so a
-    config batch prices in one pass what the scalar path would recompute
-    per cell — while each cell still gets its own wall-clock timing and
-    (when ``trace`` is on) its own ``cell`` span root, exactly like
-    :func:`run_cell_timed`.
+    All cells must share the group axes (they may differ in backend and
+    config).  The group's graph, plan, baseline workload and per-backend
+    executors are built once and shared, so a config batch prices in one
+    pass, while each cell still gets its own wall-clock timing and (when
+    ``trace`` is on) its own ``cell`` span root.
 
-    ``metrics`` is an optional :class:`repro.obs.MetricsRegistry` installed
-    on the group's executors, so inline (``jobs=1``) sweeps surface the
-    executor-level dedupe counters (``executor.cache_sim.runs`` /
-    ``.memo_hits``) alongside the fleet counters.
+    Args:
+        cells: The group's cells; one cell is a batch of one.
+        graph: Optional pre-built dataset graph (in-process sweeps over
+            caller-supplied graphs); defaults to the memoized synthetic
+            build for the group's (dataset, scale, seed).
+        trace: Run every cell under a fresh :class:`repro.obs.Tracer`.
+            Tracing never touches the rows.
+        metrics: Optional :class:`repro.obs.MetricsRegistry` installed on
+            the group's executors, so inline (``jobs=1``) sweeps surface the
+            executor-level counters (``executor.cache_sim.runs`` /
+            ``.memo_hits``) alongside the fleet counters.
+        attempt: 1-based execution attempt (the supervised runner counts
+            retries); only read by the fault-injection plane.
 
-    Returns one ``(row, wall_seconds, span_records)`` tuple per cell, in
-    input order; rows are byte-identical to the scalar path's.
+    Returns:
+        One ``(row, wall_seconds, span_records)`` tuple per cell, in input
+        order.  ``span_records`` is the serialized span segment of this
+        process (one ``cell`` root enclosing the backend's ``inference →
+        layer → op`` spans), or ``None`` when ``trace`` is off; it is
+        picklable, so the pool path ships segments back to the parent for
+        the merged multi-worker timeline.
     """
     group = _BatchGroup(graph=graph, metrics=metrics)
-    return [
-        _timed_cell(
-            cell,
-            trace,
-            lambda tracer, cell=cell: _run_group_cell(cell, group, tracer, attempt),
-        )
-        for cell in cells
-    ]
+    return [_timed_cell(cell, group, trace, attempt) for cell in cells]

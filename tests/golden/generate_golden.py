@@ -5,7 +5,9 @@ Each ``<dataset>_<family>.json`` snapshot is the full JSON report of one
 from the pre-plan-IR engine (commit adae848) and pin the refactored
 lower-then-execute path to the original behaviour; the ppi/reddit files
 were generated from the plan-IR engine and pin the remaining cells of the
-5-dataset × 5-family matrix against regression.
+5-dataset × 5-family matrix against regression.  The ``*_ginconv`` files
+were regenerated when cache simulations became a pure function of the plan
+(each plan's first aggregation op sizes its simulation).
 ``tests/test_plan_golden.py`` fails if any cycle, byte or energy number
 drifts.
 

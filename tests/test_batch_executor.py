@@ -1,29 +1,27 @@
-"""Batch execution: byte-equivalence, memo sharing, and obs integration.
+"""Batch execution: sharing never changes a row; obs integration.
 
-The vectorized batch layer (``GNNIEExecutor.execute_batch``, the sweep
-runner's per-group dispatch, :mod:`repro.sim.batch`) promises one thing
-above all: *sharing state across a batch never changes a row*.  These tests
-pin that promise through the result store's canonical serialization, then
-check the two behaviours the sharing exists for — cache-simulation dedupe
+The sweep runner dispatches one :func:`~repro.sweep.run_batch_timed` call
+per (dataset, family) group, sharing the graph, the lowered plan and one
+executor per backend across the group's configs, and every memo lives on
+the graph's pricing context (:mod:`repro.sim.batch`).  These tests pin the
+one promise that sharing makes — *it never changes a row* — by comparing
+shared batches against each cell run alone on an unshared graph, then
+check the two behaviours the sharing exists for: cache-simulation dedupe
 across a dataset group, and truthful per-cell observability.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
 from dataclasses import replace
 
-import pytest
-
+from repro.datasets import build_dataset
 from repro.hw import AcceleratorConfig
 from repro.models import MODEL_FAMILIES
 from repro.obs import MetricsRegistry
-from repro.sim.batch import clear_pricing_contexts, pricing_context
-from repro.sweep import (
-    ScenarioMatrix,
-    run_batch_timed,
-    run_cell,
-    run_sweep,
-)
+from repro.sim.batch import pricing_context
+from repro.sweep import ScenarioMatrix, run_batch_timed, run_sweep
 from repro.sweep.store import canonical_row
 
 
@@ -57,14 +55,11 @@ def _mixed_configs() -> list[AcceleratorConfig]:
     return configs
 
 
-class TestBatchScalarEquivalence:
-    def test_batch_rows_byte_identical_to_scalar_rows(self):
-        """Satellite: ≥20 mixed configs x all 5 families, batch == scalar.
-
-        The batch path shares one executor (and the module-level pricing
-        context) across a family group; the scalar path builds a fresh
-        executor per cell.  Both must serialize to identical bytes through
-        the store's canonical form.
+class TestSharingNeverChangesARow:
+    def test_group_batches_match_cells_run_alone(self):
+        """≥20 mixed configs x all 5 families: shared group batches equal
+        every cell run as a batch of one on a deep copy of the graph, which
+        starts with an empty pricing context and shares nothing.
         """
         matrix = ScenarioMatrix.build(
             ["citeseer"],
@@ -76,22 +71,23 @@ class TestBatchScalarEquivalence:
         )
         cells = matrix.cells()
         assert len(cells) >= 100  # 5 families x >=20 configs
+        graph = build_dataset("citeseer", scale=0.2, seed=cells[0].seed)
 
-        clear_pricing_contexts()
         batch_rows = []
         for family in MODEL_FAMILIES:
             group = [cell for cell in cells if cell.family == family]
-            batch_rows.extend(row for row, _, _ in run_batch_timed(group))
-
-        clear_pricing_contexts()
-        scalar_rows = [run_cell(cell) for cell in cells]
-
-        assert [canonical_row(row) for row in batch_rows] == [
-            canonical_row(row) for row in scalar_rows
+            batch_rows.extend(row for row, _, _ in run_batch_timed(group, graph))
+        alone_rows = [
+            row
+            for cell in cells
+            for row, _, _ in run_batch_timed([cell], copy.deepcopy(graph))
         ]
 
-    def test_executor_batch_matches_scalar_results(self):
-        from repro.datasets import build_dataset
+        assert [canonical_row(row) for row in batch_rows] == [
+            canonical_row(row) for row in alone_rows
+        ]
+
+    def test_one_executor_matches_fresh_executors(self):
         from repro.plan.lowering import lower
         from repro.sim import result_to_dict
         from repro.sim.gnnie_executor import GNNIEExecutor
@@ -99,15 +95,18 @@ class TestBatchScalarEquivalence:
         graph = build_dataset("cora", scale=0.2, seed=5)
         plan = lower("gat", graph)
         configs = _mixed_configs()[:8]
-        batch = GNNIEExecutor().execute_batch(plan, graph, configs)
-        scalar = [GNNIEExecutor().execute(plan, graph, cfg) for cfg in configs]
-        assert [result_to_dict(r) for r in batch] == [result_to_dict(r) for r in scalar]
+        executor = GNNIEExecutor()
+        shared = [executor.execute(plan, graph, cfg) for cfg in configs]
+        alone = [
+            GNNIEExecutor().execute(plan, copy.deepcopy(graph), cfg) for cfg in configs
+        ]
+        assert [result_to_dict(r) for r in shared] == [result_to_dict(r) for r in alone]
 
 
 class TestCacheSimSharing:
     def test_inline_sweep_dedupes_cache_sims_across_group(self):
-        """Satellite: ``jobs=1`` shares one executor's cache-sim memo across
-        a whole dataset group instead of re-simulating per cell."""
+        """``jobs=1`` shares one simulation per cache key across a whole
+        dataset group instead of re-simulating per cell."""
         gammas = [replace(AcceleratorConfig(), gamma=g, name=f"g{g}") for g in (2, 4)]
         matrix = ScenarioMatrix.build(
             ["cora"],
@@ -117,79 +116,85 @@ class TestCacheSimSharing:
             seed=0,
             configs=[AcceleratorConfig()] + gammas,
         )
-        clear_pricing_contexts()
         metrics = MetricsRegistry()
-        summary = run_sweep(matrix, jobs=1, metrics=metrics)
+        graphs = {"cora": build_dataset("cora", scale=0.1, seed=0)}
+        summary = run_sweep(matrix, jobs=1, graphs=graphs, metrics=metrics)
         assert summary.executed == 6  # 2 families x 3 configs
 
         runs = metrics.counter("executor.cache_sim.runs").value
         memo_hits = metrics.counter("executor.cache_sim.memo_hits").value
-        context_hits = metrics.counter("executor.cache_sim.context_hits").value
-        # One simulation per distinct (graph, buffer config): the three
-        # configs differ only in gamma, which IS part of the cache key, so
-        # three runs for the first family — and the second family's group
-        # serves all three from the shared pricing context.
+        # One simulation per distinct (graph, buffer config, priming width):
+        # the three configs differ in gamma, which IS part of the cache key,
+        # and GCN and GAT prime at the same width, so three runs in all.
         assert runs == 3
-        assert context_hits == 3
-        # Within a group, each family's multi-layer plan re-prices the same
-        # cache sim per layer/config from the executor memo.
-        assert memo_hits > 0
+        # Each 2-layer plan prices 2 aggregation ops per config: 12 in all,
+        # every one past the three runs served from the memo.
+        assert memo_hits == 12 - runs
 
-    def test_scalar_escape_hatch_pays_per_cell(self, monkeypatch):
-        """REPRO_NO_BATCH=1 restores fresh-executor-per-cell pricing (the
-        context still dedupes the raw simulations, so ``runs`` stays put but
-        nothing is shared at the executor level)."""
-        matrix = ScenarioMatrix.build(
-            ["cora"], ["gcn"], backends=["gnnie"], scale=0.1, seed=0,
-            configs=[AcceleratorConfig(), replace(AcceleratorConfig(), gamma=2, name="g2")],
+    def test_executor_holds_no_memo_state(self):
+        from repro.plan.lowering import lower
+        from repro.sim.gnnie_executor import GNNIEExecutor
+
+        graph = build_dataset("cora", scale=0.1, seed=9)
+        executor = GNNIEExecutor()
+        executor.execute(lower("gcn", graph), graph)
+        assert set(vars(executor)) == {
+            "config", "energy_model", "area_model", "tracer", "metrics"
+        }
+
+    def test_every_reuse_counts_as_a_memo_hit(self):
+        """A rerun prices every aggregation op from the graph's memos: no
+        new simulation, one ``memo_hits`` per op, and no second counter."""
+        from repro.plan.ir import AggregationOp
+        from repro.plan.lowering import lower
+        from repro.sim.gnnie_executor import GNNIEExecutor
+
+        graph = build_dataset("cora", scale=0.1, seed=9)
+        plan = lower("gcn", graph)
+        aggregations = sum(
+            isinstance(op, AggregationOp) for stage in plan.layers for op in stage.ops
         )
-        clear_pricing_contexts()
         metrics = MetricsRegistry()
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        batch_metrics = MetricsRegistry()
-        run_sweep(matrix, jobs=1, metrics=batch_metrics)
-        monkeypatch.delenv("REPRO_NO_BATCH")
-        clear_pricing_contexts()
-        summary = run_sweep(matrix, jobs=1, metrics=metrics)
-        assert summary.executed == 2
-        assert metrics.counter("executor.cache_sim.runs").value == 2
+        runs = metrics.counter("executor.cache_sim.runs")
+        memo_hits = metrics.counter("executor.cache_sim.memo_hits")
+        GNNIEExecutor(metrics=metrics).execute(plan, graph)
+        # Both layers aggregate over one adjacency: one simulation, reused
+        # by the second layer's op at its own width.
+        assert (runs.value, memo_hits.value) == (1, aggregations - 1)
+
+        GNNIEExecutor(metrics=metrics).execute(plan, graph)
+        assert (runs.value, memo_hits.value) == (1, 2 * aggregations - 1)
+        names = {row["name"] for row in metrics.snapshot()}
+        assert "executor.cache_sim.context_hits" not in names
+
+    def test_deep_copy_shares_no_memos(self):
+        """The equivalence tests above rely on a deep copy being an
+        unshared graph: it starts with no context and leaves the
+        original's memos untouched."""
+        from repro.plan.lowering import lower
+        from repro.sim.gnnie_executor import GNNIEExecutor
+
+        graph = build_dataset("cora", scale=0.1, seed=9)
+        GNNIEExecutor().execute(lower("gcn", graph), graph)
+        context = pricing_context(graph)
+        assert context.cache_results and context.phase_memo
+
+        twin = copy.deepcopy(graph)
+        assert twin.pricing is None
+        twin_context = pricing_context(twin)
+        assert twin_context is not context
+        assert not twin_context.cache_results and not twin_context.phase_memo
+        assert pricing_context(graph) is context
 
     def test_pricing_context_is_per_graph_and_collected(self):
-        from repro.datasets import build_dataset
-
         graph = build_dataset("cora", scale=0.1, seed=9)
         context = pricing_context(graph)
         assert pricing_context(graph) is context
+        assert graph.pricing is context
         other = build_dataset("cora", scale=0.1, seed=10)
         assert pricing_context(other) is not context
-
-    def test_stale_finalizer_cannot_evict_an_id_aliased_live_context(self):
-        """A dead graph's finalizer must not drop a live graph's context.
-
-        Regression test: ``id()`` values recycle after GC, so the finalizer
-        of a collected graph can fire with a key that a *new* graph has
-        since re-registered.  The old unconditional ``_CONTEXTS.pop(key)``
-        evicted the live context (silently dropping its shared memos); the
-        pop is now guarded on context identity.
-        """
-        from repro.datasets import build_dataset
-        from repro.sim.batch import _CONTEXTS, _evict_context, GraphPricingContext
-
-        graph = build_dataset("cora", scale=0.1, seed=9)
-        live = pricing_context(graph)
-        key = id(graph)
-        assert _CONTEXTS[key] is live
-
-        # A finalizer of a *dead* graph firing late with the same (recycled)
-        # id must leave the live registration alone...
-        stale = GraphPricingContext(graph)
-        _evict_context(key, stale)
-        assert _CONTEXTS.get(key) is live
-        assert pricing_context(graph) is live
-
-        # ...while the matching context still evicts cleanly.
-        _evict_context(key, live)
-        assert key not in _CONTEXTS
+        # A pickled graph (a pool worker's copy) leaves its context behind.
+        assert pickle.loads(pickle.dumps(graph)).pricing is None
 
 
 class TestBatchObservability:
@@ -237,12 +242,3 @@ class TestBatchObservability:
         assert "sweep" in names
         assert any(name.startswith("layer") for name in names)
         assert any(name.startswith("op:") for name in names)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_contexts():
-    """Each test starts and ends with a clean context registry so module
-    order cannot leak warm memos into the dedupe assertions."""
-    clear_pricing_contexts()
-    yield
-    clear_pricing_contexts()

@@ -370,10 +370,10 @@ class TestSimulationIntegration:
         assert dram.stats.random_accesses_issued == 14
 
     def test_engine_fingerprint_is_content_based(self, graph):
-        from repro.sim.gnnie_executor import _adjacency_fingerprint
+        from repro.sim.batch import adjacency_fingerprint
 
-        same = _adjacency_fingerprint(graph)
+        same = adjacency_fingerprint(graph)
         copy = power_law_graph(600, 3000, exponent=2.1, seed=91)
         other = power_law_graph(600, 3000, exponent=2.1, seed=92)
-        assert _adjacency_fingerprint(copy) == same
-        assert _adjacency_fingerprint(other) != same
+        assert adjacency_fingerprint(copy) == same
+        assert adjacency_fingerprint(other) != same

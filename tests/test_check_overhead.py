@@ -73,7 +73,8 @@ def test_batch_path_verifies_once_per_plan(monkeypatch):
     ]
     executor.execute(plan, graph)  # prime the memo for this plan
     before = verify_counters()
-    executor.execute_batch(plan, graph, configs)
+    for config in configs:
+        executor.execute(plan, graph, config)
     after = verify_counters()
     assert after["runs"] == before["runs"]  # no re-verification per config
     assert after["hits"] == before["hits"] + len(configs)

@@ -161,7 +161,7 @@ class TestSupervisedSweep:
 
     def test_poisoned_config_is_isolated_by_degradation(self, tmp_path):
         """One poisoned cell in a batch group fails alone; its group mates
-        land healthy rows through the scalar fallback."""
+        land healthy rows when the group degrades to single cells."""
         from repro.hw import design_preset
 
         matrix = ScenarioMatrix.build(
@@ -181,6 +181,39 @@ class TestSupervisedSweep:
         healthy = [row for row in summary.rows if row.get("status") != "failed"]
         assert len(healthy) == 2
         assert all(row["metrics"] is not None for row in healthy)
+
+    def test_degraded_cells_land_the_rows_of_a_clean_sweep(self, tmp_path):
+        """A degraded group runs each cell as a batch of one; the healthy
+        cells' rows are byte-identical to those of a fault-free sweep."""
+        from repro.hw import design_preset
+        from repro.obs import MetricsRegistry
+        from repro.sweep.store import canonical_row
+
+        matrix = ScenarioMatrix.build(
+            ["cora"], ["gcn"], backends=["gnnie"],
+            configs=[design_preset(name) for name in "ABC"], scale=0.1, seed=0,
+        )
+        clean = run_sweep(matrix, store=ResultStore(tmp_path / "c.jsonl"), jobs=1)
+        clean_rows = {row["key"]: canonical_row(row) for row in clean.rows}
+
+        poisoned = matrix.cells()[2]
+        install_plan(
+            FaultPlan(
+                specs=(FaultSpec(match={"config_name": poisoned.config.name}, times=-1),)
+            )
+        )
+        metrics = MetricsRegistry()
+        summary = run_sweep(
+            matrix, store=ResultStore(tmp_path / "d.jsonl"), jobs=1, metrics=metrics
+        )
+        assert metrics.counter("sweep.groups.degraded").value == 1
+        healthy = {
+            row["key"]: canonical_row(row)
+            for row in summary.rows
+            if row.get("status") != "failed"
+        }
+        assert set(healthy) == {cell.key() for cell in matrix.cells()[:2]}
+        assert healthy == {key: clean_rows[key] for key in healthy}
 
     def test_strict_policy_reports_every_failure(self, tmp_path):
         matrix = ScenarioMatrix.build(

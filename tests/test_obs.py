@@ -19,7 +19,7 @@ import json
 import pytest
 
 from repro.hw import AcceleratorConfig
-from repro.sweep import ScenarioMatrix, run_cell_timed, run_sweep
+from repro.sweep import ScenarioMatrix, run_batch_timed, run_sweep
 from repro.sweep.store import ResultStore, canonical_row
 from repro.obs import (
     NULL_METRICS,
@@ -409,15 +409,15 @@ class TestSweepObservability:
         assert as_dict["wall_seconds"] == summary.wall_seconds
         assert as_dict["cell_wall_seconds"] == summary.cell_wall_seconds
 
-    def test_run_cell_timed_span_segment(self, obs_matrix):
+    def test_batch_of_one_span_segment(self, obs_matrix):
         cell = obs_matrix.cells()[0]
-        row, wall, spans = run_cell_timed(cell, trace=True)
+        [(row, wall, spans)] = run_batch_timed([cell], trace=True)
         assert wall > 0
         roots = [s for s in spans if s["category"] == "cell"]
         assert len(roots) == 1
         assert roots[0]["attrs"]["key"] == cell.key() == row["key"]
         assert roots[0]["attrs"]["cycles"] == row["metrics"]["cycles"]
-        untraced_row, _, no_spans = run_cell_timed(cell, trace=False)
+        [(untraced_row, _, no_spans)] = run_batch_timed([cell], trace=False)
         assert no_spans is None
         assert canonical_row(untraced_row) == canonical_row(row)
 

@@ -5,7 +5,10 @@ from the pre-refactor ``GNNIESimulator`` (direct family branches in the
 engine) and pin the lower-then-execute path to the original behaviour; the
 ppi/reddit reports were generated from the plan-IR engine and pin the two
 scaled large-graph stand-ins against regression, completing the paper's
-evaluation matrix.  ``baseline_platforms.json`` snapshots the shared
+evaluation matrix.  The five ``*_ginconv`` reports were regenerated when
+cache simulations became a pure function of the plan: GINConv aggregates
+first, at the input width, and now sizes its own simulation instead of
+reusing the one an earlier family primed.  ``baseline_platforms.json`` snapshots the shared
 workload derivation and the five platform cost models for every pair.
 Simulated results must match exactly (integers) or to 1e-9 relative
 tolerance (energy/latency floats).
@@ -83,9 +86,6 @@ class TestGNNIEGoldenEquivalence:
     @pytest.mark.parametrize("dataset", [name for name, _, _ in GOLDEN_DATASETS])
     def test_all_families_match_snapshot(self, dataset, golden_graphs):
         graph = golden_graphs[dataset]
-        # One fresh simulator per dataset, families in registry order — the
-        # exact protocol generate_golden.py used, so the shared cache-sim
-        # memo is primed identically.
         simulator = GNNIESimulator()
         for family in MODEL_FAMILIES:
             got = result_to_dict(simulator.run(graph, family))

@@ -15,8 +15,7 @@ from repro.plan.executor import executor
 from repro.scaleout import execute_scaleout, partition_workload
 from repro.sim import GNNIEExecutor, ScaleOutResult, results_to_csv
 from repro.sim.batch import pricing_context
-from repro.sweep import SCALEOUT_ROW_FORMAT, ScenarioMatrix, SweepCell, run_cell
-from repro.sweep.worker import run_batch_timed
+from repro.sweep import SCALEOUT_ROW_FORMAT, ScenarioMatrix, SweepCell, run_batch_timed
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +156,12 @@ class TestScaleoutMatrix:
         assert multi[0].describe().endswith(" x2")
 
 
+def _row(cell: SweepCell, graph) -> dict:
+    """One cell's row, run as a batch of one."""
+    [(row, _, _)] = run_batch_timed([cell], graph)
+    return row
+
+
 class TestScaleoutRows:
     def _cell(self, **overrides) -> SweepCell:
         values = dict(
@@ -172,7 +177,7 @@ class TestScaleoutRows:
         return SweepCell(**values)
 
     def test_multi_chip_row_carries_scaleout_format_and_metrics(self, graph):
-        row = run_cell(self._cell(), graph)
+        row = _row(self._cell(), graph)
         assert row["row_format"] == SCALEOUT_ROW_FORMAT
         assert row["chips"] == 4
         metrics = row["metrics"]
@@ -181,12 +186,12 @@ class TestScaleoutRows:
         assert metrics["communication_cycles"] > 0
         assert metrics["chip_imbalance"] >= 1.0
         # Fleet silicon: the area column prices N chips.
-        single = run_cell(self._cell(chips=1), graph)
+        single = _row(self._cell(chips=1), graph)
         assert metrics["area_mm2"] == pytest.approx(4 * single["metrics"]["area_mm2"])
 
     def test_single_chip_row_is_byte_identical_to_legacy(self, graph):
-        with_axis = run_cell(self._cell(chips=1), graph)
-        legacy = run_cell(
+        with_axis = _row(self._cell(chips=1), graph)
+        legacy = _row(
             SweepCell(
                 dataset="cora",
                 scale=0.05,
@@ -201,16 +206,20 @@ class TestScaleoutRows:
         assert "chips" not in with_axis
 
     def test_multi_chip_cell_on_baseline_backend_is_unsupported(self, graph):
-        row = run_cell(self._cell(backend="pyg-cpu"), graph)
+        row = _row(self._cell(backend="pyg-cpu"), graph)
         assert row["supported"] is False
         assert row["metrics"] is None
 
     def test_batch_path_matches_scalar_path(self, graph):
+        """Sharing a group never changes a row: each reference cell runs
+        alone on a freshly built graph, so nothing is shared."""
         cells = [self._cell(chips=1), self._cell(chips=4)]
         batch_rows = [row for row, _, _ in run_batch_timed(cells, graph)]
-        scalar_rows = [run_cell(cell, graph) for cell in cells]
+        alone_rows = [
+            _row(cell, build_dataset("cora", scale=0.05, seed=0)) for cell in cells
+        ]
         assert [json.dumps(r, sort_keys=True) for r in batch_rows] == [
-            json.dumps(r, sort_keys=True) for r in scalar_rows
+            json.dumps(r, sort_keys=True) for r in alone_rows
         ]
 
 
@@ -227,7 +236,7 @@ class TestScaleoutAggregation:
         matrix = ScenarioMatrix.build(
             ["cora"], ["gcn"], backends=["gnnie", "pyg-cpu"], scale=0.05, chips=[1, 4]
         )
-        rows = [run_cell(cell, graph) for cell in matrix.cells()]
+        rows = [_row(cell, graph) for cell in matrix.cells()]
         reference = next(
             r for r in rows if r["backend"] == "gnnie" and r.get("chips", 1) == 1
         )

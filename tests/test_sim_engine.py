@@ -7,9 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.datasets import build_dataset
 from repro.hw import AcceleratorConfig, design_preset
 from repro.models import MODEL_FAMILIES
-from repro.sim import GNNIESimulator
+from repro.obs import MetricsRegistry
+from repro.sim import GNNIESimulator, result_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -136,10 +138,34 @@ class TestEngineOptimizationFlags:
         cora_result = simulator.run(small_cora, "gcn")
         assert cora_result.config_name == AcceleratorConfig().name
 
-    def test_cache_simulation_reused_across_runs(self, medium_graph):
-        simulator = GNNIESimulator()
-        simulator.run(medium_graph, "gcn")
-        cached = dict(simulator._cache_results)
-        simulator.run(medium_graph, "gat")
-        # GAT on the same graph and buffer configuration reuses the entry.
-        assert set(cached) <= set(simulator._cache_results)
+    def test_results_independent_of_run_history(self):
+        """A simulator's results never depend on what it ran before.
+
+        One simulator runs every family forward, then in reverse, on one
+        graph; each result must equal a fresh simulator's on a freshly built
+        graph.  The cache-simulation memo lives on the graph, keyed by the
+        priming width each plan sizes it with, so GCN and GAT (same width)
+        share one simulation while GINConv (aggregation first, at the input
+        width) gets its own.
+        """
+        golden_citeseer = dict(name="citeseer", scale=0.25, seed=1)
+        fresh = {
+            family: result_to_dict(
+                GNNIESimulator().run(build_dataset(**golden_citeseer), family)
+            )
+            for family in MODEL_FAMILIES
+        }
+        graph = build_dataset(**golden_citeseer)
+        metrics = MetricsRegistry()
+        simulator = GNNIESimulator(metrics=metrics)
+        runs = metrics.counter("executor.cache_sim.runs")
+        new_runs = []
+        for family in list(MODEL_FAMILIES) + list(reversed(MODEL_FAMILIES)):
+            before = runs.value
+            assert result_to_dict(simulator.run(graph, family)) == fresh[family], family
+            new_runs.append((family, runs.value - before))
+        forward = dict(new_runs[: len(MODEL_FAMILIES)])
+        assert forward["gcn"] == 1
+        assert forward["gat"] == 0  # served by GCN's simulation
+        assert forward["ginconv"] == 1
+        assert all(count == 0 for _, count in new_runs[len(MODEL_FAMILIES):])

@@ -24,7 +24,7 @@ from repro.sweep import (
     config_to_dict,
     derive_seed,
     full_matrix,
-    run_cell,
+    run_batch_timed,
     run_sweep,
 )
 from repro.sweep.store import canonical_row
@@ -396,17 +396,17 @@ class TestRunner:
 
         monkeypatch.setattr("repro.datasets.synthetic.build_dataset", boom)
         cell = SweepCell("reddit", None, 0, "gat", "awb-gcn", AcceleratorConfig())
-        row = run_cell(cell)
+        [(row, _, _)] = run_batch_timed([cell])
         assert row["supported"] is False
         assert row["dataset_abbrev"] == "RD"
 
     def test_rows_independent_of_cell_order(self):
         """A cell's row must not depend on cells run earlier in the process.
 
-        Regression test: the GNNIE executor shares one cache simulation per
-        (graph, buffer config), sized by whichever op primes it first — an
-        executor reused across cells made ginconv rows depend on whether a
-        gcn cell (different aggregation width) ran first in the same worker.
+        Regression test: an executor reused across cells once made ginconv
+        rows depend on whether a gcn cell (different aggregation width) ran
+        first in the same worker.  Cache simulations are now keyed on the
+        priming width each plan sizes them with.
         """
         matrix = ScenarioMatrix.build(["cora"], ["gcn", "ginconv"], scale=0.1)
         forward = run_sweep(matrix.cells(), jobs=1).rows
@@ -415,7 +415,7 @@ class TestRunner:
 
     def test_caller_supplied_graph_used(self, tiny_graph):
         cell = SweepCell(tiny_graph.name, None, 0, "gcn", "gnnie", AcceleratorConfig())
-        row = run_cell(cell, tiny_graph)
+        [(row, _, _)] = run_batch_timed([cell], tiny_graph)
         assert row["dataset_abbrev"] == tiny_graph.name
         assert row["metrics"]["cycles"] > 0
 
