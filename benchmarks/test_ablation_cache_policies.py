@@ -12,10 +12,11 @@ on the same buffer size and compares their off-chip behaviour.
 from __future__ import annotations
 
 from repro.analysis import format_table
-from repro.cache import compare_cache_policies, vertex_record_bytes
+from repro.cache import simulate_policy, vertex_record_bytes
 from repro.hw import AcceleratorConfig
 
 CITATION = ("cora", "pubmed")
+POLICIES = ("degree_aware", "lru", "mru", "static_partition")
 
 
 def test_ablation_cache_policy_comparison(benchmark, record, datasets):
@@ -28,9 +29,12 @@ def test_ablation_cache_policy_comparison(benchmark, record, datasets):
             capacity = max(1, config.input_buffer_bytes // record_bytes)
             results[name] = (
                 capacity,
-                compare_cache_policies(
-                    graph.adjacency, capacity, bytes_per_vertex=record_bytes
-                ),
+                {
+                    policy: simulate_policy(
+                        policy, graph.adjacency, capacity, bytes_per_vertex=record_bytes
+                    )
+                    for policy in POLICIES
+                },
             )
         return results
 

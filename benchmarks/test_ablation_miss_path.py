@@ -18,8 +18,7 @@ Asserted invariants:
 from __future__ import annotations
 
 from repro.analysis import format_table, miss_path_ablation_rows
-from repro.analysis.miss_path import simulate_policy_with_trace
-from repro.cache import MissPathConfig, MissPathHierarchy
+from repro.cache import MissPathConfig, MissPathHierarchy, simulate_policy
 from repro.hw import AcceleratorConfig
 from repro.sim import input_buffer_capacity, run_cache_simulation
 
@@ -103,8 +102,8 @@ def test_miss_path_recovers_traffic_for_classic_policies(datasets):
     graph = datasets["cora"]
     capacity, record_bytes = _capacity(graph)
     for policy in ("lru", "static_partition"):
-        result = simulate_policy_with_trace(
-            graph.adjacency, policy, capacity, bytes_per_vertex=record_bytes
+        result = simulate_policy(
+            policy, graph.adjacency, capacity, bytes_per_vertex=record_bytes, collect_trace=True
         )
         for pair in (("victim", "stream"), ("miss", "stream")):
             hierarchy = MissPathHierarchy(MissPathConfig(mechanisms=pair))

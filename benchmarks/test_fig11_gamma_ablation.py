@@ -8,6 +8,8 @@ dynamically.  The paper uses a static γ = 5.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis import format_table
 from repro.hw import AcceleratorConfig
 from repro.sim import run_cache_simulation
@@ -23,7 +25,7 @@ def test_fig11_gamma_sweep(benchmark, record, citation_datasets):
             config = AcceleratorConfig().with_input_buffer_for(graph.name)
             table[name] = {
                 gamma: run_cache_simulation(
-                    graph.adjacency, config, feature_length=128, gamma=gamma
+                    graph.adjacency, replace(config, gamma=gamma), feature_length=128
                 )
                 for gamma in GAMMAS
             }

@@ -15,8 +15,10 @@ Run with:  python examples/cache_policy_ablation.py
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis import alpha_round_histograms, format_table
-from repro.cache import simulate_vertex_order_baseline, vertex_record_bytes
+from repro.cache import simulate_policy, vertex_record_bytes
 from repro.datasets import build_dataset
 from repro.hw import AcceleratorConfig
 from repro.sim import run_cache_simulation
@@ -37,8 +39,8 @@ def main() -> None:
     # 1. Degree-aware policy vs id-order baseline.
     # ------------------------------------------------------------------ #
     policy_result = run_cache_simulation(graph.adjacency, config, feature_length)
-    baseline_result = simulate_vertex_order_baseline(
-        graph.adjacency, capacity, bytes_per_vertex=record_bytes
+    baseline_result = simulate_policy(
+        "vertex_order", graph.adjacency, capacity, bytes_per_vertex=record_bytes
     )
     rows = [
         {
@@ -79,7 +81,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     gamma_rows = []
     for gamma in (2, 5, 10, 25):
-        sweep = run_cache_simulation(graph.adjacency, config, feature_length, gamma=gamma)
+        sweep = run_cache_simulation(graph.adjacency, replace(config, gamma=gamma), feature_length)
         gamma_rows.append(
             {
                 "gamma": gamma,

@@ -1,11 +1,7 @@
 """Analysis and reporting helpers backing the figure/table reproductions."""
 
 from repro.analysis.alpha_rounds import AlphaRoundHistogram, alpha_round_histograms
-from repro.analysis.miss_path import (
-    TRACE_POLICIES,
-    miss_path_ablation_rows,
-    simulate_policy_with_trace,
-)
+from repro.analysis.miss_path import miss_path_ablation_rows
 from repro.analysis.reporting import format_scientific, format_series, format_table
 from repro.analysis.roofline import PhaseRoofline, RooflineSummary, roofline_analysis
 from repro.analysis.sparsity import NonzeroHistogram, feature_nonzero_histogram
@@ -35,9 +31,7 @@ from repro.analysis.workload import (
 __all__ = [
     "AlphaRoundHistogram",
     "alpha_round_histograms",
-    "TRACE_POLICIES",
     "miss_path_ablation_rows",
-    "simulate_policy_with_trace",
     "NonzeroHistogram",
     "PhaseRoofline",
     "RooflineSummary",

@@ -12,74 +12,13 @@ random-DRAM traffic.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.cache.controller import DegreeAwareCacheController, simulate_vertex_order_baseline
 from repro.cache.hierarchy import MissPathConfig, MissPathHierarchy
-from repro.cache.policies import (
-    simulate_lru_policy,
-    simulate_mru_policy,
-    simulate_static_partition_policy,
-)
-from repro.cache.policy import CachePolicyConfig, CacheSimulationResult
+from repro.cache.policies import simulate_policy
 from repro.graph.csr import CSRGraph
 
-__all__ = [
-    "TRACE_POLICIES",
-    "simulate_policy_with_trace",
-    "miss_path_ablation_rows",
-]
-
-
-def _degree_aware_with_trace(
-    adjacency: CSRGraph, capacity: int, bytes_per_vertex: int, gamma: int
-) -> CacheSimulationResult:
-    controller = DegreeAwareCacheController(
-        adjacency,
-        CachePolicyConfig(capacity_vertices=capacity, gamma=gamma),
-        bytes_per_vertex=bytes_per_vertex,
-    )
-    return controller.run(collect_trace=True)
-
-
-#: Hit-path policies that can emit a miss/eviction trace, by name.
-TRACE_POLICIES: dict[str, Callable[..., CacheSimulationResult]] = {
-    "vertex_order": lambda adjacency, capacity, bytes_per_vertex, gamma: (
-        simulate_vertex_order_baseline(
-            adjacency, capacity, bytes_per_vertex=bytes_per_vertex, collect_trace=True
-        )
-    ),
-    "lru": lambda adjacency, capacity, bytes_per_vertex, gamma: simulate_lru_policy(
-        adjacency, capacity, bytes_per_vertex=bytes_per_vertex, collect_trace=True
-    ),
-    "mru": lambda adjacency, capacity, bytes_per_vertex, gamma: simulate_mru_policy(
-        adjacency, capacity, bytes_per_vertex=bytes_per_vertex, collect_trace=True
-    ),
-    "static_partition": lambda adjacency, capacity, bytes_per_vertex, gamma: (
-        simulate_static_partition_policy(
-            adjacency, capacity, bytes_per_vertex=bytes_per_vertex, collect_trace=True
-        )
-    ),
-    "degree_aware": _degree_aware_with_trace,
-}
-
-
-def simulate_policy_with_trace(
-    adjacency: CSRGraph,
-    policy: str,
-    capacity: int,
-    *,
-    bytes_per_vertex: int = 256,
-    gamma: int = 5,
-) -> CacheSimulationResult:
-    """Run one named hit-path policy with miss/eviction trace collection."""
-    try:
-        simulator = TRACE_POLICIES[policy]
-    except KeyError:
-        raise KeyError(
-            f"unknown cache policy {policy!r}; known: {sorted(TRACE_POLICIES)}"
-        ) from None
-    return simulator(adjacency, capacity, bytes_per_vertex, gamma)
+__all__ = ["miss_path_ablation_rows"]
 
 
 def miss_path_ablation_rows(
@@ -108,8 +47,13 @@ def miss_path_ablation_rows(
     hierarchy = MissPathHierarchy(replace(sizing, mechanisms=mechanism_list))
     rows: list[dict[str, object]] = []
     for policy in policies:
-        result = simulate_policy_with_trace(
-            adjacency, policy, capacity, bytes_per_vertex=bytes_per_vertex, gamma=gamma
+        result = simulate_policy(
+            policy,
+            adjacency,
+            capacity,
+            bytes_per_vertex=bytes_per_vertex,
+            gamma=gamma,
+            collect_trace=True,
         )
         trace = result.trace
         assert trace is not None

@@ -11,12 +11,7 @@ from repro.baselines.engn import EnGNModel
 from repro.baselines.gpu import PyGGPUModel
 from repro.baselines.hygcn import HyGCNModel
 from repro.baselines.platform import PlatformModel, PlatformResult
-from repro.baselines.workload import (
-    LayerCosts,
-    WorkloadEstimate,
-    estimate_workload,
-    workload_from_plan,
-)
+from repro.baselines.workload import LayerCosts, WorkloadEstimate, workload_from_plan
 from repro.plan.executor import register_executor
 
 __all__ = [
@@ -29,7 +24,6 @@ __all__ = [
     "EnGNModel",
     "LayerCosts",
     "WorkloadEstimate",
-    "estimate_workload",
     "workload_from_plan",
 ]
 

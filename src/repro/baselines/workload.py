@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.models.zoo import ModelConfig, model_config
 from repro.plan.ir import (
     AdjacencyRef,
     AggregationOp,
@@ -36,18 +35,12 @@ from repro.plan.ir import (
     SampleOp,
     WeightingOp,
 )
-from repro.plan.lowering import lower_model
 
 __all__ = [
     "LayerCosts",
     "WorkloadEstimate",
-    "estimate_workload",
     "workload_from_plan",
 ]
-
-#: Density modeled for post-ReLU hidden-layer features (kept as an alias of
-#: the plan-IR constant for backwards compatibility).
-from repro.plan.ir import HIDDEN_DENSITY  # noqa: E402  (re-export)
 
 
 @dataclass(frozen=True)
@@ -194,21 +187,3 @@ def workload_from_plan(plan: InferencePlan, graph: Graph) -> WorkloadEstimate:
             )
         )
     return WorkloadEstimate(dataset=graph.name, family=plan.family, layers=tuple(layers))
-
-
-def estimate_workload(
-    graph: Graph,
-    family: str,
-    *,
-    out_features: int | None = None,
-    config: ModelConfig | None = None,
-) -> WorkloadEstimate:
-    """Estimate the per-layer operation counts for a GNN on a graph.
-
-    Compatibility wrapper: lowers the family to a plan and prices it with
-    :func:`workload_from_plan`.
-    """
-    cfg = config or model_config(family)
-    labels = out_features if out_features is not None else max(graph.num_label_classes, 2)
-    plan = lower_model(cfg, graph.feature_length, labels)
-    return workload_from_plan(plan, graph)

@@ -1,8 +1,9 @@
 """Graph-specific, degree-aware caching for Aggregation (paper, Section VI).
 
-Besides the hit-path policy simulators (degree-aware controller, LRU/MRU,
-static partition and the vertex-order baseline), the package now contains a
-trace-driven **miss-path hierarchy**: the policy simulators can emit a
+:func:`simulate_policy` runs any hit-path policy in :data:`POLICY_NAMES`
+(the degree-aware controller, LRU/MRU, static partition and the
+vertex-order baseline).  The package also contains a trace-driven
+**miss-path hierarchy**: the policy simulators can emit a
 miss/eviction trace (:mod:`repro.cache.trace`), which a configurable set of
 classic hardware structures — victim cache, miss cache, stream buffers
 (:mod:`repro.cache.mechanisms`) — filters before DRAM
@@ -10,11 +11,7 @@ classic hardware structures — victim cache, miss cache, stream buffers
 :data:`MECHANISM_REGISTRY` / :func:`register_mechanism`.
 """
 
-from repro.cache.controller import (
-    DegreeAwareCacheController,
-    simulate_vertex_order_baseline,
-    vertex_record_bytes,
-)
+from repro.cache.controller import DegreeAwareCacheController, vertex_record_bytes
 from repro.cache.hierarchy import HierarchyResult, MissPathConfig, MissPathHierarchy
 from repro.cache.mechanisms import (
     MECHANISM_REGISTRY,
@@ -27,26 +24,17 @@ from repro.cache.mechanisms import (
     mechanism_names,
     register_mechanism,
 )
-from repro.cache.policies import (
-    compare_cache_policies,
-    simulate_lru_policy,
-    simulate_mru_policy,
-    simulate_static_partition_policy,
-)
-from repro.cache.policy import CachePolicyConfig, CacheSimulationResult, IterationRecord
+from repro.cache.policies import POLICY_NAMES, simulate_policy
+from repro.cache.policy import CachePolicyConfig, CacheSimulationResult
 from repro.cache.trace import EVICT, MISS, TraceRecorder, VertexAccessTrace
 
 __all__ = [
     "CachePolicyConfig",
     "CacheSimulationResult",
-    "IterationRecord",
     "DegreeAwareCacheController",
-    "simulate_vertex_order_baseline",
+    "POLICY_NAMES",
+    "simulate_policy",
     "vertex_record_bytes",
-    "compare_cache_policies",
-    "simulate_lru_policy",
-    "simulate_mru_policy",
-    "simulate_static_partition_policy",
     # Miss-path trace
     "MISS",
     "EVICT",

@@ -1,41 +1,36 @@
-"""Cache controller simulation for edge-based Aggregation (paper, Section VI).
+"""GNNIE's degree-aware cache controller for Aggregation (paper, Section VI).
 
-Two simulators are provided:
+:class:`DegreeAwareCacheController` simulates GNNIE's policy.  Vertices are
+laid out in DRAM in descending degree order and streamed sequentially into
+the input buffer; each iteration processes the unprocessed edges of the
+resident subgraph, decrements the per-vertex unprocessed-edge counter α,
+evicts up to ``r`` vertices whose α dropped below γ, and fetches the next
+vertices of the stream.  When the stream is exhausted a *Round* ends; a new
+Round re-streams the still-unfinished vertices.  Every DRAM access is
+sequential.
 
-* :class:`DegreeAwareCacheController` — GNNIE's policy.  Vertices are laid
-  out in DRAM in descending degree order and streamed sequentially into the
-  input buffer; each iteration processes the unprocessed edges of the
-  resident subgraph, decrements the per-vertex unprocessed-edge counter α,
-  evicts up to ``r`` vertices whose α dropped below γ, and fetches the next
-  vertices of the stream.  When the stream is exhausted a *Round* ends; a
-  new Round re-streams the still-unfinished vertices.  Every DRAM access is
-  sequential.
-* :func:`simulate_vertex_order_baseline` — the ablation baseline ("no
-  graph-specific caching: vertices are processed in order of ID").  Vertices
-  are walked in id order and each neighbor that is not resident in a
-  FIFO-managed buffer is fetched with a *random* DRAM access — the traffic
-  GNNIE's policy is designed to eliminate.
-
-Both return a :class:`~repro.cache.policy.CacheSimulationResult`, which the
-Aggregation cycle model and the Fig. 10/11/18 benchmarks consume.
+The id-order baselines it is compared against live in
+:mod:`repro.cache.policies`, whose :func:`~repro.cache.policies.simulate_policy`
+runs any policy by name.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.cache.policy import CachePolicyConfig, CacheSimulationResult, IterationRecord
+from repro.cache.policy import CachePolicyConfig, CacheSimulationResult
 from repro.cache.trace import TraceRecorder
 from repro.graph.csr import CSRGraph
 
 __all__ = [
+    "MAX_ITERATIONS",
     "DegreeAwareCacheController",
     "UndirectedEdgeIndex",
-    "simulate_vertex_order_baseline",
     "vertex_record_bytes",
 ]
+
+#: Safety bound on the cached-subgraph iterations one run simulates.
+MAX_ITERATIONS = 2_000_000
 
 
 def vertex_record_bytes(
@@ -86,25 +81,6 @@ class UndirectedEdgeIndex:
         self.degrees = counts.astype(np.int64)
         self.num_vertices = int(num_vertices)
 
-    def incident_edges(self, vertices: np.ndarray) -> np.ndarray:
-        """Edge ids incident to any of ``vertices`` (with duplicates removed).
-
-        The per-vertex incidence slices form a ragged gather; instead of
-        materializing one array per vertex and concatenating, the slice
-        offsets are expanded into a single flat index vector (the classic
-        ``repeat``-of-starts plus intra-slice ramp) and applied in one go.
-        """
-        if vertices.size == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = self.indptr[vertices]
-        counts = self.indptr[vertices + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        ends = counts.cumsum()
-        flat = np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
-        return np.unique(self._sorted_edge_ids[flat])
-
     def incident_edges_once(
         self, vertices: np.ndarray, member_mask: np.ndarray
     ) -> np.ndarray:
@@ -115,9 +91,13 @@ class UndirectedEdgeIndex:
         two member vertices appears in both incidence slices; it is kept only
         from its lower-numbered endpoint, which removes duplicates with O(n)
         masking instead of the O(n log n) sort inside ``np.unique`` — the
-        dominant cost of large cache simulations.  Unlike
-        :meth:`incident_edges` the result is *unordered*; callers must be
-        order-independent.
+        dominant cost of large cache simulations.  The result is
+        *unordered*; callers must be order-independent.
+
+        The incidence slices form a ragged gather; instead of materializing
+        one array per vertex and concatenating, the slice offsets are
+        expanded into a single flat index vector (the classic
+        ``repeat``-of-starts plus intra-slice ramp) and applied in one go.
         """
         if vertices.size == 0:
             return np.empty(0, dtype=np.int64)
@@ -153,12 +133,8 @@ class DegreeAwareCacheController:
         # An edge index is a pure function of the adjacency; callers running
         # many simulations of one graph (buffer/γ sweeps) pass a shared one.
         self._edge_index = edge_index if edge_index is not None else UndirectedEdgeIndex(adjacency)
-        if policy.degree_ordered:
-            degrees = adjacency.degrees()
-            vertex_ids = np.arange(adjacency.num_vertices)
-            self.stream_order = np.lexsort((vertex_ids, -degrees)).astype(np.int64)
-        else:
-            self.stream_order = np.arange(adjacency.num_vertices, dtype=np.int64)
+        vertex_ids = np.arange(adjacency.num_vertices)
+        self.stream_order = np.lexsort((vertex_ids, -adjacency.degrees())).astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # Simulation
@@ -199,7 +175,9 @@ class DegreeAwareCacheController:
         # relative to the starting point.
         result.alpha_round_snapshots.append(alpha[alpha > 0].copy())
         total_processed = 0
-        iteration = 0
+        #: (round, edges processed, max edges per vertex, residents) per
+        #: iteration; the result's columns are built from it once, at the end.
+        log: list[tuple[int, int, int, int]] = []
 
         while total_processed < num_edges:
             result.num_rounds += 1
@@ -212,18 +190,17 @@ class DegreeAwareCacheController:
             result.vertex_fetches += fetched.size
             result.sequential_fetch_bytes += fetched.size * self.bytes_per_vertex
             resident[fetched] = True
+            resident_count = fetched.size
             newly = fetched
             round_progress = False
 
-            while iteration < policy.max_iterations:
-                iteration += 1
+            while len(log) < MAX_ITERATIONS:
                 edges_done, max_per_vertex = self._process_new(
                     newly, resident, processed, alpha, edge_index
                 )
                 total_processed += edges_done
                 if edges_done:
                     round_progress = True
-                evicted = 0
 
                 stream_exhausted = not self._stream_has_more(
                     self.stream_order, stream_position, alpha
@@ -237,32 +214,24 @@ class DegreeAwareCacheController:
                         result.deadlock_events += 1
                         evict_ids = self._force_evictions(resident, alpha, replacement)
                     resident[evict_ids] = False
-                    evicted = int(evict_ids.size)
                     if recorder is not None:
                         recorder.evict_many(evict_ids)
                     unfinished_evicted = evict_ids[alpha[evict_ids] > 0]
                     result.alpha_writeback_bytes += unfinished_evicted.size * self.index_bytes
                     fetched, stream_position = self._fetch(
-                        self.stream_order, stream_position, evicted, alpha, resident
+                        self.stream_order, stream_position, evict_ids.size, alpha, resident
                     )
                     result.vertex_fetches += fetched.size
                     result.sequential_fetch_bytes += fetched.size * self.bytes_per_vertex
                     resident[fetched] = True
+                    # Evictions are distinct residents and fetches distinct
+                    # non-residents, so the count stays exact without a scan.
+                    resident_count += fetched.size - evict_ids.size
                     newly = fetched
                 else:
                     newly = np.empty(0, dtype=np.int64)
 
-                result.iterations.append(
-                    IterationRecord(
-                        iteration=iteration,
-                        round_index=round_index,
-                        edges_processed=edges_done,
-                        max_edges_per_vertex=max_per_vertex,
-                        vertices_fetched=int(newly.size),
-                        resident_vertices=int(resident.sum()),
-                        evicted_vertices=evicted,
-                    )
-                )
+                log.append((round_index, edges_done, max_per_vertex, resident_count))
                 if stream_exhausted:
                     break
                 if newly.size == 0 and edges_done == 0:
@@ -273,7 +242,7 @@ class DegreeAwareCacheController:
             unfinished_resident = np.flatnonzero(resident & (alpha > 0))
             result.alpha_writeback_bytes += unfinished_resident.size * self.index_bytes
             result.alpha_round_snapshots.append(alpha[alpha > 0].copy())
-            if iteration >= policy.max_iterations:
+            if len(log) >= MAX_ITERATIONS:
                 break
             if not round_progress and total_processed < num_edges:
                 # No edge was processed in an entire round: the buffer is so
@@ -283,11 +252,12 @@ class DegreeAwareCacheController:
                 # sequential DRAM reads of two vertex records per edge) so
                 # Aggregation always completes.
                 total_processed += self._pairwise_fallback(
-                    processed, alpha, edge_index, result, round_index
+                    processed, alpha, edge_index, result, log, round_index
                 )
                 break
 
         result.total_edges_processed = total_processed
+        result.log_iterations(log)
         if recorder is not None:
             result.trace = recorder.finish()
         return result
@@ -298,6 +268,7 @@ class DegreeAwareCacheController:
         alpha: np.ndarray,
         edge_index: UndirectedEdgeIndex,
         result: CacheSimulationResult,
+        log: list[tuple[int, int, int, int]],
         round_index: int,
     ) -> int:
         """Process every remaining edge by fetching its two endpoints."""
@@ -310,17 +281,7 @@ class DegreeAwareCacheController:
         np.subtract.at(alpha, flattened, 1)
         result.vertex_fetches += int(2 * remaining.size)
         result.sequential_fetch_bytes += int(2 * remaining.size * self.bytes_per_vertex)
-        result.iterations.append(
-            IterationRecord(
-                iteration=len(result.iterations) + 1,
-                round_index=round_index,
-                edges_processed=int(remaining.size),
-                max_edges_per_vertex=int(np.bincount(flattened).max()),
-                vertices_fetched=int(2 * remaining.size),
-                resident_vertices=2,
-                evicted_vertices=0,
-            )
-        )
+        log.append((round_index, int(remaining.size), int(np.bincount(flattened).max()), 2))
         return int(remaining.size)
 
     # ------------------------------------------------------------------ #
@@ -420,88 +381,3 @@ class DegreeAwareCacheController:
         resident_ids = np.flatnonzero(resident)
         order = np.argsort(alpha[resident_ids], kind="stable")
         return resident_ids[order][:count]
-
-
-def simulate_vertex_order_baseline(
-    adjacency: CSRGraph,
-    capacity_vertices: int,
-    *,
-    bytes_per_vertex: int = 256,
-    collect_trace: bool = False,
-) -> CacheSimulationResult:
-    """Ablation baseline: no degree ordering, no subgraph-confined processing.
-
-    Vertices are processed in raw id order; aggregating vertex ``v`` requires
-    the weighted features of all its neighbors, and every neighbor that is
-    not currently resident in the FIFO-managed buffer is fetched with a
-    random DRAM access.  This is the access pattern whose elimination gives
-    the CP bars of Fig. 18.  With ``collect_trace`` the miss/eviction
-    sequence is recorded on ``result.trace`` for the miss-path hierarchy.
-    """
-    if capacity_vertices <= 0:
-        raise ValueError("capacity_vertices must be positive")
-    result = CacheSimulationResult()
-    recorder = (
-        TraceRecorder(
-            num_vertices=adjacency.num_vertices,
-            bytes_per_vertex=bytes_per_vertex,
-            policy="vertex_order",
-        )
-        if collect_trace
-        else None
-    )
-    buffer_fifo: deque[int] = deque()
-    buffer_set: set[int] = set()
-    num_vertices = adjacency.num_vertices
-    undirected_edges = 0
-    for vertex in range(num_vertices):
-        # The vertex itself streams in sequentially.
-        result.vertex_fetches += 1
-        result.sequential_fetch_bytes += bytes_per_vertex
-        _admit(vertex, buffer_fifo, buffer_set, capacity_vertices, recorder)
-        neighbors = adjacency.neighbors(vertex)
-        for neighbor in neighbors:
-            neighbor = int(neighbor)
-            if neighbor > vertex:
-                undirected_edges += 1
-            if neighbor in buffer_set:
-                continue
-            result.random_accesses += 1
-            result.random_access_bytes += bytes_per_vertex
-            if recorder is not None:
-                recorder.miss(neighbor)
-            _admit(neighbor, buffer_fifo, buffer_set, capacity_vertices, recorder)
-    result.num_rounds = 1
-    result.total_edges_processed = undirected_edges
-    result.iterations.append(
-        IterationRecord(
-            iteration=1,
-            round_index=1,
-            edges_processed=undirected_edges,
-            max_edges_per_vertex=int(adjacency.max_degree()),
-            vertices_fetched=num_vertices,
-            resident_vertices=min(capacity_vertices, num_vertices),
-            evicted_vertices=0,
-        )
-    )
-    if recorder is not None:
-        result.trace = recorder.finish()
-    return result
-
-
-def _admit(
-    vertex: int,
-    fifo: deque[int],
-    members: set[int],
-    capacity: int,
-    recorder: TraceRecorder | None = None,
-) -> None:
-    if vertex in members:
-        return
-    if len(fifo) >= capacity:
-        evicted = fifo.popleft()
-        members.discard(evicted)
-        if recorder is not None:
-            recorder.evict(evicted)
-    fifo.append(vertex)
-    members.add(vertex)

@@ -1,24 +1,26 @@
-"""Alternative cache policies for comparison with GNNIE's degree-aware scheme.
+"""Every cache policy the repo compares, behind one entry point.
 
-The related-work discussion (Section VII) contrasts GNNIE's dynamic,
-unprocessed-edge-count ("future potential") policy against history-based
-schemes such as GRASP's most-recently-used management and against static
-frequency/partition-based approaches.  To make those comparisons concrete —
-and to let users quantify how much of the benefit comes from degree ordering
-versus from the α/γ mechanism — this module simulates Aggregation's vertex
-residency under three classic policies:
+GNNIE's degree-aware policy (:class:`~repro.cache.controller.DegreeAwareCacheController`,
+Section VI) measures a vertex's *future* usefulness — its unprocessed-edge
+count α — and keeps every DRAM access sequential.  The related-work
+discussion (Section VII) contrasts it with history-based schemes such as
+GRASP's most-recently-used management and with static frequency/partition
+schemes, and Fig. 18 with no graph-specific caching at all.  Those four
+baselines are one edge walk: vertices are processed in id order,
+aggregating vertex ``v`` needs every neighbor's weighted features, and each
+neighbor not resident in the vertex buffer costs one *random* DRAM access.
+They differ only in how the buffer evicts:
 
-* :func:`simulate_lru_policy` — least-recently-used eviction over the vertex
-  working set induced by processing vertices in id order,
-* :func:`simulate_mru_policy` — most-recently-used eviction (GRASP-like
-  thrash protection),
-* :func:`simulate_static_partition_policy` — a static degree-based partition:
-  the top-capacity vertices by degree are pinned in the buffer and every
-  other vertex streams through a single slot.
+* ``vertex_order`` — FIFO (Fig. 18's "no graph-specific caching" baseline),
+* ``lru`` — least-recently-used,
+* ``mru`` — most-recently-used (GRASP-style thrash protection),
+* ``static_partition`` — the highest-degree vertices are pinned and the rest
+  share the remaining slots under LRU; it favors hubs like GNNIE's policy
+  but cannot adapt as their edges get used up.
 
-All three return a :class:`~repro.cache.policy.CacheSimulationResult`, so
-they plug into the same Aggregation cycle model and benchmarks as the
-degree-aware controller.
+:func:`simulate_policy` runs any of the five by name and returns a
+:class:`~repro.cache.policy.CacheSimulationResult`, so they all plug into
+the same Aggregation cycle model, miss-path hierarchy and benchmarks.
 """
 
 from __future__ import annotations
@@ -27,64 +29,100 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.cache.policy import CacheSimulationResult, IterationRecord
+from repro.cache.controller import DegreeAwareCacheController, UndirectedEdgeIndex
+from repro.cache.policy import CachePolicyConfig, CacheSimulationResult
 from repro.cache.trace import TraceRecorder
 from repro.graph.csr import CSRGraph
 
-__all__ = [
-    "simulate_lru_policy",
-    "simulate_mru_policy",
-    "simulate_static_partition_policy",
-    "compare_cache_policies",
-]
+__all__ = ["POLICY_NAMES", "simulate_policy"]
+
+#: Buffer eviction of each id-order baseline.
+_EVICTION = {"lru": "lru", "mru": "mru", "static_partition": "lru", "vertex_order": "fifo"}
+
+#: Every policy :func:`simulate_policy` accepts.
+POLICY_NAMES: tuple[str, ...] = ("degree_aware", *sorted(_EVICTION))
 
 
-def _edge_walk_with_buffer(
+def simulate_policy(
+    policy: str,
+    adjacency: CSRGraph,
+    capacity_vertices: int,
+    *,
+    bytes_per_vertex: int = 256,
+    gamma: int = 5,
+    collect_trace: bool = False,
+    edge_index: UndirectedEdgeIndex | None = None,
+) -> CacheSimulationResult:
+    """Simulate one named cache policy over Aggregation on ``adjacency``.
+
+    ``gamma`` and ``edge_index`` (a shared
+    :class:`~repro.cache.controller.UndirectedEdgeIndex` of ``adjacency``)
+    only matter to ``degree_aware``.  With ``collect_trace`` the
+    miss/eviction sequence is recorded on ``result.trace`` for the
+    miss-path hierarchy.
+    """
+    if policy == "degree_aware":
+        controller = DegreeAwareCacheController(
+            adjacency,
+            CachePolicyConfig(capacity_vertices=capacity_vertices, gamma=gamma),
+            bytes_per_vertex=bytes_per_vertex,
+            edge_index=edge_index,
+        )
+        return controller.run(collect_trace=collect_trace)
+    if policy not in _EVICTION:
+        raise KeyError(f"unknown cache policy {policy!r}; known: {list(POLICY_NAMES)}")
+    if capacity_vertices <= 0:
+        raise ValueError("capacity_vertices must be positive")
+    return _id_order_walk(
+        policy, adjacency, capacity_vertices, bytes_per_vertex, collect_trace
+    )
+
+
+def _id_order_walk(
+    policy: str,
     adjacency: CSRGraph,
     capacity: int,
     bytes_per_vertex: int,
-    *,
-    eviction: str,
-    pinned: np.ndarray | None = None,
-    collect_trace: bool = False,
-    policy_name: str | None = None,
+    collect_trace: bool,
 ) -> CacheSimulationResult:
-    """Process vertices in id order with an LRU/MRU-managed buffer.
+    """Process vertices in id order through the policy's vertex buffer.
 
-    Every neighbor access that misses the buffer costs one random DRAM
-    access; pinned vertices (static partition) never leave the buffer and do
-    not occupy the replaceable capacity.  With ``collect_trace`` the
-    miss/eviction sequence is recorded on ``result.trace`` so the miss-path
-    hierarchy can filter it.
+    Every vertex streams in sequentially; every neighbor access that misses
+    the buffer costs one random DRAM access and admits the neighbor.  Pinned
+    vertices never leave the buffer and do not occupy the replaceable
+    capacity.  LRU and MRU refresh a resident vertex on every access; FIFO
+    does not.
     """
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    result = CacheSimulationResult()
+    eviction = _EVICTION[policy]
+    pinned: set[int] = set()
+    if policy == "static_partition":
+        hubs = np.argsort(-adjacency.degrees(), kind="stable")[: max(1, capacity - 1)]
+        pinned = set(hubs.tolist())
+    replaceable_capacity = max(1, capacity - len(pinned))
+    refresh = eviction != "fifo"
+    evict_newest = eviction == "mru"
     recorder = (
         TraceRecorder(
             num_vertices=adjacency.num_vertices,
             bytes_per_vertex=bytes_per_vertex,
-            policy=policy_name or eviction,
+            policy=policy,
         )
         if collect_trace
         else None
     )
-    pinned_set = set(int(v) for v in pinned) if pinned is not None else set()
-    replaceable_capacity = max(1, capacity - len(pinned_set))
+    result = CacheSimulationResult()
     buffer: OrderedDict[int, None] = OrderedDict()
     undirected_edges = 0
 
     def admit(vertex: int) -> None:
-        if vertex in pinned_set:
+        if vertex in pinned:
             return
         if vertex in buffer:
-            buffer.move_to_end(vertex)
+            if refresh:
+                buffer.move_to_end(vertex)
             return
         if len(buffer) >= replaceable_capacity:
-            if eviction == "lru":
-                evicted, _ = buffer.popitem(last=False)
-            else:  # mru
-                evicted, _ = buffer.popitem(last=True)
+            evicted, _ = buffer.popitem(last=evict_newest)
             if recorder is not None:
                 recorder.evict(evicted)
         buffer[vertex] = None
@@ -97,8 +135,10 @@ def _edge_walk_with_buffer(
             neighbor = int(neighbor)
             if neighbor > vertex:
                 undirected_edges += 1
-            if neighbor in pinned_set or neighbor in buffer:
-                if neighbor in buffer:
+            if neighbor in pinned:
+                continue
+            if neighbor in buffer:
+                if refresh:
                     buffer.move_to_end(neighbor)
                 continue
             result.random_accesses += 1
@@ -109,110 +149,16 @@ def _edge_walk_with_buffer(
 
     result.num_rounds = 1
     result.total_edges_processed = undirected_edges
-    result.iterations.append(
-        IterationRecord(
-            iteration=1,
-            round_index=1,
-            edges_processed=undirected_edges,
-            max_edges_per_vertex=int(adjacency.max_degree()),
-            vertices_fetched=adjacency.num_vertices,
-            resident_vertices=min(capacity, adjacency.num_vertices),
-            evicted_vertices=0,
-        )
+    result.log_iterations(
+        [
+            (
+                1,
+                undirected_edges,
+                int(adjacency.max_degree()),
+                min(capacity, adjacency.num_vertices),
+            )
+        ]
     )
     if recorder is not None:
         result.trace = recorder.finish()
     return result
-
-
-def simulate_lru_policy(
-    adjacency: CSRGraph,
-    capacity_vertices: int,
-    *,
-    bytes_per_vertex: int = 256,
-    collect_trace: bool = False,
-) -> CacheSimulationResult:
-    """Least-recently-used vertex buffer, id-order processing."""
-    return _edge_walk_with_buffer(
-        adjacency,
-        capacity_vertices,
-        bytes_per_vertex,
-        eviction="lru",
-        collect_trace=collect_trace,
-    )
-
-
-def simulate_mru_policy(
-    adjacency: CSRGraph,
-    capacity_vertices: int,
-    *,
-    bytes_per_vertex: int = 256,
-    collect_trace: bool = False,
-) -> CacheSimulationResult:
-    """Most-recently-used eviction (GRASP-style thrash protection)."""
-    return _edge_walk_with_buffer(
-        adjacency,
-        capacity_vertices,
-        bytes_per_vertex,
-        eviction="mru",
-        collect_trace=collect_trace,
-    )
-
-
-def simulate_static_partition_policy(
-    adjacency: CSRGraph,
-    capacity_vertices: int,
-    *,
-    bytes_per_vertex: int = 256,
-    collect_trace: bool = False,
-) -> CacheSimulationResult:
-    """Pin the highest-degree vertices; stream the rest through one slot.
-
-    This is the static analogue of GNNIE's policy: it also favors hubs but
-    cannot adapt as their edges get used up, so low-degree-to-low-degree
-    edges still miss.
-    """
-    if capacity_vertices <= 0:
-        raise ValueError("capacity must be positive")
-    degrees = adjacency.degrees()
-    pinned_count = max(1, capacity_vertices - 1)
-    pinned = np.argsort(-degrees, kind="stable")[:pinned_count]
-    return _edge_walk_with_buffer(
-        adjacency,
-        capacity_vertices,
-        bytes_per_vertex,
-        eviction="lru",
-        pinned=pinned,
-        collect_trace=collect_trace,
-        policy_name="static_partition",
-    )
-
-
-def compare_cache_policies(
-    adjacency: CSRGraph,
-    capacity_vertices: int,
-    *,
-    bytes_per_vertex: int = 256,
-    gamma: int = 5,
-) -> dict[str, CacheSimulationResult]:
-    """Run GNNIE's policy and the three alternatives on the same graph.
-
-    Returns a mapping from policy name to its simulation result; the
-    degree-aware policy is the only one with zero random DRAM accesses.
-    """
-    from repro.cache.controller import DegreeAwareCacheController
-    from repro.cache.policy import CachePolicyConfig
-
-    controller = DegreeAwareCacheController(
-        adjacency,
-        CachePolicyConfig(capacity_vertices=capacity_vertices, gamma=gamma),
-        bytes_per_vertex=bytes_per_vertex,
-    )
-    return {
-        "degree_aware": controller.run(),
-        "lru": simulate_lru_policy(adjacency, capacity_vertices, bytes_per_vertex=bytes_per_vertex),
-        "mru": simulate_mru_policy(adjacency, capacity_vertices, bytes_per_vertex=bytes_per_vertex),
-        "static_partition": simulate_static_partition_policy(
-            adjacency, capacity_vertices, bytes_per_vertex=bytes_per_vertex
-        ),
-    }

@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.hierarchy import HierarchyResult
     from repro.cache.trace import VertexAccessTrace
 
-__all__ = ["CachePolicyConfig", "IterationRecord", "CacheSimulationResult"]
+__all__ = ["CachePolicyConfig", "CacheSimulationResult"]
 
 
 @dataclass(frozen=True)
@@ -35,16 +35,11 @@ class CachePolicyConfig:
         gamma: Eviction threshold on the unprocessed-edge counter α; the
             paper uses a static γ = 5.
         replacement_count: Number of vertices replaced per iteration (r).
-        degree_ordered: Whether vertices are streamed in descending degree
-            order (GNNIE) or in raw vertex-id order (the ablation baseline).
-        max_iterations: Safety bound on the number of iterations simulated.
     """
 
     capacity_vertices: int
     gamma: int = 5
     replacement_count: int | None = None
-    degree_ordered: bool = True
-    max_iterations: int = 2_000_000
 
     def __post_init__(self) -> None:
         if self.capacity_vertices <= 0:
@@ -62,24 +57,22 @@ class CachePolicyConfig:
         return max(1, self.capacity_vertices // 8)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """What happened in one cached-subgraph iteration."""
-
-    iteration: int
-    round_index: int
-    edges_processed: int
-    max_edges_per_vertex: int
-    vertices_fetched: int
-    resident_vertices: int
-    evicted_vertices: int
+def _column() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
 
 
 @dataclass
 class CacheSimulationResult:
-    """Aggregate outcome of simulating the caching policy on one graph."""
+    """Aggregate outcome of simulating a caching policy on one graph.
 
-    iterations: list[IterationRecord] = field(default_factory=list)
+    The per-iteration log is four aligned ``int64`` columns with one entry
+    per cached-subgraph iteration: the Round it ran in, the edges it
+    processed, the most edges any single vertex accumulated, and the
+    vertices resident after its replacements.  A simulator sets them once,
+    when its run ends (:meth:`log_iterations`), so pricing reads them
+    directly however many configurations share the simulation.
+    """
+
     num_rounds: int = 0
     total_edges_processed: int = 0
     vertex_fetches: int = 0
@@ -88,6 +81,10 @@ class CacheSimulationResult:
     random_access_bytes: int = 0
     alpha_writeback_bytes: int = 0
     deadlock_events: int = 0
+    round_index: np.ndarray = field(default_factory=_column)
+    edges_processed: np.ndarray = field(default_factory=_column)
+    max_edges_per_vertex: np.ndarray = field(default_factory=_column)
+    resident_vertices: np.ndarray = field(default_factory=_column)
     #: Snapshot of the α values of all not-yet-finished vertices at the end
     #: of each round (Fig. 10 histograms).
     alpha_round_snapshots: list[np.ndarray] = field(default_factory=list)
@@ -99,7 +96,18 @@ class CacheSimulationResult:
 
     @property
     def num_iterations(self) -> int:
-        return len(self.iterations)
+        return int(self.edges_processed.size)
+
+    def log_iterations(self, rows: list[tuple[int, int, int, int]]) -> None:
+        """Store ``(round_index, edges_processed, max_edges_per_vertex,
+        resident_vertices)`` rows, one per iteration, as the four columns."""
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
+        (
+            self.round_index,
+            self.edges_processed,
+            self.max_edges_per_vertex,
+            self.resident_vertices,
+        ) = columns
 
     @property
     def random_accesses_avoided(self) -> int:
@@ -138,6 +146,3 @@ class CacheSimulationResult:
             + prefetch
             + self.alpha_writeback_bytes
         )
-
-    def edges_per_iteration(self) -> np.ndarray:
-        return np.asarray([record.edges_processed for record in self.iterations], dtype=np.int64)

@@ -16,12 +16,11 @@ but, before this package, never checked:
   verifiers: a rule registry validating op ordering, dataflow widths,
   finiteness and per-family structure *before* execution.  Wired into
   every executor (``GNNIEExecutor.execute``, ``PlatformModel.execute``,
-  ``execute_scaleout``), memoized per plan content, disabled with
-  ``REPRO_NO_VERIFY=1``.
+  ``execute_scaleout``) and memoized per plan content.
 * :mod:`repro.check.lint` — an AST linter over the source tree whose rules
   encode this repo's fleet-safety contracts (no unseeded RNG, no wall
-  clock feeding row content, no ``id()``-keyed memos outside the
-  weakref-guarded idiom, canonical JSON in store paths, no unordered-set
+  clock feeding row content, no ``id()``-derived keys, canonical JSON in
+  store paths, no unordered-set
   iteration feeding hashes, no mutable default arguments).  Per-line
   suppression via ``# repro-check: disable=RULE``.
 * :mod:`repro.check.baseline` — a committed findings baseline so the CI

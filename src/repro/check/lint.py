@@ -15,8 +15,6 @@ D102   No wall clock (``time.time``, ``datetime.now``, …) — rows keyed
        or filled from the clock differ across runs.
 D103   No ``id()``-derived keys: ids are reused after garbage
        collection, so an ``id()``-keyed memo can alias two objects.
-       The weakref-guarded pricing-context idiom is the sanctioned
-       exception (suppressed per line).
 D104   ``json.dumps`` in store-row paths must pass ``sort_keys=True``;
        dict order is insertion order, so unsorted dumps encode call
        history into bytes.
@@ -26,7 +24,7 @@ D106   No mutable default arguments: shared defaults accumulate state
        across calls, making output depend on call history.
 =====  ================================================================
 
-Suppress a finding on its line with ``# repro-check: disable=D103`` (a
+Suppress a finding on its line with ``# repro-check: disable=D102`` (a
 comma list, or ``disable=all``).  Suppressions are parsed from the token
 stream, so they work on any physical line of a multi-line statement.
 """
@@ -211,16 +209,12 @@ def _check_wall_clock(context: LintContext) -> Iterator[Finding]:
             )
 
 
-@_register(
-    "D103",
-    "no id()-derived keys outside the weakref-guarded pricing-context idiom",
-)
+@_register("D103", "no id()-derived keys")
 def _check_id_keys(context: LintContext) -> Iterator[Finding]:
     """CPython reuses object ids after garbage collection, so an
-    ``id()``-keyed memo can silently serve entry A's value for object B
-    (the PR 9 pricing-context bug).  The one sanctioned idiom — an
-    ``id()`` key paired with a ``weakref.finalize`` evicting the entry
-    before reuse — carries a per-line suppression."""
+    ``id()``-keyed memo can silently serve entry A's value for object B.
+    Key memos by content or by a name their owner controls instead (the
+    pricing context keys on plan adjacency handles)."""
     for call in _walk_calls(context.tree):
         if isinstance(call.func, ast.Name) and call.func.id == "id" and call.args:
             yield Finding(

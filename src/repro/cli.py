@@ -88,16 +88,11 @@ import time
 from typing import Sequence
 
 import repro
-from repro.analysis import (
-    TRACE_POLICIES,
-    compare_against_platform,
-    format_table,
-    miss_path_ablation_rows,
-)
+from repro.analysis import compare_against_platform, format_table, miss_path_ablation_rows
 from repro.analysis.roofline import roofline_analysis
 from repro.baselines import AWBGCNModel, HyGCNModel, PyGCPUModel, PyGGPUModel
 from repro.baselines.engn import EnGNModel
-from repro.cache import MissPathConfig, mechanism_names
+from repro.cache import POLICY_NAMES, MissPathConfig, mechanism_names
 from repro.datasets import build_dataset, dataset_names, dataset_spec
 from repro.hw import AcceleratorConfig, design_preset
 from repro.models import MODEL_FAMILIES
@@ -281,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_parser.add_argument(
         "--policy",
         default="vertex_order",
-        choices=sorted(TRACE_POLICIES) + ["all"],
+        choices=[*POLICY_NAMES, "all"],
         help="hit-path policy whose miss trace is filtered (default: the "
         "vertex-order baseline, the policy with the random-traffic problem)",
     )
@@ -912,7 +907,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"invalid miss-path sizing: {error}", file=sys.stderr)
         return 2
-    policies = sorted(TRACE_POLICIES) if args.policy == "all" else [args.policy]
+    policies = POLICY_NAMES if args.policy == "all" else [args.policy]
     rows = miss_path_ablation_rows(
         graph.adjacency,
         capacity=capacity,

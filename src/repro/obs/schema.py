@@ -1,4 +1,4 @@
-"""Chrome trace-event schema validation (used by tests and the CI smoke job).
+"""Chrome trace-event schema validation (used by the tests).
 
 The trace-event format is loosely specified (Google's "Trace Event Format"
 document); this module checks the invariants our exporter guarantees and

@@ -4,7 +4,6 @@ from repro.sim.aggregation_sim import (
     aggregation_phase_from_cache,
     input_buffer_capacity,
     run_cache_simulation,
-    simulate_aggregation,
 )
 from repro.sim.design_space import (
     DesignPoint,
@@ -39,7 +38,6 @@ __all__ = [
     "ScaleOutResult",
     "simulate_weighting",
     "weighting_phase_from_schedule",
-    "simulate_aggregation",
     "run_cache_simulation",
     "input_buffer_capacity",
     "aggregation_phase_from_cache",

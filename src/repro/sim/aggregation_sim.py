@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.controller import (
-    DegreeAwareCacheController,
-    UndirectedEdgeIndex,
-    simulate_vertex_order_baseline,
-    vertex_record_bytes,
-)
+from repro.cache.controller import UndirectedEdgeIndex, vertex_record_bytes
 from repro.cache.hierarchy import MissPathHierarchy
-from repro.cache.policy import CachePolicyConfig, CacheSimulationResult
+from repro.cache.policies import simulate_policy
+from repro.cache.policy import CacheSimulationResult
 from repro.graph.csr import CSRGraph
 from repro.hw.config import AcceleratorConfig
 from repro.hw.dram import HBMModel
@@ -27,7 +23,6 @@ from repro.sim.results import PhaseResult
 __all__ = [
     "input_buffer_capacity",
     "run_cache_simulation",
-    "simulate_aggregation",
     "aggregation_phase_from_cache",
 ]
 
@@ -57,8 +52,6 @@ def run_cache_simulation(
     config: AcceleratorConfig,
     feature_length: int,
     *,
-    gamma: int | None = None,
-    replacement_count: int | None = None,
     metrics=None,
     edge_index: UndirectedEdgeIndex | None = None,
 ) -> CacheSimulationResult:
@@ -84,48 +77,19 @@ def run_cache_simulation(
     graph and shares it across the distinct buffer configurations.
     """
     capacity, record_bytes = input_buffer_capacity(adjacency, config, feature_length)
-    collect_trace = config.miss_path_enabled
-    if not config.enable_degree_aware_caching:
-        result = simulate_vertex_order_baseline(
-            adjacency, capacity, bytes_per_vertex=record_bytes, collect_trace=collect_trace
-        )
-    else:
-        policy = CachePolicyConfig(
-            capacity_vertices=capacity,
-            gamma=config.gamma if gamma is None else gamma,
-            replacement_count=replacement_count,
-            degree_ordered=True,
-        )
-        controller = DegreeAwareCacheController(
-            adjacency, policy, bytes_per_vertex=record_bytes, edge_index=edge_index
-        )
-        result = controller.run(collect_trace=collect_trace)
-    if collect_trace and result.trace is not None:
+    result = simulate_policy(
+        "degree_aware" if config.enable_degree_aware_caching else "vertex_order",
+        adjacency,
+        capacity,
+        bytes_per_vertex=record_bytes,
+        gamma=config.gamma,
+        collect_trace=config.miss_path_enabled,
+        edge_index=edge_index,
+    )
+    if result.trace is not None:
         hierarchy = MissPathHierarchy.from_accelerator_config(config)
         result.miss_path = hierarchy.filter(result.trace, metrics=metrics)
     return result
-
-
-def _iteration_arrays(
-    cache_result: CacheSimulationResult,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-iteration (edges, max_edges_per_vertex, residents) columns.
-
-    Extracted once per simulation result and cached on it: a config batch
-    prices one cache simulation under many MAC allocations, and only the
-    model constants change between configs — the iteration columns do not.
-    """
-    arrays = getattr(cache_result, "_iteration_arrays", None)
-    if arrays is None:
-        records = cache_result.iterations
-        count = len(records)
-        arrays = (
-            np.fromiter((r.edges_processed for r in records), dtype=np.int64, count=count),
-            np.fromiter((r.max_edges_per_vertex for r in records), dtype=np.int64, count=count),
-            np.fromiter((r.resident_vertices for r in records), dtype=np.int64, count=count),
-        )
-        cache_result._iteration_arrays = arrays
-    return arrays
 
 
 def aggregation_phase_from_cache(
@@ -149,7 +113,11 @@ def aggregation_phase_from_cache(
 
     # One vectorized pricing pass over the whole iteration sequence
     # (bit-exact with the per-record scalar model; see iteration_totals).
-    totals = model.iteration_totals(*_iteration_arrays(cache_result))
+    totals = model.iteration_totals(
+        cache_result.edges_processed,
+        cache_result.max_edges_per_vertex,
+        cache_result.resident_vertices,
+    )
     compute_cycles = totals.compute_cycles
     sfu_cycles = totals.sfu_cycles
     mac_ops = totals.addition_ops + totals.multiply_ops
@@ -258,21 +226,3 @@ def aggregation_phase_from_cache(
             psum_spill_bytes + final_write_bytes + cache_result.alpha_writeback_bytes
         ),
     )
-
-
-def simulate_aggregation(
-    adjacency: CSRGraph,
-    config: AcceleratorConfig,
-    feature_length: int,
-    *,
-    is_gat: bool = False,
-    cache_result: CacheSimulationResult | None = None,
-    name: str = "aggregation",
-) -> tuple[PhaseResult, CacheSimulationResult]:
-    """Simulate Aggregation for one layer, running the cache policy if needed."""
-    if cache_result is None:
-        cache_result = run_cache_simulation(adjacency, config, feature_length)
-    phase = aggregation_phase_from_cache(
-        cache_result, adjacency, config, feature_length, is_gat=is_gat, name=name
-    )
-    return phase, cache_result

@@ -4,12 +4,17 @@ The sweep prices thousands of near-identical plans that differ only in
 their :class:`~repro.hw.config.AcceleratorConfig`.  A
 :class:`GraphPricingContext` memoizes, per graph:
 
-* config-independent precompute: CSR content fingerprints, sampled
-  adjacencies, per-block nonzero counts, exact RLC sizes, undirected edge
+* config-independent precompute: resolved adjacency handles (sampled
+  adjacencies), per-block nonzero counts, exact RLC sizes, undirected edge
   indexes and multi-chip partitions;
 * cache-policy simulations and priced phases, under self-describing keys
   that :class:`~repro.sim.gnnie_executor.GNNIEExecutor` builds from the
-  graph content plus every config knob and width the value depends on.
+  plan's adjacency handle plus every config knob and width the value
+  depends on.
+
+A context belongs to one graph, and an
+:class:`~repro.plan.ir.AdjacencyRef` names one adjacency of that graph, so
+the handle alone keys every per-adjacency memo.
 
 Every entry is a pure function of (graph, key), so sharing one context
 across executors, families, configs and calls cannot change a row byte.
@@ -21,30 +26,18 @@ demand.
 from __future__ import annotations
 
 import weakref
-import zlib
 
 import numpy as np
 
+from repro.cache.controller import UndirectedEdgeIndex
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.models.graphsage import NeighborSampler
+from repro.plan.ir import AdjacencyRef
 from repro.sparse.feature_matrix import block_nonzero_counts
 from repro.sparse.rlc import rlc_compressed_bits
 
-__all__ = ["GraphPricingContext", "adjacency_fingerprint", "pricing_context"]
-
-
-def adjacency_fingerprint(adjacency: CSRGraph) -> tuple[int, int, int]:
-    """Stable content key for per-(graph, config) memos.
-
-    ``id(adjacency)`` can alias a *different* graph once the original is
-    garbage collected, silently reusing a stale simulation; fingerprinting
-    the CSR content (vertex/edge counts plus a checksum over both arrays)
-    cannot.
-    """
-    checksum = zlib.crc32(np.ascontiguousarray(adjacency.indptr).tobytes())
-    checksum = zlib.crc32(np.ascontiguousarray(adjacency.indices).tobytes(), checksum)
-    return (adjacency.num_vertices, adjacency.num_edges, checksum)
+__all__ = ["GraphPricingContext", "pricing_context"]
 
 
 class GraphPricingContext:
@@ -59,9 +52,6 @@ class GraphPricingContext:
     def __init__(self, graph: Graph) -> None:
         #: Weak, because the graph holds this context: no reference cycle.
         self._graph_ref = weakref.ref(graph)
-        #: id(adjacency) -> (adjacency, fingerprint).  The strong reference
-        #: pins the adjacency so its id cannot be re-used while memoized.
-        self._fingerprints: dict[int, tuple[CSRGraph, tuple[int, int, int]]] = {}
         #: sample_size -> sampled CSR adjacency (GraphSAGE plans).
         self._sampled: dict[int, CSRGraph] = {}
         #: block_size -> (V, num_blocks) nonzero counts of the input features.
@@ -70,8 +60,8 @@ class GraphPricingContext:
         self._rlc_bits: dict[int, int] = {}
         #: Nonzero count of the input feature matrix (baseline workloads).
         self._input_nonzeros: int | None = None
-        #: id(adjacency) -> (adjacency, shared undirected edge index).
-        self._edge_indexes: dict[int, tuple[CSRGraph, object]] = {}
+        #: Adjacency handle -> shared undirected edge index.
+        self._edge_indexes: dict[AdjacencyRef, UndirectedEdgeIndex] = {}
         #: Priced-phase memo.  Keys are self-describing tuples built by the
         #: executor from *every* config knob the phase depends on, so the
         #: memo stays a pure function of (graph, key); values are pristine
@@ -79,9 +69,10 @@ class GraphPricingContext:
         #: executor copies on both store and hit).
         self.phase_memo: dict[tuple, object] = {}
         #: Cache-policy simulation memo, keyed by the executor's cache key
-        #: plus the priming width (the feature width the simulation is
-        #: sized for), so every plan that primes an adjacency at the same
-        #: width under the same buffer knobs shares one run.
+        #: (adjacency handle plus buffer knobs) and the priming width (the
+        #: feature width the simulation is sized for), so every plan that
+        #: primes an adjacency at the same width under the same buffer
+        #: knobs shares one run.
         self.cache_results: dict[tuple, object] = {}
         #: (chips, method) -> partitioned multi-chip workload (see
         #: :func:`repro.scaleout.partition_workload`).  Partitioning is a
@@ -90,19 +81,19 @@ class GraphPricingContext:
         #: exactly once.
         self.partitions: dict[tuple, object] = {}
 
-    def fingerprint(self, adjacency: CSRGraph) -> tuple[int, int, int]:
-        """Memoized O(E) content fingerprint of an adjacency."""
-        key = id(adjacency)  # repro-check: disable=D103 (identity-guarded below)
-        entry = self._fingerprints.get(key)
-        if entry is None or entry[0] is not adjacency:
-            entry = (adjacency, adjacency_fingerprint(adjacency))
-            self._fingerprints[key] = entry
-        return entry[1]
+    def adjacency(self, ref: AdjacencyRef) -> CSRGraph:
+        """Materialize an adjacency handle of this graph (memoized).
 
-    def sampled_adjacency(self, sample_size: int) -> CSRGraph:
-        """Deterministic sampled adjacency for GraphSAGE-style plans."""
+        The neighbor sampler is deterministic (seeded by the vertex count),
+        so a sampled handle resolves to the same subgraph on every call.
+        """
+        graph = self._require_graph()
+        if ref.kind == "full":
+            return graph.adjacency
+        if ref.kind != "sampled":
+            raise KeyError(f"unknown adjacency handle {ref!r}")
+        sample_size = ref.sample_size or 25
         if sample_size not in self._sampled:
-            graph = self._require_graph()
             sampler = NeighborSampler(seed=graph.num_vertices)
             sampled_edges = sampler.sample_edges(graph.adjacency, sample_size)
             self._sampled[sample_size] = CSRGraph.from_edge_list(
@@ -133,16 +124,11 @@ class GraphPricingContext:
             )
         return self._rlc_bits[value_bits]
 
-    def edge_index(self, adjacency: CSRGraph):
+    def edge_index(self, ref: AdjacencyRef) -> UndirectedEdgeIndex:
         """Shared undirected edge index for the degree-aware cache policy."""
-        from repro.cache.controller import UndirectedEdgeIndex
-
-        key = id(adjacency)  # repro-check: disable=D103 (identity-guarded below)
-        entry = self._edge_indexes.get(key)
-        if entry is None or entry[0] is not adjacency:
-            entry = (adjacency, UndirectedEdgeIndex(adjacency))
-            self._edge_indexes[key] = entry
-        return entry[1]
+        if ref not in self._edge_indexes:
+            self._edge_indexes[ref] = UndirectedEdgeIndex(self.adjacency(ref))
+        return self._edge_indexes[ref]
 
     def _require_graph(self) -> Graph:
         graph = self._graph_ref()

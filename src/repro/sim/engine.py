@@ -19,8 +19,8 @@ from __future__ import annotations
 from repro.graph.graph import Graph
 from repro.hw.config import AcceleratorConfig
 from repro.hw.energy import AreaModel, EnergyModel
-from repro.models.zoo import ModelConfig, model_config
-from repro.plan.lowering import lower_model
+from repro.models.zoo import ModelConfig
+from repro.plan.lowering import lower
 from repro.sim.gnnie_executor import GNNIEExecutor
 from repro.sim.results import InferenceResult
 
@@ -96,9 +96,7 @@ class GNNIESimulator:
             out_features: Output width of the last layer (defaults to the
                 dataset's label count).
         """
-        mdl = model_cfg or model_config(family)
-        labels = out_features if out_features is not None else max(graph.num_label_classes, 2)
-        plan = lower_model(mdl, graph.feature_length, labels)
+        plan = lower(family, graph, out_features=out_features, config=model_cfg)
         return self._executor.execute(plan, graph, config)
 
     def chip_area_mm2(self, config: AcceleratorConfig | None = None) -> float:

@@ -36,8 +36,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.cache.policy import CacheSimulationResult
-from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.hw.config import AcceleratorConfig
 from repro.hw.energy import AreaModel, EnergyBreakdown, EnergyModel
@@ -161,15 +159,14 @@ class GNNIEExecutor:
     ) -> InferenceResult:
         """Run one lowered inference on one dataset graph."""
         # Structural verification before any pricing; memoized per plan
-        # content, so batch/sweep reruns cost one dict lookup
-        # (REPRO_NO_VERIFY=1 disables).
+        # content, so batch/sweep reruns cost one dict lookup.
         verify_plan(plan)
         # Auto-sizing sentinel only: an explicit input_buffer_bytes override
         # (e.g. a buffer-sweep cell) is simulated at the capacity it names.
         cfg = (config or self.config).resolve_input_buffer(graph.name)
         tracer = self.tracer
-        # Every memo (fingerprints, sampled adjacencies, block nonzero
-        # counts, RLC sizes, cache simulations, priced phases) lives on the
+        # Every memo (sampled adjacencies, block nonzero counts, RLC sizes,
+        # edge indexes, cache simulations, priced phases) lives on the
         # graph's pricing context; see repro.sim.batch.
         context = pricing_context(graph)
         priming = _priming_widths(plan)
@@ -258,9 +255,7 @@ class GNNIEExecutor:
         for op in stage.ops:
             if isinstance(op, SampleOp):
                 with tracer.span("op:sample", category="op", layer=stage.index) as span:
-                    self._resolve_adjacency(
-                        AdjacencyRef("sampled", op.sample_size), graph, context
-                    )
+                    context.adjacency(AdjacencyRef("sampled", op.sample_size))
                 # Sampling is plan-resolution work, free on the modeled chip.
                 span.set(cycles=0)
             elif isinstance(op, WeightingOp):
@@ -275,10 +270,7 @@ class GNNIEExecutor:
                 note(span, "attention", phase)
             elif isinstance(op, AggregationOp):
                 with tracer.span("op:aggregation", category="op", layer=stage.index) as span:
-                    adjacency = self._resolve_adjacency(op.adjacency, graph, context)
-                    phase = self._aggregation_phase(
-                        op, adjacency, cfg, context, priming[op.adjacency]
-                    )
+                    phase = self._aggregation_phase(op, cfg, context, priming[op.adjacency])
                 aggregation = accumulate(aggregation, phase)
                 note(span, "aggregation", phase)
             elif isinstance(op, DenseMatmulOp):
@@ -395,19 +387,32 @@ class GNNIEExecutor:
     def _aggregation_phase(
         self,
         op: AggregationOp,
-        adjacency: CSRGraph,
         cfg: AcceleratorConfig,
         context: GraphPricingContext,
         priming_width: int,
     ) -> PhaseResult:
-        sim_key = (*self._cache_key(adjacency, cfg, context), priming_width)
+        sim_key = (*self._cache_key(op.adjacency, cfg), priming_width)
         memo_key = ("aggregation", sim_key, op.width, op.weighted, _aggregation_knobs(cfg))
         cached = context.phase_memo.get(memo_key)
         if cached is not None:
             # A priced phase reuses its cache simulation too.
             self.metrics.counter("executor.cache_sim.memo_hits").inc()
             return replace(cached)
-        cache_result = self._cache_result(adjacency, cfg, priming_width, context, sim_key)
+        adjacency = context.adjacency(op.adjacency)
+        cache_result = context.cache_results.get(sim_key)
+        if cache_result is not None:
+            self.metrics.counter("executor.cache_sim.memo_hits").inc()
+        else:
+            # Metrics are recorded only when the simulation actually runs;
+            # memo hits re-use the numbers without double-counting events.
+            self.metrics.counter("executor.cache_sim.runs").inc()
+            edge_index = (
+                context.edge_index(op.adjacency) if cfg.enable_degree_aware_caching else None
+            )
+            cache_result = run_cache_simulation(
+                adjacency, cfg, priming_width, metrics=self.metrics, edge_index=edge_index
+            )
+            context.cache_results[sim_key] = cache_result
         phase = aggregation_phase_from_cache(
             cache_result, adjacency, cfg, op.width, is_gat=op.weighted
         )
@@ -518,31 +523,14 @@ class GNNIEExecutor:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _resolve_adjacency(
-        self, ref: AdjacencyRef, graph: Graph, context: GraphPricingContext
-    ) -> CSRGraph:
-        """Materialize an adjacency handle (memoized per graph).
-
-        The neighbor sampler is deterministic (seeded by the vertex count),
-        so sharing the sampled adjacency across executions and configs
-        resolves every handle to the same subgraph the per-execution memo
-        used to produce.
-        """
-        if ref.kind == "full":
-            return graph.adjacency
-        if ref.kind != "sampled":
-            raise KeyError(f"unknown adjacency handle {ref!r}")
-        return context.sampled_adjacency(ref.sample_size or 25)
-
-    def _cache_key(
-        self, adjacency: CSRGraph, cfg: AcceleratorConfig, context: GraphPricingContext
-    ) -> tuple:
+    @staticmethod
+    def _cache_key(ref: AdjacencyRef, cfg: AcceleratorConfig) -> tuple:
         # The priming width completes this key (see the modeling notes).
         # bytes_per_value is present: it sets the per-vertex record size and
         # therefore the buffer's vertex capacity, so quantization variants
         # must not share one simulation.
         return (
-            context.fingerprint(adjacency),
+            ref,
             cfg.input_buffer_bytes,
             cfg.bytes_per_value,
             cfg.gamma,
@@ -553,29 +541,6 @@ class GNNIEExecutor:
             cfg.stream_buffer_count,
             cfg.stream_buffer_depth,
         )
-
-    def _cache_result(
-        self,
-        adjacency: CSRGraph,
-        cfg: AcceleratorConfig,
-        priming_width: int,
-        context: GraphPricingContext,
-        key: tuple,
-    ) -> CacheSimulationResult:
-        """The cache simulation behind ``key``, run once per graph."""
-        result = context.cache_results.get(key)
-        if result is not None:
-            self.metrics.counter("executor.cache_sim.memo_hits").inc()
-            return result
-        # Metrics are recorded only when the simulation actually runs; memo
-        # hits re-use the numbers without double-counting events.
-        self.metrics.counter("executor.cache_sim.runs").inc()
-        edge_index = context.edge_index(adjacency) if cfg.enable_degree_aware_caching else None
-        result = run_cache_simulation(
-            adjacency, cfg, priming_width, metrics=self.metrics, edge_index=edge_index
-        )
-        context.cache_results[key] = result
-        return result
 
     @staticmethod
     def _overlap_layer_memory(layer: LayerResult) -> None:

@@ -31,7 +31,7 @@ from repro.baselines import (
     HyGCNModel,
     PyGCPUModel,
     PyGGPUModel,
-    estimate_workload,
+    workload_from_plan,
 )
 from repro.datasets import build_dataset
 from repro.models import MODEL_FAMILIES
@@ -75,9 +75,9 @@ def main() -> None:
             path.write_text(result_to_json(result) + "\n")
             print(f"wrote {path.name}: {result.total_cycles} cycles")
 
-            workload = estimate_workload(graph, family)
-            entry = {name: getattr(workload, name) for name in WORKLOAD_TOTALS}
             plan = lower(family, graph)
+            workload = workload_from_plan(plan, graph)
+            entry = {name: getattr(workload, name) for name in WORKLOAD_TOTALS}
             entry["platforms"] = {
                 platform.name: {
                     "latency_seconds": (execution := platform.execute(plan, graph)).latency_seconds,

@@ -16,10 +16,13 @@ import copy
 import pickle
 from dataclasses import replace
 
+import pytest
+
 from repro.datasets import build_dataset
 from repro.hw import AcceleratorConfig
 from repro.models import MODEL_FAMILIES
 from repro.obs import MetricsRegistry
+from repro.plan.ir import FULL_ADJACENCY, AdjacencyRef
 from repro.sim.batch import pricing_context
 from repro.sweep import ScenarioMatrix, run_batch_timed, run_sweep
 from repro.sweep.store import canonical_row
@@ -195,6 +198,33 @@ class TestCacheSimSharing:
         assert pricing_context(other) is not context
         # A pickled graph (a pool worker's copy) leaves its context behind.
         assert pickle.loads(pickle.dumps(graph)).pricing is None
+
+    def test_context_resolves_adjacency_handles(self):
+        graph = build_dataset("cora", scale=0.1, seed=9)
+        context = pricing_context(graph)
+        assert context.adjacency(FULL_ADJACENCY) is graph.adjacency
+        sampled = context.adjacency(AdjacencyRef("sampled", 5))
+        assert sampled is context.adjacency(AdjacencyRef("sampled", 5))
+        assert sampled.num_vertices == graph.num_vertices
+        assert sampled.max_degree() <= graph.adjacency.max_degree()
+        assert context.edge_index(FULL_ADJACENCY) is context.edge_index(FULL_ADJACENCY)
+        with pytest.raises(KeyError, match="unknown adjacency handle"):
+            context.adjacency(AdjacencyRef("coarsened"))
+
+    def test_simulations_are_keyed_by_adjacency_handle(self):
+        """One simulation per (handle, cache knobs, priming width): GraphSAGE
+        aggregates over its sampled handle, GCN over the full one."""
+        from repro.plan.lowering import lower
+        from repro.sim.gnnie_executor import GNNIEExecutor
+
+        graph = build_dataset("cora", scale=0.1, seed=9)
+        executor = GNNIEExecutor()
+        for family in ("graphsage", "gcn", "graphsage"):
+            executor.execute(lower(family, graph), graph)
+        handles = [key[0] for key in pricing_context(graph).cache_results]
+        assert sorted(handles, key=repr) == [
+            FULL_ADJACENCY, AdjacencyRef("sampled", 25)
+        ]
 
 
 class TestBatchObservability:

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from repro.cache import (
     CachePolicyConfig,
     DegreeAwareCacheController,
-    simulate_vertex_order_baseline,
+    simulate_policy,
     vertex_record_bytes,
 )
+from repro.cache.controller import UndirectedEdgeIndex
 from repro.graph import CSRGraph, power_law_graph
 
 
@@ -21,15 +22,16 @@ def graph():
     return power_law_graph(400, 1600, exponent=2.1, seed=71)
 
 
-def run_controller(graph, capacity, gamma=5, degree_ordered=True, replacement=None):
+def run_controller(graph, capacity, gamma=5, replacement=None):
     policy = CachePolicyConfig(
-        capacity_vertices=capacity,
-        gamma=gamma,
-        replacement_count=replacement,
-        degree_ordered=degree_ordered,
+        capacity_vertices=capacity, gamma=gamma, replacement_count=replacement
     )
     controller = DegreeAwareCacheController(graph, policy, bytes_per_vertex=128)
     return controller.run()
+
+
+def vertex_order(graph, capacity_vertices):
+    return simulate_policy("vertex_order", graph, capacity_vertices)
 
 
 class TestPolicyConfig:
@@ -62,7 +64,7 @@ class TestDegreeAwareController:
         result = run_controller(graph, capacity=80)
         undirected = graph.num_edges // 2
         assert result.total_edges_processed == undirected
-        assert sum(record.edges_processed for record in result.iterations) == undirected
+        assert int(result.edges_processed.sum()) == undirected
 
     def test_all_dram_traffic_is_sequential(self, graph):
         result = run_controller(graph, capacity=80)
@@ -98,18 +100,29 @@ class TestDegreeAwareController:
         assert high.total_dram_accesses >= low.total_dram_accesses
 
     def test_degree_order_beats_id_order(self, graph):
-        """Streaming high-degree vertices first processes more edges per
-        fetch, so it needs no more DRAM accesses than id-order streaming."""
-        degree_order = run_controller(graph, capacity=60, degree_ordered=True)
-        id_order = run_controller(graph, capacity=60, degree_ordered=False)
+        """Streaming high-degree vertices first and processing only resident
+        subgraphs needs no more DRAM accesses than walking vertices in id
+        order through a FIFO buffer of the same size."""
+        degree_order = run_controller(graph, capacity=60)
+        id_order = vertex_order(graph, capacity_vertices=60)
         assert degree_order.total_dram_accesses <= id_order.total_dram_accesses
 
-    def test_iteration_records_consistent(self, graph):
+    def test_iteration_columns_consistent(self, graph):
         result = run_controller(graph, capacity=60)
-        for record in result.iterations:
-            assert record.resident_vertices <= 60
-            assert record.edges_processed >= 0
-            assert record.max_edges_per_vertex <= max(record.edges_processed, 0)
+        columns = (
+            result.round_index,
+            result.edges_processed,
+            result.max_edges_per_vertex,
+            result.resident_vertices,
+        )
+        assert all(column.dtype == np.int64 for column in columns)
+        assert {column.size for column in columns} == {result.num_iterations}
+        assert result.num_iterations > result.num_rounds
+        assert (result.resident_vertices <= 60).all()
+        assert (result.edges_processed >= 0).all()
+        assert (result.max_edges_per_vertex <= result.edges_processed).all()
+        assert (np.diff(result.round_index) >= 0).all()
+        assert result.round_index[0] == 1 and result.round_index[-1] == result.num_rounds
 
     def test_star_graph_hub_retained(self):
         """The hub of a star has the highest degree; with a cache of 3 the
@@ -121,9 +134,7 @@ class TestDegreeAwareController:
         result = run_controller(star, capacity=3, gamma=2, replacement=2)
         assert result.total_edges_processed == 11
         assert result.num_rounds <= 2
-        first_round_edges = sum(
-            record.edges_processed for record in result.iterations if record.round_index == 1
-        )
+        first_round_edges = result.edges_processed[result.round_index == 1].sum()
         assert first_round_edges >= 9
 
     def test_deadlock_resolution_when_gamma_zero(self, graph):
@@ -136,24 +147,24 @@ class TestDegreeAwareController:
 
 class TestVertexOrderBaseline:
     def test_counts_random_accesses(self, graph):
-        result = simulate_vertex_order_baseline(graph, capacity_vertices=40)
+        result = vertex_order(graph, capacity_vertices=40)
         assert result.random_accesses > 0
         assert result.total_edges_processed == graph.num_edges // 2
 
     def test_large_buffer_reduces_random_accesses(self, graph):
-        small = simulate_vertex_order_baseline(graph, capacity_vertices=20)
-        large = simulate_vertex_order_baseline(graph, capacity_vertices=graph.num_vertices)
+        small = vertex_order(graph, capacity_vertices=20)
+        large = vertex_order(graph, capacity_vertices=graph.num_vertices)
         assert large.random_accesses < small.random_accesses
 
     def test_degree_aware_policy_eliminates_random_traffic(self, graph):
-        baseline = simulate_vertex_order_baseline(graph, capacity_vertices=60)
+        baseline = vertex_order(graph, capacity_vertices=60)
         policy = run_controller(graph, capacity=60)
         assert baseline.random_accesses > 0
         assert policy.random_accesses == 0
 
     def test_invalid_capacity(self, graph):
         with pytest.raises(ValueError):
-            simulate_vertex_order_baseline(graph, capacity_vertices=0)
+            vertex_order(graph, capacity_vertices=0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -177,8 +188,9 @@ def test_controller_completeness_property(num_vertices, num_edges, capacity, gam
 
 
 class TestIncidentEdgesVectorization:
-    """Micro-assertion: the flat-gather incident_edges matches the old
-    per-vertex slice implementation on every query shape."""
+    """Micro-assertion: the flat-gather, mask-deduplicated
+    incident_edges_once matches a per-vertex slice implementation on every
+    query shape (compared sorted: its output order is unspecified)."""
 
     @staticmethod
     def _reference_incident_edges(index, vertices):
@@ -188,12 +200,16 @@ class TestIncidentEdgesVectorization:
             index._sorted_edge_ids[index.indptr[v] : index.indptr[v + 1]]
             for v in vertices
         ]
-        return np.unique(np.concatenate(pieces)) if pieces else np.empty(0, dtype=np.int64)
+        return np.unique(np.concatenate(pieces))
+
+    @staticmethod
+    def _incident_edges_once(index, vertices):
+        member_mask = np.zeros(index.num_vertices, dtype=bool)
+        member_mask[vertices] = True
+        return np.sort(index.incident_edges_once(vertices, member_mask))
 
     def test_matches_reference_implementation(self, graph):
-        from repro.cache.controller import UndirectedEdgeIndex as _UndirectedEdgeIndex
-
-        index = _UndirectedEdgeIndex(graph)
+        index = UndirectedEdgeIndex(graph)
         rng = np.random.default_rng(5)
         queries = [
             np.empty(0, dtype=np.int64),
@@ -204,7 +220,7 @@ class TestIncidentEdgesVectorization:
         ]
         for vertices in queries:
             np.testing.assert_array_equal(
-                index.incident_edges(vertices),
+                self._incident_edges_once(index, vertices),
                 self._reference_incident_edges(index, vertices),
             )
 
@@ -213,8 +229,6 @@ class TestIncidentEdgesVectorization:
         adjacency = CSRGraph.from_edge_list(
             [(0, 1), (1, 2)], num_vertices=4, symmetric=True
         )
-        from repro.cache.controller import UndirectedEdgeIndex as _UndirectedEdgeIndex
-
-        index = _UndirectedEdgeIndex(adjacency)
-        assert index.incident_edges(np.array([3], dtype=np.int64)).size == 0
-        assert index.incident_edges(np.array([1, 3], dtype=np.int64)).size == 2
+        index = UndirectedEdgeIndex(adjacency)
+        assert self._incident_edges_once(index, np.array([3], dtype=np.int64)).size == 0
+        assert self._incident_edges_once(index, np.array([1, 3], dtype=np.int64)).size == 2

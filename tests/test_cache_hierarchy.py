@@ -9,8 +9,6 @@ from repro.cache import (
     EVICT,
     MISS,
     MECHANISM_REGISTRY,
-    CachePolicyConfig,
-    DegreeAwareCacheController,
     MissCache,
     MissPathConfig,
     MissPathHierarchy,
@@ -21,8 +19,7 @@ from repro.cache import (
     VictimCache,
     build_mechanism,
     mechanism_names,
-    simulate_lru_policy,
-    simulate_vertex_order_baseline,
+    simulate_policy,
 )
 from repro.graph import power_law_graph
 from repro.hw.config import AcceleratorConfig
@@ -31,6 +28,10 @@ from repro.hw.config import AcceleratorConfig
 @pytest.fixture(scope="module")
 def graph():
     return power_law_graph(600, 3000, exponent=2.1, seed=91)
+
+
+def _baseline(graph, collect_trace=True):
+    return simulate_policy("vertex_order", graph, 60, collect_trace=collect_trace)
 
 
 def _trace(events, num_vertices=16, stream_order=None):
@@ -42,21 +43,18 @@ def _trace(events, num_vertices=16, stream_order=None):
 
 class TestTrace:
     def test_baseline_trace_matches_counters(self, graph):
-        result = simulate_vertex_order_baseline(graph, 60, collect_trace=True)
+        result = _baseline(graph)
         assert result.trace is not None
         assert result.trace.num_misses == result.random_accesses
         assert result.trace.num_evictions > 0
         assert result.trace.policy == "vertex_order"
 
     def test_trace_off_by_default(self, graph):
-        assert simulate_vertex_order_baseline(graph, 60).trace is None
-        assert simulate_lru_policy(graph, 60).trace is None
+        assert _baseline(graph, collect_trace=False).trace is None
+        assert simulate_policy("lru", graph, 60).trace is None
 
     def test_degree_aware_trace_has_no_misses(self, graph):
-        controller = DegreeAwareCacheController(
-            graph, CachePolicyConfig(capacity_vertices=60)
-        )
-        result = controller.run(collect_trace=True)
+        result = simulate_policy("degree_aware", graph, 60, collect_trace=True)
         assert result.trace is not None
         assert result.trace.num_misses == 0
         assert result.trace.num_evictions > 0
@@ -220,7 +218,7 @@ class TestRegistry:
 
 class TestHierarchy:
     def test_combined_is_union_of_masks(self, graph):
-        result = simulate_vertex_order_baseline(graph, 60, collect_trace=True)
+        result = _baseline(graph)
         config = MissPathConfig(mechanisms=("victim", "miss", "stream"))
         hierarchy = MissPathHierarchy(config)
         outcome = hierarchy.filter(result.trace)
@@ -238,7 +236,7 @@ class TestHierarchy:
             assert by_name[name].hits == int(mask.sum())
 
     def test_rows_include_combined_entry(self, graph):
-        result = simulate_vertex_order_baseline(graph, 60, collect_trace=True)
+        result = _baseline(graph)
         outcome = MissPathHierarchy(
             MissPathConfig(mechanisms=("victim", "stream"))
         ).filter(result.trace)
@@ -255,7 +253,7 @@ class TestHierarchy:
         assert mechanism.count == 7 and mechanism.depth == 3
 
     def test_stream_hits_counted_as_prefetch_traffic(self, graph):
-        result = simulate_vertex_order_baseline(graph, 60, collect_trace=True)
+        result = _baseline(graph)
         stream_only = MissPathHierarchy(
             MissPathConfig(mechanisms=("stream",))
         ).filter(result.trace)
@@ -276,7 +274,7 @@ class TestHierarchy:
         assert on_chip_only.prefetch_fill_records == 0
 
     def test_stream_fill_traffic_reported(self, graph):
-        result = simulate_vertex_order_baseline(graph, 60, collect_trace=True)
+        result = _baseline(graph)
         config = MissPathConfig(mechanisms=("stream",))
         outcome = MissPathHierarchy(config).filter(result.trace)
         [stats] = outcome.mechanisms
@@ -368,12 +366,3 @@ class TestSimulationIntegration:
         assert dram.stats.random_accesses == 10
         assert dram.stats.random_accesses_avoided == 4
         assert dram.stats.random_accesses_issued == 14
-
-    def test_engine_fingerprint_is_content_based(self, graph):
-        from repro.sim.batch import adjacency_fingerprint
-
-        same = adjacency_fingerprint(graph)
-        copy = power_law_graph(600, 3000, exponent=2.1, seed=91)
-        other = power_law_graph(600, 3000, exponent=2.1, seed=92)
-        assert adjacency_fingerprint(copy) == same
-        assert adjacency_fingerprint(other) != same

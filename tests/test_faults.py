@@ -309,6 +309,13 @@ class TestFaultsCLI:
         report = json.loads(capsys.readouterr().out)
         assert report["failed"] == 1
         assert report["rows"][0]["error"]["type"] == "InjectedFault"
+        # A fault-free re-run heals exactly the failed cell.
+        clear_plan()
+        faults = argv.index("--faults")
+        assert main(argv[:faults] + argv[faults + 2 :]) == 0
+        healed = json.loads(capsys.readouterr().out)
+        assert (healed["executed"], healed["skipped"], healed["failed"]) == (1, 0, 0)
+        assert healed["rows"][0]["metrics"] is not None
 
     def test_sweep_strict_flag_exits_nonzero(self, tmp_path, capsys):
         from repro.cli import main

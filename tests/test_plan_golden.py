@@ -28,7 +28,7 @@ from repro.baselines import (
     HyGCNModel,
     PyGCPUModel,
     PyGGPUModel,
-    estimate_workload,
+    workload_from_plan,
 )
 from repro.datasets import build_dataset
 from repro.models import MODEL_FAMILIES
@@ -109,10 +109,10 @@ class TestBaselineGoldenEquivalence:
     ):
         graph = golden_graphs[dataset]
         entry = snapshot[f"{dataset}_{family}"]
-        workload = estimate_workload(graph, family)
+        plan = lower(family, graph)
+        workload = workload_from_plan(plan, graph)
         for attribute in _WORKLOAD_TOTALS:
             assert getattr(workload, attribute) == entry[attribute], attribute
-        plan = lower(family, graph)
         for platform in platforms:
             if not platform.supports(family):
                 assert platform.name not in entry["platforms"]

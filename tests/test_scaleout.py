@@ -15,7 +15,14 @@ from repro.plan.executor import executor
 from repro.scaleout import execute_scaleout, partition_workload
 from repro.sim import GNNIEExecutor, ScaleOutResult, results_to_csv
 from repro.sim.batch import pricing_context
-from repro.sweep import SCALEOUT_ROW_FORMAT, ScenarioMatrix, SweepCell, run_batch_timed
+from repro.sweep import (
+    SCALEOUT_ROW_FORMAT,
+    ResultStore,
+    ScenarioMatrix,
+    SweepCell,
+    run_batch_timed,
+    run_sweep,
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +115,7 @@ class TestExecuteScaleout:
         execute_scaleout(backend, plan, graph, None, chips=3)
         chip_spans = [r for r in backend.tracer.records if r.name == "chip"]
         assert len(chip_spans) == 3
+        assert any(r.name == "op:halo_exchange" for r in backend.tracer.records)
 
     def test_partition_is_memoized_per_graph(self, graph, backend):
         plan = lower("gcn", graph)
@@ -131,9 +139,9 @@ class TestExecuteScaleout:
 
 
 class TestScaleoutMatrix:
-    def test_chips_axis_expands_only_config_backends(self):
+    def test_chips_axis_expands_only_config_backends(self, tmp_path):
         matrix = ScenarioMatrix.build(
-            ["cora"], ["gcn"], backends=["gnnie", "pyg-cpu"], chips=[1, 4]
+            ["cora"], ["gcn"], backends=["gnnie", "pyg-cpu"], chips=[1, 4], scale=0.05
         )
         cells = matrix.cells()
         assert len(matrix) == len(cells) == 3
@@ -141,6 +149,12 @@ class TestScaleoutMatrix:
         baseline_chips = [c.chips for c in cells if c.backend == "pyg-cpu"]
         assert gnnie_chips == [1, 4]
         assert baseline_chips == [1]
+        # Resuming the chips-axis sweep executes nothing and serves the same rows.
+        store = tmp_path / "chips.jsonl"
+        first = run_sweep(matrix, store=ResultStore(store), jobs=1)
+        resumed = run_sweep(matrix, store=ResultStore(store), jobs=1)
+        assert (first.executed, resumed.executed, resumed.skipped) == (3, 0, 3)
+        assert json.dumps(resumed.rows, sort_keys=True) == json.dumps(first.rows, sort_keys=True)
 
     def test_single_chip_cells_keep_pre_scaleout_keys(self):
         matrix = ScenarioMatrix.build(["cora"], ["gcn"], chips=[1])

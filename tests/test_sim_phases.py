@@ -10,8 +10,8 @@ import pytest
 from repro.hw import AcceleratorConfig
 from repro.sim import (
     PhaseResult,
+    aggregation_phase_from_cache,
     run_cache_simulation,
-    simulate_aggregation,
     simulate_weighting,
 )
 from repro.sparse import generate_sparse_features
@@ -84,16 +84,23 @@ class TestSimulateWeighting:
         assert phase.total_cycles > 0
 
 
-class TestSimulateAggregation:
+class TestAggregationPhase:
     @pytest.fixture(scope="class")
     def graph(self):
         from repro.graph import power_law_graph
 
         return power_law_graph(500, 2500, seed=31)
 
-    def test_phase_and_cache_returned(self, graph):
+    @staticmethod
+    def _phase(graph, config, width, cache=None, is_gat=False):
+        if cache is None:
+            cache = run_cache_simulation(graph, config, width)
+        return aggregation_phase_from_cache(cache, graph, config, width, is_gat=is_gat)
+
+    def test_phase_prices_a_complete_simulation(self, graph):
         config = AcceleratorConfig()
-        phase, cache = simulate_aggregation(graph, config, 128)
+        cache = run_cache_simulation(graph, config, 128)
+        phase = self._phase(graph, config, 128, cache)
         assert phase.compute_cycles > 0
         assert cache.total_edges_processed == graph.num_edges // 2
         assert phase.dram_random_accesses == 0
@@ -101,27 +108,28 @@ class TestSimulateAggregation:
     def test_gat_costs_more_than_gcn(self, graph):
         config = AcceleratorConfig()
         cache = run_cache_simulation(graph, config, 128)
-        gcn_phase, _ = simulate_aggregation(graph, config, 128, is_gat=False, cache_result=cache)
-        gat_phase, _ = simulate_aggregation(graph, config, 128, is_gat=True, cache_result=cache)
+        gcn_phase = self._phase(graph, config, 128, cache, is_gat=False)
+        gat_phase = self._phase(graph, config, 128, cache, is_gat=True)
         assert gat_phase.compute_cycles > gcn_phase.compute_cycles
         assert gat_phase.sfu_operations > 0
 
     def test_baseline_policy_pays_random_access_penalty(self, graph):
         config = replace(AcceleratorConfig(), enable_degree_aware_caching=False)
-        phase, cache = simulate_aggregation(graph, config, 128)
+        cache = run_cache_simulation(graph, config, 128)
+        phase = self._phase(graph, config, 128, cache)
         assert cache.random_accesses > 0
         assert phase.dram_random_accesses > 0
-        policy_phase, _ = simulate_aggregation(graph, AcceleratorConfig(), 128)
+        policy_phase = self._phase(graph, AcceleratorConfig(), 128)
         assert phase.total_cycles > policy_phase.total_cycles
 
     def test_wider_features_cost_more(self, graph):
         config = AcceleratorConfig()
         cache = run_cache_simulation(graph, config, 128)
-        narrow, _ = simulate_aggregation(graph, config, 32, cache_result=cache)
-        wide, _ = simulate_aggregation(graph, config, 256, cache_result=cache)
+        narrow = self._phase(graph, config, 32, cache)
+        wide = self._phase(graph, config, 256, cache)
         assert wide.compute_cycles > narrow.compute_cycles
 
     def test_output_stream_traffic_reported(self, graph):
-        phase, _ = simulate_aggregation(graph, AcceleratorConfig(), 128)
+        phase = self._phase(graph, AcceleratorConfig(), 128)
         assert phase.dram_output_stream_bytes > 0
         assert phase.dram_input_stream_bytes > 0

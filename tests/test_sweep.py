@@ -700,10 +700,11 @@ class TestSweepTraceCLI:
             if e["ph"] == "B" and e.get("cat") == "cell"
         ]
         assert len(cells) == 2
-        # Cells executed in worker processes keep their own pid track.
-        assert len({e["pid"] for e in cells}) >= 1
-        metric_names = {m["name"] for m in document["metadata"]["metrics"]}
-        assert "sweep.cells.executed" in metric_names
+        # Worker segments keep their own pid tracks, merged with the
+        # parent's sweep span into one timeline.
+        assert len({e["pid"] for e in document["traceEvents"]}) >= 2
+        metrics = {m["name"]: m["value"] for m in document["metadata"]["metrics"]}
+        assert metrics["sweep.cells.executed"] == 2
 
     def test_traced_sweep_rows_match_untraced_store(self, tmp_path, capsys):
         base = [

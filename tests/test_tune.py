@@ -199,6 +199,7 @@ class TestTuneCLI:
         first = json.loads(capsys.readouterr().out)
         assert first["executed_cells"] == first["evaluated_cells"] > 0
         assert first["best"]["beta"] is not None
+        assert len(first["generations"]) == 2
         assert main(argv) == 0
         second = json.loads(capsys.readouterr().out)
         assert second["executed_cells"] == 0
