@@ -1,4 +1,4 @@
-"""Graph data structures, generators and preprocessing for the GNNIE reproduction."""
+"""Graph data structures, generators and multi-chip partitioning for the GNNIE reproduction."""
 
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph, GraphStats
@@ -8,20 +8,7 @@ from repro.graph.generators import (
     power_law_degree_sequence,
     power_law_graph,
 )
-from repro.graph.partition import (
-    GraphPartition,
-    PARTITION_METHODS,
-    VertexSet,
-    partition_graph,
-    sequential_vertex_sets,
-    vertices_per_buffer,
-)
-from repro.graph.reorder import (
-    ReorderResult,
-    apply_vertex_permutation,
-    degree_binning,
-    degree_ordering,
-)
+from repro.graph.partition import PARTITION_METHODS, GraphPartition, partition_graph
 
 __all__ = [
     "CSRGraph",
@@ -31,14 +18,7 @@ __all__ = [
     "community_graph",
     "erdos_renyi_graph",
     "power_law_degree_sequence",
-    "VertexSet",
     "GraphPartition",
     "PARTITION_METHODS",
     "partition_graph",
-    "sequential_vertex_sets",
-    "vertices_per_buffer",
-    "ReorderResult",
-    "degree_ordering",
-    "degree_binning",
-    "apply_vertex_permutation",
 ]

@@ -1,94 +1,21 @@
-"""Vertex-set and multi-chip graph partitioning helpers.
+"""Multi-chip edge-cut graph partitioning for ``repro.scaleout``.
 
-The Weighting phase processes vertices in *sets* of ``s`` at a time, where
-``s`` is bounded by the input buffer capacity (paper, Section IV-A), and the
-Aggregation phase processes *subgraphs* induced by the vertices currently
-resident in the input buffer (Section VI).  This module implements the simple
-sequential-chunk partitioner for Weighting and buffer-capacity sizing helpers
-shared by the Weighting and Aggregation schedulers.
-
-It also implements the *chip-level* edge-cut partitioner used by
-``repro.scaleout``: assign every vertex to one of N simulated GNNIE chips and
-account the directed edges whose endpoints land on different chips (the
-halo-exchange traffic each aggregation layer must pay for).
+Assigns every vertex to one of N simulated GNNIE chips and accounts the
+directed edges whose endpoints land on different chips (the halo-exchange
+traffic each aggregation layer must pay for).  The input buffer's vertex
+capacity is derived in :func:`repro.sim.aggregation_sim.input_buffer_capacity`,
+not here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = [
-    "GraphPartition",
-    "PARTITION_METHODS",
-    "VertexSet",
-    "partition_graph",
-    "sequential_vertex_sets",
-    "vertices_per_buffer",
-]
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """A contiguous chunk of vertex ids processed together in one pass."""
-
-    index: int
-    vertex_ids: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.vertex_ids.size)
-
-
-def vertices_per_buffer(
-    buffer_bytes: int,
-    feature_length: int,
-    *,
-    bytes_per_value: int = 1,
-    connectivity_overhead_bytes: int = 8,
-) -> int:
-    """How many vertices fit in an on-chip buffer.
-
-    Each resident vertex needs its feature vector (``feature_length`` values)
-    plus a small amount of connectivity metadata (CSR offsets and the
-    unprocessed-edge counter α during Aggregation).
-
-    Args:
-        buffer_bytes: Buffer capacity in bytes.
-        feature_length: Elements per vertex feature vector.
-        bytes_per_value: Storage size of a feature element (the paper uses
-            1-byte quantized weights/features for buffer sizing).
-        connectivity_overhead_bytes: Per-vertex metadata bytes.
-
-    Returns:
-        Number of vertices, at least 1.
-    """
-    if buffer_bytes <= 0:
-        raise ValueError("buffer_bytes must be positive")
-    if feature_length <= 0:
-        raise ValueError("feature_length must be positive")
-    per_vertex = feature_length * bytes_per_value + connectivity_overhead_bytes
-    return max(1, buffer_bytes // per_vertex)
-
-
-def sequential_vertex_sets(num_vertices: int, set_size: int) -> Iterator[VertexSet]:
-    """Yield ⌈|V| / s⌉ contiguous vertex sets of at most ``set_size`` vertices."""
-    if num_vertices < 0:
-        raise ValueError("num_vertices must be non-negative")
-    if set_size <= 0:
-        raise ValueError("set_size must be positive")
-    for index, start in enumerate(range(0, num_vertices, set_size)):
-        end = min(start + set_size, num_vertices)
-        yield VertexSet(index=index, vertex_ids=np.arange(start, end, dtype=np.int64))
-
-
-# --------------------------------------------------------------------------- #
-# Multi-chip edge-cut partitioning
-# --------------------------------------------------------------------------- #
+__all__ = ["GraphPartition", "PARTITION_METHODS", "partition_graph"]
 
 #: Supported chip-partitioning strategies, in documentation order.
 PARTITION_METHODS: tuple[str, ...] = ("chunk", "balanced")
@@ -150,8 +77,7 @@ def partition_graph(
 
     Methods:
         ``"chunk"``: contiguous vertex-id ranges via ``np.array_split`` —
-            the degenerate-but-deterministic baseline matching the
-            Weighting-phase sequential chunking.
+            the degenerate-but-deterministic baseline.
         ``"balanced"``: deterministic greedy degree balancing — vertices in
             descending-degree order (ties by vertex id) each go to the part
             with the least accumulated degree (ties by part index), evening

@@ -1,32 +1,21 @@
-"""Hardware component models of the GNNIE accelerator."""
+"""Accelerator configuration, HBM timing and the energy/area models of GNNIE.
 
-from repro.hw.buffers import BufferStats, DoubleBuffer, OnChipBuffer
-from repro.hw.config import DESIGN_PRESETS, AcceleratorConfig, design_preset
-from repro.hw.cpe import ComputePE, CPEConfig
-from repro.hw.dram import DRAMStats, HBMModel
+Cycles come from the plan executors pricing the :mod:`repro.mapping`
+schedules and the cache simulation; this package supplies the knobs they
+read (:class:`AcceleratorConfig`), the DRAM transfer timing
+(:class:`HBMModel`) and the per-event energy and chip-area figures.
+"""
+
+from repro.hw.config import DESIGN_PRESETS, SFU_COLUMNS, AcceleratorConfig, design_preset
+from repro.hw.dram import HBMModel
 from repro.hw.energy import AreaModel, EnergyBreakdown, EnergyModel
-from repro.hw.mpe import MergePE, MPEConfig, MPEStats
-from repro.hw.pe_array import PEArray, RowWorkload
-from repro.hw.sfu import SFUConfig, SpecialFunctionUnit
 
 __all__ = [
     "AcceleratorConfig",
     "DESIGN_PRESETS",
+    "SFU_COLUMNS",
     "design_preset",
-    "ComputePE",
-    "CPEConfig",
-    "MergePE",
-    "MPEConfig",
-    "MPEStats",
-    "SpecialFunctionUnit",
-    "SFUConfig",
-    "PEArray",
-    "RowWorkload",
-    "OnChipBuffer",
-    "DoubleBuffer",
-    "BufferStats",
     "HBMModel",
-    "DRAMStats",
     "EnergyModel",
     "EnergyBreakdown",
     "AreaModel",

@@ -20,9 +20,14 @@ without touching code paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-__all__ = ["AcceleratorConfig", "DESIGN_PRESETS", "design_preset"]
+__all__ = ["AcceleratorConfig", "DESIGN_PRESETS", "SFU_COLUMNS", "design_preset"]
+
+#: Special-function-unit columns interleaved in the CPE array (Section III).
+#: Each column gives every CPE row one SFU lane, so the array has
+#: ``SFU_COLUMNS * num_rows`` lanes for exp, LeakyReLU and divide.
+SFU_COLUMNS = 4
 
 
 @dataclass(frozen=True)
@@ -51,11 +56,15 @@ class AcceleratorConfig:
     output_buffer_bytes: int = 1024 * 1024
     weight_buffer_bytes: int = 128 * 1024
     #: Partial-sum slots available per MPE (limits in-flight vertices).
+    #: No cost model reads it.  It stays because ``SweepCell.key()`` hashes
+    #: every config field: deleting one re-keys every stored sweep cell.
     psum_slots_per_mpe: int = 64
     bytes_per_value: int = 1
 
     # --- Off-chip memory ------------------------------------------------ #
     dram_bandwidth_bytes_per_s: float = 256e9
+    #: No cost model reads it: ``EnergyModel.dram_pj_per_bit`` prices DRAM
+    #: energy.  Kept so stored sweep-cell keys stay valid (see above).
     dram_energy_pj_per_bit: float = 3.97
 
     # --- Inter-chip link (multi-chip scale-out) ------------------------- #
@@ -70,6 +79,9 @@ class AcceleratorConfig:
 
     # --- Cache policy ----------------------------------------------------#
     gamma: int = 5
+    #: No cost model reads it (the input buffer is a degree-aware vertex
+    #: store, not a set-associative cache).  Kept so stored sweep-cell keys
+    #: stay valid (see ``psum_slots_per_mpe``).
     cache_associativity: int = 4
 
     # --- Miss-path hierarchy behind the input buffer -------------------- #

@@ -1,7 +1,7 @@
-"""Off-chip HBM DRAM model.
+"""Off-chip HBM DRAM timing model.
 
 The original evaluation integrates Ramulator to model HBM 2.0 at 256 GB/s;
-the reproduction replaces it with a bandwidth/latency/energy model that
+the reproduction replaces it with a bandwidth/latency model that
 distinguishes the two access patterns GNNIE's caching policy is designed
 around:
 
@@ -11,50 +11,26 @@ around:
   the baseline models (and by GNNIE with degree-aware caching disabled) to
   quantify the cost the policy avoids.
 
-Energy uses the paper's 3.97 pJ/bit figure for HBM 2.0.
+DRAM energy (the paper's 3.97 pJ/bit for HBM 2.0) is priced by
+:meth:`repro.hw.energy.EnergyModel.dram_energy`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DRAMStats", "HBMModel"]
-
-
-@dataclass
-class DRAMStats:
-    """Traffic counters accumulated over a simulation."""
-
-    sequential_bytes: int = 0
-    random_bytes: int = 0
-    random_accesses: int = 0
-    total_cycles: int = 0
-    #: Random accesses that were resolved by the miss-path hierarchy
-    #: (victim cache / miss cache / stream buffers) and therefore never
-    #: reached DRAM; tracked so ablations can report recovered traffic.
-    random_accesses_avoided: int = 0
-    random_bytes_avoided: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.sequential_bytes + self.random_bytes
-
-    @property
-    def random_accesses_issued(self) -> int:
-        """Random accesses before miss-path filtering (issued by the policy)."""
-        return self.random_accesses + self.random_accesses_avoided
+__all__ = ["HBMModel"]
 
 
 @dataclass
 class HBMModel:
-    """Bandwidth/latency/energy model of the HBM 2.0 interface.
+    """Bandwidth/latency model of the HBM 2.0 interface.
 
     Attributes:
         bandwidth_bytes_per_s: Peak sustained bandwidth (256 GB/s).
         frequency_hz: Accelerator clock used to convert time to cycles.
-        energy_pj_per_bit: Access energy (3.97 pJ/bit, paper Section VIII-A).
         random_access_penalty_cycles: Extra cycles charged per random access
             (row activation + column access at the accelerator clock).
         random_access_granularity_bytes: Minimum burst transferred per random
@@ -66,11 +42,9 @@ class HBMModel:
 
     bandwidth_bytes_per_s: float = 256e9
     frequency_hz: float = 1.3e9
-    energy_pj_per_bit: float = 3.97
     random_access_penalty_cycles: int = 40
     random_access_granularity_bytes: int = 32
     random_access_parallelism: int = 8
-    stats: DRAMStats = field(default_factory=DRAMStats)
 
     def __post_init__(self) -> None:
         if self.bandwidth_bytes_per_s <= 0 or self.frequency_hz <= 0:
@@ -80,17 +54,11 @@ class HBMModel:
     def bytes_per_cycle(self) -> float:
         return self.bandwidth_bytes_per_s / self.frequency_hz
 
-    # ------------------------------------------------------------------ #
-    # Transfers
-    # ------------------------------------------------------------------ #
     def sequential_transfer_cycles(self, num_bytes: int) -> int:
         """Cycles to stream ``num_bytes`` sequentially at peak bandwidth."""
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
-        cycles = int(-(-num_bytes // self.bytes_per_cycle)) if num_bytes else 0
-        self.stats.sequential_bytes += num_bytes
-        self.stats.total_cycles += cycles
-        return cycles
+        return int(-(-num_bytes // self.bytes_per_cycle)) if num_bytes else 0
 
     def random_transfer_cycles(self, num_accesses: int, bytes_per_access: int | None = None) -> int:
         """Cycles for ``num_accesses`` random accesses.
@@ -111,42 +79,4 @@ class HBMModel:
                 / max(1, self.random_access_parallelism)
             )
         )
-        cycles = penalty_cycles + stream_cycles
-        self.stats.random_bytes += transfer_bytes
-        self.stats.random_accesses += num_accesses
-        self.stats.total_cycles += cycles
-        return cycles
-
-    def note_avoided_random_accesses(
-        self, num_accesses: int, bytes_per_access: int | None = None
-    ) -> None:
-        """Record random accesses the miss-path hierarchy filtered out.
-
-        No random-access cycles or energy are charged here: victim/miss-cache
-        hits are served on chip, and stream-buffer hits are charged by the
-        caller as *sequential* prefetch traffic instead.  This only keeps
-        the statistics honest about how much random traffic disappeared.
-        """
-        if num_accesses < 0:
-            raise ValueError("num_accesses must be non-negative")
-        granule = bytes_per_access or self.random_access_granularity_bytes
-        self.stats.random_accesses_avoided += num_accesses
-        self.stats.random_bytes_avoided += num_accesses * max(
-            granule, self.random_access_granularity_bytes
-        )
-
-    # ------------------------------------------------------------------ #
-    # Energy
-    # ------------------------------------------------------------------ #
-    def transfer_energy_pj(self, num_bytes: int) -> float:
-        """Energy to move ``num_bytes`` across the HBM interface."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        return 8.0 * num_bytes * self.energy_pj_per_bit
-
-    def total_energy_pj(self) -> float:
-        """Energy of all traffic recorded so far."""
-        return self.transfer_energy_pj(self.stats.total_bytes)
-
-    def reset(self) -> None:
-        self.stats = DRAMStats()
+        return penalty_cycles + stream_cycles

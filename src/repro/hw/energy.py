@@ -18,9 +18,9 @@ check; the constants are documented here so a user can re-derive them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import SFU_COLUMNS, AcceleratorConfig
 
 __all__ = ["EnergyModel", "EnergyBreakdown", "AreaModel"]
 
@@ -144,7 +144,7 @@ class AreaModel:
     sfu_area_mm2: float = 0.015
     fixed_overhead_mm2: float = 2.3
 
-    def chip_area_mm2(self, config: AcceleratorConfig, *, num_sfu_columns: int = 4) -> float:
+    def chip_area_mm2(self, config: AcceleratorConfig) -> float:
         buffer_mb = (
             config.input_buffer_bytes_or_default
             + config.output_buffer_bytes
@@ -153,6 +153,6 @@ class AreaModel:
         return (
             self.mac_area_mm2 * config.total_macs
             + self.sram_area_mm2_per_mb * buffer_mb
-            + self.sfu_area_mm2 * num_sfu_columns * config.num_rows
+            + self.sfu_area_mm2 * SFU_COLUMNS * config.num_rows
             + self.fixed_overhead_mm2
         )

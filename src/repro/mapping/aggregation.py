@@ -27,15 +27,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.config import AcceleratorConfig
-from repro.hw.sfu import SFUConfig
+from repro.hw.config import SFU_COLUMNS, AcceleratorConfig
 
 __all__ = ["IterationCost", "AggregationCycleModel"]
+
+#: Latencies, in cycles, of the interleaved SFU columns (Section III): the
+#: lookup-table exponential, LeakyReLU and the softmax division.
+EXP_LATENCY_CYCLES = 2
+LEAKY_RELU_LATENCY_CYCLES = 1
+DIVIDE_LATENCY_CYCLES = 4
 
 
 @dataclass(frozen=True)
 class IterationCost:
-    """Cycle cost of aggregating one cached-subgraph iteration."""
+    """Cycle cost of aggregating one or more cached-subgraph iterations."""
 
     edges_processed: int
     compute_cycles: int
@@ -49,92 +54,18 @@ class AggregationCycleModel:
     """Converts per-iteration edge counts into CPE-array cycles."""
 
     def __init__(
-        self,
-        config: AcceleratorConfig,
-        feature_length: int,
-        *,
-        is_gat: bool = False,
-        sfu_config: SFUConfig | None = None,
-        num_sfu_columns: int = 4,
+        self, config: AcceleratorConfig, feature_length: int, *, is_gat: bool = False
     ) -> None:
         if feature_length <= 0:
             raise ValueError("feature_length must be positive")
         self.config = config
         self.feature_length = int(feature_length)
         self.is_gat = is_gat
-        self.sfu_config = sfu_config or SFUConfig()
-        self.num_sfu_columns = num_sfu_columns
         self._total_macs = float(config.total_macs)
         self._average_macs_per_cpe = float(config.total_macs) / float(config.num_cpes)
         #: SFU scalar throughput per cycle: one op per SFU lane, with one
         #: lane per CPE row in each interleaved SFU column.
-        self._sfu_lanes = float(num_sfu_columns * config.num_rows)
-
-    # ------------------------------------------------------------------ #
-    # Per-iteration costs
-    # ------------------------------------------------------------------ #
-    def iteration_cost(
-        self,
-        undirected_edges: int,
-        *,
-        max_edges_per_vertex: int = 0,
-        num_resident_vertices: int = 0,
-    ) -> IterationCost:
-        """Cycle cost of processing ``undirected_edges`` in one iteration.
-
-        Args:
-            undirected_edges: Number of (undirected) subgraph edges processed
-                this iteration; each contributes an accumulation into both
-                endpoints.
-            max_edges_per_vertex: Largest number of edges any single resident
-                vertex accumulates this iteration (drives the no-LB penalty).
-            num_resident_vertices: Vertices resident in the buffer (used for
-                the GAT softmax division count).
-        """
-        if undirected_edges < 0:
-            raise ValueError("undirected_edges must be non-negative")
-        feature = self.feature_length
-        # Each undirected edge feeds both endpoints: 2 directed contributions,
-        # each an elementwise add of an F-long vector.
-        addition_ops = 2 * undirected_edges * feature
-        multiply_ops = 0
-        sfu_ops = 0
-        if self.is_gat:
-            # exp(e_ij) · ηw_j per directed edge (F multiplies) and the final
-            # division by the softmax denominator per output element.
-            multiply_ops = 2 * undirected_edges * feature
-            sfu_ops = 2 * undirected_edges * 2 + num_resident_vertices  # LeakyReLU + exp per edge, denom add
-        mac_ops = addition_ops + multiply_ops
-
-        if self.config.enable_aggregation_load_balancing:
-            compute_cycles = int(np.ceil(mac_ops / self._total_macs)) if mac_ops else 0
-        else:
-            # Without degree-aware distribution, vertices are assigned to
-            # CPEs in id order; the expected bottleneck is the average
-            # per-CPE share plus the largest single-vertex accumulation
-            # serialized on one CPE.
-            per_vertex_factor = 2 if self.is_gat else 1
-            average_share = mac_ops / float(self.config.num_cpes)
-            worst_vertex = max_edges_per_vertex * feature * per_vertex_factor
-            bottleneck = average_share + worst_vertex
-            compute_cycles = (
-                int(np.ceil(bottleneck / self._average_macs_per_cpe)) if mac_ops else 0
-            )
-
-        sfu_cycles = 0
-        if sfu_ops:
-            per_op_latency = max(
-                self.sfu_config.exp_latency_cycles, self.sfu_config.leaky_relu_latency_cycles
-            )
-            sfu_cycles = int(np.ceil(sfu_ops * per_op_latency / self._sfu_lanes))
-        return IterationCost(
-            edges_processed=int(undirected_edges),
-            compute_cycles=compute_cycles,
-            sfu_cycles=sfu_cycles,
-            addition_ops=int(addition_ops),
-            multiply_ops=int(multiply_ops),
-            sfu_ops=int(sfu_ops),
-        )
+        self._sfu_lanes = float(SFU_COLUMNS * config.num_rows)
 
     def iteration_totals(
         self,
@@ -144,13 +75,19 @@ class AggregationCycleModel:
     ) -> IterationCost:
         """Summed cost of a whole iteration sequence in one NumPy pass.
 
-        Takes the per-iteration columns of a cache simulation (edge counts,
-        worst single-vertex accumulation, resident-vertex counts) and prices
+        Takes the per-iteration columns of a cache simulation and prices
         every iteration elementwise, returning the totals as one
-        :class:`IterationCost`.  Bit-exact with summing :meth:`iteration_cost`
-        record by record: every intermediate stays far below 2**53, so the
-        float64 divisions and ceilings round identically to the scalar path —
-        the batch executor relies on this to keep sweep rows byte-identical.
+        :class:`IterationCost`.  Every intermediate stays far below 2**53,
+        so the float64 divisions and ceilings are exact per iteration.
+
+        Args:
+            edges: Undirected subgraph edges processed in each iteration;
+                each contributes an accumulation into both endpoints.
+            max_edges_per_vertex: Largest number of edges any single
+                resident vertex accumulates in each iteration (drives the
+                no-LB penalty).
+            resident_vertices: Vertices resident in the buffer in each
+                iteration (the GAT softmax-denominator adds).
         """
         edges = np.asarray(edges, dtype=np.int64)
         max_edges_per_vertex = np.asarray(max_edges_per_vertex, dtype=np.int64)
@@ -158,10 +95,15 @@ class AggregationCycleModel:
         if edges.size == 0:
             return IterationCost(0, 0, 0, 0, 0, 0)
         if int(edges.min()) < 0:
-            raise ValueError("undirected_edges must be non-negative")
+            raise ValueError("edges must be non-negative")
         feature = self.feature_length
+        # Each undirected edge feeds both endpoints: 2 directed contributions,
+        # each an elementwise add of an F-long vector.
         addition_ops = 2 * edges * feature
         if self.is_gat:
+            # exp(e_ij) · ηw_j per directed edge (F multiplies); LeakyReLU and
+            # exp per directed edge plus one denominator add per resident
+            # vertex in the SFU.  The final division is finalization_cost.
             multiply_ops = 2 * edges * feature
             sfu_ops = 2 * edges * 2 + resident_vertices
         else:
@@ -174,6 +116,10 @@ class AggregationCycleModel:
                 mac_ops > 0, np.ceil(mac_ops / self._total_macs), 0.0
             ).astype(np.int64)
         else:
+            # Without degree-aware distribution, vertices are assigned to
+            # CPEs in id order; the expected bottleneck is the average
+            # per-CPE share plus the largest single-vertex accumulation
+            # serialized on one CPE.
             per_vertex_factor = 2 if self.is_gat else 1
             average_share = mac_ops / float(self.config.num_cpes)
             worst_vertex = max_edges_per_vertex * feature * per_vertex_factor
@@ -182,9 +128,7 @@ class AggregationCycleModel:
                 mac_ops > 0, np.ceil(bottleneck / self._average_macs_per_cpe), 0.0
             ).astype(np.int64)
 
-        per_op_latency = max(
-            self.sfu_config.exp_latency_cycles, self.sfu_config.leaky_relu_latency_cycles
-        )
+        per_op_latency = max(EXP_LATENCY_CYCLES, LEAKY_RELU_LATENCY_CYCLES)
         sfu_cycles = np.where(
             sfu_ops > 0, np.ceil(sfu_ops * per_op_latency / self._sfu_lanes), 0.0
         ).astype(np.int64)
@@ -211,9 +155,7 @@ class AggregationCycleModel:
         if not self.is_gat:
             return IterationCost(0, 0, 0, 0, 0, 0)
         divide_ops = num_vertices * self.feature_length
-        sfu_cycles = int(
-            np.ceil(divide_ops * self.sfu_config.divide_latency_cycles / self._sfu_lanes)
-        )
+        sfu_cycles = int(np.ceil(divide_ops * DIVIDE_LATENCY_CYCLES / self._sfu_lanes))
         return IterationCost(
             edges_processed=0,
             compute_cycles=0,

@@ -3,7 +3,6 @@
 from repro.models.base import (
     GNNLayer,
     GNNModel,
-    LayerWorkload,
     apply_activation,
     symmetric_normalization_coefficients,
 )
@@ -54,7 +53,6 @@ from repro.models.zoo import (
 __all__ = [
     "GNNLayer",
     "GNNModel",
-    "LayerWorkload",
     "apply_activation",
     "symmetric_normalization_coefficients",
     "GCNLayer",

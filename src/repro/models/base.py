@@ -8,16 +8,16 @@ layer:
 * **Aggregation** — combine the weighted vectors over each vertex's
   neighborhood (sum / mean / max / attention-weighted sum).
 
-The classes here express that structure explicitly so that (a) the simulator
-can ask any model for its per-layer workload without knowing which GNN it is,
-and (b) the accelerator mapping can be cross-checked against a functional
-reference that computes Weighting and Aggregation separately.
+The classes here express that structure explicitly, so the accelerator
+mapping can be cross-checked against a functional reference that computes
+Weighting and Aggregation separately.  They carry no cost model: operation
+counts come from the lowered plan (:mod:`repro.models.lowering`), priced by
+the plan executors and :func:`repro.baselines.workload_from_plan`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,47 +25,11 @@ from repro.graph.csr import CSRGraph
 from repro.models.layers import relu, softmax
 
 __all__ = [
-    "LayerWorkload",
     "GNNLayer",
     "GNNModel",
     "symmetric_normalization_coefficients",
     "apply_activation",
 ]
-
-
-@dataclass(frozen=True)
-class LayerWorkload:
-    """Abstract operation counts of one GNN layer on one graph.
-
-    The baseline platform models (CPU / GPU / HyGCN / AWB-GCN) and the
-    throughput accounting (Table IV) all consume this structure.
-
-    Attributes:
-        weighting_macs: Multiply-accumulate operations in the Weighting phase
-            (after zero skipping when ``sparse_aware`` is set by the caller).
-        aggregation_ops: Scalar add/compare operations in Aggregation.
-        attention_ops: Extra operations for attention (GAT) or other
-            edge-score computations; zero for the simpler GNNs.
-        dram_bytes: Minimum off-chip traffic (features in + results out +
-            weights), excluding re-fetches caused by limited buffering.
-    """
-
-    weighting_macs: int
-    aggregation_ops: int
-    attention_ops: int
-    dram_bytes: int
-
-    @property
-    def total_ops(self) -> int:
-        return int(self.weighting_macs + self.aggregation_ops + self.attention_ops)
-
-    def __add__(self, other: "LayerWorkload") -> "LayerWorkload":
-        return LayerWorkload(
-            weighting_macs=self.weighting_macs + other.weighting_macs,
-            aggregation_ops=self.aggregation_ops + other.aggregation_ops,
-            attention_ops=self.attention_ops + other.attention_ops,
-            dram_bytes=self.dram_bytes + other.dram_bytes,
-        )
 
 
 def symmetric_normalization_coefficients(adjacency: CSRGraph) -> np.ndarray:
@@ -112,39 +76,6 @@ class GNNLayer(ABC):
     def weight_matrices(self) -> list[np.ndarray]:
         """All dense weight matrices the layer multiplies features by."""
 
-    def workload(
-        self, adjacency: CSRGraph, features: np.ndarray, *, sparse_aware: bool = True
-    ) -> LayerWorkload:
-        """Abstract operation counts for this layer on the given graph.
-
-        The default implementation covers the common Weighting + sum
-        Aggregation structure; attention-style layers override
-        :meth:`_attention_ops`.
-        """
-        num_vertices = adjacency.num_vertices
-        num_edges = adjacency.num_edges
-        if sparse_aware:
-            nonzeros = int(np.count_nonzero(features))
-        else:
-            nonzeros = int(features.size)
-        weighting_macs = nonzeros * self.out_features
-        aggregation_ops = (num_edges + num_vertices) * self.out_features
-        attention_ops = self._attention_ops(num_vertices, num_edges)
-        dram_bytes = (
-            int(np.count_nonzero(features)) * 2  # RLC-ish input traffic
-            + num_vertices * self.out_features  # results written back
-            + self.in_features * self.out_features  # weights
-        )
-        return LayerWorkload(
-            weighting_macs=int(weighting_macs),
-            aggregation_ops=int(aggregation_ops),
-            attention_ops=int(attention_ops),
-            dram_bytes=int(dram_bytes),
-        )
-
-    def _attention_ops(self, num_vertices: int, num_edges: int) -> int:
-        return 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"{type(self).__name__}(in={self.in_features}, out={self.out_features}, "
@@ -182,17 +113,6 @@ class GNNModel:
             hidden = layer.forward(adjacency, hidden)
             outputs.append(hidden)
         return outputs
-
-    def workload(
-        self, adjacency: CSRGraph, features: np.ndarray, *, sparse_aware: bool = True
-    ) -> LayerWorkload:
-        """Total workload across all layers (later layers use dense features)."""
-        total = LayerWorkload(0, 0, 0, 0)
-        hidden = np.asarray(features, dtype=np.float64)
-        for layer in self.layers:
-            total = total + layer.workload(adjacency, hidden, sparse_aware=sparse_aware)
-            hidden = layer.forward(adjacency, hidden)
-        return total
 
     @property
     def num_layers(self) -> int:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.models.base import GNNModel, LayerWorkload
 from repro.models.gcn import GCNLayer
 from repro.models.layers import softmax
 
@@ -79,30 +78,6 @@ class DiffPoolLevel:
             embeddings=embeddings,
         )
 
-    def workload(
-        self, adjacency: CSRGraph, features: np.ndarray, *, sparse_aware: bool = True
-    ) -> LayerWorkload:
-        """Workload of both GNNs plus the two coarsening matrix products."""
-        embed = self.embedding_gnn.workload(adjacency, features, sparse_aware=sparse_aware)
-        pool = self.pooling_gnn.workload(adjacency, features, sparse_aware=sparse_aware)
-        num_vertices = adjacency.num_vertices
-        num_edges = adjacency.num_edges
-        # Sᵀ A S exploits adjacency sparsity (per nonzero of A: C MACs, then a
-        # dense (C x V)(V x C) product); Sᵀ Z is V·C·F.
-        coarsening_macs = (
-            num_edges * self.num_clusters
-            + num_vertices * self.num_clusters * self.num_clusters
-            + num_vertices * self.num_clusters * self.embed_features
-        )
-        combined = embed + pool
-        return LayerWorkload(
-            weighting_macs=combined.weighting_macs + int(coarsening_macs),
-            aggregation_ops=combined.aggregation_ops,
-            attention_ops=combined.attention_ops + num_vertices * self.num_clusters,
-            dram_bytes=combined.dram_bytes
-            + int(self.num_clusters * (self.num_clusters + self.embed_features)),
-        )
-
 
 class DiffPoolModel:
     """A GNN stack followed by one DiffPool coarsening level.
@@ -129,8 +104,3 @@ class DiffPoolModel:
 
     def forward(self, adjacency: CSRGraph, features: np.ndarray) -> DiffPoolOutput:
         return self.level.forward(adjacency, features)
-
-    def workload(
-        self, adjacency: CSRGraph, features: np.ndarray, *, sparse_aware: bool = True
-    ) -> LayerWorkload:
-        return self.level.workload(adjacency, features, sparse_aware=sparse_aware)

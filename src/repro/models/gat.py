@@ -126,11 +126,3 @@ class GATLayer(GNNLayer):
         messages = weighted[edges[:, 0]] * alphas[:, None]
         aggregated = segment_sum(messages, edges[:, 1], num_vertices)
         return apply_activation(aggregated, self.activation)
-
-    def _attention_ops(self, num_vertices: int, num_edges: int) -> int:
-        # Two per-vertex dot products of length F plus per-edge add,
-        # LeakyReLU, exp, multiply and the softmax division — the linear
-        # O(|V| + |E|) cost of the reordered computation.
-        per_vertex = 2 * self.out_features
-        per_edge = 5
-        return int(num_vertices * per_vertex + num_edges * per_edge)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.models.base import GNNLayer, LayerWorkload
+from repro.models.base import GNNLayer
 from repro.models.layers import MLP, segment_sum
 
 __all__ = ["GINConvLayer", "gin_graph_readout"]
@@ -59,31 +59,6 @@ class GINConvLayer(GNNLayer):
         neighbor_sum = segment_sum(features[edges[:, 0]], edges[:, 1], adjacency.num_vertices)
         combined = (1.0 + self.epsilon) * features + neighbor_sum
         return self.mlp.forward(combined)
-
-    def workload(
-        self, adjacency: CSRGraph, features: np.ndarray, *, sparse_aware: bool = True
-    ) -> LayerWorkload:
-        num_vertices = adjacency.num_vertices
-        num_edges = adjacency.num_edges
-        # Aggregation first (on raw features), then the MLP's two GEMMs.
-        aggregation_ops = (num_edges + num_vertices) * self.in_features
-        hidden = self.mlp.weights[0].shape[1]
-        if sparse_aware:
-            first_layer_rows = int(np.count_nonzero(features))
-        else:
-            first_layer_rows = int(features.size)
-        weighting_macs = first_layer_rows * hidden + num_vertices * hidden * self.out_features
-        dram_bytes = (
-            int(np.count_nonzero(features)) * 2
-            + num_vertices * self.out_features
-            + sum(weight.size for weight in self.mlp.weights)
-        )
-        return LayerWorkload(
-            weighting_macs=int(weighting_macs),
-            aggregation_ops=int(aggregation_ops),
-            attention_ops=0,
-            dram_bytes=int(dram_bytes),
-        )
 
 
 def gin_graph_readout(layer_outputs: list[np.ndarray]) -> np.ndarray:

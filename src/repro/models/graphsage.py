@@ -123,17 +123,3 @@ class GraphSAGELayer(GNNLayer):
         else:
             aggregated = aggregated + weighted
         return apply_activation(aggregated, self.activation)
-
-    def workload(self, adjacency, features, *, sparse_aware: bool = True):
-        workload = super().workload(adjacency, features, sparse_aware=sparse_aware)
-        # Aggregation only touches the sampled edges, not the full edge list.
-        sampled_edges = int(
-            np.minimum(adjacency.degrees(), self.sample_size).sum()
-        )
-        aggregation_ops = (sampled_edges + adjacency.num_vertices) * self.out_features
-        return type(workload)(
-            weighting_macs=workload.weighting_macs,
-            aggregation_ops=int(aggregation_ops),
-            attention_ops=workload.attention_ops,
-            dram_bytes=workload.dram_bytes,
-        )

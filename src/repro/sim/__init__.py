@@ -17,7 +17,7 @@ from repro.sim.engine import GNNIESimulator
 from repro.sim.gnnie_executor import GNNIEExecutor
 from repro.sim.trace import phase_table, result_to_dict, result_to_json, results_to_csv
 from repro.sim.results import InferenceResult, LayerResult, PhaseResult, ScaleOutResult
-from repro.sim.weighting_sim import simulate_weighting, weighting_phase_from_schedule
+from repro.sim.weighting_sim import weighting_phase_from_schedule
 
 __all__ = [
     "GNNIESimulator",
@@ -36,7 +36,6 @@ __all__ = [
     "LayerResult",
     "PhaseResult",
     "ScaleOutResult",
-    "simulate_weighting",
     "weighting_phase_from_schedule",
     "run_cache_simulation",
     "input_buffer_capacity",

@@ -37,7 +37,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import SFU_COLUMNS, AcceleratorConfig
 from repro.hw.energy import AreaModel, EnergyBreakdown, EnergyModel
 from repro.mapping.attention import schedule_attention
 from repro.mapping.weighting import schedule_weighting
@@ -58,15 +58,16 @@ from repro.plan.ir import (
     SampleOp,
     WeightingOp,
 )
-from repro.sim.aggregation_sim import aggregation_phase_from_cache, run_cache_simulation
+from repro.sim.aggregation_sim import (
+    DEGREE_BINNING_OPS_PER_CYCLE,
+    aggregation_phase_from_cache,
+    run_cache_simulation,
+)
 from repro.sim.batch import GraphPricingContext, pricing_context
 from repro.sim.results import InferenceResult, LayerResult, PhaseResult
-from repro.sim.weighting_sim import simulate_weighting, weighting_phase_from_schedule
+from repro.sim.weighting_sim import weighting_phase_from_schedule
 
 __all__ = ["GNNIEExecutor"]
-
-#: Throughput of the host-side preprocessing (degree binning), ops/cycle.
-_PREPROCESSING_OPS_PER_CYCLE = 8
 
 
 def _weighting_knobs(cfg: AcceleratorConfig) -> tuple:
@@ -332,42 +333,38 @@ class GNNIEExecutor:
         cached = context.phase_memo.get(key)
         if cached is not None:
             return replace(cached)
+        block_size = -(-op.in_features // cfg.num_rows)
         if exact_input:
             # The input layer prices the dataset's actual sparse features:
             # per-block nonzero counts and the exact RLC-compressed size are
             # pure functions of (graph, block size | value width), shared
             # across configs via the pricing context.
-            block_size = -(-op.in_features // cfg.num_rows)
-            schedule = schedule_weighting(
-                None,
-                op.out_features,
-                cfg,
-                block_nonzeros=context.input_blocks(block_size),
-                in_features=op.in_features,
-            )
-            phase = weighting_phase_from_schedule(
-                schedule,
-                graph.num_vertices,
-                op.in_features,
-                op.out_features,
-                cfg,
-                input_traffic_bits=context.input_rlc_bits(8 * cfg.bytes_per_value),
-            )
+            block_nonzeros = context.input_blocks(block_size)
+            input_bits = context.input_rlc_bits(8 * cfg.bytes_per_value)
         else:
-            # Later layers: statistical block nonzeros at the modeled density.
-            block_size = -(-op.in_features // cfg.num_rows)
+            # Later layers: statistical block nonzeros at the modeled density,
+            # and dense traffic (the RLC decoder is bypassed after layer 1).
             num_blocks = -(-op.in_features // block_size)
             per_block = int(round(density * block_size))
             block_nonzeros = np.full(
                 (graph.num_vertices, num_blocks), per_block, dtype=np.int64
             )
-            phase, _ = simulate_weighting(
-                cfg,
-                op.out_features,
-                block_nonzeros=block_nonzeros,
-                in_features=op.in_features,
-                is_input_layer=False,
-            )
+            input_bits = graph.num_vertices * op.in_features * 8 * cfg.bytes_per_value
+        schedule = schedule_weighting(
+            None,
+            op.out_features,
+            cfg,
+            block_nonzeros=block_nonzeros,
+            in_features=op.in_features,
+        )
+        phase = weighting_phase_from_schedule(
+            schedule,
+            graph.num_vertices,
+            op.in_features,
+            op.out_features,
+            cfg,
+            input_traffic_bits=input_bits,
+        )
         context.phase_memo[key] = replace(phase)
         return phase
 
@@ -450,7 +447,7 @@ class GNNIEExecutor:
         return PhaseResult(
             name="weighting",
             compute_cycles=compute_cycles,
-            sfu_cycles=int(np.ceil(softmax_ops / (4 * cfg.num_rows))),
+            sfu_cycles=int(np.ceil(softmax_ops / (SFU_COLUMNS * cfg.num_rows))),
             mac_operations=int(macs),
             sfu_operations=int(softmax_ops),
             dram_write_bytes=int(output_bytes),
@@ -578,7 +575,7 @@ class GNNIEExecutor:
         cycles = 0
         for op in plan.global_ops:
             if isinstance(op, PreprocessOp) and op.kind == "degree_binning":
-                cycles += int(np.ceil(graph.num_vertices / _PREPROCESSING_OPS_PER_CYCLE))
+                cycles += int(np.ceil(graph.num_vertices / DEGREE_BINNING_OPS_PER_CYCLE))
         return cycles
 
     def _energy(self, result: InferenceResult, cfg: AcceleratorConfig) -> EnergyBreakdown:

@@ -20,11 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hw.config import AcceleratorConfig
-from repro.mapping.weighting import WeightingSchedule, schedule_weighting
+from repro.mapping.weighting import WeightingSchedule
 from repro.sim.results import PhaseResult
-from repro.sparse.rlc import rlc_compressed_bits
 
-__all__ = ["simulate_weighting", "weighting_phase_from_schedule"]
+__all__ = ["weighting_phase_from_schedule"]
 
 #: Preprocessing (workload binning) throughput in operations per cycle; the
 #: binning is a streaming counting sort performed while data is fetched, so
@@ -91,59 +90,3 @@ def weighting_phase_from_schedule(
         dram_weight_stream_bytes=int(dram_read_weights),
         dram_output_stream_bytes=int(dram_write_outputs),
     )
-
-
-def simulate_weighting(
-    config: AcceleratorConfig,
-    out_features: int,
-    *,
-    features: np.ndarray | None = None,
-    block_nonzeros: np.ndarray | None = None,
-    in_features: int | None = None,
-    is_input_layer: bool = True,
-    name: str = "weighting",
-) -> tuple[PhaseResult, WeightingSchedule]:
-    """Schedule and simulate one layer's Weighting phase.
-
-    Either ``features`` (actual matrix) or ``block_nonzeros`` +
-    ``in_features`` (statistical model for later layers) must be provided.
-    Input-layer features travel RLC-compressed; later layers are dense
-    enough that the paper bypasses the RLC decoder, so their traffic is the
-    dense size.
-    """
-    schedule = schedule_weighting(
-        features,
-        out_features,
-        config,
-        block_nonzeros=block_nonzeros,
-        in_features=in_features,
-    )
-    if features is not None:
-        num_vertices, feature_length = np.asarray(features).shape
-        if is_input_layer:
-            input_bits = rlc_compressed_bits(features, value_bits=8 * config.bytes_per_value)
-        else:
-            input_bits = int(np.asarray(features).size) * 8 * config.bytes_per_value
-    else:
-        if block_nonzeros is None or in_features is None:
-            raise ValueError("block_nonzeros and in_features are required without features")
-        num_vertices = int(np.asarray(block_nonzeros).shape[0])
-        feature_length = int(in_features)
-        nonzeros = int(np.asarray(block_nonzeros).sum())
-        if is_input_layer:
-            # RLC size model: one (run, value) symbol per nonzero.
-            from repro.sparse.rlc import RLC_RUN_BITS
-
-            input_bits = nonzeros * (RLC_RUN_BITS + 8 * config.bytes_per_value) + 32 * num_vertices
-        else:
-            input_bits = num_vertices * feature_length * 8 * config.bytes_per_value
-    phase = weighting_phase_from_schedule(
-        schedule,
-        num_vertices,
-        feature_length,
-        out_features,
-        config,
-        input_traffic_bits=input_bits,
-        name=name,
-    )
-    return phase, schedule

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -54,6 +55,102 @@ class TestWorkloadEstimator:
 
     def test_layer_count_for_message_passing(self, tiny_graph):
         assert len(workload_from_plan(lower("gcn", tiny_graph), tiny_graph).layers) == 2
+
+    def test_exact_layer_counts(self, tiny_graph):
+        """GCN weights nnz·F_out and aggregates (E+V)·F_out; GINConv
+        aggregates raw features at F_in; GraphSAGE aggregates only the
+        sampled edges, Σ min(deg, 25)."""
+        vertices, edges = tiny_graph.num_vertices, tiny_graph.num_edges
+        gcn = workload_from_plan(lower("gcn", tiny_graph), tiny_graph).layers[0]
+        nonzeros = int(np.count_nonzero(tiny_graph.features))
+        assert gcn.sparse_weighting_macs == nonzeros * gcn.out_features
+        assert gcn.aggregation_ops_weighting_first == (edges + vertices) * gcn.out_features
+        gin = workload_from_plan(lower("ginconv", tiny_graph), tiny_graph).layers[0]
+        assert gin.aggregation_ops_weighting_first == (edges + vertices) * gin.in_features
+        sage = workload_from_plan(lower("graphsage", tiny_graph), tiny_graph).layers[0]
+        sampled = int(np.minimum(tiny_graph.degrees(), 25).sum())
+        assert sampled < edges
+        assert sage.aggregation_ops_weighting_first == (sampled + vertices) * sage.out_features
+
+    def test_gat_attention_ops_per_layer(self, tiny_graph):
+        """Two per-vertex dot products of length F_out, plus five scalar
+        operations per directed edge (add, LeakyReLU, exp, multiply and the
+        softmax division): linear in V + E."""
+        vertices, edges = tiny_graph.num_vertices, tiny_graph.num_edges
+        workload = workload_from_plan(lower("gat", tiny_graph), tiny_graph)
+        for layer in workload.layers:
+            assert layer.attention_ops == 2 * vertices * layer.out_features + 5 * edges
+
+    def test_ginconv_weighting_includes_the_mlp(self, tiny_graph):
+        vertices = tiny_graph.num_vertices
+        plan = lower("ginconv", tiny_graph)
+        hidden = plan.layers[0].ops[0].mlp_hidden
+        layer = workload_from_plan(plan, tiny_graph).layers[0]
+        nonzeros = int(np.count_nonzero(tiny_graph.features))
+        assert layer.dense_weighting_macs == vertices * (
+            layer.in_features * hidden + hidden * layer.out_features
+        )
+        assert layer.sparse_weighting_macs == (
+            nonzeros * hidden + vertices * hidden * layer.out_features
+        )
+
+    def test_graphsage_aggregates_less_than_full_neighborhoods(self, tiny_graph):
+        sage = workload_from_plan(lower("graphsage", tiny_graph), tiny_graph)
+        gcn = workload_from_plan(lower("gcn", tiny_graph), tiny_graph)
+        for sampled, full in zip(sage.layers, gcn.layers):
+            assert sampled.out_features == full.out_features
+            assert sampled.aggregation_ops_weighting_first < full.aggregation_ops_weighting_first
+
+    def test_diffpool_coarsening_counts(self, tiny_graph):
+        vertices, edges = tiny_graph.num_vertices, tiny_graph.num_edges
+        plan = lower("diffpool", tiny_graph)
+        (coarsening,) = plan.layers[2].ops
+        layer = workload_from_plan(plan, tiny_graph).layers[2]
+        macs = edges * coarsening.macs_per_edge + vertices * coarsening.macs_per_vertex
+        assert layer.dense_weighting_macs == layer.sparse_weighting_macs == macs
+        assert layer.attention_ops == vertices * coarsening.softmax_ops_per_vertex
+        assert layer.dram_bytes == coarsening.output_values
+        assert layer.aggregation_ops_weighting_first == 0
+
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    def test_totals_sum_the_layers(self, family, tiny_graph):
+        workload = workload_from_plan(lower(family, tiny_graph), tiny_graph)
+        for total, attribute in (
+            ("dense_weighting_macs", "dense_weighting_macs"),
+            ("sparse_weighting_macs", "sparse_weighting_macs"),
+            ("aggregation_ops", "aggregation_ops_weighting_first"),
+            ("aggregation_ops_aggregation_first", "aggregation_ops_aggregation_first"),
+            ("attention_ops", "attention_ops"),
+            ("sampling_ops", "sampling_ops"),
+            ("dram_bytes", "dram_bytes"),
+        ):
+            assert getattr(workload, total) == sum(
+                getattr(layer, attribute) for layer in workload.layers
+            )
+        assert workload.dense_weighting_macs > workload.layers[0].dense_weighting_macs
+        assert workload.dram_bytes > workload.layers[0].dram_bytes
+
+    def test_gcn_dram_bytes(self, tiny_graph):
+        """Compressed input features (nonzeros) on the input layer, dense
+        features after it, plus the outputs and the weight matrix."""
+        vertices = tiny_graph.num_vertices
+        first, second = workload_from_plan(lower("gcn", tiny_graph), tiny_graph).layers
+        nonzeros = int(np.count_nonzero(tiny_graph.features))
+        assert first.dram_bytes == (
+            nonzeros + vertices * first.out_features + first.in_features * first.out_features
+        )
+        assert second.dram_bytes == (
+            vertices * second.in_features
+            + vertices * second.out_features
+            + second.in_features * second.out_features
+        )
+
+    def test_aggregation_first_aggregates_at_the_input_width(self, tiny_graph):
+        vertices, edges = tiny_graph.num_vertices, tiny_graph.num_edges
+        for layer in workload_from_plan(lower("gcn", tiny_graph), tiny_graph).layers:
+            assert layer.aggregation_ops_aggregation_first == (
+                (edges + vertices) * layer.in_features
+            )
 
 
 class TestPlatformModels:

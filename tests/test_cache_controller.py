@@ -167,6 +167,55 @@ class TestVertexOrderBaseline:
             vertex_order(graph, capacity_vertices=0)
 
 
+def stream_order(graph):
+    policy = CachePolicyConfig(capacity_vertices=8)
+    return DegreeAwareCacheController(graph, policy).stream_order
+
+
+class TestStreamOrder:
+    """Vertices are laid out in DRAM, and streamed, by (−degree, id)."""
+
+    def test_descending_degrees(self, graph):
+        ordered_degrees = graph.degrees()[stream_order(graph)]
+        assert np.all(np.diff(ordered_degrees) <= 0)
+
+    def test_tie_break_by_vertex_id(self):
+        # A 4-cycle: every vertex has degree 2, so the order must be the ids.
+        ring = CSRGraph.from_edge_list(
+            [(0, 1), (1, 2), (2, 3), (3, 0)], num_vertices=4, symmetric=True
+        )
+        assert stream_order(ring).tolist() == [0, 1, 2, 3]
+
+    def test_permutation_is_bijection(self, graph):
+        assert sorted(stream_order(graph).tolist()) == list(range(graph.num_vertices))
+
+    def test_trace_positions_invert_the_stream_order(self, graph):
+        result = simulate_policy("degree_aware", graph, 60, collect_trace=True)
+        order = stream_order(graph)
+        np.testing.assert_array_equal(
+            result.trace.stream_positions[order], np.arange(graph.num_vertices)
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    num_vertices=st.integers(min_value=2, max_value=60),
+    num_edges=st.integers(min_value=1, max_value=150),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+def test_stream_order_property(num_vertices, num_edges, seed):
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(num_vertices, size=(num_edges, 2))
+    graph = CSRGraph.from_edge_list(edges, num_vertices=num_vertices, symmetric=True)
+    order = stream_order(graph)
+    degrees = graph.degrees()[order]
+    assert np.all(np.diff(degrees) <= 0)
+    # Equal degrees keep ascending vertex ids.
+    ties = np.diff(degrees) == 0
+    assert np.all(np.diff(order)[ties] > 0)
+    assert sorted(order.tolist()) == list(range(num_vertices))
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     num_vertices=st.integers(min_value=4, max_value=80),

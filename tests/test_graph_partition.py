@@ -1,4 +1,4 @@
-"""Tests for vertex-set partitioning, buffer sizing and chip partitioning."""
+"""Tests for multi-chip edge-cut partitioning."""
 
 from __future__ import annotations
 
@@ -7,59 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import (
-    PARTITION_METHODS,
-    partition_graph,
-    sequential_vertex_sets,
-    vertices_per_buffer,
-)
+from repro.graph import PARTITION_METHODS, partition_graph
 from repro.graph.csr import CSRGraph
-
-
-class TestVerticesPerBuffer:
-    def test_basic_sizing(self):
-        # 1 KB buffer, 100-element vectors at 1 byte plus 8 bytes of metadata.
-        assert vertices_per_buffer(1024, 100) == 1024 // 108
-
-    def test_at_least_one_vertex(self):
-        assert vertices_per_buffer(16, 4096) == 1
-
-    def test_larger_values_use_more_space(self):
-        small = vertices_per_buffer(1 << 20, 128, bytes_per_value=1)
-        large = vertices_per_buffer(1 << 20, 128, bytes_per_value=4)
-        assert small > large
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            vertices_per_buffer(0, 128)
-        with pytest.raises(ValueError):
-            vertices_per_buffer(1024, 0)
-
-
-class TestSequentialVertexSets:
-    def test_covers_all_vertices_once(self):
-        sets = list(sequential_vertex_sets(10, 3))
-        seen = [vertex for vertex_set in sets for vertex in vertex_set.vertex_ids]
-        assert seen == list(range(10))
-        assert [s.size for s in sets] == [3, 3, 3, 1]
-
-    def test_exact_division(self):
-        sets = list(sequential_vertex_sets(9, 3))
-        assert len(sets) == 3
-        assert all(s.size == 3 for s in sets)
-
-    def test_empty_graph(self):
-        assert list(sequential_vertex_sets(0, 4)) == []
-
-    def test_indices_are_sequential(self):
-        sets = list(sequential_vertex_sets(7, 2))
-        assert [s.index for s in sets] == [0, 1, 2, 3]
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            list(sequential_vertex_sets(-1, 3))
-        with pytest.raises(ValueError):
-            list(sequential_vertex_sets(5, 0))
 
 
 def _ring(num_vertices: int) -> CSRGraph:
@@ -142,6 +91,46 @@ class TestPartitionGraph:
             assert first.cut_edges == second.cut_edges
             assert first.halo_counts == second.halo_counts
 
+    def test_chunk_parts_are_consecutive_id_ranges(self):
+        partition = partition_graph(_ring(10), 4, method="chunk")
+        assert [part.tolist() for part in partition.parts] == [
+            [0, 1, 2],
+            [3, 4, 5],
+            [6, 7],
+            [8, 9],
+        ]
+
+    def test_chunk_exact_division_is_balanced(self):
+        partition = partition_graph(_ring(9), 3, method="chunk")
+        assert partition.part_sizes() == (3, 3, 3)
+        assert partition.imbalance() == 1.0
+
+    def test_imbalance_is_largest_part_over_ideal_share(self):
+        partition = partition_graph(_ring(10), 3, method="chunk")
+        assert partition.imbalance() == pytest.approx(4 / (10 / 3))
+
+    @pytest.mark.parametrize("method", PARTITION_METHODS)
+    def test_empty_graph(self, method):
+        graph = CSRGraph(indptr=np.zeros(1, dtype=np.int64), indices=np.array([], dtype=np.int64))
+        partition = partition_graph(graph, 3, method=method)
+        assert partition.part_sizes() == (0, 0, 0)
+        assert partition.cut_edges == 0
+        assert partition.halo_counts == (0, 0, 0)
+        assert partition.imbalance() == 1.0
+
+    def test_balanced_gives_a_hub_its_own_part(self):
+        edges = []
+        for leaf in range(1, 9):
+            edges.append((0, leaf))
+            edges.append((leaf, 0))
+        graph = CSRGraph.from_edge_list(edges, 9)
+        partition = partition_graph(graph, 2, method="balanced")
+        assert partition.parts[0].tolist() == [0]
+        assert partition.parts[1].tolist() == list(range(1, 9))
+        # Every hub-leaf edge is cut, in both stored directions.
+        assert partition.cut_edges == 16
+        assert partition.halo_counts == (8, 1)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             partition_graph(_ring(4), 0)
@@ -172,12 +161,15 @@ def test_partition_graph_property(num_vertices, num_parts, method):
 @settings(max_examples=50, deadline=None)
 @given(
     num_vertices=st.integers(min_value=0, max_value=500),
-    set_size=st.integers(min_value=1, max_value=64),
+    num_parts=st.integers(min_value=1, max_value=64),
 )
-def test_partition_property(num_vertices, set_size):
-    sets = list(sequential_vertex_sets(num_vertices, set_size))
-    covered = [vertex for vertex_set in sets for vertex in vertex_set.vertex_ids]
+def test_chunk_partition_property(num_vertices, num_parts):
+    graph = CSRGraph(
+        indptr=np.zeros(num_vertices + 1, dtype=np.int64), indices=np.array([], dtype=np.int64)
+    )
+    partition = partition_graph(graph, num_parts, method="chunk")
+    covered = [vertex for part in partition.parts for vertex in part.tolist()]
     assert covered == list(range(num_vertices))
-    assert all(vertex_set.size <= set_size for vertex_set in sets)
-    expected_sets = -(-num_vertices // set_size) if num_vertices else 0
-    assert len(sets) == expected_sets
+    sizes = partition.part_sizes()
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) == -(-num_vertices // num_parts)

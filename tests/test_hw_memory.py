@@ -1,91 +1,17 @@
-"""Tests for the on-chip buffer, DRAM and energy/area models."""
+"""Tests for the DRAM timing and energy/area models."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.hw import (
+    SFU_COLUMNS,
     AcceleratorConfig,
     AreaModel,
-    DoubleBuffer,
     EnergyBreakdown,
     EnergyModel,
     HBMModel,
-    OnChipBuffer,
 )
-
-
-class TestOnChipBuffer:
-    def test_allocate_within_capacity(self):
-        buffer = OnChipBuffer("input", capacity_bytes=1000)
-        spill = buffer.allocate(600)
-        assert spill == 0
-        assert buffer.occupancy_bytes == 600
-        assert buffer.free_bytes == 400
-
-    def test_allocate_overflow_spills(self):
-        buffer = OnChipBuffer("output", capacity_bytes=1000)
-        spill = buffer.allocate(1500)
-        assert spill == 500
-        assert buffer.occupancy_bytes == 1000
-        assert buffer.stats.spill_bytes == 500
-
-    def test_release(self):
-        buffer = OnChipBuffer("weight", capacity_bytes=100)
-        buffer.allocate(80)
-        buffer.release(30)
-        assert buffer.occupancy_bytes == 50
-        buffer.release(1000)
-        assert buffer.occupancy_bytes == 0
-
-    def test_access_counters(self):
-        buffer = OnChipBuffer("input", capacity_bytes=100)
-        buffer.read(10)
-        buffer.write(20)
-        assert buffer.stats.reads == 1
-        assert buffer.stats.bytes_written == 20
-
-    def test_peak_occupancy(self):
-        buffer = OnChipBuffer("input", capacity_bytes=100)
-        buffer.allocate(60)
-        buffer.release(50)
-        buffer.allocate(30)
-        assert buffer.stats.peak_occupancy_bytes == 60
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            OnChipBuffer("input", capacity_bytes=0)
-        buffer = OnChipBuffer("input", capacity_bytes=10)
-        with pytest.raises(ValueError):
-            buffer.allocate(-1)
-        with pytest.raises(ValueError):
-            buffer.read(-1)
-
-    def test_reset(self):
-        buffer = OnChipBuffer("input", capacity_bytes=100)
-        buffer.allocate(50)
-        buffer.reset()
-        assert buffer.occupancy_bytes == 0
-        assert buffer.stats.reads == 0
-
-
-class TestDoubleBuffer:
-    def test_overlap_hides_fetch(self):
-        double = DoubleBuffer("weight", capacity_bytes=1024)
-        assert double.overlap(compute_cycles=100, fetch_cycles=60) == 100
-        assert double.exposed_stall_cycles == 0
-        assert double.hidden_fetch_cycles == 60
-
-    def test_overlap_exposes_excess_fetch(self):
-        double = DoubleBuffer("input", capacity_bytes=1024)
-        assert double.overlap(compute_cycles=40, fetch_cycles=100) == 100
-        assert double.exposed_stall_cycles == 60
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            DoubleBuffer("input", capacity_bytes=0)
-        with pytest.raises(ValueError):
-            DoubleBuffer("input", capacity_bytes=8).overlap(-1, 0)
 
 
 class TestHBMModel:
@@ -98,7 +24,6 @@ class TestHBMModel:
     def test_random_slower_than_sequential_per_byte(self):
         dram = HBMModel()
         sequential = dram.sequential_transfer_cycles(64 * 1000)
-        dram.reset()
         random = dram.random_transfer_cycles(1000, bytes_per_access=64)
         assert random > sequential
 
@@ -107,18 +32,37 @@ class TestHBMModel:
         fast = HBMModel(random_access_parallelism=16)
         assert slow.random_transfer_cycles(1000) > fast.random_transfer_cycles(1000)
 
-    def test_energy_per_bit(self):
-        dram = HBMModel(energy_pj_per_bit=3.97)
-        assert dram.transfer_energy_pj(1) == pytest.approx(8 * 3.97)
+    def test_bytes_per_cycle(self):
+        assert HBMModel().bytes_per_cycle == pytest.approx(256e9 / 1.3e9)
 
-    def test_stats_accumulate(self):
+    def test_sequential_rounds_partial_cycles_up(self):
         dram = HBMModel()
-        dram.sequential_transfer_cycles(1000)
-        dram.random_transfer_cycles(5)
-        assert dram.stats.sequential_bytes == 1000
-        assert dram.stats.random_accesses == 5
-        assert dram.stats.total_bytes > 1000
-        assert dram.total_energy_pj() > 0
+        assert dram.sequential_transfer_cycles(1) == 1
+        whole = int(dram.bytes_per_cycle)
+        assert dram.sequential_transfer_cycles(whole) == 1
+        assert dram.sequential_transfer_cycles(whole + 1) == 2
+
+    def test_random_transfer_cycles_exact(self):
+        dram = HBMModel()
+        # 10 accesses x 40 cycles of activation over 8 in flight, plus
+        # 10 x 32-byte granules streamed at ~197 bytes per cycle.
+        assert dram.random_transfer_cycles(10) == 50 + 2
+
+    def test_random_access_moves_at_least_one_granule(self):
+        dram = HBMModel()
+        assert dram.random_transfer_cycles(100, bytes_per_access=8) == (
+            dram.random_transfer_cycles(100, bytes_per_access=32)
+        )
+        assert dram.random_transfer_cycles(100, bytes_per_access=256) > (
+            dram.random_transfer_cycles(100, bytes_per_access=32)
+        )
+
+    def test_no_random_accesses_cost_nothing(self):
+        assert HBMModel().random_transfer_cycles(0) == 0
+
+    def test_invalid_frequency(self):
+        with pytest.raises(ValueError):
+            HBMModel(frequency_hz=0)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -157,6 +101,31 @@ class TestEnergyAndArea:
         with pytest.raises(ValueError):
             model.buffer_energy("cache", 10)
 
+    def test_dram_energy_is_hbm2_per_bit(self):
+        model = EnergyModel()
+        assert model.dram_pj_per_bit == pytest.approx(3.97)
+        assert model.dram_energy(1000) == pytest.approx(1000 * 8 * 3.97)
+        assert EnergyModel(dram_pj_per_bit=2.0).dram_energy(1) == pytest.approx(16.0)
+
+    def test_sfu_energy_per_operation(self):
+        model = EnergyModel(sfu_op_energy_pj=2.5)
+        assert model.sfu_energy(40) == pytest.approx(100.0)
+        assert model.sfu_energy(0) == 0
+
+    @pytest.mark.parametrize(
+        "buffer_name, field",
+        [
+            ("input", "input_buffer_pj_per_byte"),
+            ("output", "output_buffer_pj_per_byte"),
+            ("weight", "weight_buffer_pj_per_byte"),
+        ],
+    )
+    def test_buffer_energy_is_linear_in_bytes(self, buffer_name, field):
+        model = EnergyModel()
+        per_byte = getattr(model, field)
+        assert model.buffer_energy(buffer_name, 1) == pytest.approx(per_byte)
+        assert model.buffer_energy(buffer_name, 250) == pytest.approx(250 * per_byte)
+
     def test_static_energy_scales_with_time(self):
         model = EnergyModel(static_power_watts=1.0)
         one_second_pj = model.static_energy(int(1.3e9), 1.3e9)
@@ -166,6 +135,21 @@ class TestEnergyAndArea:
         """The paper reports 15.6 mm^2 at 32 nm for the GNNIE configuration."""
         area = AreaModel().chip_area_mm2(AcceleratorConfig())
         assert area == pytest.approx(15.6, rel=0.15)
+
+    def test_area_counts_one_sfu_per_row_of_each_sfu_column(self):
+        config = AcceleratorConfig()
+        with_sfu = AreaModel(sfu_area_mm2=1.0).chip_area_mm2(config)
+        without_sfu = AreaModel(sfu_area_mm2=0.0).chip_area_mm2(config)
+        assert with_sfu - without_sfu == pytest.approx(SFU_COLUMNS * config.num_rows)
+
+    def test_area_grows_with_input_buffer(self):
+        small = AcceleratorConfig(input_buffer_bytes=256 * 1024)
+        large = AcceleratorConfig(input_buffer_bytes=1024 * 1024)
+        growth = AreaModel().chip_area_mm2(large) - AreaModel().chip_area_mm2(small)
+        assert growth == pytest.approx(AreaModel().sram_area_mm2_per_mb * 0.75)
+
+    def test_static_energy_zero_cycles(self):
+        assert EnergyModel().static_energy(0, 1.3e9) == 0
 
     def test_area_grows_with_macs(self):
         from repro.hw import design_preset

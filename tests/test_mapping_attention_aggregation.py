@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import power_law_graph
-from repro.hw import AcceleratorConfig
+from repro.hw import SFU_COLUMNS, AcceleratorConfig
 from repro.mapping import (
     AggregationCycleModel,
+    IterationCost,
     attention_terms_functional,
     naive_attention_operations,
     schedule_attention,
 )
+from repro.mapping.aggregation import DIVIDE_LATENCY_CYCLES, EXP_LATENCY_CYCLES
 from repro.models import segment_sum
 
 
@@ -69,11 +71,18 @@ class TestAttentionSchedule:
             )
 
 
+def _one_iteration(model, edges, *, max_edges_per_vertex=0, resident_vertices=0):
+    """Price a single iteration through one-element cache-simulation columns."""
+    return model.iteration_totals(
+        np.array([edges]), np.array([max_edges_per_vertex]), np.array([resident_vertices])
+    )
+
+
 class TestAggregationCycleModel:
     def test_load_balanced_uses_full_array(self):
         config = AcceleratorConfig()
         model = AggregationCycleModel(config, feature_length=128)
-        cost = model.iteration_cost(1000, max_edges_per_vertex=50, num_resident_vertices=500)
+        cost = _one_iteration(model, 1000, max_edges_per_vertex=50, resident_vertices=500)
         ideal = int(np.ceil(2 * 1000 * 128 / config.total_macs))
         assert cost.compute_cycles == ideal
 
@@ -81,22 +90,22 @@ class TestAggregationCycleModel:
         config = replace(AcceleratorConfig(), enable_aggregation_load_balancing=False)
         model = AggregationCycleModel(config, feature_length=128)
         balanced = AggregationCycleModel(AcceleratorConfig(), feature_length=128)
-        skewed = model.iteration_cost(1000, max_edges_per_vertex=400)
-        level = balanced.iteration_cost(1000, max_edges_per_vertex=400)
+        skewed = _one_iteration(model, 1000, max_edges_per_vertex=400)
+        level = _one_iteration(balanced, 1000, max_edges_per_vertex=400)
         assert skewed.compute_cycles > level.compute_cycles
 
     def test_no_lb_cost_grows_with_hub_degree(self):
         config = replace(AcceleratorConfig(), enable_aggregation_load_balancing=False)
         model = AggregationCycleModel(config, feature_length=64)
-        small_hub = model.iteration_cost(1000, max_edges_per_vertex=10)
-        large_hub = model.iteration_cost(1000, max_edges_per_vertex=500)
+        small_hub = _one_iteration(model, 1000, max_edges_per_vertex=10)
+        large_hub = _one_iteration(model, 1000, max_edges_per_vertex=500)
         assert large_hub.compute_cycles > small_hub.compute_cycles
 
     def test_gat_adds_multiplies_and_sfu_work(self):
         plain = AggregationCycleModel(AcceleratorConfig(), 128, is_gat=False)
         gat = AggregationCycleModel(AcceleratorConfig(), 128, is_gat=True)
-        plain_cost = plain.iteration_cost(500, num_resident_vertices=300)
-        gat_cost = gat.iteration_cost(500, num_resident_vertices=300)
+        plain_cost = _one_iteration(plain, 500, resident_vertices=300)
+        gat_cost = _one_iteration(gat, 500, resident_vertices=300)
         assert gat_cost.multiply_ops > 0 and plain_cost.multiply_ops == 0
         assert gat_cost.sfu_ops > 0 and plain_cost.sfu_ops == 0
         assert gat_cost.compute_cycles > plain_cost.compute_cycles
@@ -109,17 +118,109 @@ class TestAggregationCycleModel:
 
     def test_zero_edges(self):
         model = AggregationCycleModel(AcceleratorConfig(), 64)
-        cost = model.iteration_cost(0)
+        cost = _one_iteration(model, 0)
         assert cost.compute_cycles == 0 and cost.addition_ops == 0
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             AggregationCycleModel(AcceleratorConfig(), 0)
         model = AggregationCycleModel(AcceleratorConfig(), 16)
-        with pytest.raises(ValueError):
-            model.iteration_cost(-1)
+        with pytest.raises(ValueError, match="edges"):
+            _one_iteration(model, -1)
         with pytest.raises(ValueError):
             model.finalization_cost(-1)
+
+    def test_load_balanced_cycles_round_up_to_whole_array(self):
+        model = AggregationCycleModel(AcceleratorConfig(), 8)
+        # 76 edges x 2 endpoints x 8 elements = 1216 adds: one array cycle.
+        assert _one_iteration(model, 76).compute_cycles == 1
+        assert _one_iteration(model, 77).compute_cycles == 2
+
+    def test_no_lb_bottleneck_is_average_share_plus_worst_vertex(self):
+        config = replace(AcceleratorConfig(), enable_aggregation_load_balancing=False)
+        model = AggregationCycleModel(config, 64)
+        cost = _one_iteration(model, 1000, max_edges_per_vertex=40)
+        average_share = 2 * 1000 * 64 / config.num_cpes
+        worst_vertex = 40 * 64
+        macs_per_cpe = config.total_macs / config.num_cpes
+        assert cost.compute_cycles == int(np.ceil((average_share + worst_vertex) / macs_per_cpe))
+
+    def test_gat_no_lb_serializes_multiply_and_add_on_the_worst_vertex(self):
+        config = replace(AcceleratorConfig(), enable_aggregation_load_balancing=False)
+        model = AggregationCycleModel(config, 64, is_gat=True)
+        cost = _one_iteration(model, 1000, max_edges_per_vertex=40)
+        average_share = 4 * 1000 * 64 / config.num_cpes
+        worst_vertex = 2 * 40 * 64
+        macs_per_cpe = config.total_macs / config.num_cpes
+        assert cost.compute_cycles == int(np.ceil((average_share + worst_vertex) / macs_per_cpe))
+
+    def test_gat_sfu_work_per_edge_and_resident_vertex(self):
+        config = AcceleratorConfig()
+        model = AggregationCycleModel(config, 16, is_gat=True)
+        cost = _one_iteration(model, 100, resident_vertices=30)
+        # LeakyReLU and exp on both directions of every edge, plus one
+        # softmax-denominator add per resident vertex.
+        assert cost.sfu_ops == 2 * 2 * 100 + 30
+        # The 2-cycle lookup-table exp gates each SFU lane.
+        lanes = SFU_COLUMNS * config.num_rows
+        assert EXP_LATENCY_CYCLES == 2
+        assert cost.sfu_cycles == -(-cost.sfu_ops * 2 // lanes)
+        assert cost.multiply_ops == cost.addition_ops == 2 * 100 * 16
+
+    def test_gat_finalization_divides_every_output_element(self):
+        config = AcceleratorConfig()
+        cost = AggregationCycleModel(config, 16, is_gat=True).finalization_cost(100)
+        assert cost.sfu_ops == 100 * 16
+        # A division takes 4 cycles on each of the 64 SFU lanes.
+        assert SFU_COLUMNS * config.num_rows == 64
+        assert DIVIDE_LATENCY_CYCLES == 4
+        assert cost.sfu_cycles == 100 * 16 * 4 // 64
+        assert cost.compute_cycles == 0
+
+    def test_sfu_lanes_follow_array_rows(self):
+        full = AggregationCycleModel(AcceleratorConfig(), 16, is_gat=True)
+        half_config = AcceleratorConfig(num_rows=8, macs_per_group=(4,), rows_per_group=(8,))
+        half = AggregationCycleModel(half_config, 16, is_gat=True)
+        full_cycles = full.finalization_cost(100).sfu_cycles
+        assert half.finalization_cost(100).sfu_cycles == 2 * full_cycles
+
+    def test_each_iteration_rounds_up_separately(self):
+        model = AggregationCycleModel(AcceleratorConfig(), 8)
+        zeros = np.zeros(3, dtype=np.int64)
+        cost = model.iteration_totals(np.array([77, 77, 0]), zeros, zeros)
+        assert cost.edges_processed == 154
+        assert cost.compute_cycles == 2 * _one_iteration(model, 77).compute_cycles == 4
+        # Pooled into one iteration the same edges would need only 3 cycles.
+        assert _one_iteration(model, 154).compute_cycles == 3
+
+    @pytest.mark.parametrize("is_gat", [False, True], ids=["gcn", "gat"])
+    @pytest.mark.parametrize("load_balancing", [True, False], ids=["lb", "no_lb"])
+    def test_totals_sum_the_per_iteration_costs(self, is_gat, load_balancing):
+        config = replace(AcceleratorConfig(), enable_aggregation_load_balancing=load_balancing)
+        model = AggregationCycleModel(config, 48, is_gat=is_gat)
+        rng = np.random.default_rng(17)
+        edges = rng.integers(0, 3000, size=25)
+        max_edges = rng.integers(0, 60, size=25)
+        resident = rng.integers(1, 400, size=25)
+        totals = model.iteration_totals(edges, max_edges, resident)
+        singles = [
+            _one_iteration(model, e, max_edges_per_vertex=m, resident_vertices=r)
+            for e, m, r in zip(edges, max_edges, resident)
+        ]
+        for field in (
+            "edges_processed",
+            "compute_cycles",
+            "sfu_cycles",
+            "addition_ops",
+            "multiply_ops",
+            "sfu_ops",
+        ):
+            assert getattr(totals, field) == sum(getattr(cost, field) for cost in singles)
+
+    def test_empty_columns_cost_nothing(self):
+        model = AggregationCycleModel(AcceleratorConfig(), 64, is_gat=True)
+        empty = np.empty(0, dtype=np.int64)
+        assert model.iteration_totals(empty, empty, empty) == IterationCost(0, 0, 0, 0, 0, 0)
 
     def test_aggregate_subgraph_matches_segment_sum(self):
         graph = power_law_graph(40, 120, seed=61)
@@ -141,7 +242,7 @@ class TestAggregationCycleModel:
     def test_lb_cycles_formula_property(self, edges, feature):
         config = AcceleratorConfig()
         model = AggregationCycleModel(config, feature)
-        cost = model.iteration_cost(edges)
+        cost = _one_iteration(model, edges)
         assert cost.addition_ops == 2 * edges * feature
         if edges:
             assert cost.compute_cycles >= cost.addition_ops // config.total_macs

@@ -52,6 +52,26 @@ class TestBaselineAssignment:
         assert assignment.imbalance >= 1.0
         assert assignment.max_cycles >= assignment.min_cycles
 
+    def test_row_cycles_round_up_per_row_mac_count(self):
+        # Rows 0-7 have 4 MACs per CPE, rows 8-11 have 5, rows 12-15 have 6.
+        blocks = np.zeros((1, 16), dtype=np.int64)
+        blocks[0, 0] = 9
+        blocks[0, 8] = 10
+        blocks[0, 15] = 13
+        cycles = baseline_assignment(blocks, AcceleratorConfig()).row_cycles
+        assert cycles[0] == 3
+        assert cycles[8] == 2
+        assert cycles[15] == 3
+        assert cycles[1] == 0
+
+    def test_row_packs_blocks_back_to_back(self):
+        # Two vertices put 5 and 3 nonzeros on row 0 (4 MACs): packed, they
+        # take ceil(8 / 4) = 2 cycles, not ceil(5 / 4) + ceil(3 / 4) = 3.
+        blocks = np.array([[5], [3]], dtype=np.int64)
+        assignment = baseline_assignment(blocks, AcceleratorConfig())
+        assert assignment.row_nonzeros[0] == 8
+        assert assignment.row_cycles[0] == 2
+
 
 class TestFlexibleMacAssignment:
     def test_conserves_nonzeros(self, skewed_blocks):

@@ -89,6 +89,22 @@ class TestScheduleWeighting:
         schedule = schedule_weighting(features, 64, AcceleratorConfig())
         assert 0.0 < schedule.average_row_utilization <= 1.0
 
+    def test_all_zero_features_need_no_compute_with_zero_skipping(self):
+        config = AcceleratorConfig()
+        zeros = np.zeros((50, 64))
+        skipping = schedule_weighting(zeros, 32, config)
+        assert skipping.total_nonzero_macs == 0
+        assert skipping.compute_cycles == 0
+        dense = schedule_weighting(zeros, 32, replace(config, enable_zero_skipping=False))
+        assert dense.compute_cycles > 0
+
+    def test_dense_macs_count_whole_blocks(self, features):
+        schedule = schedule_weighting(features, 64, AcceleratorConfig())
+        num_vertices = features.shape[0]
+        assert schedule.total_dense_macs == (
+            num_vertices * schedule.num_blocks * schedule.block_size * 64
+        )
+
 
 class TestWeightingFunctional:
     def test_matches_dense_matmul(self, features):

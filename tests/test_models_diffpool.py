@@ -58,13 +58,6 @@ class TestDiffPoolLevel:
         with pytest.raises(ValueError):
             DiffPoolLevel(12, 8, num_clusters=0)
 
-    def test_workload_positive(self, setup):
-        graph, features = setup
-        level = DiffPoolLevel(12, 8, num_clusters=5, seed=0)
-        workload = level.workload(graph, features)
-        assert workload.weighting_macs > 0
-        assert workload.aggregation_ops > 0
-
 
 class TestDiffPoolModel:
     def test_default_cluster_count(self, setup):
@@ -72,8 +65,3 @@ class TestDiffPoolModel:
         model = DiffPoolModel(12, hidden_features=16, seed=0)
         output = model.forward(graph, features)
         assert output.num_clusters == 4  # hidden // 4
-
-    def test_workload_delegates(self, setup):
-        graph, features = setup
-        model = DiffPoolModel(12, hidden_features=16, seed=0)
-        assert model.workload(graph, features).total_ops > 0

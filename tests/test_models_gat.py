@@ -117,11 +117,6 @@ class TestGATLayer:
         assert out[0, 0] > 0.9
         assert out[0, 1] < 0.1
 
-    def test_workload_includes_attention(self, small_graph):
-        layer = GATLayer(6, 8)
-        workload = layer.workload(small_graph, np.ones((4, 6)))
-        assert workload.attention_ops > 0
-
     def test_wrong_width_rejected(self, small_graph):
         with pytest.raises(ValueError):
             GATLayer(6, 8).forward(small_graph, np.ones((4, 3)))

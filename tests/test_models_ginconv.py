@@ -49,14 +49,6 @@ class TestGINConvLayer:
         with pytest.raises(ValueError):
             GINConvLayer(4, 6).forward(triangle, np.ones((3, 7)))
 
-    def test_workload_counts_mlp_and_aggregation(self, triangle):
-        layer = GINConvLayer(4, 6, hidden_features=8)
-        features = np.ones((3, 4))
-        workload = layer.workload(triangle, features)
-        # Aggregation happens at the input width (4), before the MLP.
-        assert workload.aggregation_ops == (triangle.num_edges + 3) * 4
-        assert workload.weighting_macs > 0
-
     def test_weight_matrices_lists_mlp_layers(self):
         layer = GINConvLayer(4, 6, hidden_features=8)
         shapes = [w.shape for w in layer.weight_matrices()]

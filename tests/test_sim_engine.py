@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from repro.datasets import build_dataset
-from repro.hw import AcceleratorConfig, design_preset
+from repro.hw import SFU_COLUMNS, AcceleratorConfig, design_preset
 from repro.models import MODEL_FAMILIES
 from repro.obs import MetricsRegistry
+from repro.plan import lower
 from repro.sim import GNNIESimulator, result_to_dict
 
 
@@ -93,6 +94,38 @@ class TestEngineEnergy:
         small = simulator.run(tiny_graph, "gcn").energy_joules
         large = simulator.run(medium_graph, "gcn").energy_joules
         assert large > small
+
+
+class TestEngineCharges:
+    def test_degree_binning_charged_once_and_on_every_aggregation(self, simulator, tiny_graph):
+        result = simulator.run(tiny_graph, "gcn")
+        binning = -(-tiny_graph.num_vertices // 8)
+        assert result.global_preprocessing_cycles == binning
+        assert [layer.aggregation.preprocessing_cycles for layer in result.layers] == [
+            binning
+        ] * len(result.layers)
+
+    def test_no_binning_without_degree_aware_caching(self, simulator, tiny_graph):
+        config = replace(AcceleratorConfig(), enable_degree_aware_caching=False)
+        result = simulator.run(tiny_graph, "gcn", config=config)
+        assert result.global_preprocessing_cycles == 0
+        assert all(layer.aggregation.preprocessing_cycles == 0 for layer in result.layers)
+
+    def test_diffpool_coarsening_uses_the_whole_array_and_every_sfu_lane(
+        self, simulator, tiny_graph
+    ):
+        config = AcceleratorConfig()
+        (coarsening,) = lower("diffpool", tiny_graph).layers[2].ops
+        phase = simulator.run(tiny_graph, "diffpool").layers[2].weighting
+        macs = (
+            tiny_graph.num_edges * coarsening.macs_per_edge
+            + tiny_graph.num_vertices * coarsening.macs_per_vertex
+        )
+        softmax_ops = tiny_graph.num_vertices * coarsening.softmax_ops_per_vertex
+        assert phase.mac_operations == macs
+        assert phase.compute_cycles == -(-macs // config.total_macs)
+        assert phase.sfu_operations == softmax_ops
+        assert phase.sfu_cycles == -(-softmax_ops // (SFU_COLUMNS * config.num_rows))
 
 
 class TestEngineOptimizationFlags:

@@ -7,14 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.hw import AcceleratorConfig
+from repro.cache import vertex_record_bytes
+from repro.graph import power_law_graph
+from repro.hw import AcceleratorConfig, HBMModel
+from repro.mapping import AggregationCycleModel, schedule_weighting
 from repro.sim import (
     PhaseResult,
     aggregation_phase_from_cache,
+    input_buffer_capacity,
     run_cache_simulation,
-    simulate_weighting,
+    weighting_phase_from_schedule,
 )
-from repro.sparse import generate_sparse_features
+from repro.sim.aggregation_sim import DEGREE_BINNING_OPS_PER_CYCLE
+from repro.sparse import generate_sparse_features, rlc_compressed_bits
 
 
 @pytest.fixture(scope="module")
@@ -44,44 +49,146 @@ class TestPhaseResult:
         assert merged.dram_bytes == 8
 
 
-class TestSimulateWeighting:
+def _weighting(config, out_features, features, *, rlc=True):
+    """Schedule and price one layer's Weighting on an explicit feature matrix.
+
+    Input-layer features travel RLC-compressed; later layers travel dense.
+    """
+    schedule = schedule_weighting(features, out_features, config)
+    num_vertices, in_features = features.shape
+    value_bits = 8 * config.bytes_per_value
+    if rlc:
+        input_bits = rlc_compressed_bits(features, value_bits=value_bits)
+    else:
+        input_bits = features.size * value_bits
+    phase = weighting_phase_from_schedule(
+        schedule,
+        num_vertices,
+        in_features,
+        out_features,
+        config,
+        input_traffic_bits=input_bits,
+    )
+    return phase, schedule
+
+
+class TestWeightingPhase:
     def test_input_layer_uses_rlc_traffic(self, features):
         config = AcceleratorConfig()
-        rlc_phase, _ = simulate_weighting(config, 128, features=features, is_input_layer=True)
-        dense_phase, _ = simulate_weighting(config, 128, features=features, is_input_layer=False)
+        rlc_phase, _ = _weighting(config, 128, features, rlc=True)
+        dense_phase, _ = _weighting(config, 128, features, rlc=False)
         assert rlc_phase.dram_input_stream_bytes < dense_phase.dram_input_stream_bytes
 
     def test_mac_operations_match_schedule(self, features):
-        phase, schedule = simulate_weighting(AcceleratorConfig(), 64, features=features)
+        phase, schedule = _weighting(AcceleratorConfig(), 64, features)
         assert phase.mac_operations == schedule.total_nonzero_macs
 
     def test_weight_traffic_counts_whole_matrix(self, features):
-        phase, _ = simulate_weighting(AcceleratorConfig(), 64, features=features)
+        phase, _ = _weighting(AcceleratorConfig(), 64, features)
         assert phase.dram_weight_stream_bytes == features.shape[1] * 64
 
     def test_output_traffic_counts_results(self, features):
-        phase, _ = simulate_weighting(AcceleratorConfig(), 64, features=features)
+        phase, _ = _weighting(AcceleratorConfig(), 64, features)
         assert phase.dram_output_stream_bytes == features.shape[0] * 64
 
     def test_statistical_path_matches_explicit_shape(self):
         config = AcceleratorConfig()
         blocks = np.full((200, 16), 3, dtype=np.int64)
-        phase, schedule = simulate_weighting(
-            config, 32, block_nonzeros=blocks, in_features=256, is_input_layer=False
+        schedule = schedule_weighting(None, 32, config, block_nonzeros=blocks, in_features=256)
+        phase = weighting_phase_from_schedule(
+            schedule, 200, 256, 32, config, input_traffic_bits=200 * 256 * 8
         )
         assert phase.mac_operations == blocks.sum() * 32
         assert schedule.num_passes == 2
 
     def test_missing_arguments_rejected(self):
         with pytest.raises(ValueError):
-            simulate_weighting(AcceleratorConfig(), 32, block_nonzeros=np.ones((4, 4)))
+            schedule_weighting(None, 32, AcceleratorConfig(), block_nonzeros=np.ones((4, 4)))
 
     def test_cycles_positive_and_bounded_below_by_ideal(self, features):
         config = AcceleratorConfig()
-        phase, schedule = simulate_weighting(config, 128, features=features)
+        phase, schedule = _weighting(config, 128, features)
         ideal = schedule.total_nonzero_macs / config.total_macs
         assert phase.compute_cycles >= ideal
         assert phase.total_cycles > 0
+
+    def test_input_features_stream_once_per_pass(self, features):
+        config = AcceleratorConfig()
+        phase, schedule = _weighting(config, 128, features)
+        input_bytes = rlc_compressed_bits(features, value_bits=8) // 8
+        assert schedule.num_passes == 8
+        assert phase.dram_input_stream_bytes == input_bytes * schedule.num_passes
+
+    def test_fast_dram_exposes_only_the_first_fill(self, features):
+        config = AcceleratorConfig(dram_bandwidth_bytes_per_s=1e15)
+        phase, schedule = _weighting(config, 128, features)
+        per_pass_fetch = phase.streaming_memory_cycles // (schedule.num_passes + 1)
+        assert phase.streaming_memory_cycles == per_pass_fetch * (schedule.num_passes + 1)
+        assert per_pass_fetch < schedule.cycles_per_pass
+        assert phase.memory_stall_cycles == per_pass_fetch
+
+    def test_slow_dram_exposes_the_excess_fetch_of_every_pass(self, features):
+        config = AcceleratorConfig(dram_bandwidth_bytes_per_s=1e8)
+        phase, schedule = _weighting(config, 128, features)
+        per_pass_fetch = phase.streaming_memory_cycles // (schedule.num_passes + 1)
+        excess = per_pass_fetch - schedule.cycles_per_pass
+        assert excess > 0
+        assert phase.memory_stall_cycles == excess * schedule.num_passes + per_pass_fetch
+
+    def test_preprocessing_charges_flexible_mac_binning(self, features):
+        config = AcceleratorConfig()
+        phase, schedule = _weighting(config, 64, features)
+        operations = schedule.assignment.preprocessing_operations
+        assert operations > 0
+        # The binning classifies 32 block records per cycle.
+        assert phase.preprocessing_cycles == -(-operations // 32)
+        unbinned, _ = _weighting(replace(config, enable_flexible_mac=False), 64, features)
+        assert unbinned.preprocessing_cycles == 0
+
+
+class TestInputBufferCapacity:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return power_law_graph(300, 1200, seed=21)
+
+    def test_capacity_is_buffer_over_record_size(self, graph):
+        config = AcceleratorConfig(input_buffer_bytes=64 * 1024)
+        capacity, record_bytes = input_buffer_capacity(graph, config, 128)
+        assert record_bytes == vertex_record_bytes(128, graph.average_degree())
+        assert capacity == 64 * 1024 // record_bytes
+
+    def test_at_least_one_vertex(self, graph):
+        config = AcceleratorConfig(input_buffer_bytes=16)
+        capacity, record_bytes = input_buffer_capacity(graph, config, 4096)
+        assert record_bytes > 16
+        assert capacity == 1
+
+    def test_larger_values_use_more_space(self, graph):
+        one_byte = AcceleratorConfig(input_buffer_bytes=1 << 20)
+        four_bytes = replace(one_byte, bytes_per_value=4)
+        assert (
+            input_buffer_capacity(graph, one_byte, 128)[0]
+            > input_buffer_capacity(graph, four_bytes, 128)[0]
+        )
+
+    def test_denser_graph_fits_fewer_vertices(self):
+        # Each record carries its neighbor list, so average degree costs space.
+        config = AcceleratorConfig(input_buffer_bytes=1 << 20)
+        sparse = power_law_graph(300, 600, seed=21)
+        dense = power_law_graph(300, 6000, seed=21)
+        assert dense.average_degree() > sparse.average_degree()
+        dense_capacity = input_buffer_capacity(dense, config, 64)[0]
+        assert dense_capacity < input_buffer_capacity(sparse, config, 64)[0]
+
+    def test_auto_sizing_uses_the_large_dataset_buffer(self, graph):
+        explicit = AcceleratorConfig(input_buffer_bytes=512 * 1024)
+        assert input_buffer_capacity(graph, AcceleratorConfig(), 128) == input_buffer_capacity(
+            graph, explicit, 128
+        )
+
+    def test_invalid_feature_length(self, graph):
+        with pytest.raises(ValueError):
+            input_buffer_capacity(graph, AcceleratorConfig(), 0)
 
 
 class TestAggregationPhase:
@@ -133,3 +240,59 @@ class TestAggregationPhase:
         phase = self._phase(graph, AcceleratorConfig(), 128)
         assert phase.dram_output_stream_bytes > 0
         assert phase.dram_input_stream_bytes > 0
+
+    def test_degree_binning_charged_on_the_phase(self, graph):
+        phase = self._phase(graph, AcceleratorConfig(), 64)
+        assert DEGREE_BINNING_OPS_PER_CYCLE == 8
+        assert phase.preprocessing_cycles == -(-graph.num_vertices // 8)
+
+    def test_no_binning_without_degree_aware_caching(self, graph):
+        config = replace(AcceleratorConfig(), enable_degree_aware_caching=False)
+        assert self._phase(graph, config, 64).preprocessing_cycles == 0
+
+    @pytest.mark.parametrize("is_gat", [False, True], ids=["gcn", "gat"])
+    def test_compute_prices_the_cache_iteration_columns(self, graph, is_gat):
+        config = AcceleratorConfig()
+        cache = run_cache_simulation(graph, config, 64)
+        phase = self._phase(graph, config, 64, cache, is_gat=is_gat)
+        model = AggregationCycleModel(config, 64, is_gat=is_gat)
+        totals = model.iteration_totals(
+            cache.edges_processed, cache.max_edges_per_vertex, cache.resident_vertices
+        )
+        finalize = model.finalization_cost(graph.num_vertices)
+        assert phase.compute_cycles == totals.compute_cycles
+        assert phase.sfu_cycles == totals.sfu_cycles + finalize.sfu_cycles
+        assert phase.mac_operations == totals.addition_ops + totals.multiply_ops
+        assert phase.sfu_operations == totals.sfu_ops + finalize.sfu_ops
+
+    def test_streaming_traffic_overlaps_compute(self, graph):
+        phase = self._phase(graph, AcceleratorConfig(), 128)
+        busy = phase.compute_cycles + phase.sfu_cycles
+        assert phase.dram_random_accesses == 0
+        assert phase.memory_stall_cycles == max(0, phase.streaming_memory_cycles - busy)
+
+    def test_random_accesses_are_never_hidden(self, graph):
+        config = replace(AcceleratorConfig(), enable_degree_aware_caching=False)
+        cache = run_cache_simulation(graph, config, 128)
+        phase = self._phase(graph, config, 128, cache)
+        random_cycles = HBMModel().random_transfer_cycles(
+            cache.net_random_accesses, bytes_per_access=128
+        )
+        busy = phase.compute_cycles + phase.sfu_cycles
+        assert random_cycles > 0
+        assert phase.memory_stall_cycles == (
+            max(0, phase.streaming_memory_cycles - busy) + random_cycles
+        )
+
+    def test_small_output_buffer_spills_partial_sums(self, graph):
+        roomy = AcceleratorConfig()
+        cramped = replace(roomy, output_buffer_bytes=1024)
+        cache = run_cache_simulation(graph, roomy, 128)
+        spill_free = self._phase(graph, roomy, 128, cache)
+        spilling = self._phase(graph, cramped, 128, cache)
+        final_write = graph.num_vertices * 128
+        assert spill_free.dram_write_bytes == cache.alpha_writeback_bytes + final_write
+        extra_writes = spilling.dram_write_bytes - spill_free.dram_write_bytes
+        assert extra_writes > 0
+        # Every spilled partial sum is read back.
+        assert spilling.dram_read_bytes - spill_free.dram_read_bytes == extra_writes
