@@ -1,8 +1,9 @@
 """Graph-specific, degree-aware caching for Aggregation (paper, Section VI).
 
 :func:`simulate_policy` runs any hit-path policy in :data:`POLICY_NAMES`
-(the degree-aware controller, LRU/MRU, static partition and the
-vertex-order baseline).  The package also contains a trace-driven
+(GNNIE's degree-aware walk in :mod:`repro.cache.controller`, and the
+LRU/MRU, static-partition and vertex-order baselines) and returns a
+:class:`CacheSimulationResult`.  The package also contains a trace-driven
 **miss-path hierarchy**: the policy simulators can emit a
 miss/eviction trace (:mod:`repro.cache.trace`), which a configurable set of
 classic hardware structures — victim cache, miss cache, stream buffers
@@ -11,7 +12,7 @@ classic hardware structures — victim cache, miss cache, stream buffers
 :data:`MECHANISM_REGISTRY` / :func:`register_mechanism`.
 """
 
-from repro.cache.controller import DegreeAwareCacheController, vertex_record_bytes
+from repro.cache.controller import vertex_record_bytes
 from repro.cache.hierarchy import HierarchyResult, MissPathConfig, MissPathHierarchy
 from repro.cache.mechanisms import (
     MECHANISM_REGISTRY,
@@ -25,13 +26,11 @@ from repro.cache.mechanisms import (
     register_mechanism,
 )
 from repro.cache.policies import POLICY_NAMES, simulate_policy
-from repro.cache.policy import CachePolicyConfig, CacheSimulationResult
+from repro.cache.policy import CacheSimulationResult
 from repro.cache.trace import EVICT, MISS, TraceRecorder, VertexAccessTrace
 
 __all__ = [
-    "CachePolicyConfig",
     "CacheSimulationResult",
-    "DegreeAwareCacheController",
     "POLICY_NAMES",
     "simulate_policy",
     "vertex_record_bytes",

@@ -1,6 +1,6 @@
 """Every cache policy the repo compares, behind one entry point.
 
-GNNIE's degree-aware policy (:class:`~repro.cache.controller.DegreeAwareCacheController`,
+GNNIE's degree-aware policy (:func:`~repro.cache.controller.degree_aware_walk`,
 Section VI) measures a vertex's *future* usefulness — its unprocessed-edge
 count α — and keeps every DRAM access sequential.  The related-work
 discussion (Section VII) contrasts it with history-based schemes such as
@@ -29,8 +29,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.cache.controller import DegreeAwareCacheController, UndirectedEdgeIndex
-from repro.cache.policy import CachePolicyConfig, CacheSimulationResult
+from repro.cache.controller import UndirectedEdgeIndex, degree_aware_walk
+from repro.cache.policy import CacheSimulationResult
 from repro.cache.trace import TraceRecorder
 from repro.graph.csr import CSRGraph
 
@@ -61,18 +61,16 @@ def simulate_policy(
     miss/eviction sequence is recorded on ``result.trace`` for the
     miss-path hierarchy.
     """
-    if policy == "degree_aware":
-        controller = DegreeAwareCacheController(
-            adjacency,
-            CachePolicyConfig(capacity_vertices=capacity_vertices, gamma=gamma),
-            bytes_per_vertex=bytes_per_vertex,
-            edge_index=edge_index,
-        )
-        return controller.run(collect_trace=collect_trace)
-    if policy not in _EVICTION:
+    if policy not in POLICY_NAMES:
         raise KeyError(f"unknown cache policy {policy!r}; known: {list(POLICY_NAMES)}")
     if capacity_vertices <= 0:
         raise ValueError("capacity_vertices must be positive")
+    if gamma < 0:
+        raise ValueError("gamma must be non-negative")
+    if policy == "degree_aware":
+        return degree_aware_walk(
+            adjacency, capacity_vertices, bytes_per_vertex, gamma, collect_trace, edge_index
+        )
     return _id_order_walk(
         policy, adjacency, capacity_vertices, bytes_per_vertex, collect_trace
     )

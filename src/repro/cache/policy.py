@@ -1,4 +1,4 @@
-"""Cache policy definitions and result records for Aggregation caching.
+"""The result record of every Aggregation cache simulation.
 
 GNNIE's graph-specific caching (paper, Section VI) keeps a set of vertices —
 the densest first — resident in the input buffer, processes the edges of the
@@ -7,8 +7,9 @@ fallen below the threshold γ, replacing them with the next vertices of the
 descending-degree DRAM stream.  All DRAM fetches are sequential; every
 random access is confined to the on-chip buffer.
 
-This module holds the policy/record dataclasses; the simulation loop lives in
-:mod:`repro.cache.controller`.
+This module holds :class:`CacheSimulationResult`, which every policy
+returns; the degree-aware walk lives in :mod:`repro.cache.controller` and
+:func:`~repro.cache.policies.simulate_policy` runs every policy by name.
 """
 
 from __future__ import annotations
@@ -22,39 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.hierarchy import HierarchyResult
     from repro.cache.trace import VertexAccessTrace
 
-__all__ = ["CachePolicyConfig", "CacheSimulationResult"]
-
-
-@dataclass(frozen=True)
-class CachePolicyConfig:
-    """Parameters of the degree-aware caching policy.
-
-    Attributes:
-        capacity_vertices: Vertices that fit in the input buffer (derived
-            from the buffer capacity and the per-vertex record size).
-        gamma: Eviction threshold on the unprocessed-edge counter α; the
-            paper uses a static γ = 5.
-        replacement_count: Number of vertices replaced per iteration (r).
-    """
-
-    capacity_vertices: int
-    gamma: int = 5
-    replacement_count: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.capacity_vertices <= 0:
-            raise ValueError("capacity_vertices must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        if self.replacement_count is not None and self.replacement_count <= 0:
-            raise ValueError("replacement_count must be positive when given")
-
-    @property
-    def effective_replacement_count(self) -> int:
-        """r; defaults to one eighth of the buffer capacity."""
-        if self.replacement_count is not None:
-            return self.replacement_count
-        return max(1, self.capacity_vertices // 8)
+__all__ = ["CacheSimulationResult"]
 
 
 def _column() -> np.ndarray:

@@ -271,7 +271,9 @@ class GNNIEExecutor:
                 note(span, "attention", phase)
             elif isinstance(op, AggregationOp):
                 with tracer.span("op:aggregation", category="op", layer=stage.index) as span:
-                    phase = self._aggregation_phase(op, cfg, context, priming[op.adjacency])
+                    phase = self._aggregation_phase(
+                        op, cfg, context, priming[op.adjacency], span
+                    )
                 aggregation = accumulate(aggregation, phase)
                 note(span, "aggregation", phase)
             elif isinstance(op, DenseMatmulOp):
@@ -387,21 +389,18 @@ class GNNIEExecutor:
         cfg: AcceleratorConfig,
         context: GraphPricingContext,
         priming_width: int,
+        span,
     ) -> PhaseResult:
         sim_key = (*self._cache_key(op.adjacency, cfg), priming_width)
-        memo_key = ("aggregation", sim_key, op.width, op.weighted, _aggregation_knobs(cfg))
-        cached = context.phase_memo.get(memo_key)
-        if cached is not None:
-            # A priced phase reuses its cache simulation too.
-            self.metrics.counter("executor.cache_sim.memo_hits").inc()
-            return replace(cached)
         adjacency = context.adjacency(op.adjacency)
         cache_result = context.cache_results.get(sim_key)
         if cache_result is not None:
+            outcome = "memo_hit"
             self.metrics.counter("executor.cache_sim.memo_hits").inc()
         else:
             # Metrics are recorded only when the simulation actually runs;
             # memo hits re-use the numbers without double-counting events.
+            outcome = "run"
             self.metrics.counter("executor.cache_sim.runs").inc()
             edge_index = (
                 context.edge_index(op.adjacency) if cfg.enable_degree_aware_caching else None
@@ -410,6 +409,18 @@ class GNNIEExecutor:
                 adjacency, cfg, priming_width, metrics=self.metrics, edge_index=edge_index
             )
             context.cache_results[sim_key] = cache_result
+        span.set(
+            cache_sim=outcome,
+            rounds=cache_result.num_rounds,
+            iterations=cache_result.num_iterations,
+            deadlocks=cache_result.deadlock_events,
+        )
+        # A phase is priced only after its simulation ran, so a priced-phase
+        # hit is always a simulation memo hit too.
+        memo_key = ("aggregation", sim_key, op.width, op.weighted, _aggregation_knobs(cfg))
+        cached = context.phase_memo.get(memo_key)
+        if cached is not None:
+            return replace(cached)
         phase = aggregation_phase_from_cache(
             cache_result, adjacency, cfg, op.width, is_gat=op.weighted
         )

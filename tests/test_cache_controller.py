@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import (
-    CachePolicyConfig,
-    DegreeAwareCacheController,
-    simulate_policy,
-    vertex_record_bytes,
-)
-from repro.cache.controller import UndirectedEdgeIndex
+from repro.cache import controller, simulate_policy, vertex_record_bytes
+from repro.cache.controller import UndirectedEdgeIndex, stream_order
 from repro.graph import CSRGraph, power_law_graph
 
 
@@ -22,12 +17,10 @@ def graph():
     return power_law_graph(400, 1600, exponent=2.1, seed=71)
 
 
-def run_controller(graph, capacity, gamma=5, replacement=None):
-    policy = CachePolicyConfig(
-        capacity_vertices=capacity, gamma=gamma, replacement_count=replacement
+def run_controller(graph, capacity, gamma=5):
+    return simulate_policy(
+        "degree_aware", graph, capacity, bytes_per_vertex=128, gamma=gamma
     )
-    controller = DegreeAwareCacheController(graph, policy, bytes_per_vertex=128)
-    return controller.run()
 
 
 def vertex_order(graph, capacity_vertices):
@@ -35,25 +28,14 @@ def vertex_order(graph, capacity_vertices):
 
 
 class TestPolicyConfig:
-    def test_defaults(self):
-        policy = CachePolicyConfig(capacity_vertices=64)
-        assert policy.effective_replacement_count == 8
-        assert policy.gamma == 5
-
-    def test_explicit_replacement(self):
-        policy = CachePolicyConfig(capacity_vertices=64, replacement_count=5)
-        assert policy.effective_replacement_count == 5
-
-    def test_validation(self):
+    def test_validation(self, graph):
         with pytest.raises(ValueError):
-            CachePolicyConfig(capacity_vertices=0)
+            simulate_policy("degree_aware", graph, 0)
         with pytest.raises(ValueError):
-            CachePolicyConfig(capacity_vertices=8, gamma=-1)
-        with pytest.raises(ValueError):
-            CachePolicyConfig(capacity_vertices=8, replacement_count=0)
+            simulate_policy("degree_aware", graph, 8, gamma=-1)
 
     def test_vertex_record_bytes(self):
-        record = vertex_record_bytes(128, 10.0, bytes_per_value=1, index_bytes=4)
+        record = vertex_record_bytes(128, 10.0, bytes_per_value=1)
         assert record == 128 + 40 + 8
         with pytest.raises(ValueError):
             vertex_record_bytes(0, 5.0)
@@ -125,17 +107,34 @@ class TestDegreeAwareController:
         assert result.round_index[0] == 1 and result.round_index[-1] == result.num_rounds
 
     def test_star_graph_hub_retained(self):
-        """The hub of a star has the highest degree; with a cache of 3 the
-        policy keeps it resident while its α stays above γ, so almost every
-        leaf edge is processed in the first Round."""
+        """The hub of a star has the highest degree; with a cache of 3 (and
+        so r = 1) the policy keeps it resident while its α stays above γ, so
+        almost every leaf edge is processed in the first Round."""
         star = CSRGraph.from_edge_list(
             [(0, i) for i in range(1, 12)], num_vertices=12, symmetric=True
         )
-        result = run_controller(star, capacity=3, gamma=2, replacement=2)
+        result = run_controller(star, capacity=3, gamma=2)
         assert result.total_edges_processed == 11
         assert result.num_rounds <= 2
         first_round_edges = result.edges_processed[result.round_index == 1].sum()
         assert first_round_edges >= 9
+
+    def test_walk_at_the_iteration_bound_raises_instead_of_truncating(
+        self, graph, monkeypatch
+    ):
+        """A walk that reaches MAX_ITERATIONS with edges left must not return
+        a partial result for the cycle model to price."""
+        complete = run_controller(graph, capacity=40)
+        monkeypatch.setattr(controller, "MAX_ITERATIONS", 3)
+        with pytest.raises(
+            RuntimeError,
+            match=rf"MAX_ITERATIONS \(3\) with \d+ of {graph.num_edges // 2} edges unprocessed",
+        ):
+            run_controller(graph, capacity=40)
+        # A walk that finishes exactly at the bound is complete, not truncated.
+        monkeypatch.setattr(controller, "MAX_ITERATIONS", complete.num_iterations)
+        at_bound = run_controller(graph, capacity=40)
+        np.testing.assert_array_equal(at_bound.edges_processed, complete.edges_processed)
 
     def test_deadlock_resolution_when_gamma_zero(self, graph):
         """γ = 0 never marks eviction candidates; the controller must detect
@@ -165,11 +164,6 @@ class TestVertexOrderBaseline:
     def test_invalid_capacity(self, graph):
         with pytest.raises(ValueError):
             vertex_order(graph, capacity_vertices=0)
-
-
-def stream_order(graph):
-    policy = CachePolicyConfig(capacity_vertices=8)
-    return DegreeAwareCacheController(graph, policy).stream_order
 
 
 class TestStreamOrder:
@@ -228,34 +222,26 @@ def test_controller_completeness_property(num_vertices, num_edges, capacity, gam
     """Regardless of capacity, γ or topology, every undirected edge is
     aggregated exactly once and the α counters drain to zero."""
     graph = power_law_graph(num_vertices, num_edges, seed=seed)
-    policy = CachePolicyConfig(capacity_vertices=capacity, gamma=gamma)
-    controller = DegreeAwareCacheController(graph, policy, bytes_per_vertex=64)
-    result = controller.run()
+    result = simulate_policy(
+        "degree_aware", graph, capacity, bytes_per_vertex=64, gamma=gamma
+    )
     assert result.total_edges_processed == graph.num_edges // 2
     if result.alpha_round_snapshots:
         assert result.alpha_round_snapshots[-1].size == 0 or result.num_rounds >= 1
 
 
 class TestIncidentEdgesVectorization:
-    """Micro-assertion: the flat-gather, mask-deduplicated
-    incident_edges_once matches a per-vertex slice implementation on every
-    query shape (compared sorted: its output order is unspecified)."""
+    """Micro-assertion: the flat gather of incident_edges holds exactly the
+    per-vertex incidence slices, an edge between two queried vertices once
+    per endpoint (compared sorted)."""
 
     @staticmethod
     def _reference_incident_edges(index, vertices):
-        if vertices.size == 0:
-            return np.empty(0, dtype=np.int64)
         pieces = [
             index._sorted_edge_ids[index.indptr[v] : index.indptr[v + 1]]
             for v in vertices
         ]
-        return np.unique(np.concatenate(pieces))
-
-    @staticmethod
-    def _incident_edges_once(index, vertices):
-        member_mask = np.zeros(index.num_vertices, dtype=bool)
-        member_mask[vertices] = True
-        return np.sort(index.incident_edges_once(vertices, member_mask))
+        return np.sort(np.concatenate([np.empty(0, dtype=np.int64), *pieces]))
 
     def test_matches_reference_implementation(self, graph):
         index = UndirectedEdgeIndex(graph)
@@ -269,7 +255,7 @@ class TestIncidentEdgesVectorization:
         ]
         for vertices in queries:
             np.testing.assert_array_equal(
-                self._incident_edges_once(index, vertices),
+                np.sort(index.incident_edges(vertices)),
                 self._reference_incident_edges(index, vertices),
             )
 
@@ -279,5 +265,8 @@ class TestIncidentEdgesVectorization:
             [(0, 1), (1, 2)], num_vertices=4, symmetric=True
         )
         index = UndirectedEdgeIndex(adjacency)
-        assert self._incident_edges_once(index, np.array([3], dtype=np.int64)).size == 0
-        assert self._incident_edges_once(index, np.array([1, 3], dtype=np.int64)).size == 2
+        assert index.incident_edges(np.array([3], dtype=np.int64)).size == 0
+        assert index.incident_edges(np.array([1, 3], dtype=np.int64)).size == 2
+        # Edge (1, 2) joins two queried vertices, so it is listed twice.
+        both = index.incident_edges(np.array([1, 2, 3], dtype=np.int64))
+        assert np.sort(both).tolist() == [0, 1, 1]

@@ -3,8 +3,8 @@
 Small, obviously correct pure-Python references of every policy
 :func:`repro.cache.simulate_policy` runs: the degree-aware controller
 (paper, Section VI) and the id-order edge walk behind the four baselines.
-Over random graphs, capacities from 1 (the pairwise fallback) and γ from 0
-(deadlocks), every :class:`~repro.cache.CacheSimulationResult` field must
+Over uniform random, hub-heavy and community graphs, capacities from 1 (the
+pairwise fallback) and γ from 0 (deadlocks), every :class:`~repro.cache.CacheSimulationResult` field must
 match: the counters, the four iteration columns, the α snapshots and the
 trace.  The vectorized controller is only allowed to be faster.
 """
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import EVICT, MISS, POLICY_NAMES, simulate_policy
-from repro.graph import CSRGraph
+from repro.graph import CSRGraph, community_graph, power_law_graph
 
 BYTES_PER_VERTEX = 48
 INDEX_BYTES = 4
@@ -188,6 +188,19 @@ def assert_matches_reference(result, expected, policy, num_vertices):
             assert getattr(result, field.name) == expected[field.name], field.name
 
 
+def check_against_reference(policy, adjacency, capacity, gamma):
+    result = simulate_policy(
+        policy,
+        adjacency,
+        capacity,
+        bytes_per_vertex=BYTES_PER_VERTEX,
+        gamma=gamma,
+        collect_trace=True,
+    )
+    expected = reference(policy, adjacency, capacity, gamma)
+    assert_matches_reference(result, expected, policy, adjacency.num_vertices)
+
+
 @st.composite
 def graphs(draw):
     num_vertices = draw(st.integers(min_value=1, max_value=100))
@@ -204,16 +217,7 @@ def graphs(draw):
     policy=st.sampled_from(POLICY_NAMES),
 )
 def test_simulate_policy_matches_reference(adjacency, capacity, gamma, policy):
-    result = simulate_policy(
-        policy,
-        adjacency,
-        capacity,
-        bytes_per_vertex=BYTES_PER_VERTEX,
-        gamma=gamma,
-        collect_trace=True,
-    )
-    expected = reference(policy, adjacency, capacity, gamma)
-    assert_matches_reference(result, expected, policy, adjacency.num_vertices)
+    check_against_reference(policy, adjacency, capacity, gamma)
 
 
 @settings(max_examples=100, deadline=None)
@@ -225,16 +229,38 @@ def test_simulate_policy_matches_reference(adjacency, capacity, gamma, policy):
 def test_degree_aware_controller_matches_reference(adjacency, capacity, gamma):
     """The degree-aware controller alone, at the small capacities and γ
     where Rounds, deadlocks and the pairwise fallback all occur."""
-    result = simulate_policy(
-        "degree_aware",
-        adjacency,
-        capacity,
-        bytes_per_vertex=BYTES_PER_VERTEX,
-        gamma=gamma,
-        collect_trace=True,
+    check_against_reference("degree_aware", adjacency, capacity, gamma)
+
+
+@st.composite
+def skewed_graphs(draw):
+    """Hub-heavy power-law graphs or community graphs: where the deadlock
+    path runs hot and small buffers need several Rounds."""
+    num_vertices = draw(st.integers(min_value=2, max_value=100))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    if draw(st.booleans()):
+        return power_law_graph(
+            num_vertices,
+            draw(st.integers(min_value=1, max_value=6 * num_vertices)),
+            exponent=draw(st.floats(min_value=1.8, max_value=3.0)),
+            seed=seed,
+        )
+    return community_graph(
+        num_vertices,
+        draw(st.integers(min_value=1, max_value=8)),
+        intra_average_degree=draw(st.floats(min_value=2.0, max_value=12.0)),
+        seed=seed,
     )
-    expected = reference("degree_aware", adjacency, capacity, gamma)
-    assert_matches_reference(result, expected, "degree_aware", adjacency.num_vertices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    adjacency=skewed_graphs(),
+    capacity=st.integers(min_value=1, max_value=24),
+    gamma=st.integers(min_value=0, max_value=6),
+)
+def test_degree_aware_matches_reference_on_skewed_graphs(adjacency, capacity, gamma):
+    check_against_reference("degree_aware", adjacency, capacity, gamma)
 
 
 def test_reference_covers_deadlocks_and_the_pairwise_fallback():
@@ -248,16 +274,7 @@ def test_reference_covers_deadlocks_and_the_pairwise_fallback():
         symmetric=True,
     )
     for adjacency, capacity, gamma in ((path, 1, 5), (two_stars, 2, 0)):
-        result = simulate_policy(
-            "degree_aware",
-            adjacency,
-            capacity,
-            bytes_per_vertex=BYTES_PER_VERTEX,
-            gamma=gamma,
-            collect_trace=True,
-        )
-        expected = reference("degree_aware", adjacency, capacity, gamma)
-        assert_matches_reference(result, expected, "degree_aware", adjacency.num_vertices)
+        check_against_reference("degree_aware", adjacency, capacity, gamma)
     # Capacity 1 never co-locates two endpoints: one pairwise-fallback
     # iteration (two residents) processes every edge.
     fallback = simulate_policy("degree_aware", path, 1)

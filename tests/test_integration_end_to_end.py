@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache import CachePolicyConfig, DegreeAwareCacheController
+from repro.cache import simulate_policy
 from repro.datasets import tiny_dataset
 from repro.graph import CSRGraph, Graph
 from repro.hw import AcceleratorConfig
@@ -48,12 +48,9 @@ class TestMappingMatchesReferenceModels:
         adjacency = graph.adjacency
         degrees = adjacency.degrees().astype(np.float64) + 1.0
         inv_sqrt = 1.0 / np.sqrt(degrees)
-        controller = DegreeAwareCacheController(
-            adjacency,
-            CachePolicyConfig(capacity_vertices=12, gamma=3),
-            bytes_per_vertex=64,
+        cache_result = simulate_policy(
+            "degree_aware", adjacency, 12, bytes_per_vertex=64, gamma=3
         )
-        cache_result = controller.run()
         assert cache_result.total_edges_processed == adjacency.num_edges // 2
 
         directed = adjacency.edge_array()

@@ -14,6 +14,7 @@ The two contracts that matter most:
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -327,6 +328,27 @@ class TestExecutorInstrumentation:
         GNNIESimulator(tracer=tracer).run(small_cora, "gat")
         for track in ("pid", "layer"):
             assert_valid_chrome_trace(chrome_trace_document(tracer.records, track=track))
+
+    def test_aggregation_spans_show_cache_simulation_memo_hits(self, small_cora):
+        """GCN's two layers aggregate over one adjacency: layer 0 runs the
+        cache simulation and layer 1 reuses it.  Each span says which, and
+        carries that simulation's Round, iteration and deadlock counts."""
+        graph = copy.deepcopy(small_cora)  # a fresh, empty pricing context
+        tracer = Tracer()
+        GNNIESimulator(tracer=tracer).run(graph, "gcn")
+        spans = sorted(
+            (record for record in tracer.records if record.name == "op:aggregation"),
+            key=lambda record: record.attrs["layer"],
+        )
+        (simulation,) = graph.pricing.cache_results.values()
+        assert simulation.num_iterations > 0
+        assert [span.attrs["cache_sim"] for span in spans] == ["run", "memo_hit"]
+        for span in spans:
+            assert (span.attrs["rounds"], span.attrs["iterations"], span.attrs["deadlocks"]) == (
+                simulation.num_rounds,
+                simulation.num_iterations,
+                simulation.deadlock_events,
+            )
 
     def test_cache_metrics_recorded_when_miss_path_enabled(self, small_cora):
         registry = MetricsRegistry()
