@@ -9,6 +9,13 @@ below γ, and fetches the next vertices of the stream.  When the stream is
 exhausted a *Round* ends; a new Round re-streams the still-unfinished
 vertices.  Every DRAM access is sequential.
 
+The walk reads each undirected edge once from the CSR's upper triangle.
+A Round fixes its fetch queue and lays out its remaining edges when it
+starts, grouped by the queue position of each edge's later endpoint, so
+every iteration decides one contiguous slice of edges and keeps at most
+``capacity`` resident ids in dictionary order (see
+:func:`degree_aware_walk` for why one slice per iteration is exact).
+
 :func:`~repro.cache.policies.simulate_policy` runs it, and the id-order
 baselines it is compared against, by name.
 """
@@ -24,7 +31,6 @@ from repro.graph.csr import CSRGraph
 __all__ = [
     "INDEX_BYTES",
     "MAX_ITERATIONS",
-    "UndirectedEdgeIndex",
     "degree_aware_walk",
     "stream_order",
     "vertex_record_bytes",
@@ -59,57 +65,28 @@ def stream_order(adjacency: CSRGraph) -> np.ndarray:
     return np.lexsort((vertex_ids, -adjacency.degrees())).astype(np.int64)
 
 
-class UndirectedEdgeIndex:
-    """Undirected edge list plus per-vertex incidence lists (CSR layout).
-
-    A pure function of the adjacency, so one index can be shared across
-    every cache simulation of a graph (the batch execution path builds it
-    once per graph via :mod:`repro.sim.batch` and passes it in).
-    """
-
-    def __init__(self, adjacency: CSRGraph) -> None:
-        directed = adjacency.edge_array()
-        mask = directed[:, 0] < directed[:, 1]
-        self.edges = directed[mask]
-        self.num_edges = int(self.edges.shape[0])
-        num_vertices = adjacency.num_vertices
-        endpoints = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        edge_ids = np.concatenate([np.arange(self.num_edges)] * 2)
-        order = np.argsort(endpoints, kind="stable")
-        self._sorted_edge_ids = edge_ids[order]
-        counts = np.bincount(endpoints, minlength=num_vertices)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self.degrees = counts.astype(np.int64)
-        self.num_vertices = int(num_vertices)
-
-    def incident_edges(self, vertices: np.ndarray) -> np.ndarray:
-        """Edge ids of every incidence slot of ``vertices``, slice by slice.
-
-        An edge joining two of ``vertices`` appears twice.  The ragged
-        gather is one flat index vector (the ``repeat``-of-starts plus
-        intra-slice ramp) instead of one array per vertex.
-        """
-        starts = self.indptr[vertices]
-        counts = self.indptr[vertices + 1] - starts
-        ends = counts.cumsum()
-        flat = np.arange(int(counts.sum()), dtype=np.int64)
-        flat += np.repeat(starts - (ends - counts), counts)
-        return self._sorted_edge_ids[flat]
-
-
 def degree_aware_walk(
     adjacency: CSRGraph,
     capacity_vertices: int,
     bytes_per_vertex: int,
     gamma: int,
     collect_trace: bool,
-    edge_index: UndirectedEdgeIndex | None,
 ) -> CacheSimulationResult:
     """Run Aggregation caching until every edge has been processed.
 
     ``r = max(1, capacity_vertices // 8)`` vertices are replaced per
-    iteration.  ``edge_index`` is an optional shared index of
-    ``adjacency``; buffer/γ sweeps of one graph build it once.
+    iteration.
+
+    Each Round lays out its remaining undirected edges once.  Every
+    resident was fetched from behind the stream cursor, and an edge still
+    unprocessed when the Round starts has α > 0 at both ends, so both ends
+    are in the Round's queue.  The edge cannot be ready before its *later*
+    endpoint (by queue position) is fetched; in that iteration it is ready
+    exactly when its *earlier* endpoint is still resident, and otherwise it
+    waits for a later Round.  So the Round groups its edges by the queue
+    position of their later endpoint, and the iteration that fetches
+    ``queue[lo:cursor]`` decides one contiguous slice of them: every edge
+    is examined once per Round and none needs a "processed" check.
 
     With ``collect_trace`` the eviction sequence is recorded so the
     miss-path hierarchy can evaluate victim-cache occupancy; the policy
@@ -120,13 +97,12 @@ def degree_aware_walk(
     Raises :class:`RuntimeError` rather than return a truncated result when
     the walk reaches :data:`MAX_ITERATIONS` with edges left.
     """
-    if edge_index is None:
-        edge_index = UndirectedEdgeIndex(adjacency)
     bytes_per_vertex = int(bytes_per_vertex)
+    num_vertices = adjacency.num_vertices
     order = stream_order(adjacency)
     recorder = (
         TraceRecorder(
-            num_vertices=adjacency.num_vertices,
+            num_vertices=num_vertices,
             bytes_per_vertex=bytes_per_vertex,
             policy="degree_aware",
             stream_order=order,
@@ -134,19 +110,19 @@ def degree_aware_walk(
         if collect_trace
         else None
     )
-    edges = edge_index.edges
-    num_edges = edge_index.num_edges
-    capacity = min(capacity_vertices, adjacency.num_vertices)
+    later, earlier = _undirected_edges(adjacency)
+    num_edges = int(later.size)
+    capacity = min(capacity_vertices, num_vertices)
     replacement = min(max(1, capacity_vertices // 8), capacity)
 
-    alpha = edge_index.degrees.copy()
-    processed = np.zeros(num_edges, dtype=bool)
-    resident = np.zeros(adjacency.num_vertices, dtype=bool)
+    alpha = np.bincount(np.concatenate([later, earlier]), minlength=num_vertices)
+    resident = np.zeros(num_vertices, dtype=bool)
+    position = np.zeros(num_vertices, dtype=np.int64)
     result = CacheSimulationResult()
     # The initial α distribution is the (power-law) degree distribution;
     # recording it first lets the Fig. 10 analysis show the flattening
     # relative to the starting point.
-    result.alpha_round_snapshots.append(alpha[alpha > 0].copy())
+    result.alpha_round_snapshots.append(alpha[alpha > 0])
     total_processed = 0
     #: (round, edges processed, max edges per vertex, residents) per
     #: iteration; the result's columns are built from it once, at the end.
@@ -155,15 +131,26 @@ def degree_aware_walk(
     while total_processed < num_edges:
         result.num_rounds += 1
         round_index = result.num_rounds
-        # Every resident was fetched from behind the cursor and an edge is
-        # processed only when both endpoints are resident, so a vertex ahead
-        # of the cursor keeps its α for the whole Round: the Round's fetches
-        # are successive slices of its unfinished vertices in stream order.
+        # A vertex ahead of the cursor keeps its α for the whole Round, so
+        # the Round's fetches are successive slices of its unfinished
+        # vertices in stream order, and its remaining edges are laid out
+        # once, grouped by the queue position of their later endpoint.
         queue = order[alpha[order] > 0]
-        resident[:] = False
-        newly = queue[:capacity]
-        cursor = resident_count = newly.size
-        resident[newly] = True
+        position[queue] = np.arange(queue.size)
+        first_pos, second_pos = position[later], position[earlier]
+        swap = first_pos < second_pos
+        later, earlier = np.where(swap, earlier, later), np.where(swap, later, earlier)
+        later_pos = np.maximum(first_pos, second_pos)
+        by_later = np.argsort(later_pos, kind="stable")
+        later, earlier = later[by_later], earlier[by_later]
+        edge_ptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(later_pos, minlength=queue.size))]
+        )
+        done = np.zeros(later.size, dtype=bool)
+        #: Resident vertex ids in ascending (dictionary) order.
+        residents = np.sort(queue[:capacity])
+        resident[residents] = True
+        lo, cursor = 0, residents.size
         round_progress = False
 
         while True:
@@ -172,58 +159,64 @@ def degree_aware_walk(
                     f"degree-aware walk reached MAX_ITERATIONS ({MAX_ITERATIONS}) "
                     f"with {num_edges - total_processed} of {num_edges} edges unprocessed"
                 )
-            candidates = edge_index.incident_edges(newly)
-            candidates = candidates[~processed[candidates]]
-            ends = edges[candidates]
-            # An edge joining two new vertices was gathered from both ends.
-            ready = np.unique(candidates[resident[ends[:, 0]] & resident[ends[:, 1]]])
-            edges_done = int(ready.size)
-            max_per_vertex = _consume(ready, edges, alpha, processed) if edges_done else 0
+            start, stop = edge_ptr[lo], edge_ptr[cursor]
+            ready = resident[earlier[start:stop]]
+            done[start:stop] = ready
+            edges_done = int(np.count_nonzero(ready))
+            max_per_vertex = 0
+            if edges_done:
+                max_per_vertex = _consume(
+                    np.concatenate([later[start:stop][ready], earlier[start:stop][ready]]),
+                    alpha,
+                )
             total_processed += edges_done
             round_progress = round_progress or edges_done > 0
 
             if cursor == queue.size:
-                log.append((round_index, edges_done, max_per_vertex, resident_count))
+                log.append((round_index, edges_done, max_per_vertex, residents.size))
                 break
-            evict_ids = _select_evictions(resident, alpha, replacement, gamma)
-            if evict_ids.size == 0:
+            resident_alpha = alpha[residents]
+            evict_at = _select_evictions(resident_alpha, replacement, gamma)
+            if evict_at.size == 0:
                 # Deadlock: no vertex satisfies α < γ.  The paper raises γ
                 # dynamically; equivalently we force-evict the residents with
-                # the fewest unprocessed edges.
+                # the fewest unprocessed edges (ties by id).
                 result.deadlock_events += 1
-                resident_ids = np.flatnonzero(resident)
-                fewest_first = np.argsort(alpha[resident_ids], kind="stable")
-                evict_ids = resident_ids[fewest_first[:replacement]]
+                keys = resident_alpha * np.int64(num_vertices) + residents
+                evict_at = np.argpartition(keys, replacement - 1)[:replacement]
+                evict_at = evict_at[np.argsort(keys[evict_at])]
+            evict_ids = residents[evict_at]
             resident[evict_ids] = False
             if recorder is not None:
                 recorder.evict_many(evict_ids)
-            unfinished_evicted = int(np.count_nonzero(alpha[evict_ids] > 0))
+            unfinished_evicted = int(np.count_nonzero(resident_alpha[evict_at]))
             result.alpha_writeback_bytes += unfinished_evicted * INDEX_BYTES
             # Each eviction frees a slot and the queue ahead is unfinished, so
             # the cursor advances every iteration and the Round ends.
-            newly = queue[cursor : cursor + evict_ids.size]
-            cursor += newly.size
+            lo, cursor = cursor, min(cursor + evict_at.size, queue.size)
+            newly = queue[lo:cursor]
             resident[newly] = True
-            resident_count += newly.size - evict_ids.size
-            log.append((round_index, edges_done, max_per_vertex, resident_count))
+            residents = np.sort(np.concatenate([np.delete(residents, evict_at), newly]))
+            log.append((round_index, edges_done, max_per_vertex, residents.size))
 
         # End of round: write back α for unfinished residents and snapshot
         # the α distribution (Fig. 10).
         result.vertex_fetches += cursor
-        unfinished_resident = int(np.count_nonzero(resident & (alpha > 0)))
+        unfinished_resident = int(np.count_nonzero(alpha[residents] > 0))
         result.alpha_writeback_bytes += unfinished_resident * INDEX_BYTES
-        result.alpha_round_snapshots.append(alpha[alpha > 0].copy())
+        resident[residents] = False
+        result.alpha_round_snapshots.append(alpha[alpha > 0])
+        later, earlier = later[~done], earlier[~done]
         if not round_progress:
             # No edge was processed in an entire round: the buffer is so
             # small that the streaming order never co-locates the endpoints
             # of the remaining edges.  Fall back to fetching the endpoints of
             # each remaining edge pairwise (still sequential DRAM reads of two
             # vertex records per edge) so Aggregation always completes.
-            remaining = np.flatnonzero(~processed)
-            most = _consume(remaining, edges, alpha, processed)
-            result.vertex_fetches += 2 * int(remaining.size)
-            log.append((round_index, int(remaining.size), most, 2))
-            total_processed += int(remaining.size)
+            most = _consume(np.concatenate([later, earlier]), alpha)
+            result.vertex_fetches += 2 * int(later.size)
+            log.append((round_index, int(later.size), most, 2))
+            total_processed += int(later.size)
             break
 
     result.sequential_fetch_bytes = result.vertex_fetches * bytes_per_vertex
@@ -234,21 +227,24 @@ def degree_aware_walk(
     return result
 
 
-def _consume(
-    edge_ids: np.ndarray, edges: np.ndarray, alpha: np.ndarray, processed: np.ndarray
-) -> int:
-    """Mark the distinct ``edge_ids`` processed and drop each endpoint's α by
-    its count of them; returns the most edges any one vertex took."""
-    processed[edge_ids] = True
-    vertices, counts = np.unique(edges[edge_ids], return_counts=True)
+def _undirected_edges(adjacency: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Each undirected edge once, as two endpoint arrays: the CSR's strict
+    upper triangle (self-loops carry no α)."""
+    rows = np.repeat(np.arange(adjacency.num_vertices, dtype=np.int64), adjacency.degrees())
+    upper = rows < adjacency.indices
+    return rows[upper], adjacency.indices[upper]
+
+
+def _consume(endpoints: np.ndarray, alpha: np.ndarray) -> int:
+    """Drop each vertex's α by its count in ``endpoints`` (both ends of every
+    edge processed together); returns the most edges any one vertex took."""
+    vertices, counts = np.unique(endpoints, return_counts=True)
     alpha[vertices] -= counts
     return int(counts.max())
 
 
-def _select_evictions(
-    resident: np.ndarray, alpha: np.ndarray, count: int, gamma: int
-) -> np.ndarray:
-    """Residents with α < γ: finished vertices first, then dictionary order.
+def _select_evictions(resident_alpha: np.ndarray, count: int, gamma: int) -> np.ndarray:
+    """Positions, among the id-ordered residents, of the vertices to evict.
 
     Fully processed vertices (α = 0) occupy buffer space uselessly and
     are always evicted first.  Among the remaining candidates (0 < α < γ)
@@ -256,14 +252,11 @@ def _select_evictions(
     order" — not by smallest α — which is why the choice of γ matters: a
     large γ evicts vertices that still have several unprocessed edges
     and must be refetched in a later Round (the Fig. 11 ablation).
+    Residents are kept in ascending id order, so ascending positions are
+    dictionary order.
     """
-    # flatnonzero yields ascending vertex ids and boolean selection
-    # preserves that order, so both slices are already in dictionary
-    # order — no sort needed.
-    resident_ids = np.flatnonzero(resident)
-    resident_alpha = alpha[resident_ids]
-    finished = resident_ids[resident_alpha == 0]
+    finished = np.flatnonzero(resident_alpha == 0)
     if finished.size >= count:
         return finished[:count]
-    candidates = resident_ids[(resident_alpha > 0) & (resident_alpha < gamma)]
+    candidates = np.flatnonzero((resident_alpha > 0) & (resident_alpha < gamma))
     return np.concatenate([finished, candidates[: count - finished.size]])

@@ -29,7 +29,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.cache.controller import UndirectedEdgeIndex, degree_aware_walk
+from repro.cache.controller import degree_aware_walk
 from repro.cache.policy import CacheSimulationResult
 from repro.cache.trace import TraceRecorder
 from repro.graph.csr import CSRGraph
@@ -51,15 +51,12 @@ def simulate_policy(
     bytes_per_vertex: int = 256,
     gamma: int = 5,
     collect_trace: bool = False,
-    edge_index: UndirectedEdgeIndex | None = None,
 ) -> CacheSimulationResult:
     """Simulate one named cache policy over Aggregation on ``adjacency``.
 
-    ``gamma`` and ``edge_index`` (a shared
-    :class:`~repro.cache.controller.UndirectedEdgeIndex` of ``adjacency``)
-    only matter to ``degree_aware``.  With ``collect_trace`` the
-    miss/eviction sequence is recorded on ``result.trace`` for the
-    miss-path hierarchy.
+    ``gamma`` only matters to ``degree_aware``, which reads its edge list
+    straight from ``adjacency``.  With ``collect_trace`` the miss/eviction
+    sequence is recorded on ``result.trace`` for the miss-path hierarchy.
     """
     if policy not in POLICY_NAMES:
         raise KeyError(f"unknown cache policy {policy!r}; known: {list(POLICY_NAMES)}")
@@ -69,7 +66,7 @@ def simulate_policy(
         raise ValueError("gamma must be non-negative")
     if policy == "degree_aware":
         return degree_aware_walk(
-            adjacency, capacity_vertices, bytes_per_vertex, gamma, collect_trace, edge_index
+            adjacency, capacity_vertices, bytes_per_vertex, gamma, collect_trace
         )
     return _id_order_walk(
         policy, adjacency, capacity_vertices, bytes_per_vertex, collect_trace

@@ -18,7 +18,20 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "sorted_unique"]
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values`` in ascending order, like ``np.unique(values)``.
+
+    One sort plus an adjacent-duplicate mask: ``np.unique`` without
+    ``return_*`` options may take a hash path that is far slower on large
+    int64 key arrays.
+    """
+    ordered = np.sort(values)
+    if ordered.size == 0:
+        return ordered
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
 @dataclass(frozen=True)
@@ -100,7 +113,7 @@ class CSRGraph:
             # each pair as src * V + dst (dst < V, so the key fits int64 for
             # V < sqrt(2^63)) makes unique-and-sort a scalar operation with
             # the exact same lexicographic (src, dst) result.
-            keys = np.unique(edge_array[:, 0] * np.int64(num_vertices) + edge_array[:, 1])
+            keys = sorted_unique(edge_array[:, 0] * np.int64(num_vertices) + edge_array[:, 1])
             src = keys // num_vertices
             dst = keys % num_vertices
         else:

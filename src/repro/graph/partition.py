@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, sorted_unique
 
 __all__ = ["GraphPartition", "PARTITION_METHODS", "partition_graph"]
 
@@ -150,7 +150,7 @@ def _cut_statistics(
     if cut_edges == 0:
         return 0, (0,) * num_parts
     # Distinct (owning part, remote vertex) pairs, counted per part.
-    keys = np.unique(
+    keys = sorted_unique(
         assignments[src_all[cross]] * np.int64(adjacency.num_vertices)
         + dst_all[cross]
     )

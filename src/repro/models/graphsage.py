@@ -47,27 +47,29 @@ class NeighborSampler:
         return self._pool[positions]
 
     def sample_edges(self, adjacency: CSRGraph, sample_size: int) -> np.ndarray:
-        """Sampled (source, destination) edge array with ≤ ``sample_size`` in-edges per vertex."""
+        """Sampled (source, destination) edge array with ≤ ``sample_size`` in-edges per vertex.
+
+        A neighborhood of at most ``sample_size`` vertices is kept whole.  A
+        larger one takes ``sample_size`` draws from the pool; over-full
+        neighborhoods consume the pool in vertex order.
+        """
         if sample_size <= 0:
             raise ValueError("sample_size must be positive")
-        sources = []
-        destinations = []
-        for vertex in range(adjacency.num_vertices):
-            neighbors = adjacency.neighbors(vertex)
-            if neighbors.size == 0:
-                continue
-            if neighbors.size <= sample_size:
-                chosen = neighbors
-            else:
-                draws = self._next(sample_size)
-                chosen = neighbors[(draws * neighbors.size).astype(np.int64)]
-            sources.append(chosen)
-            destinations.append(np.full(chosen.size, vertex, dtype=np.int64))
-        if not sources:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.stack(
-            [np.concatenate(sources), np.concatenate(destinations)], axis=1
-        )
+        degrees = adjacency.degrees()
+        counts = np.minimum(degrees, sample_size)
+        ends = np.cumsum(counts)
+        # Slot i of vertex v's output reads indices[indptr[v] + i] ...
+        gather = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+        gather += np.repeat(adjacency.indptr[:-1] - (ends - counts), counts)
+        # ... except in an over-full neighborhood, which reads its draws.
+        over = np.flatnonzero(degrees > sample_size)
+        draws = self._next(over.size * sample_size).reshape(over.size, sample_size)
+        slots = (ends[over] - sample_size)[:, None] + np.arange(sample_size)
+        gather[slots] = adjacency.indptr[over, None] + (
+            draws * degrees[over, None]
+        ).astype(np.int64)
+        destinations = np.repeat(np.arange(adjacency.num_vertices, dtype=np.int64), counts)
+        return np.stack([adjacency.indices[gather], destinations], axis=1)
 
 
 class GraphSAGELayer(GNNLayer):

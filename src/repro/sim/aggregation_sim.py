@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.controller import UndirectedEdgeIndex, vertex_record_bytes
+from repro.cache.controller import vertex_record_bytes
 from repro.cache.hierarchy import MissPathHierarchy
 from repro.cache.policies import simulate_policy
 from repro.cache.policy import CacheSimulationResult
@@ -56,7 +56,6 @@ def run_cache_simulation(
     feature_length: int,
     *,
     metrics=None,
-    edge_index: UndirectedEdgeIndex | None = None,
 ) -> CacheSimulationResult:
     """Run the caching policy selected by the configuration.
 
@@ -74,10 +73,8 @@ def run_cache_simulation(
     given, the hierarchy records its per-mechanism hit/miss/eviction
     counters into it (see :meth:`MissPathHierarchy.filter`).
 
-    ``edge_index`` is an optional pre-built
-    :class:`~repro.cache.controller.UndirectedEdgeIndex` of ``adjacency``
-    (a pure function of the graph); batch execution builds it once per
-    graph and shares it across the distinct buffer configurations.
+    The simulation needs nothing but ``adjacency``: the degree-aware walk
+    reads its undirected edges from the CSR's upper triangle on each call.
     """
     capacity, record_bytes = input_buffer_capacity(adjacency, config, feature_length)
     result = simulate_policy(
@@ -87,7 +84,6 @@ def run_cache_simulation(
         bytes_per_vertex=record_bytes,
         gamma=config.gamma,
         collect_trace=config.miss_path_enabled,
-        edge_index=edge_index,
     )
     if result.trace is not None:
         hierarchy = MissPathHierarchy.from_accelerator_config(config)

@@ -5,8 +5,8 @@ their :class:`~repro.hw.config.AcceleratorConfig`.  A
 :class:`GraphPricingContext` memoizes, per graph:
 
 * config-independent precompute: resolved adjacency handles (sampled
-  adjacencies), per-block nonzero counts, exact RLC sizes, undirected edge
-  indexes and multi-chip partitions;
+  adjacencies), per-block nonzero counts, exact RLC sizes and multi-chip
+  partitions;
 * cache-policy simulations and priced phases, under self-describing keys
   that :class:`~repro.sim.gnnie_executor.GNNIEExecutor` builds from the
   plan's adjacency handle plus every config knob and width the value
@@ -29,7 +29,6 @@ import weakref
 
 import numpy as np
 
-from repro.cache.controller import UndirectedEdgeIndex
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.models.graphsage import NeighborSampler
@@ -42,6 +41,12 @@ __all__ = ["GraphPricingContext", "pricing_context"]
 
 class GraphPricingContext:
     """Pricing memos for one dataset graph.
+
+    It holds the resolved adjacency handles, the input features' block
+    nonzero counts, nonzero count and RLC sizes, the cache-policy
+    simulations, the priced phases and the multi-chip partitions.  A cache
+    simulation reads nothing but its adjacency, so no per-graph index is
+    kept for it.
 
     Everything memoized here is deterministic given the graph content and
     the key (the neighbor sampler is seeded by the vertex count, exactly as
@@ -60,8 +65,6 @@ class GraphPricingContext:
         self._rlc_bits: dict[int, int] = {}
         #: Nonzero count of the input feature matrix (baseline workloads).
         self._input_nonzeros: int | None = None
-        #: Adjacency handle -> shared undirected edge index.
-        self._edge_indexes: dict[AdjacencyRef, UndirectedEdgeIndex] = {}
         #: Priced-phase memo.  Keys are self-describing tuples built by the
         #: executor from *every* config knob the phase depends on, so the
         #: memo stays a pure function of (graph, key); values are pristine
@@ -123,12 +126,6 @@ class GraphPricingContext:
                 graph.features, value_bits=value_bits
             )
         return self._rlc_bits[value_bits]
-
-    def edge_index(self, ref: AdjacencyRef) -> UndirectedEdgeIndex:
-        """Shared undirected edge index for the degree-aware cache policy."""
-        if ref not in self._edge_indexes:
-            self._edge_indexes[ref] = UndirectedEdgeIndex(self.adjacency(ref))
-        return self._edge_indexes[ref]
 
     def _require_graph(self) -> Graph:
         graph = self._graph_ref()

@@ -167,8 +167,8 @@ class GNNIEExecutor:
         cfg = (config or self.config).resolve_input_buffer(graph.name)
         tracer = self.tracer
         # Every memo (sampled adjacencies, block nonzero counts, RLC sizes,
-        # edge indexes, cache simulations, priced phases) lives on the
-        # graph's pricing context; see repro.sim.batch.
+        # cache simulations, priced phases) lives on the graph's pricing
+        # context; see repro.sim.batch.
         context = pricing_context(graph)
         priming = _priming_widths(plan)
         with tracer.span(
@@ -402,11 +402,8 @@ class GNNIEExecutor:
             # memo hits re-use the numbers without double-counting events.
             outcome = "run"
             self.metrics.counter("executor.cache_sim.runs").inc()
-            edge_index = (
-                context.edge_index(op.adjacency) if cfg.enable_degree_aware_caching else None
-            )
             cache_result = run_cache_simulation(
-                adjacency, cfg, priming_width, metrics=self.metrics, edge_index=edge_index
+                adjacency, cfg, priming_width, metrics=self.metrics
             )
             context.cache_results[sim_key] = cache_result
         span.set(
@@ -414,6 +411,9 @@ class GNNIEExecutor:
             rounds=cache_result.num_rounds,
             iterations=cache_result.num_iterations,
             deadlocks=cache_result.deadlock_events,
+            vertex_fetches=cache_result.vertex_fetches,
+            refetch=cache_result.vertex_fetches / max(1, adjacency.num_vertices),
+            alpha_writeback_bytes=cache_result.alpha_writeback_bytes,
         )
         # A phase is priced only after its simulation ran, so a priced-phase
         # hit is always a simulation memo hit too.

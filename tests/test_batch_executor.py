@@ -207,7 +207,6 @@ class TestCacheSimSharing:
         assert sampled is context.adjacency(AdjacencyRef("sampled", 5))
         assert sampled.num_vertices == graph.num_vertices
         assert sampled.max_degree() <= graph.adjacency.max_degree()
-        assert context.edge_index(FULL_ADJACENCY) is context.edge_index(FULL_ADJACENCY)
         with pytest.raises(KeyError, match="unknown adjacency handle"):
             context.adjacency(AdjacencyRef("coarsened"))
 

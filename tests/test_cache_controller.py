@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import controller, simulate_policy, vertex_record_bytes
-from repro.cache.controller import UndirectedEdgeIndex, stream_order
+from repro.cache.controller import stream_order
+from repro.datasets import build_dataset
 from repro.graph import CSRGraph, power_law_graph
+from repro.hw.config import AcceleratorConfig
+from repro.sim.aggregation_sim import input_buffer_capacity
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +149,77 @@ class TestDegreeAwareController:
         assert result.deadlock_events > 0
 
 
+@pytest.fixture(scope="module")
+def ppi_quarter():
+    return build_dataset("ppi", scale=0.25, seed=0).adjacency
+
+
+def _log_digest(result) -> str:
+    """sha256 of the four iteration columns and every α snapshot."""
+    digest = hashlib.sha256()
+    for column in (
+        result.round_index,
+        result.edges_processed,
+        result.max_edges_per_vertex,
+        result.resident_vertices,
+    ):
+        digest.update(column.astype(np.int64).tobytes())
+    for snapshot in result.alpha_round_snapshots:
+        digest.update(np.int64(snapshot.size).tobytes())
+        digest.update(snapshot.astype(np.int64).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    ("gamma", "rounds", "iterations", "deadlocks", "fetches", "writeback", "log_sha256",
+     "evictions_sha256"),
+    [
+        (0, 19, 1600, 776, 211_204, 787_872,
+         "57537115fa6b2d0d081b4cc3c22abf8349cd0d265f1b6f023152534806a75a07",
+         "3ae5dfeaf5f44990444685b3e05392a9a05ed26a3d0924a9f0001ca41c546b7d"),
+        (2, 19, 2073, 455, 211_985, 790_996,
+         "6896c65ecbc87b8aa2e397db2c979e66a95780e4a9779edce82943aab51780b3",
+         "87194e9cacd95b70a0dfdd05e2954e1289a5527dea21cc99cc6a501b4b335f50"),
+        (5, 14, 1169, 115, 228_351, 744_852,
+         "b68deb190f68942ff0f37b11c0ed7479c62f15e1a8433c58bd2c2ce080ebcdb4",
+         "d0785b32a2083928bd8377a4879da37b116e07db95a2321aafa1ea899152fdb4"),
+    ],
+    ids=("gamma0", "gamma2", "gamma5"),
+)
+def test_walk_pinned_at_ppi_quarter_scale(
+    ppi_quarter, gamma, rounds, iterations, deadlocks, fetches, writeback, log_sha256,
+    evictions_sha256,
+):
+    """The oracle stops at 100 vertices; this pins the walk on PPI at scale
+    0.25 (14,236 vertices, capacity 1,747 of 300-byte records at width 128).
+
+    Its r = 218 deadlock victims per iteration are enough for the order they
+    leave in, (α, id), to show in the eviction trace; the oracle's r ≤ 5
+    cannot tell a sorted pick from a partitioned one."""
+    capacity, record_bytes = input_buffer_capacity(ppi_quarter, AcceleratorConfig(), 128)
+    assert (ppi_quarter.num_vertices, capacity, record_bytes) == (14_236, 1_747, 300)
+    result = simulate_policy(
+        "degree_aware",
+        ppi_quarter,
+        capacity,
+        bytes_per_vertex=record_bytes,
+        gamma=gamma,
+        collect_trace=True,
+    )
+    assert result.total_edges_processed == ppi_quarter.num_edges // 2 == 292_891
+    assert (
+        result.num_rounds,
+        result.num_iterations,
+        result.deadlock_events,
+        result.vertex_fetches,
+        result.alpha_writeback_bytes,
+    ) == (rounds, iterations, deadlocks, fetches, writeback)
+    assert result.sequential_fetch_bytes == fetches * record_bytes
+    assert _log_digest(result) == log_sha256
+    evicted = result.trace.vertices.astype(np.int64)
+    assert hashlib.sha256(evicted.tobytes()).hexdigest() == evictions_sha256
+
+
 class TestVertexOrderBaseline:
     def test_counts_random_accesses(self, graph):
         result = vertex_order(graph, capacity_vertices=40)
@@ -228,45 +304,3 @@ def test_controller_completeness_property(num_vertices, num_edges, capacity, gam
     assert result.total_edges_processed == graph.num_edges // 2
     if result.alpha_round_snapshots:
         assert result.alpha_round_snapshots[-1].size == 0 or result.num_rounds >= 1
-
-
-class TestIncidentEdgesVectorization:
-    """Micro-assertion: the flat gather of incident_edges holds exactly the
-    per-vertex incidence slices, an edge between two queried vertices once
-    per endpoint (compared sorted)."""
-
-    @staticmethod
-    def _reference_incident_edges(index, vertices):
-        pieces = [
-            index._sorted_edge_ids[index.indptr[v] : index.indptr[v + 1]]
-            for v in vertices
-        ]
-        return np.sort(np.concatenate([np.empty(0, dtype=np.int64), *pieces]))
-
-    def test_matches_reference_implementation(self, graph):
-        index = UndirectedEdgeIndex(graph)
-        rng = np.random.default_rng(5)
-        queries = [
-            np.empty(0, dtype=np.int64),
-            np.array([0], dtype=np.int64),
-            np.arange(graph.num_vertices, dtype=np.int64),
-            rng.choice(graph.num_vertices, size=37, replace=False).astype(np.int64),
-            rng.choice(graph.num_vertices, size=200, replace=False).astype(np.int64),
-        ]
-        for vertices in queries:
-            np.testing.assert_array_equal(
-                np.sort(index.incident_edges(vertices)),
-                self._reference_incident_edges(index, vertices),
-            )
-
-    def test_isolated_vertices_yield_no_edges(self):
-        # Vertex 3 has no incident edges at all.
-        adjacency = CSRGraph.from_edge_list(
-            [(0, 1), (1, 2)], num_vertices=4, symmetric=True
-        )
-        index = UndirectedEdgeIndex(adjacency)
-        assert index.incident_edges(np.array([3], dtype=np.int64)).size == 0
-        assert index.incident_edges(np.array([1, 3], dtype=np.int64)).size == 2
-        # Edge (1, 2) joins two queried vertices, so it is listed twice.
-        both = index.incident_edges(np.array([1, 2, 3], dtype=np.int64))
-        assert np.sort(both).tolist() == [0, 1, 1]

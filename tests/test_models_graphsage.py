@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, power_law_graph
 from repro.models import GraphSAGELayer, NeighborSampler
@@ -49,6 +51,50 @@ class TestNeighborSampler:
             NeighborSampler(pool_size=0)
         with pytest.raises(ValueError):
             NeighborSampler().sample_edges(graph, 0)
+
+
+def reference_sample_edges(sampler, adjacency, sample_size):
+    """The sampler one vertex at a time: whole small neighborhoods, and
+    ``sample_size`` pool draws per over-full one, in vertex order."""
+    sources, destinations = [], []
+    for vertex in range(adjacency.num_vertices):
+        neighbors = adjacency.neighbors(vertex)
+        if neighbors.size <= sample_size:
+            chosen = neighbors
+        else:
+            draws = sampler._next(sample_size)
+            chosen = neighbors[(draws * neighbors.size).astype(np.int64)]
+        sources.extend(chosen.tolist())
+        destinations.extend([vertex] * chosen.size)
+    return np.array([sources, destinations], dtype=np.int64).T.reshape(-1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_vertices=st.integers(min_value=1, max_value=40),
+    num_edges=st.integers(min_value=0, max_value=160),
+    sample_size=st.integers(min_value=1, max_value=45),
+    pool_size=st.integers(min_value=1, max_value=17),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+def test_sample_edges_matches_per_vertex_reference(
+    num_vertices, num_edges, sample_size, pool_size, seed
+):
+    """The vectorized sampler returns the per-vertex loop's edges and leaves
+    the pool cursor where the loop does, over two consecutive calls (a small
+    pool makes the draws wrap; sample sizes reach past the maximum degree)."""
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(num_vertices, size=(num_edges, 2))
+    graph = CSRGraph.from_edge_list(edges, num_vertices=num_vertices, symmetric=True)
+    fast = NeighborSampler(pool_size=pool_size, seed=seed)
+    slow = NeighborSampler(pool_size=pool_size, seed=seed)
+    for _ in range(2):
+        sampled = fast.sample_edges(graph, sample_size)
+        assert sampled.dtype == np.int64 and sampled.shape[1] == 2
+        np.testing.assert_array_equal(
+            sampled, reference_sample_edges(slow, graph, sample_size)
+        )
+        assert fast._cursor == slow._cursor
 
 
 class TestGraphSAGELayer:

@@ -332,7 +332,8 @@ class TestExecutorInstrumentation:
     def test_aggregation_spans_show_cache_simulation_memo_hits(self, small_cora):
         """GCN's two layers aggregate over one adjacency: layer 0 runs the
         cache simulation and layer 1 reuses it.  Each span says which, and
-        carries that simulation's Round, iteration and deadlock counts."""
+        carries that simulation's Round, iteration, deadlock and vertex-fetch
+        counts, its refetch factor and its α-writeback bytes."""
         graph = copy.deepcopy(small_cora)  # a fresh, empty pricing context
         tracer = Tracer()
         GNNIESimulator(tracer=tracer).run(graph, "gcn")
@@ -349,6 +350,10 @@ class TestExecutorInstrumentation:
                 simulation.num_iterations,
                 simulation.deadlock_events,
             )
+            assert span.attrs["vertex_fetches"] == simulation.vertex_fetches
+            assert span.attrs["refetch"] == simulation.vertex_fetches / graph.num_vertices
+            assert span.attrs["refetch"] >= 1.0
+            assert span.attrs["alpha_writeback_bytes"] == simulation.alpha_writeback_bytes
 
     def test_cache_metrics_recorded_when_miss_path_enabled(self, small_cora):
         registry = MetricsRegistry()
