@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.hw.config import AcceleratorConfig, design_preset
-from repro.mapping.binning import baseline_assignment, flexible_mac_assignment
+from repro.mapping.binning import BlockProfile, baseline_assignment, flexible_mac_assignment
 from repro.mapping.load_redistribution import redistribute_load
 from repro.sparse.feature_matrix import block_nonzero_counts
 
@@ -74,11 +74,11 @@ def weighting_row_profile(
     """Compute the Fig. 16 per-row cycle profile for one dataset."""
     cfg = config or AcceleratorConfig()
     block_size = -(-graph.feature_length // cfg.num_rows)
-    blocks = block_nonzero_counts(graph.features, block_size)
+    profile = BlockProfile.from_counts(block_nonzero_counts(graph.features, block_size))
     # The baseline design uses 4 MACs/CPE uniformly (Design A).
     baseline_cfg = design_preset("A")
-    baseline = baseline_assignment(blocks, baseline_cfg)
-    fm = flexible_mac_assignment(blocks, cfg)
+    baseline = baseline_assignment(profile, baseline_cfg)
+    fm = flexible_mac_assignment(profile, cfg)
     lr = redistribute_load(fm.row_cycles)
     return RowWorkloadProfile(
         dataset=graph.name,
@@ -106,8 +106,8 @@ def design_beta_study(graph: Graph, designs: tuple[str, ...] = ("B", "C", "D", "
     """
     baseline_cfg = design_preset("A")
     block_size = -(-graph.feature_length // baseline_cfg.num_rows)
-    blocks = block_nonzero_counts(graph.features, block_size)
-    baseline = baseline_assignment(blocks, baseline_cfg)
+    profile = BlockProfile.from_counts(block_nonzero_counts(graph.features, block_size))
+    baseline = baseline_assignment(profile, baseline_cfg)
     baseline_cycles = baseline.max_cycles
     baseline_macs = baseline_cfg.total_macs
 
@@ -115,9 +115,9 @@ def design_beta_study(graph: Graph, designs: tuple[str, ...] = ("B", "C", "D", "
     for name in designs:
         cfg = design_preset(name)
         if cfg.enable_flexible_mac:
-            assignment = flexible_mac_assignment(blocks, cfg)
+            assignment = flexible_mac_assignment(profile, cfg)
         else:
-            assignment = baseline_assignment(blocks, cfg)
+            assignment = baseline_assignment(profile, cfg)
         betas[name] = beta_metric(
             baseline_cycles, assignment.max_cycles, baseline_macs, cfg.total_macs
         )

@@ -12,12 +12,18 @@ from repro.mapping.dataflow import (
     compare_dataflow_orders,
     preferred_dataflow,
 )
-from repro.mapping.binning import BlockAssignment, baseline_assignment, flexible_mac_assignment
+from repro.mapping.binning import (
+    BlockAssignment,
+    BlockProfile,
+    baseline_assignment,
+    flexible_mac_assignment,
+)
 from repro.mapping.load_redistribution import LoadRedistributionResult, redistribute_load
 from repro.mapping.weighting import WeightingSchedule, schedule_weighting, weighting_functional
 
 __all__ = [
     "BlockAssignment",
+    "BlockProfile",
     "baseline_assignment",
     "flexible_mac_assignment",
     "LoadRedistributionResult",

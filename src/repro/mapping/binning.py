@@ -9,11 +9,16 @@ bin of densest blocks is served by the row group with the most MACs.
 
 This module implements
 
+* :class:`BlockProfile` — everything a Weighting schedule reads from the
+  ``(V, ceil(F / k))`` block nonzero-count matrix: the vertex count, the
+  nonzero sum at each block position and the histogram of per-block
+  nonzero counts,
 * :func:`baseline_assignment` — the position-based mapping (block ``i`` of
   every vertex goes to CPE row ``i``) used by Design A, which exhibits the
   imbalance shown in Fig. 16,
 * :func:`flexible_mac_assignment` — nonzero-count binning with bins assigned
   to row groups in MAC order, and round-robin distribution within a group,
+  computed as the paper's counting sort over the profile's histogram,
 * the shared :class:`BlockAssignment` result type consumed by the Weighting
   cycle model and by the Fig. 16/17 benchmarks.
 """
@@ -26,7 +31,75 @@ import numpy as np
 
 from repro.hw.config import AcceleratorConfig
 
-__all__ = ["BlockAssignment", "baseline_assignment", "flexible_mac_assignment"]
+__all__ = ["BlockAssignment", "BlockProfile", "baseline_assignment", "flexible_mac_assignment"]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True)
+class BlockProfile:
+    """What the Weighting schedule reads from a block nonzero-count matrix.
+
+    The position-based baseline needs only the nonzero sum at each block
+    position, and Flexible-MAC binning depends only on the multiset of
+    per-block counts, so a ``(V, B)`` matrix reduces to ``B`` sums and a
+    histogram of at most ``k + 1`` bins.  The arrays are read-only:
+    profiles are memoized per graph and shared across configs.
+
+    Attributes:
+        num_vertices: V, the rows of the summarized matrix.
+        position_nonzeros: ``(B,)`` nonzeros summed over vertices at each
+            block position.
+        histogram: ``histogram[c]`` is the number of blocks holding exactly
+            ``c`` nonzeros; it sums to ``V * B``.
+    """
+
+    num_vertices: int
+    position_nonzeros: np.ndarray
+    histogram: np.ndarray
+
+    @classmethod
+    def from_counts(cls, block_nonzeros: np.ndarray) -> BlockProfile:
+        """Profile of a ``(num_vertices, num_blocks)`` nonzero-count matrix."""
+        blocks = np.asarray(block_nonzeros, dtype=np.int64)
+        if blocks.ndim != 2:
+            raise ValueError("block_nonzeros must be (num_vertices, num_blocks)")
+        return cls(
+            num_vertices=int(blocks.shape[0]),
+            position_nonzeros=_frozen(blocks.sum(axis=0)),
+            histogram=_frozen(np.bincount(blocks.ravel())),
+        )
+
+    @classmethod
+    def uniform(cls, num_vertices: int, num_blocks: int, per_block: int) -> BlockProfile:
+        """Every one of the ``num_vertices * num_blocks`` blocks holds ``per_block``."""
+        histogram = np.zeros(per_block + 1, dtype=np.int64)
+        histogram[per_block] = num_vertices * num_blocks
+        return cls(
+            num_vertices=num_vertices,
+            position_nonzeros=_frozen(
+                np.full(num_blocks, num_vertices * per_block, dtype=np.int64)
+            ),
+            histogram=_frozen(histogram),
+        )
+
+    @property
+    def num_blocks(self) -> int:
+        """B, the block positions of one feature vector."""
+        return int(self.position_nonzeros.size)
+
+    @property
+    def total_nonzeros(self) -> int:
+        return int(self.position_nonzeros.sum())
+
+    @property
+    def max_count(self) -> int:
+        """Largest nonzero count of any block (0 when there are no blocks)."""
+        occupied = np.flatnonzero(self.histogram)
+        return int(occupied[-1]) if occupied.size else 0
 
 
 @dataclass(frozen=True)
@@ -82,19 +155,14 @@ def _row_cycles(nonzeros: np.ndarray, macs_per_row: tuple[int, ...]) -> np.ndarr
     return -(-nonzeros // macs)
 
 
-def baseline_assignment(
-    block_nonzeros: np.ndarray, config: AcceleratorConfig
-) -> BlockAssignment:
+def baseline_assignment(profile: BlockProfile, config: AcceleratorConfig) -> BlockAssignment:
     """Position-based mapping: block ``b`` of every vertex goes to row ``b``.
 
     If the feature vector has fewer blocks than the array has rows, the
     remaining rows receive no work (they idle); this is exactly the source of
     imbalance the FM architecture removes.
     """
-    block_nonzeros = np.asarray(block_nonzeros, dtype=np.int64)
-    if block_nonzeros.ndim != 2:
-        raise ValueError("block_nonzeros must be (num_vertices, num_blocks)")
-    num_vertices, num_blocks = block_nonzeros.shape
+    num_blocks = profile.num_blocks
     if num_blocks > config.num_rows:
         raise ValueError(
             f"{num_blocks} blocks exceed the {config.num_rows} CPE rows; "
@@ -102,8 +170,8 @@ def baseline_assignment(
         )
     nonzeros = np.zeros(config.num_rows, dtype=np.int64)
     counts = np.zeros(config.num_rows, dtype=np.int64)
-    nonzeros[:num_blocks] = block_nonzeros.sum(axis=0)
-    counts[:num_blocks] = num_vertices
+    nonzeros[:num_blocks] = profile.position_nonzeros
+    counts[:num_blocks] = profile.num_vertices
     return BlockAssignment(
         row_nonzeros=nonzeros,
         row_cycles=_row_cycles(nonzeros, config.macs_per_row),
@@ -114,7 +182,7 @@ def baseline_assignment(
 
 
 def flexible_mac_assignment(
-    block_nonzeros: np.ndarray, config: AcceleratorConfig
+    profile: BlockProfile, config: AcceleratorConfig
 ) -> BlockAssignment:
     """Bin blocks by nonzero count and assign bins to MAC-ordered row groups.
 
@@ -125,47 +193,58 @@ def flexible_mac_assignment(
     heaviest to the group with the most, and blocks are dealt round-robin to
     the rows of their group.  Any residual per-row skew left by the binning
     granularity is what Load Redistribution subsequently removes.
+
+    The sorted order is never materialized.  It is a sequence of runs, one
+    per occupied histogram bin, so the bin boundaries and each row's share
+    of every run follow by integer arithmetic in O(distinct counts × rows).
     """
-    block_nonzeros = np.asarray(block_nonzeros, dtype=np.int64)
-    if block_nonzeros.ndim != 2:
-        raise ValueError("block_nonzeros must be (num_vertices, num_blocks)")
-    flat = block_nonzeros.ravel()
-    rows_per_group = config.rows_per_group
-    group_macs = np.asarray(
-        [macs * rows for macs, rows in zip(config.macs_per_group, rows_per_group)],
-        dtype=np.float64,
-    )
+    counts = np.flatnonzero(profile.histogram)  # run values, ascending
+    run_blocks = profile.histogram[counts]
+    run_end = np.cumsum(run_blocks)  # sorted position just past each run
+    run_start = run_end - run_blocks
+    work_end = np.cumsum(run_blocks * counts)  # cumulative work through each run
+    num_sorted = int(run_end[-1]) if run_end.size else 0
+    total_work = float(work_end[-1]) if work_end.size else 0.0
 
-    # Sort ascending by nonzero count (light blocks first).
-    order = np.argsort(flat, kind="stable")
-    sorted_nonzeros = flat[order]
-    cumulative_work = np.cumsum(sorted_nonzeros.astype(np.float64))
-    total_work = float(cumulative_work[-1]) if cumulative_work.size else 0.0
-    capacity_fraction = group_macs / group_macs.sum()
-    targets = np.cumsum(capacity_fraction)[:-1] * total_work
-    boundaries = np.concatenate(
-        [[0], np.searchsorted(cumulative_work, targets, side="left"), [flat.size]]
-    ).astype(np.int64)
-    boundaries = np.maximum.accumulate(boundaries)
+    rows_array = np.asarray(config.rows_per_group, dtype=np.int64)
+    group_macs = np.asarray(config.macs_per_group, dtype=np.float64) * rows_array
+    targets = np.cumsum(group_macs / group_macs.sum())[:-1] * total_work
 
-    # Round-robin deal of the (sorted) blocks across each group's rows,
-    # expressed as one gather: block ``i`` of group ``g`` lands on row
-    # ``row_start[g] + (i - boundaries[g]) % rows_per_group[g]``.
-    rows_array = np.asarray(rows_per_group, dtype=np.int64)
-    row_start = np.concatenate([[0], np.cumsum(rows_array)])[:-1]
-    indices = np.arange(flat.size, dtype=np.int64)
-    group_of_block = np.searchsorted(boundaries, indices, side="right") - 1
-    row_of_block = row_start[group_of_block] + (
-        indices - boundaries[group_of_block]
-    ) % rows_array[group_of_block]
+    # A bin ends at the first sorted position whose cumulative work reaches
+    # its target.  Cumulative work is an integer, so it reaches the float
+    # target exactly when it reaches ceil(target).  Inside the first run
+    # whose end reaches it, that takes ceil((need - work before the run) /
+    # count) blocks, at least one: a run of empty blocks is reached only by
+    # a zero target.
+    need = np.ceil(targets).astype(np.int64)
+    run = np.searchsorted(work_end, need, side="left")
+    ends = np.full(need.size, num_sorted, dtype=np.int64)
+    found = run < counts.size
+    hit = run[found]
+    work_before = work_end[hit] - run_blocks[hit] * counts[hit]
+    taken = np.maximum(1, -(-(need[found] - work_before) // np.maximum(counts[hit], 1)))
+    ends[found] = run_start[hit] + taken - 1
+    boundaries = np.maximum.accumulate(np.concatenate([[0], ends, [num_sorted]]))
 
-    nonzeros = np.zeros(config.num_rows, dtype=np.int64)
-    np.add.at(nonzeros, row_of_block, sorted_nonzeros)
-    counts = np.bincount(row_of_block, minlength=config.num_rows).astype(np.int64)
+    # Group ``g`` deals sorted blocks ``[boundaries[g], boundaries[g + 1])``
+    # round-robin over its ``R`` rows: of the group's first ``x`` blocks,
+    # local row ``r`` receives ``x // R + (r < x % R)``.
+    group_of_row = np.repeat(np.arange(rows_array.size), rows_array)
+    group_rows = rows_array[group_of_row]
+    local_row = np.arange(config.num_rows) - (np.cumsum(rows_array) - rows_array)[group_of_row]
+    start = boundaries[:-1][group_of_row]
+    stop = boundaries[1:][group_of_row]
+
+    def dealt(position: np.ndarray) -> np.ndarray:
+        """Blocks before sorted ``position`` that each row's group deals it."""
+        first = np.clip(position, start, stop) - start
+        return first // group_rows + (local_row < first % group_rows)
+
+    nonzeros = counts @ (dealt(run_end[:, None]) - dealt(run_start[:, None]))
     return BlockAssignment(
         row_nonzeros=nonzeros,
         row_cycles=_row_cycles(nonzeros, config.macs_per_row),
-        row_block_counts=counts,
+        row_block_counts=dealt(stop),
         policy="flexible_mac",
-        preprocessing_operations=int(flat.size),
+        preprocessing_operations=num_sorted,
     )

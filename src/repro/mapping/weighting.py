@@ -15,7 +15,9 @@ the dense weight matrix ``W^l`` under a weight-stationary dataflow:
   level the per-row load.
 
 :func:`schedule_weighting` builds the static schedule (block size, passes,
-per-row assignment under the configured policy), and
+per-row assignment under the configured policy) from the input's
+:class:`~repro.mapping.binning.BlockProfile`, which it reduces a feature
+matrix to when it is given one, and
 :func:`weighting_functional` carries out the same blocked computation
 numerically so tests can confirm the mapping is exact (every nonzero touched
 exactly once, result equal to the dense GEMM).
@@ -28,7 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hw.config import AcceleratorConfig
-from repro.mapping.binning import BlockAssignment, baseline_assignment, flexible_mac_assignment
+from repro.mapping.binning import (
+    BlockAssignment,
+    BlockProfile,
+    baseline_assignment,
+    flexible_mac_assignment,
+)
 from repro.mapping.load_redistribution import LoadRedistributionResult, redistribute_load
 from repro.sparse.feature_matrix import block_nonzero_counts
 
@@ -88,58 +95,59 @@ def schedule_weighting(
     out_features: int,
     config: AcceleratorConfig,
     *,
-    block_nonzeros: np.ndarray | None = None,
+    profile: BlockProfile | None = None,
     in_features: int | None = None,
 ) -> WeightingSchedule:
     """Build the Weighting schedule for a feature matrix and output width.
 
     Args:
         features: ``(V, F_in)`` input feature matrix of the layer (only its
-            nonzero structure matters).  May be ``None`` when a precomputed
-            ``block_nonzeros`` (plus ``in_features``) is supplied instead.
+            nonzero structure matters).  May be ``None`` when a ``profile``
+            (plus ``in_features``) is supplied instead.
         out_features: F_out, the number of weight-matrix columns.
         config: Accelerator configuration (array shape, MAC allocation,
             policy flags).
-        block_nonzeros: Optional precomputed ``(V, num_blocks)`` nonzero
-            counts (used by the simulator for later layers whose features
-            are modeled statistically rather than materialized).
-        in_features: F_in; required when ``block_nonzeros`` is given.
+        profile: Optional :class:`~repro.mapping.binning.BlockProfile` of the
+            layer's input at block size ``k = ceil(F_in / num_rows)`` (the
+            simulator memoizes the input layer's and builds one-bin profiles
+            for later layers, whose features are modeled statistically).
+        in_features: F_in; required when ``profile`` is given.  A profile
+            whose block count is not ``ceil(F_in / k)``, or whose largest
+            block count exceeds ``k``, is rejected.
     """
     if out_features <= 0:
         raise ValueError("out_features must be positive")
-    if block_nonzeros is None:
+    if profile is None:
         if features is None:
-            raise ValueError("either features or block_nonzeros must be provided")
+            raise ValueError("either features or profile must be provided")
         features = np.asarray(features)
         if features.ndim != 2:
             raise ValueError("features must be (V, F_in)")
         in_features = features.shape[1]
         block_size = -(-in_features // config.num_rows)
-        blocks = block_nonzero_counts(features, block_size)
+        profile = BlockProfile.from_counts(block_nonzero_counts(features, block_size))
     else:
-        if in_features is None:
-            raise ValueError("in_features is required when block_nonzeros is supplied")
-        blocks = np.asarray(block_nonzeros, dtype=np.int64)
-        if blocks.ndim != 2:
-            raise ValueError("block_nonzeros must be (V, num_blocks)")
+        if in_features is None or in_features <= 0:
+            raise ValueError("a positive in_features is required with a profile")
         block_size = -(-in_features // config.num_rows)
-    num_blocks = blocks.shape[1]
+        num_blocks = -(-in_features // block_size)
+        if profile.num_blocks != num_blocks or profile.max_count > block_size:
+            raise ValueError(
+                f"profile of {profile.num_blocks} blocks of at most {profile.max_count} "
+                f"nonzeros contradicts F_in={in_features}: {num_blocks} blocks of "
+                f"at most k={block_size}"
+            )
     num_passes = -(-out_features // config.num_cols)
 
-    baseline = baseline_assignment(blocks, config)
-    if config.enable_flexible_mac:
-        assignment = flexible_mac_assignment(blocks, config)
-    else:
-        assignment = baseline
-
+    baseline = baseline_assignment(profile, config)
+    priced = profile
     if not config.enable_zero_skipping:
-        # A non-skipping engine pays for every element of every block, so the
-        # per-row cycle counts are recomputed with fully dense blocks.
-        dense_blocks = np.full_like(blocks, fill_value=block_size)
-        if config.enable_flexible_mac:
-            assignment = flexible_mac_assignment(dense_blocks, config)
-        else:
-            assignment = baseline_assignment(dense_blocks, config)
+        # A non-skipping engine pays for every element of every block.
+        priced = BlockProfile.uniform(profile.num_vertices, profile.num_blocks, block_size)
+    if config.enable_flexible_mac:
+        assignment = flexible_mac_assignment(priced, config)
+    else:
+        assignment = baseline_assignment(priced, config)
 
     load_redistribution = None
     row_cycles = assignment.row_cycles
@@ -147,17 +155,16 @@ def schedule_weighting(
         load_redistribution = redistribute_load(row_cycles)
         row_cycles = load_redistribution.cycles_after
 
-    total_nonzeros = int(blocks.sum())
-    total_dense = int(blocks.shape[0] * blocks.shape[1] * block_size)
+    total_dense = profile.num_vertices * profile.num_blocks * block_size
     return WeightingSchedule(
         block_size=int(block_size),
-        num_blocks=int(num_blocks),
+        num_blocks=profile.num_blocks,
         num_passes=int(num_passes),
         assignment=assignment,
         baseline=baseline,
         load_redistribution=load_redistribution,
         row_cycles_per_pass=np.asarray(row_cycles, dtype=np.int64),
-        total_nonzero_macs=total_nonzeros * out_features,
+        total_nonzero_macs=profile.total_nonzeros * out_features,
         total_dense_macs=total_dense * out_features,
     )
 

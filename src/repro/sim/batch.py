@@ -5,8 +5,9 @@ their :class:`~repro.hw.config.AcceleratorConfig`.  A
 :class:`GraphPricingContext` memoizes, per graph:
 
 * config-independent precompute: resolved adjacency handles (sampled
-  adjacencies), per-block nonzero counts, exact RLC sizes and multi-chip
-  partitions;
+  adjacencies), the input features' block profiles (per-position nonzero
+  sums and the histogram of per-block nonzero counts), exact RLC sizes and
+  multi-chip partitions;
 * cache-policy simulations and priced phases, under self-describing keys
   that :class:`~repro.sim.gnnie_executor.GNNIEExecutor` builds from the
   plan's adjacency handle plus every config knob and width the value
@@ -31,6 +32,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
+from repro.mapping.binning import BlockProfile
 from repro.models.graphsage import NeighborSampler
 from repro.plan.ir import AdjacencyRef
 from repro.sparse.feature_matrix import block_nonzero_counts
@@ -43,7 +45,7 @@ class GraphPricingContext:
     """Pricing memos for one dataset graph.
 
     It holds the resolved adjacency handles, the input features' block
-    nonzero counts, nonzero count and RLC sizes, the cache-policy
+    profiles, nonzero count and RLC sizes, the cache-policy
     simulations, the priced phases and the multi-chip partitions.  A cache
     simulation reads nothing but its adjacency, so no per-graph index is
     kept for it.
@@ -59,8 +61,8 @@ class GraphPricingContext:
         self._graph_ref = weakref.ref(graph)
         #: sample_size -> sampled CSR adjacency (GraphSAGE plans).
         self._sampled: dict[int, CSRGraph] = {}
-        #: block_size -> (V, num_blocks) nonzero counts of the input features.
-        self._blocks: dict[int, np.ndarray] = {}
+        #: block_size -> block profile of the input features.
+        self._profiles: dict[int, BlockProfile] = {}
         #: value_bits -> exact RLC-compressed size of the input features.
         self._rlc_bits: dict[int, int] = {}
         #: Nonzero count of the input feature matrix (baseline workloads).
@@ -104,12 +106,14 @@ class GraphPricingContext:
             )
         return self._sampled[sample_size]
 
-    def input_blocks(self, block_size: int) -> np.ndarray:
-        """Per-(vertex, block) nonzero counts of the input feature matrix."""
-        if block_size not in self._blocks:
+    def input_profile(self, block_size: int) -> BlockProfile:
+        """Block profile of the input feature matrix at ``block_size``."""
+        if block_size not in self._profiles:
             graph = self._require_graph()
-            self._blocks[block_size] = block_nonzero_counts(graph.features, block_size)
-        return self._blocks[block_size]
+            self._profiles[block_size] = BlockProfile.from_counts(
+                block_nonzero_counts(graph.features, block_size)
+            )
+        return self._profiles[block_size]
 
     def input_nonzeros(self) -> int:
         """Nonzero count of the input feature matrix."""

@@ -40,6 +40,7 @@ from repro.graph.graph import Graph
 from repro.hw.config import SFU_COLUMNS, AcceleratorConfig
 from repro.hw.energy import AreaModel, EnergyBreakdown, EnergyModel
 from repro.mapping.attention import schedule_attention
+from repro.mapping.binning import BlockProfile
 from repro.mapping.weighting import schedule_weighting
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -261,7 +262,7 @@ class GNNIEExecutor:
                 span.set(cycles=0)
             elif isinstance(op, WeightingOp):
                 with tracer.span("op:weighting", category="op", layer=stage.index) as span:
-                    phase = self._weighting_phase(op, graph, cfg, context)
+                    phase = self._weighting_phase(op, graph, cfg, context, span)
                 weighting = accumulate(weighting, phase)
                 note(span, "weighting", phase)
             elif isinstance(op, AttentionOp):
@@ -317,6 +318,7 @@ class GNNIEExecutor:
         graph: Graph,
         cfg: AcceleratorConfig,
         context: GraphPricingContext,
+        span,
     ) -> PhaseResult:
         exact_input = op.is_input_layer and op.in_features == graph.feature_length
         density = HIDDEN_DENSITY if op.density is None else op.density
@@ -333,31 +335,28 @@ class GNNIEExecutor:
             _weighting_knobs(cfg),
         )
         cached = context.phase_memo.get(key)
+        span.set(phase_memo="run" if cached is None else "memo_hit")
         if cached is not None:
             return replace(cached)
         block_size = -(-op.in_features // cfg.num_rows)
         if exact_input:
             # The input layer prices the dataset's actual sparse features:
-            # per-block nonzero counts and the exact RLC-compressed size are
-            # pure functions of (graph, block size | value width), shared
-            # across configs via the pricing context.
-            block_nonzeros = context.input_blocks(block_size)
+            # the block profile and the exact RLC-compressed size are pure
+            # functions of (graph, block size | value width), shared across
+            # configs via the pricing context.
+            profile = context.input_profile(block_size)
             input_bits = context.input_rlc_bits(8 * cfg.bytes_per_value)
         else:
             # Later layers: statistical block nonzeros at the modeled density,
             # and dense traffic (the RLC decoder is bypassed after layer 1).
-            num_blocks = -(-op.in_features // block_size)
-            per_block = int(round(density * block_size))
-            block_nonzeros = np.full(
-                (graph.num_vertices, num_blocks), per_block, dtype=np.int64
+            profile = BlockProfile.uniform(
+                graph.num_vertices,
+                -(-op.in_features // block_size),
+                int(round(density * block_size)),
             )
             input_bits = graph.num_vertices * op.in_features * 8 * cfg.bytes_per_value
         schedule = schedule_weighting(
-            None,
-            op.out_features,
-            cfg,
-            block_nonzeros=block_nonzeros,
-            in_features=op.in_features,
+            None, op.out_features, cfg, profile=profile, in_features=op.in_features
         )
         phase = weighting_phase_from_schedule(
             schedule,

@@ -1,10 +1,6 @@
-"""Sparse-data utilities: RLC codec and sparse feature matrices."""
+"""Sparse-data utilities: RLC codec, sparse feature generation and block nonzero counts."""
 
-from repro.sparse.feature_matrix import (
-    FeatureMatrix,
-    block_nonzero_counts,
-    generate_sparse_features,
-)
+from repro.sparse.feature_matrix import block_nonzero_counts, generate_sparse_features
 from repro.sparse.rlc import (
     RLC_RUN_BITS,
     RLCEncoding,
@@ -14,7 +10,6 @@ from repro.sparse.rlc import (
 )
 
 __all__ = [
-    "FeatureMatrix",
     "block_nonzero_counts",
     "generate_sparse_features",
     "RLCEncoding",

@@ -1,21 +1,16 @@
 """Sparse vertex-feature matrix utilities.
 
 The Weighting scheduler needs per-vertex, per-block nonzero counts (to bin
-workloads for the Flexible MAC architecture, paper Section IV-C) and the
-memory model needs compressed sizes.  This module wraps a dense NumPy feature
-matrix with those derived views and with a sparse-aware generator used by the
-synthetic datasets.
+workloads for the Flexible MAC architecture, paper Section IV-C).  This
+module computes them from a dense NumPy feature matrix and holds the
+sparse-aware generator used by the synthetic datasets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.sparse.rlc import rlc_compressed_bits
-
-__all__ = ["FeatureMatrix", "generate_sparse_features", "block_nonzero_counts"]
+__all__ = ["generate_sparse_features", "block_nonzero_counts"]
 
 
 def generate_sparse_features(
@@ -106,42 +101,3 @@ def block_nonzero_counts(matrix: np.ndarray, block_size: int) -> np.ndarray:
     padded = np.zeros((num_vertices, padded_length), dtype=bool)
     padded[:, :feature_length] = matrix != 0
     return padded.reshape(num_vertices, num_blocks, block_size).sum(axis=2)
-
-
-@dataclass
-class FeatureMatrix:
-    """Dense feature matrix with sparsity-aware derived views."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("feature matrix must be two-dimensional")
-
-    @property
-    def num_vertices(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def feature_length(self) -> int:
-        return int(self.values.shape[1])
-
-    def sparsity(self) -> float:
-        total = self.values.size
-        if total == 0:
-            return 1.0
-        return 1.0 - np.count_nonzero(self.values) / total
-
-    def row_nonzeros(self) -> np.ndarray:
-        return np.count_nonzero(self.values, axis=1)
-
-    def block_nonzeros(self, block_size: int) -> np.ndarray:
-        return block_nonzero_counts(self.values, block_size)
-
-    def compressed_bits(self, *, value_bits: int = 8) -> int:
-        """RLC-compressed storage size of the whole matrix."""
-        return rlc_compressed_bits(self.values, value_bits=value_bits)
-
-    def dense_bits(self, *, value_bits: int = 8) -> int:
-        return int(self.values.size * value_bits)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw import AcceleratorConfig
-from repro.mapping import schedule_weighting, weighting_functional
+from repro.mapping import BlockProfile, schedule_weighting, weighting_functional
 from repro.sparse import generate_sparse_features
 
 
@@ -69,19 +69,30 @@ class TestScheduleWeighting:
 
     def test_statistical_block_nonzeros_path(self):
         config = AcceleratorConfig()
-        blocks = np.full((100, 8), 6, dtype=np.int64)
+        blocks = np.full((100, 16), 3, dtype=np.int64)
         schedule = schedule_weighting(
-            None, 32, config, block_nonzeros=blocks, in_features=64
+            None, 32, config, profile=BlockProfile.from_counts(blocks), in_features=64
         )
         assert schedule.total_nonzero_macs == blocks.sum() * 32
         assert schedule.block_size == 4
+
+    @pytest.mark.parametrize(
+        "shape, per_block",
+        [((100, 8), 6), ((100, 8), 3), ((100, 16), 6)],
+        ids=["blocks-and-counts", "block-count", "largest-count"],
+    )
+    def test_profile_contradicting_in_features_rejected(self, shape, per_block):
+        """F_in = 64 means k = 4: 16 blocks of at most 4 nonzeros each."""
+        profile = BlockProfile.from_counts(np.full(shape, per_block))
+        with pytest.raises(ValueError, match="contradicts"):
+            schedule_weighting(None, 32, AcceleratorConfig(), profile=profile, in_features=64)
 
     def test_missing_inputs_rejected(self):
         config = AcceleratorConfig()
         with pytest.raises(ValueError):
             schedule_weighting(None, 32, config)
         with pytest.raises(ValueError):
-            schedule_weighting(None, 32, config, block_nonzeros=np.ones((4, 4)))
+            schedule_weighting(None, 32, config, profile=BlockProfile.from_counts(np.ones((4, 4))))
         with pytest.raises(ValueError):
             schedule_weighting(np.ones((4, 4)), 0, config)
 

@@ -355,6 +355,22 @@ class TestExecutorInstrumentation:
             assert span.attrs["refetch"] >= 1.0
             assert span.attrs["alpha_writeback_bytes"] == simulation.alpha_writeback_bytes
 
+    def test_weighting_spans_show_phase_memo_hits(self, small_cora):
+        """The Weighting phase memo ignores γ, so a second GCN run on one
+        graph at another γ prices neither layer's Weighting again.  The first
+        run's spans say so with ``run``, the second's with ``memo_hit``."""
+        graph = copy.deepcopy(small_cora)  # a fresh, empty pricing context
+        tracer = Tracer()
+        GNNIESimulator(tracer=tracer).run(graph, "gcn")
+        GNNIESimulator(AcceleratorConfig(gamma=2), tracer=tracer).run(graph, "gcn")
+        spans = [record for record in tracer.records if record.name == "op:weighting"]
+        assert [span.attrs["phase_memo"] for span in spans] == [
+            "run",
+            "run",
+            "memo_hit",
+            "memo_hit",
+        ]
+
     def test_cache_metrics_recorded_when_miss_path_enabled(self, small_cora):
         registry = MetricsRegistry()
         config = AcceleratorConfig(enable_degree_aware_caching=False).with_miss_path(

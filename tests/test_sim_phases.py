@@ -10,7 +10,7 @@ import pytest
 from repro.cache import vertex_record_bytes
 from repro.graph import power_law_graph
 from repro.hw import AcceleratorConfig, HBMModel
-from repro.mapping import AggregationCycleModel, schedule_weighting
+from repro.mapping import AggregationCycleModel, BlockProfile, schedule_weighting
 from repro.sim import (
     PhaseResult,
     aggregation_phase_from_cache,
@@ -94,7 +94,9 @@ class TestWeightingPhase:
     def test_statistical_path_matches_explicit_shape(self):
         config = AcceleratorConfig()
         blocks = np.full((200, 16), 3, dtype=np.int64)
-        schedule = schedule_weighting(None, 32, config, block_nonzeros=blocks, in_features=256)
+        schedule = schedule_weighting(
+            None, 32, config, profile=BlockProfile.from_counts(blocks), in_features=256
+        )
         phase = weighting_phase_from_schedule(
             schedule, 200, 256, 32, config, input_traffic_bits=200 * 256 * 8
         )
@@ -103,7 +105,9 @@ class TestWeightingPhase:
 
     def test_missing_arguments_rejected(self):
         with pytest.raises(ValueError):
-            schedule_weighting(None, 32, AcceleratorConfig(), block_nonzeros=np.ones((4, 4)))
+            schedule_weighting(
+                None, 32, AcceleratorConfig(), profile=BlockProfile.from_counts(np.ones((4, 4)))
+            )
 
     def test_cycles_positive_and_bounded_below_by_ideal(self, features):
         config = AcceleratorConfig()

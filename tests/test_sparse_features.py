@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import FeatureMatrix, block_nonzero_counts, generate_sparse_features
+from repro.sparse import block_nonzero_counts, generate_sparse_features
 
 
 class TestGenerateSparseFeatures:
@@ -71,31 +71,6 @@ class TestBlockNonzeroCounts:
             block_nonzero_counts(np.ones(5), 2)
         with pytest.raises(ValueError):
             block_nonzero_counts(np.ones((2, 4)), 0)
-
-
-class TestFeatureMatrix:
-    def test_basic_properties(self):
-        matrix = FeatureMatrix(np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 0.0]]))
-        assert matrix.num_vertices == 3
-        assert matrix.feature_length == 2
-        assert matrix.sparsity() == pytest.approx(4 / 6)
-        np.testing.assert_array_equal(matrix.row_nonzeros(), [1, 1, 0])
-
-    def test_compressed_smaller_than_dense_for_sparse(self):
-        values = generate_sparse_features(100, 256, 0.97, seed=6)
-        matrix = FeatureMatrix(values)
-        assert matrix.compressed_bits() < matrix.dense_bits()
-
-    def test_block_nonzeros_delegation(self):
-        values = np.eye(4)
-        matrix = FeatureMatrix(values)
-        np.testing.assert_array_equal(
-            matrix.block_nonzeros(2), block_nonzero_counts(values, 2)
-        )
-
-    def test_rejects_one_dimensional(self):
-        with pytest.raises(ValueError):
-            FeatureMatrix(np.ones(5))
 
 
 @settings(max_examples=30, deadline=None)
