@@ -4,9 +4,10 @@ GNNIE stores the graph adjacency matrix in CSR form (paper, Section III and
 Section VI): a *coordinate array* listing the neighbors of each vertex and an
 *offset array* giving the starting position of each vertex's neighbor list.
 This module provides an immutable CSR container with the query operations the
-scheduler and the cache controller need (degrees, neighbor slices, induced
-subgraph edge enumeration) plus conversions to/from edge lists, dense
-matrices and ``scipy.sparse`` matrices.
+scheduler and the cache controller need (degrees, neighbor slices, edge
+enumeration) plus conversions to/from edge lists, dense matrices and
+``scipy.sparse`` matrices.  Splitting a graph into per-chip induced
+subgraphs lives in :func:`repro.graph.partition.partition_graph`.
 
 All vertex indices are ``int``; arrays are NumPy ``int64``.
 """
@@ -14,7 +15,7 @@ All vertex indices are ``int``; arrays are NumPy ``int64``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -213,7 +214,7 @@ class CSRGraph:
         return float(degrees.mean()) if degrees.size else 0.0
 
     # ------------------------------------------------------------------ #
-    # Iteration and subgraph support
+    # Iteration
     # ------------------------------------------------------------------ #
     def iter_edges(self) -> Iterator[tuple[int, int]]:
         """Yield every stored directed edge as ``(src, dst)``."""
@@ -226,38 +227,6 @@ class CSRGraph:
         """All stored directed edges as an ``(E, 2)`` array."""
         src = np.repeat(np.arange(self.num_vertices), self.degrees())
         return np.stack([src, self.indices], axis=1)
-
-    def induced_edges(self, vertex_set: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Directed edges of the subgraph induced by ``vertex_set``.
-
-        This is the operation the cache controller performs every iteration:
-        given the set of vertices currently resident in the input buffer,
-        enumerate the edges whose both endpoints are resident (paper,
-        Section VI, "Subgraph in the Input Buffer").
-
-        Returns an ``(E_sub, 2)`` array of ``(src, dst)`` pairs using the
-        *original* vertex ids.
-        """
-        vertex_array = np.asarray(vertex_set, dtype=np.int64)
-        if vertex_array.size == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        membership = np.zeros(self.num_vertices, dtype=bool)
-        membership[vertex_array] = True
-        degrees = self.degrees()
-        src_all = np.repeat(np.arange(self.num_vertices), degrees)
-        keep = membership[src_all] & membership[self.indices]
-        return np.stack([src_all[keep], self.indices[keep]], axis=1)
-
-    def subgraph(self, vertex_set: Sequence[int] | np.ndarray) -> "CSRGraph":
-        """CSR of the induced subgraph with vertices relabeled to 0..k-1."""
-        vertex_array = np.asarray(sorted(set(int(v) for v in vertex_set)), dtype=np.int64)
-        relabel = -np.ones(self.num_vertices, dtype=np.int64)
-        relabel[vertex_array] = np.arange(vertex_array.size)
-        edges = self.induced_edges(vertex_array)
-        remapped = np.stack([relabel[edges[:, 0]], relabel[edges[:, 1]]], axis=1)
-        return CSRGraph.from_edge_list(
-            remapped, num_vertices=vertex_array.size, symmetric=False, deduplicate=False
-        )
 
     # ------------------------------------------------------------------ #
     # Conversions

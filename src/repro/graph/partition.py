@@ -1,14 +1,17 @@
 """Multi-chip edge-cut graph partitioning for ``repro.scaleout``.
 
-Assigns every vertex to one of N simulated GNNIE chips and accounts the
-directed edges whose endpoints land on different chips (the halo-exchange
-traffic each aggregation layer must pay for).  The input buffer's vertex
-capacity is derived in :func:`repro.sim.aggregation_sim.input_buffer_capacity`,
-not here.
+Assigns every vertex to one of N simulated GNNIE chips, then splits the
+adjacency in one pass over its stored edges: each part's induced CSR (the
+chip's compute graph), the directed edges whose endpoints land on
+different chips, and each chip's halo (the remote features every
+aggregation layer must receive).  The input buffer's vertex capacity is
+derived in :func:`repro.sim.aggregation_sim.input_buffer_capacity`, not
+here.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +26,8 @@ PARTITION_METHODS: tuple[str, ...] = ("chunk", "balanced")
 
 @dataclass(frozen=True)
 class GraphPartition:
-    """An edge-cut assignment of every vertex to one of ``num_parts`` chips.
+    """An edge-cut assignment of every vertex to one of ``num_parts`` chips,
+    with every part's induced CSR, the cut and each part's halo.
 
     Attributes:
         num_parts: Number of chips (parts).  Parts may be empty when the
@@ -37,6 +41,10 @@ class GraphPartition:
         halo_counts: Per-part count of *distinct* remote vertices whose
             features the part must receive to aggregate its owned vertices
             (its halo).
+        adjacencies: Per-part CSR of the subgraph induced by the owned
+            vertices, relabelled ``0..k-1`` in vertex-id order: row ``i`` is
+            ``parts[p][i]``, its neighbours sorted by local id, duplicate
+            edges and self-loops kept.
     """
 
     num_parts: int
@@ -45,6 +53,7 @@ class GraphPartition:
     parts: tuple[np.ndarray, ...] = field(repr=False)
     cut_edges: int
     halo_counts: tuple[int, ...]
+    adjacencies: tuple[CSRGraph, ...] = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -80,11 +89,15 @@ def partition_graph(
             the degenerate-but-deterministic baseline.
         ``"balanced"``: deterministic greedy degree balancing — vertices in
             descending-degree order (ties by vertex id) each go to the part
-            with the least accumulated degree (ties by part index), evening
-            out aggregation work at the cost of locality.
+            with the least accumulated degree (ties toward fewer owned
+            vertices, then by part index), evening out aggregation work at
+            the cost of locality.
 
-    Both methods are pure functions of the graph content, so partitions are
-    byte-reproducible across processes.
+    After assigning, one pass over the stored edges yields every part's
+    owned vertices, induced CSR and halo, and the cut-edge count, so the
+    edge work is one sort of the kept and one of the cut edges however many
+    parts there are.  Both methods are pure functions of the graph content,
+    so partitions are byte-reproducible across processes.
     """
     if num_parts < 1:
         raise ValueError("num_parts must be at least 1")
@@ -104,55 +117,78 @@ def partition_graph(
         # Descending degree, ascending vertex id on ties: np.argsort is
         # stable with kind="stable", so sorting -degrees keeps id order.
         order = np.argsort(-degrees, kind="stable")
-        loads = np.zeros(num_parts, dtype=np.int64)
-        counts = np.zeros(num_parts, dtype=np.int64)
-        for vertex in order:
-            # Least-loaded part; break degree ties toward the emptier part
-            # so zero-degree tails still spread evenly, then by part index.
-            part = int(np.lexsort((np.arange(num_parts), counts, loads))[0])
-            assignments[vertex] = part
-            loads[part] += degrees[vertex]
-            counts[part] += 1
-    parts = tuple(
-        np.flatnonzero(assignments == part).astype(np.int64)
-        for part in range(num_parts)
+        # Least-loaded part; break degree ties toward the emptier part so
+        # zero-degree tails still spread evenly, then by part index.  That
+        # is the order of (load, count, part) tuples: the heap's top.
+        heap = [(0, 0, part) for part in range(num_parts)]
+        owners = []
+        for degree in degrees[order].tolist():
+            load, count, part = heap[0]
+            owners.append(part)
+            heapq.heapreplace(heap, (load + degree, count + 1, part))
+        assignments[order] = owners
+    return _split(adjacency, assignments, num_parts, method)
+
+
+def _split(
+    adjacency: CSRGraph, assignments: np.ndarray, num_parts: int, method: str
+) -> GraphPartition:
+    """One pass over the stored edges: parts, cut edges, halos, chip CSRs.
+
+    A directed stored edge ``(src, dst)`` is *cut* when its endpoints live on
+    different parts; self-loops share a part by construction and are never
+    cut.  The halo of part ``p`` is the set of distinct remote vertices
+    ``dst`` appearing as a neighbour of some owned ``src`` — the features
+    ``p`` must receive before it can aggregate.  Every other edge belongs to
+    its part's induced CSR.
+    """
+    num_vertices = adjacency.num_vertices
+    # Vertices grouped by part, in id order within a part (a stable sort),
+    # and each vertex's row in its part's CSR.
+    grouped = np.argsort(assignments, kind="stable")
+    bounds = np.zeros(num_parts + 1, dtype=np.int64)
+    np.cumsum(np.bincount(assignments, minlength=num_parts), out=bounds[1:])
+    position = np.empty(num_vertices, dtype=np.int64)
+    position[grouped] = np.arange(num_vertices, dtype=np.int64)
+    local = position - bounds[assignments]
+
+    degrees = adjacency.degrees()
+    src_part = np.repeat(assignments, degrees)
+    dst = adjacency.indices
+    kept = src_part == assignments[dst]
+    cut = ~kept
+    # Distinct (owning part, remote vertex) pairs, counted per part.
+    halo = sorted_unique(src_part[cut] * np.int64(num_vertices) + dst[cut])
+    halo_counts = np.bincount(halo // num_vertices, minlength=num_parts)
+
+    # Kept edges ordered by (part, local row, local neighbour): the grouped
+    # position of the row already orders parts and rows, so one scalar sort
+    # of position × V + neighbour lays out every part's CSR back to back.
+    rows = np.repeat(position, degrees)[kept]
+    keys = np.sort(rows * np.int64(num_vertices) + local[dst[kept]])
+    row_starts = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(keys // num_vertices, minlength=num_vertices), out=row_starts[1:]
     )
-    cut_edges, halo_counts = _cut_statistics(adjacency, assignments, num_parts)
+    neighbours = keys % num_vertices
+    parts = []
+    adjacencies = []
+    for part in range(num_parts):
+        first, last = int(bounds[part]), int(bounds[part + 1])
+        indptr = row_starts[first : last + 1]
+        parts.append(grouped[first:last])
+        adjacencies.append(
+            CSRGraph(
+                indptr=indptr - indptr[0],
+                indices=neighbours[indptr[0] : indptr[-1]],
+            )
+        )
     return GraphPartition(
         num_parts=num_parts,
         method=method,
         assignments=assignments,
-        parts=parts,
-        cut_edges=cut_edges,
-        halo_counts=halo_counts,
+        parts=tuple(parts),
+        cut_edges=int(np.count_nonzero(cut)),
+        halo_counts=tuple(int(count) for count in halo_counts),
+        adjacencies=tuple(adjacencies),
     )
-
-
-def _cut_statistics(
-    adjacency: CSRGraph, assignments: np.ndarray, num_parts: int
-) -> tuple[int, tuple[int, ...]]:
-    """Vectorized cut-edge count and per-part distinct halo sizes.
-
-    A directed stored edge ``(src, dst)`` is *cut* when its endpoints live on
-    different parts; self-loops (``src == dst``) share a part by construction
-    and are never cut.  The halo of part ``p`` is the set of distinct remote
-    vertices ``dst`` appearing as a neighbor of some owned ``src`` — the
-    features ``p`` must receive before it can aggregate.
-    """
-    if adjacency.num_edges == 0 or adjacency.num_vertices == 0:
-        return 0, (0,) * num_parts
-    src_all = np.repeat(
-        np.arange(adjacency.num_vertices, dtype=np.int64), adjacency.degrees()
-    )
-    dst_all = adjacency.indices
-    cross = assignments[src_all] != assignments[dst_all]
-    cut_edges = int(np.count_nonzero(cross))
-    if cut_edges == 0:
-        return 0, (0,) * num_parts
-    # Distinct (owning part, remote vertex) pairs, counted per part.
-    keys = sorted_unique(
-        assignments[src_all[cross]] * np.int64(adjacency.num_vertices)
-        + dst_all[cross]
-    )
-    per_part = np.bincount(keys // adjacency.num_vertices, minlength=num_parts)
-    return cut_edges, tuple(int(count) for count in per_part)

@@ -11,9 +11,10 @@ synchronize on the slowest inter-chip halo exchange, so each layer costs
 and the whole inference additionally pays ``MAX(per-chip preprocessing)``.
 
 Partitioning is *edge-cut* (every vertex owned by exactly one chip, via
-:func:`repro.graph.partition.partition_graph`); each chip's compute graph is
-the subgraph induced by its owned vertices, and the features of its *halo* —
-the distinct remote neighbors of owned vertices — arrive over the chip-to-chip
+:func:`repro.graph.partition.partition_graph`, which builds every chip's
+CSR in one pass over the edges); each chip's compute graph is the subgraph
+induced by its owned vertices, and the features of its *halo* — the
+distinct remote neighbors of owned vertices — arrive over the chip-to-chip
 link as a :class:`~repro.plan.ir.HaloExchangeOp` priced by the executor
 against the link model on :class:`~repro.hw.config.AcceleratorConfig`.
 
@@ -85,7 +86,12 @@ class PartitionedWorkload:
 def chip_subgraphs(
     graph: Graph, chips: int, *, method: str = "chunk"
 ) -> tuple[GraphPartition, tuple[Graph, ...]]:
-    """Partition a graph and materialize the per-chip induced subgraphs.
+    """Partition a graph and wrap each part's induced CSR as a chip graph.
+
+    The adjacencies come from the partition's single pass over the parent's
+    edges.  A part that is one contiguous id range (every ``chunk`` part)
+    views the parent's feature rows read-only instead of copying them;
+    scattered ``balanced`` parts gather a copy.
 
     Memoized on the graph's :class:`~repro.sim.batch.GraphPricingContext`
     (keyed by ``(chips, method)``), so a config batch sweeping many designs
@@ -100,11 +106,16 @@ def chip_subgraphs(
         return cached
     partition = partition_graph(graph.adjacency, chips, method=method)
     chip_graphs = []
-    for part in partition.parts:
+    for part, adjacency in zip(partition.parts, partition.adjacencies):
+        if part.size and part[-1] - part[0] == part.size - 1:
+            features = graph.features[part[0] : part[-1] + 1]
+            features.flags.writeable = False
+        else:
+            features = graph.features[part]
         chip_graphs.append(
             Graph(
-                adjacency=graph.adjacency.subgraph(part),
-                features=graph.features[part],
+                adjacency=adjacency,
+                features=features,
                 labels=None,
                 name=graph.name,
                 num_label_classes=graph.num_label_classes,
@@ -185,7 +196,10 @@ def execute_scaleout(
     its local plan on its induced subgraph and the fleet is combined with
     per-layer ``MAX(local) + MAX(communication)`` timing, summed work
     counters, and summed energy.  The backend must advertise
-    ``supports_scaleout`` (the GNNIE executor does).
+    ``supports_scaleout`` (the GNNIE executor does).  With its tracer
+    enabled, a ``partition`` span (no modeled cycles) records the chip count,
+    method, cut edges, halo vertices and whether the partition was a memo
+    hit, followed by one ``chip`` span per non-empty chip.
     """
     if chips == 1:
         return backend.execute(plan, graph, config)
@@ -197,9 +211,24 @@ def execute_scaleout(
             f"backend {getattr(backend, 'name', backend)!r} does not support "
             "multi-chip scale-out"
         )
-    workload = partition_workload(graph, plan, chips, method=method)
-    cfg = (config or backend.config).resolve_input_buffer(graph.name)
     tracer = getattr(backend, "tracer", None)
+    if tracer is not None and tracer.enabled:
+        memoized = (chips, method) in pricing_context(graph).partitions
+        with tracer.span(
+            "partition",
+            category="partition",
+            chips=chips,
+            method=method,
+            partition_memo="memo_hit" if memoized else "run",
+        ) as span:
+            workload = partition_workload(graph, plan, chips, method=method)
+            span.set(
+                cut_edges=workload.partition.cut_edges,
+                halo_vertices=workload.partition.total_halo_vertices(),
+            )
+    else:
+        workload = partition_workload(graph, plan, chips, method=method)
+    cfg = (config or backend.config).resolve_input_buffer(graph.name)
     chip_results: list[InferenceResult | None] = []
     for chip in range(chips):
         chip_graph = workload.chip_graphs[chip]

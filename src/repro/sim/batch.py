@@ -79,11 +79,13 @@ class GraphPricingContext:
         #: primes an adjacency at the same width under the same buffer
         #: knobs shares one run.
         self.cache_results: dict[tuple, object] = {}
-        #: (chips, method) -> partitioned multi-chip workload (see
-        #: :func:`repro.scaleout.partition_workload`).  Partitioning is a
-        #: pure function of graph content and the key, so a config batch
-        #: sweeping many designs at one chip count partitions the graph
-        #: exactly once.
+        #: (chips, method) -> ``(partition, chip graphs)`` from
+        #: :func:`repro.scaleout.chip_subgraphs`: one pass over the edges
+        #: built every chip's induced CSR, and a chip owning one contiguous
+        #: id range views this graph's feature rows rather than copying
+        #: them.  Partitioning is a pure function of graph content and the
+        #: key, so a config batch sweeping many designs at one chip count
+        #: partitions the graph exactly once.
         self.partitions: dict[tuple, object] = {}
 
     def adjacency(self, ref: AdjacencyRef) -> CSRGraph:

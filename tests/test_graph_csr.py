@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import CSRGraph
+from repro.graph import PARTITION_METHODS, CSRGraph, partition_graph
 
 
 # --------------------------------------------------------------------------- #
@@ -111,21 +111,35 @@ class TestQueries:
 # Subgraphs
 # --------------------------------------------------------------------------- #
 class TestSubgraphs:
+    """Induced subgraphs come from ``partition_graph(...).adjacencies``."""
+
     def test_induced_edges_line(self, line_graph):
-        edges = line_graph.induced_edges([0, 1, 2])
-        pairs = {tuple(edge) for edge in edges}
+        # chunk halves of the 6-path: part 0 owns vertices 0, 1 and 2.
+        sub = partition_graph(line_graph, 2).adjacencies[0]
+        pairs = {tuple(edge) for edge in sub.edge_array()}
         assert pairs == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
     def test_induced_edges_empty_set(self, line_graph):
-        assert line_graph.induced_edges([]).shape == (0, 2)
+        # Eight chunks of six vertices leave the last two parts empty.
+        sub = partition_graph(line_graph, 8).adjacencies[-1]
+        assert sub.num_vertices == 0
+        assert sub.edge_array().shape == (0, 2)
 
     def test_induced_edges_disconnected_subset(self, line_graph):
-        assert line_graph.induced_edges([0, 3]).shape == (0, 2)
+        # Degree balancing deals the path's vertices out so no part owns
+        # two neighbours: every part induces no edge and every edge is cut.
+        partition = partition_graph(line_graph, 3, method="balanced")
+        assert [part.tolist() for part in partition.parts] == [[1, 4], [0, 2], [3, 5]]
+        assert [sub.edge_array().shape for sub in partition.adjacencies] == [(0, 2)] * 3
+        assert partition.cut_edges == line_graph.num_edges
 
     def test_subgraph_relabels(self, line_graph):
-        sub = line_graph.subgraph([2, 3, 4])
+        partition = partition_graph(line_graph, 2)
+        assert partition.parts[1].tolist() == [3, 4, 5]
+        sub = partition.adjacencies[1]
         assert sub.num_vertices == 3
         assert sub.degrees().tolist() == [1, 2, 1]
+        assert sub.indices.tolist() == [1, 0, 2, 1]
 
     def test_with_self_loops(self, line_graph):
         looped = line_graph.with_self_loops()
@@ -169,13 +183,21 @@ def test_indptr_consistent_with_degrees(data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(random_edge_lists())
-def test_induced_edges_subset_of_all_edges(data):
+@given(
+    random_edge_lists(),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(PARTITION_METHODS),
+)
+def test_induced_edges_subset_of_all_edges(data, num_parts, method):
     num_vertices, edges = data
     graph = CSRGraph.from_edge_list(edges, num_vertices=num_vertices, symmetric=True)
-    subset = list(range(0, num_vertices, 2))
-    induced = {tuple(edge) for edge in graph.induced_edges(subset)}
-    all_edges = {tuple(edge) for edge in graph.edge_array()}
-    assert induced <= all_edges
-    members = set(subset)
-    assert all(src in members and dst in members for src, dst in induced)
+    all_edges = {tuple(edge) for edge in graph.edge_array().tolist()}
+    partition = partition_graph(graph, num_parts, method=method)
+    for part, sub in zip(partition.parts, partition.adjacencies):
+        # Local ids map back to parent ids through the owned-vertex list.
+        induced = {(int(part[src]), int(part[dst])) for src, dst in sub.edge_array()}
+        assert induced <= all_edges
+        members = set(part.tolist())
+        assert induced == {
+            (src, dst) for src, dst in all_edges if src in members and dst in members
+        }

@@ -2,13 +2,123 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import build_dataset
 from repro.graph import PARTITION_METHODS, partition_graph
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, sorted_unique
+
+
+# --------------------------------------------------------------------------- #
+# Reference oracle: the per-part induced-subgraph split partition_graph's
+# single pass replaced, kept verbatim (``self`` renamed ``graph``).
+# --------------------------------------------------------------------------- #
+def _induced_edges(graph: CSRGraph, vertex_set: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Directed edges of the subgraph induced by ``vertex_set``.
+
+    This is the operation the cache controller performs every iteration:
+    given the set of vertices currently resident in the input buffer,
+    enumerate the edges whose both endpoints are resident (paper,
+    Section VI, "Subgraph in the Input Buffer").
+
+    Returns an ``(E_sub, 2)`` array of ``(src, dst)`` pairs using the
+    *original* vertex ids.
+    """
+    vertex_array = np.asarray(vertex_set, dtype=np.int64)
+    if vertex_array.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    membership = np.zeros(graph.num_vertices, dtype=bool)
+    membership[vertex_array] = True
+    degrees = graph.degrees()
+    src_all = np.repeat(np.arange(graph.num_vertices), degrees)
+    keep = membership[src_all] & membership[graph.indices]
+    return np.stack([src_all[keep], graph.indices[keep]], axis=1)
+
+
+def _subgraph(graph: CSRGraph, vertex_set: Sequence[int] | np.ndarray) -> CSRGraph:
+    """CSR of the induced subgraph with vertices relabeled to 0..k-1."""
+    vertex_array = np.asarray(sorted(set(int(v) for v in vertex_set)), dtype=np.int64)
+    relabel = -np.ones(graph.num_vertices, dtype=np.int64)
+    relabel[vertex_array] = np.arange(vertex_array.size)
+    edges = _induced_edges(graph, vertex_array)
+    remapped = np.stack([relabel[edges[:, 0]], relabel[edges[:, 1]]], axis=1)
+    return CSRGraph.from_edge_list(
+        remapped, num_vertices=vertex_array.size, symmetric=False, deduplicate=False
+    )
+
+
+def _cut_statistics(
+    adjacency: CSRGraph, assignments: np.ndarray, num_parts: int
+) -> tuple[int, tuple[int, ...]]:
+    """Vectorized cut-edge count and per-part distinct halo sizes.
+
+    A directed stored edge ``(src, dst)`` is *cut* when its endpoints live on
+    different parts; self-loops (``src == dst``) share a part by construction
+    and are never cut.  The halo of part ``p`` is the set of distinct remote
+    vertices ``dst`` appearing as a neighbor of some owned ``src`` — the
+    features ``p`` must receive before it can aggregate.
+    """
+    if adjacency.num_edges == 0 or adjacency.num_vertices == 0:
+        return 0, (0,) * num_parts
+    src_all = np.repeat(
+        np.arange(adjacency.num_vertices, dtype=np.int64), adjacency.degrees()
+    )
+    dst_all = adjacency.indices
+    cross = assignments[src_all] != assignments[dst_all]
+    cut_edges = int(np.count_nonzero(cross))
+    if cut_edges == 0:
+        return 0, (0,) * num_parts
+    # Distinct (owning part, remote vertex) pairs, counted per part.
+    keys = sorted_unique(
+        assignments[src_all[cross]] * np.int64(adjacency.num_vertices)
+        + dst_all[cross]
+    )
+    per_part = np.bincount(keys // adjacency.num_vertices, minlength=num_parts)
+    return cut_edges, tuple(int(count) for count in per_part)
+
+
+def _reference_split(adjacency: CSRGraph, assignments: np.ndarray, num_parts: int):
+    """Parts, cut edges, halo counts and chip CSRs, one part at a time."""
+    parts = tuple(
+        np.flatnonzero(assignments == part).astype(np.int64)
+        for part in range(num_parts)
+    )
+    cut_edges, halo_counts = _cut_statistics(adjacency, assignments, num_parts)
+    return parts, cut_edges, halo_counts, tuple(_subgraph(adjacency, part) for part in parts)
+
+
+def _reference_balanced(degrees: np.ndarray, num_parts: int) -> np.ndarray:
+    """The greedy degree balancer as a per-vertex lexsort over all parts."""
+    assignments = np.zeros(degrees.size, dtype=np.int64)
+    order = np.argsort(-degrees, kind="stable")
+    loads = np.zeros(num_parts, dtype=np.int64)
+    counts = np.zeros(num_parts, dtype=np.int64)
+    for vertex in order:
+        part = int(np.lexsort((np.arange(num_parts), counts, loads))[0])
+        assignments[vertex] = part
+        loads[part] += degrees[vertex]
+        counts[part] += 1
+    return assignments
+
+
+def _assert_matches_reference(adjacency: CSRGraph, num_parts: int, method: str) -> None:
+    partition = partition_graph(adjacency, num_parts, method=method)
+    parts, cut_edges, halo_counts, chips = _reference_split(
+        adjacency, partition.assignments, num_parts
+    )
+    assert len(partition.parts) == len(partition.adjacencies) == num_parts
+    for part, expected in zip(partition.parts, parts):
+        np.testing.assert_array_equal(part, expected)
+    assert partition.cut_edges == cut_edges
+    assert partition.halo_counts == halo_counts
+    for chip, expected in zip(partition.adjacencies, chips):
+        np.testing.assert_array_equal(chip.indptr, expected.indptr)
+        np.testing.assert_array_equal(chip.indices, expected.indices)
 
 
 def _ring(num_vertices: int) -> CSRGraph:
@@ -173,3 +283,56 @@ def test_chunk_partition_property(num_vertices, num_parts):
     sizes = partition.part_sizes()
     assert max(sizes) - min(sizes) <= 1
     assert max(sizes) == -(-num_vertices // num_parts)
+
+
+@st.composite
+def raw_csrs(draw):
+    """CSRs built straight from indptr/indices: rows in any neighbour order,
+    duplicate edges, self-loops and isolated vertices all allowed."""
+    num_vertices = draw(st.integers(min_value=0, max_value=24))
+    rows = [
+        draw(st.lists(st.integers(min_value=0, max_value=num_vertices - 1), max_size=8))
+        for _ in range(num_vertices)
+    ]
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    indices = np.array([v for row in rows for v in row], dtype=np.int64)
+    return CSRGraph(indptr=indptr, indices=indices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), adjacency=raw_csrs(), method=st.sampled_from(PARTITION_METHODS))
+def test_split_matches_per_part_subgraphs(data, adjacency, method):
+    num_parts = data.draw(
+        st.integers(min_value=1, max_value=adjacency.num_vertices + 3), label="num_parts"
+    )
+    _assert_matches_reference(adjacency, num_parts, method)
+
+
+@pytest.fixture(scope="module", params=[("cora", 1.0), ("ppi", 0.25)], ids=["cora", "ppi0.25"])
+def real_adjacency(request):
+    name, scale = request.param
+    return build_dataset(name, scale=scale, seed=0).adjacency
+
+
+@pytest.mark.parametrize("method", PARTITION_METHODS)
+@pytest.mark.parametrize("num_parts", [2, 3, 16])
+def test_split_matches_per_part_subgraphs_on_datasets(real_adjacency, num_parts, method):
+    _assert_matches_reference(real_adjacency, num_parts, method)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    degrees=st.lists(st.integers(min_value=0, max_value=3), max_size=60),
+    num_parts=st.integers(min_value=1, max_value=12),
+)
+def test_balanced_heap_matches_lexsort_loop(degrees, num_parts):
+    # Degrees in 0..3 make load, count and part-index ties the common case.
+    degree_array = np.array(degrees, dtype=np.int64)
+    indptr = np.zeros(degree_array.size + 1, dtype=np.int64)
+    np.cumsum(degree_array, out=indptr[1:])
+    adjacency = CSRGraph(indptr=indptr, indices=np.zeros(int(indptr[-1]), dtype=np.int64))
+    partition = partition_graph(adjacency, num_parts, method="balanced")
+    np.testing.assert_array_equal(
+        partition.assignments, _reference_balanced(degree_array, num_parts)
+    )

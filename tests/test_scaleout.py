@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.datasets import build_dataset
+from repro.graph import Graph
 from repro.hw import AcceleratorConfig
 from repro.models import MODEL_FAMILIES
 from repro.obs import Tracer
 from repro.plan import HaloExchangeOp, lower
 from repro.plan.executor import executor
-from repro.scaleout import execute_scaleout, partition_workload
+from repro.scaleout import chip_subgraphs, execute_scaleout, partition_workload
 from repro.sim import GNNIEExecutor, ScaleOutResult, results_to_csv
 from repro.sim.batch import pricing_context
 from repro.sweep import (
@@ -117,12 +119,56 @@ class TestExecuteScaleout:
         assert len(chip_spans) == 3
         assert any(r.name == "op:halo_exchange" for r in backend.tracer.records)
 
+    def test_traced_run_emits_one_partition_span_per_call(self, graph):
+        # A fresh Graph starts with an empty pricing context: the first call
+        # partitions it, the second reuses the memoized partition.
+        fresh = Graph(
+            adjacency=graph.adjacency,
+            features=graph.features,
+            name=graph.name,
+            num_label_classes=graph.num_label_classes,
+        )
+        backend = GNNIEExecutor()
+        backend.tracer = Tracer()
+        plan = lower("gcn", fresh)
+        for _ in range(2):
+            execute_scaleout(backend, plan, fresh, None, chips=3, method="balanced")
+        partition = partition_workload(fresh, plan, 3, method="balanced").partition
+        spans = [r for r in backend.tracer.records if r.name == "partition"]
+        # No category "op" and no cycles: op-span cycles still sum to the total.
+        assert [(span.category, span.attrs) for span in spans] == [
+            (
+                "partition",
+                {
+                    "chips": 3,
+                    "method": "balanced",
+                    "partition_memo": memo,
+                    "cut_edges": partition.cut_edges,
+                    "halo_vertices": partition.total_halo_vertices(),
+                },
+            )
+            for memo in ("run", "memo_hit")
+        ]
+
     def test_partition_is_memoized_per_graph(self, graph, backend):
         plan = lower("gcn", graph)
         first = partition_workload(graph, plan, 4)
         second = partition_workload(graph, plan, 4)
         assert first.partition is second.partition
         assert (4, "chunk") in pricing_context(graph).partitions
+
+    def test_chunk_chips_view_parent_feature_rows(self, graph):
+        partition, chip_graphs = chip_subgraphs(graph, 3, method="chunk")
+        for part, chip_graph in zip(partition.parts, chip_graphs):
+            assert np.shares_memory(chip_graph.features, graph.features)
+            assert not chip_graph.features.flags.writeable
+            np.testing.assert_array_equal(chip_graph.features, graph.features[part])
+        assert graph.features.flags.writeable
+
+    def test_balanced_chips_hold_parent_feature_rows(self, graph):
+        partition, chip_graphs = chip_subgraphs(graph, 3, method="balanced")
+        for part, chip_graph in zip(partition.parts, chip_graphs):
+            np.testing.assert_array_equal(chip_graph.features, graph.features[part])
 
     def test_chip_plans_splice_halo_before_aggregation(self, graph):
         plan = lower("gcn", graph)
