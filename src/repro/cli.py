@@ -552,9 +552,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
-    graph, config = _load(args)
     tracer = Tracer()
     metrics = MetricsRegistry()
+    # Host time only: building the graph is set-up, not modeled work.
+    with tracer.span("build_dataset", "host") as span:
+        graph, config = _load(args)
+        span.set(
+            dataset=graph.name,
+            scale=dataset_spec(args.dataset).scaled(args.scale).scale,
+            vertices=graph.num_vertices,
+            edges=graph.num_edges,
+        )
     result = GNNIESimulator(config, tracer=tracer, metrics=metrics).run(graph, args.family)
 
     metadata = {

@@ -7,11 +7,17 @@ each dataset's published statistics — vertex count, edge count, feature
 length, label count, feature sparsity, and a power-law degree distribution —
 which are the only properties GNNIE's mechanisms are sensitive to.
 
+Topology and features are built up front; labels, which only the Fig. 1
+accuracy study reads, are built from the same seed on their first read
+(:attr:`repro.graph.graph.Graph.labels`).
+
 The two large graphs (PPI, Reddit) default to scaled-down versions (see
 ``DatasetSpec.default_scale``); pass ``scale=1.0`` to build them full size.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +28,10 @@ from repro.graph.graph import Graph
 from repro.sparse.feature_matrix import generate_sparse_features
 
 __all__ = ["build_dataset", "build_all_datasets", "tiny_dataset"]
+
+#: Edges per gather in the multilabel builder: bounds its transient arrays
+#: to a few |chunk| x 32 float64 blocks instead of four |E| x 32 ones.
+_LABEL_EDGE_CHUNK = 1 << 17
 
 
 def _build_topology(spec: DatasetSpec, num_vertices: int, num_edges: int, seed: int) -> CSRGraph:
@@ -76,12 +86,17 @@ def _build_labels(
         self_loops = np.stack([np.arange(num_vertices)] * 2, axis=1)
         all_edges = np.concatenate([edges, self_loops], axis=0)
         # Attention-like neighbor weighting: similarity of projected features.
-        similarity = np.einsum("ij,ij->i", signal[all_edges[:, 0]], signal[all_edges[:, 1]])
-        similarity = np.exp(similarity / np.sqrt(hidden))
+        # np.add.at accumulates in edge order, so walking the edges in
+        # chunks sums exactly what one whole-array pass would.
         weighted_sum = np.zeros((num_vertices, hidden))
         weight_total = np.zeros(num_vertices)
-        np.add.at(weighted_sum, all_edges[:, 1], signal[all_edges[:, 0]] * similarity[:, None])
-        np.add.at(weight_total, all_edges[:, 1], similarity)
+        for start in range(0, all_edges.shape[0], _LABEL_EDGE_CHUNK):
+            src, dst = all_edges[start : start + _LABEL_EDGE_CHUNK].T
+            source = signal[src]
+            similarity = np.einsum("ij,ij->i", source, signal[dst])
+            similarity = np.exp(similarity / np.sqrt(hidden))
+            np.add.at(weighted_sum, dst, source * similarity[:, None])
+            np.add.at(weight_total, dst, similarity)
         aggregated = weighted_sum / np.maximum(weight_total, 1e-12)[:, None]
         readout = rng.normal(scale=1.0, size=(hidden, spec.num_labels))
         scores = aggregated @ readout + 0.25 * rng.normal(size=(num_vertices, spec.num_labels))
@@ -118,7 +133,9 @@ def build_dataset(name: str, *, scale: float | None = None, seed: int = 0) -> Gr
 
     Returns:
         A :class:`~repro.graph.graph.Graph` whose ``name`` is the dataset's
-        abbreviation from Table II.
+        abbreviation from Table II.  Its topology and features are built
+        here; its labels are built from the same seed on first read of
+        ``graph.labels``, since inference never reads them.
     """
     spec = dataset_spec(name)
     scaled = spec.scaled(scale)
@@ -130,13 +147,14 @@ def build_dataset(name: str, *, scale: float | None = None, seed: int = 0) -> Gr
         seed=seed + 7,
         column_skew=spec.column_skew,
     )
-    labels = _build_labels(spec, scaled.num_vertices, adjacency, seed, features=features)
     return Graph(
         adjacency=adjacency,
         features=features,
-        labels=labels,
         name=spec.abbreviation,
         num_label_classes=spec.num_labels,
+        label_builder=partial(
+            _build_labels, spec, scaled.num_vertices, adjacency, seed, features=features
+        ),
     )
 
 

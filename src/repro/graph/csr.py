@@ -5,9 +5,9 @@ Section VI): a *coordinate array* listing the neighbors of each vertex and an
 *offset array* giving the starting position of each vertex's neighbor list.
 This module provides an immutable CSR container with the query operations the
 scheduler and the cache controller need (degrees, neighbor slices, edge
-enumeration) plus conversions to/from edge lists, dense matrices and
-``scipy.sparse`` matrices.  Splitting a graph into per-chip induced
-subgraphs lives in :func:`repro.graph.partition.partition_graph`.
+enumeration), a constructor from edge lists and a dense view for small
+graphs.  Splitting a graph into per-chip induced subgraphs lives in
+:func:`repro.graph.partition.partition_graph`.
 
 All vertex indices are ``int``; arrays are NumPy ``int64``.
 """
@@ -15,7 +15,7 @@ All vertex indices are ``int``; arrays are NumPy ``int64``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -129,29 +129,6 @@ class CSRGraph:
         indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         return cls(indptr=indptr, indices=dst)
 
-    @classmethod
-    def from_dense(cls, adjacency: np.ndarray) -> "CSRGraph":
-        """Build a CSR graph from a dense 0/1 adjacency matrix."""
-        adjacency = np.asarray(adjacency)
-        if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
-            raise ValueError("adjacency must be a square matrix")
-        src, dst = np.nonzero(adjacency)
-        edges = np.stack([src, dst], axis=1)
-        return cls.from_edge_list(
-            edges, num_vertices=adjacency.shape[0], symmetric=False, deduplicate=False
-        )
-
-    @classmethod
-    def from_scipy(cls, matrix) -> "CSRGraph":
-        """Build from a ``scipy.sparse`` matrix (any format)."""
-        csr = matrix.tocsr()
-        if csr.shape[0] != csr.shape[1]:
-            raise ValueError("adjacency must be square")
-        return cls(
-            indptr=np.asarray(csr.indptr, dtype=np.int64),
-            indices=np.asarray(csr.indices, dtype=np.int64),
-        )
-
     # ------------------------------------------------------------------ #
     # Basic properties
     # ------------------------------------------------------------------ #
@@ -164,12 +141,6 @@ class CSRGraph:
         """Number of stored directed edges (2x undirected edge count)."""
         return int(self.indices.size)
 
-    @property
-    def num_undirected_edges(self) -> int:
-        """Approximate undirected edge count assuming symmetric storage."""
-        self_loops = int(np.sum(self.degrees_with_self_loops_mask()))
-        return (self.num_edges - self_loops) // 2 + self_loops
-
     def degrees(self) -> np.ndarray:
         """Out-degree of every vertex (== in-degree for symmetric storage)."""
         return np.diff(self.indptr)
@@ -177,15 +148,6 @@ class CSRGraph:
     def degree(self, vertex: int) -> int:
         self._check_vertex(vertex)
         return int(self.indptr[vertex + 1] - self.indptr[vertex])
-
-    def degrees_with_self_loops_mask(self) -> np.ndarray:
-        """Boolean mask over vertices that have a self-loop stored."""
-        mask = np.zeros(self.num_vertices, dtype=bool)
-        for vertex in range(self.num_vertices):
-            start, end = self.indptr[vertex], self.indptr[vertex + 1]
-            if np.any(self.indices[start:end] == vertex):
-                mask[vertex] = True
-        return mask
 
     def neighbors(self, vertex: int) -> np.ndarray:
         """Neighbor ids of ``vertex`` as a read-only view."""
@@ -214,52 +176,19 @@ class CSRGraph:
         return float(degrees.mean()) if degrees.size else 0.0
 
     # ------------------------------------------------------------------ #
-    # Iteration
+    # Edge views
     # ------------------------------------------------------------------ #
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        """Yield every stored directed edge as ``(src, dst)``."""
-        for vertex in range(self.num_vertices):
-            start, end = self.indptr[vertex], self.indptr[vertex + 1]
-            for dst in self.indices[start:end]:
-                yield vertex, int(dst)
-
     def edge_array(self) -> np.ndarray:
         """All stored directed edges as an ``(E, 2)`` array."""
         src = np.repeat(np.arange(self.num_vertices), self.degrees())
         return np.stack([src, self.indices], axis=1)
 
-    # ------------------------------------------------------------------ #
-    # Conversions
-    # ------------------------------------------------------------------ #
     def to_dense(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (only for small graphs)."""
         dense = np.zeros((self.num_vertices, self.num_vertices), dtype=np.float64)
         edges = self.edge_array()
         dense[edges[:, 0], edges[:, 1]] = 1.0
         return dense
-
-    def to_scipy(self):
-        """Convert to a ``scipy.sparse.csr_matrix``."""
-        from scipy.sparse import csr_matrix
-
-        data = np.ones(self.num_edges, dtype=np.float64)
-        return csr_matrix(
-            (data, self.indices, self.indptr),
-            shape=(self.num_vertices, self.num_vertices),
-        )
-
-    def with_self_loops(self) -> "CSRGraph":
-        """Return a copy in which every vertex has a self-loop.
-
-        GCN/GAT/GINConv aggregate over ``{i} ∪ N(i)`` (paper, Section II);
-        adding explicit self-loops lets the aggregation kernels treat the
-        self-contribution uniformly as just another edge.
-        """
-        loops = np.stack([np.arange(self.num_vertices)] * 2, axis=1)
-        edges = np.concatenate([self.edge_array(), loops], axis=0)
-        return CSRGraph.from_edge_list(
-            edges, num_vertices=self.num_vertices, symmetric=False, deduplicate=True
-        )
 
     def memory_footprint_bytes(self, bytes_per_entry: int = 4) -> int:
         """Storage size of the CSR arrays in DRAM."""

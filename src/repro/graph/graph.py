@@ -3,13 +3,14 @@
 A :class:`Graph` bundles a CSR adjacency (:class:`~repro.graph.csr.CSRGraph`)
 with a dense vertex feature matrix, optional labels, and a name — the same
 information a PyTorch Geometric ``Data`` object would carry for the benchmark
-datasets in Table II of the paper.
+datasets in Table II of the paper.  Inference reads only the adjacency and
+the features, so labels may be deferred to a builder that runs on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -58,8 +59,15 @@ class Graph:
             vertex feature vectors ``h^0_i``.  These are highly sparse for
             the citation datasets (Cora 98.73% zero, Table II).
         labels: Optional ``(num_vertices,)`` integer class labels or
-            ``(num_vertices, num_labels)`` multi-label indicator matrix.
+            ``(num_vertices, num_labels)`` multi-label indicator matrix,
+            validated when given and built by ``label_builder`` on first
+            read when deferred.
         name: Dataset name used in reports.
+        num_label_classes: Class count; derived from ``labels`` when 0.
+        label_builder: Zero-argument callable returning the labels, run on
+            the first read of ``labels`` and then dropped.  It is pickled
+            as is, so it must be picklable (a ``functools.partial`` of a
+            module-level function).
         pricing: The graph's :class:`~repro.sim.batch.GraphPricingContext`,
             created on first use by :func:`repro.sim.batch.pricing_context`.
             A per-process cache: it is never compared, printed or pickled.
@@ -70,6 +78,9 @@ class Graph:
     labels: Optional[np.ndarray] = None
     name: str = "graph"
     num_label_classes: int = field(default=0)
+    label_builder: Optional[Callable[[], np.ndarray]] = field(
+        default=None, repr=False, compare=False
+    )
     pricing: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -81,19 +92,41 @@ class Graph:
                 f"features has {self.features.shape[0]} rows but the adjacency has "
                 f"{self.adjacency.num_vertices} vertices"
             )
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels)
-            if self.labels.shape[0] != self.adjacency.num_vertices:
-                raise ValueError("labels must have one entry per vertex")
-            if self.num_label_classes == 0:
-                if self.labels.ndim == 1:
-                    self.num_label_classes = int(self.labels.max()) + 1 if self.labels.size else 0
-                else:
-                    self.num_label_classes = int(self.labels.shape[1])
+        if self._labels is not None:
+            self._labels = self._checked_labels(self._labels)
+
+    def _checked_labels(self, labels: np.ndarray) -> np.ndarray:
+        labels = np.asarray(labels)
+        if labels.shape[0] != self.adjacency.num_vertices:
+            raise ValueError("labels must have one entry per vertex")
+        if self.num_label_classes == 0:
+            if labels.ndim == 1:
+                self.num_label_classes = int(labels.max()) + 1 if labels.size else 0
+            else:
+                self.num_label_classes = int(labels.shape[1])
+        return labels
+
+    def _read_labels(self) -> Optional[np.ndarray]:
+        """Vertex labels, built by ``label_builder`` on first read and cached.
+
+        ``None`` when the graph has neither labels nor a builder.  Inference
+        never reads them; the Fig. 1 accuracy study and the examples do.
+        """
+        if self.label_builder is not None:
+            self._labels = self._checked_labels(self.label_builder())
+            self.label_builder = None
+        return self._labels
+
+    def _write_labels(self, labels: Optional[np.ndarray]) -> None:
+        # The dataclass __init__ assigns here before it sets label_builder;
+        # a later assignment replaces any deferred build.
+        self._labels = labels
+        self.label_builder = None
 
     def __getstate__(self) -> dict:
         # The pricing context holds a weak reference back to this graph and
-        # per-process memos; an unpickled copy rebuilds it on demand.
+        # per-process memos; an unpickled copy rebuilds it on demand.  A
+        # deferred label builder travels unrun.
         return {**self.__dict__, "pricing": None}
 
     # ------------------------------------------------------------------ #
@@ -145,18 +178,13 @@ class Graph:
             + self.features.size * bytes_per_value
         )
 
-    def with_features(self, features: np.ndarray) -> "Graph":
-        """Return a copy of this graph with a different feature matrix."""
-        return Graph(
-            adjacency=self.adjacency,
-            features=features,
-            labels=self.labels,
-            name=self.name,
-            num_label_classes=self.num_label_classes,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"Graph(name={self.name!r}, vertices={self.num_vertices}, "
             f"edges={self.num_edges}, F={self.feature_length})"
         )
+
+
+# ``labels`` stays a dataclass field (keyword, default and __init__ order)
+# but reads and writes go through the deferred-build accessors above.
+Graph.labels = property(Graph._read_labels, Graph._write_labels)  # type: ignore[assignment]

@@ -266,6 +266,38 @@ class TestProfileCommand:
         assert metrics_path.read_text().startswith("name,kind,labels,value")
         assert str(trace_path) in capsys.readouterr().out
 
+    def test_profile_charges_dataset_build_to_a_host_span(self, tmp_path, capsys):
+        from repro.obs import assert_valid_chrome_trace
+
+        trace_path = tmp_path / "t.json"
+        assert main(
+            ["profile", "--dataset", "cora", "--family", "gcn", "--json",
+             "--trace-out", str(trace_path)]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        spans = report["spans"]
+        (build,) = [row for row in spans if row["span"] == "build_dataset"]
+        assert build["calls"] == 1 and build["host_ms"] > 0 and build["cycles"] == 0
+        op_cycles = sum(
+            row["cycles"] for row in spans if "/op:" in row["span"] or "preprocess" in row["span"]
+        )
+        assert op_cycles == report["summary"]["cycles"]
+
+        document = json.loads(trace_path.read_text())
+        assert_valid_chrome_trace(document)
+        (begin,) = [
+            event for event in document["traceEvents"]
+            if event["ph"] == "B" and event["name"] == "build_dataset"
+        ]
+        assert begin["cat"] == "host"
+        assert begin["args"] == {"dataset": "CR", "scale": 1.0, "vertices": 2708, "edges": 20968}
+        op_cycles = sum(
+            event["args"].get("cycles", 0)
+            for event in document["traceEvents"]
+            if event["ph"] == "B" and event.get("cat") == "op"
+        )
+        assert op_cycles == document["metadata"]["total_cycles"]
+
     def test_profile_design_override(self, capsys):
         assert main(
             ["profile", "--dataset", "cora", "--family", "gcn", "--scale", "0.2",

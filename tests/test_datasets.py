@@ -2,16 +2,74 @@
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.check import verify_plan
 from repro.datasets import (
     DATASET_SPECS,
     build_dataset,
     dataset_names,
     dataset_spec,
+    synthetic,
     tiny_dataset,
 )
+from repro.datasets.synthetic import _build_labels
+from repro.graph import Graph
+from repro.plan import lower
+from repro.scaleout import execute_scaleout
+from repro.sim import GNNIEExecutor
+
+#: ``build_dataset(name, scale=scale, seed=0).labels``: shape and the sha256
+#: of its int64 bytes.  Any change to the label generator moves these.
+LABEL_PINS = {
+    ("cora", 1.0): (
+        (2708,),
+        "7a2d6f19aebabd125a8f523e0da6d3a49c5cf51227251256062ff8a2c9da0746",
+    ),
+    ("citeseer", 1.0): (
+        (3327,),
+        "f2f0e7ba347c4259ec3184b06ad694d89f2aa0553f2cf7713d8d8c1ceadbc487",
+    ),
+    ("pubmed", 0.3): (
+        (5915,),
+        "d95499dbe9adaf8a62418abaf6249c56adab24ea888aee995ee6145bdf735899",
+    ),
+    ("ppi", 0.05): (
+        (2847, 121),
+        "352c8c3611f51acf080c0974db9984c9ddf2f1522319ca8b8c699e7347ee1baa",
+    ),
+    ("ppi", 0.25): (
+        (14236, 121),
+        "8014a4cb28aff64870ef53517ecf2a7e6925fcfafb36fe97b940ddca4759cddd",
+    ),
+    ("reddit", 0.01): (
+        (2330,),
+        "d9c65ea3436a367b459ac2093a5331110c43c1299a62ab98534710ea3dad4925",
+    ),
+}
+
+
+def _digest(labels: np.ndarray) -> str:
+    return hashlib.sha256(labels.tobytes()).hexdigest()
+
+
+class _CountingLabelBuilder:
+    """Stands in for ``synthetic._build_labels`` and counts its calls.
+
+    A module-level class holding only its count, so a graph whose label
+    builder wraps it still pickles.
+    """
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs) -> np.ndarray:
+        self.calls += 1
+        return _build_labels(*args, **kwargs)
 
 
 class TestRegistry:
@@ -214,14 +272,55 @@ class TestTinyDataset:
         graph = tiny_dataset()
         assert graph.memory_footprint_bytes() > 0
 
-    def test_with_features_replaces(self):
-        graph = tiny_dataset(num_vertices=16, feature_length=8)
-        new_features = np.ones((16, 4))
-        replaced = graph.with_features(new_features)
-        assert replaced.feature_length == 4
-        assert replaced.adjacency is graph.adjacency
-
     def test_feature_shape_mismatch_rejected(self):
         graph = tiny_dataset(num_vertices=16, feature_length=8)
         with pytest.raises(ValueError):
-            graph.with_features(np.ones((4, 8)))
+            Graph(adjacency=graph.adjacency, features=np.ones((4, 8)))
+
+    def test_wrong_length_labels_rejected_at_construction(self):
+        graph = tiny_dataset(num_vertices=16, feature_length=8)
+        with pytest.raises(ValueError, match="one entry per vertex"):
+            Graph(
+                adjacency=graph.adjacency,
+                features=graph.features,
+                labels=np.zeros(15, dtype=np.int64),
+            )
+
+
+class TestLabels:
+    @pytest.mark.parametrize(("name", "scale"), sorted(LABEL_PINS))
+    def test_labels_pinned(self, name, scale):
+        labels = build_dataset(name, scale=scale, seed=0).labels
+        shape, digest = LABEL_PINS[name, scale]
+        assert labels.dtype == np.int64
+        assert labels.shape == shape
+        assert _digest(labels) == digest
+
+    def test_labels_built_on_first_read(self, monkeypatch):
+        """Inference never builds labels; the first read builds them once."""
+        counting = _CountingLabelBuilder()
+        monkeypatch.setattr(synthetic, "_build_labels", counting)
+        graph = build_dataset("ppi", scale=0.05, seed=0)
+        plan = verify_plan(lower("gcn", graph))
+        GNNIEExecutor().execute(plan, graph)
+        execute_scaleout(GNNIEExecutor(), plan, graph, None, chips=2)
+        copy = pickle.loads(pickle.dumps(graph))
+        assert counting.calls == 0
+        assert graph.num_label_classes == 121
+
+        labels = graph.labels
+        assert counting.calls == 1
+        assert _digest(labels) == LABEL_PINS["ppi", 0.05][1]
+        assert graph.labels is labels
+        assert counting.calls == 1
+        np.testing.assert_array_equal(copy.labels, labels)
+
+    def test_built_labels_validated_on_first_read(self):
+        graph = tiny_dataset(num_vertices=16, feature_length=8)
+        deferred = Graph(
+            adjacency=graph.adjacency,
+            features=graph.features,
+            label_builder=lambda: np.zeros(15, dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="one entry per vertex"):
+            deferred.labels
