@@ -18,18 +18,16 @@ Asserted invariants:
 from __future__ import annotations
 
 from repro.analysis import format_table, miss_path_ablation_rows
-from repro.cache import MissPathConfig, MissPathHierarchy, simulate_policy
-from repro.hw import AcceleratorConfig
+from repro.cache import filter_misses, simulate_policy
+from repro.hw import MISS_PATH_MECHANISMS, AcceleratorConfig
 from repro.sim import input_buffer_capacity, run_cache_simulation
 
 DATASETS = ("cora", "citeseer", "pubmed")
-MECHANISMS = ("victim", "miss", "stream")
 FEATURE_LENGTH = 128
 
 
-def _capacity(graph):
-    config = AcceleratorConfig().with_input_buffer_for(graph.name)
-    return input_buffer_capacity(graph.adjacency, config, FEATURE_LENGTH)
+def _config(graph, *mechanisms):
+    return AcceleratorConfig().with_input_buffer_for(graph.name).with_miss_path(*mechanisms)
 
 
 def test_ablation_miss_path_mechanisms(benchmark, record, datasets):
@@ -37,13 +35,11 @@ def test_ablation_miss_path_mechanisms(benchmark, record, datasets):
         results = {}
         for name in DATASETS:
             graph = datasets[name]
-            capacity, record_bytes = _capacity(graph)
             results[name] = miss_path_ablation_rows(
                 graph.adjacency,
-                capacity=capacity,
-                bytes_per_vertex=record_bytes,
+                _config(graph, *MISS_PATH_MECHANISMS),
+                FEATURE_LENGTH,
                 policies=("vertex_order", "degree_aware"),
-                mechanisms=MECHANISMS,
                 dataset=graph.name,
             )
         return results
@@ -62,17 +58,21 @@ def test_ablation_miss_path_mechanisms(benchmark, record, datasets):
         baseline_misses = baseline_rows[0]["accesses"]
         assert baseline_misses > 0
         per_mechanism = {
-            row["mechanism"]: row for row in baseline_rows if row["mechanism"] in MECHANISMS
+            row["mechanism"]: row
+            for row in baseline_rows
+            if row["mechanism"] in MISS_PATH_MECHANISMS
         }
         # Each structure alone strictly reduces random DRAM traffic.
-        for mechanism in MECHANISMS:
+        for mechanism in MISS_PATH_MECHANISMS:
             row = per_mechanism[mechanism]
             assert row["dram_random_avoided"] > 0, (name, mechanism)
             assert row["dram_random_remaining"] < baseline_misses, (name, mechanism)
         # The combined hierarchy is at least as good as its best constituent.
-        combined = [row for row in baseline_rows if row["mechanism"] == "+".join(MECHANISMS)]
+        combined = [
+            row for row in baseline_rows if row["mechanism"] == "+".join(MISS_PATH_MECHANISMS)
+        ]
         assert combined[0]["dram_random_avoided"] >= max(
-            per_mechanism[m]["dram_random_avoided"] for m in MECHANISMS
+            per_mechanism[m]["dram_random_avoided"] for m in MISS_PATH_MECHANISMS
         )
         # The degree-aware policy has no input-buffer misses to recover.
         for row in table:
@@ -83,12 +83,9 @@ def test_ablation_miss_path_mechanisms(benchmark, record, datasets):
 def test_miss_path_leaves_degree_aware_sequential_traffic_unchanged(datasets):
     for name in ("cora", "pubmed"):
         graph = datasets[name]
-        config = AcceleratorConfig().with_input_buffer_for(graph.name)
-        plain = run_cache_simulation(graph.adjacency, config, FEATURE_LENGTH)
+        plain = run_cache_simulation(graph.adjacency, _config(graph), FEATURE_LENGTH)
         filtered = run_cache_simulation(
-            graph.adjacency,
-            config.with_miss_path("victim", "miss", "stream"),
-            FEATURE_LENGTH,
+            graph.adjacency, _config(graph, *MISS_PATH_MECHANISMS), FEATURE_LENGTH
         )
         assert filtered.miss_path is not None
         assert filtered.miss_path.resolved == 0
@@ -100,12 +97,13 @@ def test_miss_path_leaves_degree_aware_sequential_traffic_unchanged(datasets):
 def test_miss_path_recovers_traffic_for_classic_policies(datasets):
     """VC+SB and MC+SB composites also help LRU / static partition."""
     graph = datasets["cora"]
-    capacity, record_bytes = _capacity(graph)
+    capacity, record_bytes = input_buffer_capacity(
+        graph.adjacency, _config(graph), FEATURE_LENGTH
+    )
     for policy in ("lru", "static_partition"):
         result = simulate_policy(
             policy, graph.adjacency, capacity, bytes_per_vertex=record_bytes, collect_trace=True
         )
         for pair in (("victim", "stream"), ("miss", "stream")):
-            hierarchy = MissPathHierarchy(MissPathConfig(mechanisms=pair))
-            outcome = hierarchy.filter(result.trace)
+            outcome = filter_misses(result.trace, _config(graph, *pair))
             assert 0 < outcome.resolved <= result.random_accesses, (policy, pair)

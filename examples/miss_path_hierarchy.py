@@ -20,9 +20,8 @@ Run with:  python examples/miss_path_hierarchy.py
 from __future__ import annotations
 
 from repro.analysis import format_table, miss_path_ablation_rows
-from repro.cache import MissPathConfig
 from repro.datasets import build_dataset
-from repro.hw import AcceleratorConfig
+from repro.hw import MISS_PATH_MECHANISMS, AcceleratorConfig
 from repro.sim import GNNIESimulator, input_buffer_capacity
 
 
@@ -30,7 +29,7 @@ def main() -> None:
     graph = build_dataset("cora", seed=0)
     config = AcceleratorConfig().with_input_buffer_for(graph.name)
     feature_length = 128
-    capacity, record_bytes = input_buffer_capacity(graph.adjacency, config, feature_length)
+    capacity, _ = input_buffer_capacity(graph.adjacency, config, feature_length)
     print(
         f"Cora stand-in: {graph.num_vertices} vertices, "
         f"{graph.num_edges // 2} undirected edges; "
@@ -42,10 +41,9 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     rows = miss_path_ablation_rows(
         graph.adjacency,
-        capacity=capacity,
-        bytes_per_vertex=record_bytes,
+        config.with_miss_path(*MISS_PATH_MECHANISMS),
+        feature_length,
         policies=("vertex_order", "lru", "degree_aware"),
-        mechanisms=("victim", "miss", "stream"),
         dataset=graph.name,
     )
     print(format_table(rows, title="Miss-path mechanisms per hit-path policy"))
@@ -60,15 +58,10 @@ def main() -> None:
     sweep_rows = []
     for count in (1, 2, 4, 8):
         for depth in (4, 16, 64):
-            sizing = MissPathConfig(stream_buffers=count, stream_depth=depth)
-            [row] = miss_path_ablation_rows(
-                graph.adjacency,
-                capacity=capacity,
-                bytes_per_vertex=record_bytes,
-                policies=("vertex_order",),
-                mechanisms=("stream",),
-                miss_config=sizing,
+            stream_config = config.with_miss_path(
+                "stream", stream_buffer_count=count, stream_buffer_depth=depth
             )
+            [row] = miss_path_ablation_rows(graph.adjacency, stream_config, feature_length)
             sweep_rows.append(
                 {
                     "buffers": count,
@@ -84,12 +77,10 @@ def main() -> None:
     # 3. Whole-inference effect on the no-caching ablation.
     # ------------------------------------------------------------------ #
     ablation_cfg = config.without_optimizations()
-    hierarchy_cfg = ablation_cfg.with_miss_path("victim", "miss", "stream")
+    hierarchy_cfg = ablation_cfg.with_miss_path(*MISS_PATH_MECHANISMS)
     plain = GNNIESimulator(ablation_cfg).run(graph, "gcn")
     filtered = GNNIESimulator(hierarchy_cfg).run(graph, "gcn")
-    gnnie = GNNIESimulator(config.with_miss_path("victim", "miss", "stream")).run(
-        graph, "gcn"
-    )
+    gnnie = GNNIESimulator(config.with_miss_path(*MISS_PATH_MECHANISMS)).run(graph, "gcn")
 
     def traffic(result):
         random = sum(p.dram_random_accesses for l in result.layers for p in l.phases())

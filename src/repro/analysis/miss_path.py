@@ -2,62 +2,62 @@
 
 These helpers back the ``repro cache`` CLI subcommand and the
 ``benchmarks/test_ablation_miss_path.py`` table: they run the hit-path
-policy simulators with trace collection, filter each trace through victim
-cache / miss cache / stream buffer configurations, and emit rows ready for
-:func:`repro.analysis.format_table` — one row per (policy, mechanism) with
-the snippet-1 statistics (accesses, hits, hit rate) plus the recovered
-random-DRAM traffic.
+policy simulators with trace collection, filter each trace through the
+victim cache / miss cache / stream buffers an
+:class:`~repro.hw.config.AcceleratorConfig` enables, and emit rows ready
+for :func:`repro.analysis.format_table` — one row per (policy, mechanism)
+with the snippet-1 statistics (accesses, hits, hit rate) plus the
+recovered random-DRAM traffic.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.cache.hierarchy import MissPathConfig, MissPathHierarchy
+from repro.cache.hierarchy import filter_misses
 from repro.cache.policies import simulate_policy
 from repro.graph.csr import CSRGraph
+from repro.hw.config import AcceleratorConfig
+from repro.sim.aggregation_sim import input_buffer_capacity
 
 __all__ = ["miss_path_ablation_rows"]
 
 
 def miss_path_ablation_rows(
     adjacency: CSRGraph,
+    config: AcceleratorConfig,
+    feature_length: int,
     *,
-    capacity: int,
-    bytes_per_vertex: int = 256,
     policies: Sequence[str] = ("vertex_order",),
-    mechanisms: Iterable[str] = ("victim", "miss", "stream"),
-    miss_config: MissPathConfig | None = None,
-    gamma: int = 5,
     dataset: str | None = None,
 ) -> list[dict[str, object]]:
     """One table row per (policy, mechanism), plus a combined row.
 
-    Mechanisms are probed in parallel, so each mechanism's hit mask is
-    independent of its co-residents: one combined hierarchy filter per
+    The buffer capacity and record size are the ones the simulator charges
+    (:func:`~repro.sim.aggregation_sim.input_buffer_capacity` at
+    ``feature_length``); γ, the mechanisms and their sizes come from
+    ``config``.  Mechanisms are probed in parallel, so each mechanism's hit
+    mask is independent of its co-residents: one hierarchy filter per
     policy yields both the per-mechanism statistics (each mechanism's own
     hits are exactly the random DRAM accesses it would avoid alone) and the
     union row (:meth:`~repro.cache.hierarchy.HierarchyResult.rows`).
     ``sequential_fetches`` is repeated on every row so ablations can assert
     the hit path was left untouched.
     """
-    sizing = miss_config or MissPathConfig()
-    mechanism_list = tuple(mechanisms)
-    hierarchy = MissPathHierarchy(replace(sizing, mechanisms=mechanism_list))
+    capacity, record_bytes = input_buffer_capacity(adjacency, config, feature_length)
     rows: list[dict[str, object]] = []
     for policy in policies:
         result = simulate_policy(
             policy,
             adjacency,
             capacity,
-            bytes_per_vertex=bytes_per_vertex,
-            gamma=gamma,
+            bytes_per_vertex=record_bytes,
+            gamma=config.gamma,
             collect_trace=True,
         )
         trace = result.trace
         assert trace is not None
-        outcome = hierarchy.filter(trace)
+        outcome = filter_misses(trace, config)
         for mechanism_row in outcome.rows():
             row: dict[str, object] = {}
             if dataset is not None:

@@ -49,11 +49,6 @@ class PlatformModel(ABC):
     #: Span tracer (``repro.obs``); the shared no-op by default, overridden
     #: per instance when a profiling/fleet run wants platform spans.
     tracer = NULL_TRACER
-    #: Baseline platforms price a (plan, graph) workload that does not depend
-    #: on the accelerator config, so the sweep derives the workload once per
-    #: (dataset, family) group and passes it to :meth:`execute` for every
-    #: config of the group.
-    uses_shared_workload = True
 
     def supports(self, family: str) -> bool:
         return family.lower() in self.supported_families
@@ -80,21 +75,15 @@ class PlatformModel(ABC):
         )
 
     def execute(
-        self,
-        plan: InferencePlan,
-        graph: Graph,
-        config: object | None = None,
-        *,
-        workload: WorkloadEstimate | None = None,
+        self, plan: InferencePlan, graph: Graph, config: object | None = None
     ) -> PlatformResult:
         """Executor protocol: price an inference plan on this platform.
 
         ``config`` is accepted for protocol compatibility and ignored — the
-        baseline platforms model fixed published hardware.  ``workload`` lets
-        a caller supply a pre-derived
-        :func:`~repro.baselines.workload.workload_from_plan` result; deriving
-        it is a pure function of (plan, graph), so sharing it cannot change
-        the priced result.
+        baseline platforms model fixed published hardware.  The workload
+        comes from :func:`~repro.baselines.workload.workload_from_plan`,
+        which the graph's pricing context memoizes per plan, so every
+        config of a sweep group shares one derivation.
         """
         verify_plan(plan)
         del config
@@ -105,8 +94,6 @@ class PlatformModel(ABC):
             dataset=graph.name,
             family=plan.family,
         ) as span:
-            if workload is None:
-                workload = workload_from_plan(plan, graph)
-            result = self.evaluate(graph, workload)
+            result = self.evaluate(graph, workload_from_plan(plan, graph))
         span.set(latency_s=result.latency_seconds, energy_j=result.energy_joules)
         return result

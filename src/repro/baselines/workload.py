@@ -104,13 +104,19 @@ def workload_from_plan(plan: InferencePlan, graph: Graph) -> WorkloadEstimate:
 
     This is the single workload derivation shared by all baseline platform
     executors: every op contributes its analytic operation counts, resolved
-    against the graph's vertex/edge statistics.
+    against the graph's vertex/edge statistics.  The frozen result is
+    memoized on the graph's pricing context under the plan, which hashes by
+    content, so each (graph, plan) pair is derived once.
     """
     from repro.sim.batch import pricing_context
 
+    context = pricing_context(graph)
+    cached = context.workloads.get(plan)
+    if cached is not None:
+        return cached
     num_vertices = graph.num_vertices
     num_edges = graph.num_edges  # directed (2x undirected)
-    input_nonzeros = pricing_context(graph).input_nonzeros()
+    input_nonzeros = context.input_nonzeros()
     edge_counts: dict[AdjacencyRef, int] = {}
 
     def resolve_edges(ref: AdjacencyRef) -> int:
@@ -186,4 +192,7 @@ def workload_from_plan(plan: InferencePlan, graph: Graph) -> WorkloadEstimate:
                 dram_bytes=int(dram_bytes),
             )
         )
-    return WorkloadEstimate(dataset=graph.name, family=plan.family, layers=tuple(layers))
+    workload = context.workloads[plan] = WorkloadEstimate(
+        dataset=graph.name, family=plan.family, layers=tuple(layers)
+    )
+    return workload

@@ -5,26 +5,15 @@
 LRU/MRU, static-partition and vertex-order baselines) and returns a
 :class:`CacheSimulationResult`.  The package also contains a trace-driven
 **miss-path hierarchy**: the policy simulators can emit a
-miss/eviction trace (:mod:`repro.cache.trace`), which a configurable set of
-classic hardware structures — victim cache, miss cache, stream buffers
-(:mod:`repro.cache.mechanisms`) — filters before DRAM
-(:mod:`repro.cache.hierarchy`).  Mechanisms are pluggable through
-:data:`MECHANISM_REGISTRY` / :func:`register_mechanism`.
+miss/eviction trace (:mod:`repro.cache.trace`), which the classic hardware
+structures that ``AcceleratorConfig.miss_path_mechanisms`` enables — victim
+cache, miss cache, stream buffers (:mod:`repro.cache.mechanisms`) — filter
+before DRAM (:func:`filter_misses`).
 """
 
 from repro.cache.controller import vertex_record_bytes
-from repro.cache.hierarchy import HierarchyResult, MissPathConfig, MissPathHierarchy
-from repro.cache.mechanisms import (
-    MECHANISM_REGISTRY,
-    MechanismStats,
-    MissCache,
-    MissPathMechanism,
-    StreamBufferArray,
-    VictimCache,
-    build_mechanism,
-    mechanism_names,
-    register_mechanism,
-)
+from repro.cache.hierarchy import HierarchyResult, filter_misses
+from repro.cache.mechanisms import MechanismStats, miss_cache_hits, stream_hits, victim_hits
 from repro.cache.policies import POLICY_NAMES, simulate_policy
 from repro.cache.policy import CacheSimulationResult
 from repro.cache.trace import EVICT, MISS, TraceRecorder, VertexAccessTrace
@@ -39,18 +28,12 @@ __all__ = [
     "EVICT",
     "TraceRecorder",
     "VertexAccessTrace",
-    # Miss-path mechanisms + registry
+    # Miss-path mechanisms
     "MechanismStats",
-    "MissPathMechanism",
-    "VictimCache",
-    "MissCache",
-    "StreamBufferArray",
-    "MECHANISM_REGISTRY",
-    "register_mechanism",
-    "mechanism_names",
-    "build_mechanism",
+    "victim_hits",
+    "miss_cache_hits",
+    "stream_hits",
     # Hierarchy
-    "MissPathConfig",
     "HierarchyResult",
-    "MissPathHierarchy",
+    "filter_misses",
 ]

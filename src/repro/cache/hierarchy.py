@@ -1,19 +1,16 @@
-"""Configurable miss-path hierarchy behind the input buffer.
+"""Miss-path hierarchy behind the input buffer.
 
-:class:`MissPathHierarchy` glues the registered mechanisms
-(:mod:`repro.cache.mechanisms`) into one filter: every input-buffer miss in
-a :class:`~repro.cache.trace.VertexAccessTrace` probes all configured
-structures in parallel, any hit keeps the access on chip, and only the
-remaining misses go to DRAM as random accesses.  The outcome is a
-:class:`HierarchyResult` with per-mechanism statistics (accesses, hits, hit
-rate — the counters the SimpleScalar miss-path studies report) plus the
-combined recovered-traffic totals the DRAM and cycle models consume.
-
-The hierarchy is configured either directly via :class:`MissPathConfig` or
-from the accelerator-level knobs on
-:class:`repro.hw.config.AcceleratorConfig` (``miss_path_mechanisms``,
-``victim_cache_entries``, ``miss_cache_entries``, ``stream_buffer_count``,
-``stream_buffer_depth``).
+:func:`filter_misses` glues the mechanisms of :mod:`repro.cache.mechanisms`
+into one filter: every input-buffer miss in a
+:class:`~repro.cache.trace.VertexAccessTrace` probes the structures that
+``AcceleratorConfig.miss_path_mechanisms`` enables, in parallel, any hit
+keeps the access on chip, and only the remaining misses go to DRAM as
+random accesses.  The outcome is a :class:`HierarchyResult` with
+per-mechanism statistics (accesses, hits, hit rate — the counters the
+SimpleScalar miss-path studies report) plus the combined recovered-traffic
+totals the DRAM and cycle models consume.  The structures are sized by the
+same :class:`~repro.hw.config.AcceleratorConfig` (``victim_cache_entries``,
+``miss_cache_entries``, ``stream_buffer_count``, ``stream_buffer_depth``).
 """
 
 from __future__ import annotations
@@ -22,74 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cache.mechanisms import (
-    MechanismStats,
-    MissPathMechanism,
-    build_mechanism,
-    mechanism_names,
-)
+from repro.cache.mechanisms import MechanismStats, miss_cache_hits, stream_hits, victim_hits
 from repro.cache.trace import VertexAccessTrace
+from repro.hw.config import AcceleratorConfig
 
-__all__ = ["MissPathConfig", "HierarchyResult", "MissPathHierarchy"]
-
-
-@dataclass(frozen=True)
-class MissPathConfig:
-    """Sizing of the miss-path structures.
-
-    Attributes:
-        mechanisms: Registry names of the enabled structures, probed in
-            parallel on every input-buffer miss.
-        victim_entries: Fully associative victim cache capacity (records).
-        miss_entries: Tag-only miss cache capacity (tags).
-        stream_buffers: Number of stream buffers.
-        stream_depth: Prefetch window length of each stream buffer.
-    """
-
-    mechanisms: tuple[str, ...] = ()
-    victim_entries: int = 64
-    #: Tag-only, so a tag store larger than the input buffer's vertex
-    #: capacity is still cheap (4-byte tags vs ~256-byte records) — and it
-    #: must be larger for reuse to land: a vertex can only re-miss after
-    #: ~capacity admissions have evicted it from the input buffer.
-    miss_entries: int = 4096
-    stream_buffers: int = 4
-    stream_depth: int = 16
-
-    def __post_init__(self) -> None:
-        unknown = set(self.mechanisms) - set(mechanism_names())
-        if unknown:
-            raise ValueError(
-                f"unknown miss-path mechanisms {sorted(unknown)}; "
-                f"known: {sorted(mechanism_names())}"
-            )
-        if self.victim_entries <= 0 or self.miss_entries <= 0:
-            raise ValueError("victim/miss cache capacities must be positive")
-        if self.stream_buffers <= 0 or self.stream_depth <= 0:
-            raise ValueError("stream buffer count and depth must be positive")
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.mechanisms)
-
-    def mechanism_kwargs(self, name: str) -> dict[str, int]:
-        """Constructor arguments for one registered mechanism."""
-        return {
-            "victim": {"entries": self.victim_entries},
-            "miss": {"entries": self.miss_entries},
-            "stream": {"count": self.stream_buffers, "depth": self.stream_depth},
-        }.get(name, {})
-
-    @classmethod
-    def from_accelerator_config(cls, config) -> "MissPathConfig":
-        """Lift the ``AcceleratorConfig`` miss-path knobs into this record."""
-        return cls(
-            mechanisms=tuple(config.miss_path_mechanisms),
-            victim_entries=config.victim_cache_entries,
-            miss_entries=config.miss_cache_entries,
-            stream_buffers=config.stream_buffer_count,
-            stream_depth=config.stream_buffer_depth,
-        )
+__all__ = ["HierarchyResult", "filter_misses"]
 
 
 @dataclass
@@ -151,72 +85,76 @@ class HierarchyResult:
         return rows
 
 
-class MissPathHierarchy:
-    """Parallel-probe composition of the configured miss-path mechanisms."""
+def filter_misses(
+    trace: VertexAccessTrace, config: AcceleratorConfig, *, metrics=None
+) -> HierarchyResult:
+    """Run every miss of ``trace`` through the configured miss-path hierarchy.
 
-    def __init__(self, config: MissPathConfig) -> None:
-        self.config = config
-        self.mechanisms: list[MissPathMechanism] = [
-            build_mechanism(name, **config.mechanism_kwargs(name))
-            for name in config.mechanisms
-        ]
+    The mechanisms run in ``config.miss_path_mechanisms`` order.
+    Per-mechanism stats count each structure's own hits (parallel probing,
+    so the same miss may hit several structures); the combined ``resolved``
+    count is the union — each such miss costs zero DRAM random accesses
+    regardless of how many structures held it.
 
-    @classmethod
-    def from_accelerator_config(cls, config) -> "MissPathHierarchy":
-        return cls(MissPathConfig.from_accelerator_config(config))
+    Stream buffers are the one structure that fills from DRAM: their fill
+    traffic is ``depth`` records per allocation (every miss that hits no
+    window allocates a buffer) plus one per hit (the window slides one
+    record forward).  On a low-locality trace most of the allocated records
+    go unused, which is the real bandwidth cost of stream buffers that hit
+    counts alone hide.
 
-    def filter(self, trace: VertexAccessTrace, *, metrics=None) -> HierarchyResult:
-        """Run every miss of ``trace`` through the hierarchy.
-
-        Per-mechanism stats count each structure's own hits (parallel
-        probing, so the same miss may hit several structures); the combined
-        ``resolved`` count is the union — each such miss costs zero DRAM
-        random accesses regardless of how many structures held it.
-
-        ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`; when
-        given (and enabled), the trace's input-buffer misses/evictions and
-        every mechanism's probe/hit counters are recorded under
-        ``cache.input_buffer.*`` / ``cache.miss_path.*``.
-        """
-        result = HierarchyResult(
-            total_misses=trace.num_misses,
-            bytes_per_vertex=trace.bytes_per_vertex,
-            policy=trace.policy,
+    ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`; when
+    given (and enabled), the trace's input-buffer misses/evictions and
+    every mechanism's probe/hit counters are recorded under
+    ``cache.input_buffer.*`` / ``cache.miss_path.*``.
+    """
+    result = HierarchyResult(
+        total_misses=trace.num_misses,
+        bytes_per_vertex=trace.bytes_per_vertex,
+        policy=trace.policy,
+    )
+    resolved = np.zeros(trace.num_misses, dtype=bool)
+    on_chip = np.zeros(trace.num_misses, dtype=bool)
+    for name in config.miss_path_mechanisms:
+        if name == "victim":
+            mask = victim_hits(trace, config.victim_cache_entries)
+        elif name == "miss":
+            mask = miss_cache_hits(trace, config.miss_cache_entries)
+        else:  # "stream"; the config rejects any other name
+            mask = stream_hits(
+                trace, config.stream_buffer_count, config.stream_buffer_depth
+            )
+        hits = int(mask.sum())
+        resolved |= mask
+        if name == "stream":
+            result.prefetch_fill_records += (
+                (mask.size - hits) * config.stream_buffer_depth + hits
+            )
+        else:
+            # A parallel hit in an on-chip structure serves the data
+            # without DRAM, even if a stream buffer also held it.
+            on_chip |= mask
+        result.mechanisms.append(
+            MechanismStats(name=name, accesses=int(mask.size), hits=hits)
         )
-        resolved = np.zeros(trace.num_misses, dtype=bool)
-        on_chip = np.zeros(trace.num_misses, dtype=bool)
-        for mechanism in self.mechanisms:
-            mask = mechanism.hit_mask(trace)
-            resolved |= mask
-            if not getattr(mechanism, "serves_from_dram", False):
-                # A parallel hit in an on-chip structure serves the data
-                # without DRAM, even if a stream buffer also held it.
-                on_chip |= mask
-            else:
-                result.prefetch_fill_records += mechanism.dram_fill_records(mask)
-            result.mechanisms.append(
-                MechanismStats(
-                    name=mechanism.name, accesses=int(mask.size), hits=int(mask.sum())
-                )
+    result.resolved = int(resolved.sum())
+    result.prefetch_resolved = int((resolved & ~on_chip).sum())
+    if metrics is not None and metrics.enabled:
+        metrics.counter("cache.input_buffer.misses", policy=trace.policy).inc(
+            trace.num_misses
+        )
+        metrics.counter("cache.input_buffer.evictions", policy=trace.policy).inc(
+            trace.num_evictions
+        )
+        for stats in result.mechanisms:
+            metrics.counter("cache.miss_path.accesses", mechanism=stats.name).inc(
+                stats.accesses
             )
-        result.resolved = int(resolved.sum())
-        result.prefetch_resolved = int((resolved & ~on_chip).sum())
-        if metrics is not None and metrics.enabled:
-            metrics.counter("cache.input_buffer.misses", policy=trace.policy).inc(
-                trace.num_misses
+            metrics.counter("cache.miss_path.hits", mechanism=stats.name).inc(
+                stats.hits
             )
-            metrics.counter("cache.input_buffer.evictions", policy=trace.policy).inc(
-                trace.num_evictions
-            )
-            for stats in result.mechanisms:
-                metrics.counter("cache.miss_path.accesses", mechanism=stats.name).inc(
-                    stats.accesses
-                )
-                metrics.counter("cache.miss_path.hits", mechanism=stats.name).inc(
-                    stats.hits
-                )
-            metrics.counter("cache.miss_path.resolved").inc(result.resolved)
-            metrics.counter("cache.miss_path.dram_random").inc(
-                result.dram_random_accesses
-            )
-        return result
+        metrics.counter("cache.miss_path.resolved").inc(result.resolved)
+        metrics.counter("cache.miss_path.dram_random").inc(
+            result.dram_random_accesses
+        )
+    return result

@@ -4,52 +4,39 @@ Three structures from the hardware-caching literature are modeled behind the
 input buffer (the shape of the SimpleScalar DL1 miss-path studies: baseline
 hit path untouched, miss path augmented with stats-only structures):
 
-* :class:`VictimCache` — a small fully associative buffer holding recently
+* :func:`victim_hits` — a small fully associative buffer holding recently
   *evicted* vertex records.  Probed on a miss; a hit swaps the record back
   into the input buffer, so DRAM is not accessed.
-* :class:`MissCache` — a tag-only structure remembering recent miss
+* :func:`miss_cache_hits` — a tag-only structure remembering recent miss
   addresses; it captures short-term miss reuse (a vertex missed twice in
   quick succession is served the second time without DRAM).
-* :class:`StreamBufferArray` — ``count`` buffers that prefetch the next
-  ``depth`` vertex records of the sequential DRAM vertex stream after each
-  miss.  Because the stream layout is known (descending degree for GNNIE,
+* :func:`stream_hits` — ``count`` buffers that prefetch the next ``depth``
+  vertex records of the sequential DRAM vertex stream after each miss.
+  Because the stream layout is known (descending degree for GNNIE,
   vertex-id order for the baselines), a hit is a vectorized membership test
   of the missed vertex's layout position against all active prefetch
   windows at once.
 
-Each mechanism consumes a :class:`~repro.cache.trace.VertexAccessTrace` and
-returns a boolean hit mask over the trace's misses; mechanisms are probed in
+Each function reads a :class:`~repro.cache.trace.VertexAccessTrace` and
+returns a boolean hit mask over the trace's misses, without mutating the
+trace: the base simulation's behavior is fixed, only the destination of
+each miss (structure vs. DRAM) is decided here.  Mechanisms are probed in
 parallel on a miss (the classic arrangement), so combined configurations
 (VC+SB, MC+SB, …) compose by taking the union of the masks —
-:meth:`repro.cache.hierarchy.MissPathHierarchy.filter` is the one place
-that union is computed.
-
-New mechanisms plug in through :func:`register_mechanism`; the registry keys
-are the names accepted by ``AcceleratorConfig.miss_path_mechanisms`` and by
-the ``repro cache --mechanism`` CLI option.
+:func:`repro.cache.hierarchy.filter_misses` is the one place that union is
+computed.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Type
 
 import numpy as np
 
-from repro.cache.trace import EVICT, MISS, VertexAccessTrace
+from repro.cache.trace import EVICT, VertexAccessTrace
 
-__all__ = [
-    "MechanismStats",
-    "MissPathMechanism",
-    "VictimCache",
-    "MissCache",
-    "StreamBufferArray",
-    "MECHANISM_REGISTRY",
-    "register_mechanism",
-    "mechanism_names",
-    "build_mechanism",
-]
+__all__ = ["MechanismStats", "victim_hits", "miss_cache_hits", "stream_hits"]
 
 
 @dataclass(frozen=True)
@@ -79,142 +66,62 @@ class MechanismStats:
         }
 
 
-class MissPathMechanism:
-    """Interface of one miss-path structure.
-
-    Subclasses implement :meth:`hit_mask`, returning a boolean array aligned
-    with ``trace.miss_vertices()`` that marks the misses this structure
-    resolves on its own.  They must not mutate the trace: the base
-    simulation's behavior is fixed, only the destination of each miss
-    (structure vs. DRAM) is decided here.
-    """
-
-    #: Registry key; set by :func:`register_mechanism`.
-    name: str = "abstract"
-    #: True when a hit is serviced by data this structure fetched from DRAM
-    #: (stream-buffer prefetch): the hit avoids a *random* access but its
-    #: bytes must still be charged as sequential DRAM traffic.  False when
-    #: hits are genuinely on chip (victim/miss cache).
-    serves_from_dram: bool = False
-
-    def hit_mask(self, trace: VertexAccessTrace) -> np.ndarray:
-        raise NotImplementedError
-
-    def dram_fill_records(self, hit_mask: np.ndarray) -> int:
-        """Records this structure fetched from DRAM while serving the trace.
-
-        Zero for on-chip structures; DRAM-filling structures (stream
-        buffers) report their full fill traffic — consumed *and* wasted
-        prefetches — so ablations can see the bandwidth the mechanism
-        burns, not just the hits it lands.
-        """
-        return 0
-
-
-MECHANISM_REGISTRY: dict[str, Type[MissPathMechanism]] = {}
-
-
-def register_mechanism(name: str) -> Callable[[Type[MissPathMechanism]], Type[MissPathMechanism]]:
-    """Class decorator adding a mechanism to the registry under ``name``."""
-
-    def deco(cls: Type[MissPathMechanism]) -> Type[MissPathMechanism]:
-        cls.name = name
-        MECHANISM_REGISTRY[name] = cls
-        return cls
-
-    return deco
-
-
-def mechanism_names() -> tuple[str, ...]:
-    return tuple(sorted(MECHANISM_REGISTRY))
-
-
-def build_mechanism(name: str, **kwargs: object) -> MissPathMechanism:
-    """Instantiate a registered mechanism by name."""
-    try:
-        cls = MECHANISM_REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown miss-path mechanism {name!r}; known: {sorted(MECHANISM_REGISTRY)}"
-        ) from None
-    return cls(**kwargs)  # type: ignore[call-arg]
-
-
-@register_mechanism("victim")
-class VictimCache(MissPathMechanism):
-    """Fully associative LRU buffer of the last ``entries`` evicted records.
+def victim_hits(trace: VertexAccessTrace, entries: int) -> np.ndarray:
+    """Misses served by a fully associative LRU buffer of ``entries`` evictions.
 
     Evictions fill it; a miss that finds its vertex here is served by a
     swap-back instead of DRAM (the swapped-back record leaves the victim
     cache).  The walk is inherently sequential — every event permutes the
-    LRU state — so this filter is the one intentional Python loop on the
-    miss path; victim caches are small (8–64 entries) and traces are a few
-    tens of thousands of events, so it stays cheap.
+    LRU state — so this filter is an intentional Python loop; victim caches
+    are small (8–64 entries) and traces are a few tens of thousands of
+    events, so it stays cheap.
     """
-
-    def __init__(self, entries: int = 16) -> None:
-        if entries <= 0:
-            raise ValueError("victim cache needs at least one entry")
-        self.entries = int(entries)
-
-    def hit_mask(self, trace: VertexAccessTrace) -> np.ndarray:
-        kinds = trace.kinds
-        vertices = trace.vertices
-        hits = np.zeros(trace.num_misses, dtype=bool)
-        store: OrderedDict[int, None] = OrderedDict()
-        miss_index = 0
-        for kind, vertex in zip(kinds, vertices):
-            vertex = int(vertex)
-            if kind == EVICT:
-                if vertex in store:
-                    store.move_to_end(vertex)
-                else:
-                    if len(store) >= self.entries:
-                        store.popitem(last=False)
-                    store[vertex] = None
-            else:  # MISS
-                if vertex in store:
-                    hits[miss_index] = True
-                    del store[vertex]  # swapped back into the input buffer
-                miss_index += 1
-        return hits
+    hits = np.zeros(trace.num_misses, dtype=bool)
+    store: OrderedDict[int, None] = OrderedDict()
+    miss_index = 0
+    for kind, vertex in zip(trace.kinds, trace.vertices):
+        vertex = int(vertex)
+        if kind == EVICT:
+            if vertex in store:
+                store.move_to_end(vertex)
+            else:
+                if len(store) >= entries:
+                    store.popitem(last=False)
+                store[vertex] = None
+        else:  # MISS
+            if vertex in store:
+                hits[miss_index] = True
+                del store[vertex]  # swapped back into the input buffer
+            miss_index += 1
+    return hits
 
 
-@register_mechanism("miss")
-class MissCache(MissPathMechanism):
-    """Tag-only LRU cache of the last ``entries`` miss addresses.
+def miss_cache_hits(trace: VertexAccessTrace, entries: int) -> np.ndarray:
+    """Misses caught by a tag-only LRU cache of the last ``entries`` miss addresses.
 
     Unlike the victim cache it stores no data — it only detects that the
     same vertex missed again while its tag is still resident, resolving the
     repeat without a second DRAM random access.  Eviction events are
     ignored.  Sequential by construction (LRU state), same cost argument as
-    :class:`VictimCache`.
+    :func:`victim_hits`.
     """
-
-    def __init__(self, entries: int = 32) -> None:
-        if entries <= 0:
-            raise ValueError("miss cache needs at least one entry")
-        self.entries = int(entries)
-
-    def hit_mask(self, trace: VertexAccessTrace) -> np.ndarray:
-        misses = trace.miss_vertices()
-        hits = np.zeros(misses.size, dtype=bool)
-        tags: OrderedDict[int, None] = OrderedDict()
-        for index, vertex in enumerate(misses):
-            vertex = int(vertex)
-            if vertex in tags:
-                hits[index] = True
-                tags.move_to_end(vertex)
-                continue
-            if len(tags) >= self.entries:
-                tags.popitem(last=False)
-            tags[vertex] = None
-        return hits
+    misses = trace.miss_vertices()
+    hits = np.zeros(misses.size, dtype=bool)
+    tags: OrderedDict[int, None] = OrderedDict()
+    for index, vertex in enumerate(misses):
+        vertex = int(vertex)
+        if vertex in tags:
+            hits[index] = True
+            tags.move_to_end(vertex)
+            continue
+        if len(tags) >= entries:
+            tags.popitem(last=False)
+        tags[vertex] = None
+    return hits
 
 
-@register_mechanism("stream")
-class StreamBufferArray(MissPathMechanism):
-    """``count`` stream buffers prefetching ``depth`` records down the stream.
+def stream_hits(trace: VertexAccessTrace, count: int, depth: int) -> np.ndarray:
+    """Misses served by ``count`` stream buffers prefetching ``depth`` records.
 
     Classic allocate/slide semantics: each buffer holds a prefetch window
     covering the next ``depth`` layout positions of the DRAM vertex stream
@@ -227,46 +134,21 @@ class StreamBufferArray(MissPathMechanism):
 
     A stream-buffer hit avoids the random DRAM access but is served by data
     the buffer prefetched *from DRAM*, so the hierarchy charges its bytes as
-    sequential traffic (``serves_from_dram``).
+    sequential traffic.
     """
-
-    serves_from_dram = True
-
-    def __init__(self, count: int = 4, depth: int = 8) -> None:
-        if count <= 0:
-            raise ValueError("need at least one stream buffer")
-        if depth <= 0:
-            raise ValueError("stream buffer depth must be positive")
-        self.count = int(count)
-        self.depth = int(depth)
-
-    def hit_mask(self, trace: VertexAccessTrace) -> np.ndarray:
-        positions = trace.miss_stream_positions()
-        hits = np.zeros(positions.size, dtype=bool)
-        # Window anchors; nothing is covered until a buffer is allocated.
-        anchors = np.full(self.count, -(self.depth + 1), dtype=np.int64)
-        last_use = np.zeros(self.count, dtype=np.int64)
-        for index, position in enumerate(positions):
-            delta = position - anchors
-            in_window = (delta > 0) & (delta <= self.depth)
-            if in_window.any():
-                buffer_id = int(np.argmax(in_window))
-                hits[index] = True
-            else:
-                buffer_id = int(np.argmin(last_use))
-            anchors[buffer_id] = position
-            last_use[buffer_id] = index + 1
-        return hits
-
-    def dram_fill_records(self, hit_mask: np.ndarray) -> int:
-        """Fill traffic: ``depth`` records per allocation plus one per slide.
-
-        Every miss that hits no window allocates a buffer (a ``depth``-deep
-        prefetch), and every hit slides its window one record forward; on a
-        low-locality trace most of the allocated records go unused, which is
-        the real bandwidth cost of stream buffers that hit counts alone
-        hide.
-        """
-        hits = int(hit_mask.sum())
-        allocations = int(hit_mask.size) - hits
-        return allocations * self.depth + hits
+    positions = trace.miss_stream_positions()
+    hits = np.zeros(positions.size, dtype=bool)
+    # Window anchors; nothing is covered until a buffer is allocated.
+    anchors = np.full(count, -(depth + 1), dtype=np.int64)
+    last_use = np.zeros(count, dtype=np.int64)
+    for index, position in enumerate(positions):
+        delta = position - anchors
+        in_window = (delta > 0) & (delta <= depth)
+        if in_window.any():
+            buffer_id = int(np.argmax(in_window))
+            hits[index] = True
+        else:
+            buffer_id = int(np.argmin(last_use))
+        anchors[buffer_id] = position
+        last_use[buffer_id] = index + 1
+    return hits

@@ -21,19 +21,13 @@ but, before this package, never checked:
   encode this repo's fleet-safety contracts (no unseeded RNG, no wall
   clock feeding row content, no ``id()``-derived keys, canonical JSON in
   store paths, no unordered-set
-  iteration feeding hashes, no mutable default arguments).  Per-line
-  suppression via ``# repro-check: disable=RULE``.
-* :mod:`repro.check.baseline` — a committed findings baseline so the CI
-  gate starts green while findings are burned down.
+  iteration feeding hashes, no mutable default arguments).  Any finding
+  fails the gate; the one way to suppress one is a per-line
+  ``# repro-check: disable=RULE`` comment.
 
 Surfaced as ``python -m repro check`` and ``repro plan --check``.
 """
 
-from repro.check.baseline import (
-    filter_findings,
-    load_baseline,
-    write_baseline,
-)
 from repro.check.lint import (
     Finding,
     LintRule,
@@ -61,12 +55,10 @@ __all__ = [
     "PlanVerificationError",
     "Violation",
     "family_contract",
-    "filter_findings",
     "lint_file",
     "lint_paths",
     "lint_rules",
     "lint_source",
-    "load_baseline",
     "plan_violations",
     "register_family_contract",
     "register_verifier_rule",

@@ -52,15 +52,12 @@ _SUPPRESS_PREFIX = "# repro-check:"
 
 @dataclass(frozen=True)
 class Finding:
-    """One linter finding, addressable for baseline matching."""
+    """One linter finding."""
 
     rule: str
     path: str
     line: int
     message: str
-
-    def key(self) -> tuple[str, str, int]:
-        return (self.path, self.rule, self.line)
 
     def describe(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
@@ -421,9 +418,8 @@ def lint_paths(
 ) -> list[Finding]:
     """Lint every ``.py`` file under ``paths`` (files or directories).
 
-    Files are visited in sorted order so output — and therefore baseline
-    content — is deterministic.  Returns findings sorted by
-    (path, line, rule).
+    Files are visited in sorted order so output is deterministic.  Returns
+    findings sorted by (path, line, rule).
     """
     files: set[Path] = set()
     for entry in paths:

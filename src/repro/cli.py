@@ -92,9 +92,9 @@ from repro.analysis import compare_against_platform, format_table, miss_path_abl
 from repro.analysis.roofline import roofline_analysis
 from repro.baselines import AWBGCNModel, HyGCNModel, PyGCPUModel, PyGGPUModel
 from repro.baselines.engn import EnGNModel
-from repro.cache import POLICY_NAMES, MissPathConfig, mechanism_names
+from repro.cache import POLICY_NAMES
 from repro.datasets import build_dataset, dataset_names, dataset_spec
-from repro.hw import AcceleratorConfig, design_preset
+from repro.hw import MISS_PATH_MECHANISMS, AcceleratorConfig, design_preset
 from repro.models import MODEL_FAMILIES
 from repro.plan import executor_names, lower
 from repro.sim import GNNIESimulator, input_buffer_capacity
@@ -220,17 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src/repro)",
     )
     check_parser.add_argument(
-        "--baseline",
-        default="repro-check-baseline.json",
-        help="committed findings baseline; only findings not in it fail "
-        "(default: repro-check-baseline.json)",
-    )
-    check_parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file to contain exactly the current findings",
-    )
-    check_parser.add_argument(
         "--json", action="store_true", help="emit the full report as JSON"
     )
     check_parser.set_defaults(handler=_cmd_check)
@@ -266,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     cache_parser.add_argument("--seed", type=int, default=0, help="dataset generation seed")
     cache_parser.add_argument(
         "--mechanism",
-        default="victim,miss,stream",
+        default=",".join(MISS_PATH_MECHANISMS),
         help=(
             "comma-separated miss-path mechanisms to evaluate "
-            f"(known: {', '.join(mechanism_names())}); each is evaluated alone "
+            f"(known: {', '.join(MISS_PATH_MECHANISMS)}); each is evaluated alone "
             "plus one combined hierarchy row when several are given"
         ),
     )
@@ -729,38 +718,22 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check import (
-        filter_findings,
-        lint_paths,
-        load_baseline,
-        verify_registered_plans,
-        write_baseline,
-    )
+    from repro.check import lint_paths, verify_registered_plans
 
     run_lint = args.lint or not args.plans
     run_plans = args.plans or not args.lint
 
     findings = lint_paths(args.paths, root=".") if run_lint else []
-    baseline = load_baseline(args.baseline) if run_lint else set()
-    new_findings = filter_findings(findings, baseline)
-    if run_lint and args.update_baseline:
-        write_baseline(findings, args.baseline)
-        new_findings = []
-
     plan_rows = verify_registered_plans() if run_plans else []
     bad_plans = [row for row in plan_rows if not row["ok"]]
 
-    ok = not new_findings and not bad_plans
+    ok = not findings and not bad_plans
     if args.json:
         print(
             json.dumps(
                 {
                     "ok": ok,
-                    "lint": {
-                        "findings": [finding.to_dict() for finding in findings],
-                        "baselined": len(findings) - len(new_findings),
-                        "new": [finding.to_dict() for finding in new_findings],
-                    }
+                    "lint": {"findings": [finding.to_dict() for finding in findings]}
                     if run_lint
                     else None,
                     "plans": plan_rows if run_plans else None,
@@ -773,12 +746,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     if run_lint:
         for finding in findings:
-            marker = "" if finding.key() not in baseline else " (baselined)"
-            print(f"{finding.describe()}{marker}")
-        print(
-            f"lint: {len(findings)} finding(s), "
-            f"{len(new_findings)} not in baseline"
-        )
+            print(finding.describe())
+        print(f"lint: {len(findings)} finding(s)")
     if run_plans:
         for row in bad_plans:
             for violation in row["violations"]:
@@ -881,7 +850,31 @@ def _cmd_designs(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     graph = build_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    config = AcceleratorConfig().resolve_input_buffer(graph.name)
+    mechanisms = tuple(
+        dict.fromkeys(name.strip() for name in args.mechanism.split(",") if name.strip())
+    )
+    if not mechanisms:
+        print("no mechanisms given (use e.g. --mechanism victim,stream)", file=sys.stderr)
+        return 2
+    sizing = {
+        knob: value
+        for knob, value in (
+            ("victim_cache_entries", args.victim_entries),
+            ("miss_cache_entries", args.miss_entries),
+            ("stream_buffer_count", args.stream_buffers),
+            ("stream_buffer_depth", args.stream_depth),
+        )
+        if value is not None
+    }
+    try:
+        config = (
+            AcceleratorConfig()
+            .resolve_input_buffer(graph.name)
+            .with_miss_path(*mechanisms, **sizing)
+        )
+    except ValueError as error:
+        print(f"invalid miss-path configuration: {error}", file=sys.stderr)
+        return 2
     try:
         capacity, record_bytes = input_buffer_capacity(
             graph.adjacency, config, args.feature_length
@@ -889,41 +882,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"invalid --feature-length: {error}", file=sys.stderr)
         return 2
-    mechanisms = tuple(
-        dict.fromkeys(name.strip() for name in args.mechanism.split(",") if name.strip())
-    )
-    if not mechanisms:
-        print("no mechanisms given (use e.g. --mechanism victim,stream)", file=sys.stderr)
-        return 2
-    unknown = set(mechanisms) - set(mechanism_names())
-    if unknown:
-        print(
-            f"unknown mechanisms {sorted(unknown)}; known: {', '.join(mechanism_names())}",
-            file=sys.stderr,
-        )
-        return 2
-    overrides = {
-        "victim_entries": args.victim_entries,
-        "miss_entries": args.miss_entries,
-        "stream_buffers": args.stream_buffers,
-        "stream_depth": args.stream_depth,
-    }
-    try:
-        sizing = MissPathConfig(
-            **{key: value for key, value in overrides.items() if value is not None}
-        )
-    except ValueError as error:
-        print(f"invalid miss-path sizing: {error}", file=sys.stderr)
-        return 2
     policies = POLICY_NAMES if args.policy == "all" else [args.policy]
     rows = miss_path_ablation_rows(
-        graph.adjacency,
-        capacity=capacity,
-        bytes_per_vertex=record_bytes,
-        policies=policies,
-        mechanisms=mechanisms,
-        miss_config=sizing,
-        dataset=graph.name,
+        graph.adjacency, config, args.feature_length, policies=policies, dataset=graph.name
     )
     title = (
         f"Miss-path hierarchy on {graph.name} "

@@ -35,13 +35,14 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CSRGraph:
     """Immutable CSR adjacency of an unweighted directed graph.
 
     For undirected graphs (the common case for the GNN benchmark datasets)
     each undirected edge is stored twice, once in each direction, so that
     ``neighbors(v)`` returns the full one-hop neighborhood of ``v``.
+    Adjacencies compare (and hash) by identity, not by array content.
 
     Attributes:
         indptr: Offset array of length ``num_vertices + 1``.  The neighbors

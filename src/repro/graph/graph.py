@@ -48,9 +48,12 @@ class GraphStats:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class Graph:
     """A graph with dense node features and optional labels.
+
+    Graphs compare by identity: two builds with equal content are distinct
+    graphs, each with its own pricing memos.
 
     Attributes:
         adjacency: CSR adjacency structure (symmetric storage for the
@@ -70,7 +73,7 @@ class Graph:
             module-level function).
         pricing: The graph's :class:`~repro.sim.batch.GraphPricingContext`,
             created on first use by :func:`repro.sim.batch.pricing_context`.
-            A per-process cache: it is never compared, printed or pickled.
+            A per-process cache: it is never printed or pickled.
     """
 
     adjacency: CSRGraph
@@ -78,10 +81,8 @@ class Graph:
     labels: Optional[np.ndarray] = None
     name: str = "graph"
     num_label_classes: int = field(default=0)
-    label_builder: Optional[Callable[[], np.ndarray]] = field(
-        default=None, repr=False, compare=False
-    )
-    pricing: object = field(default=None, init=False, repr=False, compare=False)
+    label_builder: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False)
+    pricing: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)

@@ -6,13 +6,20 @@ read (:class:`AcceleratorConfig`), the DRAM transfer timing
 (:class:`HBMModel`) and the per-event energy and chip-area figures.
 """
 
-from repro.hw.config import DESIGN_PRESETS, SFU_COLUMNS, AcceleratorConfig, design_preset
+from repro.hw.config import (
+    DESIGN_PRESETS,
+    MISS_PATH_MECHANISMS,
+    SFU_COLUMNS,
+    AcceleratorConfig,
+    design_preset,
+)
 from repro.hw.dram import HBMModel
 from repro.hw.energy import AreaModel, EnergyBreakdown, EnergyModel
 
 __all__ = [
     "AcceleratorConfig",
     "DESIGN_PRESETS",
+    "MISS_PATH_MECHANISMS",
     "SFU_COLUMNS",
     "design_preset",
     "HBMModel",

@@ -22,12 +22,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["AcceleratorConfig", "DESIGN_PRESETS", "SFU_COLUMNS", "design_preset"]
+__all__ = [
+    "AcceleratorConfig",
+    "DESIGN_PRESETS",
+    "MISS_PATH_MECHANISMS",
+    "SFU_COLUMNS",
+    "design_preset",
+]
 
 #: Special-function-unit columns interleaved in the CPE array (Section III).
 #: Each column gives every CPE row one SFU lane, so the array has
 #: ``SFU_COLUMNS * num_rows`` lanes for exp, LeakyReLU and divide.
 SFU_COLUMNS = 4
+
+#: Miss-path structures behind the input buffer (:mod:`repro.cache`): a
+#: victim cache of evicted records, a tag-only miss cache and stream
+#: buffers.  This order is the one the tune proposer toggles them in, so it
+#: is part of tuned candidate names and their cell keys.
+MISS_PATH_MECHANISMS = ("victim", "miss", "stream")
 
 
 @dataclass(frozen=True)
@@ -85,13 +97,10 @@ class AcceleratorConfig:
     cache_associativity: int = 4
 
     # --- Miss-path hierarchy behind the input buffer -------------------- #
-    #: Mechanism names from :data:`repro.cache.MECHANISM_REGISTRY` (built in:
-    #: "victim", "miss", "stream"; extensible via ``register_mechanism``),
-    #: probed in parallel on every input-buffer miss; empty tuple disables
-    #: the hierarchy (the seed behavior: every miss goes straight to DRAM).
-    #: Names are validated against the live registry when the hierarchy is
-    #: built (``repro.hw`` cannot import ``repro.cache``), so plug-in
-    #: mechanisms registered at runtime work here too.
+    #: Names from :data:`MISS_PATH_MECHANISMS`, probed in parallel on every
+    #: input-buffer miss in this order; an empty tuple disables the
+    #: hierarchy (every miss goes straight to DRAM).  Unknown names are
+    #: rejected at construction.
     miss_path_mechanisms: tuple[str, ...] = ()
     victim_cache_entries: int = 64
     #: Tag-only structure, so a tag store exceeding the input buffer's
@@ -138,6 +147,12 @@ class AcceleratorConfig:
             raise ValueError("link_bandwidth_bytes_per_s must be positive")
         if self.link_latency_cycles < 0:
             raise ValueError("link_latency_cycles must be non-negative")
+        unknown = set(self.miss_path_mechanisms) - set(MISS_PATH_MECHANISMS)
+        if unknown:
+            raise ValueError(
+                f"unknown mechanisms {sorted(unknown)} in miss_path_mechanisms; "
+                f"known: {', '.join(MISS_PATH_MECHANISMS)}"
+            )
         if self.victim_cache_entries <= 0 or self.miss_cache_entries <= 0:
             raise ValueError("victim/miss cache capacities must be positive")
         if self.stream_buffer_count <= 0 or self.stream_buffer_depth <= 0:

@@ -7,11 +7,6 @@ from repro.mapping.attention import (
     naive_attention_operations,
     schedule_attention,
 )
-from repro.mapping.dataflow import (
-    DataflowCosts,
-    compare_dataflow_orders,
-    preferred_dataflow,
-)
 from repro.mapping.binning import (
     BlockAssignment,
     BlockProfile,
@@ -37,7 +32,4 @@ __all__ = [
     "naive_attention_operations",
     "AggregationCycleModel",
     "IterationCost",
-    "DataflowCosts",
-    "compare_dataflow_orders",
-    "preferred_dataflow",
 ]

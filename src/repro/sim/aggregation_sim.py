@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.controller import vertex_record_bytes
-from repro.cache.hierarchy import MissPathHierarchy
+from repro.cache.hierarchy import filter_misses
 from repro.cache.policies import simulate_policy
 from repro.cache.policy import CacheSimulationResult
 from repro.graph.csr import CSRGraph
@@ -71,7 +71,7 @@ def run_cache_simulation(
 
     ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`; when
     given, the hierarchy records its per-mechanism hit/miss/eviction
-    counters into it (see :meth:`MissPathHierarchy.filter`).
+    counters into it (see :func:`repro.cache.hierarchy.filter_misses`).
 
     The simulation needs nothing but ``adjacency``: the degree-aware walk
     reads its undirected edges from the CSR's upper triangle on each call.
@@ -86,8 +86,7 @@ def run_cache_simulation(
         collect_trace=config.miss_path_enabled,
     )
     if result.trace is not None:
-        hierarchy = MissPathHierarchy.from_accelerator_config(config)
-        result.miss_path = hierarchy.filter(result.trace, metrics=metrics)
+        result.miss_path = filter_misses(result.trace, config, metrics=metrics)
     return result
 
 

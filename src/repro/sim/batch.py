@@ -6,8 +6,8 @@ their :class:`~repro.hw.config.AcceleratorConfig`.  A
 
 * config-independent precompute: resolved adjacency handles (sampled
   adjacencies), the input features' block profiles (per-position nonzero
-  sums and the histogram of per-block nonzero counts), exact RLC sizes and
-  multi-chip partitions;
+  sums and the histogram of per-block nonzero counts), exact RLC sizes,
+  multi-chip partitions and the baseline platforms' per-plan workloads;
 * cache-policy simulations and priced phases, under self-describing keys
   that :class:`~repro.sim.gnnie_executor.GNNIEExecutor` builds from the
   plan's adjacency handle plus every config knob and width the value
@@ -34,7 +34,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
 from repro.mapping.binning import BlockProfile
 from repro.models.graphsage import NeighborSampler
-from repro.plan.ir import AdjacencyRef
+from repro.plan.ir import AdjacencyRef, InferencePlan
 from repro.sparse.feature_matrix import block_nonzero_counts
 from repro.sparse.rlc import rlc_compressed_bits
 
@@ -45,10 +45,10 @@ class GraphPricingContext:
     """Pricing memos for one dataset graph.
 
     It holds the resolved adjacency handles, the input features' block
-    profiles, nonzero count and RLC sizes, the cache-policy
-    simulations, the priced phases and the multi-chip partitions.  A cache
-    simulation reads nothing but its adjacency, so no per-graph index is
-    kept for it.
+    profiles, nonzero count and RLC sizes, the baseline workloads, the
+    cache-policy simulations, the priced phases and the multi-chip
+    partitions.  A cache simulation reads nothing but its adjacency, so no
+    per-graph index is kept for it.
 
     Everything memoized here is deterministic given the graph content and
     the key (the neighbor sampler is seeded by the vertex count, exactly as
@@ -67,6 +67,10 @@ class GraphPricingContext:
         self._rlc_bits: dict[int, int] = {}
         #: Nonzero count of the input feature matrix (baseline workloads).
         self._input_nonzeros: int | None = None
+        #: plan -> frozen :class:`~repro.baselines.workload.WorkloadEstimate`
+        #: from :func:`~repro.baselines.workload.workload_from_plan`.  Plans
+        #: hash by content, so equal plans share one derivation.
+        self.workloads: dict[InferencePlan, object] = {}
         #: Priced-phase memo.  Keys are self-describing tuples built by the
         #: executor from *every* config knob the phase depends on, so the
         #: memo stays a pure function of (graph, key); values are pristine

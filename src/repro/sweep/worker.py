@@ -5,12 +5,12 @@ function over picklable :class:`~repro.sweep.matrix.SweepCell` specs, so
 it crosses a ``ProcessPoolExecutor`` boundary unchanged.  One call prices
 every given cell of a (dataset, scale, seed, family) group while sharing
 the per-(plan, graph) state across the group: the built graph, the lowered
-plan, the baseline workload derivation, and one executor per backend.  A
-single cell is a batch of one.  Sharing is byte-safe because executors hold
-no memo state: every memo lives on the graph's pricing context
-(:mod:`repro.sim.batch`) and keys on the graph content plus every config
-knob and width the memoized value depends on, so a row is a pure function
-of its cell spec.
+plan and one executor per backend.  A single cell is a batch of one.
+Sharing is byte-safe because executors hold no memo state: every memo —
+the baseline workload derivation included — lives on the graph's pricing
+context (:mod:`repro.sim.batch`) and keys on the graph content plus every
+plan, config knob and width the memoized value depends on, so a row is a
+pure function of its cell spec.
 
 A per-process dataset memo keyed by (name, scale, seed) keeps the fan-out
 cheap: a worker process that receives many groups of one dataset builds its
@@ -223,16 +223,14 @@ class _BatchGroup:
     """Lazily-built shared state for one (dataset, scale, seed, family) group.
 
     Everything here is either a pure function of the group axes (graph,
-    plan, baseline workload) or a stateless executor, so sharing it across
-    the group's cells cannot change any row.  Laziness matters: a group whose
-    cells are all unsupported (backend, family) pairs never builds the
-    graph at all.
+    plan) or a stateless executor, so sharing it across the group's cells
+    cannot change any row.  Laziness matters: a group whose cells are all
+    unsupported (backend, family) pairs never builds the graph at all.
     """
 
     def __init__(self, graph: "Graph | None" = None, metrics=None) -> None:
         self.built_graph = graph
         self._plan = None
-        self._workload = None
         self._executors: dict[str, object] = {}
         self._metrics = metrics
 
@@ -247,13 +245,6 @@ class _BatchGroup:
 
             self._plan = lower(cell.family, self.graph(cell))
         return self._plan
-
-    def workload(self, cell: SweepCell):
-        if self._workload is None:
-            from repro.baselines.workload import workload_from_plan
-
-            self._workload = workload_from_plan(self.plan(cell), self.graph(cell))
-        return self._workload
 
     def executor(self, name: str):
         backend = self._executors.get(name)
@@ -301,8 +292,6 @@ def _run_group_cell(
         # partition (and every chip subgraph's pricing context) is shared
         # through GraphPricingContext.partitions.
         result = execute_scaleout(backend, plan, graph, cell.config, chips=cell.chips)
-    elif getattr(backend, "uses_shared_workload", False):
-        result = backend.execute(plan, graph, cell.config, workload=group.workload(cell))
     else:
         result = backend.execute(plan, graph, cell.config)
     row["metrics"] = _result_metrics(cell, backend, result)
@@ -354,10 +343,10 @@ def run_batch_timed(
     """Run one (dataset, scale, seed, family) group of cells.
 
     All cells must share the group axes (they may differ in backend and
-    config).  The group's graph, plan, baseline workload and per-backend
-    executors are built once and shared, so a config batch prices in one
-    pass, while each cell still gets its own wall-clock timing and (when
-    ``trace`` is on) its own ``cell`` span root.
+    config).  The group's graph, plan and per-backend executors are built
+    once and shared, so a config batch prices in one pass, while each cell
+    still gets its own wall-clock timing and (when ``trace`` is on) its own
+    ``cell`` span root.
 
     Args:
         cells: The group's cells; one cell is a batch of one.

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Protocol, Sequence
 
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import MISS_PATH_MECHANISMS, AcceleratorConfig
 from repro.sim.design_space import DesignPoint, admissible_mac_allocation
 
 __all__ = ["Proposer", "ParetoMutationProposer", "candidate_name"]
@@ -94,7 +94,6 @@ class ParetoMutationProposer:
     input_buffer_bounds: tuple[int, int] = (64 * 1024, 1024 * 1024)
     output_buffer_bounds: tuple[int, int] = (256 * 1024, 4 * 1024 * 1024)
     gamma_bounds: tuple[int, int] = (1, 12)
-    mechanisms: tuple[str, ...] = ("victim", "miss", "stream")
     #: Mutation retries per child before giving up on it (a saturated knob,
     #: e.g. doubling a buffer already at its bound, wastes one attempt).
     max_attempts_per_child: int = 8
@@ -209,9 +208,9 @@ class ParetoMutationProposer:
             if value == getattr(parent, knob):
                 return None
             return replace(parent, **{knob: value})
-        toggled = rng.choice(self.mechanisms)
+        toggled = rng.choice(MISS_PATH_MECHANISMS)
         enabled.symmetric_difference_update({toggled})
         # Canonical mechanism order keeps ("victim", "stream") and
         # ("stream", "victim") one candidate, not two cell keys.
-        ordered = tuple(name for name in self.mechanisms if name in enabled)
+        ordered = tuple(name for name in MISS_PATH_MECHANISMS if name in enabled)
         return replace(parent, miss_path_mechanisms=ordered)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,18 @@ from repro.baselines import (
     PyGGPUModel,
     workload_from_plan,
 )
-from repro.models import MODEL_FAMILIES
-from repro.plan import lower
+from repro.models import MODEL_FAMILIES, ModelConfig
+from repro.plan import lower, lower_model
 from repro.sim import GNNIESimulator
+from repro.sim.batch import pricing_context
+
+
+def _order_ops(layer):
+    """``(weighting_first, aggregation_first)`` operation counts of a layer."""
+    return (
+        layer.sparse_weighting_macs + layer.aggregation_ops_weighting_first,
+        layer.dense_weighting_macs + layer.aggregation_ops_aggregation_first,
+    )
 
 
 class TestWorkloadEstimator:
@@ -151,6 +162,49 @@ class TestWorkloadEstimator:
             assert layer.aggregation_ops_aggregation_first == (
                 (edges + vertices) * layer.in_features
             )
+
+    def test_memoized_per_plan_on_the_graph(self, tiny_graph):
+        graph = copy.deepcopy(tiny_graph)
+        first = workload_from_plan(lower("gcn", graph), graph)
+        # An equal plan lowered again is served the same frozen estimate.
+        assert workload_from_plan(lower("gcn", graph), graph) is first
+        # A copy of the graph does not carry the memo.
+        clone = copy.deepcopy(graph)
+        assert pricing_context(clone).workloads == {}
+        cold = workload_from_plan(lower("gcn", clone), clone)
+        assert cold is not first and cold == first
+
+
+class TestDataflowOrders:
+    """Weighting-first Ã(HW) against aggregation-first (ÃH)W (Section III)."""
+
+    @pytest.fixture(scope="class")
+    def cora_input_layer(self, small_cora):
+        return workload_from_plan(lower("gcn", small_cora), small_cora).layers[0]
+
+    def test_weighting_first_wins_on_input_layer(self, cora_input_layer):
+        """With F_in = 1433 >> F_out = 128, Ã(HW) is far cheaper than (ÃH)W —
+        the Section III claim of ~an order of magnitude."""
+        weighting_first, aggregation_first = _order_ops(cora_input_layer)
+        assert aggregation_first > 3.0 * weighting_first
+
+    def test_sparse_weighting_cheaper_than_dense(self, cora_input_layer):
+        layer = cora_input_layer
+        assert layer.sparse_weighting_macs < layer.dense_weighting_macs / 10
+
+    def test_aggregation_width_drives_difference(self, cora_input_layer):
+        layer = cora_input_layer
+        ratio = layer.aggregation_ops_aggregation_first / layer.aggregation_ops_weighting_first
+        assert ratio == pytest.approx(layer.in_features / layer.out_features)
+
+    def test_expanding_layer_prefers_aggregation_first(self, tiny_graph):
+        """When the output is much wider than the input (expanding layer),
+        aggregating first is the cheaper order — the counts must be able to
+        show that case too (EnGN's dimension-aware reordering)."""
+        plan = lower_model(ModelConfig(family="gcn", num_layers=1), 8, 512)
+        [layer] = workload_from_plan(plan, tiny_graph).layers
+        weighting_first, aggregation_first = _order_ops(layer)
+        assert aggregation_first < weighting_first
 
 
 class TestPlatformModels:

@@ -2,27 +2,43 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from repro.cache import (
     EVICT,
     MISS,
-    MECHANISM_REGISTRY,
-    MissCache,
-    MissPathConfig,
-    MissPathHierarchy,
-    MissPathMechanism,
-    StreamBufferArray,
     TraceRecorder,
     VertexAccessTrace,
-    VictimCache,
-    build_mechanism,
-    mechanism_names,
+    filter_misses,
+    miss_cache_hits,
     simulate_policy,
+    stream_hits,
+    victim_hits,
 )
 from repro.graph import power_law_graph
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import MISS_PATH_MECHANISMS, AcceleratorConfig
+
+#: Every non-empty subset of the mechanisms, in configuration order.
+MECHANISM_SUBSETS = [
+    subset
+    for size in range(1, len(MISS_PATH_MECHANISMS) + 1)
+    for subset in combinations(MISS_PATH_MECHANISMS, size)
+]
+
+#: The default sizing and a non-default one, so a knob that never reaches
+#: its mechanism shows up as a mismatch.
+SIZINGS = {
+    "defaults": {},
+    "resized": {
+        "victim_cache_entries": 8,
+        "miss_cache_entries": 16,
+        "stream_buffer_count": 2,
+        "stream_buffer_depth": 32,
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +74,10 @@ class TestTrace:
         assert result.trace is not None
         assert result.trace.num_misses == 0
         assert result.trace.num_evictions > 0
+        for subset in MECHANISM_SUBSETS:
+            outcome = filter_misses(result.trace, AcceleratorConfig().with_miss_path(*subset))
+            assert outcome.resolved == 0, subset
+            assert outcome.prefetch_resolved == 0, subset
 
     def test_stream_positions_invert_stream_order(self):
         order = np.array([2, 0, 1], dtype=np.int64)
@@ -78,75 +98,60 @@ class TestTrace:
 class TestVictimCache:
     def test_hit_after_eviction(self):
         trace = _trace([(EVICT, 3), (MISS, 3)])
-        assert VictimCache(entries=4).hit_mask(trace).tolist() == [True]
+        assert victim_hits(trace, 4).tolist() == [True]
 
     def test_swap_back_removes_entry(self):
         # Second miss on the same vertex misses again: the record moved back
         # into the input buffer on the first hit.
         trace = _trace([(EVICT, 3), (MISS, 3), (MISS, 3)])
-        assert VictimCache(entries=4).hit_mask(trace).tolist() == [True, False]
+        assert victim_hits(trace, 4).tolist() == [True, False]
 
     def test_lru_capacity(self):
         trace = _trace([(EVICT, 1), (EVICT, 2), (EVICT, 3), (MISS, 1), (MISS, 3)])
         # Two entries: eviction of 3 displaces 1 (oldest), keeps {2, 3}.
-        assert VictimCache(entries=2).hit_mask(trace).tolist() == [False, True]
+        assert victim_hits(trace, 2).tolist() == [False, True]
 
     def test_invalid_entries(self):
         with pytest.raises(ValueError):
-            VictimCache(entries=0)
+            AcceleratorConfig(victim_cache_entries=0)
 
 
 class TestMissCache:
     def test_repeat_miss_hits(self):
         trace = _trace([(MISS, 5), (MISS, 5)])
-        assert MissCache(entries=4).hit_mask(trace).tolist() == [False, True]
+        assert miss_cache_hits(trace, 4).tolist() == [False, True]
 
     def test_capacity_forgets_oldest_tag(self):
         trace = _trace([(MISS, 1), (MISS, 2), (MISS, 3), (MISS, 1)])
         # Two tags: by the time 1 re-misses, its tag was displaced by 2, 3.
-        assert MissCache(entries=2).hit_mask(trace).tolist() == [
-            False,
-            False,
-            False,
-            False,
-        ]
+        assert miss_cache_hits(trace, 2).tolist() == [False, False, False, False]
 
     def test_ignores_evictions(self):
         trace = _trace([(EVICT, 5), (MISS, 5)])
-        assert MissCache(entries=4).hit_mask(trace).tolist() == [False]
+        assert miss_cache_hits(trace, 4).tolist() == [False]
 
 
 class TestStreamBuffers:
     def test_sequential_run_hits(self):
         trace = _trace([(MISS, 4), (MISS, 5), (MISS, 6)])
-        mask = StreamBufferArray(count=1, depth=4).hit_mask(trace)
-        assert mask.tolist() == [False, True, True]
+        assert stream_hits(trace, 1, 4).tolist() == [False, True, True]
 
     def test_depth_bounds_window(self):
         trace = _trace([(MISS, 0), (MISS, 9)])
-        assert StreamBufferArray(count=1, depth=4).hit_mask(trace).tolist() == [
-            False,
-            False,
-        ]
-        assert StreamBufferArray(count=1, depth=9).hit_mask(trace).tolist() == [
-            False,
-            True,
-        ]
+        assert stream_hits(trace, 1, 4).tolist() == [False, False]
+        assert stream_hits(trace, 1, 9).tolist() == [False, True]
 
     def test_backward_jump_misses(self):
         trace = _trace([(MISS, 5), (MISS, 4)])
-        assert StreamBufferArray(count=2, depth=8).hit_mask(trace).tolist() == [
-            False,
-            False,
-        ]
+        assert stream_hits(trace, 2, 8).tolist() == [False, False]
 
     def test_multiple_buffers_track_interleaved_streams(self):
         # Two interleaved sequential streams; one buffer loses the first
         # stream every time the second allocates, two buffers keep both.
         events = [(MISS, 0), (MISS, 8), (MISS, 1), (MISS, 9), (MISS, 2), (MISS, 10)]
         trace = _trace(events)
-        one = StreamBufferArray(count=1, depth=2).hit_mask(trace)
-        two = StreamBufferArray(count=2, depth=2).hit_mask(trace)
+        one = stream_hits(trace, 1, 2)
+        two = stream_hits(trace, 2, 2)
         assert one.sum() < two.sum()
         assert two.tolist() == [False, False, True, True, True, True]
 
@@ -163,126 +168,94 @@ class TestStreamBuffers:
             (MISS, 101),
         ]
         trace = _trace(events, num_vertices=128)
-        mask = StreamBufferArray(count=2, depth=2).hit_mask(trace)
-        assert mask.tolist() == [False, False, True, True, True, True]
+        assert stream_hits(trace, 2, 2).tolist() == [False, False, True, True, True, True]
 
     def test_uses_stream_layout_not_vertex_ids(self):
         # Vertices 7 then 3 look non-sequential by id, but the stream order
         # places them adjacently, so the second miss is a prefetch hit.
         order = np.array([7, 3, 0, 1, 2, 4, 5, 6], dtype=np.int64)
         trace = _trace([(MISS, 7), (MISS, 3)], num_vertices=8, stream_order=order)
-        assert StreamBufferArray(count=1, depth=2).hit_mask(trace).tolist() == [
-            False,
-            True,
-        ]
+        assert stream_hits(trace, 1, 2).tolist() == [False, True]
 
 
-class TestRegistry:
-    def test_known_mechanisms(self):
-        assert set(mechanism_names()) == {"victim", "miss", "stream"}
-
-    def test_plugin_mechanism_flows_through_accelerator_config(self):
-        # repro.hw defers mechanism-name validation to the live registry, so
-        # a runtime-registered mechanism is usable via AcceleratorConfig.
-        from repro.cache.mechanisms import register_mechanism
-
-        @register_mechanism("always-hit")
-        class AlwaysHit(MissPathMechanism):
-            def hit_mask(self, trace):
-                return np.ones(trace.num_misses, dtype=bool)
-
-        try:
-            cfg = AcceleratorConfig(miss_path_mechanisms=("always-hit",))
-            hierarchy = MissPathHierarchy.from_accelerator_config(cfg)
-            trace = _trace([(MISS, 1), (MISS, 2)])
-            assert hierarchy.filter(trace).resolved == 2
-        finally:
-            MECHANISM_REGISTRY.pop("always-hit", None)
-
-    def test_build_mechanism(self):
-        mechanism = build_mechanism("victim", entries=8)
-        assert isinstance(mechanism, VictimCache)
-        assert mechanism.entries == 8
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            build_mechanism("prefetcher-9000")
-        with pytest.raises(ValueError):
-            MissPathConfig(mechanisms=("prefetcher-9000",))
-        # The accelerator config accepts any tuple (plug-ins may register
-        # later); the error surfaces when the hierarchy is built from it.
-        cfg = AcceleratorConfig(miss_path_mechanisms=("prefetcher-9000",))
-        with pytest.raises(ValueError):
-            MissPathHierarchy.from_accelerator_config(cfg)
+def _mask(trace, config, name):
+    """One mechanism's own hit mask, sized by ``config``."""
+    if name == "victim":
+        return victim_hits(trace, config.victim_cache_entries)
+    if name == "miss":
+        return miss_cache_hits(trace, config.miss_cache_entries)
+    return stream_hits(trace, config.stream_buffer_count, config.stream_buffer_depth)
 
 
 class TestHierarchy:
-    def test_combined_is_union_of_masks(self, graph):
+    @pytest.mark.parametrize("sizing", sorted(SIZINGS))
+    @pytest.mark.parametrize("subset", MECHANISM_SUBSETS, ids="+".join)
+    def test_combined_is_union_of_masks(self, graph, subset, sizing):
         result = _baseline(graph)
-        config = MissPathConfig(mechanisms=("victim", "miss", "stream"))
-        hierarchy = MissPathHierarchy(config)
-        outcome = hierarchy.filter(result.trace)
-        masks = [
-            build_mechanism(name, **config.mechanism_kwargs(name)).hit_mask(result.trace)
-            for name in config.mechanisms
-        ]
+        config = AcceleratorConfig().with_miss_path(*subset, **SIZINGS[sizing])
+        outcome = filter_misses(result.trace, config)
+        masks = {name: _mask(result.trace, config, name) for name in subset}
         union = np.zeros(result.trace.num_misses, dtype=bool)
-        for mask in masks:
+        for mask in masks.values():
             union |= mask
         assert outcome.resolved == int(union.sum())
         assert outcome.dram_random_accesses == result.random_accesses - outcome.resolved
-        by_name = {stats.name: stats for stats in outcome.mechanisms}
-        for name, mask in zip(config.mechanisms, masks):
-            assert by_name[name].hits == int(mask.sum())
+        assert [stats.name for stats in outcome.mechanisms] == list(subset)
+        for stats in outcome.mechanisms:
+            assert stats.hits == int(masks[stats.name].sum())
+        # Only misses no on-chip structure holds count as prefetches.
+        on_chip = np.zeros_like(union)
+        for name in subset:
+            if name != "stream":
+                on_chip |= masks[name]
+        assert outcome.prefetch_resolved == int((union & ~on_chip).sum())
 
     def test_rows_include_combined_entry(self, graph):
         result = _baseline(graph)
-        outcome = MissPathHierarchy(
-            MissPathConfig(mechanisms=("victim", "stream"))
-        ).filter(result.trace)
+        outcome = filter_misses(
+            result.trace, AcceleratorConfig().with_miss_path("victim", "stream")
+        )
         rows = outcome.rows()
         assert [row["mechanism"] for row in rows] == ["victim", "stream", "victim+stream"]
 
-    def test_from_accelerator_config(self):
+    def test_sizing_comes_from_config(self, graph):
+        trace = _baseline(graph).trace
         cfg = AcceleratorConfig(
             miss_path_mechanisms=("stream",), stream_buffer_count=7, stream_buffer_depth=3
         )
-        hierarchy = MissPathHierarchy.from_accelerator_config(cfg)
-        [mechanism] = hierarchy.mechanisms
-        assert isinstance(mechanism, StreamBufferArray)
-        assert mechanism.count == 7 and mechanism.depth == 3
+        [stats] = filter_misses(trace, cfg).mechanisms
+        assert stats.hits == int(stream_hits(trace, 7, 3).sum())
+        assert stats.hits != int(stream_hits(trace, 4, 16).sum())
 
     def test_stream_hits_counted_as_prefetch_traffic(self, graph):
         result = _baseline(graph)
-        stream_only = MissPathHierarchy(
-            MissPathConfig(mechanisms=("stream",))
-        ).filter(result.trace)
+        stream_only = filter_misses(result.trace, AcceleratorConfig().with_miss_path("stream"))
         # Every stream-buffer-resolved miss was served by a DRAM prefetch.
         assert stream_only.prefetch_resolved == stream_only.resolved
         assert stream_only.sequential_prefetch_bytes == (
             stream_only.resolved * result.trace.bytes_per_vertex
         )
-        combined = MissPathHierarchy(
-            MissPathConfig(mechanisms=("victim", "miss", "stream"))
-        ).filter(result.trace)
+        combined = filter_misses(
+            result.trace, AcceleratorConfig().with_miss_path(*MISS_PATH_MECHANISMS)
+        )
         # On-chip hits (victim/miss cache) take priority over prefetches.
         assert combined.prefetch_resolved <= stream_only.resolved
-        on_chip_only = MissPathHierarchy(
-            MissPathConfig(mechanisms=("victim", "miss"))
-        ).filter(result.trace)
+        on_chip_only = filter_misses(
+            result.trace, AcceleratorConfig().with_miss_path("victim", "miss")
+        )
         assert on_chip_only.prefetch_resolved == 0
         assert on_chip_only.prefetch_fill_records == 0
 
     def test_stream_fill_traffic_reported(self, graph):
         result = _baseline(graph)
-        config = MissPathConfig(mechanisms=("stream",))
-        outcome = MissPathHierarchy(config).filter(result.trace)
+        config = AcceleratorConfig().with_miss_path("stream")
+        outcome = filter_misses(result.trace, config)
         [stats] = outcome.mechanisms
         allocations = stats.accesses - stats.hits
         # depth records per allocation, one slide-fetch per hit — the full
         # (mostly wasted) fill bandwidth that hit counts alone hide.
         assert outcome.prefetch_fill_records == (
-            allocations * config.stream_depth + stats.hits
+            allocations * config.stream_buffer_depth + stats.hits
         )
         assert outcome.prefetch_fill_records > outcome.prefetch_resolved
 
@@ -309,9 +282,7 @@ class TestHierarchy:
 
     def test_empty_trace(self):
         trace = _trace([])
-        outcome = MissPathHierarchy(
-            MissPathConfig(mechanisms=("victim", "miss", "stream"))
-        ).filter(trace)
+        outcome = filter_misses(trace, AcceleratorConfig().with_miss_path(*MISS_PATH_MECHANISMS))
         assert outcome.total_misses == 0
         assert outcome.resolved == 0
         assert outcome.hit_rate == 0.0

@@ -1,8 +1,7 @@
 """The `repro check` CLI and `repro plan --check` surface.
 
-`repro check` is the CI gate: exit 0 on a clean repo with an empty
-baseline, exit 1 the moment a finding escapes the baseline or a lowered
-plan stops verifying.
+`repro check` is the CI gate: exit 0 on a clean repo, exit 1 the moment
+the linter reports any finding or a lowered plan stops verifying.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ class TestCheckCommand:
         assert main(["check", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
-        assert report["lint"]["new"] == []
+        assert report["lint"] == {"findings": []}
         assert len(report["plans"]) == 25
         assert all(row["ok"] for row in report["plans"])
 
@@ -42,38 +41,22 @@ class TestCheckCommand:
         assert report["lint"] is None
         assert len(report["plans"]) == 25
 
-    def test_new_finding_fails_and_baseline_masks_it(self, tmp_path, capsys):
+    def test_new_finding_fails(self, tmp_path, capsys):
         offender = tmp_path / "offender.py"
         offender.write_text("key = id(graph)\n", encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-
-        argv = ["check", "--lint", "--paths", str(offender), "--baseline", str(baseline)]
+        argv = ["check", "--lint", "--paths", str(offender)]
         assert main(argv) == 1
-        assert "D103" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "D103" in out and "lint: 1 finding(s)" in out
 
-        assert main(argv + ["--update-baseline"]) == 0
-        capsys.readouterr()
+        assert main([*argv, "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False
+        assert [finding["rule"] for finding in report["lint"]["findings"]] == ["D103"]
+
+        # The per-line suppression comment is the one way to silence it.
+        offender.write_text("key = id(graph)  # repro-check: disable=D103\n", encoding="utf-8")
         assert main(argv) == 0
-        assert "(baselined)" in capsys.readouterr().out
-
-    def test_update_baseline_writes_canonical_file(self, tmp_path):
-        offender = tmp_path / "offender.py"
-        offender.write_text("key = id(graph)\n", encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        main(
-            [
-                "check",
-                "--lint",
-                "--paths",
-                str(offender),
-                "--baseline",
-                str(baseline),
-                "--update-baseline",
-            ]
-        )
-        entries = json.loads(baseline.read_text(encoding="utf-8"))
-        assert len(entries) == 1
-        assert entries[0]["rule"] == "D103"
 
 
 class TestPlanCheckFlag:

@@ -2,8 +2,7 @@
 
 One test per rule with a minimal snippet the rule must flag, the matching
 clean snippet it must not flag, suppression-comment behavior, and the
-repo-wide gate: ``src/repro`` lints clean (zero findings), which is what
-lets the committed baseline stay empty.
+repo-wide gate: ``src/repro`` lints clean (zero findings).
 """
 
 from __future__ import annotations
@@ -12,14 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import (
-    filter_findings,
-    lint_paths,
-    lint_rules,
-    lint_source,
-    load_baseline,
-    write_baseline,
-)
+from repro.check import lint_paths, lint_rules, lint_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -182,44 +174,7 @@ def test_findings_sorted_and_addressable(tmp_path):
     findings = lint_paths([tmp_path], root=tmp_path)
     assert [finding.line for finding in findings] == [2, 3]
     assert findings[0].path == "mod.py"
-    assert findings[0].key() == ("mod.py", "D101", 2)
-
-
-# --------------------------------------------------------------------- #
-# Baseline round-trip
-# --------------------------------------------------------------------- #
-
-def test_baseline_roundtrip_filters_known_findings(tmp_path):
-    module = tmp_path / "mod.py"
-    module.write_text("key = id(graph)\n", encoding="utf-8")
-    findings = lint_paths([tmp_path], root=tmp_path)
-    assert len(findings) == 1
-
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(findings, baseline_path)
-    baseline = load_baseline(baseline_path)
-    assert filter_findings(findings, baseline) == []
-
-    # A new finding on another line is not masked by the baseline.
-    module.write_text("key = id(graph)\nother = id(plan)\n", encoding="utf-8")
-    updated = lint_paths([tmp_path], root=tmp_path)
-    fresh = filter_findings(updated, baseline)
-    assert [finding.line for finding in fresh] == [2]
-
-
-def test_write_baseline_is_byte_deterministic(tmp_path):
-    module = tmp_path / "mod.py"
-    module.write_text("key = id(graph)\n", encoding="utf-8")
-    findings = lint_paths([tmp_path], root=tmp_path)
-    first = tmp_path / "a.json"
-    second = tmp_path / "b.json"
-    write_baseline(findings, first)
-    write_baseline(list(reversed(findings)), second)
-    assert first.read_bytes() == second.read_bytes()
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "absent.json") == set()
+    assert (findings[0].rule, findings[0].line) == ("D101", 2)
 
 
 # --------------------------------------------------------------------- #
@@ -227,12 +182,6 @@ def test_missing_baseline_is_empty(tmp_path):
 # --------------------------------------------------------------------- #
 
 def test_src_repro_lints_clean():
-    """The whole tree lints clean — this is what keeps the baseline empty."""
+    """The whole tree lints clean: any finding fails the gate."""
     findings = lint_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
     assert findings == [], [finding.describe() for finding in findings]
-
-
-def test_committed_baseline_is_empty():
-    baseline_path = REPO_ROOT / "repro-check-baseline.json"
-    assert baseline_path.exists()
-    assert load_baseline(baseline_path) == set()

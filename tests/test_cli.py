@@ -206,6 +206,17 @@ class TestCommands:
         assert main(["cache", "--dataset", "cora", "--mechanism", "belady"]) == 2
         assert "unknown mechanisms" in capsys.readouterr().err
 
+    def test_cache_command_sizing_flags_reach_the_config(self, capsys):
+        def stream_row(depth):
+            argv = ["cache", "--dataset", "cora", "--scale", "0.2", "--mechanism", "stream"]
+            assert main([*argv, "--stream-depth", depth]) == 0
+            output = capsys.readouterr().out
+            return [line for line in output.splitlines() if "| stream" in line]
+
+        shallow, deep = stream_row("1"), stream_row("32")
+        assert len(shallow) == len(deep) == 1
+        assert shallow != deep
+
 
 class TestProfileCommand:
     def test_parser_accepts_family_and_model_alias(self):

@@ -272,6 +272,15 @@ class TestTinyDataset:
         graph = tiny_dataset()
         assert graph.memory_footprint_bytes() > 0
 
+    def test_graphs_compare_by_identity(self):
+        # Equal-content graphs hold distinct arrays; comparing them must
+        # return a bool rather than raise on an ambiguous array truth value.
+        first, second = tiny_dataset(), tiny_dataset()
+        assert (first == second) is False
+        assert first == first and first in [second, first]
+        assert (first.adjacency == second.adjacency) is False
+        assert first.adjacency == first.adjacency
+
     def test_feature_shape_mismatch_rejected(self):
         graph = tiny_dataset(num_vertices=16, feature_length=8)
         with pytest.raises(ValueError):

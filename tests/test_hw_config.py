@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.hw import DESIGN_PRESETS, AcceleratorConfig, design_preset
+from repro.hw import DESIGN_PRESETS, MISS_PATH_MECHANISMS, AcceleratorConfig, design_preset
 
 
 class TestAcceleratorConfig:
@@ -82,6 +82,14 @@ class TestAcceleratorConfig:
             AcceleratorConfig(num_rows=0)
         with pytest.raises(ValueError):
             AcceleratorConfig(gamma=-1)
+
+    def test_validation_miss_path_mechanisms(self):
+        # Unknown names fail at construction, not when a hierarchy is built.
+        with pytest.raises(ValueError, match="unknown mechanisms"):
+            AcceleratorConfig(miss_path_mechanisms=("belady",))
+        with pytest.raises(ValueError):
+            AcceleratorConfig().with_miss_path("victim", "prefetcher-9000")
+        assert AcceleratorConfig().with_miss_path(*MISS_PATH_MECHANISMS).miss_path_enabled
 
     def test_replace_keeps_validation(self):
         config = AcceleratorConfig()
