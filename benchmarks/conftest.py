@@ -23,7 +23,8 @@ import pytest
 from repro.baselines import AWBGCNModel, HyGCNModel, PyGCPUModel, PyGGPUModel
 from repro.datasets import build_dataset
 from repro.hw import AcceleratorConfig
-from repro.sim import GNNIESimulator
+from repro.plan import lower
+from repro.sim import GNNIEExecutor
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -51,18 +52,14 @@ def citation_datasets(datasets):
 
 
 @pytest.fixture(scope="session")
-def gnnie_simulator():
-    """A shared simulator so cache-policy simulations are reused across benches."""
-    return GNNIESimulator(AcceleratorConfig())
-
-
-@pytest.fixture(scope="session")
-def gnnie_run(gnnie_simulator, datasets):
+def gnnie_run(datasets):
     """Memoized GNNIE inference runner keyed by (dataset, family)."""
+    executor = GNNIEExecutor(AcceleratorConfig())
 
     @functools.lru_cache(maxsize=None)
     def run(dataset_name: str, family: str):
-        return gnnie_simulator.run(datasets[dataset_name], family)
+        graph = datasets[dataset_name]
+        return executor.execute(lower(family, graph), graph)
 
     return run
 
@@ -78,14 +75,15 @@ def sweep_rows(datasets):
     simulations, which is where the suite's wall-time drop comes from.
     """
     from repro.models import MODEL_FAMILIES
-    from repro.sweep import ALL_BACKENDS, DatasetCase, RetryPolicy, ScenarioMatrix, run_sweep
+    from repro.plan import executor_names
+    from repro.sweep import DatasetCase, RetryPolicy, ScenarioMatrix, run_sweep
 
     matrix = ScenarioMatrix(
         datasets=tuple(
             DatasetCase(name, BENCH_SCALES.get(name), seed=0) for name in ALL_DATASETS
         ),
         families=tuple(MODEL_FAMILIES),
-        backends=ALL_BACKENDS,
+        backends=executor_names(),
         seed=0,
     )
     # Strict, no-retry policy: a benchmark bug should fail the session

@@ -18,7 +18,8 @@ from __future__ import annotations
 from repro.analysis import format_table, tune_report, tune_table_rows
 from repro.datasets import build_dataset
 from repro.hw import design_preset
-from repro.sim import GNNIESimulator, sweep_mac_allocations
+from repro.plan import lower
+from repro.sim import GNNIEExecutor, sweep_mac_allocations
 from repro.sweep import ResultStore, derive_seed
 from repro.tune import TuneSpec, run_tune
 
@@ -43,8 +44,9 @@ def test_autotune_matches_design_e_with_fewer_cells(benchmark, record, tmp_path)
     # Fixed-grid reference: Design E's β on the exact graph the tuner sweeps
     # (same derived dataset seed), computed independently of the tune loop.
     graph = build_dataset("cora", seed=derive_seed(spec.seed, "cora"))
-    design_a = GNNIESimulator(design_preset("A")).run(graph, "gcn")
-    design_e = GNNIESimulator(design_preset("E")).run(graph, "gcn")
+    plan = lower("gcn", graph)
+    design_a = GNNIEExecutor(design_preset("A")).execute(plan, graph)
+    design_e = GNNIEExecutor(design_preset("E")).execute(plan, graph)
     beta_design_e = (design_a.total_cycles - design_e.total_cycles) / (
         design_preset("E").total_macs - design_preset("A").total_macs
     )

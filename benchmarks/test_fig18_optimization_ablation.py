@@ -20,7 +20,8 @@ from dataclasses import replace
 
 from repro.analysis import format_table
 from repro.hw import AcceleratorConfig, design_preset
-from repro.sim import GNNIESimulator
+from repro.plan import lower
+from repro.sim import GNNIEExecutor
 
 CITATION = ("cora", "citeseer", "pubmed")
 
@@ -52,12 +53,12 @@ def test_fig18_optimization_ablation(benchmark, record, citation_datasets):
     def compute():
         results = {}
         for name, graph in citation_datasets.items():
+            plans = {family: lower(family, graph) for family in ("gcn", "gat")}
             per_config = {}
             for config in configs:
-                simulator = GNNIESimulator(config)
+                executor = GNNIEExecutor(config)
                 per_config[config.name] = {
-                    "gcn": simulator.run(graph, "gcn"),
-                    "gat": simulator.run(graph, "gat"),
+                    family: executor.execute(plan, graph) for family, plan in plans.items()
                 }
             results[name] = per_config
         return results

@@ -24,8 +24,8 @@ import pytest
 from repro.analysis import backend_geomeans, format_table, geomean_table_rows
 from repro.datasets import build_dataset
 from repro.models import MODEL_FAMILIES
+from repro.plan import executor_names
 from repro.sweep import (
-    ALL_BACKENDS,
     DatasetCase,
     ResultStore,
     ScenarioMatrix,
@@ -59,7 +59,7 @@ def primed_sweep_graphs():
 
 def test_full_matrix_sweep(benchmark, record, tmp_path, primed_sweep_graphs):
     matrix = ScenarioMatrix(
-        datasets=SWEEP_CASES, families=MODEL_FAMILIES, backends=ALL_BACKENDS, seed=0
+        datasets=SWEEP_CASES, families=MODEL_FAMILIES, backends=executor_names(), seed=0
     )
     store_path = tmp_path / "matrix.jsonl"
 
@@ -102,6 +102,6 @@ def test_full_matrix_sweep(benchmark, record, tmp_path, primed_sweep_graphs):
     )
 
     # GNNIE wins on geometric mean against every baseline platform.
-    assert set(geomeans) == set(ALL_BACKENDS) - {"gnnie"}
+    assert set(geomeans) == set(executor_names()) - {"gnnie"}
     for backend, stats in geomeans.items():
         assert stats["geomean_speedup"] > 1.0, backend

@@ -21,7 +21,8 @@ from dataclasses import replace
 from repro.analysis import design_beta_study, format_table
 from repro.datasets import build_dataset
 from repro.hw import AcceleratorConfig, AreaModel, design_preset
-from repro.sim import GNNIESimulator, run_cache_simulation
+from repro.plan import lower
+from repro.sim import GNNIEExecutor, run_cache_simulation
 
 
 def main() -> None:
@@ -36,7 +37,7 @@ def main() -> None:
     reference = None
     for name in ("A", "B", "C", "D", "E"):
         config = design_preset(name)
-        result = GNNIESimulator(config).run(cora, "gcn")
+        result = GNNIEExecutor(config).execute(lower("gcn", cora), cora)
         if name == "A":
             reference = result
         rows.append(

@@ -28,7 +28,8 @@ from repro.datasets import build_dataset
 from repro.hw import AcceleratorConfig
 from repro.mapping import naive_attention_operations, schedule_attention
 from repro.models import GATLayer, gat_attention_scores_naive, gat_attention_scores_reordered
-from repro.sim import GNNIESimulator
+from repro.plan import lower
+from repro.sim import GNNIEExecutor
 
 
 def main() -> None:
@@ -71,10 +72,10 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 2. Full-pipeline cost of GAT vs GCN on GNNIE.
     # ------------------------------------------------------------------ #
-    simulator = GNNIESimulator(config)
+    executor = GNNIEExecutor(config)
     rows = []
     for family in ("gcn", "gat"):
-        result = simulator.run(graph, family)
+        result = executor.execute(lower(family, graph), graph)
         weighting = sum(layer.weighting.total_cycles for layer in result.layers)
         attention = sum(
             layer.attention.total_cycles for layer in result.layers if layer.attention

@@ -22,7 +22,8 @@ from __future__ import annotations
 from repro.analysis import format_table, miss_path_ablation_rows
 from repro.datasets import build_dataset
 from repro.hw import MISS_PATH_MECHANISMS, AcceleratorConfig
-from repro.sim import GNNIESimulator, input_buffer_capacity
+from repro.plan import lower
+from repro.sim import GNNIEExecutor, input_buffer_capacity
 
 
 def main() -> None:
@@ -78,9 +79,10 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     ablation_cfg = config.without_optimizations()
     hierarchy_cfg = ablation_cfg.with_miss_path(*MISS_PATH_MECHANISMS)
-    plain = GNNIESimulator(ablation_cfg).run(graph, "gcn")
-    filtered = GNNIESimulator(hierarchy_cfg).run(graph, "gcn")
-    gnnie = GNNIESimulator(config.with_miss_path(*MISS_PATH_MECHANISMS)).run(graph, "gcn")
+    plan = lower("gcn", graph)
+    plain = GNNIEExecutor(ablation_cfg).execute(plan, graph)
+    filtered = GNNIEExecutor(hierarchy_cfg).execute(plan, graph)
+    gnnie = GNNIEExecutor(config.with_miss_path(*MISS_PATH_MECHANISMS)).execute(plan, graph)
 
     def traffic(result):
         random = sum(p.dram_random_accesses for l in result.layers for p in l.phases())

@@ -32,7 +32,8 @@ from repro.analysis import format_table
 from repro.datasets import build_dataset
 from repro.hw import AcceleratorConfig
 from repro.obs import MetricsRegistry, Tracer, flame_rows, write_chrome_trace
-from repro.sim import GNNIESimulator
+from repro.plan import lower
+from repro.sim import GNNIEExecutor
 
 
 def main() -> None:
@@ -46,8 +47,8 @@ def main() -> None:
 
     tracer = Tracer()
     metrics = MetricsRegistry()
-    simulator = GNNIESimulator(config, tracer=tracer, metrics=metrics)
-    result = simulator.run(graph, "gat")
+    executor = GNNIEExecutor(config, tracer=tracer, metrics=metrics)
+    result = executor.execute(lower("gat", graph), graph)
 
     # ------------------------------------------------------------------ #
     # 1. Flame-style attribution table

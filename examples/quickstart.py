@@ -22,7 +22,8 @@ from repro.baselines import PyGCPUModel, PyGGPUModel
 from repro.datasets import build_dataset
 from repro.hw import AcceleratorConfig
 from repro.models import build_model
-from repro.sim import GNNIESimulator
+from repro.plan import lower
+from repro.sim import GNNIEExecutor
 
 
 def main() -> None:
@@ -58,14 +59,14 @@ def main() -> None:
     # 4. Simulate the inference on GNNIE.
     # ------------------------------------------------------------------ #
     config = AcceleratorConfig()
-    simulator = GNNIESimulator(config)
+    executor = GNNIEExecutor(config)
     print(f"\nGNNIE configuration: {config.num_rows}x{config.num_cols} CPEs, "
           f"{config.total_macs} MACs @ {config.frequency_hz / 1e9:.1f} GHz, "
-          f"chip area ~{simulator.chip_area_mm2():.1f} mm^2")
+          f"chip area ~{executor.chip_area_mm2():.1f} mm^2")
 
     rows = []
     for family in ("gcn", "gat", "graphsage", "ginconv", "diffpool"):
-        result = simulator.run(graph, family)
+        result = executor.execute(lower(family, graph), graph)
         rows.append(
             {
                 "model": family.upper(),
@@ -82,7 +83,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 5. Compare against the software baselines.
     # ------------------------------------------------------------------ #
-    gcn_result = simulator.run(graph, "gcn")
+    gcn_result = executor.execute(lower("gcn", graph), graph)
     comparison = []
     for platform in (PyGCPUModel(), PyGGPUModel()):
         entry = compare_against_platform(gcn_result, graph, platform)

@@ -13,8 +13,8 @@ This package provides:
   caching policy,
 * ``repro.plan`` — the backend-neutral phase-op IR every family lowers to
   and every backend executes,
-* ``repro.sim`` — the GNNIE plan executor and the cycle/energy simulator
-  wrapper (:class:`~repro.sim.GNNIESimulator`),
+* ``repro.sim`` — the GNNIE plan executor
+  (:class:`~repro.sim.GNNIEExecutor`) and its cycle/energy models,
 * ``repro.baselines`` — PyG-CPU, PyG-GPU, HyGCN, AWB-GCN and EnGN cost
   models, re-expressed as plan executors,
 * ``repro.sweep`` — the parallel scenario-matrix runner with its resumable
@@ -23,18 +23,18 @@ This package provides:
 
 Quickstart::
 
-    from repro.datasets import build_dataset
-    from repro.sim import GNNIESimulator
+    from repro import GNNIEExecutor, build_dataset
+    from repro.plan import lower
 
     graph = build_dataset("cora")
-    result = GNNIESimulator().run(graph, "gcn")
+    result = GNNIEExecutor().execute(lower("gcn", graph), graph)
     print(result.summary())
 """
 
 from repro.datasets import build_dataset, dataset_names, tiny_dataset
 from repro.hw import AcceleratorConfig, design_preset
 from repro.models import build_model
-from repro.sim import GNNIESimulator, InferenceResult
+from repro.sim import GNNIEExecutor, InferenceResult
 
 __version__ = "1.0.0"
 
@@ -46,6 +46,6 @@ __all__ = [
     "AcceleratorConfig",
     "design_preset",
     "build_model",
-    "GNNIESimulator",
+    "GNNIEExecutor",
     "InferenceResult",
 ]

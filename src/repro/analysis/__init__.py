@@ -9,7 +9,6 @@ from repro.analysis.speedup import (
     SpeedupEntry,
     compare_against_platform,
     geometric_mean,
-    speedup_table,
 )
 from repro.analysis.sweep_aggregate import (
     backend_geomeans,
@@ -40,7 +39,6 @@ __all__ = [
     "SpeedupEntry",
     "compare_against_platform",
     "geometric_mean",
-    "speedup_table",
     "backend_geomeans",
     "beta_rows",
     "design_points_from_rows",

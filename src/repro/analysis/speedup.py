@@ -11,7 +11,7 @@ from repro.graph.graph import Graph
 from repro.plan.lowering import lower
 from repro.sim.results import InferenceResult
 
-__all__ = ["SpeedupEntry", "compare_against_platform", "geometric_mean", "speedup_table"]
+__all__ = ["SpeedupEntry", "compare_against_platform", "geometric_mean"]
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,3 @@ def geometric_mean(values: list[float]) -> float:
     if array.size == 0:
         return 0.0
     return float(np.exp(np.mean(np.log(array))))
-
-
-def speedup_table(entries: list[SpeedupEntry]) -> dict[str, dict[str, float]]:
-    """Nested {model: {dataset: speedup}} mapping for reporting."""
-    table: dict[str, dict[str, float]] = {}
-    for entry in entries:
-        table.setdefault(entry.model, {})[entry.dataset] = entry.speedup
-    return table

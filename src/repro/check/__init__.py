@@ -14,7 +14,8 @@ but, before this package, never checked:
 * :mod:`repro.check.verifier` — an IR verification pass over
   :class:`~repro.plan.ir.InferencePlan` in the spirit of compiler IR
   verifiers: a rule registry validating op ordering, dataflow widths,
-  finiteness and per-family structure *before* execution.  Wired into
+  finiteness and, through one contract table for the five Table III
+  families, per-family structure *before* execution.  Wired into
   every executor (``GNNIEExecutor.execute``, ``PlatformModel.execute``,
   ``execute_scaleout``) and memoized per plan content.
 * :mod:`repro.check.lint` — an AST linter over the source tree whose rules
@@ -41,7 +42,6 @@ from repro.check.verifier import (
     Violation,
     family_contract,
     plan_violations,
-    register_family_contract,
     register_verifier_rule,
     verifier_rules,
     verify_counters,
@@ -60,7 +60,6 @@ __all__ = [
     "lint_rules",
     "lint_source",
     "plan_violations",
-    "register_family_contract",
     "register_verifier_rule",
     "verifier_rules",
     "verify_counters",

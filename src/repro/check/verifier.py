@@ -10,15 +10,15 @@ op)`` so executors fail loudly *before* pricing anything.
 Rules split into two tiers:
 
 * **Universal rules** (``P0xx``) hold for every plan any executor may see,
-  including plans of plug-in families this repo knows nothing about:
+  including hand-built plans of families with no lowering rule:
   known op types, sound layer indexing, op placement/ordering legality,
   finite non-negative quantities.
 * **Family contracts** (``P1xx``) encode the per-family structure the
-  lowering registry guarantees for the built-in Table III families (e.g.
-  a GAT layer carries exactly one :class:`~repro.plan.ir.AttentionOp`,
-  message-passing widths flow layer to layer).  Plug-in families opt in
-  via :func:`register_family_contract`; unregistered families get the
-  universal tier only.
+  lowering rules guarantee for the five Table III families (e.g. a GAT
+  layer carries exactly one :class:`~repro.plan.ir.AttentionOp`,
+  message-passing widths flow layer to layer).  They are one literal
+  table, ``_CONTRACTS``; a family without an entry gets the universal
+  tier only.
 
 :func:`verify_plan` memoizes by plan content (plans are frozen, hence
 hashable), so the sweep fleet verifies each distinct plan
@@ -51,7 +51,6 @@ __all__ = [
     "Violation",
     "family_contract",
     "plan_violations",
-    "register_family_contract",
     "register_verifier_rule",
     "verifier_rules",
     "verify_counters",
@@ -143,7 +142,7 @@ FamilyCheck = Callable[[InferencePlan], Iterable[Violation]]
 
 @dataclass(frozen=True)
 class FamilyContract:
-    """Per-family structural contract derived from the lowering registry.
+    """Per-family structural contract derived from the lowering rules.
 
     ``chain`` declares the message-passing shape — layer *k*'s output width
     is layer *k+1*'s input width, the first layer reads
@@ -157,17 +156,8 @@ class FamilyContract:
     check: FamilyCheck | None = None
 
 
-_CONTRACTS: dict[str, FamilyContract] = {}
-
-
-def register_family_contract(contract: FamilyContract) -> FamilyContract:
-    """Register (or replace) the structural contract for one family."""
-    _CONTRACTS[contract.family.lower()] = contract
-    return contract
-
-
 def family_contract(family: str) -> FamilyContract | None:
-    """The registered contract for ``family``, or ``None`` (universal tier only)."""
+    """The contract for ``family``, or ``None`` (universal tier only)."""
     return _CONTRACTS.get(family.lower())
 
 
@@ -433,7 +423,7 @@ def _non_halo_ops(layer: PlanLayer) -> list[object]:
 def _rule_width_flow(plan: InferencePlan) -> Iterator[Violation]:
     """Feature widths flow layer to layer for chain-shaped families.
 
-    For the message-passing families the lowering registry guarantees
+    For the message-passing families the lowering rules guarantee
     layer *k*'s output width equals layer *k+1*'s input width, the first
     layer reads the dataset feature length and the last produces the
     label width — the dataflow executors rely on when they pick record
@@ -478,14 +468,14 @@ def _rule_width_flow(plan: InferencePlan) -> Iterator[Violation]:
 
 @register_verifier_rule("P102")
 def _rule_family_structure(plan: InferencePlan) -> Iterator[Violation]:
-    """The plan matches its family's registered structural contract.
+    """The plan matches its family's structural contract.
 
-    Derived from the lowering registry's guarantees: a GAT layer carries
+    Derived from the lowering rules' guarantees: a GAT layer carries
     exactly one :class:`AttentionOp` feeding a weighted aggregation, a
     GraphSAGE layer samples before it aggregates, GINConv aggregates raw
     features before its MLP, DiffPool is two GCN stages plus one dense
-    coarsening layer.  Families without a registered contract (plug-ins)
-    are exempt — register one via :func:`register_family_contract`.
+    coarsening layer.  Families without a contract (hand-built plans)
+    are exempt.
     """
     contract = family_contract(plan.family)
     if contract is None or contract.check is None:
@@ -669,41 +659,35 @@ def _diffpool_check(plan: InferencePlan) -> Iterator[Violation]:
     yield from _op_width_mismatches(coarsening)
 
 
-register_family_contract(
-    FamilyContract(
+#: The structural contract of each Table III family; a family without one
+#: (a hand-built plan) is checked by the universal rules only.
+_CONTRACTS: dict[str, FamilyContract] = {
+    "gcn": FamilyContract(
         family="gcn",
         check=_message_passing_check(
             attention=False, sampled=False, pre_weighting=False, mlp=False
         ),
-    )
-)
-register_family_contract(
-    FamilyContract(
+    ),
+    "gat": FamilyContract(
         family="gat",
         check=_message_passing_check(
             attention=True, sampled=False, pre_weighting=False, mlp=False
         ),
-    )
-)
-register_family_contract(
-    FamilyContract(
+    ),
+    "graphsage": FamilyContract(
         family="graphsage",
         check=_message_passing_check(
             attention=False, sampled=True, pre_weighting=False, mlp=False
         ),
-    )
-)
-register_family_contract(
-    FamilyContract(
+    ),
+    "ginconv": FamilyContract(
         family="ginconv",
         check=_message_passing_check(
             attention=False, sampled=False, pre_weighting=True, mlp=True
         ),
-    )
-)
-register_family_contract(
-    FamilyContract(family="diffpool", chain=False, check=_diffpool_check)
-)
+    ),
+    "diffpool": FamilyContract(family="diffpool", chain=False, check=_diffpool_check),
+}
 
 
 # --------------------------------------------------------------------- #
@@ -759,16 +743,17 @@ def verify_registered_plans(
 ) -> list[dict[str, object]]:
     """Lower and verify every (family, dataset-shape) pair; return a report.
 
-    Drives the lowering registry against the dataset registry's shapes
+    Drives the lowering rules against the dataset registry's shapes
     (feature length, label count) — no graphs are built, so the full
     5 x 5 matrix verifies in milliseconds.  One report row per pair:
-    ``{"family", "dataset", "ok", "violations"}``.
+    ``{"family", "dataset", "ok", "violations"}``, families in sorted
+    order.
     """
     from repro.datasets.registry import dataset_names, dataset_spec
-    from repro.models.zoo import model_config
-    from repro.plan.lowering import lower_model, lowering_families
+    from repro.models.zoo import MODEL_FAMILIES, model_config
+    from repro.plan.lowering import lower_model
 
-    family_names = list(families) if families is not None else list(lowering_families())
+    family_names = list(families) if families is not None else sorted(MODEL_FAMILIES)
     dataset_list = list(datasets) if datasets is not None else list(dataset_names())
     rows: list[dict[str, object]] = []
     for family in family_names:

@@ -97,7 +97,7 @@ from repro.datasets import build_dataset, dataset_names, dataset_spec
 from repro.hw import MISS_PATH_MECHANISMS, AcceleratorConfig, design_preset
 from repro.models import MODEL_FAMILIES
 from repro.plan import executor_names, lower
-from repro.sim import GNNIESimulator, input_buffer_capacity
+from repro.sim import GNNIEExecutor, input_buffer_capacity
 from repro.sim.trace import phase_table, result_to_json
 from repro.sweep import (
     ResultStore,
@@ -506,7 +506,7 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     graph, config = _load(args)
-    result = GNNIESimulator(config).run(graph, args.model)
+    result = GNNIEExecutor(config).execute(lower(args.model, graph), graph)
     if args.json:
         print(result_to_json(result))
         return 0
@@ -552,7 +552,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             vertices=graph.num_vertices,
             edges=graph.num_edges,
         )
-    result = GNNIESimulator(config, tracer=tracer, metrics=metrics).run(graph, args.family)
+    result = GNNIEExecutor(config, tracer=tracer, metrics=metrics).execute(
+        lower(args.family, graph), graph
+    )
 
     metadata = {
         "dataset": graph.name,
@@ -764,22 +766,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.scaleout import execute_scaleout
+
     if args.chips < 1:
         print("--chips must be >= 1", file=sys.stderr)
         return 2
     graph, config = _load(args)
-    if args.chips == 1:
-        result = GNNIESimulator(config).run(graph, args.model)
-        gnnie_label = "GNNIE"
-    else:
-        from repro.scaleout import execute_scaleout
-        from repro.sim import GNNIEExecutor
-
-        plan = lower(args.model, graph)
-        result = execute_scaleout(
-            GNNIEExecutor(config), plan, graph, config, chips=args.chips
-        )
-        gnnie_label = f"GNNIE x{args.chips}"
+    result = execute_scaleout(
+        GNNIEExecutor(config), lower(args.model, graph), graph, config, chips=args.chips
+    )
+    gnnie_label = "GNNIE" if args.chips == 1 else f"GNNIE x{args.chips}"
     platforms = [PyGCPUModel(), PyGGPUModel(), HyGCNModel(), AWBGCNModel(), EnGNModel()]
     rows = [
         {
@@ -834,7 +830,7 @@ def _cmd_designs(args: argparse.Namespace) -> int:
     rows = []
     for name in ("A", "B", "C", "D", "E"):
         config = design_preset(name)
-        result = GNNIESimulator(config).run(graph, args.model)
+        result = GNNIEExecutor(config).execute(lower(args.model, graph), graph)
         rows.append(
             {
                 "design": config.name,

@@ -1,7 +1,7 @@
 """Benchmark dataset registry (Table II) and synthetic builders."""
 
 from repro.datasets.registry import DATASET_SPECS, DatasetSpec, dataset_names, dataset_spec
-from repro.datasets.synthetic import build_all_datasets, build_dataset, tiny_dataset
+from repro.datasets.synthetic import build_dataset, tiny_dataset
 
 __all__ = [
     "DATASET_SPECS",
@@ -9,6 +9,5 @@ __all__ = [
     "dataset_spec",
     "dataset_names",
     "build_dataset",
-    "build_all_datasets",
     "tiny_dataset",
 ]

@@ -21,13 +21,13 @@ from functools import partial
 
 import numpy as np
 
-from repro.datasets.registry import DatasetSpec, dataset_names, dataset_spec
+from repro.datasets.registry import DatasetSpec, dataset_spec
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import community_graph, power_law_graph
 from repro.graph.graph import Graph
 from repro.sparse.feature_matrix import generate_sparse_features
 
-__all__ = ["build_dataset", "build_all_datasets", "tiny_dataset"]
+__all__ = ["build_dataset", "tiny_dataset"]
 
 #: Edges per gather in the multilabel builder: bounds its transient arrays
 #: to a few |chunk| x 32 float64 blocks instead of four |E| x 32 ones.
@@ -156,11 +156,6 @@ def build_dataset(name: str, *, scale: float | None = None, seed: int = 0) -> Gr
             _build_labels, spec, scaled.num_vertices, adjacency, seed, features=features
         ),
     )
-
-
-def build_all_datasets(*, scale: float | None = None, seed: int = 0) -> dict[str, Graph]:
-    """Build every registered dataset; keys are canonical lowercase names."""
-    return {name: build_dataset(name, scale=scale, seed=seed) for name in dataset_names()}
 
 
 def tiny_dataset(

@@ -99,8 +99,8 @@ class AcceleratorConfig:
     # --- Miss-path hierarchy behind the input buffer -------------------- #
     #: Names from :data:`MISS_PATH_MECHANISMS`, probed in parallel on every
     #: input-buffer miss in this order; an empty tuple disables the
-    #: hierarchy (every miss goes straight to DRAM).  Unknown names are
-    #: rejected at construction.
+    #: hierarchy (every miss goes straight to DRAM).  Unknown and repeated
+    #: names are rejected at construction.
     miss_path_mechanisms: tuple[str, ...] = ()
     victim_cache_entries: int = 64
     #: Tag-only structure, so a tag store exceeding the input buffer's
@@ -153,6 +153,10 @@ class AcceleratorConfig:
                 f"unknown mechanisms {sorted(unknown)} in miss_path_mechanisms; "
                 f"known: {', '.join(MISS_PATH_MECHANISMS)}"
             )
+        mechanisms = self.miss_path_mechanisms
+        duplicates = sorted({name for name in mechanisms if mechanisms.count(name) > 1})
+        if duplicates:
+            raise ValueError(f"duplicate mechanisms {duplicates} in miss_path_mechanisms")
         if self.victim_cache_entries <= 0 or self.miss_cache_entries <= 0:
             raise ValueError("victim/miss cache capacities must be positive")
         if self.stream_buffer_count <= 0 or self.stream_buffer_depth <= 0:

@@ -9,11 +9,14 @@ GraphSAGE's neighbor sampling is a :class:`~repro.plan.ir.SampleOp` feeding
 a ``sampled`` adjacency handle, and DiffPool's coarsening products (Sᵀ A S
 and Sᵀ Z) are a :class:`~repro.plan.ir.DenseMatmulOp`.
 
-The module registers its rules on import; :mod:`repro.plan.lowering` imports
-it lazily on first lookup.
+:data:`LOWERINGS` holds the rules keyed by family, in
+:data:`~repro.models.zoo.MODEL_FAMILIES` order; :func:`repro.plan.lower_model`
+imports it on first call.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.models.zoo import ModelConfig
 from repro.plan.ir import (
@@ -30,9 +33,9 @@ from repro.plan.ir import (
     SampleOp,
     WeightingOp,
 )
-from repro.plan.lowering import register_lowering
 
 __all__ = [
+    "LOWERINGS",
     "lower_gcn",
     "lower_gat",
     "lower_graphsage",
@@ -97,19 +100,16 @@ def _message_passing_plan(
     )
 
 
-@register_lowering("gcn")
 def lower_gcn(cfg: ModelConfig, in_features: int, out_features: int) -> InferencePlan:
     """GCN: weighting then sum-aggregation over the full adjacency."""
     return _message_passing_plan(cfg, in_features, out_features)
 
 
-@register_lowering("gat")
 def lower_gat(cfg: ModelConfig, in_features: int, out_features: int) -> InferencePlan:
     """GAT: adds per-edge attention and a weighted aggregation."""
     return _message_passing_plan(cfg, in_features, out_features, attention=True)
 
 
-@register_lowering("graphsage")
 def lower_graphsage(cfg: ModelConfig, in_features: int, out_features: int) -> InferencePlan:
     """GraphSAGE: aggregation over a sampled neighborhood."""
     return _message_passing_plan(
@@ -117,7 +117,6 @@ def lower_graphsage(cfg: ModelConfig, in_features: int, out_features: int) -> In
     )
 
 
-@register_lowering("ginconv")
 def lower_ginconv(cfg: ModelConfig, in_features: int, out_features: int) -> InferencePlan:
     """GINConv: raw features aggregate *before* the per-vertex MLP."""
     return _message_passing_plan(
@@ -125,7 +124,6 @@ def lower_ginconv(cfg: ModelConfig, in_features: int, out_features: int) -> Infe
     )
 
 
-@register_lowering("diffpool")
 def lower_diffpool(cfg: ModelConfig, in_features: int, out_features: int) -> InferencePlan:
     """DiffPool: embedding GCN + pooling GCN + dense coarsening products.
 
@@ -181,3 +179,13 @@ def lower_diffpool(cfg: ModelConfig, in_features: int, out_features: int) -> Inf
         layers=(*gcn_layers, coarsening),
         global_ops=(PreprocessOp("degree_binning"),),
     )
+
+
+#: The lowering rule of each Table III family.
+LOWERINGS: dict[str, Callable[[ModelConfig, int, int], InferencePlan]] = {
+    "gcn": lower_gcn,
+    "gat": lower_gat,
+    "graphsage": lower_graphsage,
+    "ginconv": lower_ginconv,
+    "diffpool": lower_diffpool,
+}

@@ -6,26 +6,22 @@ The package splits *what a GNN computes* from *what it costs on a platform*:
   :class:`AggregationOp`, :class:`AttentionOp`, :class:`DenseMatmulOp`,
   :class:`SampleOp`, :class:`PreprocessOp`) and the :class:`InferencePlan`
   container they form,
-* :mod:`repro.plan.lowering` — the family → plan lowering registry (the
-  rules themselves live in :mod:`repro.models.lowering`),
+* :mod:`repro.plan.lowering` — :func:`lower` / :func:`lower_model`, which
+  look the family up in the :data:`repro.models.lowering.LOWERINGS` table,
 * :mod:`repro.plan.executor` — the :class:`Executor` protocol and the
-  backend registry (GNNIE plus the baseline platforms register here).
+  backend table (GNNIE plus the baseline platforms).
 
-Plans handed to any registered executor are structurally verified first by
+Plans handed to any executor are structurally verified first by
 :mod:`repro.check.verifier` (memoized per plan content) — see the
 "Static analysis" section of the README for the rules.
 
-Adding a sixth GNN family means registering one lowering rule; adding a new
-cost model means registering one executor.  Neither requires touching the
-simulation engine.
+Adding a sixth GNN family means one entry in ``LOWERINGS``; adding a new
+cost model means one entry in the backend table.  A hand-built plan needs
+no lowering entry: it is verified against the universal rules and executes
+as it stands.
 """
 
-from repro.plan.executor import (
-    Executor,
-    executor,
-    executor_names,
-    register_executor,
-)
+from repro.plan.executor import Executor, executor, executor_names
 from repro.plan.ir import (
     FULL_ADJACENCY,
     HIDDEN_DENSITY,
@@ -41,13 +37,7 @@ from repro.plan.ir import (
     SampleOp,
     WeightingOp,
 )
-from repro.plan.lowering import (
-    lower,
-    lower_model,
-    lowering_families,
-    lowering_rule,
-    register_lowering,
-)
+from repro.plan.lowering import lower, lower_model
 
 __all__ = [
     "AdjacencyRef",
@@ -63,13 +53,9 @@ __all__ = [
     "PhaseOp",
     "PlanLayer",
     "InferencePlan",
-    "register_lowering",
-    "lowering_rule",
-    "lowering_families",
     "lower",
     "lower_model",
     "Executor",
-    "register_executor",
     "executor",
     "executor_names",
 ]

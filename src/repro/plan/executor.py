@@ -1,24 +1,24 @@
-"""Executor protocol and backend registry.
+"""Executor protocol and backend table.
 
 An *executor* consumes an :class:`~repro.plan.ir.InferencePlan` together
 with a concrete graph and returns that backend's result object — the GNNIE
 simulator produces an :class:`~repro.sim.results.InferenceResult`, the
 baseline platforms a :class:`~repro.baselines.platform.PlatformResult`.
-All built-in backends register here; ``executor("hygcn")`` is the supported
-way to obtain one by name::
+``executor("hygcn")`` is the supported way to obtain one by name::
 
     from repro.plan import executor, lower
 
     plan = lower("gcn", graph)
     result = executor("gnnie").execute(plan, graph)
+
+Adding a backend is one entry in :func:`_backends`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Protocol, runtime_checkable
 
-__all__ = ["Executor", "register_executor", "executor", "executor_names"]
+__all__ = ["Executor", "executor", "executor_names"]
 
 
 @runtime_checkable
@@ -33,51 +33,44 @@ class Executor(Protocol):
     backends (the GNNIE executor and the baseline platforms) support this.
     """
 
-    #: Registry / report name of the backend.
+    #: Table / report name of the backend.
     name: str
 
     def execute(self, plan: Any, graph: Any, config: Any | None = None) -> Any:
         """Execute ``plan`` on ``graph``; ``config`` overrides backend knobs."""
 
 
-_FACTORIES: dict[str, Callable[[], Executor]] = {}
+def _backends() -> dict[str, Callable[[], Executor]]:
+    """Every backend by name, sorted.  The imports are local so importing
+    ``repro.plan`` does not pull in the cost models."""
+    from repro.baselines import (
+        AWBGCNModel,
+        EnGNModel,
+        HyGCNModel,
+        PyGCPUModel,
+        PyGGPUModel,
+    )
+    from repro.sim.gnnie_executor import GNNIEExecutor
 
-
-def register_executor(name: str, factory: Callable[[], Executor]) -> None:
-    """Register an executor factory under a backend name.
-
-    Re-registering a name with a *different* factory warns (the latest
-    registration wins) — silently clobbering an earlier backend was a
-    foot-gun that could swap every sweep row's executor without a trace.
-    Re-registering the identical factory (module reloads) stays silent.
-    """
-    key = name.strip().lower()
-    existing = _FACTORIES.get(key)
-    if existing is not None and existing is not factory:
-        warnings.warn(
-            f"executor {key!r} is already registered; replacing the earlier factory",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    _FACTORIES[key] = factory
-
-
-def _ensure_builtin_executors() -> None:
-    """Import the built-in backends (they register on import)."""
-    import repro.baselines  # noqa: F401  (imported for side effect)
-    import repro.sim.gnnie_executor  # noqa: F401  (imported for side effect)
+    return {
+        "awb-gcn": AWBGCNModel,
+        "engn": EnGNModel,
+        "gnnie": GNNIEExecutor,
+        "hygcn": HyGCNModel,
+        "pyg-cpu": PyGCPUModel,
+        "pyg-gpu": PyGGPUModel,
+    }
 
 
 def executor(name: str) -> Executor:
-    """Instantiate the executor registered under ``name``."""
-    _ensure_builtin_executors()
+    """Instantiate the backend named ``name``."""
+    backends = _backends()
     key = name.strip().lower()
-    if key not in _FACTORIES:
-        raise KeyError(f"no executor registered as {name!r}; known: {sorted(_FACTORIES)}")
-    return _FACTORIES[key]()
+    if key not in backends:
+        raise KeyError(f"no executor named {name!r}; known: {list(backends)}")
+    return backends[key]()
 
 
 def executor_names() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    _ensure_builtin_executors()
-    return tuple(sorted(_FACTORIES))
+    """Backend names, sorted."""
+    return tuple(_backends())

@@ -6,8 +6,8 @@ holding the ordered phase ops of one layer, plus inference-global ops
 :class:`~repro.models.zoo.ModelConfig` and a dataset *shape* (input feature
 length, label count) — they reference graph data only symbolically, through
 :class:`AdjacencyRef` handles, so the same plan can be executed on any graph
-of that shape by any registered executor (the GNNIE simulator, the baseline
-platform cost models, or future backends).
+of that shape by any executor (the GNNIE simulator, the baseline platform
+cost models, or future backends).
 
 Every op is a frozen dataclass carrying only backend-neutral quantities:
 feature widths, modeled densities, adjacency handles and structural flags.

@@ -1,25 +1,16 @@
-"""Family → plan lowering registry.
+"""Family → plan lowering.
 
 A *lowering rule* is a pure function ``(ModelConfig, in_features,
 out_features) → InferencePlan`` describing how one GNN family decomposes
-into phase ops.  The rules for the Table III families live in
-:mod:`repro.models.lowering`; they are imported lazily on first lookup so
-that ``repro.plan`` stays import-light and free of model dependencies.
-
-Registering a new family is one decorated function::
-
-    from repro.plan import register_lowering
-
-    @register_lowering("sgc")
-    def lower_sgc(cfg, in_features, out_features):
-        ...
-        return InferencePlan(...)
+into phase ops.  The rules for the Table III families are the
+:data:`repro.models.lowering.LOWERINGS` table; :func:`lower_model` imports
+it on first call so that ``repro.plan`` stays import-light and free of
+model dependencies.  Adding a family is one entry in that table.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.plan.ir import InferencePlan
 
@@ -27,68 +18,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.graph import Graph
     from repro.models.zoo import ModelConfig
 
-__all__ = [
-    "register_lowering",
-    "lowering_rule",
-    "lowering_families",
-    "lower",
-    "lower_model",
-]
-
-LoweringRule = Callable[["ModelConfig", int, int], InferencePlan]
-
-_RULES: dict[str, LoweringRule] = {}
-
-
-def register_lowering(family: str) -> Callable[[LoweringRule], LoweringRule]:
-    """Decorator registering a lowering rule for ``family``.
-
-    Re-registering a family with a *different* rule warns (the latest
-    registration wins) — silently clobbering an earlier rule changed what
-    every executor priced for that family without a trace.  Re-applying
-    the identical rule (module reloads) stays silent.
-    """
-
-    key = family.strip().lower()
-
-    def decorator(rule: LoweringRule) -> LoweringRule:
-        existing = _RULES.get(key)
-        if existing is not None and existing is not rule:
-            warnings.warn(
-                f"lowering for family {key!r} is already registered; "
-                "replacing the earlier rule",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        _RULES[key] = rule
-        return rule
-
-    return decorator
-
-
-def _ensure_builtin_rules() -> None:
-    """Import the Table III rules (registration happens at import time)."""
-    import repro.models.lowering  # noqa: F401  (imported for side effect)
-
-
-def lowering_rule(family: str) -> LoweringRule:
-    """Look up the lowering rule for a GNN family."""
-    _ensure_builtin_rules()
-    key = family.strip().lower()
-    if key not in _RULES:
-        raise KeyError(f"no lowering registered for {family!r}; known: {sorted(_RULES)}")
-    return _RULES[key]
-
-
-def lowering_families() -> tuple[str, ...]:
-    """Registered family names, sorted."""
-    _ensure_builtin_rules()
-    return tuple(sorted(_RULES))
+__all__ = ["lower", "lower_model"]
 
 
 def lower_model(config: "ModelConfig", in_features: int, out_features: int) -> InferencePlan:
     """Lower a model configuration for a dataset shape."""
-    return lowering_rule(config.family)(config, in_features, out_features)
+    from repro.models.lowering import LOWERINGS
+
+    key = config.family.strip().lower()
+    if key not in LOWERINGS:
+        raise KeyError(f"no lowering for family {config.family!r}; known: {list(LOWERINGS)}")
+    return LOWERINGS[key](config, in_features, out_features)
 
 
 def lower(

@@ -13,14 +13,12 @@ from repro.sim.design_space import (
     sweep_designs,
     sweep_mac_allocations,
 )
-from repro.sim.engine import GNNIESimulator
 from repro.sim.gnnie_executor import GNNIEExecutor
-from repro.sim.trace import phase_table, result_to_dict, result_to_json, results_to_csv
+from repro.sim.trace import phase_table, result_to_dict, result_to_json
 from repro.sim.results import InferenceResult, LayerResult, PhaseResult, ScaleOutResult
 from repro.sim.weighting_sim import weighting_phase_from_schedule
 
 __all__ = [
-    "GNNIESimulator",
     "GNNIEExecutor",
     "DesignPoint",
     "admissible_mac_allocation",
@@ -30,7 +28,6 @@ __all__ = [
     "pareto_front",
     "result_to_dict",
     "result_to_json",
-    "results_to_csv",
     "phase_table",
     "InferenceResult",
     "LayerResult",

@@ -45,7 +45,6 @@ from repro.mapping.weighting import schedule_weighting
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.check.verifier import verify_plan
-from repro.plan.executor import register_executor
 from repro.plan.ir import (
     HIDDEN_DENSITY,
     AdjacencyRef,
@@ -96,8 +95,8 @@ def _weighting_knobs(cfg: AcceleratorConfig) -> tuple:
 
 def _aggregation_knobs(cfg: AcceleratorConfig) -> tuple:
     """Every configuration field the Aggregation pricing depends on
-    *besides* the cache-simulation key (which carries the buffer/γ/miss-path
-    knobs already)."""
+    *besides* the cache-simulation key (which carries the buffer/γ knobs and,
+    where a miss can happen, the miss-path knobs already)."""
     return (
         cfg.num_rows,
         cfg.num_cols,
@@ -401,8 +400,16 @@ class GNNIEExecutor:
             # memo hits re-use the numbers without double-counting events.
             outcome = "run"
             self.metrics.counter("executor.cache_sim.runs").inc()
+            # Simulate exactly what the key names: the degree-aware walk never
+            # misses, so it runs without the miss path and the memoized result
+            # is the same whichever config primes it.
+            sim_cfg = (
+                replace(cfg, miss_path_mechanisms=())
+                if cfg.enable_degree_aware_caching
+                else cfg
+            )
             cache_result = run_cache_simulation(
-                adjacency, cfg, priming_width, metrics=self.metrics
+                adjacency, sim_cfg, priming_width, metrics=self.metrics
             )
             context.cache_results[sim_key] = cache_result
         span.set(
@@ -536,12 +543,19 @@ class GNNIEExecutor:
         # bytes_per_value is present: it sets the per-vertex record size and
         # therefore the buffer's vertex capacity, so quantization variants
         # must not share one simulation.
-        return (
+        key = (
             ref,
             cfg.input_buffer_bytes,
             cfg.bytes_per_value,
             cfg.gamma,
             cfg.enable_degree_aware_caching,
+        )
+        if cfg.enable_degree_aware_caching:
+            # The degree-aware walk has no misses for a miss path to filter,
+            # so miss-path variants share one simulation.
+            return key
+        return (
+            *key,
             cfg.miss_path_mechanisms,
             cfg.victim_cache_entries,
             cfg.miss_cache_entries,
@@ -607,6 +621,3 @@ class GNNIEExecutor:
                 breakdown.dram_output_pj += model.dram_energy(phase.dram_output_stream_bytes)
         breakdown.static_pj = model.static_energy(result.total_cycles, cfg.frequency_hz)
         return breakdown
-
-
-register_executor("gnnie", GNNIEExecutor)

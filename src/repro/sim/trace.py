@@ -1,24 +1,19 @@
 """Result export: structured reports from simulated inferences.
 
 Turns :class:`~repro.sim.results.InferenceResult` objects into plain
-dictionaries, JSON documents and CSV rows so that sweeps can be archived and
-plotted outside Python.  Used by the CLI (`python -m repro`).
+dictionaries, JSON documents and flat per-phase rows.  Used by the CLI
+(`python -m repro`).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from typing import Iterable
 
 from repro.sim.results import InferenceResult
 
 __all__ = [
     "result_to_dict",
     "result_to_json",
-    "results_to_csv",
-    "csv_fieldnames",
     "phase_table",
 ]
 
@@ -70,45 +65,8 @@ def result_to_json(result: InferenceResult, *, indent: int = 2) -> str:
     return json.dumps(result_to_dict(result), indent=indent)
 
 
-def csv_fieldnames() -> list[str]:
-    """The CSV column set: every :meth:`InferenceResult.summary` key.
-
-    Derived from the summary itself rather than a hand-maintained list, so
-    a new summary field can never silently go missing from exports (the old
-    literal list had drifted: it dropped the per-phase cycle columns).  The
-    column *order* is part of the export contract and is pinned by test.
-    """
-    return list(InferenceResult(dataset="", model="", config_name="").summary().keys())
-
-
-def results_to_csv(results: Iterable[InferenceResult]) -> str:
-    """One CSV row per inference (summary-level fields only).
-
-    The column set is the base :func:`csv_fieldnames` order plus any extra
-    summary keys the given results carry (multi-chip
-    :class:`~repro.sim.results.ScaleOutResult` rows add ``chips`` /
-    ``halo_*`` columns), appended in first-seen order.  Plain results
-    produce exactly the pre-scale-out bytes; ``DictWriter`` would otherwise
-    raise ``ValueError`` on the extra keys.
-    """
-    summaries = [result.summary() for result in results]
-    fieldnames = csv_fieldnames()
-    known = set(fieldnames)
-    for summary in summaries:
-        for key in summary:
-            if key not in known:
-                fieldnames.append(key)
-                known.add(key)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames)
-    writer.writeheader()
-    for summary in summaries:
-        writer.writerow(summary)
-    return buffer.getvalue()
-
-
 def phase_table(result: InferenceResult) -> list[dict[str, object]]:
-    """Flat per-phase rows (for `analysis.format_table` or CSV export)."""
+    """Flat per-phase rows (for `analysis.format_table`)."""
     rows: list[dict[str, object]] = []
     for layer in result.layers:
         for phase in layer.phases():

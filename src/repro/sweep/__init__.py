@@ -35,7 +35,6 @@ from repro.sweep.matrix import (
     config_from_dict,
     config_to_dict,
     derive_seed,
-    full_matrix,
 )
 from repro.sweep.repair import StoreReport, compact_store, repair_store, verify_store
 from repro.sweep.runner import RetryPolicy, SweepError, SweepSummary, run_sweep
@@ -55,19 +54,7 @@ from repro.sweep.worker import (
     run_batch_timed,
 )
 
-
-def __getattr__(name: str):
-    # ALL_BACKENDS resolves against the live executor registry on access
-    # (see repro.sweep.matrix), so plug-in backends registered after import
-    # are included.
-    if name == "ALL_BACKENDS":
-        from repro.sweep import matrix
-
-        return matrix.ALL_BACKENDS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
-    "ALL_BACKENDS",
     "COMPATIBLE_ROW_FORMATS",
     "DatasetCase",
     "FAILED_ROW_FORMAT",
@@ -87,7 +74,6 @@ __all__ = [
     "config_to_dict",
     "derive_seed",
     "failed_row",
-    "full_matrix",
     "is_failed_row",
     "prime_graph_memo",
     "repair_store",

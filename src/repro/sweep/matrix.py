@@ -33,32 +33,18 @@ from typing import Iterable, Sequence
 from repro.hw.config import AcceleratorConfig
 
 __all__ = [
-    "ALL_BACKENDS",
     "DatasetCase",
     "SweepCell",
     "ScenarioMatrix",
     "derive_seed",
     "config_to_dict",
     "config_from_dict",
-    "full_matrix",
 ]
 
-def _all_backends() -> tuple[str, ...]:
-    """Every registered plan executor — GNNIE plus the baseline platforms.
+#: The one backend whose cost model reads the configuration and can price
+#: multi-chip plans, so the only one crossed with the config and chip axes.
+_CONFIG_BACKEND = "gnnie"
 
-    Resolved from the live backend registry on access (PEP 562 module
-    attribute), so executors registered at runtime are included and merely
-    importing this module does not pull in the whole backend stack.
-    """
-    from repro.plan.executor import executor_names
-
-    return executor_names()
-
-
-def __getattr__(name: str):
-    if name == "ALL_BACKENDS":
-        return _all_backends()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 def derive_seed(base_seed: int, dataset: str) -> int:
     """Deterministic per-dataset seed: stable across processes and runs."""
@@ -181,13 +167,10 @@ class SweepCell:
 class ScenarioMatrix:
     """The four sweep axes plus the base seed cells derive theirs from.
 
-    The configuration axis is crossed only with the backends named in
-    ``config_backends`` (default: GNNIE, the one built-in executor whose
-    cost model reads the configuration); the baseline platforms model fixed
-    published silicon and ignore ``config``, so they are swept once — with
-    ``configs[0]`` — instead of producing N byte-identical rows.  Pass
-    ``config_backends=None`` to cross every backend with every
-    configuration (e.g. for a plug-in backend that is config-sensitive).
+    The configuration axis is crossed only with GNNIE, the one executor
+    whose cost model reads the configuration; the baseline platforms model
+    fixed published silicon and ignore ``config``, so they are swept once —
+    with ``configs[0]`` — instead of producing N byte-identical rows.
     """
 
     datasets: tuple[DatasetCase, ...]
@@ -195,11 +178,10 @@ class ScenarioMatrix:
     backends: tuple[str, ...] = ("gnnie",)
     configs: tuple[AcceleratorConfig, ...] = (AcceleratorConfig(),)
     seed: int = 0
-    config_backends: tuple[str, ...] | None = ("gnnie",)
     #: Chip-count axis (``repro.scaleout``).  Gated exactly like the
-    #: configuration axis: only the ``config_backends`` backends (the ones
-    #: whose cost model can price multi-chip plans) are crossed with it;
-    #: every other backend is swept single-chip.
+    #: configuration axis: only GNNIE, whose cost model can price
+    #: multi-chip plans, is crossed with it; every other backend is swept
+    #: single-chip.
     chips: tuple[int, ...] = (1,)
 
     @classmethod
@@ -212,7 +194,6 @@ class ScenarioMatrix:
         configs: Sequence[AcceleratorConfig] | None = None,
         scale: float | None = None,
         seed: int = 0,
-        config_backends: Iterable[str] | None = ("gnnie",),
         chips: Iterable[int] = (1,),
     ) -> "ScenarioMatrix":
         """Normalize axis inputs (names become :class:`DatasetCase` entries).
@@ -232,23 +213,14 @@ class ScenarioMatrix:
             backends=tuple(backend.lower() for backend in backends),
             configs=tuple(configs) if configs else (AcceleratorConfig(),),
             seed=seed,
-            config_backends=(
-                tuple(backend.lower() for backend in config_backends)
-                if config_backends is not None
-                else None
-            ),
             chips=tuple(int(count) for count in chips),
         )
 
     def _configs_for(self, backend: str) -> tuple[AcceleratorConfig, ...]:
-        if self.config_backends is None or backend in self.config_backends:
-            return self.configs
-        return self.configs[:1]
+        return self.configs if backend == _CONFIG_BACKEND else self.configs[:1]
 
     def _chips_for(self, backend: str) -> tuple[int, ...]:
-        if self.config_backends is None or backend in self.config_backends:
-            return self.chips
-        return (1,)
+        return self.chips if backend == _CONFIG_BACKEND else (1,)
 
     def cells(self) -> list[SweepCell]:
         """Axis-major expansion (dataset, family, backend, config, chips)."""
@@ -279,26 +251,3 @@ class ScenarioMatrix:
         )
         return len(self.datasets) * len(self.families) * cells_per_pair
 
-
-def full_matrix(
-    *,
-    backends: Iterable[str] | None = None,
-    configs: Sequence[AcceleratorConfig] | None = None,
-    scale: float | None = None,
-    seed: int = 0,
-) -> ScenarioMatrix:
-    """The paper's full evaluation matrix: 5 datasets × 5 families × backends.
-
-    ``backends`` defaults to every registered executor (:data:`ALL_BACKENDS`).
-    """
-    from repro.datasets.registry import dataset_names
-    from repro.models.zoo import MODEL_FAMILIES
-
-    return ScenarioMatrix.build(
-        dataset_names(),
-        MODEL_FAMILIES,
-        backends=backends if backends is not None else _all_backends(),
-        configs=configs,
-        scale=scale,
-        seed=seed,
-    )

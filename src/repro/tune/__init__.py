@@ -8,7 +8,7 @@ This package is the offline analogue over the repo's sweep fleet:
 * :mod:`repro.tune.loop` — :func:`run_tune` drives generations of
   sweep → aggregate → propose over :func:`repro.sweep.run_sweep` and the
   resumable :class:`~repro.sweep.store.ResultStore`,
-* :mod:`repro.tune.proposer` — the pluggable candidate search; the default
+* :mod:`repro.tune.proposer` — the candidate search:
   :class:`ParetoMutationProposer` mutates Pareto survivors along the MAC
   allocation (under the grid's admissibility rules), buffer sizing, γ and
   miss-path axes.
@@ -18,7 +18,7 @@ CLI front end is ``python -m repro tune``.
 """
 
 from repro.tune.loop import GenerationReport, TuneResult, TuneSpec, run_tune
-from repro.tune.proposer import ParetoMutationProposer, Proposer, candidate_name
+from repro.tune.proposer import ParetoMutationProposer, candidate_name
 
 __all__ = [
     "GenerationReport",
@@ -26,6 +26,5 @@ __all__ = [
     "TuneSpec",
     "run_tune",
     "ParetoMutationProposer",
-    "Proposer",
     "candidate_name",
 ]

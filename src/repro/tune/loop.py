@@ -12,8 +12,8 @@ the offline analogue of AWB-GCN's runtime autotuning (Geng et al., MICRO
    :mod:`repro.analysis.sweep_aggregate` — the latency/area Pareto front
    and β versus the baseline design,
 3. **proposes** the next generation by mutating the Pareto survivors
-   (plus the best-β elite) through a pluggable
-   :class:`~repro.tune.proposer.Proposer`.
+   (plus the best-β elite) with
+   :class:`~repro.tune.proposer.ParetoMutationProposer`.
 
 Determinism contract
 --------------------
@@ -38,7 +38,7 @@ from repro.sim.design_space import DesignPoint, pareto_front
 from repro.sweep.matrix import DatasetCase, ScenarioMatrix, SweepCell
 from repro.sweep.runner import run_sweep
 from repro.sweep.store import ResultStore, is_failed_row
-from repro.tune.proposer import ParetoMutationProposer, Proposer
+from repro.tune.proposer import ParetoMutationProposer
 
 __all__ = ["TuneSpec", "GenerationReport", "TuneResult", "run_tune"]
 
@@ -48,11 +48,14 @@ _FILL_ATTEMPTS = 5
 
 @dataclass(frozen=True)
 class TuneSpec:
-    """One tuning problem: the workload plus the search's fixed parameters."""
+    """One tuning problem: the workload plus the search's fixed parameters.
+
+    The tuned backend is always GNNIE: the baseline platforms model fixed
+    published silicon and ignore :class:`AcceleratorConfig`.
+    """
 
     dataset: str
     family: str = "gcn"
-    backend: str = "gnnie"
     scale: float | None = None
     #: Base seed — derives the dataset seed (via the scenario matrix) and
     #: every generation's proposer RNG.
@@ -75,19 +78,10 @@ class TuneSpec:
         # report rows) as its lowercase twin.
         object.__setattr__(self, "dataset", self.dataset.lower())
         object.__setattr__(self, "family", self.family.lower())
-        object.__setattr__(self, "backend", self.backend.lower())
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
         if self.population < 1:
             raise ValueError("population must be >= 1")
-        if self.backend != "gnnie":
-            # The aggregation half of the loop (DesignPoints, Pareto, β)
-            # reads GNNIE rows only, and the baseline platforms model fixed
-            # published silicon — there is nothing to tune there.
-            raise ValueError(
-                "tuning requires the config-sensitive 'gnnie' backend; the "
-                f"baseline platforms ignore AcceleratorConfig ({self.backend!r})"
-            )
 
 
 @dataclass(frozen=True)
@@ -136,7 +130,7 @@ class TuneResult:
         return {
             "dataset": self.spec.dataset,
             "family": self.spec.family,
-            "backend": self.spec.backend,
+            "backend": "gnnie",
             "scale": self.spec.scale,
             "seed": self.spec.seed,
             "mac_budget": self.spec.mac_budget,
@@ -154,13 +148,9 @@ def _cells_for(spec: TuneSpec, configs: Sequence[AcceleratorConfig]) -> list[Swe
     matrix = ScenarioMatrix(
         datasets=(DatasetCase(spec.dataset, scale=spec.scale),),
         families=(spec.family,),
-        backends=(spec.backend,),
+        backends=("gnnie",),
         configs=tuple(configs),
         seed=spec.seed,
-        # Cross every config with the tuned backend (the default crossing
-        # list names only "gnnie", which would silently collapse any other
-        # config-sensitive backend's population to one cell).
-        config_backends=(spec.backend,),
     )
     return matrix.cells()
 
@@ -204,7 +194,6 @@ def run_tune(
     *,
     store: ResultStore | None = None,
     jobs: int = 1,
-    proposer: Proposer | None = None,
     progress=None,
     log: Callable[[str], None] | None = None,
     tracer=None,
@@ -220,9 +209,6 @@ def run_tune(
             results in memory.
         jobs: Worker processes per generation sweep (forwarded to
             :func:`~repro.sweep.run_sweep`).
-        proposer: Candidate search strategy; defaults to
-            :class:`~repro.tune.proposer.ParetoMutationProposer` bounded by
-            ``spec.mac_budget``.
         progress: Per-cell progress callback, forwarded to ``run_sweep``.
         log: Optional line sink for per-generation summaries (the CLI passes
             stderr).
@@ -243,8 +229,7 @@ def run_tune(
     """
     if store is None:
         store = ResultStore(None)
-    if proposer is None:
-        proposer = ParetoMutationProposer(mac_budget=spec.mac_budget)
+    proposer = ParetoMutationProposer(mac_budget=spec.mac_budget)
     tracer = tracer or NULL_TRACER
     metrics = metrics or NULL_METRICS
 

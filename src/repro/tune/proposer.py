@@ -1,12 +1,12 @@
-"""Candidate proposers: mutate Pareto survivors into the next generation.
+"""Candidate proposer: mutate Pareto survivors into the next generation.
 
-A proposer is the pluggable search half of the :mod:`repro.tune` closed
-loop.  Given the current survivors (the latency/area Pareto front plus the
+The proposer is the search half of the :mod:`repro.tune` closed loop.
+Given the current survivors (the latency/area Pareto front plus the
 best-β elite, as :class:`~repro.sim.design_space.DesignPoint`\\ s), it emits
 the next generation of :class:`~repro.hw.config.AcceleratorConfig`
-candidates.  The default :class:`ParetoMutationProposer` applies one local
-mutation per child across the axes the paper's design-space exploration
-sweeps (Section VIII-A):
+candidates.  :class:`ParetoMutationProposer` applies one local mutation per
+child across the axes the paper's design-space exploration sweeps
+(Section VIII-A):
 
 * MAC-per-row-group allocation, under exactly the grid's admissibility
   rules (:func:`~repro.sim.design_space.admissible_mac_allocation`:
@@ -17,7 +17,7 @@ sweeps (Section VIII-A):
 * the cache eviction threshold γ,
 * the miss-path hierarchy (mechanism toggles and structure sizing).
 
-Proposers are deterministic given their ``rng``: the tune loop seeds one
+The proposer is deterministic given its ``rng``: the tune loop seeds one
 :class:`random.Random` per generation from the spec seed, so a killed and
 resumed tuning run re-proposes byte-identical candidates and the result
 store serves every one of them without re-simulating.
@@ -27,12 +27,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from repro.hw.config import MISS_PATH_MECHANISMS, AcceleratorConfig
 from repro.sim.design_space import DesignPoint, admissible_mac_allocation
 
-__all__ = ["Proposer", "ParetoMutationProposer", "candidate_name"]
+__all__ = ["ParetoMutationProposer", "candidate_name"]
+
+#: Per-group MAC count bounds of a proposed allocation.
+MAC_BOUNDS = (2, 8)
+#: Input- and output-buffer capacity bounds (bytes) of a proposed config.
+INPUT_BUFFER_BOUNDS = (64 * 1024, 1024 * 1024)
+OUTPUT_BUFFER_BOUNDS = (256 * 1024, 4 * 1024 * 1024)
+#: Bounds of the cache eviction threshold γ.
+GAMMA_BOUNDS = (1, 12)
+#: Mutation retries per child before giving up on it (a saturated knob,
+#: e.g. doubling a buffer already at its bound, wastes one attempt).
+MAX_ATTEMPTS_PER_CHILD = 8
 
 
 def candidate_name(config: AcceleratorConfig) -> str:
@@ -65,23 +76,9 @@ def candidate_name(config: AcceleratorConfig) -> str:
     return "tune:" + "-".join(parts)
 
 
-class Proposer(Protocol):
-    """Search strategy plugged into :func:`repro.tune.run_tune`."""
-
-    def propose(
-        self,
-        survivors: Sequence[DesignPoint],
-        *,
-        rng: random.Random,
-        count: int,
-    ) -> list[AcceleratorConfig]:
-        """Emit up to ``count`` candidate configurations from the survivors."""
-        ...
-
-
 @dataclass(frozen=True)
 class ParetoMutationProposer:
-    """Default proposer: one bounded local mutation per child.
+    """One bounded local mutation per child.
 
     Children are bred round-robin over the survivors so every Pareto point
     seeds roughly equally many candidates; each child is one mutation away
@@ -90,13 +87,6 @@ class ParetoMutationProposer:
     """
 
     mac_budget: int = 1280
-    mac_bounds: tuple[int, int] = (2, 8)
-    input_buffer_bounds: tuple[int, int] = (64 * 1024, 1024 * 1024)
-    output_buffer_bounds: tuple[int, int] = (256 * 1024, 4 * 1024 * 1024)
-    gamma_bounds: tuple[int, int] = (1, 12)
-    #: Mutation retries per child before giving up on it (a saturated knob,
-    #: e.g. doubling a buffer already at its bound, wastes one attempt).
-    max_attempts_per_child: int = 8
 
     #: Mutation kinds, MAC allocation and input buffer weighted double.
     _KINDS = (
@@ -107,9 +97,6 @@ class ParetoMutationProposer:
         "miss_path",
     )
 
-    # ------------------------------------------------------------------ #
-    # Proposer protocol
-    # ------------------------------------------------------------------ #
     def propose(
         self,
         survivors: Sequence[DesignPoint],
@@ -117,6 +104,7 @@ class ParetoMutationProposer:
         rng: random.Random,
         count: int,
     ) -> list[AcceleratorConfig]:
+        """Emit up to ``count`` candidate configurations from the survivors."""
         candidates: list[AcceleratorConfig] = []
         if not survivors:
             return candidates
@@ -133,7 +121,7 @@ class ParetoMutationProposer:
     def _mutate(
         self, parent: AcceleratorConfig, rng: random.Random
     ) -> AcceleratorConfig | None:
-        for _ in range(self.max_attempts_per_child):
+        for _ in range(MAX_ATTEMPTS_PER_CHILD):
             kind = rng.choice(self._KINDS)
             child = getattr(self, f"_mutate_{kind}")(parent, rng)
             if child is not None and child != parent:
@@ -146,7 +134,7 @@ class ParetoMutationProposer:
         allocation = list(parent.macs_per_group)
         group = rng.randrange(len(allocation))
         allocation[group] += rng.choice((-1, 1))
-        low, high = self.mac_bounds
+        low, high = MAC_BOUNDS
         if not low <= allocation[group] <= high:
             return None
         if not admissible_mac_allocation(
@@ -168,7 +156,7 @@ class ParetoMutationProposer:
             size = rng.choice((256 * 1024, 512 * 1024))
         else:
             size = current * 2 if rng.random() < 0.5 else current // 2
-        low, high = self.input_buffer_bounds
+        low, high = INPUT_BUFFER_BOUNDS
         size = min(max(size, low), high)
         if size == current:
             return None
@@ -179,7 +167,7 @@ class ParetoMutationProposer:
     ) -> AcceleratorConfig | None:
         current = parent.output_buffer_bytes
         size = current * 2 if rng.random() < 0.5 else current // 2
-        low, high = self.output_buffer_bounds
+        low, high = OUTPUT_BUFFER_BOUNDS
         size = min(max(size, low), high)
         if size == current:
             return None
@@ -189,7 +177,7 @@ class ParetoMutationProposer:
         self, parent: AcceleratorConfig, rng: random.Random
     ) -> AcceleratorConfig | None:
         gamma = parent.gamma + rng.choice((-1, 1))
-        low, high = self.gamma_bounds
+        low, high = GAMMA_BOUNDS
         if not low <= gamma <= high:
             return None
         return replace(parent, gamma=gamma)

@@ -1,7 +1,7 @@
 """Regenerate the golden equivalence snapshots.
 
 Each ``<dataset>_<family>.json`` snapshot is the full JSON report of one
-``GNNIESimulator`` inference.  The cora/citeseer/pubmed files were dumped
+``GNNIEExecutor`` inference of the family's lowered plan.  The cora/citeseer/pubmed files were dumped
 from the pre-plan-IR engine (commit adae848) and pin the refactored
 lower-then-execute path to the original behaviour; the ppi/reddit files
 were generated from the plan-IR engine and pin the remaining cells of the
@@ -36,7 +36,7 @@ from repro.baselines import (
 from repro.datasets import build_dataset
 from repro.models import MODEL_FAMILIES
 from repro.plan import lower
-from repro.sim import GNNIESimulator
+from repro.sim import GNNIEExecutor
 from repro.sim.trace import result_to_json
 
 #: (dataset, scale, seed) triples simulated for every family.  Scaled-down
@@ -68,14 +68,14 @@ def main() -> None:
     baseline_snapshot: dict[str, dict] = {}
     for dataset, scale, seed in GOLDEN_DATASETS:
         graph = build_dataset(dataset, scale=scale, seed=seed)
-        simulator = GNNIESimulator()
+        executor = GNNIEExecutor()
         for family in MODEL_FAMILIES:
-            result = simulator.run(graph, family)
+            plan = lower(family, graph)
+            result = executor.execute(plan, graph)
             path = GOLDEN_DIR / f"{dataset}_{family}.json"
             path.write_text(result_to_json(result) + "\n")
             print(f"wrote {path.name}: {result.total_cycles} cycles")
 
-            plan = lower(family, graph)
             workload = workload_from_plan(plan, graph)
             entry = {name: getattr(workload, name) for name in WORKLOAD_TOTALS}
             entry["platforms"] = {

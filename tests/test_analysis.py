@@ -15,12 +15,12 @@ from repro.analysis import (
     format_series,
     format_table,
     geometric_mean,
-    speedup_table,
     weighting_row_profile,
 )
 from repro.baselines import PyGCPUModel
 from repro.hw import AcceleratorConfig
-from repro.sim import GNNIESimulator, run_cache_simulation
+from repro.plan import lower
+from repro.sim import GNNIEExecutor, run_cache_simulation
 
 
 class TestSparsityHistogram:
@@ -79,7 +79,7 @@ class TestRowProfileAndBeta:
 
 class TestSpeedupHelpers:
     def test_compare_against_platform(self, tiny_graph):
-        gnnie = GNNIESimulator().run(tiny_graph, "gcn")
+        gnnie = GNNIEExecutor().execute(lower("gcn", tiny_graph), tiny_graph)
         entry = compare_against_platform(gnnie, tiny_graph, PyGCPUModel())
         assert entry.speedup > 1
         assert entry.energy_efficiency_gain > 0
@@ -89,12 +89,6 @@ class TestSpeedupHelpers:
         assert geometric_mean([1.0, 100.0]) == pytest.approx(10.0)
         assert geometric_mean([]) == 0.0
         assert geometric_mean([5.0, 0.0]) == pytest.approx(5.0)
-
-    def test_speedup_table_structure(self, tiny_graph):
-        gnnie = GNNIESimulator().run(tiny_graph, "gcn")
-        entry = compare_against_platform(gnnie, tiny_graph, PyGCPUModel())
-        table = speedup_table([entry])
-        assert table["GCN"][tiny_graph.name] == pytest.approx(entry.speedup)
 
 
 class TestReporting:

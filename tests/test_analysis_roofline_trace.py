@@ -2,31 +2,24 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 
 import pytest
 
 from repro.analysis import roofline_analysis
 from repro.hw import AcceleratorConfig
-from repro.sim import (
-    GNNIESimulator,
-    phase_table,
-    result_to_dict,
-    result_to_json,
-    results_to_csv,
-)
+from repro.plan import lower
+from repro.sim import GNNIEExecutor, phase_table, result_to_dict, result_to_json
 
 
 @pytest.fixture(scope="module")
 def gcn_result(tiny_graph):
-    return GNNIESimulator().run(tiny_graph, "gcn")
+    return GNNIEExecutor().execute(lower("gcn", tiny_graph), tiny_graph)
 
 
 @pytest.fixture(scope="module")
 def gat_result(tiny_graph):
-    return GNNIESimulator().run(tiny_graph, "gat")
+    return GNNIEExecutor().execute(lower("gat", tiny_graph), tiny_graph)
 
 
 class TestRoofline:
@@ -71,36 +64,6 @@ class TestResultExport:
         first_layer = report["layers"][0]
         names = [phase["name"] for phase in first_layer["phases"]]
         assert names == ["weighting", "attention", "aggregation"]
-
-    def test_csv_has_one_row_per_result(self, gcn_result, gat_result):
-        text = results_to_csv([gcn_result, gat_result])
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 2
-        assert rows[0]["model"] == "GCN"
-        assert rows[1]["model"] == "GAT"
-        assert float(rows[0]["latency_s"]) > 0
-
-    def test_csv_column_order_is_pinned(self, gcn_result):
-        """The export's column order is a contract for downstream readers.
-
-        Columns are derived from ``InferenceResult.summary()`` (so new
-        summary fields can never silently go missing — the old literal list
-        had dropped the per-phase cycle columns); this pin catches any
-        accidental reorder or rename.
-        """
-        header = results_to_csv([gcn_result]).splitlines()[0]
-        assert header == (
-            "dataset,model,config,cycles,latency_s,weighting_cycles,"
-            "aggregation_cycles,macs,dram_bytes,effective_tops,energy_j,"
-            "inferences_per_kj"
-        )
-
-    def test_csv_rows_carry_every_summary_value(self, gcn_result):
-        (row,) = list(csv.DictReader(io.StringIO(results_to_csv([gcn_result]))))
-        summary = gcn_result.summary()
-        assert set(row) == set(summary)
-        assert int(row["weighting_cycles"]) == summary["weighting_cycles"]
-        assert int(row["aggregation_cycles"]) == summary["aggregation_cycles"]
 
     def test_phase_table_totals_match_result(self, gcn_result):
         rows = phase_table(gcn_result)

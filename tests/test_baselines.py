@@ -16,7 +16,7 @@ from repro.baselines import (
 )
 from repro.models import MODEL_FAMILIES, ModelConfig
 from repro.plan import lower, lower_model
-from repro.sim import GNNIESimulator
+from repro.sim import GNNIEExecutor
 from repro.sim.batch import pricing_context
 
 
@@ -255,7 +255,7 @@ class TestGNNIEAgainstBaselines:
 
     @pytest.fixture(scope="class")
     def gnnie_result(self, small_cora):
-        return GNNIESimulator().run(small_cora, "gcn")
+        return GNNIEExecutor().execute(lower("gcn", small_cora), small_cora)
 
     @pytest.fixture(scope="class")
     def workload(self, small_cora):

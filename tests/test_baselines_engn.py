@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines import EnGNModel, HyGCNModel, PyGCPUModel, workload_from_plan
 from repro.plan import lower
-from repro.sim import GNNIESimulator
+from repro.sim import GNNIEExecutor
 
 
 class TestEnGNModel:
@@ -53,7 +53,7 @@ class TestEnGNModel:
         )
 
     def test_gnnie_faster_than_engn(self, engn, small_cora):
-        gnnie = GNNIESimulator().run(small_cora, "gcn")
+        gnnie = GNNIEExecutor().execute(lower("gcn", small_cora), small_cora)
         workload = workload_from_plan(lower("gcn", small_cora), small_cora)
         baseline = engn.evaluate(small_cora, workload)
         assert baseline.latency_seconds / gnnie.latency_seconds > 1.5

@@ -134,6 +134,37 @@ class TestCacheSimSharing:
         # every one past the three runs served from the memo.
         assert memo_hits == 12 - runs
 
+    @pytest.mark.parametrize(("degree_aware", "walks"), [(True, 1), (False, 3)])
+    def test_miss_path_keys_a_simulation_only_where_a_miss_can_happen(
+        self, degree_aware, walks
+    ):
+        """The degree-aware walk never misses, so configs that differ only in
+        miss-path sizing share one simulation, and their results equal the
+        result without a miss path.  The id-order walk misses, so each
+        sizing is its own walk."""
+        from repro.plan.lowering import lower
+        from repro.sim.gnnie_executor import GNNIEExecutor
+        from repro.sim.trace import result_to_dict
+
+        graph = build_dataset("cora", scale=0.3, seed=0)
+        plan = lower("gcn", graph)
+        metrics = MetricsRegistry()
+        executor = GNNIEExecutor(metrics=metrics)
+        base = AcceleratorConfig(enable_degree_aware_caching=degree_aware)
+        results = [
+            result_to_dict(
+                executor.execute(
+                    plan, graph, base.with_miss_path("victim", victim_cache_entries=entries)
+                )
+            )
+            for entries in (8, 16, 32)
+        ]
+        assert metrics.counter("executor.cache_sim.runs").value == walks
+        if degree_aware:
+            plain = result_to_dict(executor.execute(plan, graph, base))
+            assert results == [plain] * 3
+            assert metrics.counter("executor.cache_sim.runs").value == 1
+
     def test_executor_holds_no_memo_state(self):
         from repro.plan.lowering import lower
         from repro.sim.gnnie_executor import GNNIEExecutor

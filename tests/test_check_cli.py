@@ -10,6 +10,8 @@ import json
 from pathlib import Path
 
 from repro.cli import main
+from repro.datasets import dataset_names
+from repro.models import MODEL_FAMILIES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,6 +42,16 @@ class TestCheckCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["lint"] is None
         assert len(report["plans"]) == 25
+
+    def test_plan_rows_list_families_sorted(self, capsys):
+        """The report's row order is part of its bytes: families sorted,
+        each over the datasets in registry order."""
+        assert main(["check", "--plans", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["plans"]
+        assert [(row["family"], row["dataset"]) for row in rows[:5]] == [
+            ("diffpool", dataset) for dataset in dataset_names()
+        ]
+        assert [row["family"] for row in rows[::5]] == sorted(MODEL_FAMILIES)
 
     def test_new_finding_fails(self, tmp_path, capsys):
         offender = tmp_path / "offender.py"

@@ -145,6 +145,32 @@ class TestCommands:
         assert all(row["supported"] for row in document["rows"])
         assert all(row["speedup"] >= 1.0 for row in document["rows"])
 
+    def test_compare_gnnie_row_is_one_plain_execute(self, capsys):
+        """One chip is the same path as many: a plain execute of the
+        lowered plan, and ``--chips 1`` prints the default's bytes."""
+        from repro.datasets import build_dataset
+        from repro.hw import design_preset
+        from repro.plan import lower
+        from repro.sim import GNNIEExecutor
+
+        argv = ["compare", "--dataset", "cora", "--model", "gcn", "--scale", "0.1",
+                "--design", "E", "--json"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--chips", "1"]) == 0
+        assert capsys.readouterr().out == default
+        document = json.loads(default)
+        assert "chips" not in document
+        graph = build_dataset("cora", scale=0.1, seed=0)
+        config = design_preset("E")
+        plain = GNNIEExecutor(config).execute(lower("gcn", graph), graph, config)
+        assert document["rows"][0] == {
+            "platform": "GNNIE",
+            "supported": True,
+            "latency_ms": round(plain.latency_seconds * 1e3, 4),
+            "speedup": 1.0,
+        }
+
     def test_compare_command_json_unsupported_platforms_stay_typed(self, capsys):
         assert (
             main(["compare", "--dataset", "cora", "--model", "gat", "--scale", "0.1", "--json"])

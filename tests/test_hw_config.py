@@ -91,6 +91,14 @@ class TestAcceleratorConfig:
             AcceleratorConfig().with_miss_path("victim", "prefetcher-9000")
         assert AcceleratorConfig().with_miss_path(*MISS_PATH_MECHANISMS).miss_path_enabled
 
+    def test_validation_rejects_repeated_miss_path_names(self):
+        # A repeated name would run its mechanism twice and give one piece
+        # of hardware a second cell key.
+        with pytest.raises(ValueError, match=r"duplicate mechanisms \['victim'\]"):
+            AcceleratorConfig().with_miss_path("victim", "victim")
+        with pytest.raises(ValueError, match=r"duplicate mechanisms \['stream'\]"):
+            AcceleratorConfig(miss_path_mechanisms=("stream", "miss", "stream"))
+
     def test_replace_keeps_validation(self):
         config = AcceleratorConfig()
         smaller = replace(config, input_buffer_bytes=128 * 1024)

@@ -21,7 +21,8 @@ from repro.mapping import (
     weighting_functional,
 )
 from repro.models import GATLayer, GCNLayer, build_model, segment_sum
-from repro.sim import GNNIESimulator, result_to_dict
+from repro.plan import lower
+from repro.sim import GNNIEExecutor, result_to_dict
 
 
 # --------------------------------------------------------------------------- #
@@ -139,26 +140,26 @@ class TestSimulatorRobustness:
     @pytest.mark.parametrize("family", ["gcn", "gat"])
     def test_degenerate_topologies_simulate(self, edges, num_vertices, family):
         graph = _graph_from_edges(edges, num_vertices)
-        result = GNNIESimulator().run(graph, family)
+        result = GNNIEExecutor().execute(lower(family, graph), graph)
         assert result.total_cycles > 0
         assert np.isfinite(result.latency_seconds)
         assert result.energy_joules > 0
 
     def test_single_label_graph(self):
         graph = _graph_from_edges([(0, 1), (1, 2)], 4, num_labels=1)
-        result = GNNIESimulator().run(graph, "gcn")
+        result = GNNIEExecutor().execute(lower("gcn", graph), graph)
         assert result.layers[-1].out_features >= 2  # clamped to a sane minimum
 
     def test_tiny_buffer_configuration(self):
         graph = _graph_from_edges([(i, (i + 1) % 32) for i in range(32)], 32)
         config = AcceleratorConfig(input_buffer_bytes=1024, output_buffer_bytes=2048)
-        result = GNNIESimulator(config).run(graph, "gcn")
+        result = GNNIEExecutor(config).execute(lower("gcn", graph), graph)
         assert result.total_cycles > 0
 
     def test_export_of_every_family(self, tiny_graph):
-        simulator = GNNIESimulator()
+        executor = GNNIEExecutor()
         for family in ("gcn", "gat", "graphsage", "ginconv", "diffpool"):
-            report = result_to_dict(simulator.run(tiny_graph, family))
+            report = result_to_dict(executor.execute(lower(family, tiny_graph), tiny_graph))
             assert report["total_cycles"] > 0
             assert report["layers"]
 
@@ -168,19 +169,19 @@ class TestSimulatorRobustness:
 # --------------------------------------------------------------------------- #
 class TestConsistency:
     def test_latency_equals_cycles_over_frequency(self, tiny_graph):
-        result = GNNIESimulator().run(tiny_graph, "gcn")
+        result = GNNIEExecutor().execute(lower("gcn", tiny_graph), tiny_graph)
         assert result.latency_seconds == pytest.approx(
             result.total_cycles / result.frequency_hz
         )
 
     def test_layer_cycles_sum_to_total(self, tiny_graph):
-        result = GNNIESimulator().run(tiny_graph, "gat")
+        result = GNNIEExecutor().execute(lower("gat", tiny_graph), tiny_graph)
         assert result.total_cycles == sum(
             layer.total_cycles for layer in result.layers
         ) + result.global_preprocessing_cycles
 
     def test_energy_breakdown_sums_to_total(self, tiny_graph):
-        result = GNNIESimulator().run(tiny_graph, "gcn")
+        result = GNNIEExecutor().execute(lower("gcn", tiny_graph), tiny_graph)
         breakdown = result.energy.as_dict()
         component_sum = sum(
             value for key, value in breakdown.items() if key != "total_pj"
@@ -190,5 +191,5 @@ class TestConsistency:
     def test_models_reference_and_simulator_agree_on_dimensions(self, tiny_graph):
         model = build_model("gcn", tiny_graph.feature_length, tiny_graph.num_label_classes)
         output = model.forward(tiny_graph.adjacency, tiny_graph.features)
-        result = GNNIESimulator().run(tiny_graph, "gcn")
+        result = GNNIEExecutor().execute(lower("gcn", tiny_graph), tiny_graph)
         assert output.shape[1] == result.layers[-1].out_features

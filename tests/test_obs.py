@@ -38,7 +38,8 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.sim import GNNIESimulator
+from repro.plan import lower
+from repro.sim import GNNIEExecutor
 from repro.sim.trace import result_to_json
 
 
@@ -272,7 +273,7 @@ class TestExecutorInstrumentation:
     @pytest.mark.parametrize("family", ["gcn", "gat", "graphsage", "diffpool"])
     def test_op_span_cycles_sum_to_total_cycles(self, small_cora, family):
         tracer = Tracer()
-        result = GNNIESimulator(tracer=tracer).run(small_cora, family)
+        result = GNNIEExecutor(tracer=tracer).execute(lower(family, small_cora), small_cora)
         op_cycles = sum(
             record.attrs.get("cycles", 0)
             for record in tracer.records
@@ -282,7 +283,7 @@ class TestExecutorInstrumentation:
 
     def test_root_span_carries_whole_run_attribution(self, small_cora):
         tracer = Tracer()
-        result = GNNIESimulator(tracer=tracer).run(small_cora, "gcn")
+        result = GNNIEExecutor(tracer=tracer).execute(lower("gcn", small_cora), small_cora)
         (root,) = [r for r in tracer.records if r.category == "inference"]
         assert root.attrs["cycles"] == result.total_cycles
         assert root.attrs["mac_operations"] == result.total_mac_operations
@@ -291,21 +292,21 @@ class TestExecutorInstrumentation:
 
     def test_layer_spans_cover_every_layer(self, small_cora):
         tracer = Tracer()
-        result = GNNIESimulator(tracer=tracer).run(small_cora, "gcn")
+        result = GNNIEExecutor(tracer=tracer).execute(lower("gcn", small_cora), small_cora)
         layers = [r for r in tracer.records if r.category == "layer"]
         assert sorted(r.attrs["layer"] for r in layers) == [
             layer.layer_index for layer in result.layers
         ]
 
     def test_traced_result_is_byte_identical_to_untraced(self, small_cora):
-        baseline = GNNIESimulator().run(small_cora, "gcn")
-        traced = GNNIESimulator(tracer=Tracer()).run(small_cora, "gcn")
+        baseline = GNNIEExecutor().execute(lower("gcn", small_cora), small_cora)
+        traced = GNNIEExecutor(tracer=Tracer()).execute(lower("gcn", small_cora), small_cora)
         assert result_to_json(traced) == result_to_json(baseline)
 
     def test_default_tracer_is_the_shared_null_tracer(self):
-        simulator = GNNIESimulator()
-        assert simulator.tracer is NULL_TRACER
-        assert simulator.metrics is NULL_METRICS
+        executor = GNNIEExecutor()
+        assert executor.tracer is NULL_TRACER
+        assert executor.metrics is NULL_METRICS
 
     def test_disabled_span_call_count_is_bounded(self, small_cora):
         """No-op span calls scale with layers/ops, never vertices/edges."""
@@ -319,13 +320,13 @@ class TestExecutorInstrumentation:
                 return super().span(name, category, **attrs)
 
         counting = CountingNullTracer()
-        result = GNNIESimulator(tracer=counting).run(small_cora, "gcn")
+        result = GNNIEExecutor(tracer=counting).execute(lower("gcn", small_cora), small_cora)
         # 1 inference + 1 preprocess + per layer: 1 layer span + <= 4 ops.
         assert counting.calls <= 2 + 5 * len(result.layers)
 
     def test_chrome_trace_of_real_inference_validates(self, small_cora, tmp_path):
         tracer = Tracer()
-        GNNIESimulator(tracer=tracer).run(small_cora, "gat")
+        GNNIEExecutor(tracer=tracer).execute(lower("gat", small_cora), small_cora)
         for track in ("pid", "layer"):
             assert_valid_chrome_trace(chrome_trace_document(tracer.records, track=track))
 
@@ -336,7 +337,7 @@ class TestExecutorInstrumentation:
         counts, its refetch factor and its α-writeback bytes."""
         graph = copy.deepcopy(small_cora)  # a fresh, empty pricing context
         tracer = Tracer()
-        GNNIESimulator(tracer=tracer).run(graph, "gcn")
+        GNNIEExecutor(tracer=tracer).execute(lower("gcn", graph), graph)
         spans = sorted(
             (record for record in tracer.records if record.name == "op:aggregation"),
             key=lambda record: record.attrs["layer"],
@@ -361,8 +362,9 @@ class TestExecutorInstrumentation:
         run's spans say so with ``run``, the second's with ``memo_hit``."""
         graph = copy.deepcopy(small_cora)  # a fresh, empty pricing context
         tracer = Tracer()
-        GNNIESimulator(tracer=tracer).run(graph, "gcn")
-        GNNIESimulator(AcceleratorConfig(gamma=2), tracer=tracer).run(graph, "gcn")
+        plan = lower("gcn", graph)
+        GNNIEExecutor(tracer=tracer).execute(plan, graph)
+        GNNIEExecutor(AcceleratorConfig(gamma=2), tracer=tracer).execute(plan, graph)
         spans = [record for record in tracer.records if record.name == "op:weighting"]
         assert [span.attrs["phase_memo"] for span in spans] == [
             "run",
@@ -376,7 +378,7 @@ class TestExecutorInstrumentation:
         config = AcceleratorConfig(enable_degree_aware_caching=False).with_miss_path(
             "victim", "stream"
         )
-        GNNIESimulator(config, metrics=registry).run(small_cora, "gcn")
+        GNNIEExecutor(config, metrics=registry).execute(lower("gcn", small_cora), small_cora)
         names = {row["name"] for row in registry.snapshot()}
         assert "cache.input_buffer.misses" in names
         assert "cache.miss_path.accesses" in names
@@ -387,6 +389,20 @@ class TestExecutorInstrumentation:
             if row["name"] == "cache.miss_path.accesses"
         }
         assert {"victim", "stream"} <= mechanisms
+
+    def test_degree_aware_walk_records_no_miss_path_counters(self, small_cora):
+        """The degree-aware walk never misses, so it is simulated without
+        the miss path and no trace is filtered through one."""
+        graph = copy.deepcopy(small_cora)  # no memos: the walk must run here
+        registry = MetricsRegistry()
+        config = AcceleratorConfig(enable_degree_aware_caching=True).with_miss_path(
+            "victim", "stream"
+        )
+        GNNIEExecutor(config, metrics=registry).execute(lower("gcn", graph), graph)
+        names = {row["name"] for row in registry.snapshot()}
+        assert registry.counter("executor.cache_sim.runs").value == 1
+        assert not {name for name in names if name.startswith("cache.miss_path.")}
+        assert "cache.input_buffer.misses" not in names
 
 
 # ---------------------------------------------------------------------- #

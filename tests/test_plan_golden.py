@@ -1,8 +1,8 @@
 """Golden snapshots: the full 5-dataset × 5-family matrix is pinned.
 
 The cora/citeseer/pubmed JSON reports under ``tests/golden/`` were dumped
-from the pre-refactor ``GNNIESimulator`` (direct family branches in the
-engine) and pin the lower-then-execute path to the original behaviour; the
+from the pre-plan-IR simulator (direct family branches in the engine) and
+pin the lower-then-execute path to the original behaviour; the
 ppi/reddit reports were generated from the plan-IR engine and pin the two
 scaled large-graph stand-ins against regression, completing the paper's
 evaluation matrix.  The five ``*_ginconv`` reports were regenerated when
@@ -33,7 +33,7 @@ from repro.baselines import (
 from repro.datasets import build_dataset
 from repro.models import MODEL_FAMILIES
 from repro.plan import lower
-from repro.sim import GNNIESimulator
+from repro.sim import GNNIEExecutor
 from repro.sim.trace import result_to_dict
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -86,9 +86,9 @@ class TestGNNIEGoldenEquivalence:
     @pytest.mark.parametrize("dataset", [name for name, _, _ in GOLDEN_DATASETS])
     def test_all_families_match_snapshot(self, dataset, golden_graphs):
         graph = golden_graphs[dataset]
-        simulator = GNNIESimulator()
+        executor = GNNIEExecutor()
         for family in MODEL_FAMILIES:
-            got = result_to_dict(simulator.run(graph, family))
+            got = result_to_dict(executor.execute(lower(family, graph), graph))
             want = json.loads((GOLDEN_DIR / f"{dataset}_{family}.json").read_text())
             _assert_close(got, want, f"{dataset}/{family}")
 

@@ -1,4 +1,4 @@
-"""Tests for the plan IR, the lowering registry and the executor registry."""
+"""Tests for the plan IR, the lowering table and the backend table."""
 
 from __future__ import annotations
 
@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from repro.models import ModelConfig, MODEL_FAMILIES
+from repro.check import family_contract, plan_violations
+from repro.models import MODEL_FAMILIES, TABLE3_CONFIGS, ModelConfig
+from repro.models.lowering import LOWERINGS
 from repro.plan import (
     AdjacencyRef,
     AggregationOp,
@@ -22,63 +24,46 @@ from repro.plan import (
     executor_names,
     lower,
     lower_model,
-    lowering_families,
-    register_lowering,
 )
-from repro.sim import GNNIEExecutor, GNNIESimulator
+from repro.sim import GNNIEExecutor
 from repro.sim.results import InferenceResult
 
 
-class TestLoweringRegistry:
-    def test_all_table3_families_registered(self):
-        assert set(MODEL_FAMILIES) <= set(lowering_families())
+def _sgc_plan(hops: int) -> InferencePlan:
+    """A hand-built SGC plan: one weighting, then ``hops`` sum-aggregations."""
+    ops = (
+        WeightingOp(32, 4, is_input_layer=True),
+        *(AggregationOp(32 if hop == 0 else 4, 4) for hop in range(hops)),
+    )
+    return InferencePlan(
+        family="sgc", in_features=32, out_features=4, layers=(PlanLayer(0, 32, 4, ops),)
+    )
+
+
+class TestLoweringTable:
+    def test_table_lists_every_family_once_with_a_contract(self):
+        assert tuple(LOWERINGS) == MODEL_FAMILIES == tuple(TABLE3_CONFIGS)
+        for family in MODEL_FAMILIES:
+            assert family_contract(family) is not None, family
 
     def test_unknown_family_raises(self, tiny_graph):
         with pytest.raises(KeyError):
             lower("transformer", tiny_graph)
+        with pytest.raises(KeyError, match="'transformer'.*'gcn'.*'diffpool'"):
+            lower_model(ModelConfig(family="transformer"), 32, 4)
 
-    def test_custom_family_is_a_registry_entry(self, tiny_graph):
-        @register_lowering("test-sgc")
-        def lower_sgc(cfg, in_features, out_features):
-            # SGC: one weighting, then k sum-aggregation hops.
-            ops = (
-                WeightingOp(in_features, out_features, is_input_layer=True),
-                AggregationOp(in_features, out_features),
-                AggregationOp(out_features, out_features),
-            )
-            return InferencePlan(
-                family="test-sgc",
-                in_features=in_features,
-                out_features=out_features,
-                layers=(PlanLayer(0, in_features, out_features, ops),),
-            )
-
-        plan = lower_model(ModelConfig(family="test-sgc"), 32, 4)
-        assert plan.family == "test-sgc"
-        # The new family executes on GNNIE without any engine change.
+    def test_hand_built_plan_needs_no_table_entry(self, tiny_graph):
+        plan = _sgc_plan(hops=2)
+        # No contract, so only the universal rules apply, and they pass.
+        assert family_contract("sgc") is None
+        assert plan_violations(plan) == ()
         result = GNNIEExecutor().execute(plan, tiny_graph)
         assert isinstance(result, InferenceResult)
         assert result.total_cycles > 0
         # Both propagation hops are costed, not just the last op of a kind.
-        single_hop = InferencePlan(
-            family="test-sgc",
-            in_features=32,
-            out_features=4,
-            layers=(
-                PlanLayer(
-                    0,
-                    32,
-                    4,
-                    (
-                        WeightingOp(32, 4, is_input_layer=True),
-                        AggregationOp(32, 4),
-                    ),
-                ),
-            ),
-        )
-        one_hop = GNNIEExecutor().execute(single_hop, tiny_graph)
+        one_hop = GNNIEExecutor().execute(_sgc_plan(hops=1), tiny_graph)
         two_hop_macs = result.layers[0].aggregation.mac_operations
-        assert two_hop_macs > one_hop.layers[0].aggregation.mac_operations
+        assert two_hop_macs == 2 * one_hop.layers[0].aggregation.mac_operations
 
     def test_workload_estimation_rejects_unknown_ops(self, tiny_graph):
         from dataclasses import dataclass
@@ -171,7 +156,8 @@ class TestLoweringEdgeCases:
         # Only the first layer reads the actual feature matrix.
         input_flags = [l.find(WeightingOp).is_input_layer for l in plan.layers]
         assert input_flags == [True, False, False, False]
-        result = GNNIESimulator().run(tiny_graph, "gcn", model_cfg=cfg, out_features=6)
+        plan = lower("gcn", tiny_graph, config=cfg, out_features=6)
+        result = GNNIEExecutor().execute(plan, tiny_graph)
         assert len(result.layers) == 4
         assert result.total_cycles > 0
 
@@ -180,7 +166,8 @@ class TestLoweringEdgeCases:
         plan = lower_model(cfg, tiny_graph.feature_length, 5)
         assert plan.layers[0].out_features == 48
         assert plan.layers[0].find(AttentionOp).out_features == 48
-        result = GNNIESimulator().run(tiny_graph, "gat", model_cfg=cfg, out_features=5)
+        plan = lower("gat", tiny_graph, config=cfg, out_features=5)
+        result = GNNIEExecutor().execute(plan, tiny_graph)
         assert result.layers[0].out_features == 48
         assert result.total_cycles > 0
 
@@ -189,7 +176,7 @@ class TestLoweringEdgeCases:
         plan = lower_model(cfg, tiny_graph.feature_length, 4)
         # The Table III default of 25 neighbors applies.
         assert all(l.find(SampleOp).sample_size == 25 for l in plan.layers)
-        result = GNNIESimulator().run(tiny_graph, "graphsage", model_cfg=cfg)
+        result = GNNIEExecutor().execute(lower("graphsage", tiny_graph, config=cfg), tiny_graph)
         assert result.total_cycles > 0
 
     def test_deep_ginconv_executes_on_baselines(self, tiny_graph):
@@ -204,15 +191,49 @@ class TestLoweringEdgeCases:
         assert result.latency_seconds > 0
 
 
-class TestExecutorRegistry:
-    def test_builtin_backends_registered(self):
-        assert {"gnnie", "pyg-cpu", "pyg-gpu", "hygcn", "awb-gcn", "engn"} <= set(
-            executor_names()
-        )
+class TestExecutorTable:
+    def test_backend_names_are_the_six_sorted(self):
+        assert executor_names() == ("awb-gcn", "engn", "gnnie", "hygcn", "pyg-cpu", "pyg-gpu")
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="'tpu'.*'awb-gcn'.*'pyg-gpu'"):
             executor("tpu")
+
+    @pytest.mark.parametrize(
+        ("name", "model"),
+        [
+            ("awb-gcn", "AWBGCNModel"),
+            ("engn", "EnGNModel"),
+            ("gnnie", None),
+            ("hygcn", "HyGCNModel"),
+            ("pyg-cpu", "PyGCPUModel"),
+            ("pyg-gpu", "PyGGPUModel"),
+        ],
+    )
+    def test_each_name_builds_its_own_backend(self, tiny_graph, name, model):
+        """A swapped table entry would price every sweep row of one
+        platform on another's cost model."""
+        import repro.baselines
+        from repro.baselines import PlatformResult
+        from repro.plan import Executor
+
+        expected = GNNIEExecutor if model is None else getattr(repro.baselines, model)
+        backend = executor(name)
+        assert type(backend) is expected
+        assert isinstance(backend, Executor)
+        assert backend.name.lower() == name
+        # A fresh instance per call: callers set ``tracer`` on theirs.
+        assert executor(name) is not backend
+        result = backend.execute(lower("gcn", tiny_graph), tiny_graph)
+        if model is None:
+            assert isinstance(result, InferenceResult) and result.total_cycles > 0
+        else:
+            assert isinstance(result, PlatformResult) and result.platform == backend.name
+
+    def test_names_ignore_case_and_surrounding_space(self, tiny_graph):
+        assert type(executor(" GNNIE ")) is GNNIEExecutor
+        assert type(executor("HyGCN")) is type(executor("hygcn"))
+        assert lower(" GCN ", tiny_graph) == lower("gcn", tiny_graph)
 
     def test_gnnie_executor_resolves(self, tiny_graph):
         backend = executor("gnnie")

@@ -27,8 +27,8 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import power_law_graph
 from repro.graph.graph import Graph
 from repro.models.zoo import MODEL_FAMILIES, ModelConfig
-from repro.plan.lowering import lower_model
-from repro.sim import GNNIESimulator
+from repro.plan.lowering import lower, lower_model
+from repro.sim import GNNIEExecutor
 from repro.sparse.feature_matrix import generate_sparse_features
 
 
@@ -80,7 +80,7 @@ def graph_cases(draw) -> Graph:
 @settings(max_examples=20, deadline=None)
 @given(cfg=model_configs(), graph=graph_cases())
 def test_cycles_and_energy_positive_and_finite(cfg, graph):
-    result = GNNIESimulator().run(graph, cfg.family, model_cfg=cfg)
+    result = GNNIEExecutor().execute(lower(cfg.family, graph, config=cfg), graph)
     assert result.total_cycles > 0
     assert math.isfinite(result.latency_seconds) and result.latency_seconds > 0
     assert math.isfinite(result.energy_joules) and result.energy_joules > 0
@@ -90,7 +90,7 @@ def test_cycles_and_energy_positive_and_finite(cfg, graph):
 @settings(max_examples=20, deadline=None)
 @given(cfg=model_configs(), graph=graph_cases())
 def test_phase_cycles_sum_to_total(cfg, graph):
-    result = GNNIESimulator().run(graph, cfg.family, model_cfg=cfg)
+    result = GNNIEExecutor().execute(lower(cfg.family, graph, config=cfg), graph)
     phase_sum = sum(
         phase.total_cycles for layer in result.layers for phase in layer.phases()
     )
@@ -140,8 +140,10 @@ def test_energy_monotone_in_edge_count(cfg, num_vertices, degree, drop_fraction,
             num_label_classes=4,
         )
 
-    full = GNNIESimulator().run(build(undirected), cfg.family, model_cfg=cfg)
-    sub = GNNIESimulator().run(build(subset), cfg.family, model_cfg=cfg)
+    full_graph, sub_graph = build(undirected), build(subset)
+    plan = lower(cfg.family, full_graph, config=cfg)  # both graphs share one shape
+    full = GNNIEExecutor().execute(plan, full_graph)
+    sub = GNNIEExecutor().execute(plan, sub_graph)
     assert sub.energy_joules <= full.energy_joules * (1 + 1e-12)
 
 

@@ -9,10 +9,12 @@ import pytest
 
 from repro.analysis import backend_geomeans, design_points_from_rows, pareto_rows, speedup_rows
 from repro.cli import main
+from repro.datasets import dataset_names
 from repro.hw import AcceleratorConfig, design_preset
-from repro.sim import GNNIESimulator, sweep_designs
+from repro.models import MODEL_FAMILIES
+from repro.plan import executor_names, lower
+from repro.sim import GNNIEExecutor, sweep_designs
 from repro.sweep import (
-    ALL_BACKENDS,
     DatasetCase,
     ResultStore,
     RetryPolicy,
@@ -23,7 +25,6 @@ from repro.sweep import (
     config_from_dict,
     config_to_dict,
     derive_seed,
-    full_matrix,
     run_batch_timed,
     run_sweep,
 )
@@ -58,7 +59,9 @@ class TestMatrix:
         assert all(c.dataset == "citeseer" for c in cells[4:])
 
     def test_derived_seeds_deterministic_and_shared_per_dataset(self):
-        matrix = full_matrix(seed=7)
+        matrix = ScenarioMatrix.build(
+            dataset_names(), MODEL_FAMILIES, backends=executor_names(), seed=7
+        )
         cells = matrix.cells()
         by_dataset = {}
         for cell in cells:
@@ -119,17 +122,10 @@ class TestMatrix:
         assert auto.key() != explicit.key()
 
     def test_full_matrix_shape(self):
-        matrix = full_matrix()
-        assert len(matrix) == 5 * 5 * len(ALL_BACKENDS)
-
-    def test_all_backends_tracks_the_live_registry(self):
-        import repro.sweep
-        from repro.plan import executor_names
-
-        assert repro.sweep.ALL_BACKENDS == executor_names()
-        assert set(ALL_BACKENDS) == {
-            "gnnie", "pyg-cpu", "pyg-gpu", "hygcn", "awb-gcn", "engn"
-        }
+        backends = executor_names()
+        assert backends == ("awb-gcn", "engn", "gnnie", "hygcn", "pyg-cpu", "pyg-gpu")
+        matrix = ScenarioMatrix.build(dataset_names(), MODEL_FAMILIES, backends=backends)
+        assert len(matrix) == len(matrix.cells()) == 5 * 5 * 6
 
     def test_configs_cross_only_config_sensitive_backends(self):
         configs = (design_preset("A"), design_preset("E"))
@@ -144,17 +140,9 @@ class TestMatrix:
             ("gnnie", "Design E (GNNIE)"),
             ("pyg-cpu", "Design A"),
         ]
-        crossed = ScenarioMatrix.build(
-            ["cora"], ["gcn"], backends=["gnnie", "pyg-cpu"], configs=configs,
-            config_backends=None,
-        )
-        assert len(crossed) == len(crossed.cells()) == 4
-        # config_backends is case-normalized like the backend axis.
-        mixed = ScenarioMatrix.build(
-            ["cora"], ["gcn"], backends=["GNNIE"], configs=configs,
-            config_backends=["GNNIE"],
-        )
-        assert len(mixed) == 2
+        # The backend axis is case-normalized before the crossing.
+        mixed = ScenarioMatrix.build(["cora"], ["gcn"], backends=["GNNIE"], configs=configs)
+        assert len(mixed) == len(mixed.cells()) == 2
 
 
 class TestResultStore:
@@ -425,7 +413,7 @@ class TestDesignSpaceRerouting:
         configs = [design_preset("A"), design_preset("E")]
         points = sweep_designs(tiny_graph, "gcn", configs)
         for config, point in zip(configs, points):
-            direct = GNNIESimulator(config).run(tiny_graph, "gcn")
+            direct = GNNIEExecutor(config).execute(lower("gcn", tiny_graph), tiny_graph)
             assert point.cycles == direct.total_cycles
             assert point.latency_seconds == pytest.approx(direct.latency_seconds, rel=1e-12)
             assert point.energy_joules == pytest.approx(direct.energy_joules, rel=1e-12)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis import beta_rows, tune_report, tune_table_rows
 from repro.cli import main
-from repro.hw import AcceleratorConfig, design_preset
+from repro.hw import MISS_PATH_MECHANISMS, AcceleratorConfig, design_preset
 from repro.sim import admissible_mac_allocation
 from repro.sim.design_space import DesignPoint
 from repro.sweep import ResultStore
@@ -18,6 +18,12 @@ from repro.tune import (
     TuneSpec,
     candidate_name,
     run_tune,
+)
+from repro.tune.proposer import (
+    GAMMA_BOUNDS,
+    INPUT_BUFFER_BOUNDS,
+    MAC_BOUNDS,
+    OUTPUT_BUFFER_BOUNDS,
 )
 
 
@@ -75,6 +81,86 @@ class TestProposer:
     def test_empty_survivors_propose_nothing(self):
         assert ParetoMutationProposer().propose([], rng=random.Random(0), count=5) == []
 
+    def test_each_child_moves_one_axis_within_its_bound(self):
+        """Twelve generations from parents that sit on the bounds: every
+        child moves one axis, and never past its bound."""
+        from dataclasses import fields, replace
+
+        proposer = ParetoMutationProposer()
+        bounds = {
+            "input_buffer_bytes": INPUT_BUFFER_BOUNDS,
+            "output_buffer_bytes": OUTPUT_BUFFER_BOUNDS,
+            "gamma": GAMMA_BOUNDS,
+        }
+        population = [
+            design_preset("A"),
+            design_preset("E"),
+            replace(
+                design_preset("A"),
+                macs_per_group=(MAC_BOUNDS[0],),
+                input_buffer_bytes=INPUT_BUFFER_BOUNDS[1],
+                output_buffer_bytes=OUTPUT_BUFFER_BOUNDS[0],
+                gamma=GAMMA_BOUNDS[0],
+            ),
+            replace(
+                design_preset("E"),
+                input_buffer_bytes=INPUT_BUFFER_BOUNDS[0],
+                output_buffer_bytes=OUTPUT_BUFFER_BOUNDS[1],
+                gamma=GAMMA_BOUNDS[1],
+            ),
+        ]
+        moved: set[str] = set()
+        # Axes that a child moved away from a parent sitting on its bound.
+        pressed: set[str] = set()
+        for generation in range(12):
+            children = []
+            for index, parent in enumerate(population):
+                rng = random.Random(f"{generation}-{index}")
+                for child in proposer.propose([_survivor(parent)], rng=rng, count=6):
+                    changed = {
+                        field.name
+                        for field in fields(AcceleratorConfig)
+                        if field.name != "name"
+                        and getattr(child, field.name) != getattr(parent, field.name)
+                    }
+                    assert len(changed) == 1, changed
+                    (axis,) = changed
+                    moved.add(axis)
+                    low, high = MAC_BOUNDS
+                    assert all(low <= macs <= high for macs in child.macs_per_group)
+                    if axis == "macs_per_group" and any(
+                        before in MAC_BOUNDS and after != before
+                        for before, after in zip(parent.macs_per_group, child.macs_per_group)
+                    ):
+                        pressed.add(axis)
+                    if axis in bounds:
+                        low, high = bounds[axis]
+                        assert low <= getattr(child, axis) <= high
+                        if getattr(parent, axis) in (low, high):
+                            pressed.add(axis)
+                    children.append(child)
+            population = children[::3][:8]
+        assert moved >= {*bounds, "macs_per_group", "miss_path_mechanisms"}
+        assert pressed == {*bounds, "macs_per_group"}
+
+    def test_miss_path_children_name_each_mechanism_once_in_canonical_order(self):
+        """Toggles never repeat a mechanism (the config rejects that) and
+        keep one order, so one hierarchy is one cell key."""
+        proposer = ParetoMutationProposer()
+        survivors = [_survivor(design_preset("E"))]
+        hierarchies = set()
+        for generation in range(6):
+            children = proposer.propose(
+                survivors, rng=random.Random(f"g{generation}"), count=16
+            )
+            for child in children:
+                mechanisms = child.miss_path_mechanisms
+                canonical = tuple(n for n in MISS_PATH_MECHANISMS if n in mechanisms)
+                assert mechanisms == canonical
+                hierarchies.add(mechanisms)
+            survivors = [_survivor(child) for child in children]
+        assert any(len(mechanisms) > 1 for mechanisms in hierarchies)
+
     def test_candidate_name_is_a_pure_content_function(self):
         config = design_preset("E")
         assert candidate_name(config) == candidate_name(design_preset("E"))
@@ -125,6 +211,19 @@ class TestRunTune:
         assert resumed.executed_cells == result.evaluated_cells - 3
         assert resumed.best == result.best
 
+    def test_result_and_rows_report_the_gnnie_backend(self, tuned):
+        """Tuning searches GNNIE configurations only; ``repro tune --json``
+        still names the backend, in its fixed key order."""
+        result, store_path = tuned
+        document = result.as_dict()
+        assert list(document) == [
+            "dataset", "family", "backend", "scale", "seed", "mac_budget",
+            "generations", "evaluated_cells", "executed_cells", "best", "pareto",
+            "store",
+        ]
+        assert document["backend"] == "gnnie"
+        assert {row["backend"] for row in ResultStore(store_path).rows()} == {"gnnie"}
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             TuneSpec(dataset="cora", generations=0)
@@ -134,14 +233,9 @@ class TestRunTune:
     def test_spec_normalizes_axis_case(self):
         """A mixed-case spec must hash to the lowercase spec's cells, so
         shared stores and report filters agree."""
-        spec = TuneSpec(dataset="Cora", family="GCN", backend="GNNIE")
-        assert (spec.dataset, spec.family, spec.backend) == ("cora", "gcn", "gnnie")
+        spec = TuneSpec(dataset="Cora", family="GCN")
+        assert (spec.dataset, spec.family) == ("cora", "gcn")
         assert spec == TuneSpec(dataset="cora", family="gcn")
-
-    def test_spec_rejects_config_insensitive_backends(self):
-        """Baseline platforms ignore AcceleratorConfig — nothing to tune."""
-        with pytest.raises(ValueError, match="gnnie"):
-            TuneSpec(dataset="cora", backend="pyg-cpu")
 
 
 class TestTuneReport:
