@@ -4,7 +4,7 @@ Every benchmark regenerates one table or figure of the paper's evaluation
 (Section VIII).  Datasets and GNNIE simulation results are expensive, so they
 are built once per session and shared; each benchmark prints the reproduced
 rows/series and also writes them to ``benchmarks/results/<experiment>.txt``
-so the output survives pytest's stdout capture (see EXPERIMENTS.md).  Next
+so the output survives pytest's stdout capture.  Next
 to each ``.txt``, a structured ``<experiment>.json`` records the test id
 and — when the benchmark passes its rows via ``data=`` — the
 machine-readable figures (cycles, energy, speedups) for downstream plotting.
@@ -28,7 +28,8 @@ from repro.sim import GNNIEExecutor
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Scale factors used for the two large graphs (see DESIGN.md substitutions).
+#: Scale factors used for the two large graphs (their registry defaults,
+#: ``DatasetSpec.default_scale``).
 BENCH_SCALES = {"ppi": 0.25, "reddit": 0.02}
 
 #: The three citation datasets used by the optimization-analysis figures.

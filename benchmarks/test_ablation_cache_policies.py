@@ -6,7 +6,8 @@ unprocessed-edge-count policy because only the latter measures a vertex's
 *future* usefulness and keeps every DRAM access sequential.  This ablation
 runs LRU, MRU, a static degree-pinned partition and the degree-aware policy
 on the same buffer size and compares their off-chip behaviour.
-(Not a paper figure; listed in DESIGN.md as a design-choice ablation.)
+(Not a paper figure; listed with the ablations in the README's "Figure /
+table index".)
 """
 
 from __future__ import annotations

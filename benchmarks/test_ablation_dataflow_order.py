@@ -9,7 +9,8 @@ from the same per-layer counts the baseline platforms are priced from
 sparse Weighting MACs plus Aggregation at the output width, aggregation
 first pays dense Weighting MACs (the aggregated features are dense) plus
 Aggregation at the input width.
-(Not a paper figure; listed in DESIGN.md as a design-choice ablation.)
+(Not a paper figure; listed with the ablations in the README's "Figure /
+table index".)
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 GNNIE sizes its buffers for 1-byte weights and features (Section VIII-A).
 This ablation checks that 8-bit symmetric quantization preserves the GCN's
 argmax predictions on the citation stand-ins, and reports how the error grows
-as the width shrinks.  (Not a paper figure; listed in DESIGN.md as a
-design-choice ablation.)
+as the width shrinks.  (Not a paper figure; listed with the ablations in
+the README's "Figure / table index".)
 """
 
 from __future__ import annotations

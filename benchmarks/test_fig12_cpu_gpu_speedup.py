@@ -4,8 +4,8 @@ For every GNN family of Table III and every dataset of Table II, GNNIE's
 simulated latency is compared against the CPU (Xeon Gold 6132 + PyG) and GPU
 (Tesla V100S + PyG) cost models.  The paper reports average speedups of
 615×–72954× over the CPU and 11×–2427× over the GPU; with the analytic
-platform models and scaled large graphs our absolute factors are smaller
-(see EXPERIMENTS.md), but the qualitative shape is checked here:
+platform models and scaled large graphs our absolute factors are smaller,
+but the qualitative shape is checked here:
 
 * GNNIE beats the CPU on every (dataset, model) pair by a wide margin,
 * GNNIE beats the GPU on every pair,

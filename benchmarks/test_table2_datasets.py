@@ -3,8 +3,8 @@
 Regenerates the dataset-information table (vertices, edges, feature length,
 labels, feature sparsity) from the synthetic stand-ins and checks them
 against the published statistics carried by the registry.  PPI and Reddit are
-built at their documented bench scales (DESIGN.md), so their absolute counts
-are scaled while per-vertex statistics are preserved.
+built at their bench scales (``BENCH_SCALES`` in ``conftest.py``), so their
+absolute counts are scaled while per-vertex statistics are preserved.
 """
 
 from __future__ import annotations

@@ -44,9 +44,9 @@ from repro.check.verifier import (
     plan_violations,
     register_verifier_rule,
     verifier_rules,
+    verify_all_plans,
     verify_counters,
     verify_plan,
-    verify_registered_plans,
 )
 
 __all__ = [
@@ -62,7 +62,7 @@ __all__ = [
     "plan_violations",
     "register_verifier_rule",
     "verifier_rules",
+    "verify_all_plans",
     "verify_counters",
     "verify_plan",
-    "verify_registered_plans",
 ]

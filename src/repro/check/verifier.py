@@ -53,9 +53,9 @@ __all__ = [
     "plan_violations",
     "register_verifier_rule",
     "verifier_rules",
+    "verify_all_plans",
     "verify_counters",
     "verify_plan",
-    "verify_registered_plans",
 ]
 
 #: Op types every executor-facing plan may contain.
@@ -736,12 +736,8 @@ def verify_plan(plan: InferencePlan) -> InferencePlan:
     return plan
 
 
-def verify_registered_plans(
-    *,
-    families: Iterable[str] | None = None,
-    datasets: Iterable[str] | None = None,
-) -> list[dict[str, object]]:
-    """Lower and verify every (family, dataset-shape) pair; return a report.
+def verify_all_plans() -> list[dict[str, object]]:
+    """Lower and verify every family on every dataset shape; return a report.
 
     Drives the lowering rules against the dataset registry's shapes
     (feature length, label count) — no graphs are built, so the full
@@ -753,12 +749,10 @@ def verify_registered_plans(
     from repro.models.zoo import MODEL_FAMILIES, model_config
     from repro.plan.lowering import lower_model
 
-    family_names = list(families) if families is not None else sorted(MODEL_FAMILIES)
-    dataset_list = list(datasets) if datasets is not None else list(dataset_names())
     rows: list[dict[str, object]] = []
-    for family in family_names:
+    for family in sorted(MODEL_FAMILIES):
         config = model_config(family)
-        for dataset in dataset_list:
+        for dataset in dataset_names():
             spec = dataset_spec(dataset)
             plan = lower_model(config, spec.feature_length, max(spec.num_labels, 2))
             violations = plan_violations(plan)

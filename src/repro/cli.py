@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser = subparsers.add_parser(
         "check",
         help="static analysis: determinism linter over src/repro plus plan "
-        "verification across every registered family x dataset",
+        "verification across every family x dataset",
     )
     check_parser.add_argument(
         "--lint",
@@ -720,13 +720,13 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check import lint_paths, verify_registered_plans
+    from repro.check import lint_paths, verify_all_plans
 
     run_lint = args.lint or not args.plans
     run_plans = args.plans or not args.lint
 
     findings = lint_paths(args.paths, root=".") if run_lint else []
-    plan_rows = verify_registered_plans() if run_plans else []
+    plan_rows = verify_all_plans() if run_plans else []
     bad_plans = [row for row in plan_rows if not row["ok"]]
 
     ok = not findings and not bad_plans

@@ -10,7 +10,7 @@ expensive to simulate at full scale in pure Python, the registry also carries
 a default *scale factor* used when building the synthetic stand-in.  The
 scaled vertex/edge counts preserve the average degree and the power-law shape
 so the caching and load-balancing behaviour under study is unchanged; see
-DESIGN.md (substitutions) and EXPERIMENTS.md.
+``DatasetSpec.default_scale``.
 """
 
 from __future__ import annotations

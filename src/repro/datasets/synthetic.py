@@ -11,6 +11,13 @@ Topology and features are built up front; labels, which only the Fig. 1
 accuracy study reads, are built from the same seed on their first read
 (:attr:`repro.graph.graph.Graph.labels`).
 
+Features come from :func:`repro.sparse.generate_sparse_features`.  Its
+sampler decides rows in vectorized blocks, yet its matrix equals, byte for
+byte, the per-row ``rng.choice`` + ``rng.uniform`` loop on the same seed:
+both calls only read the generator's stream of doubles, so each row is fixed
+by its offset in that stream, and the sampler reads the same doubles at the
+same offsets.
+
 The two large graphs (PPI, Reddit) default to scaled-down versions (see
 ``DatasetSpec.default_scale``); pass ``scale=1.0`` to build them full size.
 """

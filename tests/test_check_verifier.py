@@ -24,9 +24,9 @@ from repro.check import (
     plan_violations,
     register_verifier_rule,
     verifier_rules,
+    verify_all_plans,
     verify_counters,
     verify_plan,
-    verify_registered_plans,
 )
 from repro.models.zoo import MODEL_FAMILIES, model_config
 from repro.plan.ir import (
@@ -274,7 +274,7 @@ def test_every_lowered_plan_verifies_clean(family, in_features, out_features):
 
 
 def test_full_registry_matrix_verifies_clean():
-    rows = verify_registered_plans()
+    rows = verify_all_plans()
     assert len(rows) == 25  # 5 families x 5 datasets
     assert all(row["ok"] for row in rows)
 

@@ -52,9 +52,21 @@ LABEL_PINS = {
     ),
 }
 
+#: sha256 of the float64 bytes of ``build_dataset(name, scale=scale,
+#: seed=0).features`` at the pairs of ``LABEL_PINS``.  Any change to the
+#: feature generator or to the stream it reads moves these.
+FEATURE_PINS = {
+    ("cora", 1.0): "af1ea4d300eb5310197954915c227308f50cdac912a3173f1e4f35c2f0c7580f",
+    ("citeseer", 1.0): "1ef0101e9fd38990850d24dce6ea978c6de10f2f875f00ae79e388f7a17ca1fe",
+    ("pubmed", 0.3): "a277888014e2a6d81dd8c2b540d45754c2b8567db56fb9a20db181089f0f4275",
+    ("ppi", 0.05): "a8a5b02d0a7ef63b4d30914205d12cb7b51bc4145a16dbb9e7b077865278dbfa",
+    ("ppi", 0.25): "0c9f94dcd38e0f33f959b0de348e4f36ae09586ec8722380d278bd4f3415c2c7",
+    ("reddit", 0.01): "66b91b734a6395680f1c75ac70db08ba0db1fbe5fc64973b66fbfaccc23bc720",
+}
 
-def _digest(labels: np.ndarray) -> str:
-    return hashlib.sha256(labels.tobytes()).hexdigest()
+
+def _digest(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
 
 
 class _CountingLabelBuilder:
@@ -250,6 +262,14 @@ class TestBuildDataset:
         second = build_dataset("cora", scale=0.1, seed=5)
         np.testing.assert_array_equal(first.features, second.features)
         np.testing.assert_array_equal(first.adjacency.indices, second.adjacency.indices)
+
+    @pytest.mark.parametrize(("name", "scale"), sorted(FEATURE_PINS))
+    def test_features_pinned(self, name, scale):
+        features = build_dataset(name, scale=scale, seed=0).features
+        (num_vertices, *_), _ = LABEL_PINS[name, scale]
+        assert features.dtype == np.float64
+        assert features.shape == (num_vertices, dataset_spec(name).feature_length)
+        assert _digest(features) == FEATURE_PINS[name, scale]
 
     def test_different_seeds_differ(self):
         first = build_dataset("cora", scale=0.1, seed=5)

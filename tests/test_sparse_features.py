@@ -7,7 +7,104 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import block_nonzero_counts, generate_sparse_features
+from repro.datasets import dataset_spec
+from repro.sparse import block_nonzero_counts, feature_matrix, generate_sparse_features
+
+
+def _loop_features(
+    num_vertices,
+    feature_length,
+    sparsity,
+    *,
+    seed=0,
+    sparsity_spread=0.35,
+    value_scale=1.0,
+    column_skew=1.1,
+):
+    """The generator as a per-row ``choice`` + ``uniform`` loop: the reference."""
+    if not 0.0 <= sparsity < 1.0:
+        raise ValueError("sparsity must be in [0, 1)")
+    rng = np.random.default_rng(seed)
+    mean_nonzeros = max(1.0, (1.0 - sparsity) * feature_length)
+    row_nonzeros = rng.lognormal(
+        mean=np.log(mean_nonzeros), sigma=sparsity_spread, size=num_vertices
+    )
+    row_nonzeros = np.clip(np.round(row_nonzeros), 1, feature_length).astype(np.int64)
+    target_total = int(round((1.0 - sparsity) * num_vertices * feature_length))
+    current_total = int(row_nonzeros.sum())
+    if current_total > 0 and target_total > 0:
+        scaled = np.clip(
+            np.round(row_nonzeros * (target_total / current_total)), 1, feature_length
+        ).astype(np.int64)
+        row_nonzeros = scaled
+    ranks = np.arange(1, feature_length + 1, dtype=np.float64)
+    popularity = ranks ** (-column_skew) if column_skew > 0 else np.ones(feature_length)
+    popularity = rng.permutation(popularity)
+    popularity /= popularity.sum()
+    matrix = np.zeros((num_vertices, feature_length), dtype=np.float64)
+    for row, count in enumerate(row_nonzeros):
+        count = int(min(count, feature_length))
+        columns = rng.choice(feature_length, size=count, replace=False, p=popularity)
+        matrix[row, columns] = rng.uniform(0.1, value_scale, size=count)
+    return matrix
+
+
+def _assert_same_bytes(*args, **kwargs):
+    expected = _loop_features(*args, **kwargs)
+    actual = generate_sparse_features(*args, **kwargs)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestSamplerMatchesLoop:
+    """The block sampler returns the reference loop's matrix byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_vertices=st.integers(min_value=0, max_value=300),
+        feature_length=st.integers(min_value=1, max_value=200),
+        sparsity=st.floats(min_value=0.0, max_value=0.99),
+        sparsity_spread=st.floats(min_value=0.0, max_value=1.5),
+        value_scale=st.floats(min_value=0.1, max_value=10.0),
+        column_skew=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_random_arguments(self, num_vertices, feature_length, sparsity, **kwargs):
+        _assert_same_bytes(num_vertices, feature_length, sparsity, **kwargs)
+
+    @pytest.mark.parametrize(
+        ("name", "scale"),
+        [("cora", 1.0), ("citeseer", 1.0), ("pubmed", 1.0), ("ppi", 0.25), ("reddit", 0.02)],
+    )
+    def test_dataset_arguments(self, name, scale):
+        """The arguments ``build_dataset(name, scale=scale, seed=0)`` passes."""
+        spec = dataset_spec(name)
+        _assert_same_bytes(
+            spec.scaled(scale).num_vertices,
+            spec.feature_length,
+            spec.feature_sparsity,
+            seed=7,
+            column_skew=spec.column_skew,
+        )
+
+    @pytest.mark.parametrize("window", [2, 16, 256])
+    def test_small_stream_windows(self, monkeypatch, window):
+        """Refills and window-capped blocks read the same stream."""
+        monkeypatch.setattr(feature_matrix, "_STREAM_WINDOW", window)
+        _assert_same_bytes(3000, 1, 0.0, seed=5)  # every row distinct: blocks grow to the cap
+        _assert_same_bytes(2000, 40, 0.97, seed=6, column_skew=0.8)
+        _assert_same_bytes(200, 60, 0.5, seed=8, column_skew=1.3)
+
+    def test_too_few_popular_columns_raise_like_the_loop(self):
+        # 3 ** -1000 underflows, so only two columns can be drawn for rows of three.
+        for generate in (_loop_features, generate_sparse_features):
+            with pytest.raises(ValueError):
+                generate(4, 3, 0.0, column_skew=1000.0)
+
+    def test_value_scale_below_the_smallest_value_raises_like_the_loop(self):
+        for generate in (_loop_features, generate_sparse_features):
+            with pytest.raises(ValueError):
+                generate(4, 8, 0.5, value_scale=0.05)
 
 
 class TestGenerateSparseFeatures:
