@@ -25,7 +25,7 @@ def test_ablation_cache_policy_comparison(benchmark, record, datasets):
         results = {}
         for name in CITATION:
             graph = datasets[name]
-            config = AcceleratorConfig().with_input_buffer_for(graph.name)
+            config = AcceleratorConfig().resolve_input_buffer(graph.name)
             record_bytes = vertex_record_bytes(128, graph.adjacency.average_degree())
             capacity = max(1, config.input_buffer_bytes // record_bytes)
             results[name] = (

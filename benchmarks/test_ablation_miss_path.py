@@ -27,7 +27,7 @@ FEATURE_LENGTH = 128
 
 
 def _config(graph, *mechanisms):
-    return AcceleratorConfig().with_input_buffer_for(graph.name).with_miss_path(*mechanisms)
+    return AcceleratorConfig().resolve_input_buffer(graph.name).with_miss_path(*mechanisms)
 
 
 def test_ablation_miss_path_mechanisms(benchmark, record, datasets):

@@ -15,7 +15,7 @@ from repro.sim import run_cache_simulation
 
 def test_fig10_alpha_distribution_across_rounds(benchmark, record, datasets):
     pubmed = datasets["pubmed"]
-    config = AcceleratorConfig().with_input_buffer_for(pubmed.name)
+    config = AcceleratorConfig().resolve_input_buffer(pubmed.name)
 
     def compute():
         result = run_cache_simulation(pubmed.adjacency, config, feature_length=128)

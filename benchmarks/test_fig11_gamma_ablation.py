@@ -22,7 +22,7 @@ def test_fig11_gamma_sweep(benchmark, record, citation_datasets):
     def compute():
         table = {}
         for name, graph in citation_datasets.items():
-            config = AcceleratorConfig().with_input_buffer_for(graph.name)
+            config = AcceleratorConfig().resolve_input_buffer(graph.name)
             table[name] = {
                 gamma: run_cache_simulation(
                     graph.adjacency, replace(config, gamma=gamma), feature_length=128

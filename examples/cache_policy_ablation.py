@@ -26,7 +26,7 @@ from repro.sim import run_cache_simulation
 
 def main() -> None:
     graph = build_dataset("pubmed", seed=0)
-    config = AcceleratorConfig().with_input_buffer_for(graph.name)
+    config = AcceleratorConfig().resolve_input_buffer(graph.name)
     feature_length = 128
     record_bytes = vertex_record_bytes(feature_length, graph.adjacency.average_degree())
     capacity = config.input_buffer_bytes // record_bytes

@@ -28,7 +28,7 @@ from repro.sim import GNNIEExecutor, input_buffer_capacity
 
 def main() -> None:
     graph = build_dataset("cora", seed=0)
-    config = AcceleratorConfig().with_input_buffer_for(graph.name)
+    config = AcceleratorConfig().resolve_input_buffer(graph.name)
     feature_length = 128
     capacity, _ = input_buffer_capacity(graph.adjacency, config, feature_length)
     print(

@@ -62,7 +62,7 @@ def _axis_key(row: dict) -> tuple:
         row["dataset"],
         row.get("scale"),
         row.get("seed"),
-        row.get("chips", 1),
+        row["chips"],
         row["family"],
         _config_key(row),
     )

@@ -1044,8 +1044,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(
             f"{report.action} {report.path}: {report.lines} line(s), "
             f"{report.rows} row(s) ({report.failed_rows} failed, "
-            f"{report.duplicate_keys} duplicate key(s), "
-            f"{report.unchecksummed_rows} without checksum)"
+            f"{report.duplicate_keys} duplicate key(s))"
         )
         for number, reason in report.corrupt:
             print(f"  corrupt line {number}: {reason}")

@@ -67,17 +67,10 @@ class AcceleratorConfig:
     input_buffer_bytes: int | None = None
     output_buffer_bytes: int = 1024 * 1024
     weight_buffer_bytes: int = 128 * 1024
-    #: Partial-sum slots available per MPE (limits in-flight vertices).
-    #: No cost model reads it.  It stays because ``SweepCell.key()`` hashes
-    #: every config field: deleting one re-keys every stored sweep cell.
-    psum_slots_per_mpe: int = 64
     bytes_per_value: int = 1
 
     # --- Off-chip memory ------------------------------------------------ #
     dram_bandwidth_bytes_per_s: float = 256e9
-    #: No cost model reads it: ``EnergyModel.dram_pj_per_bit`` prices DRAM
-    #: energy.  Kept so stored sweep-cell keys stay valid (see above).
-    dram_energy_pj_per_bit: float = 3.97
 
     # --- Inter-chip link (multi-chip scale-out) ------------------------- #
     #: Chip-to-chip link bandwidth for halo-feature exchange when a graph is
@@ -91,10 +84,6 @@ class AcceleratorConfig:
 
     # --- Cache policy ----------------------------------------------------#
     gamma: int = 5
-    #: No cost model reads it (the input buffer is a degree-aware vertex
-    #: store, not a set-associative cache).  Kept so stored sweep-cell keys
-    #: stay valid (see ``psum_slots_per_mpe``).
-    cache_associativity: int = 4
 
     # --- Miss-path hierarchy behind the input buffer -------------------- #
     #: Names from :data:`MISS_PATH_MECHANISMS`, probed in parallel on every
@@ -235,30 +224,20 @@ class AcceleratorConfig:
             return self.input_buffer_bytes
         return 512 * 1024
 
-    def with_input_buffer_for(self, dataset_abbreviation: str) -> "AcceleratorConfig":
-        """Return a copy with the paper's per-dataset input buffer sizing.
-
-        256 KB for the small citation graphs (Cora, Citeseer), 512 KB for
-        Pubmed, PPI and Reddit (Section VIII-A).  This *always* applies the
-        paper sizing, overwriting any explicit capacity; callers honouring
-        explicit overrides should use :meth:`resolve_input_buffer` instead.
-        """
-        small = dataset_abbreviation.upper() in ("CR", "CS", "CORA", "CITESEER")
-        size = 256 * 1024 if small else 512 * 1024
-        return replace(self, input_buffer_bytes=size)
-
     def resolve_input_buffer(self, dataset_abbreviation: str) -> "AcceleratorConfig":
         """Resolve the auto-sizing sentinel against a dataset.
 
         The single place the ``input_buffer_bytes is None`` sentinel turns
-        into a concrete capacity: when no explicit size is set, apply the
-        paper's per-dataset sizing; an explicit size is returned untouched,
-        so sweep cells that pin ``input_buffer_bytes`` actually simulate the
-        capacity they claim (the input-buffer axis regression).
+        into a concrete capacity: the paper's per-dataset sizing, 256 KB for
+        the small citation graphs (Cora, Citeseer) and 512 KB for Pubmed,
+        PPI and Reddit (Section VIII-A).  An explicit size is returned
+        untouched, so sweep cells that pin ``input_buffer_bytes`` actually
+        simulate the capacity they claim (the input-buffer axis regression).
         """
         if self.input_buffer_bytes is not None:
             return self
-        return self.with_input_buffer_for(dataset_abbreviation)
+        small = dataset_abbreviation.upper() in ("CR", "CS", "CORA", "CITESEER")
+        return replace(self, input_buffer_bytes=256 * 1024 if small else 512 * 1024)
 
     def without_optimizations(self) -> "AcceleratorConfig":
         """Baseline variant: uniform MACs, no LR, no degree caching, no LB."""

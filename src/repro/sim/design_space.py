@@ -100,7 +100,6 @@ def sweep_designs(
     family: str,
     configs: Iterable[AcceleratorConfig],
     *,
-    area_model: AreaModel | None = None,
     jobs: int = 1,
 ) -> list[DesignPoint]:
     """Simulate ``family`` on ``graph`` for every configuration.
@@ -113,7 +112,7 @@ def sweep_designs(
     from repro.sweep.matrix import DatasetCase, ScenarioMatrix
     from repro.sweep.runner import run_sweep
 
-    area = area_model or AreaModel()
+    area = AreaModel()
     configs = list(configs)
     matrix = ScenarioMatrix(
         datasets=(DatasetCase(name=graph.name, seed=0),),

@@ -111,6 +111,11 @@ def _aggregation_knobs(cfg: AcceleratorConfig) -> tuple:
     )
 
 
+#: The energy and area models GNNIE is priced with (both immutable).
+_ENERGY_MODEL = EnergyModel()
+_AREA_MODEL = AreaModel()
+
+
 def _priming_widths(plan: InferencePlan) -> dict[AdjacencyRef, int]:
     """Each adjacency handle's priming width: the width of the plan's first
     aggregation op over it, which sizes that adjacency's cache simulation."""
@@ -136,14 +141,10 @@ class GNNIEExecutor:
         self,
         config: AcceleratorConfig | None = None,
         *,
-        energy_model: EnergyModel | None = None,
-        area_model: AreaModel | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.config = config or AcceleratorConfig()
-        self.energy_model = energy_model or EnergyModel()
-        self.area_model = area_model or AreaModel()
         #: Observability hooks; the defaults are shared no-ops, so an
         #: un-instrumented executor's numbers (and goldens) are untouched.
         self.tracer = tracer or NULL_TRACER
@@ -212,7 +213,7 @@ class GNNIEExecutor:
         return result
 
     def chip_area_mm2(self, config: AcceleratorConfig | None = None) -> float:
-        return self.area_model.chip_area_mm2(config or self.config)
+        return _AREA_MODEL.chip_area_mm2(config or self.config)
 
     # ------------------------------------------------------------------ #
     # Layer construction
@@ -481,7 +482,7 @@ class GNNIEExecutor:
         Static (leakage) energy is a whole-run quantity and stays on the
         inference root span only.
         """
-        model = self.energy_model
+        model = _ENERGY_MODEL
         return (
             model.mac_energy(phase.mac_operations)
             + model.sfu_energy(phase.sfu_operations)
@@ -603,7 +604,7 @@ class GNNIEExecutor:
         return cycles
 
     def _energy(self, result: InferenceResult, cfg: AcceleratorConfig) -> EnergyBreakdown:
-        model = self.energy_model
+        model = _ENERGY_MODEL
         breakdown = EnergyBreakdown()
         for layer in result.layers:
             for phase in layer.phases():

@@ -44,22 +44,11 @@ from repro.sweep.store import (
     canonical_row,
     is_failed_row,
 )
-from repro.sweep.worker import (
-    COMPATIBLE_ROW_FORMATS,
-    FAILED_ROW_FORMAT,
-    ROW_FORMAT,
-    SCALEOUT_ROW_FORMAT,
-    failed_row,
-    prime_graph_memo,
-    run_batch_timed,
-)
+from repro.sweep.worker import ROW_FORMAT, failed_row, prime_graph_memo, run_batch_timed
 
 __all__ = [
-    "COMPATIBLE_ROW_FORMATS",
     "DatasetCase",
-    "FAILED_ROW_FORMAT",
     "ROW_FORMAT",
-    "SCALEOUT_ROW_FORMAT",
     "ResultStore",
     "RetryPolicy",
     "ScenarioMatrix",

@@ -18,8 +18,9 @@ Determinism contract
   graph (speedups stay apples-to-apples) and re-running the same matrix
   anywhere reproduces the same graphs.
 * :meth:`SweepCell.key` is a content hash over the canonical JSON of the
-  cell spec (including every ``AcceleratorConfig`` field), so two sweeps
-  agree on what "the same cell" is across processes, machines and runs.
+  cell spec (its chip count and every ``AcceleratorConfig`` field), so two
+  sweeps agree on what "the same cell" is across processes, machines and
+  runs.
 """
 
 from __future__ import annotations
@@ -59,31 +60,14 @@ def _config_dict(config: AcceleratorConfig) -> dict:
     return asdict(config)
 
 
-#: Config fields newer than the last ROW_FORMAT bump, omitted from the
-#: serialized form while they hold their defaults: a default-valued config
-#: keeps its exact pre-scale-out JSON (and therefore every existing cell key
-#: and row byte), while a cell that actually varies the link model hashes
-#: differently — which is correct, it prices differently.
-#: :func:`config_from_dict` restores omitted fields via dataclass defaults.
-_DEFAULT_ELIDED_FIELDS = {
-    name: AcceleratorConfig.__dataclass_fields__[name].default
-    for name in ("link_bandwidth_bytes_per_s", "link_latency_cycles")
-}
-
-
 def config_to_dict(config: AcceleratorConfig) -> dict:
     """JSON-serializable mapping of every configuration field.
 
     Returns a fresh top-level dict per call (values are immutable
     scalars/tuples), so callers may add or drop keys without corrupting the
-    memo.  Fields listed in :data:`_DEFAULT_ELIDED_FIELDS` are omitted while
-    default-valued (byte-stability of pre-existing cell keys).
+    memo.
     """
-    data = dict(_config_dict(config))
-    for name, default in _DEFAULT_ELIDED_FIELDS.items():
-        if data.get(name) == default:
-            del data[name]
-    return data
+    return dict(_config_dict(config))
 
 
 def config_from_dict(data: dict) -> AcceleratorConfig:
@@ -126,23 +110,20 @@ class SweepCell:
     backend: str
     config: AcceleratorConfig = field(default_factory=AcceleratorConfig)
     #: Number of simulated chips the workload is partitioned across
-    #: (``repro.scaleout``).  The single-chip default is omitted from the
-    #: spec so pre-scale-out cell keys are unchanged.
+    #: (``repro.scaleout``).
     chips: int = 1
 
     def spec(self) -> dict:
         """Canonical JSON-serializable description (hashed by :meth:`key`)."""
-        spec = {
+        return {
             "dataset": self.dataset,
             "scale": self.scale,
             "seed": self.seed,
             "family": self.family,
             "backend": self.backend,
             "config": config_to_dict(self.config),
+            "chips": self.chips,
         }
-        if self.chips != 1:
-            spec["chips"] = self.chips
-        return spec
 
     def key(self) -> str:
         """Content hash identifying this cell in the result store.

@@ -7,16 +7,15 @@ This module is the offline half of the self-healing story, surfaced as the
 ``repro store`` CLI:
 
 * :func:`verify_store` — read-only health report: row counts, failed rows,
-  corrupt lines (with reasons), duplicate keys, rows still missing
-  checksums, a dangling partial tail.
+  corrupt lines (with reasons), duplicate keys, a dangling partial tail.
 * :func:`repair_store` — excise corrupt lines into a ``.quarantine``
   sidecar (evidence preserved) and truncate a partial tail, keeping every
   healthy line byte-identical.  Atomic: the store is rewritten to a
   temporary file and swapped in with ``os.replace``.
 * :func:`compact_store` — rewrite the store as one canonical checksummed
   line per key (last write wins, matching load semantics): overridden
-  ``failed`` rows disappear, duplicate keys collapse, pre-checksum rows
-  gain their CRC32 armor.  Corrupt lines are quarantined as in repair.
+  ``failed`` rows disappear and duplicate keys collapse.  Corrupt lines are
+  quarantined as in repair.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ class StoreReport:
     failed_rows: int = 0
     #: Keys that appear on more than one healthy line (failed→healed pairs).
     duplicate_keys: int = 0
-    #: Healthy rows written before checksum armor existed.
-    unchecksummed_rows: int = 0
     #: Corrupt lines: (line number, reason).
     corrupt: list[tuple[int, str]] = field(default_factory=list)
     #: Whether the file ends in a dangling partial line.
@@ -68,7 +65,6 @@ class StoreReport:
             "rows": self.rows,
             "failed_rows": self.failed_rows,
             "duplicate_keys": self.duplicate_keys,
-            "unchecksummed_rows": self.unchecksummed_rows,
             "corrupt": [
                 {"line": number, "reason": reason} for number, reason in self.corrupt
             ],
@@ -95,8 +91,6 @@ def _scan(path: str | os.PathLike, action: str) -> tuple[StoreReport, list[Scann
             continue
         key = line.row["key"]
         seen[key] = seen.get(key, 0) + 1
-        if not line.had_checksum:
-            report.unchecksummed_rows += 1
     # Index like the loader: last healthy line per key wins.
     indexed: dict[str, dict] = {}
     for line in lines:
@@ -144,10 +138,10 @@ def _rewrite(path: Path, payload: bytes) -> None:
 def repair_store(path: str | os.PathLike) -> StoreReport:
     """Excise corrupt lines (and a partial tail), keeping healthy lines as-is.
 
-    Healthy lines are preserved byte-identically — legacy rows keep missing
-    their checksum, duplicate keys keep both lines (use
-    :func:`compact_store` to normalize).  Removed corrupt lines are
-    appended to ``<store>.quarantine`` so no evidence is destroyed.
+    Healthy lines are preserved byte-identically, and duplicate keys keep
+    both lines (use :func:`compact_store` to collapse them).  Removed
+    corrupt lines are appended to ``<store>.quarantine`` so no evidence is
+    destroyed.
     """
     path = Path(path)
     report, lines = _scan(path, "repair")
@@ -172,10 +166,9 @@ def compact_store(path: str | os.PathLike) -> StoreReport:
     """Rewrite the store as one canonical checksummed line per key.
 
     Applies the loader's last-write-wins semantics physically: a failed row
-    overridden by its healed re-execution disappears, duplicate keys
-    collapse to the surviving row, and every kept row is re-serialized with
-    checksum armor (migrating pre-checksum stores in place).  Corrupt lines
-    are quarantined exactly like :func:`repair_store`.
+    overridden by its healed re-execution disappears, and duplicate keys
+    collapse to the surviving row.  Corrupt lines are quarantined exactly
+    like :func:`repair_store`.
     """
     path = Path(path)
     report, lines = _scan(path, "compact")

@@ -20,8 +20,8 @@ Since the fault-tolerance layer, the fleet is *supervised* by a
   one poisoned cell cannot take its whole group down with it;
 * a worker crash (``BrokenProcessPool``) rebuilds the pool and requeues
   every in-flight group — crashes are counted separately from ordinary
-  failures (bounded by ``max_disruptions``) so a crashing neighbour never
-  burns an innocent group's retry budget;
+  failures (bounded by :data:`MAX_DISRUPTIONS`) so a crashing neighbour
+  never burns an innocent group's retry budget;
 * a group that exceeds ``timeout_seconds`` is charged a failed attempt, its
   hung worker is terminated, and the pool is rebuilt;
 * cells that still fail land in the store as explicit ``failed`` rows
@@ -52,12 +52,7 @@ from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.sweep.matrix import ScenarioMatrix, SweepCell
 from repro.sweep.store import ResultStore, is_failed_row
-from repro.sweep.worker import (
-    COMPATIBLE_ROW_FORMATS,
-    failed_row,
-    run_batch_timed,
-    seed_graph_overrides,
-)
+from repro.sweep.worker import ROW_FORMAT, failed_row, run_batch_timed, seed_graph_overrides
 
 __all__ = ["RetryPolicy", "SweepError", "SweepSummary", "run_sweep"]
 
@@ -69,10 +64,38 @@ __all__ = ["RetryPolicy", "SweepError", "SweepSummary", "run_sweep"]
 #: (0.0 for cached cells), which is what the CLI's live rate/ETA reads.
 ProgressCallback = Callable[[SweepCell, dict, int, int, bool, float], None]
 
+#: Delay before a work item's second attempt; it doubles per further
+#: attempt up to :data:`BACKOFF_MAX_SECONDS`.
+BACKOFF_SECONDS = 0.05
+BACKOFF_MAX_SECONDS = 2.0
+
+#: Bound on *uncharged* infrastructure failures (pool-breaking crashes) one
+#: work item may suffer before it is treated as exhausted — the culprit of
+#: a repeating crash loop ends here; innocent neighbours requeue without
+#: losing budget.
+MAX_DISRUPTIONS = 6
+
+
+def backoff_delay(key: str, attempt: int) -> float:
+    """Backoff before retry number ``attempt`` of the item keyed ``key``.
+
+    Exponential in the attempt count, capped, with jitter in [0.5, 1.0)×
+    derived from a hash of (key, attempt) — deterministic across runs
+    (replayable chaos), decorrelated across a fleet's items.
+    """
+    base = min(BACKOFF_SECONDS * 2 ** (attempt - 1), BACKOFF_MAX_SECONDS)
+    digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
+    jitter = int.from_bytes(digest[:8], "big") / 2**64
+    return base * (0.5 + jitter / 2)
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """How the supervised fleet treats failing work items.
+
+    Failed items back off by :func:`backoff_delay`, and a group that
+    exhausts its attempts retries its cells one at a time to isolate the
+    poisoned cell.
 
     Args:
         max_attempts: Executions a work item is charged before it is
@@ -83,53 +106,21 @@ class RetryPolicy:
             rebuilt, and the group charged one failed attempt.  ``None``
             disables timeouts.  Inline (``jobs=1``) execution cannot be
             preempted, so timeouts only apply to pool runs.
-        backoff_seconds: Base delay before the second attempt; doubles per
-            further attempt up to ``backoff_max_seconds``.  Jitter is a
-            deterministic hash of (cell key, attempt) — replayable chaos.
-        backoff_max_seconds: Backoff ceiling.
-        degrade: Whether an exhausted group retries its cells one at a time
-            to isolate the poisoned cell.
         failed_rows: When ``True`` (the default), permanently-failed cells
             land as explicit ``failed`` store rows and the sweep completes;
             when ``False``, the sweep raises :class:`SweepError` after the
             drain, reporting every failure.
-        max_disruptions: Bound on *uncharged* infrastructure failures
-            (pool-breaking crashes) one work item may suffer before it is
-            treated as exhausted — the culprit of a repeating crash loop
-            ends here; innocent neighbours requeue without losing budget.
     """
 
     max_attempts: int = 2
     timeout_seconds: float | None = None
-    backoff_seconds: float = 0.05
-    backoff_max_seconds: float = 2.0
-    degrade: bool = True
     failed_rows: bool = True
-    max_disruptions: int = 6
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ValueError("timeout_seconds must be positive (or None)")
-        if self.backoff_seconds < 0 or self.backoff_max_seconds < 0:
-            raise ValueError("backoff must be >= 0")
-        if self.max_disruptions < 1:
-            raise ValueError("max_disruptions must be >= 1")
-
-    def delay(self, key: str, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` of the item keyed ``key``.
-
-        Exponential in the attempt count, capped, with jitter in
-        [0.5, 1.0)× derived from a hash of (key, attempt) — deterministic
-        across runs, decorrelated across a fleet's items.
-        """
-        if self.backoff_seconds <= 0:
-            return 0.0
-        base = min(self.backoff_seconds * 2 ** (attempt - 1), self.backoff_max_seconds)
-        digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
-        jitter = int.from_bytes(digest[:8], "big") / 2**64
-        return base * (0.5 + jitter / 2)
 
 
 class SweepError(RuntimeError):
@@ -225,25 +216,23 @@ def _batch_groups(
 def _check_store_format(store: ResultStore) -> None:
     """Refuse to resume from a store whose cell keys predate this version.
 
-    Sweep rows carry a ``row_format`` stamp (see
-    :data:`repro.sweep.worker.ROW_FORMAT`; ``failed`` rows carry
-    :data:`~repro.sweep.worker.FAILED_ROW_FORMAT`).  A store written before
-    the current formats hashes cells differently, so resuming from it would
-    silently re-execute every cell while the stale rows keep polluting
-    aggregation — a clear error beats that confusion.  Rows without a
-    ``config`` field are not sweep rows (the store is a generic JSONL
-    keyed store) and are left alone.
+    Every sweep row carries a ``row_format`` stamp
+    (:data:`repro.sweep.worker.ROW_FORMAT`).  A store written in any other
+    format hashes cells differently, so resuming from it would silently
+    re-execute every cell while the stale rows keep polluting aggregation —
+    a clear error beats that confusion.  Rows without a ``config`` field
+    are not sweep rows (the store is a generic JSONL keyed store) and are
+    left alone.
     """
     for row in store.rows():
-        if "config" in row and row.get("row_format") not in COMPATIBLE_ROW_FORMATS:
+        if "config" in row and row.get("row_format") != ROW_FORMAT:
             raise ValueError(
                 f"result store {store.path} holds rows in format "
-                f"{row.get('row_format', 1)!r} but this version writes formats "
-                f"{sorted(COMPATIBLE_ROW_FORMATS)} (cell keys changed with the "
-                "input-buffer auto-sizing sentinel); resuming would re-execute "
-                "every cell next to the stale rows.  Start a fresh store path "
-                "or pass --no-resume (ResultStore(..., resume=False)) to "
-                "rebuild it."
+                f"{row.get('row_format', 1)!r} but this version writes format "
+                f"{ROW_FORMAT} (cell keys changed between the two); resuming "
+                "would re-execute every cell next to the stale rows.  Start a "
+                "fresh store path or pass --no-resume (ResultStore(..., "
+                "resume=False)) to rebuild it."
             )
 
 
@@ -336,7 +325,7 @@ class _Supervisor:
             exhausted = task.attempt >= self.policy.max_attempts
         else:
             task.disruptions += 1
-            exhausted = task.disruptions >= self.policy.max_disruptions
+            exhausted = task.disruptions >= MAX_DISRUPTIONS
         if not exhausted:
             self.retries += 1
             self.metrics.counter("sweep.retries").inc()
@@ -350,11 +339,9 @@ class _Supervisor:
                 cells=len(task.entries),
             ):
                 pass
-            delay = (
-                self.policy.delay(task.entries[0][0], task.attempt) if charged else 0.0
-            )
+            delay = backoff_delay(task.entries[0][0], task.attempt) if charged else 0.0
             return [(task, delay)]
-        if task.mode == "batch" and self.policy.degrade:
+        if task.mode == "batch":
             # Degrade: retry the group's cells one at a time with a fresh
             # budget each, so the poisoned cell is isolated and the healthy
             # majority still lands.
@@ -447,7 +434,10 @@ def run_sweep(
             ``.unsupported`` / ``.failed``, ``sweep.retries``,
             ``sweep.timeouts``, ``sweep.pool_rebuilds``,
             ``sweep.groups.degraded``, ``sweep.cell_wall_seconds``,
-            ``sweep.jobs``).
+            ``sweep.jobs``) and the store counters
+            (``store.rows.quarantined``: corrupt lines the store's load set
+            aside; ``store.rows.healed``: cells whose stored ``failed`` row
+            a healthy row replaced).
         retry: Supervision policy (see :class:`RetryPolicy`); the default
             retries twice with backoff, degrades failed groups to single
             cells, and records permanent failures as explicit
@@ -484,6 +474,8 @@ def run_sweep(
     started = time.perf_counter()
 
     _check_store_format(store)
+    if store.quarantined:
+        metrics.counter("store.rows.quarantined").inc(len(store.quarantined))
     results: dict[int, dict] = {}
     # Duplicate-key cells execute once; the row fans out to every holder.
     pending: dict[str, list[tuple[int, SweepCell]]] = {}
@@ -512,6 +504,8 @@ def run_sweep(
             key: str, row: dict, wall_s: float, spans, *, failed: bool = False
         ) -> None:
             nonlocal completed, cell_wall_total, landed
+            if not failed and is_failed_row(store.get(key) or {}):
+                metrics.counter("store.rows.healed").inc()
             store.append(row)
             landed += 1
             if spans:
@@ -626,7 +620,7 @@ def _drive_pool(
     actually running — which is what makes per-group deadlines meaningful.
     A ``BrokenProcessPool`` (worker crash) poisons every in-flight future;
     all are drained, requeued *uncharged* (bounded by
-    ``policy.max_disruptions``), and the pool is rebuilt.  An expired
+    :data:`MAX_DISRUPTIONS`), and the pool is rebuilt.  An expired
     deadline charges the hung group one attempt, terminates the workers,
     requeues the innocent in-flight groups uncharged, and rebuilds.
     """

@@ -13,8 +13,8 @@ of dying on damage:
 
 * a truncated trailing line (the partial write of an interrupted run) is
   silently dropped and truncated away, exactly as before;
-* a corrupt *interior* line — unparseable bytes, a checksum mismatch, a
-  row without a key — is **quarantined**: recorded on
+* a corrupt *interior* line — unparseable bytes, a missing checksum or
+  a mismatched one, a row without a key — is **quarantined**: recorded on
   :attr:`ResultStore.quarantined`, surfaced through one loud
   :class:`StoreCorruptionWarning`, and left in place as evidence.  The
   damaged cells simply re-execute on resume; ``repro store repair``
@@ -34,10 +34,7 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
+from typing import Iterator
 
 __all__ = [
     "CHECKSUM_FIELD",
@@ -52,8 +49,8 @@ __all__ = [
 ]
 
 #: Name of the per-row checksum field injected at write time and stripped
-#: at load time — logical rows never carry it, so row bytes seen by every
-#: consumer are identical to stores written before checksums existed.
+#: at load time — logical rows never carry it.  A stored line without it
+#: is corrupt.
 CHECKSUM_FIELD = "crc"
 
 
@@ -97,31 +94,25 @@ class ScannedLine:
     row: dict | None
     #: Human-readable damage description when ``row`` is ``None``.
     error: str | None = None
-    #: Whether the line carried a checksum field (pre-checksum stores do not).
-    had_checksum: bool = False
 
 
-def _validate_line(raw: bytes) -> tuple[dict | None, str | None, bool]:
-    """Parse and checksum-verify one line → (row, error, had_checksum)."""
+def _validate_line(raw: bytes) -> tuple[dict | None, str | None]:
+    """Parse and checksum-verify one line → (row, error)."""
     try:
         row = json.loads(raw.decode())
     except (UnicodeDecodeError, json.JSONDecodeError):
-        return None, "unparseable JSON", False
+        return None, "unparseable JSON"
     if not isinstance(row, dict):
-        return None, "row is not a JSON object", False
-    had_checksum = CHECKSUM_FIELD in row
-    if had_checksum:
-        recorded = row.pop(CHECKSUM_FIELD)
-        actual = row_checksum(row)
-        if recorded != actual:
-            return (
-                None,
-                f"checksum mismatch (recorded {recorded!r}, computed {actual!r})",
-                True,
-            )
+        return None, "row is not a JSON object"
+    if CHECKSUM_FIELD not in row:
+        return None, f"row has no {CHECKSUM_FIELD!r} checksum field"
+    recorded = row.pop(CHECKSUM_FIELD)
+    actual = row_checksum(row)
+    if recorded != actual:
+        return None, f"checksum mismatch (recorded {recorded!r}, computed {actual!r})"
     if "key" not in row:
-        return None, "row has no 'key' field", had_checksum
-    return row, None, had_checksum
+        return None, "row has no 'key' field"
+    return row, None
 
 
 def scan_store_lines(path: str | os.PathLike) -> Iterator[ScannedLine]:
@@ -140,7 +131,7 @@ def scan_store_lines(path: str | os.PathLike) -> Iterator[ScannedLine]:
             offset += len(raw)
             terminated = raw.endswith(b"\n")
             body = raw[:-1] if terminated else raw
-            row, error, had_checksum = _validate_line(body)
+            row, error = _validate_line(body)
             yield ScannedLine(
                 number=number,
                 start=start,
@@ -148,7 +139,6 @@ def scan_store_lines(path: str | os.PathLike) -> Iterator[ScannedLine]:
                 terminated=terminated,
                 row=row,
                 error=error,
-                had_checksum=had_checksum,
             )
 
 
@@ -161,21 +151,12 @@ class ResultStore:
             (used by the in-process design-space wrappers).
         resume: When ``False``, an existing file is truncated instead of
             indexed, so every cell re-executes.
-        metrics: Optional :class:`repro.obs.MetricsRegistry` receiving the
-            store counters (``store.rows.quarantined``, ``store.rows.healed``).
     """
 
     def __init__(
-        self,
-        path: str | os.PathLike | None = None,
-        *,
-        resume: bool = True,
-        metrics: "MetricsRegistry | None" = None,
+        self, path: str | os.PathLike | None = None, *, resume: bool = True
     ) -> None:
-        from repro.obs.metrics import NULL_METRICS
-
         self.path = Path(path) if path is not None else None
-        self.metrics = metrics or NULL_METRICS
         self._rows: dict[str, dict] = {}
         self._dropped_partial = False
         self._quarantined: list[ScannedLine] = []
@@ -219,7 +200,6 @@ class ResultStore:
                 with self.path.open("a") as handle:
                     handle.write("\n")
         if self._quarantined:
-            self.metrics.counter("store.rows.quarantined").inc(len(self._quarantined))
             lines = ", ".join(str(line.number) for line in self._quarantined[:8])
             more = len(self._quarantined) - 8
             warnings.warn(
@@ -277,7 +257,6 @@ class ResultStore:
         if existing is not None:
             if not (is_failed_row(existing) and not is_failed_row(row)):
                 return
-            self.metrics.counter("store.rows.healed").inc()
         self._rows[key] = row
         if self.path is None:
             return

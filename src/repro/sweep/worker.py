@@ -26,47 +26,26 @@ import time
 from typing import TYPE_CHECKING, Sequence
 
 from repro.faults import trip
-from repro.sweep.matrix import SweepCell, config_to_dict
+from repro.sweep.matrix import SweepCell
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.graph import Graph
 
 __all__ = [
-    "COMPATIBLE_ROW_FORMATS",
-    "FAILED_ROW_FORMAT",
     "ROW_FORMAT",
-    "SCALEOUT_ROW_FORMAT",
     "failed_row",
     "prime_graph_memo",
     "run_batch_timed",
 ]
 
-#: Result-row schema version, stamped into every success row.
-#: Bumped when the cell-key derivation changes incompatibly, so resuming a
-#: sweep from a store written before the change fails with a clear error
-#: instead of silently re-executing every cell next to the stale rows.
-#: History: 2 — ``AcceleratorConfig.input_buffer_bytes`` grew the ``None``
-#: auto-sizing sentinel (default configs now serialize ``null`` instead of
-#: 524288, changing every default-config cell key).
-ROW_FORMAT = 2
-
-#: Schema version stamped into ``failed`` rows only (see :func:`failed_row`)
-#: — the format that introduced the ``status``/``error``/``attempts``
-#: fields.  Success rows keep :data:`ROW_FORMAT` and their exact pre-fault-
-#: tolerance bytes; cell keys are unchanged between the two formats, so
-#: both resume interchangeably (:data:`COMPATIBLE_ROW_FORMATS`).
-FAILED_ROW_FORMAT = 3
-
-#: Schema version stamped into multi-chip (``chips > 1``) rows only — the
-#: format that introduced the ``chips`` row key and the scale-out metrics
-#: (``chip_imbalance``, ``communication_cycles``, ``halo_*``).  Single-chip
-#: rows keep :data:`ROW_FORMAT` and their exact pre-scale-out bytes; cell
-#: keys are disjoint (``chips`` is hashed into multi-chip keys), so all
-#: three formats resume interchangeably.
-SCALEOUT_ROW_FORMAT = 4
-
-#: Row formats the current runner can resume from.
-COMPATIBLE_ROW_FORMATS = frozenset({ROW_FORMAT, FAILED_ROW_FORMAT, SCALEOUT_ROW_FORMAT})
+#: Result-row schema version, stamped into every row a sweep writes
+#: (success and ``failed``, single- and multi-chip).  Bumped whenever the
+#: cell-key derivation changes, so resuming a sweep from a store written
+#: before the change fails with a clear error instead of silently
+#: re-executing every cell next to the stale rows.  Format 5 keys every
+#: cell on its chip count and on every :class:`~repro.hw.AcceleratorConfig`
+#: field.
+ROW_FORMAT = 5
 
 #: Per-process dataset memo: (dataset, scale, seed) -> Graph.  Bounded so
 #: the jobs=1 path (which runs in the caller's process and lives as long as
@@ -128,27 +107,17 @@ def _abbreviation_for(cell: SweepCell, graph: "Graph | None") -> str:
 
 
 def _base_row(cell: SweepCell, abbreviation: str) -> dict:
-    """The row skeleton shared by success and failed rows."""
-    row = {
+    """The row skeleton shared by success and failed rows: the cell's spec
+    (every axis it is keyed on) plus the key and display fields."""
+    return {
         "row_format": ROW_FORMAT,
         "key": cell.key(),
-        "dataset": cell.dataset,
+        **cell.spec(),
         "dataset_abbrev": abbreviation,
-        "scale": cell.scale,
-        "seed": cell.seed,
-        "family": cell.family,
-        "backend": cell.backend,
         "config_name": cell.config.name,
-        "config": config_to_dict(cell.config),
         "supported": True,
         "metrics": None,
     }
-    # Multi-chip rows carry the chips axis and the scale-out schema stamp;
-    # single-chip rows keep their exact pre-scale-out bytes.
-    if cell.chips != 1:
-        row["row_format"] = SCALEOUT_ROW_FORMAT
-        row["chips"] = cell.chips
-    return row
 
 
 def _trip_cell_fault(cell: SweepCell, attempt: int) -> None:
@@ -169,16 +138,14 @@ def failed_row(cell: SweepCell, error: BaseException | str, attempts: int) -> di
 
     Shares the success-row skeleton (same key, axes, config) so stores stay
     uniformly keyed, plus ``status="failed"``, the error class and message,
-    and how many executions were attempted.  Stamped
-    :data:`FAILED_ROW_FORMAT`; :meth:`ResultStore.append` lets a later
-    healthy row for the same key override it.
+    and how many executions were attempted.  :meth:`ResultStore.append`
+    lets a later healthy row for the same key override it.
     """
     try:
         abbreviation = _abbreviation_for(cell, None)
     except Exception:
         abbreviation = cell.dataset
     row = _base_row(cell, abbreviation)
-    row["row_format"] = FAILED_ROW_FORMAT
     row["status"] = "failed"
     row["error"] = {
         "type": type(error).__name__ if isinstance(error, BaseException) else "Error",

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import copy
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.datasets import build_dataset
-from repro.hw import AcceleratorConfig
+from repro.hw import MISS_PATH_MECHANISMS, AcceleratorConfig
 from repro.models import MODEL_FAMILIES
 from repro.obs import MetricsRegistry
 from repro.plan.ir import FULL_ADJACENCY, AdjacencyRef
@@ -58,6 +58,82 @@ def _mixed_configs() -> list[AcceleratorConfig]:
     return configs
 
 
+#: One override per config field except ``name``, which no pricing reads.
+#: A config built from an entry differs from its base in that field only;
+#: ``num_rows`` carries ``rows_per_group`` along, since the row groups must
+#: sum to the rows.  A new field fails ``test_every_config_field_is_keyed``
+#: until it states here how pricing should see it, and a field whose entry
+#: moves no priced number on either base fails it as dead.
+_FIELD_PERTURBATIONS: dict[str, dict] = {
+    "num_rows": {"num_rows": 12, "rows_per_group": (4, 4, 4)},
+    "num_cols": {"num_cols": 8},
+    "macs_per_group": {"macs_per_group": (2, 4, 8)},
+    "rows_per_group": {"rows_per_group": (10, 3, 3)},
+    "frequency_hz": {"frequency_hz": 1.0e9},
+    "input_buffer_bytes": {"input_buffer_bytes": 128 * 1024},
+    "output_buffer_bytes": {"output_buffer_bytes": 64 * 1024},
+    "weight_buffer_bytes": {"weight_buffer_bytes": 16 * 1024},
+    "bytes_per_value": {"bytes_per_value": 2},
+    "dram_bandwidth_bytes_per_s": {"dram_bandwidth_bytes_per_s": 64e9},
+    "link_bandwidth_bytes_per_s": {"link_bandwidth_bytes_per_s": 8e9},
+    "link_latency_cycles": {"link_latency_cycles": 5000},
+    "gamma": {"gamma": 2},
+    "miss_path_mechanisms": {"miss_path_mechanisms": ("stream",)},
+    "victim_cache_entries": {"victim_cache_entries": 4},
+    "miss_cache_entries": {"miss_cache_entries": 16},
+    "stream_buffer_count": {"stream_buffer_count": 1},
+    "stream_buffer_depth": {"stream_buffer_depth": 2},
+    "enable_flexible_mac": {"enable_flexible_mac": False},
+    "enable_load_redistribution": {"enable_load_redistribution": False},
+    "enable_degree_aware_caching": {"enable_degree_aware_caching": False},
+    "enable_aggregation_load_balancing": {"enable_aggregation_load_balancing": False},
+    "enable_zero_skipping": {"enable_zero_skipping": False},
+}
+
+
+#: Two bases whose 64 KB input buffer is small enough for γ and the miss
+#: path to be priced on a small graph.  The first caches degree-aware,
+#: where γ is read.  The second caches in id order with every miss-path
+#: structure on, where the miss-path sizes are read, and with Flexible MAC
+#: off, which leaves Load Redistribution an imbalance to move.
+_BASES = (
+    AcceleratorConfig(input_buffer_bytes=64 * 1024, name="degree-aware"),
+    AcceleratorConfig(
+        input_buffer_bytes=64 * 1024,
+        enable_degree_aware_caching=False,
+        miss_path_mechanisms=MISS_PATH_MECHANISMS,
+        enable_flexible_mac=False,
+        name="miss-path",
+    ),
+)
+
+
+def _single_field_configs() -> list[AcceleratorConfig]:
+    """Each base, followed by one config per field perturbation of it."""
+    configs = []
+    for base in _BASES:
+        configs.append(base)
+        for field_name, overrides in _FIELD_PERTURBATIONS.items():
+            configs.append(replace(base, **overrides, name=f"{base.name}/{field_name}"))
+    return configs
+
+
+def _batch_and_alone_rows(cells, graph) -> tuple[list[dict], list[dict]]:
+    """Rows of ``cells`` priced as one shared batch per family, and each
+    priced as a batch of one on a deep copy of the graph, which starts with
+    an empty pricing context and shares nothing."""
+    batch_rows = []
+    for family in MODEL_FAMILIES:
+        group = [cell for cell in cells if cell.family == family]
+        batch_rows.extend(row for row, _, _ in run_batch_timed(group, graph))
+    alone_rows = [
+        row
+        for cell in cells
+        for row, _, _ in run_batch_timed([cell], copy.deepcopy(graph))
+    ]
+    return batch_rows, alone_rows
+
+
 class TestSharingNeverChangesARow:
     def test_group_batches_match_cells_run_alone(self):
         """≥20 mixed configs x all 5 families: shared group batches equal
@@ -75,20 +151,51 @@ class TestSharingNeverChangesARow:
         cells = matrix.cells()
         assert len(cells) >= 100  # 5 families x >=20 configs
         graph = build_dataset("citeseer", scale=0.2, seed=cells[0].seed)
-
-        batch_rows = []
-        for family in MODEL_FAMILIES:
-            group = [cell for cell in cells if cell.family == family]
-            batch_rows.extend(row for row, _, _ in run_batch_timed(group, graph))
-        alone_rows = [
-            row
-            for cell in cells
-            for row, _, _ in run_batch_timed([cell], copy.deepcopy(graph))
-        ]
-
+        batch_rows, alone_rows = _batch_and_alone_rows(cells, graph)
         assert [canonical_row(row) for row in batch_rows] == [
             canonical_row(row) for row in alone_rows
         ]
+
+    def test_every_config_field_is_keyed(self):
+        """Each config differs from its base in one field and shares a batch
+        with it, yet prices as if alone: no memo key leaves a field out.
+        Two chips price the link fields, and every field moves some priced
+        number on one base, so none is dead."""
+        assert set(_FIELD_PERTURBATIONS) == {
+            f.name for f in fields(AcceleratorConfig) if f.name != "name"
+        }
+        matrix = ScenarioMatrix.build(
+            ["cora"],
+            list(MODEL_FAMILIES),
+            backends=["gnnie"],
+            scale=0.1,
+            seed=3,
+            configs=_single_field_configs(),
+            chips=[1, 2],
+        )
+        cells = matrix.cells()
+        assert len(cells) == 5 * 2 * 2 * (1 + len(_FIELD_PERTURBATIONS))
+        graph = build_dataset("cora", scale=0.1, seed=cells[0].seed)
+        batch_rows, alone_rows = _batch_and_alone_rows(cells, graph)
+        assert [canonical_row(row) for row in batch_rows] == [
+            canonical_row(row) for row in alone_rows
+        ]
+        priced = {
+            (row["config_name"], row["family"], row["chips"]): row["metrics"]
+            for row in batch_rows
+        }
+        dead = [
+            field_name
+            for field_name in _FIELD_PERTURBATIONS
+            if all(
+                priced[f"{base.name}/{field_name}", family, chips]
+                == priced[base.name, family, chips]
+                for base in _BASES
+                for family in MODEL_FAMILIES
+                for chips in (1, 2)
+            )
+        ]
+        assert dead == []
 
     def test_one_executor_matches_fresh_executors(self):
         from repro.plan.lowering import lower
@@ -172,9 +279,7 @@ class TestCacheSimSharing:
         graph = build_dataset("cora", scale=0.1, seed=9)
         executor = GNNIEExecutor()
         executor.execute(lower("gcn", graph), graph)
-        assert set(vars(executor)) == {
-            "config", "energy_model", "area_model", "tracer", "metrics"
-        }
+        assert set(vars(executor)) == {"config", "tracer", "metrics"}
 
     def test_every_reuse_counts_as_a_memo_hit(self):
         """A rerun prices every aggregation op from the graph's memos: no

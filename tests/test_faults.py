@@ -233,16 +233,20 @@ class TestSupervisedSweep:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError, match="timeout_seconds"):
             RetryPolicy(timeout_seconds=0)
-        with pytest.raises(ValueError, match="max_disruptions"):
-            RetryPolicy(max_disruptions=0)
 
     def test_backoff_delay_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_seconds=0.1, backoff_max_seconds=0.4)
-        delays = [policy.delay("key", attempt) for attempt in (1, 2, 3, 9)]
-        assert delays == [policy.delay("key", attempt) for attempt in (1, 2, 3, 9)]
-        assert all(0 < delay <= 0.4 for delay in delays)
-        assert policy.delay("other-key", 1) != delays[0]
-        assert RetryPolicy(backoff_seconds=0.0).delay("key", 1) == 0.0
+        from repro.sweep.runner import BACKOFF_MAX_SECONDS, BACKOFF_SECONDS, backoff_delay
+
+        attempts = (1, 2, 3, 9)
+        delays = [backoff_delay("key", attempt) for attempt in attempts]
+        assert delays == [backoff_delay("key", attempt) for attempt in attempts]
+        # The base doubles per attempt up to the cap (attempt 9 is capped);
+        # jitter scales it into [0.5, 1.0) of itself.
+        for attempt, delay in zip(attempts, delays):
+            base = min(BACKOFF_SECONDS * 2 ** (attempt - 1), BACKOFF_MAX_SECONDS)
+            assert 0.5 * base <= delay < base
+        assert BACKOFF_SECONDS * 2**8 > BACKOFF_MAX_SECONDS
+        assert backoff_delay("other-key", 1) != delays[0]
 
 
 class TestSupervisedPool:

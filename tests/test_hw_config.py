@@ -35,10 +35,10 @@ class TestAcceleratorConfig:
 
     def test_input_buffer_sizing_per_dataset(self):
         config = AcceleratorConfig()
-        assert config.with_input_buffer_for("CR").input_buffer_bytes == 256 * 1024
-        assert config.with_input_buffer_for("cora").input_buffer_bytes == 256 * 1024
-        assert config.with_input_buffer_for("PB").input_buffer_bytes == 512 * 1024
-        assert config.with_input_buffer_for("RD").input_buffer_bytes == 512 * 1024
+        assert config.resolve_input_buffer("CR").input_buffer_bytes == 256 * 1024
+        assert config.resolve_input_buffer("cora").input_buffer_bytes == 256 * 1024
+        assert config.resolve_input_buffer("PB").input_buffer_bytes == 512 * 1024
+        assert config.resolve_input_buffer("RD").input_buffer_bytes == 512 * 1024
 
     def test_input_buffer_auto_sentinel_default(self):
         config = AcceleratorConfig()

@@ -18,7 +18,7 @@ from repro.scaleout import chip_subgraphs, execute_scaleout, partition_workload
 from repro.sim import GNNIEExecutor, ScaleOutResult
 from repro.sim.batch import pricing_context
 from repro.sweep import (
-    SCALEOUT_ROW_FORMAT,
+    ROW_FORMAT,
     ResultStore,
     ScenarioMatrix,
     SweepCell,
@@ -202,11 +202,11 @@ class TestScaleoutMatrix:
         assert (first.executed, resumed.executed, resumed.skipped) == (3, 0, 3)
         assert json.dumps(resumed.rows, sort_keys=True) == json.dumps(first.rows, sort_keys=True)
 
-    def test_single_chip_cells_keep_pre_scaleout_keys(self):
+    def test_single_chip_cells_match_cells_without_the_axis(self):
         matrix = ScenarioMatrix.build(["cora"], ["gcn"], chips=[1])
-        legacy = ScenarioMatrix.build(["cora"], ["gcn"])
-        assert [c.key() for c in matrix.cells()] == [c.key() for c in legacy.cells()]
-        assert "chips" not in matrix.cells()[0].spec()
+        plain = ScenarioMatrix.build(["cora"], ["gcn"])
+        assert [c.key() for c in matrix.cells()] == [c.key() for c in plain.cells()]
+        assert matrix.cells()[0].spec()["chips"] == 1
 
     def test_chip_count_is_hashed_into_the_cell_key(self):
         cells = ScenarioMatrix.build(["cora"], ["gcn"], chips=[1, 2, 4]).cells()
@@ -236,9 +236,9 @@ class TestScaleoutRows:
         values.update(overrides)
         return SweepCell(**values)
 
-    def test_multi_chip_row_carries_scaleout_format_and_metrics(self, graph):
+    def test_multi_chip_row_carries_chips_and_scaleout_metrics(self, graph):
         row = _row(self._cell(), graph)
-        assert row["row_format"] == SCALEOUT_ROW_FORMAT
+        assert row["row_format"] == ROW_FORMAT
         assert row["chips"] == 4
         metrics = row["metrics"]
         assert metrics["chips"] == 4
@@ -249,9 +249,9 @@ class TestScaleoutRows:
         single = _row(self._cell(chips=1), graph)
         assert metrics["area_mm2"] == pytest.approx(4 * single["metrics"]["area_mm2"])
 
-    def test_single_chip_row_is_byte_identical_to_legacy(self, graph):
+    def test_single_chip_row_matches_a_row_without_the_axis(self, graph):
         with_axis = _row(self._cell(chips=1), graph)
-        legacy = _row(
+        plain = _row(
             SweepCell(
                 dataset="cora",
                 scale=0.05,
@@ -262,8 +262,8 @@ class TestScaleoutRows:
             ),
             graph,
         )
-        assert json.dumps(with_axis, sort_keys=True) == json.dumps(legacy, sort_keys=True)
-        assert "chips" not in with_axis
+        assert json.dumps(with_axis, sort_keys=True) == json.dumps(plain, sort_keys=True)
+        assert with_axis["chips"] == 1
 
     def test_multi_chip_cell_on_baseline_backend_is_unsupported(self, graph):
         row = _row(self._cell(backend="pyg-cpu"), graph)
@@ -298,7 +298,7 @@ class TestScaleoutAggregation:
         )
         rows = [_row(cell, graph) for cell in matrix.cells()]
         reference = next(
-            r for r in rows if r["backend"] == "gnnie" and r.get("chips", 1) == 1
+            r for r in rows if r["backend"] == "gnnie" and r["chips"] == 1
         )
         baseline = next(r for r in rows if r["backend"] == "pyg-cpu")
         entries = speedup_rows(rows)

@@ -32,8 +32,7 @@ def _write_rows(path, rows):
 
 class TestChecksums:
     def test_armor_is_stripped_at_load(self, tmp_path):
-        """Logical rows never carry the checksum field: bytes handed to
-        consumers match stores written before checksums existed."""
+        """Logical rows never carry the checksum field."""
         path = tmp_path / "s.jsonl"
         store = ResultStore(path)
         store.append({"key": "a", "value": 1})
@@ -52,20 +51,23 @@ class TestChecksums:
         assert store.keys() == {"b"}
         assert "checksum mismatch" in store.quarantined[0].error
 
-    def test_legacy_store_without_checksums_loads_silently(self, tmp_path):
-        path = tmp_path / "legacy.jsonl"
-        path.write_text(canonical_row({"key": "a", "value": 1}) + "\n")
-        store = ResultStore(path)  # no warning expected
-        assert store.get("a") == {"key": "a", "value": 1}
+    def test_line_without_its_checksum_is_quarantined(self, tmp_path):
+        """A line with no checksum, or whose ``crc`` field name is damaged,
+        is corrupt: a tampered row must not load as an unchecked one."""
+        path = tmp_path / "s.jsonl"
+        good = {"key": "a", "value": 1}
+        unarmored = canonical_row({"key": "b", "value": 2})
+        renamed = armored_line({"key": "c", "value": 3}).replace('"crc":', '"crd":')
+        path.write_text(
+            armored_line(good) + "\n" + unarmored + "\n" + renamed + "\n"
+        )
+        with pytest.warns(StoreCorruptionWarning, match="quarantined 2"):
+            store = ResultStore(path)
+        assert store.keys() == {"a"}
+        assert [line.number for line in store.quarantined] == [2, 3]
+        assert all("checksum" in line.error for line in store.quarantined)
         report = verify_store(path)
-        assert report.clean and report.unchecksummed_rows == 1
-
-    def test_compact_migrates_legacy_rows_to_armor(self, tmp_path):
-        path = tmp_path / "legacy.jsonl"
-        path.write_text(canonical_row({"key": "a", "value": 1}) + "\n")
-        compact_store(path)
-        assert verify_store(path).unchecksummed_rows == 0
-        assert ResultStore(path).get("a") == {"key": "a", "value": 1}
+        assert not report.clean and [number for number, _ in report.corrupt] == [2, 3]
 
 
 class TestTornWrites:
@@ -179,6 +181,26 @@ class TestChaosResume:
         assert report.clean and report.rows == len(matrix.cells())
         for row in ResultStore(path).rows():
             assert row["metrics"] is not None
+
+    def test_sweep_records_quarantined_and_healed_rows(self, tmp_path):
+        """A sweep over a store holding one corrupt interior line and one
+        failed row counts the quarantine and the heal in its registry."""
+        from repro.obs import MetricsRegistry
+        from repro.sweep import failed_row
+
+        matrix = ScenarioMatrix.build(["cora"], ["gcn"], backends=["gnnie"], scale=0.1)
+        [cell] = matrix.cells()
+        path = tmp_path / "s.jsonl"
+        path.write_text(
+            "garbage\n" + armored_line(failed_row(cell, RuntimeError("boom"), 2)) + "\n"
+        )
+        with pytest.warns(StoreCorruptionWarning):
+            store = ResultStore(path)
+        metrics = MetricsRegistry()
+        summary = run_sweep(matrix, store=store, jobs=1, metrics=metrics)
+        assert summary.executed == 1 and summary.failed == 0
+        assert metrics.counter("store.rows.quarantined").value == 1
+        assert metrics.counter("store.rows.healed").value == 1
 
     def test_verify_reports_failed_rows(self, tmp_path):
         from repro.sweep import failed_row

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -15,6 +15,7 @@ from repro.models import MODEL_FAMILIES
 from repro.plan import executor_names, lower
 from repro.sim import GNNIEExecutor, sweep_designs
 from repro.sweep import (
+    ROW_FORMAT,
     DatasetCase,
     ResultStore,
     RetryPolicy,
@@ -28,7 +29,7 @@ from repro.sweep import (
     run_batch_timed,
     run_sweep,
 )
-from repro.sweep.store import canonical_row
+from repro.sweep.store import armored_line, canonical_row
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,14 @@ class TestMatrix:
         other_config = SweepCell("cora", 0.1, 1, "gcn", "gnnie", design_preset("A"))
         other_seed = SweepCell("cora", 0.1, 2, "gcn", "gnnie", AcceleratorConfig())
         assert len({cell.key(), other_config.key(), other_seed.key()}) == 3
+
+    def test_spec_holds_chips_and_every_config_field(self):
+        """Every field is keyed, default or not: no field is left out of the
+        key while it holds its default."""
+        spec = SweepCell("cora", 0.1, 1, "gcn", "gnnie", AcceleratorConfig()).spec()
+        assert spec["chips"] == 1
+        assert set(spec["config"]) == {f.name for f in fields(AcceleratorConfig)}
+        assert len(spec["config"]) == 24
 
     def test_config_round_trip_restores_tuples(self):
         config = design_preset("E").with_miss_path("victim", "stream")
@@ -193,7 +202,8 @@ class TestResultStore:
     def test_parseable_tail_missing_newline_repaired(self, tmp_path):
         """A tail row that lost only its newline must not glue later appends."""
         path = tmp_path / "store.jsonl"
-        path.write_text('{"key":"a"}\n{"key":"b"}')  # killed one byte short
+        # Killed one byte short: the last line lost only its newline.
+        path.write_text(armored_line({"key": "a"}) + "\n" + armored_line({"key": "b"}))
         recovered = ResultStore(path)
         assert recovered.keys() == {"a", "b"} and not recovered.dropped_partial_row
         recovered.append({"key": "c"})
@@ -203,17 +213,18 @@ class TestResultStore:
         """Appends always write 'row\\n', so a newline-terminated line can
         never be a partial write — an unparseable one is quarantined."""
         path = tmp_path / "store.jsonl"
-        path.write_text('{"key":"a"}\nnot json\n')
+        content = armored_line({"key": "a"}) + "\nnot json\n"
+        path.write_text(content)
         with pytest.warns(StoreCorruptionWarning, match="quarantined 1"):
             store = ResultStore(path)
         assert store.keys() == {"a"}
         assert [line.number for line in store.quarantined] == [2]
         # The evidence is preserved, not silently truncated away.
-        assert path.read_text() == '{"key":"a"}\nnot json\n'
+        assert path.read_text() == content
 
     def test_corrupt_interior_row_is_quarantined_not_fatal(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        path.write_text('not json\n{"key":"a"}\n')
+        path.write_text("not json\n" + armored_line({"key": "a"}) + "\n")
         with pytest.warns(StoreCorruptionWarning, match="repro store repair"):
             store = ResultStore(path)
         assert store.keys() == {"a"}
@@ -314,7 +325,7 @@ class TestRunner:
         run_sweep(small_matrix.cells()[:1], store=ResultStore(store_path), jobs=1)
         row = next(iter(ResultStore(store_path).rows()))
         del row["row_format"]  # what a pre-sentinel sweep wrote
-        store_path.write_text(canonical_row(row) + "\n")
+        store_path.write_text(armored_line(row) + "\n")
         with pytest.raises(ValueError, match="format"):
             run_sweep(small_matrix, store=ResultStore(store_path), jobs=1)
         # Opting out of resume rebuilds the store cleanly.
@@ -322,6 +333,39 @@ class TestRunner:
             small_matrix, store=ResultStore(store_path, resume=False), jobs=1
         )
         assert summary.executed == 4
+
+    @pytest.mark.parametrize("old_format", [2, 3, 4])
+    def test_resuming_older_format_store_fails_clearly(
+        self, small_matrix, tmp_path, old_format
+    ):
+        """Rows stamped with an older format hash their cells differently."""
+        store_path = tmp_path / "old.jsonl"
+        run_sweep(small_matrix.cells()[:1], store=ResultStore(store_path), jobs=1)
+        row = next(iter(ResultStore(store_path).rows()))
+        store_path.write_text(armored_line({**row, "row_format": old_format}) + "\n")
+        with pytest.raises(ValueError, match="--no-resume"):
+            run_sweep(small_matrix, store=ResultStore(store_path), jobs=1)
+
+    def test_every_row_carries_the_format_and_chips(self, tmp_path):
+        """Success and failed rows, single- and multi-chip, in memory and on
+        disk, all carry ``row_format`` and ``chips``."""
+        good = ScenarioMatrix.build(
+            ["cora"], ["gcn"], backends=["gnnie", "pyg-cpu"], scale=0.05, chips=[1, 2]
+        ).cells()
+        bad = [
+            SweepCell("cora", 0.05, good[0].seed, "nosuch", "gnnie", chips=chips)
+            for chips in (1, 2)
+        ]
+        cells = [*good, *bad]
+        store_path = tmp_path / "rows.jsonl"
+        summary = run_sweep(
+            cells, store=ResultStore(store_path), jobs=1, retry=RetryPolicy(max_attempts=1)
+        )
+        assert summary.failed == 2 and len(summary.rows) == 5
+        stored = {row["key"]: row for row in ResultStore(store_path).rows()}
+        for cell, row in zip(cells, summary.rows):
+            assert (row["row_format"], row["chips"]) == (ROW_FORMAT, cell.chips)
+            assert canonical_row(stored[cell.key()]) == canonical_row(row)
 
     def test_rejects_bad_jobs(self, small_matrix):
         with pytest.raises(ValueError):
@@ -616,7 +660,7 @@ class TestSweepCLI:
         """A corrupt interior line no longer kills the sweep: it is
         quarantined at load and the sweep completes around it."""
         store = tmp_path / "corrupt.jsonl"
-        store.write_text('not json\n{"key":"a"}\n')
+        store.write_text("not json\n" + armored_line({"key": "a"}) + "\n")
         argv = [
             "sweep",
             "--datasets", "cora",
@@ -632,13 +676,14 @@ class TestSweepCLI:
 
     def test_store_verify_repair_cli_round_trip(self, tmp_path, capsys):
         store = tmp_path / "corrupt.jsonl"
-        store.write_text('not json\n{"key":"a"}\n')
+        healthy = armored_line({"key": "a"}) + "\n"
+        store.write_text("not json\n" + healthy)
         assert main(["store", "verify", "--store", str(store)]) == 1
         assert "corrupt line 1" in capsys.readouterr().out
         assert main(["store", "repair", "--store", str(store), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["removed_lines"] == 1 and report["quarantine"]
-        assert store.read_text() == '{"key":"a"}\n'
+        assert store.read_text() == healthy
         assert (tmp_path / "corrupt.jsonl.quarantine").read_text() == "not json\n"
         assert main(["store", "verify", "--store", str(store)]) == 0
 

@@ -13,6 +13,7 @@ from repro.hw import MISS_PATH_MECHANISMS, AcceleratorConfig, design_preset
 from repro.sim import admissible_mac_allocation
 from repro.sim.design_space import DesignPoint
 from repro.sweep import ResultStore
+from repro.sweep.store import armored_line
 from repro.tune import (
     ParetoMutationProposer,
     TuneSpec,
@@ -323,7 +324,7 @@ class TestTuneCLI:
 
     def test_tune_reports_old_format_store_cleanly(self, tmp_path, capsys):
         store = tmp_path / "old.jsonl"
-        store.write_text('{"key":"a","config":{}}\n')
+        store.write_text(armored_line({"key": "a", "config": {}}) + "\n")
         argv = ["tune", "--dataset", "cora", "--scale", "0.1", "--store", str(store)]
         assert main(argv) == 2
         assert "format" in capsys.readouterr().err
