@@ -4,12 +4,18 @@ For every GNN family of Table III and every dataset of Table II, GNNIE's
 simulated latency is compared against the CPU (Xeon Gold 6132 + PyG) and GPU
 (Tesla V100S + PyG) cost models.  The paper reports average speedups of
 615×–72954× over the CPU and 11×–2427× over the GPU; with the analytic
-platform models and scaled large graphs our absolute factors are smaller,
-but the qualitative shape is checked here:
+platform models, the citation graphs at scale 1.0 and PPI and Reddit scaled
+down (0.25 and 0.02), our absolute factors are smaller.  The gates check
+the qualitative shape:
 
-* GNNIE beats the CPU on every (dataset, model) pair by a wide margin,
-* GNNIE beats the GPU on every pair,
-* the GPU is much closer to GNNIE than the CPU is,
+* GNNIE beats the CPU by more than 10× on every (dataset, model) pair,
+  and by more than 100× on the geometric mean of all pairs;
+* against the GPU, every pair stays above a floor of 0.5× and every
+  family's geometric mean above 1.2× (GINConv on Citeseer reads 0.64×
+  in the committed artifact, so GNNIE does not beat the GPU on every
+  pair), and the geometric mean of all pairs is above 5×;
+* the GPU is closer to GNNIE than the CPU is on every pair outside
+  GraphSAGE;
 * GraphSAGE shows the largest GPU-relative speedup (host-side sampling),
   as in the paper.
 
@@ -73,10 +79,10 @@ def test_fig12_speedup_over_cpu_and_gpu(benchmark, record, sweep_rows, sweep_ind
     # Shape assertions.
     for row in rows:
         assert row["speedup_vs_cpu"] > 10, row
-        # GNNIE beats the GPU on almost every pair; GINConv's deep MLP on
-        # the scaled Citeseer graph is the one cell near parity (the
-        # committed fig12 artifact shows the same dip), so the per-cell
-        # floor is 0.5 and the per-family geomean below checks > 1.
+        # GNNIE beats the GPU on almost every pair; GINConv on Citeseer
+        # (scale 1.0) is the one cell below parity, at 0.64x in the
+        # committed fig12 artifact, so the per-cell floor is 0.5 and the
+        # per-family geomean below checks > 1.2.
         assert row["speedup_vs_gpu"] > 0.5, row
         # The GPU is closer to GNNIE than the CPU for every family except
         # GraphSAGE, where host-side neighbor sampling makes the GPU *slower*

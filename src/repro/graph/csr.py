@@ -6,8 +6,10 @@ Section VI): a *coordinate array* listing the neighbors of each vertex and an
 This module provides an immutable CSR container with the query operations the
 scheduler and the cache controller need (degrees, neighbor slices, edge
 enumeration), a constructor from edge lists and a dense view for small
-graphs.  Splitting a graph into per-chip induced subgraphs lives in
-:func:`repro.graph.partition.partition_graph`.
+graphs.  Every CSR built from edges, by :meth:`CSRGraph.from_edge_list` or
+by the topology generators, comes from one builder that sorts the edges
+once as int64 keys.  Splitting a graph into per-chip induced subgraphs
+lives in :func:`repro.graph.partition.partition_graph`.
 
 All vertex indices are ``int``; arrays are NumPy ``int64``.
 """
@@ -20,6 +22,10 @@ from typing import Iterable
 import numpy as np
 
 __all__ = ["CSRGraph", "sorted_unique"]
+
+#: Vertex counts below this encode an edge ``(src, dst)`` as the int64 key
+#: ``src * V + dst``: ``V * V`` stays under ``2**63``.
+_KEYED_VERTEX_LIMIT = 3_037_000_499
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -97,6 +103,9 @@ class CSRGraph:
             deduplicate: If True, remove duplicate edges and self-loops that
                 appear more than once (a single self-loop per vertex is kept
                 if present in the input).
+
+        The pairs are checked, then built by :meth:`_from_endpoints` in one
+        sort.
         """
         edge_array = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if edge_array.size == 0:
@@ -106,29 +115,54 @@ class CSRGraph:
             edge_array.min() < 0 or edge_array.max() >= num_vertices
         ):
             raise ValueError("edge endpoints must be in [0, num_vertices)")
-        if symmetric and edge_array.size:
-            reversed_edges = edge_array[:, ::-1]
-            edge_array = np.concatenate([edge_array, reversed_edges], axis=0)
-        if deduplicate and edge_array.size and num_vertices < 3_037_000_499:
-            # Row-wise np.unique(axis=0) sorts a structured view, which is
-            # an order of magnitude slower than a scalar sort.  Encoding
-            # each pair as src * V + dst (dst < V, so the key fits int64 for
-            # V < sqrt(2^63)) makes unique-and-sort a scalar operation with
-            # the exact same lexicographic (src, dst) result.
-            keys = sorted_unique(edge_array[:, 0] * np.int64(num_vertices) + edge_array[:, 1])
-            src = keys // num_vertices
-            dst = keys % num_vertices
-        else:
-            if deduplicate and edge_array.size:  # pragma: no cover - huge-V fallback
-                edge_array = np.unique(edge_array, axis=0)
-            src = edge_array[:, 0]
-            dst = edge_array[:, 1]
-            order = np.lexsort((dst, src))
-            src = src[order]
-            dst = dst[order]
-        counts = np.bincount(src, minlength=num_vertices)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        return cls(indptr=indptr, indices=dst)
+        return cls._from_endpoints(
+            edge_array[:, 0],
+            edge_array[:, 1],
+            num_vertices,
+            symmetric=symmetric,
+            deduplicate=deduplicate,
+        )
+
+    @classmethod
+    def _from_endpoints(
+        cls,
+        src: np.ndarray,
+        dst: np.ndarray,
+        num_vertices: int,
+        *,
+        symmetric: bool = True,
+        deduplicate: bool = True,
+    ) -> "CSRGraph":
+        """The one CSR build: the edges ``(src[i], dst[i])`` in one sort.
+
+        Each edge becomes the int64 key ``src * V + dst`` (and, when
+        ``symmetric``, its reverse ``dst * V + src``), so sorting the keys
+        orders the edges by (src, dst), which is the CSR layout:
+        ``indices`` is each sorted key modulo V, and ``indptr[v]`` counts
+        the keys below ``v * V``.  With ``deduplicate`` the one sort is
+        :func:`sorted_unique`.  No ``(E, 2)`` array or reversed copy is
+        built.  The endpoint columns are int64 ids in ``[0, V)``; the
+        caller checks them.
+        """
+        num_vertices = int(num_vertices)
+        if num_vertices >= _KEYED_VERTEX_LIMIT:  # pragma: no cover - huge-V fallback
+            pairs = np.stack([src, dst], axis=1)
+            if symmetric:
+                pairs = np.concatenate([pairs, pairs[:, ::-1]], axis=0)
+            if deduplicate:
+                pairs = np.unique(pairs, axis=0)
+            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+            counts = np.bincount(pairs[:, 0], minlength=num_vertices)
+            indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+            return cls(indptr=indptr, indices=pairs[:, 1])
+        scale = np.int64(num_vertices)
+        keys = src * scale + dst
+        if symmetric:
+            keys = np.concatenate([keys, dst * scale + src])
+        keys = sorted_unique(keys) if deduplicate else np.sort(keys)
+        indptr = keys.searchsorted(np.arange(num_vertices + 1, dtype=np.int64) * scale)
+        np.remainder(keys, scale, out=keys)
+        return cls(indptr=indptr, indices=keys)
 
     # ------------------------------------------------------------------ #
     # Basic properties

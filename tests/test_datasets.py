@@ -64,6 +64,37 @@ FEATURE_PINS = {
     ("reddit", 0.01): "66b91b734a6395680f1c75ac70db08ba0db1fbe5fc64973b66fbfaccc23bc720",
 }
 
+#: ``build_dataset(name, scale=scale, seed=0).adjacency`` at the pairs of
+#: ``LABEL_PINS``: its stored directed edges and the sha256 of
+#: ``indptr.tobytes() + indices.tobytes()``.  Any change to a topology
+#: generator, to the CSR build or to the random draws they read moves these.
+TOPOLOGY_PINS = {
+    ("cora", 1.0): (
+        20968,
+        "a77d271b9d3fca7e3b2a414e7fff7925b1775d5f9cf1c2d440e7e29e7f1b388c",
+    ),
+    ("citeseer", 1.0): (
+        18206,
+        "25f7ac82d4ceed64c5a59b7be81a880809821df43d48782810937da4918809e4",
+    ),
+    ("pubmed", 0.3): (
+        52928,
+        "1ba7e335a419dcd3446172e61d5a94d0abb68fe473480404148935a54fae2d25",
+    ),
+    ("ppi", 0.05): (
+        114586,
+        "8c6dd929cec557319c11f0f3837347b87fc170c4b85bd94016c6d0dc8871fa90",
+    ),
+    ("ppi", 0.25): (
+        585782,
+        "365377d1130e2ba0a9398c150acfbd345f1510e5e458bfdce608920ee307d2a8",
+    ),
+    ("reddit", 0.01): (
+        208584,
+        "11fd3425feb80ce6de5d4705051ae5fb0613de53efdacc06e6b9b9580abd80b9",
+    ),
+}
+
 
 def _digest(array: np.ndarray) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()
@@ -270,6 +301,15 @@ class TestBuildDataset:
         assert features.dtype == np.float64
         assert features.shape == (num_vertices, dataset_spec(name).feature_length)
         assert _digest(features) == FEATURE_PINS[name, scale]
+
+    @pytest.mark.parametrize(("name", "scale"), sorted(TOPOLOGY_PINS))
+    def test_topology_pinned(self, name, scale):
+        adjacency = build_dataset(name, scale=scale, seed=0).adjacency
+        (num_vertices, *_), _ = LABEL_PINS[name, scale]
+        num_edges, digest = TOPOLOGY_PINS[name, scale]
+        assert (adjacency.num_vertices, adjacency.num_edges) == (num_vertices, num_edges)
+        content = adjacency.indptr.tobytes() + adjacency.indices.tobytes()
+        assert hashlib.sha256(content).hexdigest() == digest
 
     def test_different_seeds_differ(self):
         first = build_dataset("cora", scale=0.1, seed=5)
