@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.cache.mechanisms import MechanismStats, miss_cache_hits, stream_hits, victim_hits
 from repro.cache.trace import VertexAccessTrace
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import AcceleratorConfig, CacheKnobs
 
 __all__ = ["HierarchyResult", "filter_misses"]
 
@@ -86,7 +86,7 @@ class HierarchyResult:
 
 
 def filter_misses(
-    trace: VertexAccessTrace, config: AcceleratorConfig, *, metrics=None
+    trace: VertexAccessTrace, config: AcceleratorConfig | CacheKnobs, *, metrics=None
 ) -> HierarchyResult:
     """Run every miss of ``trace`` through the configured miss-path hierarchy.
 

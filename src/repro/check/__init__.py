@@ -13,7 +13,7 @@ but, before this package, never checked:
 
 * :mod:`repro.check.verifier` — an IR verification pass over
   :class:`~repro.plan.ir.InferencePlan` in the spirit of compiler IR
-  verifiers: a rule registry validating op ordering, dataflow widths,
+  verifiers: a rule table validating op ordering, dataflow widths,
   finiteness and, through one contract table for the five Table III
   families, per-family structure *before* execution.  Wired into
   every executor (``GNNIEExecutor.execute``, ``PlatformModel.execute``,
@@ -34,7 +34,6 @@ from repro.check.lint import (
     LintRule,
     lint_file,
     lint_paths,
-    lint_rules,
     lint_source,
 )
 from repro.check.verifier import (
@@ -42,8 +41,6 @@ from repro.check.verifier import (
     Violation,
     family_contract,
     plan_violations,
-    register_verifier_rule,
-    verifier_rules,
     verify_all_plans,
     verify_counters,
     verify_plan,
@@ -57,11 +54,8 @@ __all__ = [
     "family_contract",
     "lint_file",
     "lint_paths",
-    "lint_rules",
     "lint_source",
     "plan_violations",
-    "register_verifier_rule",
-    "verifier_rules",
     "verify_all_plans",
     "verify_counters",
     "verify_plan",

@@ -43,7 +43,6 @@ __all__ = [
     "LintRule",
     "lint_file",
     "lint_paths",
-    "lint_rules",
     "lint_source",
 ]
 
@@ -84,29 +83,10 @@ RuleCheck = Callable[[LintContext], Iterable[Finding]]
 
 @dataclass(frozen=True)
 class LintRule:
-    """A registered rule: ID, one-line contract, and its check."""
+    """A rule's one-line contract and its check; ``_RULES`` keys it by ID."""
 
-    rule_id: str
     contract: str
     check: RuleCheck
-
-
-_RULES: dict[str, LintRule] = {}
-
-
-def _register(rule_id: str, contract: str) -> Callable[[RuleCheck], RuleCheck]:
-    def decorator(check: RuleCheck) -> RuleCheck:
-        if rule_id in _RULES:
-            raise ValueError(f"lint rule {rule_id!r} is already registered")
-        _RULES[rule_id] = LintRule(rule_id=rule_id, contract=contract, check=check)
-        return check
-
-    return decorator
-
-
-def lint_rules() -> dict[str, LintRule]:
-    """Registered rules by ID (copy; registration order preserved)."""
-    return dict(_RULES)
 
 
 # --------------------------------------------------------------------- #
@@ -141,10 +121,6 @@ _RANDOM_SAFE = frozenset({"Random", "SystemRandom", "getstate", "setstate"})
 _NP_RANDOM_SAFE = frozenset({"default_rng", "Generator", "SeedSequence", "PCG64"})
 
 
-@_register(
-    "D101",
-    "no unseeded global RNG — use random.Random(seed) / np.random.default_rng(seed)",
-)
 def _check_unseeded_random(context: LintContext) -> Iterator[Finding]:
     """Fleet rows must replay byte-identically; the global ``random`` and
     legacy ``np.random`` streams are process-wide mutable state that any
@@ -189,7 +165,6 @@ _WALL_CLOCK = frozenset(
 )
 
 
-@_register("D102", "no wall clock — rows keyed or filled from the clock never replay")
 def _check_wall_clock(context: LintContext) -> Iterator[Finding]:
     """Cell keys, row content, and chaos schedules must be pure functions
     of their inputs; ``time.time()``/``datetime.now()`` make them
@@ -206,7 +181,6 @@ def _check_wall_clock(context: LintContext) -> Iterator[Finding]:
             )
 
 
-@_register("D103", "no id()-derived keys")
 def _check_id_keys(context: LintContext) -> Iterator[Finding]:
     """CPython reuses object ids after garbage collection, so an
     ``id()``-keyed memo can silently serve entry A's value for object B.
@@ -236,7 +210,6 @@ def _in_store_path(path: str) -> bool:
     return any(marker in posix for marker in _STORE_PATH_MARKERS)
 
 
-@_register("D104", "json.dumps in store-row paths must pass sort_keys=True")
 def _check_json_sort_keys(context: LintContext) -> Iterator[Finding]:
     """Store rows are canonical JSON: dict order is insertion order, so a
     dump without ``sort_keys=True`` encodes the *construction history* of
@@ -271,7 +244,6 @@ def _is_set_expression(node: ast.AST) -> bool:
     return False
 
 
-@_register("D105", "no iteration over set displays/constructors — order is unstable")
 def _check_set_iteration(context: LintContext) -> Iterator[Finding]:
     """Set iteration order depends on insertion history and hash values,
     so a loop over a set feeding a hash, a JSON row, or a schedule is
@@ -295,7 +267,6 @@ def _check_set_iteration(context: LintContext) -> Iterator[Finding]:
             )
 
 
-@_register("D106", "no mutable default arguments — shared defaults accumulate state")
 def _check_mutable_defaults(context: LintContext) -> Iterator[Finding]:
     """A mutable default is evaluated once and shared by every call, so
     output comes to depend on call history — the same class of bug as an
@@ -319,6 +290,32 @@ def _check_mutable_defaults(context: LintContext) -> Iterator[Finding]:
                     line=default.lineno,
                     message=f"mutable default argument in {node.name}()",
                 )
+
+
+#: Every rule by ID, in the order a module is checked.
+_RULES: dict[str, LintRule] = {
+    "D101": LintRule(
+        "no unseeded global RNG — use random.Random(seed) / np.random.default_rng(seed)",
+        _check_unseeded_random,
+    ),
+    "D102": LintRule(
+        "no wall clock — rows keyed or filled from the clock never replay",
+        _check_wall_clock,
+    ),
+    "D103": LintRule("no id()-derived keys", _check_id_keys),
+    "D104": LintRule(
+        "json.dumps in store-row paths must pass sort_keys=True",
+        _check_json_sort_keys,
+    ),
+    "D105": LintRule(
+        "no iteration over set displays/constructors — order is unstable",
+        _check_set_iteration,
+    ),
+    "D106": LintRule(
+        "no mutable default arguments — shared defaults accumulate state",
+        _check_mutable_defaults,
+    ),
+}
 
 
 # --------------------------------------------------------------------- #

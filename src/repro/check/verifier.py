@@ -2,10 +2,11 @@
 
 Compiler IR verifiers check structural invariants once, before any pass
 consumes the IR; this module applies the same discipline to
-:class:`~repro.plan.ir.InferencePlan`.  Every rule is a registry entry with
-an ID and a docstring naming the contract it protects; a violated rule
-raises a typed :class:`PlanVerificationError` carrying ``(rule, layer,
-op)`` so executors fail loudly *before* pricing anything.
+:class:`~repro.plan.ir.InferencePlan`.  Every rule is an entry of one
+literal table, ``_RULES``, under an ID, and its docstring names the
+contract it protects; a violated rule raises a typed
+:class:`PlanVerificationError` carrying ``(rule, layer, op)`` so executors
+fail loudly *before* pricing anything.
 
 Rules split into two tiers:
 
@@ -51,8 +52,6 @@ __all__ = [
     "Violation",
     "family_contract",
     "plan_violations",
-    "register_verifier_rule",
-    "verifier_rules",
     "verify_all_plans",
     "verify_counters",
     "verify_plan",
@@ -108,30 +107,6 @@ class PlanVerificationError(ValueError):
 
 VerifierRule = Callable[[InferencePlan], Iterable[Violation]]
 
-_RULES: dict[str, VerifierRule] = {}
-
-
-def register_verifier_rule(rule_id: str) -> Callable[[VerifierRule], VerifierRule]:
-    """Decorator registering one verification rule under a unique ID.
-
-    Duplicate IDs raise immediately: a rule registry that silently
-    overwrote entries would re-create exactly the foot-gun the lowering
-    and executor registries warn about.
-    """
-
-    def decorator(rule: VerifierRule) -> VerifierRule:
-        if rule_id in _RULES:
-            raise ValueError(f"verifier rule {rule_id!r} is already registered")
-        _RULES[rule_id] = rule
-        return rule
-
-    return decorator
-
-
-def verifier_rules() -> dict[str, VerifierRule]:
-    """Registered rules by ID (copy; registration order preserved)."""
-    return dict(_RULES)
-
 
 # --------------------------------------------------------------------- #
 # Family contracts
@@ -174,7 +149,6 @@ def _iter_ops(plan: InferencePlan) -> Iterator[tuple[int | None, object]]:
             yield layer.index, op
 
 
-@register_verifier_rule("P001")
 def _rule_known_ops(plan: InferencePlan) -> Iterator[Violation]:
     """Every op is a known phase-op type.
 
@@ -192,7 +166,6 @@ def _rule_known_ops(plan: InferencePlan) -> Iterator[Violation]:
             )
 
 
-@register_verifier_rule("P002")
 def _rule_layer_structure(plan: InferencePlan) -> Iterator[Violation]:
     """Layers are non-empty, contiguously indexed, and positively sized.
 
@@ -223,7 +196,6 @@ def _rule_layer_structure(plan: InferencePlan) -> Iterator[Violation]:
             yield Violation(rule="P002", message="layer has no ops", layer=layer.index)
 
 
-@register_verifier_rule("P003")
 def _rule_preprocess_placement(plan: InferencePlan) -> Iterator[Violation]:
     """Host-side preprocessing only precedes the pipeline.
 
@@ -245,7 +217,6 @@ def _rule_preprocess_placement(plan: InferencePlan) -> Iterator[Violation]:
                 )
 
 
-@register_verifier_rule("P004")
 def _rule_sample_order(plan: InferencePlan) -> Iterator[Violation]:
     """A sampled adjacency is produced before anything aggregates over it.
 
@@ -298,7 +269,6 @@ def _rule_sample_order(plan: InferencePlan) -> Iterator[Violation]:
                     )
 
 
-@register_verifier_rule("P005")
 def _rule_halo_placement(plan: InferencePlan) -> Iterator[Violation]:
     """Halo exchanges feed the aggregation immediately after them.
 
@@ -362,7 +332,6 @@ _NON_NEGATIVE_FIELDS = frozenset(
 )
 
 
-@register_verifier_rule("P006")
 def _rule_finite_quantities(plan: InferencePlan) -> Iterator[Violation]:
     """Every quantity on every frozen op is finite and correctly signed.
 
@@ -419,7 +388,6 @@ def _non_halo_ops(layer: PlanLayer) -> list[object]:
     return [op for op in layer.ops if not isinstance(op, HaloExchangeOp)]
 
 
-@register_verifier_rule("P101")
 def _rule_width_flow(plan: InferencePlan) -> Iterator[Violation]:
     """Feature widths flow layer to layer for chain-shaped families.
 
@@ -466,7 +434,6 @@ def _rule_width_flow(plan: InferencePlan) -> Iterator[Violation]:
             )
 
 
-@register_verifier_rule("P102")
 def _rule_family_structure(plan: InferencePlan) -> Iterator[Violation]:
     """The plan matches its family's structural contract.
 
@@ -690,6 +657,20 @@ _CONTRACTS: dict[str, FamilyContract] = {
 }
 
 
+#: Every rule by ID, in the order a plan is checked and its violations
+#: are reported.
+_RULES: dict[str, VerifierRule] = {
+    "P001": _rule_known_ops,
+    "P002": _rule_layer_structure,
+    "P003": _rule_preprocess_placement,
+    "P004": _rule_sample_order,
+    "P005": _rule_halo_placement,
+    "P006": _rule_finite_quantities,
+    "P101": _rule_width_flow,
+    "P102": _rule_family_structure,
+}
+
+
 # --------------------------------------------------------------------- #
 # Entry points
 # --------------------------------------------------------------------- #
@@ -707,7 +688,7 @@ def verify_counters() -> dict[str, int]:
 
 
 def plan_violations(plan: InferencePlan) -> tuple[Violation, ...]:
-    """Run every registered rule over ``plan`` and return all violations."""
+    """Run every rule over ``plan`` and return all violations."""
     violations: list[Violation] = []
     for rule in _RULES.values():
         violations.extend(rule(plan))

@@ -89,24 +89,30 @@ def _build_labels(
         hidden = 32
         projection = rng.normal(scale=1.0, size=(features.shape[1], hidden))
         signal = np.tanh(features @ projection)
-        edges = adjacency.edge_array()
-        self_loops = np.stack([np.arange(num_vertices)] * 2, axis=1)
-        all_edges = np.concatenate([edges, self_loops], axis=0)
         # Attention-like neighbor weighting: similarity of projected features.
-        # np.add.at accumulates in edge order, so walking the edges in
-        # chunks sums exactly what one whole-array pass would.
+        # np.add.at accumulates in order, so walking the stored edges and
+        # then the self-loops in chunks sums exactly what one pass over the
+        # edge list followed by the self-loops would.
         weighted_sum = np.zeros((num_vertices, hidden))
         weight_total = np.zeros(num_vertices)
-        for start in range(0, all_edges.shape[0], _LABEL_EDGE_CHUNK):
-            src, dst = all_edges[start : start + _LABEL_EDGE_CHUNK].T
-            source = signal[src]
-            similarity = np.einsum("ij,ij->i", source, signal[dst])
-            similarity = np.exp(similarity / np.sqrt(hidden))
-            np.add.at(weighted_sum, dst, source * similarity[:, None])
-            np.add.at(weight_total, dst, similarity)
-        aggregated = weighted_sum / np.maximum(weight_total, 1e-12)[:, None]
+        vertices = np.arange(num_vertices)
+        sources = np.repeat(vertices, adjacency.degrees())
+        for edge_src, edge_dst in ((sources, adjacency.indices), (vertices, vertices)):
+            for start in range(0, edge_src.size, _LABEL_EDGE_CHUNK):
+                src = edge_src[start : start + _LABEL_EDGE_CHUNK]
+                dst = edge_dst[start : start + _LABEL_EDGE_CHUNK]
+                source = signal[src]
+                similarity = np.einsum("ij,ij->i", source, signal[dst])
+                similarity = np.exp(similarity / np.sqrt(hidden))
+                source *= similarity[:, None]
+                np.add.at(weighted_sum, dst, source)
+                np.add.at(weight_total, dst, similarity)
+        del sources, signal, source  # source: the last self-loop chunk
+        weighted_sum /= np.maximum(weight_total, 1e-12)[:, None]
         readout = rng.normal(scale=1.0, size=(hidden, spec.num_labels))
-        scores = aggregated @ readout + 0.25 * rng.normal(size=(num_vertices, spec.num_labels))
+        scores = weighted_sum @ readout
+        del weighted_sum
+        scores += 0.25 * rng.normal(size=(num_vertices, spec.num_labels))
         # Activate labels above a per-label quantile so each label has a
         # realistic (sparse) positive rate.
         thresholds = np.quantile(scores, 0.85, axis=0)

@@ -16,18 +16,28 @@ provided as constructors: Design A (uniform 4 MACs/CPE baseline), B (5), C
 (6), D (7) and E (the flexible-MAC GNNIE configuration).  Feature flags allow
 the ablation benchmarks (Figs. 16–18) to disable individual optimizations
 without touching code paths.
+
+Each memoized pricing stage reads a frozen view of the configuration built
+by :func:`pricing_view`: exactly the values the stage reads, under the
+configuration's own names.  The view is the stage's memo key and all of the
+configuration it sees; reading any other name raises ``AttributeError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import TypeVar
 
 __all__ = [
     "AcceleratorConfig",
+    "AggregationKnobs",
+    "CacheKnobs",
     "DESIGN_PRESETS",
     "MISS_PATH_MECHANISMS",
     "SFU_COLUMNS",
+    "WeightingKnobs",
     "design_preset",
+    "pricing_view",
 ]
 
 #: Special-function-unit columns interleaved in the CPE array (Section III).
@@ -197,10 +207,6 @@ class AcceleratorConfig:
         """Peak throughput counting one MAC as two operations (mult + add)."""
         return 2.0 * self.total_macs * self.frequency_hz
 
-    @property
-    def miss_path_enabled(self) -> bool:
-        return bool(self.miss_path_mechanisms)
-
     def with_miss_path(self, *mechanisms: str, **sizing: int) -> "AcceleratorConfig":
         """Copy with the given miss-path mechanisms enabled.
 
@@ -251,6 +257,68 @@ class AcceleratorConfig:
             enable_aggregation_load_balancing=False,
             name=f"{self.name}-baseline",
         )
+
+
+@dataclass(frozen=True, slots=True)
+class WeightingKnobs:
+    """What Weighting pricing reads: the array shape, the MAC allocation,
+    the three balancing flags, the value width and the DRAM bytes per cycle."""
+
+    num_rows: int
+    num_cols: int
+    macs_per_group: tuple[int, ...]
+    rows_per_group: tuple[int, ...]
+    macs_per_row: tuple[int, ...]
+    enable_flexible_mac: bool
+    enable_zero_skipping: bool
+    enable_load_redistribution: bool
+    bytes_per_value: int
+    dram_bytes_per_cycle: float
+
+
+@dataclass(frozen=True, slots=True)
+class CacheKnobs:
+    """What a cache-policy simulation reads.  The miss-path fields, the ones
+    with defaults (no hierarchy), keep them under degree-aware caching: that
+    walk never misses, so miss-path variants share one walk."""
+
+    input_buffer_bytes_or_default: int
+    bytes_per_value: int
+    gamma: int
+    enable_degree_aware_caching: bool
+    miss_path_mechanisms: tuple[str, ...] = ()
+    victim_cache_entries: int | None = None
+    miss_cache_entries: int | None = None
+    stream_buffer_count: int | None = None
+    stream_buffer_depth: int | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class AggregationKnobs:
+    """What Aggregation pricing reads besides its cache simulation.  The
+    cycle model reads the total MAC count, not how it is allocated."""
+
+    num_rows: int
+    num_cpes: int
+    total_macs: int
+    enable_aggregation_load_balancing: bool
+    enable_degree_aware_caching: bool
+    bytes_per_value: int
+    output_buffer_bytes: int
+    dram_bandwidth_bytes_per_s: float
+    frequency_hz: float
+
+
+_View = TypeVar("_View", WeightingKnobs, CacheKnobs, AggregationKnobs)
+
+
+def pricing_view(kind: type[_View], config: AcceleratorConfig) -> _View:
+    """The ``kind`` view of ``config``: each of its fields read off the
+    config, except that a :class:`CacheKnobs` keeps its miss-path defaults
+    under degree-aware caching."""
+    miss_path = kind is not CacheKnobs or not config.enable_degree_aware_caching
+    names = [field.name for field in fields(kind) if miss_path or field.default is MISSING]
+    return kind(**{name: getattr(config, name) for name in names})
 
 
 def _uniform_design(name: str, macs_per_cpe: int) -> AcceleratorConfig:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.config import SFU_COLUMNS, AcceleratorConfig
+from repro.hw.config import SFU_COLUMNS, AcceleratorConfig, AggregationKnobs
 
 __all__ = ["IterationCost", "AggregationCycleModel"]
 
@@ -54,7 +54,11 @@ class AggregationCycleModel:
     """Converts per-iteration edge counts into CPE-array cycles."""
 
     def __init__(
-        self, config: AcceleratorConfig, feature_length: int, *, is_gat: bool = False
+        self,
+        config: AcceleratorConfig | AggregationKnobs,
+        feature_length: int,
+        *,
+        is_gat: bool = False,
     ) -> None:
         if feature_length <= 0:
             raise ValueError("feature_length must be positive")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import AcceleratorConfig, WeightingKnobs
 
 __all__ = ["BlockAssignment", "BlockProfile", "baseline_assignment", "flexible_mac_assignment"]
 
@@ -155,7 +155,9 @@ def _row_cycles(nonzeros: np.ndarray, macs_per_row: tuple[int, ...]) -> np.ndarr
     return -(-nonzeros // macs)
 
 
-def baseline_assignment(profile: BlockProfile, config: AcceleratorConfig) -> BlockAssignment:
+def baseline_assignment(
+    profile: BlockProfile, config: AcceleratorConfig | WeightingKnobs
+) -> BlockAssignment:
     """Position-based mapping: block ``b`` of every vertex goes to row ``b``.
 
     If the feature vector has fewer blocks than the array has rows, the
@@ -182,7 +184,7 @@ def baseline_assignment(profile: BlockProfile, config: AcceleratorConfig) -> Blo
 
 
 def flexible_mac_assignment(
-    profile: BlockProfile, config: AcceleratorConfig
+    profile: BlockProfile, config: AcceleratorConfig | WeightingKnobs
 ) -> BlockAssignment:
     """Bin blocks by nonzero count and assign bins to MAC-ordered row groups.
 

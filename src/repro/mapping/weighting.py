@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import AcceleratorConfig, WeightingKnobs
 from repro.mapping.binning import (
     BlockAssignment,
     BlockProfile,
@@ -93,7 +93,7 @@ class WeightingSchedule:
 def schedule_weighting(
     features: np.ndarray | None,
     out_features: int,
-    config: AcceleratorConfig,
+    config: AcceleratorConfig | WeightingKnobs,
     *,
     profile: BlockProfile | None = None,
     in_features: int | None = None,

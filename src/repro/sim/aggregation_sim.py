@@ -15,7 +15,7 @@ from repro.cache.hierarchy import filter_misses
 from repro.cache.policies import simulate_policy
 from repro.cache.policy import CacheSimulationResult
 from repro.graph.csr import CSRGraph
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import AcceleratorConfig, AggregationKnobs, CacheKnobs
 from repro.hw.dram import HBMModel
 from repro.mapping.aggregation import AggregationCycleModel
 from repro.sim.results import PhaseResult
@@ -34,7 +34,7 @@ DEGREE_BINNING_OPS_PER_CYCLE = 8
 
 
 def input_buffer_capacity(
-    adjacency: CSRGraph, config: AcceleratorConfig, feature_length: int
+    adjacency: CSRGraph, config: AcceleratorConfig | CacheKnobs, feature_length: int
 ) -> tuple[int, int]:
     """``(capacity_vertices, record_bytes)`` of the configured input buffer.
 
@@ -52,7 +52,7 @@ def input_buffer_capacity(
 
 def run_cache_simulation(
     adjacency: CSRGraph,
-    config: AcceleratorConfig,
+    config: AcceleratorConfig | CacheKnobs,
     feature_length: int,
     *,
     metrics=None,
@@ -83,7 +83,7 @@ def run_cache_simulation(
         capacity,
         bytes_per_vertex=record_bytes,
         gamma=config.gamma,
-        collect_trace=config.miss_path_enabled,
+        collect_trace=bool(config.miss_path_mechanisms),
     )
     if result.trace is not None:
         result.miss_path = filter_misses(result.trace, config, metrics=metrics)
@@ -93,7 +93,7 @@ def run_cache_simulation(
 def aggregation_phase_from_cache(
     cache_result: CacheSimulationResult,
     adjacency: CSRGraph,
-    config: AcceleratorConfig,
+    config: AcceleratorConfig | AggregationKnobs,
     feature_length: int,
     *,
     is_gat: bool = False,

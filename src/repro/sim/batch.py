@@ -8,10 +8,11 @@ their :class:`~repro.hw.config.AcceleratorConfig`.  A
   adjacencies), the input features' block profiles (per-position nonzero
   sums and the histogram of per-block nonzero counts), exact RLC sizes,
   multi-chip partitions and the baseline platforms' per-plan workloads;
-* cache-policy simulations and priced phases, under self-describing keys
-  that :class:`~repro.sim.gnnie_executor.GNNIEExecutor` builds from the
-  plan's adjacency handle plus every config knob and width the value
-  depends on.
+* cache-policy simulations and priced phases, keyed by
+  :class:`~repro.sim.gnnie_executor.GNNIEExecutor` on the op's widths and
+  the frozen config view its stage reads
+  (:func:`~repro.hw.config.pricing_view`), which is all the config that
+  stage ever sees.
 
 A context belongs to one graph, and an
 :class:`~repro.plan.ir.AdjacencyRef` names one adjacency of that graph, so
@@ -71,17 +72,14 @@ class GraphPricingContext:
         #: from :func:`~repro.baselines.workload.workload_from_plan`.  Plans
         #: hash by content, so equal plans share one derivation.
         self.workloads: dict[InferencePlan, object] = {}
-        #: Priced-phase memo.  Keys are self-describing tuples built by the
-        #: executor from *every* config knob the phase depends on, so the
-        #: memo stays a pure function of (graph, key); values are pristine
-        #: copies (phase results are mutated by the overlap pass, so the
-        #: executor copies on both store and hit).
+        #: Priced-phase memo: frozen phase results, keyed by the op's widths
+        #: and the stage's config view (a Weighting key ends in a
+        #: ``WeightingKnobs``, an Aggregation key in an ``AggregationKnobs``).
         self.phase_memo: dict[tuple, object] = {}
-        #: Cache-policy simulation memo, keyed by the executor's cache key
-        #: (adjacency handle plus buffer knobs) and the priming width (the
-        #: feature width the simulation is sized for), so every plan that
-        #: primes an adjacency at the same width under the same buffer
-        #: knobs shares one run.
+        #: Cache-policy simulation memo, keyed by (adjacency handle,
+        #: ``CacheKnobs``, priming width), so every plan that primes an
+        #: adjacency at the same width under the same cache knobs shares
+        #: one run.
         self.cache_results: dict[tuple, object] = {}
         #: (chips, method) -> ``(partition, chip graphs)`` from
         #: :func:`repro.scaleout.chip_subgraphs`: one pass over the edges

@@ -21,13 +21,17 @@ Modeling notes
   sampled subgraph.
 * The cache-policy simulation is sized by the plan's first
   :class:`~repro.plan.ir.AggregationOp` over each adjacency (its *priming
-  width*) and shared by every later aggregation op over that adjacency, as
-  an approximation: the layer feature length changes the per-vertex record
-  size (and hence the buffer's vertex capacity), but re-simulating per
-  width would dominate runtime.  Simulations and priced phases are
-  memoized on the graph's pricing context under (cache key, priming width),
-  and the executor holds no memo of its own, so a result is a pure function
-  of plan, graph and config: it never depends on what ran before.
+  width*) and shared by every later aggregation op over that adjacency.
+  That is an approximation: the layer feature length changes the
+  per-vertex record size, and hence the buffer's vertex capacity.  It
+  stands until the simulation is keyed per width (ROADMAP direction 2).
+* Simulations and priced phases are memoized on the graph's pricing
+  context.  Each memoized stage receives a frozen view of the config
+  (:func:`~repro.hw.config.pricing_view`) that holds exactly what the stage
+  reads, and that view is the stage's memo key, so no config field can be
+  read yet left out of a key.  The executor holds no memo of its own, so a
+  result is a pure function of plan, graph and config: it never depends on
+  what ran before.
 """
 
 from __future__ import annotations
@@ -37,7 +41,14 @@ from dataclasses import replace
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.hw.config import SFU_COLUMNS, AcceleratorConfig
+from repro.hw.config import (
+    SFU_COLUMNS,
+    AcceleratorConfig,
+    AggregationKnobs,
+    CacheKnobs,
+    WeightingKnobs,
+    pricing_view,
+)
 from repro.hw.energy import AreaModel, EnergyBreakdown, EnergyModel
 from repro.mapping.attention import schedule_attention
 from repro.mapping.binning import BlockProfile
@@ -68,47 +79,6 @@ from repro.sim.results import InferenceResult, LayerResult, PhaseResult
 from repro.sim.weighting_sim import weighting_phase_from_schedule
 
 __all__ = ["GNNIEExecutor"]
-
-
-def _weighting_knobs(cfg: AcceleratorConfig) -> tuple:
-    """Every configuration field the Weighting phase result depends on.
-
-    The schedule reads the array shape, the MAC allocation and the three
-    balancing flags; the phase assembly additionally reads the value width
-    and the DRAM bandwidth per cycle.  Keying the phase memo on exactly
-    these knobs lets configs differing only in, say, γ or buffer sizing
-    share one priced Weighting phase.
-    """
-    return (
-        cfg.num_rows,
-        cfg.num_cols,
-        cfg.macs_per_group,
-        cfg.rows_per_group,
-        cfg.enable_flexible_mac,
-        cfg.enable_zero_skipping,
-        cfg.enable_load_redistribution,
-        cfg.bytes_per_value,
-        cfg.dram_bandwidth_bytes_per_s,
-        cfg.frequency_hz,
-    )
-
-
-def _aggregation_knobs(cfg: AcceleratorConfig) -> tuple:
-    """Every configuration field the Aggregation pricing depends on
-    *besides* the cache-simulation key (which carries the buffer/γ knobs and,
-    where a miss can happen, the miss-path knobs already)."""
-    return (
-        cfg.num_rows,
-        cfg.num_cols,
-        cfg.macs_per_group,
-        cfg.rows_per_group,
-        cfg.enable_aggregation_load_balancing,
-        cfg.bytes_per_value,
-        cfg.dram_bandwidth_bytes_per_s,
-        cfg.frequency_hz,
-        cfg.output_buffer_bytes,
-        cfg.enable_degree_aware_caching,
-    )
 
 
 #: The energy and area models GNNIE is priced with (both immutable).
@@ -180,7 +150,7 @@ class GNNIEExecutor:
             config=cfg.name,
         ) as root:
             layers = []
-            annotations = []  # (layer, layer span, {slot: [(op span, busy cycles)]})
+            annotations = []  # (layer span, {slot: [(op span, busy cycles)]})
             for stage in plan.layers:
                 with tracer.span(
                     f"layer{stage.index}",
@@ -190,10 +160,8 @@ class GNNIEExecutor:
                     out_features=stage.out_features,
                 ) as layer_span:
                     layer, slots = self._execute_layer(stage, graph, cfg, context, priming)
-                layers.append(layer)
-                annotations.append((layer, layer_span, slots))
-            for layer in layers:
-                self._overlap_layer_memory(layer)
+                layers.append(self._overlap_layer_memory(layer))
+                annotations.append((layer_span, slots))
             with tracer.span(
                 "preprocess:degree_binning", category="op", layer=-1
             ) as preprocess_span:
@@ -262,7 +230,9 @@ class GNNIEExecutor:
                 span.set(cycles=0)
             elif isinstance(op, WeightingOp):
                 with tracer.span("op:weighting", category="op", layer=stage.index) as span:
-                    phase = self._weighting_phase(op, graph, cfg, context, span)
+                    phase = self._weighting_phase(
+                        op, graph, pricing_view(WeightingKnobs, cfg), context, span
+                    )
                 weighting = accumulate(weighting, phase)
                 note(span, "weighting", phase)
             elif isinstance(op, AttentionOp):
@@ -273,7 +243,12 @@ class GNNIEExecutor:
             elif isinstance(op, AggregationOp):
                 with tracer.span("op:aggregation", category="op", layer=stage.index) as span:
                     phase = self._aggregation_phase(
-                        op, cfg, context, priming[op.adjacency], span
+                        op,
+                        pricing_view(CacheKnobs, cfg),
+                        pricing_view(AggregationKnobs, cfg),
+                        context,
+                        priming[op.adjacency],
+                        span,
                     )
                 aggregation = accumulate(aggregation, phase)
                 note(span, "aggregation", phase)
@@ -316,36 +291,27 @@ class GNNIEExecutor:
         self,
         op: WeightingOp,
         graph: Graph,
-        cfg: AcceleratorConfig,
+        knobs: WeightingKnobs,
         context: GraphPricingContext,
         span,
     ) -> PhaseResult:
         exact_input = op.is_input_layer and op.in_features == graph.feature_length
         density = HIDDEN_DENSITY if op.density is None else op.density
-        # Priced phases are memoized per graph on the knobs they actually
-        # read, so a config batch varying, say, γ or buffer sizes prices
-        # each distinct Weighting workload once.  The memo holds pristine
-        # copies: the overlap pass mutates phase results after pricing.
-        key = (
-            "weighting",
-            exact_input,
-            op.in_features,
-            op.out_features,
-            None if exact_input else density,
-            _weighting_knobs(cfg),
-        )
+        # Keyed on the view, so a config batch varying, say, γ or buffer
+        # sizes prices each distinct Weighting workload once.
+        key = (exact_input, op.in_features, op.out_features, None if exact_input else density, knobs)
         cached = context.phase_memo.get(key)
         span.set(phase_memo="run" if cached is None else "memo_hit")
         if cached is not None:
-            return replace(cached)
-        block_size = -(-op.in_features // cfg.num_rows)
+            return cached
+        block_size = -(-op.in_features // knobs.num_rows)
         if exact_input:
             # The input layer prices the dataset's actual sparse features:
             # the block profile and the exact RLC-compressed size are pure
             # functions of (graph, block size | value width), shared across
             # configs via the pricing context.
             profile = context.input_profile(block_size)
-            input_bits = context.input_rlc_bits(8 * cfg.bytes_per_value)
+            input_bits = context.input_rlc_bits(8 * knobs.bytes_per_value)
         else:
             # Later layers: statistical block nonzeros at the modeled density,
             # and dense traffic (the RLC decoder is bypassed after layer 1).
@@ -354,19 +320,18 @@ class GNNIEExecutor:
                 -(-op.in_features // block_size),
                 int(round(density * block_size)),
             )
-            input_bits = graph.num_vertices * op.in_features * 8 * cfg.bytes_per_value
+            input_bits = graph.num_vertices * op.in_features * 8 * knobs.bytes_per_value
         schedule = schedule_weighting(
-            None, op.out_features, cfg, profile=profile, in_features=op.in_features
+            None, op.out_features, knobs, profile=profile, in_features=op.in_features
         )
-        phase = weighting_phase_from_schedule(
+        phase = context.phase_memo[key] = weighting_phase_from_schedule(
             schedule,
             graph.num_vertices,
             op.in_features,
             op.out_features,
-            cfg,
+            knobs,
             input_traffic_bits=input_bits,
         )
-        context.phase_memo[key] = replace(phase)
         return phase
 
     def _attention_phase(
@@ -385,12 +350,15 @@ class GNNIEExecutor:
     def _aggregation_phase(
         self,
         op: AggregationOp,
-        cfg: AcceleratorConfig,
+        cache_knobs: CacheKnobs,
+        knobs: AggregationKnobs,
         context: GraphPricingContext,
         priming_width: int,
         span,
     ) -> PhaseResult:
-        sim_key = (*self._cache_key(op.adjacency, cfg), priming_width)
+        # The priming width completes the simulation's key (see the
+        # modeling notes).
+        sim_key = (op.adjacency, cache_knobs, priming_width)
         adjacency = context.adjacency(op.adjacency)
         cache_result = context.cache_results.get(sim_key)
         if cache_result is not None:
@@ -401,16 +369,8 @@ class GNNIEExecutor:
             # memo hits re-use the numbers without double-counting events.
             outcome = "run"
             self.metrics.counter("executor.cache_sim.runs").inc()
-            # Simulate exactly what the key names: the degree-aware walk never
-            # misses, so it runs without the miss path and the memoized result
-            # is the same whichever config primes it.
-            sim_cfg = (
-                replace(cfg, miss_path_mechanisms=())
-                if cfg.enable_degree_aware_caching
-                else cfg
-            )
             cache_result = run_cache_simulation(
-                adjacency, sim_cfg, priming_width, metrics=self.metrics
+                adjacency, cache_knobs, priming_width, metrics=self.metrics
             )
             context.cache_results[sim_key] = cache_result
         span.set(
@@ -424,14 +384,14 @@ class GNNIEExecutor:
         )
         # A phase is priced only after its simulation ran, so a priced-phase
         # hit is always a simulation memo hit too.
-        memo_key = ("aggregation", sim_key, op.width, op.weighted, _aggregation_knobs(cfg))
-        cached = context.phase_memo.get(memo_key)
+        key = (sim_key, op.width, op.weighted, knobs)
+        cached = context.phase_memo.get(key)
+        span.set(phase_memo="run" if cached is None else "memo_hit")
         if cached is not None:
-            return replace(cached)
-        phase = aggregation_phase_from_cache(
-            cache_result, adjacency, cfg, op.width, is_gat=op.weighted
+            return cached
+        phase = context.phase_memo[key] = aggregation_phase_from_cache(
+            cache_result, adjacency, knobs, op.width, is_gat=op.weighted
         )
-        context.phase_memo[memo_key] = replace(phase)
         return phase
 
     def _halo_exchange_phase(
@@ -508,7 +468,7 @@ class GNNIEExecutor:
         span (including the global-preprocessing span) reproduces
         ``result.total_cycles`` exactly.
         """
-        for layer, layer_span, slots in annotations:
+        for layer, (layer_span, slots) in zip(result.layers, annotations):
             layer_span.set(
                 cycles=layer.total_cycles,
                 mac_operations=sum(p.mac_operations for p in layer.phases()),
@@ -539,34 +499,9 @@ class GNNIEExecutor:
     # Helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _cache_key(ref: AdjacencyRef, cfg: AcceleratorConfig) -> tuple:
-        # The priming width completes this key (see the modeling notes).
-        # bytes_per_value is present: it sets the per-vertex record size and
-        # therefore the buffer's vertex capacity, so quantization variants
-        # must not share one simulation.
-        key = (
-            ref,
-            cfg.input_buffer_bytes,
-            cfg.bytes_per_value,
-            cfg.gamma,
-            cfg.enable_degree_aware_caching,
-        )
-        if cfg.enable_degree_aware_caching:
-            # The degree-aware walk has no misses for a miss path to filter,
-            # so miss-path variants share one simulation.
-            return key
-        return (
-            *key,
-            cfg.miss_path_mechanisms,
-            cfg.victim_cache_entries,
-            cfg.miss_cache_entries,
-            cfg.stream_buffer_count,
-            cfg.stream_buffer_depth,
-        )
-
-    @staticmethod
-    def _overlap_layer_memory(layer: LayerResult) -> None:
-        """Re-derive exposed memory stalls at layer granularity.
+    def _overlap_layer_memory(layer: LayerResult) -> LayerResult:
+        """The layer with its exposed memory stalls re-derived at layer
+        granularity.
 
         The memory access scheduler prefetches streaming traffic (feature
         blocks, weight columns, cached-vertex records, partial-sum spills)
@@ -585,11 +520,17 @@ class GNNIEExecutor:
             if p.dram_random_accesses
         )
         exposed = max(0, streaming - busy)
-        for phase in phases:
-            phase.memory_stall_cycles = 0
         # Attribute the layer's exposed stall (plus unhideable random-access
         # stalls) to the aggregation phase, which is where the traffic peaks.
-        layer.aggregation.memory_stall_cycles = int(exposed + random_stalls)
+        attention = layer.attention
+        return replace(
+            layer,
+            weighting=replace(layer.weighting, memory_stall_cycles=0),
+            attention=None if attention is None else replace(attention, memory_stall_cycles=0),
+            aggregation=replace(
+                layer.aggregation, memory_stall_cycles=int(exposed + random_stalls)
+            ),
+        )
 
     def _global_preprocessing_cycles(
         self, plan: InferencePlan, graph: Graph, cfg: AcceleratorConfig

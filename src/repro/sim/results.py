@@ -9,9 +9,13 @@ from repro.hw.energy import EnergyBreakdown
 __all__ = ["PhaseResult", "LayerResult", "InferenceResult", "ScaleOutResult"]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class PhaseResult:
-    """Cycle and traffic accounting of one phase (Weighting / Attention / Aggregation)."""
+    """Cycle and traffic accounting of one phase (Weighting / Attention / Aggregation).
+
+    Frozen, so the pricing memos can hand out the priced object itself, and
+    slotted, so the phases a memo keeps stay small.
+    """
 
     name: str
     compute_cycles: int = 0
@@ -81,7 +85,7 @@ class PhaseResult:
         )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class LayerResult:
     """All phases of one GNN layer."""
 

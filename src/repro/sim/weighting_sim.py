@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import AcceleratorConfig, WeightingKnobs
 from repro.mapping.weighting import WeightingSchedule
 from repro.sim.results import PhaseResult
 
@@ -36,7 +36,7 @@ def weighting_phase_from_schedule(
     num_vertices: int,
     in_features: int,
     out_features: int,
-    config: AcceleratorConfig,
+    config: AcceleratorConfig | WeightingKnobs,
     *,
     input_traffic_bits: int,
     name: str = "weighting",

@@ -20,6 +20,7 @@ import pytest
 
 from repro.datasets import build_dataset
 from repro.hw import MISS_PATH_MECHANISMS, AcceleratorConfig
+from repro.hw.config import AggregationKnobs, CacheKnobs, WeightingKnobs, pricing_view
 from repro.models import MODEL_FAMILIES
 from repro.obs import MetricsRegistry
 from repro.plan.ir import FULL_ADJACENCY, AdjacencyRef
@@ -106,6 +107,21 @@ _BASES = (
         name="miss-path",
     ),
 )
+
+
+#: Fields priced outside the memoized stages, so in no pricing view: the
+#: chip area reads the weight buffer, and the halo exchange reads the link.
+_PRICED_OUTSIDE_VIEWS = (
+    "weight_buffer_bytes",
+    "link_bandwidth_bytes_per_s",
+    "link_latency_cycles",
+)
+
+
+def _views(config: AcceleratorConfig) -> tuple:
+    return tuple(
+        pricing_view(kind, config) for kind in (WeightingKnobs, CacheKnobs, AggregationKnobs)
+    )
 
 
 def _single_field_configs() -> list[AcceleratorConfig]:
@@ -211,6 +227,66 @@ class TestSharingNeverChangesARow:
             GNNIEExecutor().execute(plan, copy.deepcopy(graph), cfg) for cfg in configs
         ]
         assert [result_to_dict(r) for r in shared] == [result_to_dict(r) for r in alone]
+
+
+class TestPricingViews:
+    def test_every_config_field_is_in_a_view(self):
+        """Structural, with no pricing: each field's perturbation changes a
+        view on some base, unless the field is named as priced outside the
+        memoized stages.  A new field fails here until it is placed."""
+        unviewed = {
+            field.name
+            for field in fields(AcceleratorConfig)
+            if field.name != "name"
+            and all(
+                _views(replace(base, **_FIELD_PERTURBATIONS[field.name])) == _views(base)
+                for base in _BASES
+            )
+        }
+        assert unviewed == set(_PRICED_OUTSIDE_VIEWS)
+
+    def test_a_view_rejects_other_names(self):
+        config = AcceleratorConfig()
+        with pytest.raises(AttributeError):
+            pricing_view(WeightingKnobs, config).gamma
+        with pytest.raises(AttributeError):
+            pricing_view(AggregationKnobs, config).macs_per_group
+        with pytest.raises(AttributeError):
+            pricing_view(CacheKnobs, config).num_rows
+
+    def test_allocations_of_equal_total_share_one_aggregation(self, monkeypatch):
+        """(4, 5, 6) and (3, 6, 7) MACs per CPE over rows (8, 4, 4) both
+        total 1,216 MACs, so GCN's Aggregation is priced once per layer on
+        one graph, from the view rather than the config."""
+        from repro.plan.lowering import lower
+        from repro.sim import gnnie_executor
+        from repro.sim.trace import result_to_dict
+
+        original = gnnie_executor.aggregation_phase_from_cache
+        priced = []
+
+        def counted(*args, **kwargs):
+            priced.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gnnie_executor, "aggregation_phase_from_cache", counted)
+        graph = build_dataset("cora", scale=0.1, seed=9)
+        plan = lower("gcn", graph)
+        configs = [AcceleratorConfig(), AcceleratorConfig(macs_per_group=(3, 6, 7))]
+        assert configs[0].total_macs == configs[1].total_macs == 1216
+        shared = [
+            result_to_dict(gnnie_executor.GNNIEExecutor(cfg).execute(plan, graph))
+            for cfg in configs
+        ]
+        assert len(priced) == 2
+        assert all(type(knobs) is AggregationKnobs for knobs in priced)
+        alone = [
+            result_to_dict(
+                gnnie_executor.GNNIEExecutor(cfg).execute(plan, copy.deepcopy(graph))
+            )
+            for cfg in configs
+        ]
+        assert shared == alone
 
 
 class TestCacheSimSharing:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import lint_paths, lint_rules, lint_source
+from repro.check import lint, lint_paths, lint_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -159,9 +159,13 @@ def test_unknown_rule_selection_raises():
 
 
 def test_every_rule_has_id_and_contract():
-    rules = lint_rules()
-    assert set(rules) == {"D101", "D102", "D103", "D104", "D105", "D106"}
-    for rule in rules.values():
+    """The table holds exactly these IDs, and every ``_check_*`` function of
+    the module exactly once: a repeated literal key would drop one."""
+    assert list(lint._RULES) == ["D101", "D102", "D103", "D104", "D105", "D106"]
+    checks = [rule.check for rule in lint._RULES.values()]
+    defined = {value for name, value in vars(lint).items() if name.startswith("_check_")}
+    assert len(set(checks)) == len(checks) and set(checks) == defined
+    for rule in lint._RULES.values():
         assert rule.contract
         assert rule.check.__doc__ and rule.check.__doc__.strip()
 

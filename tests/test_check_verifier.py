@@ -22,8 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.check import (
     PlanVerificationError,
     plan_violations,
-    register_verifier_rule,
-    verifier_rules,
+    verifier,
     verify_all_plans,
     verify_counters,
     verify_plan,
@@ -247,15 +246,16 @@ def test_diffpool_without_dense_matmul_violates_p102():
 
 
 def test_every_rule_has_a_contract_docstring():
-    rules = verifier_rules()
-    assert set(rules) >= {"P001", "P002", "P003", "P004", "P005", "P006", "P101", "P102"}
-    for rule in rules.values():
+    """The table holds exactly these IDs, and every ``_rule_*`` function of
+    the module exactly once: a repeated literal key would drop one."""
+    assert list(verifier._RULES) == [
+        "P001", "P002", "P003", "P004", "P005", "P006", "P101", "P102"
+    ]
+    rules = list(verifier._RULES.values())
+    defined = {value for name, value in vars(verifier).items() if name.startswith("_rule_")}
+    assert len(set(rules)) == len(rules) and set(rules) == defined
+    for rule in verifier._RULES.values():
         assert rule.__doc__ and rule.__doc__.strip()
-
-
-def test_duplicate_rule_id_raises():
-    with pytest.raises(ValueError, match="already registered"):
-        register_verifier_rule("P001")(lambda plan: ())
 
 
 # --------------------------------------------------------------------- #

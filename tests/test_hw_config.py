@@ -89,7 +89,8 @@ class TestAcceleratorConfig:
             AcceleratorConfig(miss_path_mechanisms=("belady",))
         with pytest.raises(ValueError):
             AcceleratorConfig().with_miss_path("victim", "prefetcher-9000")
-        assert AcceleratorConfig().with_miss_path(*MISS_PATH_MECHANISMS).miss_path_enabled
+        enabled = AcceleratorConfig().with_miss_path(*MISS_PATH_MECHANISMS)
+        assert enabled.miss_path_mechanisms == MISS_PATH_MECHANISMS
 
     def test_validation_rejects_repeated_miss_path_names(self):
         # A repeated name would run its mechanism twice and give one piece

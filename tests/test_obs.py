@@ -373,6 +373,25 @@ class TestExecutorInstrumentation:
             "memo_hit",
         ]
 
+    def test_aggregation_spans_show_phase_memo_hits(self, small_cora):
+        """The Aggregation phase memo keys on the total MAC count, so a
+        second GCN run on one graph at another allocation of the same 1,216
+        MACs prices Weighting again but neither layer's Aggregation."""
+        graph = copy.deepcopy(small_cora)  # a fresh, empty pricing context
+        tracer = Tracer()
+        plan = lower("gcn", graph)
+        GNNIEExecutor(tracer=tracer).execute(plan, graph)
+        reallocated = AcceleratorConfig(macs_per_group=(3, 6, 7))
+        GNNIEExecutor(reallocated, tracer=tracer).execute(plan, graph)
+        memo = {
+            name: [record.attrs["phase_memo"] for record in tracer.records if record.name == name]
+            for name in ("op:weighting", "op:aggregation")
+        }
+        assert memo == {
+            "op:weighting": ["run", "run", "run", "run"],
+            "op:aggregation": ["run", "run", "memo_hit", "memo_hit"],
+        }
+
     def test_cache_metrics_recorded_when_miss_path_enabled(self, small_cora):
         registry = MetricsRegistry()
         config = AcceleratorConfig(enable_degree_aware_caching=False).with_miss_path(

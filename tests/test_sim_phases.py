@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from repro.graph import power_law_graph
 from repro.hw import AcceleratorConfig, HBMModel
 from repro.mapping import AggregationCycleModel, BlockProfile, schedule_weighting
 from repro.sim import (
+    LayerResult,
     PhaseResult,
     aggregation_phase_from_cache,
     input_buffer_capacity,
@@ -47,6 +48,15 @@ class TestPhaseResult:
         merged = first.merge(second)
         assert merged.compute_cycles == 17
         assert merged.dram_bytes == 8
+
+    def test_phase_and_layer_results_are_frozen(self):
+        # The pricing memos hand out the priced objects themselves.
+        phase = PhaseResult(name="aggregation", memory_stall_cycles=4)
+        layer = LayerResult(0, 8, 4, PhaseResult("weighting"), None, phase)
+        with pytest.raises(FrozenInstanceError):
+            phase.memory_stall_cycles = 0
+        with pytest.raises(FrozenInstanceError):
+            layer.aggregation = PhaseResult("aggregation")
 
 
 def _weighting(config, out_features, features, *, rlc=True):
