@@ -84,7 +84,7 @@ def test_fig13_hygcn_awbgcn_comparison(
     assert all(speedup > 0.4 for speedup in awb_speedups)
     # MAC-count context for the comparison.
     assert AcceleratorConfig().total_macs == 1216
-    assert awb.num_macs / AcceleratorConfig().total_macs > 3.3
+    assert awb.table.num_macs / AcceleratorConfig().total_macs > 3.3
     # HyGCN does not support GATs (versatility argument of the paper).
     assert not hygcn.supports("gat")
     assert not awb.supports("graphsage")

@@ -22,54 +22,70 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.platform import PlatformModel
+from repro.baselines.platform import BYTES_PER_VALUE, FIT, PlatformModel, entry
 from repro.baselines.workload import WorkloadEstimate
 from repro.graph.graph import Graph
 
-__all__ = ["AWBGCNModel"]
+__all__ = ["AWB_GCN_TABLE", "AWBGCNModel", "AWBGCNTable"]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class AWBGCNTable:
+    """Every number the AWB-GCN cost model reads, with its source."""
+
+    frequency_hz: float = entry(330e6, "AWB-GCN: 330 MHz on an Intel D5005 FPGA")
+    num_macs: int = entry(4096, "AWB-GCN: 4,096 PEs")
+    #: Utilization after runtime rebalancing on moderately sparse matrices.
+    utilization: float = entry(0.85, FIT)
+    #: Utilization on the ultra-sparse input layer (zero skipping tuned for
+    #: ~75% sparsity loses efficiency beyond that).
+    input_layer_utilization: float = entry(0.5, FIT)
+    #: Rebalancing/communication overhead as a fraction of compute time.
+    rebalancing_overhead: float = entry(0.12, FIT)
+    #: Off-chip bandwidth of the FPGA board (DDR4).
+    dram_bandwidth: float = entry(77e9, FIT)
+    #: Bytes of adjacency data streamed per aggregation pass (CSR index +
+    #: value per edge).
+    adjacency_bytes_per_edge: float = entry(8.0, FIT)
+    #: Output features per adjacency pass: the adjacency is streamed once
+    #: per tile of this width.
+    tile_width: int = entry(16, FIT)
+    #: Fraction of the shorter of the compute and memory times that their
+    #: overlap leaves exposed.
+    overlap_exposure: float = entry(0.15, FIT)
+    average_power_watts: float = entry(35.0, FIT)
+
+
+AWB_GCN_TABLE = AWBGCNTable()
+
+
 class AWBGCNModel(PlatformModel):
     """SpMM-chain model of AWB-GCN (GCN only)."""
 
-    name: str = "AWB-GCN"
-    supported_families: tuple[str, ...] = ("gcn",)
-    frequency_hz: float = 330e6
-    num_macs: int = 4096
-    #: Utilization after runtime rebalancing on moderately sparse matrices.
-    utilization: float = 0.85
-    #: Utilization on the ultra-sparse input layer (zero skipping tuned for
-    #: ~75% sparsity loses efficiency beyond that).
-    input_layer_utilization: float = 0.5
-    #: Rebalancing/communication overhead as a fraction of compute time.
-    rebalancing_overhead: float = 0.12
-    #: Off-chip bandwidth of the FPGA board (DDR4).
-    dram_bandwidth: float = 77e9
-    #: Bytes of adjacency data streamed per aggregation pass (CSR index +
-    #: value per edge).
-    adjacency_bytes_per_edge: float = 8.0
-    average_power_watts: float = 35.0
-
-    def power_watts(self) -> float:
-        return self.average_power_watts
+    name = "AWB-GCN"
+    supported_families = ("gcn",)
+    table = AWB_GCN_TABLE
 
     def latency_seconds(self, graph: Graph, workload: WorkloadEstimate) -> float:
+        table = self.table
         compute_cycles = 0.0
         for layer in workload.layers:
             utilization = (
-                self.input_layer_utilization if layer.layer_index == 0 else self.utilization
+                table.input_layer_utilization if layer.layer_index == 0 else table.utilization
             )
-            weighting_cycles = layer.sparse_weighting_macs / (self.num_macs * utilization)
+            weighting_cycles = layer.sparse_weighting_macs / (table.num_macs * utilization)
             aggregation_cycles = layer.aggregation_ops_weighting_first / (
-                self.num_macs * self.utilization
+                table.num_macs * table.utilization
             )
             compute_cycles += weighting_cycles + aggregation_cycles
-        compute_seconds = compute_cycles * (1.0 + self.rebalancing_overhead) / self.frequency_hz
-        # Graph-agnostic SpMM: the adjacency is streamed from DRAM for every
-        # output-feature tile of every layer.
-        tiles = max(1, workload.layers[0].out_features // 16)
-        adjacency_bytes = graph.num_edges * self.adjacency_bytes_per_edge * tiles
-        feature_bytes = 4.0 * workload.dram_bytes
-        memory_seconds = (adjacency_bytes + feature_bytes) / self.dram_bandwidth
-        return max(compute_seconds, memory_seconds) + 0.15 * min(compute_seconds, memory_seconds)
+        compute_seconds = compute_cycles * (1.0 + table.rebalancing_overhead) / table.frequency_hz
+        # Graph-agnostic SpMM: the adjacency is streamed from DRAM once per
+        # output-feature tile of layer 0, and that count is charged once for
+        # the whole inference; later layers add no adjacency passes.
+        tiles = max(1, workload.layers[0].out_features // table.tile_width)
+        adjacency_bytes = graph.num_edges * table.adjacency_bytes_per_edge * tiles
+        feature_bytes = BYTES_PER_VALUE * workload.dram_bytes
+        memory_seconds = (adjacency_bytes + feature_bytes) / table.dram_bandwidth
+        return max(compute_seconds, memory_seconds) + table.overlap_exposure * min(
+            compute_seconds, memory_seconds
+        )

@@ -21,42 +21,48 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.platform import PlatformModel
+from repro.baselines.platform import BYTES_PER_VALUE, FIT, PlatformModel, entry
 from repro.baselines.workload import WorkloadEstimate
 from repro.graph.graph import Graph
 
-__all__ = ["EnGNModel"]
+__all__ = ["ENGN_TABLE", "EnGNModel", "EnGNTable"]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class EnGNTable:
+    """Every number the EnGN cost model reads, with its source."""
+
+    frequency_hz: float = entry(1.0e9, "EnGN: 1 GHz clock")
+    num_pes: int = entry(2048, "EnGN: 128x16 RER PE array = 2,048 PEs")
+    pe_utilization: float = entry(0.7, FIT)
+    #: Extra cycles per aggregation operation spent on the RER ring hop.
+    ring_overhead_factor: float = entry(0.35, FIT)
+    #: Edge-reordering preprocessing cost, charged per edge per layer.
+    reorder_seconds_per_edge: float = entry(2.0e-9, FIT)
+    dram_bandwidth: float = entry(256e9, FIT)
+    average_power_watts: float = entry(8.5, FIT)
+
+
+ENGN_TABLE = EnGNTable()
+
+
 class EnGNModel(PlatformModel):
     """Ring-edge-reduce PE-array model of EnGN."""
 
-    name: str = "EnGN"
-    supported_families: tuple[str, ...] = ("gcn", "graphsage", "ginconv")
-    frequency_hz: float = 1.0e9
-    #: 128 x 16 PE array.
-    num_pes: int = 2048
-    pe_utilization: float = 0.7
-    #: Extra cycles per aggregation operation spent on the RER ring hop.
-    ring_overhead_factor: float = 0.35
-    #: Edge-reordering preprocessing cost, charged per edge per layer.
-    reorder_seconds_per_edge: float = 2.0e-9
-    dram_bandwidth: float = 256e9
-    average_power_watts: float = 8.5
-
-    def power_watts(self) -> float:
-        return self.average_power_watts
+    name = "EnGN"
+    supported_families = ("gcn", "graphsage", "ginconv")
+    table = ENGN_TABLE
 
     def latency_seconds(self, graph: Graph, workload: WorkloadEstimate) -> float:
-        effective_pes = self.num_pes * self.pe_utilization
+        table = self.table
+        effective_pes = table.num_pes * table.pe_utilization
         weighting_cycles = workload.sparse_weighting_macs / effective_pes
         aggregation_cycles = (
-            workload.aggregation_ops * (1.0 + self.ring_overhead_factor) / effective_pes
+            workload.aggregation_ops * (1.0 + table.ring_overhead_factor) / effective_pes
         )
-        compute_seconds = (weighting_cycles + aggregation_cycles) / self.frequency_hz
+        compute_seconds = (weighting_cycles + aggregation_cycles) / table.frequency_hz
         reorder_seconds = (
-            self.reorder_seconds_per_edge * graph.num_edges * len(workload.layers)
+            table.reorder_seconds_per_edge * graph.num_edges * len(workload.layers)
         )
-        memory_seconds = 4.0 * workload.dram_bytes / self.dram_bandwidth
+        memory_seconds = BYTES_PER_VALUE * workload.dram_bytes / table.dram_bandwidth
         return max(compute_seconds, memory_seconds) + reorder_seconds

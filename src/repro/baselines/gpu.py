@@ -16,53 +16,64 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.platform import PlatformModel
+from repro.baselines.platform import BYTES_PER_VALUE, FIT, FLOPS_PER_MAC, PlatformModel, entry
 from repro.baselines.workload import WorkloadEstimate
 from repro.graph.graph import Graph
 
-__all__ = ["PyGGPUModel"]
+__all__ = ["PYG_GPU_TABLE", "PyGGPUModel", "PyGGPUTable"]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class PyGGPUTable:
+    """Every number the PyG-GPU cost model reads, with its source."""
+
+    peak_flops: float = entry(16.4e12, "Tesla V100S: 16.4 TFLOP/s peak fp32")
+    dense_gemm_efficiency: float = entry(0.55, FIT)
+    #: Scatter/gather aggregation efficiency relative to peak FLOPS.
+    aggregation_efficiency: float = entry(0.02, FIT)
+    hbm2_bandwidth: float = entry(1134e9, "Tesla V100S: 1,134 GB/s HBM2")
+    #: Realistic fraction of the HBM2 bandwidth a PyG kernel sustains.
+    memory_utilization: float = entry(0.65, FIT)
+    #: Kernel launch + framework overhead per operator.
+    kernel_launch_seconds: float = entry(12e-6, FIT)
+    kernels_per_layer: int = entry(30, FIT)
+    #: Extra kernels per layer for a GAT's attention.
+    gat_kernels_per_layer: int = entry(20, FIT)
+    #: Host-side neighbor sampling for GraphSAGE (per sampled neighbor).
+    sampling_seconds_per_edge: float = entry(0.8e-6, FIT)
+    attention_seconds_per_op: float = entry(0.15e-12, FIT)
+    average_power_watts: float = entry(250.0, "Tesla V100S: 250 W board power")
+
+
+PYG_GPU_TABLE = PyGGPUTable()
+
+
 class PyGGPUModel(PlatformModel):
     """Roofline + launch-overhead model of PyG on a Tesla V100S."""
 
-    name: str = "PyG-GPU"
-    #: Peak fp32 throughput of the V100S.
-    peak_flops: float = 16.4e12
-    dense_gemm_efficiency: float = 0.55
-    #: Scatter/gather aggregation efficiency relative to peak FLOPS.
-    aggregation_efficiency: float = 0.02
-    #: HBM2 bandwidth with a realistic utilization factor applied.
-    memory_bandwidth: float = 0.65 * 1134e9
-    #: Kernel launch + framework overhead per operator.
-    kernel_launch_seconds: float = 12e-6
-    kernels_per_layer: int = 30
-    #: Host-side neighbor sampling for GraphSAGE (per sampled neighbor).
-    sampling_seconds_per_edge: float = 0.8e-6
-    attention_seconds_per_op: float = 0.15e-12
-    average_power_watts: float = 250.0
-
-    def power_watts(self) -> float:
-        return self.average_power_watts
+    name = "PyG-GPU"
+    table = PYG_GPU_TABLE
 
     def latency_seconds(self, graph: Graph, workload: WorkloadEstimate) -> float:
-        gemm_seconds = 2.0 * workload.dense_weighting_macs / (
-            self.peak_flops * self.dense_gemm_efficiency
+        table = self.table
+        gemm_seconds = FLOPS_PER_MAC * workload.dense_weighting_macs / (
+            table.peak_flops * table.dense_gemm_efficiency
         )
-        aggregation_seconds = 2.0 * workload.aggregation_ops / (
-            self.peak_flops * self.aggregation_efficiency
+        aggregation_seconds = FLOPS_PER_MAC * workload.aggregation_ops / (
+            table.peak_flops * table.aggregation_efficiency
         )
-        memory_seconds = 4.0 * workload.dram_bytes / self.memory_bandwidth
+        memory_seconds = BYTES_PER_VALUE * workload.dram_bytes / (
+            table.memory_utilization * table.hbm2_bandwidth
+        )
 
         num_layers = len(workload.layers)
-        kernels = self.kernels_per_layer * num_layers
+        kernels = table.kernels_per_layer * num_layers
         if workload.family == "gat":
-            kernels += 20 * num_layers
-        launch_seconds = kernels * self.kernel_launch_seconds
+            kernels += table.gat_kernels_per_layer * num_layers
+        launch_seconds = kernels * table.kernel_launch_seconds
 
-        attention_seconds = workload.attention_ops * self.attention_seconds_per_op
-        sampling_seconds = workload.sampling_ops * self.sampling_seconds_per_edge
+        attention_seconds = workload.attention_ops * table.attention_seconds_per_op
+        sampling_seconds = workload.sampling_ops * table.sampling_seconds_per_edge
 
         compute_seconds = max(gemm_seconds + aggregation_seconds, memory_seconds)
         return compute_seconds + launch_seconds + attention_seconds + sampling_seconds

@@ -23,56 +23,63 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.platform import PlatformModel
+from repro.baselines.platform import BYTES_PER_VALUE, FIT, PlatformModel, entry
 from repro.baselines.workload import WorkloadEstimate
 from repro.graph.graph import Graph
 
-__all__ = ["HyGCNModel"]
+__all__ = ["HYGCN_TABLE", "HyGCNModel", "HyGCNTable"]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class HyGCNTable:
+    """Every number the HyGCN cost model reads, with its source."""
+
+    frequency_hz: float = entry(1.0e9, "HyGCN: 1 GHz clock")
+    #: Combination engine, dense (no zero skipping).
+    combination_macs: int = entry(
+        4096, "HyGCN: Combination engine of 8 systolic arrays, 128x32 = 4,096 MACs"
+    )
+    combination_utilization: float = entry(0.75, FIT)
+    aggregation_lanes: int = entry(512, "HyGCN: Aggregation engine of 32 SIMD16 cores = 512 lanes")
+    aggregation_utilization: float = entry(0.8, FIT)
+    #: Fraction of neighbor accesses that miss the sliding-window shard and
+    #: go to DRAM with random-access cost.
+    shard_miss_fraction: float = entry(0.35, FIT)
+    dram_bandwidth: float = entry(256e9, "HyGCN: 256 GB/s HBM")
+    random_access_penalty_seconds: float = entry(60e-9, FIT)
+    #: Pipeline efficiency capturing Aggregation/Combination imbalance.
+    pipeline_efficiency: float = entry(0.7, FIT)
+    average_power_watts: float = entry(6.7, "HyGCN: 6.7 W")
+
+
+HYGCN_TABLE = HyGCNTable()
+
+
 class HyGCNModel(PlatformModel):
     """Dual-engine pipeline model of HyGCN."""
 
-    name: str = "HyGCN"
-    supported_families: tuple[str, ...] = ("gcn", "graphsage", "ginconv")
-    frequency_hz: float = 1.0e9
-    #: Combination engine: 8 systolic arrays with 128x32 = 4096 total MACs
-    #: (HyGCN paper configuration), dense (no zero skipping).
-    combination_macs: int = 4096
-    combination_utilization: float = 0.75
-    #: Aggregation engine: 32 SIMD16 cores = 512 lanes.
-    aggregation_lanes: int = 512
-    aggregation_utilization: float = 0.8
-    #: Fraction of neighbor accesses that miss the sliding-window shard and
-    #: go to DRAM with random-access cost.
-    shard_miss_fraction: float = 0.35
-    dram_bandwidth: float = 256e9
-    random_access_penalty_seconds: float = 60e-9
-    #: Pipeline efficiency capturing Aggregation/Combination imbalance.
-    pipeline_efficiency: float = 0.7
-    average_power_watts: float = 6.7
-
-    def power_watts(self) -> float:
-        return self.average_power_watts
+    name = "HyGCN"
+    supported_families = ("gcn", "graphsage", "ginconv")
+    table = HYGCN_TABLE
 
     def latency_seconds(self, graph: Graph, workload: WorkloadEstimate) -> float:
+        table = self.table
         # Combination: dense weighting MACs (no input-sparsity exploitation).
         combination_cycles = workload.dense_weighting_macs / (
-            self.combination_macs * self.combination_utilization
+            table.combination_macs * table.combination_utilization
         )
         # Aggregation runs before Combination, at the input feature width.
         aggregation_cycles = workload.aggregation_ops_aggregation_first / (
-            self.aggregation_lanes * self.aggregation_utilization
+            table.aggregation_lanes * table.aggregation_utilization
         )
         stage_seconds = (
             max(combination_cycles, aggregation_cycles)
-            / self.frequency_hz
-            / self.pipeline_efficiency
+            / table.frequency_hz
+            / table.pipeline_efficiency
         )
         # Random DRAM penalty for shard-window misses during Aggregation.
-        missed_edges = self.shard_miss_fraction * graph.num_edges
-        random_seconds = missed_edges * self.random_access_penalty_seconds
+        missed_edges = table.shard_miss_fraction * graph.num_edges
+        random_seconds = missed_edges * table.random_access_penalty_seconds
         # Streaming traffic floor.
-        stream_seconds = 4.0 * workload.dram_bytes / self.dram_bandwidth
+        stream_seconds = BYTES_PER_VALUE * workload.dram_bytes / table.dram_bandwidth
         return stage_seconds + random_seconds + stream_seconds

@@ -1,24 +1,42 @@
-"""Common result type and base class for baseline platform cost models.
+"""Common result type, base class and table helpers for the baseline cost models.
 
 Every platform model is also a plan *executor*
 (:class:`~repro.plan.executor.Executor`): :meth:`PlatformModel.execute`
 prices the same :class:`~repro.plan.ir.InferencePlan` the GNNIE simulator
 runs, via the shared :func:`~repro.baselines.workload.workload_from_plan`
 derivation, and applies the platform's roofline-style cost model to it.
+
+Each platform module holds one frozen table with every number its cost
+model reads.  Each entry records its source in its field metadata: either a
+published architecture parameter of a platform named in PAPERS.md, or
+:data:`FIT`, a value chosen so the model lands near measured behaviour.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any
 
 from repro.baselines.workload import WorkloadEstimate, workload_from_plan
-from repro.check.verifier import verify_plan
 from repro.graph.graph import Graph
 from repro.obs.tracer import NULL_TRACER
 from repro.plan.ir import InferencePlan
 
-__all__ = ["PlatformResult", "PlatformModel"]
+__all__ = ["BYTES_PER_VALUE", "FIT", "FLOPS_PER_MAC", "PlatformModel", "PlatformResult", "entry"]
+
+#: Bytes per value: every baseline moves its tensors as fp32.
+BYTES_PER_VALUE = 4.0
+#: FLOPs per multiply-accumulate.
+FLOPS_PER_MAC = 2.0
+#: The source of a table entry fitted to measured behaviour rather than
+#: taken from a published architecture parameter.
+FIT = "fit"
+
+
+def entry(value: float, source: str) -> Any:
+    """A table field holding ``value``, with ``source`` in its metadata."""
+    return field(default=value, metadata={"source": source})
 
 
 @dataclass(frozen=True)
@@ -46,6 +64,9 @@ class PlatformModel(ABC):
     #: GNN families the platform supports (HyGCN cannot run GATs; AWB-GCN
     #: runs GCN only).
     supported_families: tuple[str, ...] = ("gcn", "gat", "graphsage", "ginconv", "diffpool")
+    #: The platform module's frozen table.  Its ``average_power_watts``
+    #: entry prices energy.
+    table: Any
     #: Span tracer (``repro.obs``); the shared no-op by default, overridden
     #: per instance when a profiling/fleet run wants platform spans.
     tracer = NULL_TRACER
@@ -57,10 +78,6 @@ class PlatformModel(ABC):
     def latency_seconds(self, graph: Graph, workload: WorkloadEstimate) -> float:
         """Inference latency of the workload on this platform."""
 
-    @abstractmethod
-    def power_watts(self) -> float:
-        """Average power draw during inference."""
-
     def evaluate(self, graph: Graph, workload: WorkloadEstimate) -> PlatformResult:
         """Latency + energy for one workload."""
         if not self.supports(workload.family):
@@ -71,7 +88,7 @@ class PlatformModel(ABC):
             dataset=workload.dataset,
             model=workload.family.upper(),
             latency_seconds=latency,
-            energy_joules=latency * self.power_watts(),
+            energy_joules=latency * self.table.average_power_watts,
         )
 
     def execute(
@@ -82,10 +99,9 @@ class PlatformModel(ABC):
         ``config`` is accepted for protocol compatibility and ignored — the
         baseline platforms model fixed published hardware.  The workload
         comes from :func:`~repro.baselines.workload.workload_from_plan`,
-        which the graph's pricing context memoizes per plan, so every
-        config of a sweep group shares one derivation.
+        which verifies the plan and memoizes the derivation on the graph's
+        pricing context, so every config of a sweep group shares one.
         """
-        verify_plan(plan)
         del config
         with self.tracer.span(
             f"platform:{self.name}",

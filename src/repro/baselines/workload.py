@@ -4,10 +4,9 @@ The cross-platform comparisons (Figs. 12, 13, 15) need the *amount of work*
 each GNN performs on each dataset — dense and sparse-aware MAC counts for
 Weighting, scalar operation counts for Aggregation and attention, and the
 minimum DRAM traffic — without paying for a full functional forward pass on
-the larger graphs.  Historically this module re-derived those counts from
-the family name in parallel with the simulation engine; it now *consumes*
-the same :class:`~repro.plan.ir.InferencePlan` the GNNIE executor runs, so
-every platform prices exactly one shared description of the workload.
+the larger graphs.  It consumes the same :class:`~repro.plan.ir.InferencePlan`
+the GNNIE executor runs, so every platform prices exactly one shared
+description of the workload.
 
 Both operation orders are accounted:
 
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.check.verifier import verify_plan
 from repro.graph.graph import Graph
 from repro.plan.ir import (
     AdjacencyRef,
@@ -104,12 +104,16 @@ def workload_from_plan(plan: InferencePlan, graph: Graph) -> WorkloadEstimate:
 
     This is the single workload derivation shared by all baseline platform
     executors: every op contributes its analytic operation counts, resolved
-    against the graph's vertex/edge statistics.  The frozen result is
-    memoized on the graph's pricing context under the plan, which hashes by
-    content, so each (graph, plan) pair is derived once.
+    against the graph's vertex/edge statistics.  The plan is verified first,
+    so a plan the verifier rejects raises
+    :class:`~repro.check.verifier.PlanVerificationError` instead of being
+    priced.  The frozen result is memoized on the graph's pricing context
+    under the plan, which hashes by content, so each (graph, plan) pair is
+    derived once.
     """
     from repro.sim.batch import pricing_context
 
+    verify_plan(plan)
     context = pricing_context(graph)
     cached = context.workloads.get(plan)
     if cached is not None:
@@ -122,9 +126,7 @@ def workload_from_plan(plan: InferencePlan, graph: Graph) -> WorkloadEstimate:
     def resolve_edges(ref: AdjacencyRef) -> int:
         if ref not in edge_counts:
             if ref.kind == "sampled":
-                edge_counts[ref] = int(
-                    np.minimum(graph.degrees(), ref.sample_size or 25).sum()
-                )
+                edge_counts[ref] = int(np.minimum(graph.degrees(), ref.sample_size).sum())
             else:
                 edge_counts[ref] = num_edges
         return edge_counts[ref]

@@ -162,10 +162,6 @@ class AcceleratorConfig:
             raise ValueError("stream buffer count and depth must be positive")
 
     @property
-    def num_groups(self) -> int:
-        return len(self.macs_per_group)
-
-    @property
     def macs_per_row(self) -> tuple[int, ...]:
         """MACs per CPE for each of the ``num_rows`` rows, top to bottom."""
         per_row: list[int] = []
@@ -181,18 +177,6 @@ class AcceleratorConfig:
     @property
     def num_cpes(self) -> int:
         return self.num_rows * self.num_cols
-
-    @property
-    def row_group_of(self) -> tuple[int, ...]:
-        """Group index of every CPE row."""
-        groups: list[int] = []
-        for group_index, rows in enumerate(self.rows_per_group):
-            groups.extend([group_index] * rows)
-        return tuple(groups)
-
-    @property
-    def cycle_time_s(self) -> float:
-        return 1.0 / self.frequency_hz
 
     @property
     def dram_bytes_per_cycle(self) -> float:

@@ -189,8 +189,8 @@ def flexible_mac_assignment(
     """Bin blocks by nonzero count and assign bins to MAC-ordered row groups.
 
     Blocks are sorted by nonzero count (a linear-time counting sort in
-    hardware) and split into ``num_groups`` bins whose total work is
-    proportional to each row group's share of the array's MAC capacity: the
+    hardware) and split into one bin per row group, each bin's total work
+    proportional to its group's share of the array's MAC capacity: the
     lightest bin goes to the group with the fewest MACs per CPE, the
     heaviest to the group with the most, and blocks are dealt round-robin to
     the rows of their group.  Any residual per-row skew left by the binning

@@ -51,8 +51,6 @@ class WeightingSchedule:
         num_blocks: Number of k-blocks per feature vector (≤ num_rows).
         num_passes: ceil(F_out / num_cols) weight-column passes.
         assignment: Per-row workload under the *active* policy.
-        baseline: Per-row workload under the position-based mapping (kept for
-            the Fig. 16 comparison even when FM is enabled).
         load_redistribution: LR outcome when enabled, else None.
         row_cycles_per_pass: Final per-row cycles of one pass after all
             enabled balancing steps.
@@ -65,7 +63,6 @@ class WeightingSchedule:
     num_blocks: int
     num_passes: int
     assignment: BlockAssignment
-    baseline: BlockAssignment
     load_redistribution: LoadRedistributionResult | None
     row_cycles_per_pass: np.ndarray
     total_nonzero_macs: int
@@ -139,7 +136,6 @@ def schedule_weighting(
             )
     num_passes = -(-out_features // config.num_cols)
 
-    baseline = baseline_assignment(profile, config)
     priced = profile
     if not config.enable_zero_skipping:
         # A non-skipping engine pays for every element of every block.
@@ -161,7 +157,6 @@ def schedule_weighting(
         num_blocks=profile.num_blocks,
         num_passes=int(num_passes),
         assignment=assignment,
-        baseline=baseline,
         load_redistribution=load_redistribution,
         row_cycles_per_pass=np.asarray(row_cycles, dtype=np.int64),
         total_nonzero_macs=profile.total_nonzeros * out_features,

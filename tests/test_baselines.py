@@ -3,21 +3,29 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
 from repro.baselines import (
     AWBGCNModel,
+    EnGNModel,
     HyGCNModel,
     PyGCPUModel,
     PyGGPUModel,
     workload_from_plan,
 )
+from repro.baselines.platform import FIT
+from repro.check import PlanVerificationError
 from repro.models import MODEL_FAMILIES, ModelConfig
 from repro.plan import lower, lower_model
+from repro.plan.ir import AdjacencyRef, AggregationOp
 from repro.sim import GNNIEExecutor
 from repro.sim.batch import pricing_context
+
+PAPERS = (pathlib.Path(__file__).resolve().parents[1] / "PAPERS.md").read_text()
 
 
 def _order_ops(layer):
@@ -173,6 +181,51 @@ class TestWorkloadEstimator:
         assert pricing_context(clone).workloads == {}
         cold = workload_from_plan(lower("gcn", clone), clone)
         assert cold is not first and cold == first
+
+    def test_refuses_a_plan_the_verifier_rejects(self, tiny_graph):
+        """A sampled adjacency without a sample size violates P004, so the
+        derivation raises instead of pricing it as some default fan-out."""
+        plan = lower("graphsage", tiny_graph)
+        unsized = dataclasses.replace(
+            plan,
+            layers=tuple(
+                dataclasses.replace(
+                    layer,
+                    ops=tuple(
+                        dataclasses.replace(op, adjacency=AdjacencyRef("sampled", None))
+                        if isinstance(op, AggregationOp)
+                        else op
+                        for op in layer.ops
+                    ),
+                )
+                for layer in plan.layers
+            ),
+        )
+        with pytest.raises(PlanVerificationError) as excinfo:
+            workload_from_plan(unsized, tiny_graph)
+        assert excinfo.value.rule == "P004"
+        assert unsized not in pricing_context(tiny_graph).workloads
+
+
+class TestPlatformTables:
+    """Each platform reads one frozen table, and each entry names its source."""
+
+    @pytest.mark.parametrize(
+        "model", [PyGCPUModel, PyGGPUModel, HyGCNModel, AWBGCNModel, EnGNModel]
+    )
+    def test_every_entry_is_cited_or_fit(self, model):
+        entries = dataclasses.fields(model.table)
+        assert "average_power_watts" in {entry.name for entry in entries}
+        for entry in entries:
+            source = entry.metadata["source"]
+            if source != FIT:
+                # "<platform named in PAPERS.md>: <the published parameter>"
+                platform, _, parameter = source.partition(": ")
+                assert parameter and platform in PAPERS, f"{entry.name}: {source!r}"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.table.average_power_watts = 0.0
+        with pytest.raises(TypeError):
+            model(**{entries[0].name: 1.0})
 
 
 class TestDataflowOrders:

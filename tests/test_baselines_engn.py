@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import EnGNModel, HyGCNModel, PyGCPUModel, workload_from_plan
+from repro.baselines.engn import ENGN_TABLE
 from repro.plan import lower
 from repro.sim import GNNIEExecutor
+
+
+def _engn(**entries) -> EnGNModel:
+    """EnGN priced from its table with ``entries`` replaced."""
+    model = EnGNModel()
+    model.table = replace(ENGN_TABLE, **entries)
+    return model
 
 
 class TestEnGNModel:
@@ -37,8 +47,8 @@ class TestEnGNModel:
 
     def test_ring_overhead_costs_cycles(self, small_cora):
         workload = workload_from_plan(lower("gcn", small_cora), small_cora)
-        with_ring = EnGNModel(ring_overhead_factor=0.5)
-        without_ring = EnGNModel(ring_overhead_factor=0.0, reorder_seconds_per_edge=0.0)
+        with_ring = _engn(ring_overhead_factor=0.5)
+        without_ring = _engn(ring_overhead_factor=0.0, reorder_seconds_per_edge=0.0)
         assert (
             with_ring.latency_seconds(small_cora, workload)
             > without_ring.latency_seconds(small_cora, workload)
@@ -46,8 +56,8 @@ class TestEnGNModel:
 
     def test_reordering_preprocessing_charged(self, small_cora):
         workload = workload_from_plan(lower("gcn", small_cora), small_cora)
-        cheap = EnGNModel(reorder_seconds_per_edge=0.0)
-        expensive = EnGNModel(reorder_seconds_per_edge=1e-7)
+        cheap = _engn(reorder_seconds_per_edge=0.0)
+        expensive = _engn(reorder_seconds_per_edge=1e-7)
         assert expensive.latency_seconds(small_cora, workload) > cheap.latency_seconds(
             small_cora, workload
         )

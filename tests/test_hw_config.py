@@ -21,11 +21,6 @@ class TestAcceleratorConfig:
         peak_tops = config.peak_ops_per_second / 1e12
         assert peak_tops == pytest.approx(3.16, abs=0.05)
 
-    def test_row_group_of(self):
-        config = AcceleratorConfig()
-        groups = config.row_group_of
-        assert groups[0] == 0 and groups[8] == 1 and groups[15] == 2
-
     def test_num_cpes(self):
         assert AcceleratorConfig().num_cpes == 256
 

@@ -11,7 +11,10 @@ first, at the input width, and now sizes its own simulation instead of
 reusing the one an earlier family primed.  ``baseline_platforms.json`` snapshots the shared
 workload derivation and the five platform cost models for every pair.
 Simulated results must match exactly (integers) or to 1e-9 relative
-tolerance (energy/latency floats).
+tolerance (energy/latency floats).  Baseline latencies and energies must
+equal the snapshot exactly: they are pure-Python float arithmetic over
+integer operation counts, and JSON round-trips a double exactly, so any
+change to a table entry or a cost formula shows here.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import pathlib
+from dataclasses import fields, replace
 
 import pytest
 
@@ -53,6 +57,16 @@ _WORKLOAD_TOTALS = (
     "sampling_ops",
     "dram_bytes",
 )
+#: Table entries that move no golden pair at ±10%.  Compute time exceeds
+#: the memory floor by at least 57x on the CPU and 12x on the GPU, on every
+#: family and Table II dataset at scale 1.0 (Reddit at 0.05), so no PyG
+#: latency reads its memory bandwidth.  The GPU's bandwidth is the product
+#: of two entries.
+INERT_TABLE_ENTRIES = {
+    ("PyG-CPU", "memory_bandwidth"),
+    ("PyG-GPU", "hbm2_bandwidth"),
+    ("PyG-GPU", "memory_utilization"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +94,11 @@ def _assert_close(got, want, path=""):
         )
     else:
         assert got == want, f"{path}: {got!r} != {want!r}"
+
+
+def _priced(platform, graph, workload):
+    result = platform.evaluate(graph, workload)
+    return result.latency_seconds, result.energy_joules
 
 
 class TestGNNIEGoldenEquivalence:
@@ -119,9 +138,33 @@ class TestBaselineGoldenEquivalence:
                 continue
             result = platform.execute(plan, graph)
             want = entry["platforms"][platform.name]
-            assert math.isclose(
-                result.latency_seconds, want["latency_seconds"], rel_tol=1e-9
-            )
-            assert math.isclose(
-                result.energy_joules, want["energy_joules"], rel_tol=1e-9
-            )
+            assert result.latency_seconds == want["latency_seconds"], platform.name
+            assert result.energy_joules == want["energy_joules"], platform.name
+
+    def test_every_table_entry_moves_a_golden_pair(self, golden_graphs, platforms):
+        """Each entry of each platform table, scaled by 0.9 or 1.1, moves the
+        platform's latency or energy on at least one golden pair, except the
+        entries named in ``INERT_TABLE_ENTRIES``, which must move none."""
+        workloads = [
+            (graph, workload_from_plan(lower(family, graph), graph))
+            for graph in golden_graphs.values()
+            for family in MODEL_FAMILIES
+        ]
+        for platform in platforms:
+            pairs = [pair for pair in workloads if platform.supports(pair[1].family)]
+            priced = [_priced(platform, graph, workload) for graph, workload in pairs]
+            for entry in fields(platform.table):
+                moved = 0
+                for factor in (0.9, 1.1):
+                    variant = type(platform)()
+                    value = getattr(platform.table, entry.name) * factor
+                    variant.table = replace(platform.table, **{entry.name: value})
+                    moved += sum(
+                        _priced(variant, graph, workload) != before
+                        for (graph, workload), before in zip(pairs, priced)
+                    )
+                label = (platform.name, entry.name)
+                if label in INERT_TABLE_ENTRIES:
+                    assert moved == 0, f"{label} moves {moved} pricings; it is not inert"
+                else:
+                    assert moved > 0, f"{label} moves no golden pair"

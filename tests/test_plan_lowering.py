@@ -80,14 +80,19 @@ class TestLoweringTable:
             out_features=2,
             layers=(PlanLayer(0, 8, 2, (MysteryOp(),)),),
         )
-        with pytest.raises(TypeError):
-            workload_from_plan(plan, tiny_graph)
-        # The executor path is now gated by the plan verifier, which rejects
-        # the unknown op (rule P001) before per-op dispatch would TypeError.
+        # The plan verifier gates the workload derivation and every executor,
+        # and rejects the unknown op (rule P001) before per-op dispatch.
         from repro.check import PlanVerificationError
+        from repro.scaleout.engine import _chip_plan
 
         with pytest.raises(PlanVerificationError, match="P001"):
+            workload_from_plan(plan, tiny_graph)
+        with pytest.raises(PlanVerificationError, match="P001"):
             GNNIEExecutor().execute(plan, tiny_graph)
+        # A verified op the derivation has no count for raises TypeError.
+        chip_plan = _chip_plan(lower("gcn", tiny_graph), halo_vertices=4, chips=2)
+        with pytest.raises(TypeError, match="HaloExchangeOp"):
+            workload_from_plan(chip_plan, tiny_graph)
 
 
 class TestPlanStructure:
