@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hw.config import AcceleratorConfig
+from repro.hw.dram import HBMModel
 from repro.sim.results import InferenceResult, PhaseResult
 
 __all__ = ["PhaseRoofline", "RooflineSummary", "roofline_analysis"]
@@ -77,7 +78,7 @@ def roofline_analysis(
     """Classify every phase of a simulated inference."""
     cfg = config or AcceleratorConfig()
     # Machine balance: MACs the array can retire per byte of DRAM bandwidth.
-    machine_balance = cfg.total_macs / cfg.dram_bytes_per_cycle
+    machine_balance = cfg.total_macs / HBMModel().bytes_per_cycle
     phases: list[PhaseRoofline] = []
     for layer in result.layers:
         for phase in layer.phases():

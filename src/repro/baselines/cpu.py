@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.platform import BYTES_PER_VALUE, FIT, FLOPS_PER_MAC, PlatformModel, entry
+from repro.baselines.platform import BYTES_PER_VALUE, FLOPS_PER_MAC, PlatformModel
 from repro.baselines.workload import WorkloadEstimate
 from repro.graph.graph import Graph
+from repro.hw.config import FIT, entry
 
 __all__ = ["PYG_CPU_TABLE", "PyGCPUModel", "PyGCPUTable"]
 

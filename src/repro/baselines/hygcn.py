@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.platform import BYTES_PER_VALUE, FIT, PlatformModel, entry
+from repro.baselines.platform import BYTES_PER_VALUE, PlatformModel
 from repro.baselines.workload import WorkloadEstimate
 from repro.graph.graph import Graph
+from repro.hw.config import FIT, entry
 
 __all__ = ["HYGCN_TABLE", "HyGCNModel", "HyGCNTable"]
 

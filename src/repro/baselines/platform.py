@@ -7,15 +7,16 @@ runs, via the shared :func:`~repro.baselines.workload.workload_from_plan`
 derivation, and applies the platform's roofline-style cost model to it.
 
 Each platform module holds one frozen table with every number its cost
-model reads.  Each entry records its source in its field metadata: either a
-published architecture parameter of a platform named in PAPERS.md, or
-:data:`FIT`, a value chosen so the model lands near measured behaviour.
+model reads, built with :func:`repro.hw.config.entry`.  Each entry records
+its source in its field metadata: either a published architecture parameter
+of a platform named in PAPERS.md, or :data:`~repro.hw.config.FIT`, a value
+chosen so the model lands near measured behaviour.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.baselines.workload import WorkloadEstimate, workload_from_plan
@@ -23,20 +24,12 @@ from repro.graph.graph import Graph
 from repro.obs.tracer import NULL_TRACER
 from repro.plan.ir import InferencePlan
 
-__all__ = ["BYTES_PER_VALUE", "FIT", "FLOPS_PER_MAC", "PlatformModel", "PlatformResult", "entry"]
+__all__ = ["BYTES_PER_VALUE", "FLOPS_PER_MAC", "PlatformModel", "PlatformResult"]
 
 #: Bytes per value: every baseline moves its tensors as fp32.
 BYTES_PER_VALUE = 4.0
 #: FLOPs per multiply-accumulate.
 FLOPS_PER_MAC = 2.0
-#: The source of a table entry fitted to measured behaviour rather than
-#: taken from a published architecture parameter.
-FIT = "fit"
-
-
-def entry(value: float, source: str) -> Any:
-    """A table field holding ``value``, with ``source`` in its metadata."""
-    return field(default=value, metadata={"source": source})
 
 
 @dataclass(frozen=True)

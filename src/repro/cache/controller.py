@@ -27,9 +27,9 @@ import numpy as np
 from repro.cache.policy import CacheSimulationResult
 from repro.cache.trace import TraceRecorder
 from repro.graph.csr import CSRGraph
+from repro.hw.config import GNNIE_TABLE
 
 __all__ = [
-    "INDEX_BYTES",
     "MAX_ITERATIONS",
     "degree_aware_walk",
     "stream_order",
@@ -39,13 +39,8 @@ __all__ = [
 #: Safety bound on the cached-subgraph iterations one run simulates.
 MAX_ITERATIONS = 2_000_000
 
-#: Bytes of one index word: a CSR neighbor index, an α counter or a CSR offset.
-INDEX_BYTES = 4
 
-
-def vertex_record_bytes(
-    feature_length: int, average_degree: float, *, bytes_per_value: int = 1
-) -> int:
+def vertex_record_bytes(feature_length: int, average_degree: float) -> int:
     """Bytes of one vertex's record in the input buffer.
 
     A resident vertex carries its weighted feature vector ηw (``feature_length``
@@ -54,8 +49,11 @@ def vertex_record_bytes(
     """
     if feature_length <= 0:
         raise ValueError("feature_length must be positive")
+    index_bytes = GNNIE_TABLE.index_bytes
     return int(
-        feature_length * bytes_per_value + round(average_degree) * INDEX_BYTES + 2 * INDEX_BYTES
+        feature_length * GNNIE_TABLE.bytes_per_value
+        + round(average_degree) * index_bytes
+        + 2 * index_bytes
     )
 
 
@@ -190,7 +188,7 @@ def degree_aware_walk(
             if recorder is not None:
                 recorder.evict_many(evict_ids)
             unfinished_evicted = int(np.count_nonzero(resident_alpha[evict_at]))
-            result.alpha_writeback_bytes += unfinished_evicted * INDEX_BYTES
+            result.alpha_writeback_bytes += unfinished_evicted * GNNIE_TABLE.index_bytes
             # Each eviction frees a slot and the queue ahead is unfinished, so
             # the cursor advances every iteration and the Round ends.
             lo, cursor = cursor, min(cursor + evict_at.size, queue.size)
@@ -203,7 +201,7 @@ def degree_aware_walk(
         # the α distribution (Fig. 10).
         result.vertex_fetches += cursor
         unfinished_resident = int(np.count_nonzero(alpha[residents] > 0))
-        result.alpha_writeback_bytes += unfinished_resident * INDEX_BYTES
+        result.alpha_writeback_bytes += unfinished_resident * GNNIE_TABLE.index_bytes
         resident[residents] = False
         result.alpha_round_snapshots.append(alpha[alpha > 0])
         later, earlier = later[~done], earlier[~done]

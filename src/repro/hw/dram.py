@@ -7,8 +7,8 @@ around:
 
 * **sequential (streaming) transfers** — the only kind GNNIE issues, charged
   at the full burst bandwidth, and
-* **random accesses** — charged a per-access row-activation penalty, used by
-  the baseline models (and by GNNIE with degree-aware caching disabled) to
+* **random accesses** — charged a per-access row-activation penalty, paid
+  by GNNIE with degree-aware caching disabled (the id-order ablation) to
   quantify the cost the policy avoids.
 
 DRAM energy (the paper's 3.97 pJ/bit for HBM 2.0) is priced by
@@ -17,42 +17,24 @@ DRAM energy (the paper's 3.97 pJ/bit for HBM 2.0) is priced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from repro.hw.config import GNNIE_TABLE
 
 __all__ = ["HBMModel"]
 
 
-@dataclass
 class HBMModel:
     """Bandwidth/latency model of the HBM 2.0 interface.
 
-    Attributes:
-        bandwidth_bytes_per_s: Peak sustained bandwidth (256 GB/s).
-        frequency_hz: Accelerator clock used to convert time to cycles.
-        random_access_penalty_cycles: Extra cycles charged per random access
-            (row activation + column access at the accelerator clock).
-        random_access_granularity_bytes: Minimum burst transferred per random
-            access (a 32-byte HBM access granule).
-        random_access_parallelism: Outstanding random requests the HBM
-            channels/banks service concurrently (memory-level parallelism);
-            the per-access penalty is amortized over this factor.
+    It reads the bandwidth, the clock and the random-access timing
+    (activation penalty, access granule, memory-level parallelism) from
+    :data:`~repro.hw.config.GNNIE_TABLE`.
     """
-
-    bandwidth_bytes_per_s: float = 256e9
-    frequency_hz: float = 1.3e9
-    random_access_penalty_cycles: int = 40
-    random_access_granularity_bytes: int = 32
-    random_access_parallelism: int = 8
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_s <= 0 or self.frequency_hz <= 0:
-            raise ValueError("bandwidth and frequency must be positive")
 
     @property
     def bytes_per_cycle(self) -> float:
-        return self.bandwidth_bytes_per_s / self.frequency_hz
+        return GNNIE_TABLE.dram_bandwidth_bytes_per_s / GNNIE_TABLE.frequency_hz
 
     def sequential_transfer_cycles(self, num_bytes: int) -> int:
         """Cycles to stream ``num_bytes`` sequentially at peak bandwidth."""
@@ -69,14 +51,15 @@ class HBMModel:
         """
         if num_accesses < 0:
             raise ValueError("num_accesses must be non-negative")
-        granule = bytes_per_access or self.random_access_granularity_bytes
-        transfer_bytes = num_accesses * max(granule, self.random_access_granularity_bytes)
+        granularity = GNNIE_TABLE.random_access_granularity_bytes
+        granule = bytes_per_access or granularity
+        transfer_bytes = num_accesses * max(granule, granularity)
         stream_cycles = int(-(-transfer_bytes // self.bytes_per_cycle)) if transfer_bytes else 0
         penalty_cycles = int(
             np.ceil(
                 num_accesses
-                * self.random_access_penalty_cycles
-                / max(1, self.random_access_parallelism)
+                * GNNIE_TABLE.random_access_penalty_cycles
+                / GNNIE_TABLE.random_access_parallelism
             )
         )
         return penalty_cycles + stream_cycles

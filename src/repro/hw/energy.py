@@ -9,18 +9,22 @@ at 32 nm and CACTI 6.5 for the on-chip buffers, and reports:
   buffer (partial-sum spills), and
 * energy efficiency between 7.4×10³ and 6.7×10⁶ inferences/kJ (Fig. 15).
 
-We encode per-operation and per-byte energy constants representative of a
-32 nm node (MAC ≈ 1 pJ, SRAM access a few pJ/byte scaled by capacity —
-CACTI-like square-root scaling) and calibrate the aggregate so the chip-level
-numbers above are reproduced.  The *breakdown shape* is what the benchmarks
-check; the constants are documented here so a user can re-derive them.
+The per-event energies and component areas in
+:data:`~repro.hw.config.GNNIE_TABLE` are representative of a 32 nm node
+(MAC ≈ 1 pJ, SRAM access below 1.5 pJ/byte, larger buffers costing more per
+access).  Only the area is calibrated to the paper: the default
+configuration's chip reads 15.6023 mm².  Power is not: the five families
+on Cora, Citeseer and Pubmed at full scale (seed 0, default configuration)
+average 5.12–10.28 W including DRAM energy and 1.01–2.66 W without it,
+against the paper's 3.9 W.  The *breakdown shape* is what the benchmarks
+check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.config import SFU_COLUMNS, AcceleratorConfig
+from repro.hw.config import GNNIE_TABLE, AcceleratorConfig
 
 __all__ = ["EnergyModel", "EnergyBreakdown", "AreaModel"]
 
@@ -89,70 +93,54 @@ class EnergyBreakdown:
         )
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    """Per-operation / per-byte energy constants (32 nm class)."""
+#: SRAM access energy per byte of each on-chip buffer.
+_BUFFER_PJ_PER_BYTE = {
+    "input": GNNIE_TABLE.input_buffer_pj_per_byte,
+    "output": GNNIE_TABLE.output_buffer_pj_per_byte,
+    "weight": GNNIE_TABLE.weight_buffer_pj_per_byte,
+}
 
-    mac_energy_pj: float = 1.0
-    sfu_op_energy_pj: float = 2.5
-    #: SRAM access energies per byte, CACTI-6.5-like values for the paper's
-    #: buffer capacities (larger arrays cost more per access).
-    input_buffer_pj_per_byte: float = 0.8
-    output_buffer_pj_per_byte: float = 1.2
-    weight_buffer_pj_per_byte: float = 0.6
-    dram_pj_per_bit: float = 3.97
-    #: Static (leakage + clock) power of the 15.6 mm² chip at 32 nm.
-    static_power_watts: float = 0.9
+
+class EnergyModel:
+    """Per-operation and per-byte energies, read from
+    :data:`~repro.hw.config.GNNIE_TABLE`; all results are in picojoules."""
 
     def mac_energy(self, num_macs: int) -> float:
-        return self.mac_energy_pj * num_macs
+        return GNNIE_TABLE.mac_energy_pj * num_macs
 
     def sfu_energy(self, num_ops: int) -> float:
-        return self.sfu_op_energy_pj * num_ops
+        return GNNIE_TABLE.sfu_op_energy_pj * num_ops
 
     def buffer_energy(self, buffer_name: str, num_bytes: int) -> float:
-        per_byte = {
-            "input": self.input_buffer_pj_per_byte,
-            "output": self.output_buffer_pj_per_byte,
-            "weight": self.weight_buffer_pj_per_byte,
-        }.get(buffer_name)
+        per_byte = _BUFFER_PJ_PER_BYTE.get(buffer_name)
         if per_byte is None:
             raise ValueError(f"unknown buffer {buffer_name!r}")
         return per_byte * num_bytes
 
     def dram_energy(self, num_bytes: int) -> float:
-        return self.dram_pj_per_bit * 8.0 * num_bytes
+        return GNNIE_TABLE.dram_pj_per_bit * 8.0 * num_bytes
 
-    def static_energy(self, cycles: int, frequency_hz: float) -> float:
-        """Leakage/clock energy over ``cycles`` at the given frequency, in pJ."""
-        seconds = cycles / frequency_hz
-        return self.static_power_watts * seconds * 1e12
+    def static_energy(self, cycles: int) -> float:
+        """Leakage and clock energy over ``cycles`` at GNNIE's clock."""
+        seconds = cycles / GNNIE_TABLE.frequency_hz
+        return GNNIE_TABLE.static_power_watts * seconds * 1e12
 
 
-@dataclass(frozen=True)
 class AreaModel:
-    """Area model reproducing the paper's 15.6 mm² at 32 nm.
-
-    Component densities are representative 32 nm figures: a fixed-point MAC
-    plus its registers ≈ 2600 µm², SRAM ≈ 4.5 mm² per MB including periphery,
-    plus a fixed overhead for the controller, scheduler, RLC decoder,
-    activation unit and the HBM PHY.
-    """
-
-    mac_area_mm2: float = 0.0028
-    sram_area_mm2_per_mb: float = 5.5
-    sfu_area_mm2: float = 0.015
-    fixed_overhead_mm2: float = 2.3
+    """Chip area at 32 nm from :data:`~repro.hw.config.GNNIE_TABLE`: MACs,
+    SRAM, SFU lanes and a fixed overhead (calibrated to the paper's
+    15.6 mm²)."""
 
     def chip_area_mm2(self, config: AcceleratorConfig) -> float:
+        table = GNNIE_TABLE
         buffer_mb = (
             config.input_buffer_bytes_or_default
             + config.output_buffer_bytes
-            + config.weight_buffer_bytes
+            + table.weight_buffer_bytes
         ) / (1024 * 1024)
         return (
-            self.mac_area_mm2 * config.total_macs
-            + self.sram_area_mm2_per_mb * buffer_mb
-            + self.sfu_area_mm2 * SFU_COLUMNS * config.num_rows
-            + self.fixed_overhead_mm2
+            table.mac_area_mm2 * config.total_macs
+            + table.sram_area_mm2_per_mb * buffer_mb
+            + table.sfu_area_mm2 * table.sfu_columns * config.num_rows
+            + table.fixed_overhead_mm2
         )

@@ -27,15 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.config import SFU_COLUMNS, AcceleratorConfig, AggregationKnobs
+from repro.hw.config import GNNIE_TABLE, AcceleratorConfig, AggregationKnobs
 
 __all__ = ["IterationCost", "AggregationCycleModel"]
-
-#: Latencies, in cycles, of the interleaved SFU columns (Section III): the
-#: lookup-table exponential, LeakyReLU and the softmax division.
-EXP_LATENCY_CYCLES = 2
-LEAKY_RELU_LATENCY_CYCLES = 1
-DIVIDE_LATENCY_CYCLES = 4
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,7 @@ class AggregationCycleModel:
         self._average_macs_per_cpe = float(config.total_macs) / float(config.num_cpes)
         #: SFU scalar throughput per cycle: one op per SFU lane, with one
         #: lane per CPE row in each interleaved SFU column.
-        self._sfu_lanes = float(SFU_COLUMNS * config.num_rows)
+        self._sfu_lanes = float(GNNIE_TABLE.sfu_columns * config.num_rows)
 
     def iteration_totals(
         self,
@@ -132,7 +126,9 @@ class AggregationCycleModel:
                 mac_ops > 0, np.ceil(bottleneck / self._average_macs_per_cpe), 0.0
             ).astype(np.int64)
 
-        per_op_latency = max(EXP_LATENCY_CYCLES, LEAKY_RELU_LATENCY_CYCLES)
+        per_op_latency = max(
+            GNNIE_TABLE.exp_latency_cycles, GNNIE_TABLE.leaky_relu_latency_cycles
+        )
         sfu_cycles = np.where(
             sfu_ops > 0, np.ceil(sfu_ops * per_op_latency / self._sfu_lanes), 0.0
         ).astype(np.int64)
@@ -159,7 +155,9 @@ class AggregationCycleModel:
         if not self.is_gat:
             return IterationCost(0, 0, 0, 0, 0, 0)
         divide_ops = num_vertices * self.feature_length
-        sfu_cycles = int(np.ceil(divide_ops * DIVIDE_LATENCY_CYCLES / self._sfu_lanes))
+        sfu_cycles = int(
+            np.ceil(divide_ops * GNNIE_TABLE.divide_latency_cycles / self._sfu_lanes)
+        )
         return IterationCost(
             edges_processed=0,
             compute_cycles=0,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import GNNIE_TABLE, AcceleratorConfig
 
 __all__ = ["AttentionSchedule", "schedule_attention", "attention_terms_functional", "naive_attention_operations"]
 
@@ -51,19 +51,16 @@ class AttentionSchedule:
 
 
 def schedule_attention(
-    num_vertices: int,
-    feature_length: int,
-    config: AcceleratorConfig,
-    *,
-    bytes_per_value: int | None = None,
+    num_vertices: int, feature_length: int, config: AcceleratorConfig
 ) -> AttentionSchedule:
     """Build the cycle model of the e_{i,1}/e_{i,2} computation phase."""
     if num_vertices < 0 or feature_length <= 0:
         raise ValueError("num_vertices must be >= 0 and feature_length positive")
-    value_bytes = bytes_per_value if bytes_per_value is not None else config.bytes_per_value
-    chunk = -(-feature_length // config.num_cols)
+    num_cols = GNNIE_TABLE.num_cols
+    value_bytes = GNNIE_TABLE.bytes_per_value
+    chunk = -(-feature_length // num_cols)
     vertices_per_column = max(
-        1, config.output_buffer_bytes // max(1, config.num_cols * feature_length * value_bytes)
+        1, config.output_buffer_bytes // max(1, num_cols * feature_length * value_bytes)
     )
     total_macs = 2 * num_vertices * feature_length
     # Dense and perfectly balanced: the array retires total_macs at its full
@@ -87,7 +84,6 @@ def attention_terms_functional(
     weighted: np.ndarray,
     attention_left: np.ndarray,
     attention_right: np.ndarray,
-    config: AcceleratorConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Blocked computation of (e_{i,1}, e_{i,2}) mirroring the CPE mapping.
 
@@ -101,7 +97,7 @@ def attention_terms_functional(
     if weighted.shape[1] != attention_left.size or weighted.shape[1] != attention_right.size:
         raise ValueError("attention vector length must match the feature length")
     feature_length = weighted.shape[1]
-    chunk = -(-feature_length // config.num_cols)
+    chunk = -(-feature_length // GNNIE_TABLE.num_cols)
     center = np.zeros(weighted.shape[0], dtype=np.float64)
     neighbor = np.zeros(weighted.shape[0], dtype=np.float64)
     for start in range(0, feature_length, chunk):

@@ -165,13 +165,14 @@ def baseline_assignment(
     imbalance the FM architecture removes.
     """
     num_blocks = profile.num_blocks
-    if num_blocks > config.num_rows:
+    num_rows = config.num_rows
+    if num_blocks > num_rows:
         raise ValueError(
-            f"{num_blocks} blocks exceed the {config.num_rows} CPE rows; "
+            f"{num_blocks} blocks exceed the {num_rows} CPE rows; "
             "the block size k must be ceil(F / num_rows)"
         )
-    nonzeros = np.zeros(config.num_rows, dtype=np.int64)
-    counts = np.zeros(config.num_rows, dtype=np.int64)
+    nonzeros = np.zeros(num_rows, dtype=np.int64)
+    counts = np.zeros(num_rows, dtype=np.int64)
     nonzeros[:num_blocks] = profile.position_nonzeros
     counts[:num_blocks] = profile.num_vertices
     return BlockAssignment(

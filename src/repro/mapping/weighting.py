@@ -6,8 +6,9 @@ the dense weight matrix ``W^l`` under a weight-stationary dataflow:
 * the feature dimension is split into blocks of ``k = ceil(F^{l-1} / M)``
   elements, one block per CPE row,
 * ``N`` columns of ``W^l`` are resident at a time (one column per CPE
-  column); a *pass* streams every vertex's blocks against those columns,
-  and ``ceil(F^l / N)`` passes complete the layer,
+  column, ``N = GNNIE_TABLE.num_cols``); a *pass* streams every vertex's
+  blocks against those columns, and ``ceil(F^l / N)`` passes complete the
+  layer,
 * zero feature elements are skipped (zero-detection buffer), so a block's
   cost is its nonzero count,
 * the Flexible MAC binning and Load Redistribution policies of
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.config import AcceleratorConfig, WeightingKnobs
+from repro.hw.config import GNNIE_TABLE, AcceleratorConfig, WeightingKnobs
 from repro.mapping.binning import (
     BlockAssignment,
     BlockProfile,
@@ -56,7 +57,6 @@ class WeightingSchedule:
             enabled balancing steps.
         total_nonzero_macs: MAC operations after zero skipping for the whole
             layer (nonzeros × F_out).
-        total_dense_macs: MACs a dense (non-skipping) engine would need.
     """
 
     block_size: int
@@ -66,7 +66,6 @@ class WeightingSchedule:
     load_redistribution: LoadRedistributionResult | None
     row_cycles_per_pass: np.ndarray
     total_nonzero_macs: int
-    total_dense_macs: int
 
     @property
     def cycles_per_pass(self) -> int:
@@ -102,7 +101,7 @@ def schedule_weighting(
             nonzero structure matters).  May be ``None`` when a ``profile``
             (plus ``in_features``) is supplied instead.
         out_features: F_out, the number of weight-matrix columns.
-        config: Accelerator configuration (array shape, MAC allocation,
+        config: Accelerator configuration (array rows, MAC allocation,
             policy flags).
         profile: Optional :class:`~repro.mapping.binning.BlockProfile` of the
             layer's input at block size ``k = ceil(F_in / num_rows)`` (the
@@ -134,16 +133,12 @@ def schedule_weighting(
                 f"nonzeros contradicts F_in={in_features}: {num_blocks} blocks of "
                 f"at most k={block_size}"
             )
-    num_passes = -(-out_features // config.num_cols)
+    num_passes = -(-out_features // GNNIE_TABLE.num_cols)
 
-    priced = profile
-    if not config.enable_zero_skipping:
-        # A non-skipping engine pays for every element of every block.
-        priced = BlockProfile.uniform(profile.num_vertices, profile.num_blocks, block_size)
     if config.enable_flexible_mac:
-        assignment = flexible_mac_assignment(priced, config)
+        assignment = flexible_mac_assignment(profile, config)
     else:
-        assignment = baseline_assignment(priced, config)
+        assignment = baseline_assignment(profile, config)
 
     load_redistribution = None
     row_cycles = assignment.row_cycles
@@ -151,7 +146,6 @@ def schedule_weighting(
         load_redistribution = redistribute_load(row_cycles)
         row_cycles = load_redistribution.cycles_after
 
-    total_dense = profile.num_vertices * profile.num_blocks * block_size
     return WeightingSchedule(
         block_size=int(block_size),
         num_blocks=profile.num_blocks,
@@ -160,7 +154,6 @@ def schedule_weighting(
         load_redistribution=load_redistribution,
         row_cycles_per_pass=np.asarray(row_cycles, dtype=np.int64),
         total_nonzero_macs=profile.total_nonzeros * out_features,
-        total_dense_macs=total_dense * out_features,
     )
 
 
@@ -181,14 +174,16 @@ def weighting_functional(
         raise ValueError("feature and weight dimensions do not agree")
     num_vertices, in_features = features.shape
     out_features = weight.shape[1]
-    block_size = -(-in_features // config.num_rows)
-    num_passes = -(-out_features // config.num_cols)
+    num_rows = config.num_rows
+    num_cols = GNNIE_TABLE.num_cols
+    block_size = -(-in_features // num_rows)
+    num_passes = -(-out_features // num_cols)
     output = np.zeros((num_vertices, out_features), dtype=np.float64)
     for pass_index in range(num_passes):
-        col_start = pass_index * config.num_cols
-        col_end = min(col_start + config.num_cols, out_features)
+        col_start = pass_index * num_cols
+        col_end = min(col_start + num_cols, out_features)
         resident_weights = weight[:, col_start:col_end]
-        for block_index in range(config.num_rows):
+        for block_index in range(num_rows):
             row_start = block_index * block_size
             if row_start >= in_features:
                 break

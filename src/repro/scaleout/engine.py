@@ -16,7 +16,7 @@ CSR in one pass over the edges); each chip's compute graph is the subgraph
 induced by its owned vertices, and the features of its *halo* — the
 distinct remote neighbors of owned vertices — arrive over the chip-to-chip
 link as a :class:`~repro.plan.ir.HaloExchangeOp` priced by the executor
-against the link model on :class:`~repro.hw.config.AcceleratorConfig`.
+against the link model of :data:`~repro.hw.config.GNNIE_TABLE`.
 
 Modeling notes
 --------------
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from repro.check.verifier import verify_plan
 from repro.graph.graph import Graph
 from repro.graph.partition import GraphPartition, partition_graph
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import GNNIE_TABLE, AcceleratorConfig
 from repro.plan.ir import AggregationOp, HaloExchangeOp, InferencePlan, PlanLayer
 from repro.sim.batch import pricing_context
 from repro.sim.results import InferenceResult, ScaleOutResult
@@ -72,10 +72,10 @@ class PartitionedWorkload:
     def num_chips(self) -> int:
         return self.partition.num_parts
 
-    def halo_bytes(self, bytes_per_value: int = 1) -> int:
+    def halo_bytes(self) -> int:
         """Total inter-chip traffic across all chips and layers, in bytes."""
         return sum(
-            op.halo_vertices * op.features * bytes_per_value
+            op.halo_vertices * op.features * GNNIE_TABLE.bytes_per_value
             for plan in self.chip_plans
             for layer in plan.layers
             for op in layer.ops
@@ -249,14 +249,12 @@ def execute_scaleout(
         else:
             result = backend.execute(workload.chip_plans[chip], chip_graph, cfg)
         chip_results.append(result)
-    return _combine(workload, chip_results, cfg, graph, method)
+    return _combine(workload, chip_results, method)
 
 
 def _combine(
     workload: PartitionedWorkload,
     chip_results: list[InferenceResult | None],
-    cfg: AcceleratorConfig,
-    graph: Graph,
     method: str,
 ) -> ScaleOutResult:
     """Fold per-chip results into one fleet-level :class:`ScaleOutResult`.
@@ -294,7 +292,6 @@ def _combine(
         config_name=reference.config_name,
         layers=[],
         energy=energy,
-        frequency_hz=cfg.frequency_hz,
         global_preprocessing_cycles=preprocessing,
         num_chips=workload.num_chips,
         partition_method=method,
@@ -309,7 +306,7 @@ def _combine(
             for result in chip_results
         ),
         halo_vertices=workload.partition.total_halo_vertices(),
-        halo_bytes=workload.halo_bytes(cfg.bytes_per_value),
+        halo_bytes=workload.halo_bytes(),
         combined_cycles=combined_cycles,
         combined_communication_cycles=communication_cycles,
         combined_macs=sum(result.total_mac_operations for result in live),

@@ -15,7 +15,7 @@ from repro.cache.hierarchy import filter_misses
 from repro.cache.policies import simulate_policy
 from repro.cache.policy import CacheSimulationResult
 from repro.graph.csr import CSRGraph
-from repro.hw.config import AcceleratorConfig, AggregationKnobs, CacheKnobs
+from repro.hw.config import GNNIE_TABLE, AcceleratorConfig, AggregationKnobs, CacheKnobs
 from repro.hw.dram import HBMModel
 from repro.mapping.aggregation import AggregationCycleModel
 from repro.sim.results import PhaseResult
@@ -25,12 +25,6 @@ __all__ = [
     "run_cache_simulation",
     "aggregation_phase_from_cache",
 ]
-
-#: Degree-binning throughput in vertices per cycle.  Degree binning lays
-#: the vertices out in DRAM in descending-degree order, so every cache fetch
-#: is sequential.  It is a linear-time pass, not a full sort, and the paper
-#: includes its cost in the reported speedups.
-DEGREE_BINNING_OPS_PER_CYCLE = 8
 
 
 def input_buffer_capacity(
@@ -42,11 +36,7 @@ def input_buffer_capacity(
     per-vertex record size; the CLI and the benchmarks reuse it so their
     tables are computed at exactly the capacity the simulator charges.
     """
-    record_bytes = vertex_record_bytes(
-        feature_length,
-        adjacency.average_degree(),
-        bytes_per_value=config.bytes_per_value,
-    )
+    record_bytes = vertex_record_bytes(feature_length, adjacency.average_degree())
     return max(1, config.input_buffer_bytes_or_default // record_bytes), record_bytes
 
 
@@ -101,12 +91,9 @@ def aggregation_phase_from_cache(
 ) -> PhaseResult:
     """Convert a cache simulation into the Aggregation :class:`PhaseResult`."""
     model = AggregationCycleModel(config, feature_length, is_gat=is_gat)
-    dram = HBMModel(
-        bandwidth_bytes_per_s=config.dram_bandwidth_bytes_per_s,
-        frequency_hz=config.frequency_hz,
-    )
+    dram = HBMModel()
     num_vertices = adjacency.num_vertices
-    bytes_per_value = config.bytes_per_value
+    bytes_per_value = GNNIE_TABLE.bytes_per_value
 
     totals = model.iteration_totals(
         cache_result.edges_processed,
@@ -138,7 +125,7 @@ def aggregation_phase_from_cache(
         cache_result.sequential_fetch_bytes + prefetch_bytes
     )
     random_granule = max(
-        dram.random_access_granularity_bytes, feature_length * bytes_per_value
+        GNNIE_TABLE.random_access_granularity_bytes, feature_length * bytes_per_value
     )
     net_random_accesses = cache_result.net_random_accesses
     net_random_bytes = cache_result.net_random_access_bytes
@@ -188,7 +175,7 @@ def aggregation_phase_from_cache(
         cache_result.alpha_writeback_bytes + psum_spill_bytes // 2 + final_write_bytes
     )
 
-    preprocessing_cycles = int(np.ceil(num_vertices / DEGREE_BINNING_OPS_PER_CYCLE))
+    preprocessing_cycles = int(np.ceil(num_vertices / GNNIE_TABLE.degree_binning_ops_per_cycle))
     if not config.enable_degree_aware_caching:
         preprocessing_cycles = 0
 

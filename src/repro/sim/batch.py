@@ -94,14 +94,17 @@ class GraphPricingContext:
         """Materialize an adjacency handle of this graph (memoized).
 
         The neighbor sampler is deterministic (seeded by the vertex count),
-        so a sampled handle resolves to the same subgraph on every call.
+        so a sampled handle resolves to the same subgraph on every call.  A
+        sampled handle must name a positive sample size; none is assumed.
         """
         graph = self._require_graph()
         if ref.kind == "full":
             return graph.adjacency
         if ref.kind != "sampled":
             raise KeyError(f"unknown adjacency handle {ref!r}")
-        sample_size = ref.sample_size or 25
+        sample_size = ref.sample_size
+        if sample_size is None or sample_size <= 0:
+            raise KeyError(f"sampled adjacency handle {ref!r} needs a positive sample size")
         if sample_size not in self._sampled:
             sampler = NeighborSampler(seed=graph.num_vertices)
             sampled_edges = sampler.sample_edges(graph.adjacency, sample_size)

@@ -26,7 +26,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from repro.graph.graph import Graph
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import GNNIE_TABLE, AcceleratorConfig
 from repro.hw.energy import AreaModel
 
 __all__ = [
@@ -40,11 +40,7 @@ __all__ = [
 
 
 def admissible_mac_allocation(
-    allocation: Sequence[int],
-    *,
-    group_sizes: Sequence[int],
-    num_cols: int,
-    mac_budget: int,
+    allocation: Sequence[int], *, group_sizes: Sequence[int], mac_budget: int
 ) -> bool:
     """Whether a MAC-per-row-group allocation is architecturally admissible.
 
@@ -61,6 +57,7 @@ def admissible_mac_allocation(
         return False
     if list(allocation) != sorted(allocation):
         return False
+    num_cols = GNNIE_TABLE.num_cols
     total = sum(macs * rows * num_cols for macs, rows in zip(allocation, group_sizes))
     return total <= mac_budget
 
@@ -79,12 +76,8 @@ class DesignPoint:
 
     @property
     def cycle_area_product(self) -> float:
-        """Cost product ``cycles × area_mm2`` (lower is better on both axes).
-
-        Formerly misnamed ``cycles_per_mm2``, which implied a ratio; the
-        value has always been the product, the scalar the cost-to-benefit
-        exploration minimizes.
-        """
+        """Cost product ``cycles × area_mm2`` (lower is better on both axes),
+        the scalar the cost-to-benefit exploration minimizes."""
         return self.cycles * self.area_mm2
 
     def beta_versus(self, baseline: "DesignPoint") -> float:
@@ -143,7 +136,6 @@ def sweep_mac_allocations(
     mac_budget: int = 1280,
     group_sizes: tuple[int, int, int] = (8, 4, 4),
     candidate_macs: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
-    num_cols: int = 16,
     base_config: AcceleratorConfig | None = None,
 ) -> list[AcceleratorConfig]:
     """Enumerate flexible-MAC allocations within a total MAC budget.
@@ -156,7 +148,7 @@ def sweep_mac_allocations(
     configs: list[AcceleratorConfig] = []
     for allocation in product(candidate_macs, repeat=len(group_sizes)):
         if not admissible_mac_allocation(
-            allocation, group_sizes=group_sizes, num_cols=num_cols, mac_budget=mac_budget
+            allocation, group_sizes=group_sizes, mac_budget=mac_budget
         ):
             continue
         configs.append(

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.hw.config import (
-    SFU_COLUMNS,
+    GNNIE_TABLE,
     AcceleratorConfig,
     AggregationKnobs,
     CacheKnobs,
@@ -69,11 +69,7 @@ from repro.plan.ir import (
     SampleOp,
     WeightingOp,
 )
-from repro.sim.aggregation_sim import (
-    DEGREE_BINNING_OPS_PER_CYCLE,
-    aggregation_phase_from_cache,
-    run_cache_simulation,
-)
+from repro.sim.aggregation_sim import aggregation_phase_from_cache, run_cache_simulation
 from repro.sim.batch import GraphPricingContext, pricing_context
 from repro.sim.results import InferenceResult, LayerResult, PhaseResult
 from repro.sim.weighting_sim import weighting_phase_from_schedule
@@ -102,9 +98,9 @@ class GNNIEExecutor:
 
     name = "gnnie"
     #: This backend can price multi-chip plans (it handles
-    #: :class:`~repro.plan.ir.HaloExchangeOp` and carries a link model on its
-    #: config), so ``repro.scaleout`` and the sweep worker may partition
-    #: workloads across several instances of it.
+    #: :class:`~repro.plan.ir.HaloExchangeOp` with the link model of
+    #: :data:`~repro.hw.config.GNNIE_TABLE`), so ``repro.scaleout`` and the
+    #: sweep worker may partition workloads across several instances of it.
     supports_scaleout = True
 
     def __init__(
@@ -171,10 +167,9 @@ class GNNIEExecutor:
                 model=plan.family.upper(),
                 config_name=cfg.name,
                 layers=layers,
-                frequency_hz=cfg.frequency_hz,
                 global_preprocessing_cycles=preprocessing,
             )
-            result.energy = self._energy(result, cfg)
+            result.energy = self._energy(result)
             if tracer.enabled:
                 preprocess_span.set(cycles=preprocessing)
                 self._annotate_spans(result, annotations, root)
@@ -264,7 +259,7 @@ class GNNIEExecutor:
                     layer=stage.index,
                     halo_vertices=op.halo_vertices,
                 ) as span:
-                    phase = self._halo_exchange_phase(op, cfg)
+                    phase = self._halo_exchange_phase(op)
                 communication = accumulate(communication, phase)
                 note(span, "communication", phase)
             else:
@@ -311,7 +306,7 @@ class GNNIEExecutor:
             # functions of (graph, block size | value width), shared across
             # configs via the pricing context.
             profile = context.input_profile(block_size)
-            input_bits = context.input_rlc_bits(8 * knobs.bytes_per_value)
+            input_bits = context.input_rlc_bits(8 * GNNIE_TABLE.bytes_per_value)
         else:
             # Later layers: statistical block nonzeros at the modeled density,
             # and dense traffic (the RLC decoder is bypassed after layer 1).
@@ -320,7 +315,7 @@ class GNNIEExecutor:
                 -(-op.in_features // block_size),
                 int(round(density * block_size)),
             )
-            input_bits = graph.num_vertices * op.in_features * 8 * knobs.bytes_per_value
+            input_bits = graph.num_vertices * op.in_features * 8 * GNNIE_TABLE.bytes_per_value
         schedule = schedule_weighting(
             None, op.out_features, knobs, profile=profile, in_features=op.in_features
         )
@@ -329,7 +324,6 @@ class GNNIEExecutor:
             graph.num_vertices,
             op.in_features,
             op.out_features,
-            knobs,
             input_traffic_bits=input_bits,
         )
         return phase
@@ -394,24 +388,23 @@ class GNNIEExecutor:
         )
         return phase
 
-    def _halo_exchange_phase(
-        self, op: HaloExchangeOp, cfg: AcceleratorConfig
-    ) -> PhaseResult:
+    @staticmethod
+    def _halo_exchange_phase(op: HaloExchangeOp) -> PhaseResult:
         """Inter-chip boundary-feature transfer before aggregation.
 
         Cost model: one fixed link latency (synchronization + first flit)
         plus the serialized halo payload — ``halo_vertices × features``
-        values at the configured width — over the chip-to-chip link
+        values at the datapath width — over the chip-to-chip link
         bandwidth.  A chip with an empty halo (nothing cut toward it) pays
         nothing.  The traffic is link traffic, not DRAM traffic, so it is
         deliberately absent from the DRAM/energy accounting.
         """
         if op.halo_vertices <= 0:
             return PhaseResult(name="communication")
-        payload_bytes = op.halo_vertices * op.features * cfg.bytes_per_value
-        cycles = cfg.link_latency_cycles + int(
-            np.ceil(payload_bytes / cfg.link_bytes_per_cycle)
-        )
+        table = GNNIE_TABLE
+        payload_bytes = op.halo_vertices * op.features * table.bytes_per_value
+        link_bytes_per_cycle = table.link_bandwidth_bytes_per_s / table.frequency_hz
+        cycles = table.link_latency_cycles + int(np.ceil(payload_bytes / link_bytes_per_cycle))
         return PhaseResult(name="communication", compute_cycles=cycles)
 
     def _dense_matmul_phase(
@@ -421,11 +414,11 @@ class GNNIEExecutor:
         macs = graph.num_edges * op.macs_per_edge + graph.num_vertices * op.macs_per_vertex
         compute_cycles = int(np.ceil(macs / cfg.total_macs))
         softmax_ops = graph.num_vertices * op.softmax_ops_per_vertex
-        output_bytes = op.output_values * cfg.bytes_per_value
+        output_bytes = op.output_values * GNNIE_TABLE.bytes_per_value
         return PhaseResult(
             name="weighting",
             compute_cycles=compute_cycles,
-            sfu_cycles=int(np.ceil(softmax_ops / (SFU_COLUMNS * cfg.num_rows))),
+            sfu_cycles=int(np.ceil(softmax_ops / (GNNIE_TABLE.sfu_columns * cfg.num_rows))),
             mac_operations=int(macs),
             sfu_operations=int(softmax_ops),
             dram_write_bytes=int(output_bytes),
@@ -541,10 +534,12 @@ class GNNIEExecutor:
         cycles = 0
         for op in plan.global_ops:
             if isinstance(op, PreprocessOp) and op.kind == "degree_binning":
-                cycles += int(np.ceil(graph.num_vertices / DEGREE_BINNING_OPS_PER_CYCLE))
+                cycles += int(
+                    np.ceil(graph.num_vertices / GNNIE_TABLE.degree_binning_ops_per_cycle)
+                )
         return cycles
 
-    def _energy(self, result: InferenceResult, cfg: AcceleratorConfig) -> EnergyBreakdown:
+    def _energy(self, result: InferenceResult) -> EnergyBreakdown:
         model = _ENERGY_MODEL
         breakdown = EnergyBreakdown()
         for layer in result.layers:
@@ -561,5 +556,5 @@ class GNNIEExecutor:
                 breakdown.dram_input_pj += model.dram_energy(phase.dram_input_stream_bytes)
                 breakdown.dram_weight_pj += model.dram_energy(phase.dram_weight_stream_bytes)
                 breakdown.dram_output_pj += model.dram_energy(phase.dram_output_stream_bytes)
-        breakdown.static_pj = model.static_energy(result.total_cycles, cfg.frequency_hz)
+        breakdown.static_pj = model.static_energy(result.total_cycles)
         return breakdown

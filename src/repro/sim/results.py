@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.hw.config import GNNIE_TABLE
 from repro.hw.energy import EnergyBreakdown
 
 __all__ = ["PhaseResult", "LayerResult", "InferenceResult", "ScaleOutResult"]
@@ -58,7 +59,8 @@ class PhaseResult:
         return self.dram_read_bytes + self.dram_write_bytes
 
     def merge(self, other: "PhaseResult") -> "PhaseResult":
-        """Combine two phase results (used to sum phases across layers)."""
+        """Combine two phase results: the executor sums the ops of one kind
+        within one layer."""
         return PhaseResult(
             name=self.name,
             compute_cycles=self.compute_cycles + other.compute_cycles,
@@ -135,7 +137,6 @@ class InferenceResult:
     config_name: str
     layers: list[LayerResult] = field(default_factory=list)
     energy: EnergyBreakdown = field(default_factory=EnergyBreakdown)
-    frequency_hz: float = 1.3e9
     #: Preprocessing cycles charged once per inference (degree sorting).
     global_preprocessing_cycles: int = 0
 
@@ -145,7 +146,7 @@ class InferenceResult:
 
     @property
     def latency_seconds(self) -> float:
-        return self.total_cycles / self.frequency_hz
+        return self.total_cycles / GNNIE_TABLE.frequency_hz
 
     @property
     def total_mac_operations(self) -> int:

@@ -19,16 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hw.config import AcceleratorConfig, WeightingKnobs
+from repro.hw.config import GNNIE_TABLE
+from repro.hw.dram import HBMModel
 from repro.mapping.weighting import WeightingSchedule
 from repro.sim.results import PhaseResult
 
 __all__ = ["weighting_phase_from_schedule"]
-
-#: Preprocessing (workload binning) throughput in operations per cycle; the
-#: binning is a streaming counting sort performed while data is fetched, so
-#: several block records are classified per cycle.
-_PREPROCESSING_OPS_PER_CYCLE = 32
 
 
 def weighting_phase_from_schedule(
@@ -36,13 +32,17 @@ def weighting_phase_from_schedule(
     num_vertices: int,
     in_features: int,
     out_features: int,
-    config: AcceleratorConfig | WeightingKnobs,
     *,
     input_traffic_bits: int,
     name: str = "weighting",
 ) -> PhaseResult:
-    """Build the Weighting :class:`PhaseResult` from a static schedule."""
-    bytes_per_value = config.bytes_per_value
+    """Build the Weighting :class:`PhaseResult` from a static schedule.
+
+    The schedule holds everything the configuration decides; the value
+    width, the array's columns and the HBM bandwidth are fixed
+    (:data:`~repro.hw.config.GNNIE_TABLE`).
+    """
+    bytes_per_value = GNNIE_TABLE.bytes_per_value
     compute_cycles = schedule.compute_cycles
 
     # --- DRAM traffic ---------------------------------------------------- #
@@ -52,10 +52,10 @@ def weighting_phase_from_schedule(
     dram_write_outputs = num_vertices * out_features * bytes_per_value
 
     # --- Overlap of fetch and compute (double buffering) ------------------ #
-    bytes_per_cycle = config.dram_bytes_per_cycle
+    bytes_per_cycle = HBMModel().bytes_per_cycle
     fetch_cycles_per_pass = int(np.ceil(input_bytes_per_pass / bytes_per_cycle))
     weight_fetch_per_pass = int(
-        np.ceil(in_features * config.num_cols * bytes_per_value / bytes_per_cycle)
+        np.ceil(in_features * GNNIE_TABLE.num_cols * bytes_per_value / bytes_per_cycle)
     )
     per_pass_fetch = fetch_cycles_per_pass + weight_fetch_per_pass
     exposed_per_pass = max(0, per_pass_fetch - schedule.cycles_per_pass)
@@ -63,7 +63,9 @@ def weighting_phase_from_schedule(
     streaming_memory_cycles = per_pass_fetch * (schedule.num_passes + 1)
 
     preprocessing_cycles = int(
-        np.ceil(schedule.assignment.preprocessing_operations / _PREPROCESSING_OPS_PER_CYCLE)
+        np.ceil(
+            schedule.assignment.preprocessing_operations / GNNIE_TABLE.binning_ops_per_cycle
+        )
     )
 
     # --- On-chip buffer traffic (for the energy model) -------------------- #

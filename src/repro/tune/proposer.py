@@ -138,10 +138,7 @@ class ParetoMutationProposer:
         if not low <= allocation[group] <= high:
             return None
         if not admissible_mac_allocation(
-            allocation,
-            group_sizes=parent.rows_per_group,
-            num_cols=parent.num_cols,
-            mac_budget=self.mac_budget,
+            allocation, group_sizes=parent.rows_per_group, mac_budget=self.mac_budget
         ):
             return None
         return replace(parent, macs_per_group=tuple(allocation))

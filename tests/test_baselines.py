@@ -17,8 +17,8 @@ from repro.baselines import (
     PyGGPUModel,
     workload_from_plan,
 )
-from repro.baselines.platform import FIT
 from repro.check import PlanVerificationError
+from repro.hw import FIT
 from repro.models import MODEL_FAMILIES, ModelConfig
 from repro.plan import lower, lower_model
 from repro.plan.ir import AdjacencyRef, AggregationOp

@@ -33,10 +33,9 @@ def _mixed_configs() -> list[AcceleratorConfig]:
     """A mixed batch of ≥20 configs varying every batch-relevant knob."""
     base = AcceleratorConfig()
     configs = [base]
-    for cols, macs in ((8, (4, 5, 6)), (16, (2, 4, 8)), (24, (4, 6, 8))):
-        configs.append(
-            replace(base, num_cols=cols, macs_per_group=macs, name=f"macs{cols}x{macs[0]}")
-        )
+    for macs in ((3, 4, 5), (2, 4, 8), (4, 6, 8)):
+        configs.append(replace(base, macs_per_group=macs, name=f"macs{macs}"))
+    configs.append(replace(base, rows_per_group=(10, 3, 3), name="rows10-3-3"))
     for kb in (128, 256, 1024):
         configs.append(replace(base, input_buffer_bytes=kb * 1024, name=f"buf{kb}k"))
     for gamma in (2, 3, 8):
@@ -45,11 +44,11 @@ def _mixed_configs() -> list[AcceleratorConfig]:
         configs.append(
             replace(base, miss_path_mechanisms=mechanisms, name="+".join(mechanisms))
         )
-    for bits in (1, 2):
-        configs.append(replace(base, bytes_per_value=bits, name=f"b{bits}"))
+    configs.append(replace(base, output_buffer_bytes=256 * 1024, name="obuf256k"))
     configs.append(replace(base, enable_degree_aware_caching=False, name="nocache"))
     configs.append(replace(base, enable_flexible_mac=False, name="noflex"))
-    configs.append(replace(base, enable_zero_skipping=False, name="nozskip"))
+    configs.append(replace(base, enable_load_redistribution=False, name="nolr"))
+    configs.append(replace(base, enable_aggregation_load_balancing=False, name="nolb"))
     configs.append(replace(base, victim_cache_entries=4, name="victim4"))
     configs.append(replace(base, stream_buffer_count=8, name="stream8"))
     configs.append(
@@ -60,24 +59,15 @@ def _mixed_configs() -> list[AcceleratorConfig]:
 
 
 #: One override per config field except ``name``, which no pricing reads.
-#: A config built from an entry differs from its base in that field only;
-#: ``num_rows`` carries ``rows_per_group`` along, since the row groups must
-#: sum to the rows.  A new field fails ``test_every_config_field_is_keyed``
-#: until it states here how pricing should see it, and a field whose entry
-#: moves no priced number on either base fails it as dead.
+#: A config built from an entry differs from its base in that field only.
+#: A new field fails ``test_every_config_field_is_keyed`` until it states
+#: here how pricing should see it, and a field whose entry moves no priced
+#: number on either base fails it as dead.
 _FIELD_PERTURBATIONS: dict[str, dict] = {
-    "num_rows": {"num_rows": 12, "rows_per_group": (4, 4, 4)},
-    "num_cols": {"num_cols": 8},
     "macs_per_group": {"macs_per_group": (2, 4, 8)},
     "rows_per_group": {"rows_per_group": (10, 3, 3)},
-    "frequency_hz": {"frequency_hz": 1.0e9},
     "input_buffer_bytes": {"input_buffer_bytes": 128 * 1024},
     "output_buffer_bytes": {"output_buffer_bytes": 64 * 1024},
-    "weight_buffer_bytes": {"weight_buffer_bytes": 16 * 1024},
-    "bytes_per_value": {"bytes_per_value": 2},
-    "dram_bandwidth_bytes_per_s": {"dram_bandwidth_bytes_per_s": 64e9},
-    "link_bandwidth_bytes_per_s": {"link_bandwidth_bytes_per_s": 8e9},
-    "link_latency_cycles": {"link_latency_cycles": 5000},
     "gamma": {"gamma": 2},
     "miss_path_mechanisms": {"miss_path_mechanisms": ("stream",)},
     "victim_cache_entries": {"victim_cache_entries": 4},
@@ -88,7 +78,6 @@ _FIELD_PERTURBATIONS: dict[str, dict] = {
     "enable_load_redistribution": {"enable_load_redistribution": False},
     "enable_degree_aware_caching": {"enable_degree_aware_caching": False},
     "enable_aggregation_load_balancing": {"enable_aggregation_load_balancing": False},
-    "enable_zero_skipping": {"enable_zero_skipping": False},
 }
 
 
@@ -106,15 +95,6 @@ _BASES = (
         enable_flexible_mac=False,
         name="miss-path",
     ),
-)
-
-
-#: Fields priced outside the memoized stages, so in no pricing view: the
-#: chip area reads the weight buffer, and the halo exchange reads the link.
-_PRICED_OUTSIDE_VIEWS = (
-    "weight_buffer_bytes",
-    "link_bandwidth_bytes_per_s",
-    "link_latency_cycles",
 )
 
 
@@ -174,9 +154,9 @@ class TestSharingNeverChangesARow:
 
     def test_every_config_field_is_keyed(self):
         """Each config differs from its base in one field and shares a batch
-        with it, yet prices as if alone: no memo key leaves a field out.
-        Two chips price the link fields, and every field moves some priced
-        number on one base, so none is dead."""
+        with it, yet prices as if alone, on one chip and on two: no memo key
+        leaves a field out.  Every field moves some priced number on one
+        base, so none is dead."""
         assert set(_FIELD_PERTURBATIONS) == {
             f.name for f in fields(AcceleratorConfig) if f.name != "name"
         }
@@ -232,8 +212,7 @@ class TestSharingNeverChangesARow:
 class TestPricingViews:
     def test_every_config_field_is_in_a_view(self):
         """Structural, with no pricing: each field's perturbation changes a
-        view on some base, unless the field is named as priced outside the
-        memoized stages.  A new field fails here until it is placed."""
+        view on some base.  A new field fails here until it is in a view."""
         unviewed = {
             field.name
             for field in fields(AcceleratorConfig)
@@ -243,7 +222,7 @@ class TestPricingViews:
                 for base in _BASES
             )
         }
-        assert unviewed == set(_PRICED_OUTSIDE_VIEWS)
+        assert unviewed == set()
 
     def test_a_view_rejects_other_names(self):
         config = AcceleratorConfig()
@@ -421,6 +400,17 @@ class TestCacheSimSharing:
         assert sampled.max_degree() <= graph.adjacency.max_degree()
         with pytest.raises(KeyError, match="unknown adjacency handle"):
             context.adjacency(AdjacencyRef("coarsened"))
+
+    @pytest.mark.parametrize("sample_size", [None, 0, -3])
+    def test_a_sampled_handle_needs_a_positive_size(self, sample_size):
+        """No default sample size stands in for a missing one, and a
+        rejected handle memoizes nothing."""
+        graph = build_dataset("cora", scale=0.1, seed=0)
+        context = pricing_context(graph)
+        context.adjacency(AdjacencyRef("sampled", 25))
+        with pytest.raises(KeyError, match="needs a positive sample size"):
+            context.adjacency(AdjacencyRef("sampled", sample_size))
+        assert list(context._sampled) == [25]
 
     def test_simulations_are_keyed_by_adjacency_handle(self):
         """One simulation per (handle, cache knobs, priming width): GraphSAGE

@@ -40,7 +40,7 @@ class TestPolicyConfig:
             simulate_policy("degree_aware", graph, 8, gamma=-1)
 
     def test_vertex_record_bytes(self):
-        record = vertex_record_bytes(128, 10.0, bytes_per_value=1)
+        record = vertex_record_bytes(128, 10.0)
         assert record == 128 + 40 + 8
         with pytest.raises(ValueError):
             vertex_record_bytes(0, 5.0)

@@ -2,11 +2,73 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import re
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
-from repro.hw import DESIGN_PRESETS, MISS_PATH_MECHANISMS, AcceleratorConfig, design_preset
+from repro.hw import (
+    DESIGN_PRESETS,
+    FIT,
+    GNNIE_TABLE,
+    MISS_PATH_MECHANISMS,
+    AcceleratorConfig,
+    AreaModel,
+    EnergyModel,
+    HBMModel,
+    design_preset,
+)
+
+#: Names that are not AcceleratorConfig fields: the fixed design's numbers
+#: are GNNIE_TABLE entries, ``num_rows`` is the sum of ``rows_per_group``,
+#: and zero skipping is always on.
+REMOVED_CONFIG_FIELDS = (
+    "num_rows",
+    "num_cols",
+    "frequency_hz",
+    "weight_buffer_bytes",
+    "bytes_per_value",
+    "dram_bandwidth_bytes_per_s",
+    "link_bandwidth_bytes_per_s",
+    "link_latency_cycles",
+    "enable_zero_skipping",
+)
+
+
+class TestGNNIETable:
+    def test_every_entry_cites_a_section_or_is_fit(self):
+        entries = fields(GNNIE_TABLE)
+        assert {"num_cols", "frequency_hz", "dram_pj_per_bit"} <= {e.name for e in entries}
+        for entry in entries:
+            source = entry.metadata["source"]
+            # "GNNIE Section <section>: <the parameter as the paper states it>"
+            assert source == FIT or re.fullmatch(
+                r"GNNIE Section [IVX]+(-[A-Z])?: .+", source
+            ), f"{entry.name}: {source!r}"
+
+    def test_table_is_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            GNNIE_TABLE.num_cols = 8
+
+    @pytest.mark.parametrize(
+        "model, knob",
+        [
+            (EnergyModel, "dram_pj_per_bit"),
+            (AreaModel, "mac_area_mm2"),
+            (HBMModel, "bandwidth_bytes_per_s"),
+        ],
+    )
+    def test_models_take_no_constructor_argument(self, model, knob):
+        with pytest.raises(TypeError):
+            model(**{knob: 1.0})
+        with pytest.raises(TypeError):
+            model(1.0)
+
+    @pytest.mark.parametrize("name", REMOVED_CONFIG_FIELDS)
+    def test_config_rejects_a_removed_field(self, name):
+        assert name not in {field.name for field in fields(AcceleratorConfig)}
+        with pytest.raises(TypeError):
+            AcceleratorConfig(**{name: 1})
 
 
 class TestAcceleratorConfig:
@@ -24,9 +86,9 @@ class TestAcceleratorConfig:
     def test_num_cpes(self):
         assert AcceleratorConfig().num_cpes == 256
 
-    def test_dram_bytes_per_cycle(self):
-        config = AcceleratorConfig()
-        assert config.dram_bytes_per_cycle == pytest.approx(256e9 / 1.3e9)
+    def test_num_rows_adds_up_the_row_groups(self):
+        assert AcceleratorConfig().num_rows == 16
+        assert AcceleratorConfig(macs_per_group=(4, 5), rows_per_group=(8, 4)).num_rows == 12
 
     def test_input_buffer_sizing_per_dataset(self):
         config = AcceleratorConfig()
@@ -65,16 +127,18 @@ class TestAcceleratorConfig:
         assert not baseline.enable_degree_aware_caching
 
     def test_validation_rows_per_group(self):
-        with pytest.raises(ValueError):
-            AcceleratorConfig(macs_per_group=(4, 5), rows_per_group=(8, 4))
+        with pytest.raises(ValueError, match="equal length"):
+            AcceleratorConfig(macs_per_group=(4, 5), rows_per_group=(8, 4, 4))
+        with pytest.raises(ValueError, match="at least one row"):
+            AcceleratorConfig(rows_per_group=(8, 0, 4))
 
     def test_validation_monotonic_macs(self):
         with pytest.raises(ValueError):
             AcceleratorConfig(macs_per_group=(6, 5, 4), rows_per_group=(8, 4, 4))
 
     def test_validation_positive_dimensions(self):
-        with pytest.raises(ValueError):
-            AcceleratorConfig(num_rows=0)
+        with pytest.raises(ValueError, match="at least one row"):
+            AcceleratorConfig(macs_per_group=(), rows_per_group=())
         with pytest.raises(ValueError):
             AcceleratorConfig(gamma=-1)
 

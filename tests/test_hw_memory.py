@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.hw import (
-    SFU_COLUMNS,
+    GNNIE_TABLE,
     AcceleratorConfig,
     AreaModel,
     EnergyBreakdown,
@@ -16,7 +16,7 @@ from repro.hw import (
 
 class TestHBMModel:
     def test_sequential_transfer_cycles(self):
-        dram = HBMModel(bandwidth_bytes_per_s=256e9, frequency_hz=1.3e9)
+        dram = HBMModel()
         bytes_per_cycle = 256e9 / 1.3e9
         assert dram.sequential_transfer_cycles(int(bytes_per_cycle * 10)) == 10
         assert dram.sequential_transfer_cycles(0) == 0
@@ -28,9 +28,17 @@ class TestHBMModel:
         assert random > sequential
 
     def test_random_parallelism_amortizes_penalty(self):
-        slow = HBMModel(random_access_parallelism=1)
-        fast = HBMModel(random_access_parallelism=16)
-        assert slow.random_transfer_cycles(1000) > fast.random_transfer_cycles(1000)
+        dram = HBMModel()
+        granule = GNNIE_TABLE.random_access_granularity_bytes
+        for accesses in (1, 7, 1000):
+            penalty = dram.random_transfer_cycles(accesses) - dram.sequential_transfer_cycles(
+                accesses * granule
+            )
+            assert penalty == -(
+                -accesses
+                * GNNIE_TABLE.random_access_penalty_cycles
+                // GNNIE_TABLE.random_access_parallelism
+            )
 
     def test_bytes_per_cycle(self):
         assert HBMModel().bytes_per_cycle == pytest.approx(256e9 / 1.3e9)
@@ -60,13 +68,7 @@ class TestHBMModel:
     def test_no_random_accesses_cost_nothing(self):
         assert HBMModel().random_transfer_cycles(0) == 0
 
-    def test_invalid_frequency(self):
-        with pytest.raises(ValueError):
-            HBMModel(frequency_hz=0)
-
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            HBMModel(bandwidth_bytes_per_s=0)
         dram = HBMModel()
         with pytest.raises(ValueError):
             dram.sequential_transfer_cycles(-1)
@@ -95,20 +97,21 @@ class TestEnergyAndArea:
 
     def test_energy_model_components(self):
         model = EnergyModel()
-        assert model.mac_energy(100) == pytest.approx(100 * model.mac_energy_pj)
-        assert model.dram_energy(1) == pytest.approx(8 * model.dram_pj_per_bit)
+        assert model.mac_energy(100) == pytest.approx(100 * GNNIE_TABLE.mac_energy_pj)
+        assert model.dram_energy(1) == pytest.approx(8 * GNNIE_TABLE.dram_pj_per_bit)
         assert model.buffer_energy("output", 10) > model.buffer_energy("weight", 10)
         with pytest.raises(ValueError):
             model.buffer_energy("cache", 10)
 
     def test_dram_energy_is_hbm2_per_bit(self):
         model = EnergyModel()
-        assert model.dram_pj_per_bit == pytest.approx(3.97)
+        assert GNNIE_TABLE.dram_pj_per_bit == 3.97
         assert model.dram_energy(1000) == pytest.approx(1000 * 8 * 3.97)
-        assert EnergyModel(dram_pj_per_bit=2.0).dram_energy(1) == pytest.approx(16.0)
+        assert model.dram_energy(2) == pytest.approx(16 * 3.97)
 
     def test_sfu_energy_per_operation(self):
-        model = EnergyModel(sfu_op_energy_pj=2.5)
+        model = EnergyModel()
+        assert GNNIE_TABLE.sfu_op_energy_pj == 2.5
         assert model.sfu_energy(40) == pytest.approx(100.0)
         assert model.sfu_energy(0) == 0
 
@@ -122,34 +125,39 @@ class TestEnergyAndArea:
     )
     def test_buffer_energy_is_linear_in_bytes(self, buffer_name, field):
         model = EnergyModel()
-        per_byte = getattr(model, field)
+        per_byte = getattr(GNNIE_TABLE, field)
         assert model.buffer_energy(buffer_name, 1) == pytest.approx(per_byte)
         assert model.buffer_energy(buffer_name, 250) == pytest.approx(250 * per_byte)
 
     def test_static_energy_scales_with_time(self):
-        model = EnergyModel(static_power_watts=1.0)
-        one_second_pj = model.static_energy(int(1.3e9), 1.3e9)
-        assert one_second_pj == pytest.approx(1e12)
+        model = EnergyModel()
+        one_second_pj = model.static_energy(int(GNNIE_TABLE.frequency_hz))
+        assert one_second_pj == pytest.approx(GNNIE_TABLE.static_power_watts * 1e12)
+        assert model.static_energy(2 * int(GNNIE_TABLE.frequency_hz)) == pytest.approx(
+            2 * one_second_pj
+        )
 
-    def test_chip_area_close_to_paper(self):
+    def test_chip_area_is_calibrated_to_paper(self):
         """The paper reports 15.6 mm^2 at 32 nm for the GNNIE configuration."""
         area = AreaModel().chip_area_mm2(AcceleratorConfig())
-        assert area == pytest.approx(15.6, rel=0.15)
+        assert area == pytest.approx(15.6023, abs=1e-4)
 
     def test_area_counts_one_sfu_per_row_of_each_sfu_column(self):
-        config = AcceleratorConfig()
-        with_sfu = AreaModel(sfu_area_mm2=1.0).chip_area_mm2(config)
-        without_sfu = AreaModel(sfu_area_mm2=0.0).chip_area_mm2(config)
-        assert with_sfu - without_sfu == pytest.approx(SFU_COLUMNS * config.num_rows)
+        # 1,024 MACs either way: 16 rows of 4 MACs per CPE, or 8 rows of 8.
+        sixteen_rows = AcceleratorConfig(macs_per_group=(4,), rows_per_group=(16,))
+        eight_rows = AcceleratorConfig(macs_per_group=(8,), rows_per_group=(8,))
+        assert sixteen_rows.total_macs == eight_rows.total_macs
+        growth = AreaModel().chip_area_mm2(sixteen_rows) - AreaModel().chip_area_mm2(eight_rows)
+        assert growth == pytest.approx(GNNIE_TABLE.sfu_area_mm2 * GNNIE_TABLE.sfu_columns * 8)
 
     def test_area_grows_with_input_buffer(self):
         small = AcceleratorConfig(input_buffer_bytes=256 * 1024)
         large = AcceleratorConfig(input_buffer_bytes=1024 * 1024)
         growth = AreaModel().chip_area_mm2(large) - AreaModel().chip_area_mm2(small)
-        assert growth == pytest.approx(AreaModel().sram_area_mm2_per_mb * 0.75)
+        assert growth == pytest.approx(GNNIE_TABLE.sram_area_mm2_per_mb * 0.75)
 
     def test_static_energy_zero_cycles(self):
-        assert EnergyModel().static_energy(0, 1.3e9) == 0
+        assert EnergyModel().static_energy(0) == 0
 
     def test_area_grows_with_macs(self):
         from repro.hw import design_preset

@@ -14,7 +14,7 @@ import pytest
 from repro.cache import simulate_policy
 from repro.datasets import tiny_dataset
 from repro.graph import CSRGraph, Graph
-from repro.hw import AcceleratorConfig
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
 from repro.mapping import (
     AggregationCycleModel,
     attention_terms_functional,
@@ -71,7 +71,7 @@ class TestMappingMatchesReferenceModels:
         layer = GATLayer(graph.feature_length, 12, activation="none", seed=5)
         weighted = weighting_functional(graph.features, layer.weight, config)
         center, neighbor = attention_terms_functional(
-            weighted, layer.attention_left, layer.attention_right, config
+            weighted, layer.attention_left, layer.attention_right
         )
         adjacency = graph.adjacency
         edges = np.concatenate(
@@ -171,7 +171,7 @@ class TestConsistency:
     def test_latency_equals_cycles_over_frequency(self, tiny_graph):
         result = GNNIEExecutor().execute(lower("gcn", tiny_graph), tiny_graph)
         assert result.latency_seconds == pytest.approx(
-            result.total_cycles / result.frequency_hz
+            result.total_cycles / GNNIE_TABLE.frequency_hz
         )
 
     def test_layer_cycles_sum_to_total(self, tiny_graph):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import power_law_graph
-from repro.hw import SFU_COLUMNS, AcceleratorConfig
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
 from repro.mapping import (
     AggregationCycleModel,
     IterationCost,
@@ -18,7 +18,6 @@ from repro.mapping import (
     naive_attention_operations,
     schedule_attention,
 )
-from repro.mapping.aggregation import DIVIDE_LATENCY_CYCLES, EXP_LATENCY_CYCLES
 from repro.models import segment_sum
 
 
@@ -44,7 +43,7 @@ class TestAttentionSchedule:
     def test_chunk_and_column_batch(self):
         config = AcceleratorConfig()
         schedule = schedule_attention(500, 130, config)
-        assert schedule.chunk_size == -(-130 // config.num_cols)
+        assert schedule.chunk_size == -(-130 // GNNIE_TABLE.num_cols)
         assert schedule.vertices_per_column >= 1
 
     def test_invalid(self):
@@ -60,15 +59,13 @@ class TestAttentionSchedule:
         weighted = rng.normal(size=(50, 70))
         left = rng.normal(size=70)
         right = rng.normal(size=70)
-        center, neighbor = attention_terms_functional(weighted, left, right, AcceleratorConfig())
+        center, neighbor = attention_terms_functional(weighted, left, right)
         np.testing.assert_allclose(center, weighted @ left, atol=1e-10)
         np.testing.assert_allclose(neighbor, weighted @ right, atol=1e-10)
 
     def test_functional_rejects_mismatched_vector(self):
         with pytest.raises(ValueError):
-            attention_terms_functional(
-                np.ones((4, 8)), np.ones(5), np.ones(8), AcceleratorConfig()
-            )
+            attention_terms_functional(np.ones((4, 8)), np.ones(5), np.ones(8))
 
 
 def _one_iteration(model, edges, *, max_edges_per_vertex=0, resident_vertices=0):
@@ -162,8 +159,8 @@ class TestAggregationCycleModel:
         # softmax-denominator add per resident vertex.
         assert cost.sfu_ops == 2 * 2 * 100 + 30
         # The 2-cycle lookup-table exp gates each SFU lane.
-        lanes = SFU_COLUMNS * config.num_rows
-        assert EXP_LATENCY_CYCLES == 2
+        lanes = GNNIE_TABLE.sfu_columns * config.num_rows
+        assert GNNIE_TABLE.exp_latency_cycles == 2
         assert cost.sfu_cycles == -(-cost.sfu_ops * 2 // lanes)
         assert cost.multiply_ops == cost.addition_ops == 2 * 100 * 16
 
@@ -172,14 +169,14 @@ class TestAggregationCycleModel:
         cost = AggregationCycleModel(config, 16, is_gat=True).finalization_cost(100)
         assert cost.sfu_ops == 100 * 16
         # A division takes 4 cycles on each of the 64 SFU lanes.
-        assert SFU_COLUMNS * config.num_rows == 64
-        assert DIVIDE_LATENCY_CYCLES == 4
+        assert GNNIE_TABLE.sfu_columns * config.num_rows == 64
+        assert GNNIE_TABLE.divide_latency_cycles == 4
         assert cost.sfu_cycles == 100 * 16 * 4 // 64
         assert cost.compute_cycles == 0
 
     def test_sfu_lanes_follow_array_rows(self):
         full = AggregationCycleModel(AcceleratorConfig(), 16, is_gat=True)
-        half_config = AcceleratorConfig(num_rows=8, macs_per_group=(4,), rows_per_group=(8,))
+        half_config = AcceleratorConfig(macs_per_group=(4,), rows_per_group=(8,))
         half = AggregationCycleModel(half_config, 16, is_gat=True)
         full_cycles = full.finalization_cost(100).sfu_cycles
         assert half.finalization_cost(100).sfu_cycles == 2 * full_cycles

@@ -30,7 +30,6 @@ class TestScheduleWeighting:
     def test_mac_counts(self, features):
         schedule = schedule_weighting(features, 64, AcceleratorConfig())
         assert schedule.total_nonzero_macs == np.count_nonzero(features) * 64
-        assert schedule.total_dense_macs >= features.size * 64
 
     def test_compute_cycles_are_pass_times_max_row(self, features):
         schedule = schedule_weighting(features, 128, AcceleratorConfig())
@@ -49,13 +48,6 @@ class TestScheduleWeighting:
         fm = schedule_weighting(features, 128, config)
         base = schedule_weighting(features, 128, baseline_cfg)
         assert fm.compute_cycles < base.compute_cycles
-
-    def test_zero_skipping_toggle(self, features):
-        config = AcceleratorConfig()
-        dense_cfg = replace(config, enable_zero_skipping=False)
-        sparse_schedule = schedule_weighting(features, 64, config)
-        dense_schedule = schedule_weighting(features, 64, dense_cfg)
-        assert dense_schedule.compute_cycles > sparse_schedule.compute_cycles
 
     def test_load_redistribution_applied_when_enabled(self, features):
         config = AcceleratorConfig()
@@ -101,20 +93,10 @@ class TestScheduleWeighting:
         assert 0.0 < schedule.average_row_utilization <= 1.0
 
     def test_all_zero_features_need_no_compute_with_zero_skipping(self):
-        config = AcceleratorConfig()
         zeros = np.zeros((50, 64))
-        skipping = schedule_weighting(zeros, 32, config)
+        skipping = schedule_weighting(zeros, 32, AcceleratorConfig())
         assert skipping.total_nonzero_macs == 0
         assert skipping.compute_cycles == 0
-        dense = schedule_weighting(zeros, 32, replace(config, enable_zero_skipping=False))
-        assert dense.compute_cycles > 0
-
-    def test_dense_macs_count_whole_blocks(self, features):
-        schedule = schedule_weighting(features, 64, AcceleratorConfig())
-        num_vertices = features.shape[0]
-        assert schedule.total_dense_macs == (
-            num_vertices * schedule.num_blocks * schedule.block_size * 64
-        )
 
 
 class TestWeightingFunctional:

@@ -63,35 +63,22 @@ class TestCycleAreaProduct:
 
 class TestAdmissibleMacAllocation:
     def test_paper_allocation_admissible(self):
-        assert admissible_mac_allocation(
-            (4, 5, 6), group_sizes=(8, 4, 4), num_cols=16, mac_budget=1280
-        )
+        assert admissible_mac_allocation((4, 5, 6), group_sizes=(8, 4, 4), mac_budget=1280)
 
     def test_rejects_non_monotonic(self):
-        assert not admissible_mac_allocation(
-            (6, 5, 4), group_sizes=(8, 4, 4), num_cols=16, mac_budget=10_000
-        )
+        assert not admissible_mac_allocation((6, 5, 4), group_sizes=(8, 4, 4), mac_budget=10_000)
 
     def test_rejects_over_budget(self):
-        assert not admissible_mac_allocation(
-            (8, 8, 8), group_sizes=(8, 4, 4), num_cols=16, mac_budget=1280
-        )
+        assert not admissible_mac_allocation((8, 8, 8), group_sizes=(8, 4, 4), mac_budget=1280)
 
     def test_rejects_shape_mismatch_and_nonpositive(self):
-        assert not admissible_mac_allocation(
-            (4, 5), group_sizes=(8, 4, 4), num_cols=16, mac_budget=1280
-        )
-        assert not admissible_mac_allocation(
-            (0, 1, 2), group_sizes=(8, 4, 4), num_cols=16, mac_budget=1280
-        )
+        assert not admissible_mac_allocation((4, 5), group_sizes=(8, 4, 4), mac_budget=1280)
+        assert not admissible_mac_allocation((0, 1, 2), group_sizes=(8, 4, 4), mac_budget=1280)
 
     def test_grid_enumerates_only_admissible(self):
         for config in sweep_mac_allocations(mac_budget=1216):
             assert admissible_mac_allocation(
-                config.macs_per_group,
-                group_sizes=config.rows_per_group,
-                num_cols=16,
-                mac_budget=1216,
+                config.macs_per_group, group_sizes=config.rows_per_group, mac_budget=1216
             )
 
 

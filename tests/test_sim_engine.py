@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import build_dataset
-from repro.hw import SFU_COLUMNS, AcceleratorConfig, design_preset
+from repro.hw import GNNIE_TABLE, AcceleratorConfig, design_preset
 from repro.models import MODEL_FAMILIES
 from repro.obs import MetricsRegistry
 from repro.plan import lower
@@ -125,7 +125,7 @@ class TestEngineCharges:
         assert phase.mac_operations == macs
         assert phase.compute_cycles == -(-macs // config.total_macs)
         assert phase.sfu_operations == softmax_ops
-        assert phase.sfu_cycles == -(-softmax_ops // (SFU_COLUMNS * config.num_rows))
+        assert phase.sfu_cycles == -(-softmax_ops // (GNNIE_TABLE.sfu_columns * config.num_rows))
 
 
 class TestEngineOptimizationFlags:

@@ -95,7 +95,7 @@ class TestMatrix:
         spec = SweepCell("cora", 0.1, 1, "gcn", "gnnie", AcceleratorConfig()).spec()
         assert spec["chips"] == 1
         assert set(spec["config"]) == {f.name for f in fields(AcceleratorConfig)}
-        assert len(spec["config"]) == 24
+        assert len(spec["config"]) == 15
 
     def test_config_round_trip_restores_tuples(self):
         config = design_preset("E").with_miss_path("victim", "stream")

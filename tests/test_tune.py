@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis import beta_rows, tune_report, tune_table_rows
 from repro.cli import main
-from repro.hw import MISS_PATH_MECHANISMS, AcceleratorConfig, design_preset
+from repro.hw import GNNIE_TABLE, MISS_PATH_MECHANISMS, AcceleratorConfig, design_preset
 from repro.sim import admissible_mac_allocation
 from repro.sim.design_space import DesignPoint
 from repro.sweep import ResultStore
@@ -35,7 +35,7 @@ def _survivor(config: AcceleratorConfig, cycles: int = 100) -> DesignPoint:
         total_macs=config.total_macs,
         area_mm2=15.0,
         cycles=cycles,
-        latency_seconds=cycles / config.frequency_hz,
+        latency_seconds=cycles / GNNIE_TABLE.frequency_hz,
         energy_joules=1e-6,
     )
 
@@ -62,10 +62,7 @@ class TestProposer:
         assert candidates
         for config in candidates:
             assert admissible_mac_allocation(
-                config.macs_per_group,
-                group_sizes=config.rows_per_group,
-                num_cols=config.num_cols,
-                mac_budget=1280,
+                config.macs_per_group, group_sizes=config.rows_per_group, mac_budget=1280
             )
             assert config != survivors[0].config
             assert config.name == candidate_name(config)
