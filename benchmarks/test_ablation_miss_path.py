@@ -6,28 +6,32 @@ the ablation baseline still pays could instead be recovered by classic
 hardware mechanisms on the miss path — a victim cache of evicted vertex
 records, a tag-only miss cache, and stream buffers prefetching the
 sequential vertex stream (the SimpleScalar DL1 miss-path study shape).
+The hierarchy filters the vertex-order baseline's misses at its default
+sizes; the degree-aware walk has no miss to filter, so it has no rows.
 
 Asserted invariants:
 * each mechanism alone strictly reduces random DRAM accesses versus the
   vertex-order baseline on every benchmarked dataset,
 * the combined hierarchy is at least as good as its best constituent,
-* the degree-aware policy is untouched — no input-buffer misses to filter
-  and byte-identical sequential traffic with the hierarchy configured.
+* the degree-aware walk pays no random DRAM access on any benchmarked
+  dataset (``simulate_policy("degree_aware", …).random_accesses == 0``),
+* victim+stream and miss+stream also recover part of the traffic LRU and
+  static partition pay.
 """
 
 from __future__ import annotations
 
 from repro.analysis import format_table, miss_path_ablation_rows
-from repro.cache import filter_misses, simulate_policy
-from repro.hw import MISS_PATH_MECHANISMS, AcceleratorConfig
-from repro.sim import input_buffer_capacity, run_cache_simulation
+from repro.cache import MISS_PATH_MECHANISMS, filter_misses, miss_trace, simulate_policy
+from repro.hw import AcceleratorConfig
+from repro.sim import input_buffer_capacity
 
 DATASETS = ("cora", "citeseer", "pubmed")
 FEATURE_LENGTH = 128
 
 
-def _config(graph, *mechanisms):
-    return AcceleratorConfig().resolve_input_buffer(graph.name).with_miss_path(*mechanisms)
+def _config(graph):
+    return AcceleratorConfig().resolve_input_buffer(graph.name)
 
 
 def test_ablation_miss_path_mechanisms(benchmark, record, datasets):
@@ -36,11 +40,7 @@ def test_ablation_miss_path_mechanisms(benchmark, record, datasets):
         for name in DATASETS:
             graph = datasets[name]
             results[name] = miss_path_ablation_rows(
-                graph.adjacency,
-                _config(graph, *MISS_PATH_MECHANISMS),
-                FEATURE_LENGTH,
-                policies=("vertex_order", "degree_aware"),
-                dataset=graph.name,
+                graph.adjacency, _config(graph), FEATURE_LENGTH, dataset=graph.name
             )
         return results
 
@@ -50,17 +50,16 @@ def test_ablation_miss_path_mechanisms(benchmark, record, datasets):
     record(
         "ablation_miss_path",
         format_table(rows, title="Ablation — miss-path mechanisms (VC / MC / SB)"),
+        data=rows,
     )
 
     for name in DATASETS:
         table = results[name]
-        baseline_rows = [row for row in table if row["policy"] == "vertex_order"]
-        baseline_misses = baseline_rows[0]["accesses"]
+        assert {row["policy"] for row in table} == {"vertex_order"}
+        baseline_misses = table[0]["accesses"]
         assert baseline_misses > 0
         per_mechanism = {
-            row["mechanism"]: row
-            for row in baseline_rows
-            if row["mechanism"] in MISS_PATH_MECHANISMS
+            row["mechanism"]: row for row in table if row["mechanism"] in MISS_PATH_MECHANISMS
         }
         # Each structure alone strictly reduces random DRAM traffic.
         for mechanism in MISS_PATH_MECHANISMS:
@@ -68,30 +67,27 @@ def test_ablation_miss_path_mechanisms(benchmark, record, datasets):
             assert row["dram_random_avoided"] > 0, (name, mechanism)
             assert row["dram_random_remaining"] < baseline_misses, (name, mechanism)
         # The combined hierarchy is at least as good as its best constituent.
-        combined = [
-            row for row in baseline_rows if row["mechanism"] == "+".join(MISS_PATH_MECHANISMS)
-        ]
+        combined = [row for row in table if row["mechanism"] == "+".join(MISS_PATH_MECHANISMS)]
         assert combined[0]["dram_random_avoided"] >= max(
             per_mechanism[m]["dram_random_avoided"] for m in MISS_PATH_MECHANISMS
         )
-        # The degree-aware policy has no input-buffer misses to recover.
-        for row in table:
-            if row["policy"] == "degree_aware":
-                assert row["accesses"] == 0 and row["dram_random_avoided"] == 0
 
 
-def test_miss_path_leaves_degree_aware_sequential_traffic_unchanged(datasets):
-    for name in ("cora", "pubmed"):
+def test_degree_aware_walk_has_no_miss_to_filter(datasets):
+    for name in DATASETS:
         graph = datasets[name]
-        plain = run_cache_simulation(graph.adjacency, _config(graph), FEATURE_LENGTH)
-        filtered = run_cache_simulation(
-            graph.adjacency, _config(graph, *MISS_PATH_MECHANISMS), FEATURE_LENGTH
+        config = _config(graph)
+        capacity, record_bytes = input_buffer_capacity(graph.adjacency, config, FEATURE_LENGTH)
+        result = simulate_policy(
+            "degree_aware",
+            graph.adjacency,
+            capacity,
+            bytes_per_vertex=record_bytes,
+            gamma=config.gamma,
         )
-        assert filtered.miss_path is not None
-        assert filtered.miss_path.resolved == 0
-        assert filtered.sequential_fetch_bytes == plain.sequential_fetch_bytes
-        assert filtered.vertex_fetches == plain.vertex_fetches
-        assert filtered.random_accesses == 0 and plain.random_accesses == 0
+        assert result.random_accesses == 0, name
+        assert result.random_access_bytes == 0, name
+        assert result.total_edges_processed == graph.adjacency.num_edges // 2, name
 
 
 def test_miss_path_recovers_traffic_for_classic_policies(datasets):
@@ -101,9 +97,7 @@ def test_miss_path_recovers_traffic_for_classic_policies(datasets):
         graph.adjacency, _config(graph), FEATURE_LENGTH
     )
     for policy in ("lru", "static_partition"):
-        result = simulate_policy(
-            policy, graph.adjacency, capacity, bytes_per_vertex=record_bytes, collect_trace=True
-        )
+        result, trace = miss_trace(policy, graph.adjacency, capacity, bytes_per_vertex=record_bytes)
         for pair in (("victim", "stream"), ("miss", "stream")):
-            outcome = filter_misses(result.trace, _config(graph, *pair))
+            outcome = filter_misses(trace, pair)
             assert 0 < outcome.resolved <= result.random_accesses, (policy, pair)

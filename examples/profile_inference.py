@@ -10,8 +10,8 @@ the result:
 * a flame-style table: per-span modeled attribution (cycles, MACs, DRAM
   bytes, energy) next to host wall time — the modeled cycles of the
   phase-op spans sum exactly to ``result.total_cycles``;
-* the metrics snapshot: cache-simulation and (when a miss path is
-  configured) per-mechanism hit/miss counters;
+* the metrics snapshot: how many cache simulations ran and how many
+  Aggregation ops were served from the simulation memo;
 * a Chrome trace-event JSON, one timeline track per GNN layer, loadable in
   Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 
@@ -38,12 +38,7 @@ from repro.sim import GNNIEExecutor
 
 def main() -> None:
     graph = build_dataset("cora", seed=0)
-    # The vertex-order baseline policy pays random DRAM traffic, so the
-    # victim/stream miss path actually sees accesses (the degree-aware
-    # policy has nothing to catch on a graph this small).
-    config = AcceleratorConfig(enable_degree_aware_caching=False).with_miss_path(
-        "victim", "stream"
-    )
+    config = AcceleratorConfig()
 
     tracer = Tracer()
     metrics = MetricsRegistry()
@@ -63,7 +58,7 @@ def main() -> None:
     print(f"\nphase-op modeled cycles {op_cycles} == total_cycles {result.total_cycles}")
 
     # ------------------------------------------------------------------ #
-    # 2. Metrics registry (cache hierarchy counters)
+    # 2. Metrics registry (cache-simulation counters)
     # ------------------------------------------------------------------ #
     print()
     print(

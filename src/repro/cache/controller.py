@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.policy import CacheSimulationResult
-from repro.cache.trace import TraceRecorder
 from repro.graph.csr import CSRGraph
 from repro.hw.config import GNNIE_TABLE
 
@@ -68,7 +67,6 @@ def degree_aware_walk(
     capacity_vertices: int,
     bytes_per_vertex: int,
     gamma: int,
-    collect_trace: bool,
 ) -> CacheSimulationResult:
     """Run Aggregation caching until every edge has been processed.
 
@@ -86,11 +84,8 @@ def degree_aware_walk(
     ``queue[lo:cursor]`` decides one contiguous slice of them: every edge
     is examined once per Round and none needs a "processed" check.
 
-    With ``collect_trace`` the eviction sequence is recorded so the
-    miss-path hierarchy can evaluate victim-cache occupancy; the policy
-    itself produces no input-buffer misses (every fetch is sequential), so
-    the trace contains no MISS events and the hierarchy recovers nothing —
-    which is exactly the invariant the miss-path ablation asserts.
+    Every fetch is sequential, so the walk never misses and has no trace for
+    the miss-path hierarchy to filter.
 
     Raises :class:`RuntimeError` rather than return a truncated result when
     the walk reaches :data:`MAX_ITERATIONS` with edges left.
@@ -98,16 +93,6 @@ def degree_aware_walk(
     bytes_per_vertex = int(bytes_per_vertex)
     num_vertices = adjacency.num_vertices
     order = stream_order(adjacency)
-    recorder = (
-        TraceRecorder(
-            num_vertices=num_vertices,
-            bytes_per_vertex=bytes_per_vertex,
-            policy="degree_aware",
-            stream_order=order,
-        )
-        if collect_trace
-        else None
-    )
     later, earlier = _undirected_edges(adjacency)
     num_edges = int(later.size)
     capacity = min(capacity_vertices, num_vertices)
@@ -174,19 +159,12 @@ def degree_aware_walk(
                 log.append((round_index, edges_done, max_per_vertex, residents.size))
                 break
             resident_alpha = alpha[residents]
-            evict_at = _select_evictions(resident_alpha, replacement, gamma)
-            if evict_at.size == 0:
-                # Deadlock: no vertex satisfies α < γ.  The paper raises γ
-                # dynamically; equivalently we force-evict the residents with
-                # the fewest unprocessed edges (ties by id).
+            evict_at, deadlocked = _select_evictions(
+                residents, resident_alpha, replacement, gamma, num_vertices
+            )
+            if deadlocked:
                 result.deadlock_events += 1
-                keys = resident_alpha * np.int64(num_vertices) + residents
-                evict_at = np.argpartition(keys, replacement - 1)[:replacement]
-                evict_at = evict_at[np.argsort(keys[evict_at])]
-            evict_ids = residents[evict_at]
-            resident[evict_ids] = False
-            if recorder is not None:
-                recorder.evict_many(evict_ids)
+            resident[residents[evict_at]] = False
             unfinished_evicted = int(np.count_nonzero(resident_alpha[evict_at]))
             result.alpha_writeback_bytes += unfinished_evicted * GNNIE_TABLE.index_bytes
             # Each eviction frees a slot and the queue ahead is unfinished, so
@@ -220,8 +198,6 @@ def degree_aware_walk(
     result.sequential_fetch_bytes = result.vertex_fetches * bytes_per_vertex
     result.total_edges_processed = total_processed
     result.log_iterations(log)
-    if recorder is not None:
-        result.trace = recorder.finish()
     return result
 
 
@@ -241,8 +217,15 @@ def _consume(endpoints: np.ndarray, alpha: np.ndarray) -> int:
     return int(counts.max())
 
 
-def _select_evictions(resident_alpha: np.ndarray, count: int, gamma: int) -> np.ndarray:
-    """Positions, among the id-ordered residents, of the vertices to evict.
+def _select_evictions(
+    residents: np.ndarray,
+    resident_alpha: np.ndarray,
+    count: int,
+    gamma: int,
+    num_vertices: int,
+) -> tuple[np.ndarray, bool]:
+    """Positions, among the id-ordered ``residents``, of the vertices to
+    evict, in eviction order, and whether the pick broke a deadlock.
 
     Fully processed vertices (α = 0) occupy buffer space uselessly and
     are always evicted first.  Among the remaining candidates (0 < α < γ)
@@ -252,9 +235,18 @@ def _select_evictions(resident_alpha: np.ndarray, count: int, gamma: int) -> np.
     and must be refetched in a later Round (the Fig. 11 ablation).
     Residents are kept in ascending id order, so ascending positions are
     dictionary order.
+
+    When no resident is a candidate the walk is deadlocked.  The paper
+    raises γ dynamically; equivalently the ``count`` residents with the
+    fewest unprocessed edges are force-evicted, in (α, id) order.
     """
     finished = np.flatnonzero(resident_alpha == 0)
     if finished.size >= count:
-        return finished[:count]
+        return finished[:count], False
     candidates = np.flatnonzero((resident_alpha > 0) & (resident_alpha < gamma))
-    return np.concatenate([finished, candidates[: count - finished.size]])
+    evict_at = np.concatenate([finished, candidates[: count - finished.size]])
+    if evict_at.size:
+        return evict_at, False
+    keys = resident_alpha * np.int64(num_vertices) + residents
+    evict_at = np.argpartition(keys, count - 1)[:count]
+    return evict_at[np.argsort(keys[evict_at])], True

@@ -2,28 +2,32 @@
 
 :func:`filter_misses` glues the mechanisms of :mod:`repro.cache.mechanisms`
 into one filter: every input-buffer miss in a
-:class:`~repro.cache.trace.VertexAccessTrace` probes the structures that
-``AcceleratorConfig.miss_path_mechanisms`` enables, in parallel, any hit
-keeps the access on chip, and only the remaining misses go to DRAM as
-random accesses.  The outcome is a :class:`HierarchyResult` with
-per-mechanism statistics (accesses, hits, hit rate — the counters the
-SimpleScalar miss-path studies report) plus the combined recovered-traffic
-totals the DRAM and cycle models consume.  The structures are sized by the
-same :class:`~repro.hw.config.AcceleratorConfig` (``victim_cache_entries``,
-``miss_cache_entries``, ``stream_buffer_count``, ``stream_buffer_depth``).
+:class:`~repro.cache.trace.VertexAccessTrace` probes the named structures in
+parallel, any hit keeps the access on chip, and only the remaining misses
+go to DRAM as random accesses.  The outcome is a :class:`HierarchyResult`
+with per-mechanism statistics (accesses, hits, hit rate — the counters the
+SimpleScalar miss-path studies report) plus the combined recovered count.
+The mechanisms and their sizes are the function's arguments: the hierarchy
+is an ablation over the id-order policies' misses, not part of the priced
+design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.cache.mechanisms import MechanismStats, miss_cache_hits, stream_hits, victim_hits
 from repro.cache.trace import VertexAccessTrace
-from repro.hw.config import AcceleratorConfig, CacheKnobs
 
-__all__ = ["HierarchyResult", "filter_misses"]
+__all__ = ["MISS_PATH_MECHANISMS", "HierarchyResult", "check_miss_path", "filter_misses"]
+
+#: Miss-path structures behind the input buffer: a victim cache of evicted
+#: records, a tag-only miss cache and stream buffers, in the order the
+#: tables list them.
+MISS_PATH_MECHANISMS = ("victim", "miss", "stream")
 
 
 @dataclass
@@ -33,37 +37,6 @@ class HierarchyResult:
     mechanisms: list[MechanismStats] = field(default_factory=list)
     total_misses: int = 0
     resolved: int = 0
-    #: Subset of ``resolved`` served only by DRAM-filling structures (stream
-    #: buffers): the random access is avoided, but the record's bytes were
-    #: still fetched from DRAM — as sequential prefetch traffic.
-    prefetch_resolved: int = 0
-    #: Total records the DRAM-filling structures streamed in, consumed or
-    #: not (stream-buffer allocations fetch ``depth`` records each).  This
-    #: is reported, not charged: the cycle model charges only the consumed
-    #: prefetches (``sequential_prefetch_bytes``), i.e. it assumes an ideal
-    #: bypass that cancels unconsumed fills — compare this number against
-    #: ``prefetch_resolved`` to see how optimistic that is per workload.
-    prefetch_fill_records: int = 0
-    bytes_per_vertex: int = 256
-    policy: str = "unknown"
-
-    @property
-    def dram_random_accesses(self) -> int:
-        """Misses that still reach DRAM after the hierarchy."""
-        return self.total_misses - self.resolved
-
-    @property
-    def random_accesses_avoided(self) -> int:
-        return self.resolved
-
-    @property
-    def random_bytes_avoided(self) -> int:
-        return self.resolved * self.bytes_per_vertex
-
-    @property
-    def sequential_prefetch_bytes(self) -> int:
-        """Bytes the stream buffers streamed from DRAM to serve their hits."""
-        return self.prefetch_resolved * self.bytes_per_vertex
 
     @property
     def hit_rate(self) -> float:
@@ -85,76 +58,77 @@ class HierarchyResult:
         return rows
 
 
-def filter_misses(
-    trace: VertexAccessTrace, config: AcceleratorConfig | CacheKnobs, *, metrics=None
-) -> HierarchyResult:
-    """Run every miss of ``trace`` through the configured miss-path hierarchy.
+def check_miss_path(
+    mechanisms: Sequence[str] = MISS_PATH_MECHANISMS,
+    *,
+    victim_entries: int = 64,
+    miss_entries: int = 4096,
+    stream_buffers: int = 4,
+    stream_depth: int = 16,
+) -> None:
+    """Raise :class:`ValueError` for an unknown or repeated mechanism name or
+    a non-positive size; :func:`filter_misses` documents the arguments."""
+    names = list(mechanisms)
+    unknown = set(names) - set(MISS_PATH_MECHANISMS)
+    if unknown:
+        raise ValueError(
+            f"unknown mechanisms {sorted(unknown)}; known: {', '.join(MISS_PATH_MECHANISMS)}"
+        )
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate mechanisms {duplicates}")
+    sizes = {
+        "victim_entries": victim_entries,
+        "miss_entries": miss_entries,
+        "stream_buffers": stream_buffers,
+        "stream_depth": stream_depth,
+    }
+    for name, size in sizes.items():
+        if size <= 0:
+            raise ValueError(f"{name} must be positive, got {size}")
 
-    The mechanisms run in ``config.miss_path_mechanisms`` order.
+
+def filter_misses(
+    trace: VertexAccessTrace,
+    mechanisms: Sequence[str] = MISS_PATH_MECHANISMS,
+    *,
+    victim_entries: int = 64,
+    miss_entries: int = 4096,
+    stream_buffers: int = 4,
+    stream_depth: int = 16,
+) -> HierarchyResult:
+    """Run every miss of ``trace`` through a victim / miss / stream hierarchy.
+
+    ``mechanisms`` names the structures from :data:`MISS_PATH_MECHANISMS`,
+    each at most once; they run in the given order.  The structures hold
+    ``victim_entries`` evicted records, ``miss_entries`` miss tags (a
+    tag-only store, so it can exceed the input buffer's vertex capacity
+    cheaply) and ``stream_buffers`` windows of ``stream_depth`` records.
+
     Per-mechanism stats count each structure's own hits (parallel probing,
     so the same miss may hit several structures); the combined ``resolved``
     count is the union — each such miss costs zero DRAM random accesses
     regardless of how many structures held it.
-
-    Stream buffers are the one structure that fills from DRAM: their fill
-    traffic is ``depth`` records per allocation (every miss that hits no
-    window allocates a buffer) plus one per hit (the window slides one
-    record forward).  On a low-locality trace most of the allocated records
-    go unused, which is the real bandwidth cost of stream buffers that hit
-    counts alone hide.
-
-    ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`; when
-    given (and enabled), the trace's input-buffer misses/evictions and
-    every mechanism's probe/hit counters are recorded under
-    ``cache.input_buffer.*`` / ``cache.miss_path.*``.
     """
-    result = HierarchyResult(
-        total_misses=trace.num_misses,
-        bytes_per_vertex=trace.bytes_per_vertex,
-        policy=trace.policy,
+    check_miss_path(
+        mechanisms,
+        victim_entries=victim_entries,
+        miss_entries=miss_entries,
+        stream_buffers=stream_buffers,
+        stream_depth=stream_depth,
     )
+    result = HierarchyResult(total_misses=trace.num_misses)
     resolved = np.zeros(trace.num_misses, dtype=bool)
-    on_chip = np.zeros(trace.num_misses, dtype=bool)
-    for name in config.miss_path_mechanisms:
+    for name in mechanisms:
         if name == "victim":
-            mask = victim_hits(trace, config.victim_cache_entries)
+            mask = victim_hits(trace, victim_entries)
         elif name == "miss":
-            mask = miss_cache_hits(trace, config.miss_cache_entries)
-        else:  # "stream"; the config rejects any other name
-            mask = stream_hits(
-                trace, config.stream_buffer_count, config.stream_buffer_depth
-            )
-        hits = int(mask.sum())
+            mask = miss_cache_hits(trace, miss_entries)
+        else:  # "stream"; check_miss_path rejects any other name
+            mask = stream_hits(trace, stream_buffers, stream_depth)
         resolved |= mask
-        if name == "stream":
-            result.prefetch_fill_records += (
-                (mask.size - hits) * config.stream_buffer_depth + hits
-            )
-        else:
-            # A parallel hit in an on-chip structure serves the data
-            # without DRAM, even if a stream buffer also held it.
-            on_chip |= mask
         result.mechanisms.append(
-            MechanismStats(name=name, accesses=int(mask.size), hits=hits)
+            MechanismStats(name=name, accesses=int(mask.size), hits=int(mask.sum()))
         )
     result.resolved = int(resolved.sum())
-    result.prefetch_resolved = int((resolved & ~on_chip).sum())
-    if metrics is not None and metrics.enabled:
-        metrics.counter("cache.input_buffer.misses", policy=trace.policy).inc(
-            trace.num_misses
-        )
-        metrics.counter("cache.input_buffer.evictions", policy=trace.policy).inc(
-            trace.num_evictions
-        )
-        for stats in result.mechanisms:
-            metrics.counter("cache.miss_path.accesses", mechanism=stats.name).inc(
-                stats.accesses
-            )
-            metrics.counter("cache.miss_path.hits", mechanism=stats.name).inc(
-                stats.hits
-            )
-        metrics.counter("cache.miss_path.resolved").inc(result.resolved)
-        metrics.counter("cache.miss_path.dram_random").inc(
-            result.dram_random_accesses
-        )
     return result

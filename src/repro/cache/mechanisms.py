@@ -12,10 +12,9 @@ hit path untouched, miss path augmented with stats-only structures):
   quick succession is served the second time without DRAM).
 * :func:`stream_hits` — ``count`` buffers that prefetch the next ``depth``
   vertex records of the sequential DRAM vertex stream after each miss.
-  Because the stream layout is known (descending degree for GNNIE,
-  vertex-id order for the baselines), a hit is a vectorized membership test
-  of the missed vertex's layout position against all active prefetch
-  windows at once.
+  The id-order policies lay records out in vertex-id order, so a hit is a
+  vectorized membership test of the missed vertex's id against all active
+  prefetch windows at once.
 
 Each function reads a :class:`~repro.cache.trace.VertexAccessTrace` and
 returns a boolean hit mask over the trace's misses, without mutating the
@@ -124,8 +123,9 @@ def stream_hits(trace: VertexAccessTrace, count: int, depth: int) -> np.ndarray:
     """Misses served by ``count`` stream buffers prefetching ``depth`` records.
 
     Classic allocate/slide semantics: each buffer holds a prefetch window
-    covering the next ``depth`` layout positions of the DRAM vertex stream
-    after its anchor.  An input-buffer miss at layout position ``q`` probes
+    covering the next ``depth`` positions of the DRAM vertex stream after
+    its anchor.  The stream is laid out in vertex-id order, so a vertex's
+    id is its position.  An input-buffer miss at position ``q`` probes
     all windows at once (the vectorized membership test); a hit slides that
     buffer's anchor forward to ``q`` (the buffer keeps prefetching down its
     stream), a miss allocates the least-recently-used buffer at ``q``.
@@ -133,10 +133,9 @@ def stream_hits(trace: VertexAccessTrace, count: int, depth: int) -> np.ndarray:
     streams stay covered regardless of how unbalanced their activity is.
 
     A stream-buffer hit avoids the random DRAM access but is served by data
-    the buffer prefetched *from DRAM*, so the hierarchy charges its bytes as
-    sequential traffic.
+    the buffer prefetched *from DRAM*.
     """
-    positions = trace.miss_stream_positions()
+    positions = trace.miss_vertices()
     hits = np.zeros(positions.size, dtype=bool)
     # Window anchors; nothing is covered until a buffer is allocated.
     anchors = np.full(count, -(depth + 1), dtype=np.int64)

@@ -20,7 +20,9 @@ They differ only in how the buffer evicts:
 
 :func:`simulate_policy` runs any of the five by name and returns a
 :class:`~repro.cache.policy.CacheSimulationResult`, so they all plug into
-the same Aggregation cycle model, miss-path hierarchy and benchmarks.
+the same Aggregation cycle model and benchmarks.  :func:`miss_trace` runs
+an id-order policy and also hands back its miss/eviction trace, which the
+miss-path hierarchy (:func:`~repro.cache.hierarchy.filter_misses`) filters.
 """
 
 from __future__ import annotations
@@ -31,16 +33,26 @@ import numpy as np
 
 from repro.cache.controller import degree_aware_walk
 from repro.cache.policy import CacheSimulationResult
-from repro.cache.trace import TraceRecorder
+from repro.cache.trace import TraceRecorder, VertexAccessTrace
 from repro.graph.csr import CSRGraph
 
-__all__ = ["POLICY_NAMES", "simulate_policy"]
+__all__ = ["ID_ORDER_POLICIES", "POLICY_NAMES", "miss_trace", "simulate_policy"]
 
 #: Buffer eviction of each id-order baseline.
 _EVICTION = {"lru": "lru", "mru": "mru", "static_partition": "lru", "vertex_order": "fifo"}
 
+#: The id-order baselines: the policies that miss.
+ID_ORDER_POLICIES: tuple[str, ...] = tuple(sorted(_EVICTION))
+
 #: Every policy :func:`simulate_policy` accepts.
-POLICY_NAMES: tuple[str, ...] = ("degree_aware", *sorted(_EVICTION))
+POLICY_NAMES: tuple[str, ...] = ("degree_aware", *ID_ORDER_POLICIES)
+
+
+def _check(policy: str, capacity_vertices: int) -> None:
+    if policy not in POLICY_NAMES:
+        raise KeyError(f"unknown cache policy {policy!r}; known: {list(POLICY_NAMES)}")
+    if capacity_vertices <= 0:
+        raise ValueError("capacity_vertices must be positive")
 
 
 def simulate_policy(
@@ -50,27 +62,42 @@ def simulate_policy(
     *,
     bytes_per_vertex: int = 256,
     gamma: int = 5,
-    collect_trace: bool = False,
 ) -> CacheSimulationResult:
     """Simulate one named cache policy over Aggregation on ``adjacency``.
 
     ``gamma`` only matters to ``degree_aware``, which reads its edge list
-    straight from ``adjacency``.  With ``collect_trace`` the miss/eviction
-    sequence is recorded on ``result.trace`` for the miss-path hierarchy.
+    straight from ``adjacency``.
     """
-    if policy not in POLICY_NAMES:
-        raise KeyError(f"unknown cache policy {policy!r}; known: {list(POLICY_NAMES)}")
-    if capacity_vertices <= 0:
-        raise ValueError("capacity_vertices must be positive")
+    _check(policy, capacity_vertices)
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     if policy == "degree_aware":
-        return degree_aware_walk(
-            adjacency, capacity_vertices, bytes_per_vertex, gamma, collect_trace
+        return degree_aware_walk(adjacency, capacity_vertices, bytes_per_vertex, gamma)
+    return _id_order_walk(policy, adjacency, capacity_vertices, bytes_per_vertex)
+
+
+def miss_trace(
+    policy: str,
+    adjacency: CSRGraph,
+    capacity_vertices: int,
+    *,
+    bytes_per_vertex: int = 256,
+) -> tuple[CacheSimulationResult, VertexAccessTrace]:
+    """Simulate the id-order ``policy`` as :func:`simulate_policy` does, and
+    hand back its chronological miss/eviction trace beside the result.
+
+    Raises :class:`ValueError` for ``degree_aware``: every one of its
+    fetches is sequential, so it has no miss to trace.
+    """
+    _check(policy, capacity_vertices)
+    if policy not in ID_ORDER_POLICIES:
+        raise ValueError(
+            f"{policy!r} never misses; only the id-order policies "
+            f"{list(ID_ORDER_POLICIES)} have a miss trace"
         )
-    return _id_order_walk(
-        policy, adjacency, capacity_vertices, bytes_per_vertex, collect_trace
-    )
+    recorder = TraceRecorder()
+    result = _id_order_walk(policy, adjacency, capacity_vertices, bytes_per_vertex, recorder)
+    return result, recorder.finish()
 
 
 def _id_order_walk(
@@ -78,7 +105,7 @@ def _id_order_walk(
     adjacency: CSRGraph,
     capacity: int,
     bytes_per_vertex: int,
-    collect_trace: bool,
+    recorder: TraceRecorder | None = None,
 ) -> CacheSimulationResult:
     """Process vertices in id order through the policy's vertex buffer.
 
@@ -86,7 +113,7 @@ def _id_order_walk(
     the buffer costs one random DRAM access and admits the neighbor.  Pinned
     vertices never leave the buffer and do not occupy the replaceable
     capacity.  LRU and MRU refresh a resident vertex on every access; FIFO
-    does not.
+    does not.  A ``recorder`` receives every miss and eviction in order.
     """
     eviction = _EVICTION[policy]
     pinned: set[int] = set()
@@ -96,15 +123,6 @@ def _id_order_walk(
     replaceable_capacity = max(1, capacity - len(pinned))
     refresh = eviction != "fifo"
     evict_newest = eviction == "mru"
-    recorder = (
-        TraceRecorder(
-            num_vertices=adjacency.num_vertices,
-            bytes_per_vertex=bytes_per_vertex,
-            policy=policy,
-        )
-        if collect_trace
-        else None
-    )
     result = CacheSimulationResult()
     buffer: OrderedDict[int, None] = OrderedDict()
     undirected_edges = 0
@@ -154,6 +172,4 @@ def _id_order_walk(
             )
         ]
     )
-    if recorder is not None:
-        result.trace = recorder.finish()
     return result

@@ -15,13 +15,8 @@ returns; the degree-aware walk lives in :mod:`repro.cache.controller` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.hierarchy import HierarchyResult
-    from repro.cache.trace import VertexAccessTrace
 
 __all__ = ["CacheSimulationResult"]
 
@@ -57,11 +52,6 @@ class CacheSimulationResult:
     #: Snapshot of the α values of all not-yet-finished vertices at the end
     #: of each round (Fig. 10 histograms).
     alpha_round_snapshots: list[np.ndarray] = field(default_factory=list)
-    #: Miss/eviction trace of the run (only collected when requested, e.g.
-    #: when a miss-path hierarchy is configured).
-    trace: "VertexAccessTrace | None" = None
-    #: Outcome of filtering ``trace`` through the miss-path hierarchy.
-    miss_path: "HierarchyResult | None" = None
 
     @property
     def num_iterations(self) -> int:
@@ -79,39 +69,14 @@ class CacheSimulationResult:
         ) = columns
 
     @property
-    def random_accesses_avoided(self) -> int:
-        """Random accesses recovered on chip by the miss-path hierarchy."""
-        return self.miss_path.random_accesses_avoided if self.miss_path else 0
-
-    @property
-    def random_bytes_avoided(self) -> int:
-        return self.miss_path.random_bytes_avoided if self.miss_path else 0
-
-    @property
-    def net_random_accesses(self) -> int:
-        """Random DRAM accesses that survive the miss-path hierarchy."""
-        return max(0, self.random_accesses - self.random_accesses_avoided)
-
-    @property
-    def net_random_access_bytes(self) -> int:
-        return max(0, self.random_access_bytes - self.random_bytes_avoided)
-
-    @property
     def total_dram_accesses(self) -> int:
-        """Vertex fetches plus net random accesses (the Fig. 11 y-axis).
-
-        Without a miss-path hierarchy the net equals the gross count, so the
-        seed semantics are unchanged; with one attached this stays
-        consistent with the phase model, which also charges net traffic.
-        """
-        return self.vertex_fetches + self.net_random_accesses
+        """Vertex fetches plus random accesses (the Fig. 11 y-axis)."""
+        return self.vertex_fetches + self.random_accesses
 
     @property
     def total_dram_bytes(self) -> int:
-        prefetch = self.miss_path.sequential_prefetch_bytes if self.miss_path else 0
         return (
             self.sequential_fetch_bytes
-            + self.net_random_access_bytes
-            + prefetch
+            + self.random_access_bytes
             + self.alpha_writeback_bytes
         )

@@ -1,21 +1,23 @@
-"""Vertex access/eviction traces emitted by the cache-policy simulators.
+"""Vertex access/eviction traces of the id-order cache policies.
 
 The miss-path hierarchy (:mod:`repro.cache.hierarchy`) is *trace driven*: the
-existing controllers — degree-aware, LRU/MRU, static partition and the
-vertex-order baseline — record the chronological sequence of input-buffer
-**misses** (neighbor accesses that would go to DRAM as random accesses) and
-**evictions** (vertex records leaving the input buffer) while they simulate
-the hit path unchanged.  The hierarchy then filters that trace through victim
-cache / miss cache / stream buffer structures to determine how many of the
-random DRAM accesses a cheap miss-path structure would have recovered,
-without perturbing the baseline simulation itself (the same stats-only
-augmentation shape as the SimpleScalar DL1 miss-path studies).
+id-order walk behind the LRU/MRU, static-partition and vertex-order
+baselines records the chronological sequence of input-buffer **misses**
+(neighbor accesses that go to DRAM as random accesses) and **evictions**
+(vertex records leaving the input buffer) while it simulates the hit path
+unchanged (:func:`~repro.cache.policies.miss_trace`).  The hierarchy then
+filters that trace through victim cache / miss cache / stream buffer
+structures to determine how many of the random DRAM accesses a cheap
+miss-path structure would have recovered, without perturbing the baseline
+simulation itself (the same stats-only augmentation shape as the
+SimpleScalar DL1 miss-path studies).
 
-A trace also carries the DRAM *layout order* of the vertex stream
-(descending-degree for GNNIE's policy, vertex-id order for the baselines),
-because stream buffers prefetch along that layout: a miss on a vertex at
-layout position ``p`` pulls positions ``p+1 .. p+depth`` into a prefetch
-window.
+GNNIE's degree-aware walk records no trace: every one of its fetches is
+sequential, so it has no miss to filter.
+
+The id-order policies lay vertex records out in DRAM in vertex-id order, so
+a vertex's id is its position in the DRAM vertex stream, the layout stream
+buffers prefetch along.
 """
 
 from __future__ import annotations
@@ -33,44 +35,23 @@ EVICT: int = 1
 
 @dataclass(frozen=True)
 class VertexAccessTrace:
-    """Chronological miss/eviction trace of one cache-policy simulation.
+    """Chronological miss/eviction trace of one id-order simulation.
 
     Attributes:
         kinds: ``int8`` array of event kinds (:data:`MISS` / :data:`EVICT`).
         vertices: Vertex id of each event, aligned with ``kinds``.
-        num_vertices: Vertex count of the traced graph.
-        stream_positions: Layout position of every vertex in the DRAM vertex
-            stream (``stream_positions[v]`` is ``v``'s index in the stream).
-        bytes_per_vertex: Size of one vertex record, used to convert
-            recovered accesses into recovered bytes.
-        policy: Name of the policy that produced the trace.
     """
 
     kinds: np.ndarray
     vertices: np.ndarray
-    num_vertices: int
-    stream_positions: np.ndarray
-    bytes_per_vertex: int = 256
-    policy: str = "unknown"
 
     def __post_init__(self) -> None:
         kinds = np.asarray(self.kinds, dtype=np.int8)
         vertices = np.asarray(self.vertices, dtype=np.int64)
         if kinds.shape != vertices.shape:
             raise ValueError("kinds and vertices must have equal length")
-        positions = np.asarray(self.stream_positions, dtype=np.int64)
-        if positions.size != self.num_vertices:
-            raise ValueError("stream_positions must cover every vertex")
         object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "stream_positions", positions)
-
-    # ------------------------------------------------------------------ #
-    # Views
-    # ------------------------------------------------------------------ #
-    @property
-    def num_events(self) -> int:
-        return int(self.kinds.size)
 
     @property
     def num_misses(self) -> int:
@@ -84,29 +65,16 @@ class VertexAccessTrace:
         """Vertex ids of the misses, in trace order."""
         return self.vertices[self.kinds == MISS]
 
-    def miss_stream_positions(self) -> np.ndarray:
-        """DRAM layout positions of the missed vertices, in trace order."""
-        return self.stream_positions[self.miss_vertices()]
-
-    def miss_event_indices(self) -> np.ndarray:
-        """Indices into the event arrays where the misses sit."""
-        return np.flatnonzero(self.kinds == MISS)
-
 
 @dataclass
 class TraceRecorder:
-    """Incremental builder used by the simulators while they run.
+    """Collects the id-order walk's events while it runs.
 
     Appending to Python lists keeps the per-event overhead negligible on the
     hit path; :meth:`finish` converts to the packed NumPy arrays the
     vectorized mechanism filters consume.
     """
 
-    num_vertices: int
-    bytes_per_vertex: int = 256
-    policy: str = "unknown"
-    #: Layout order of the vertex stream; identity (vertex-id order) when None.
-    stream_order: np.ndarray | None = None
     _kinds: list[int] = field(default_factory=list)
     _vertices: list[int] = field(default_factory=list)
 
@@ -118,22 +86,8 @@ class TraceRecorder:
         self._kinds.append(EVICT)
         self._vertices.append(int(vertex))
 
-    def evict_many(self, vertices: np.ndarray) -> None:
-        self._kinds.extend([EVICT] * len(vertices))
-        self._vertices.extend(int(v) for v in vertices)
-
     def finish(self) -> VertexAccessTrace:
-        if self.stream_order is None:
-            positions = np.arange(self.num_vertices, dtype=np.int64)
-        else:
-            order = np.asarray(self.stream_order, dtype=np.int64)
-            positions = np.empty(self.num_vertices, dtype=np.int64)
-            positions[order] = np.arange(order.size, dtype=np.int64)
         return VertexAccessTrace(
             kinds=np.asarray(self._kinds, dtype=np.int8),
             vertices=np.asarray(self._vertices, dtype=np.int64),
-            num_vertices=self.num_vertices,
-            stream_positions=positions,
-            bytes_per_vertex=self.bytes_per_vertex,
-            policy=self.policy,
         )

@@ -33,7 +33,7 @@ Sweep the named design points A–E::
     python -m repro designs --dataset cora --model gcn
 
 Evaluate miss-path mechanisms (victim cache / miss cache / stream buffers)
-behind the input buffer::
+over the misses of the id-order cache policies::
 
     python -m repro cache --dataset cora --mechanism victim,stream
     python -m repro cache --dataset pubmed --policy all --mechanism victim,miss,stream
@@ -92,9 +92,9 @@ from repro.analysis import compare_against_platform, format_table, miss_path_abl
 from repro.analysis.roofline import roofline_analysis
 from repro.baselines import AWBGCNModel, HyGCNModel, PyGCPUModel, PyGGPUModel
 from repro.baselines.engn import EnGNModel
-from repro.cache import POLICY_NAMES
+from repro.cache import ID_ORDER_POLICIES, MISS_PATH_MECHANISMS, check_miss_path
 from repro.datasets import build_dataset, dataset_names, dataset_spec
-from repro.hw import MISS_PATH_MECHANISMS, AcceleratorConfig, design_preset
+from repro.hw import AcceleratorConfig, design_preset
 from repro.models import MODEL_FAMILIES
 from repro.plan import executor_names, lower
 from repro.sim import GNNIEExecutor, input_buffer_capacity
@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache_parser = subparsers.add_parser(
         "cache",
-        help="evaluate miss-path mechanisms (victim/miss/stream) behind the input buffer",
+        help="evaluate miss-path mechanisms (victim/miss/stream) over the id-order "
+        "policies' misses",
     )
     cache_parser.add_argument(
         "--dataset", default="cora", choices=dataset_names(), help="benchmark dataset"
@@ -265,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     cache_parser.add_argument(
         "--policy",
         default="vertex_order",
-        choices=[*POLICY_NAMES, "all"],
-        help="hit-path policy whose miss trace is filtered (default: the "
-        "vertex-order baseline, the policy with the random-traffic problem)",
+        choices=[*ID_ORDER_POLICIES, "all"],
+        help="id-order policy whose miss trace is filtered (default: the "
+        "vertex-order baseline, Fig. 18's no-caching policy)",
     )
     cache_parser.add_argument(
         "--feature-length",
@@ -845,7 +846,6 @@ def _cmd_designs(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    graph = build_dataset(args.dataset, scale=args.scale, seed=args.seed)
     mechanisms = tuple(
         dict.fromkeys(name.strip() for name in args.mechanism.split(",") if name.strip())
     )
@@ -855,22 +855,20 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     sizing = {
         knob: value
         for knob, value in (
-            ("victim_cache_entries", args.victim_entries),
-            ("miss_cache_entries", args.miss_entries),
-            ("stream_buffer_count", args.stream_buffers),
-            ("stream_buffer_depth", args.stream_depth),
+            ("victim_entries", args.victim_entries),
+            ("miss_entries", args.miss_entries),
+            ("stream_buffers", args.stream_buffers),
+            ("stream_depth", args.stream_depth),
         )
         if value is not None
     }
     try:
-        config = (
-            AcceleratorConfig()
-            .resolve_input_buffer(graph.name)
-            .with_miss_path(*mechanisms, **sizing)
-        )
+        check_miss_path(mechanisms, **sizing)
     except ValueError as error:
         print(f"invalid miss-path configuration: {error}", file=sys.stderr)
         return 2
+    graph = build_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    config = AcceleratorConfig().resolve_input_buffer(graph.name)
     try:
         capacity, record_bytes = input_buffer_capacity(
             graph.adjacency, config, args.feature_length
@@ -878,9 +876,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"invalid --feature-length: {error}", file=sys.stderr)
         return 2
-    policies = POLICY_NAMES if args.policy == "all" else [args.policy]
+    policies = ID_ORDER_POLICIES if args.policy == "all" else [args.policy]
     rows = miss_path_ablation_rows(
-        graph.adjacency, config, args.feature_length, policies=policies, dataset=graph.name
+        graph.adjacency,
+        config,
+        args.feature_length,
+        policies=policies,
+        dataset=graph.name,
+        mechanisms=mechanisms,
+        **sizing,
     )
     title = (
         f"Miss-path hierarchy on {graph.name} "

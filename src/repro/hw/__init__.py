@@ -11,7 +11,6 @@ from repro.hw.config import (
     DESIGN_PRESETS,
     FIT,
     GNNIE_TABLE,
-    MISS_PATH_MECHANISMS,
     AcceleratorConfig,
     GNNIETable,
     design_preset,
@@ -26,7 +25,6 @@ __all__ = [
     "FIT",
     "GNNIE_TABLE",
     "GNNIETable",
-    "MISS_PATH_MECHANISMS",
     "design_preset",
     "entry",
     "HBMModel",

@@ -8,16 +8,20 @@ fixed number GNNIE's cost model reads (energies, areas, DRAM timing, SFU
 latencies, preprocessing throughputs, index width, the scale-out link), sit
 in one frozen table, :data:`GNNIE_TABLE`, each with its source.
 
-What the paper explores, and what the ablations, the miss-path extension
-and the tuner vary, is an :class:`AcceleratorConfig`:
+What the paper explores, and what the ablations and the tuner vary, is an
+:class:`AcceleratorConfig`:
 
 * the Flexible MAC allocation — 4 MACs/CPE for rows 1–8, 5 for rows 9–12
   and 6 for rows 13–16 (1216 MACs in total),
 * 256 KB / 512 KB input buffer (small / large datasets), 1 MB output buffer,
 * cache eviction threshold γ = 5,
-* the miss-path hierarchy behind the input buffer,
 * one flag per optimization, so the ablation benchmarks (Figs. 11, 16–18)
   can disable it without touching code paths.
+
+The victim / miss / stream hierarchy behind the input buffer is not part of
+the priced design: degree-aware caching streams every record, so it has no
+miss to filter.  It is an ablation over the id-order policies' misses in
+:mod:`repro.cache`, sized by its function arguments.
 
 The named design points of the optimization analysis (Section VIII-E) are
 provided as constructors: Design A (uniform 4 MACs/CPE baseline), B (5), C
@@ -31,7 +35,7 @@ configuration it sees; reading any other name raises ``AttributeError``.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, TypeVar
 
 __all__ = [
@@ -42,7 +46,6 @@ __all__ = [
     "FIT",
     "GNNIE_TABLE",
     "GNNIETable",
-    "MISS_PATH_MECHANISMS",
     "WeightingKnobs",
     "design_preset",
     "entry",
@@ -144,17 +147,11 @@ class GNNIETable:
 
 GNNIE_TABLE = GNNIETable()
 
-#: Miss-path structures behind the input buffer (:mod:`repro.cache`): a
-#: victim cache of evicted records, a tag-only miss cache and stream
-#: buffers.  This order is the one the tune proposer toggles them in, so it
-#: is part of tuned candidate names and their cell keys.
-MISS_PATH_MECHANISMS = ("victim", "miss", "stream")
-
 
 @dataclass(frozen=True)
 class AcceleratorConfig:
     """The knobs of a GNNIE instance that the paper's exploration, the
-    ablations, the miss-path extension and the tuner vary."""
+    ablations and the tuner vary."""
 
     # --- Flexible MAC allocation ---------------------------------------- #
     #: MACs per CPE for each row group; groups split the rows from top
@@ -176,19 +173,6 @@ class AcceleratorConfig:
 
     # --- Cache policy ----------------------------------------------------#
     gamma: int = 5
-
-    # --- Miss-path hierarchy behind the input buffer -------------------- #
-    #: Names from :data:`MISS_PATH_MECHANISMS`, probed in parallel on every
-    #: input-buffer miss in this order; an empty tuple disables the
-    #: hierarchy (every miss goes straight to DRAM).  Unknown and repeated
-    #: names are rejected at construction.
-    miss_path_mechanisms: tuple[str, ...] = ()
-    victim_cache_entries: int = 64
-    #: Tag-only structure, so a tag store exceeding the input buffer's
-    #: vertex capacity is still cheap (4-byte tags vs ~256-byte records).
-    miss_cache_entries: int = 4096
-    stream_buffer_count: int = 4
-    stream_buffer_depth: int = 16
 
     # --- Optimization feature flags (for ablations) --------------------- #
     enable_flexible_mac: bool = True
@@ -221,20 +205,6 @@ class AcceleratorConfig:
                 "input_buffer_bytes must be positive (or None for the paper's "
                 "per-dataset auto sizing)"
             )
-        unknown = set(self.miss_path_mechanisms) - set(MISS_PATH_MECHANISMS)
-        if unknown:
-            raise ValueError(
-                f"unknown mechanisms {sorted(unknown)} in miss_path_mechanisms; "
-                f"known: {', '.join(MISS_PATH_MECHANISMS)}"
-            )
-        mechanisms = self.miss_path_mechanisms
-        duplicates = sorted({name for name in mechanisms if mechanisms.count(name) > 1})
-        if duplicates:
-            raise ValueError(f"duplicate mechanisms {duplicates} in miss_path_mechanisms")
-        if self.victim_cache_entries <= 0 or self.miss_cache_entries <= 0:
-            raise ValueError("victim/miss cache capacities must be positive")
-        if self.stream_buffer_count <= 0 or self.stream_buffer_depth <= 0:
-            raise ValueError("stream buffer count and depth must be positive")
 
     @property
     def num_rows(self) -> int:
@@ -263,15 +233,6 @@ class AcceleratorConfig:
     def peak_ops_per_second(self) -> float:
         """Peak throughput counting one MAC as two operations (mult + add)."""
         return 2.0 * self.total_macs * GNNIE_TABLE.frequency_hz
-
-    def with_miss_path(self, *mechanisms: str, **sizing: int) -> "AcceleratorConfig":
-        """Copy with the given miss-path mechanisms enabled.
-
-        ``sizing`` forwards the hierarchy knobs (``victim_cache_entries``,
-        ``miss_cache_entries``, ``stream_buffer_count``,
-        ``stream_buffer_depth``).
-        """
-        return replace(self, miss_path_mechanisms=tuple(mechanisms), **sizing)
 
     @property
     def input_buffer_bytes_or_default(self) -> int:
@@ -331,18 +292,11 @@ class WeightingKnobs:
 
 @dataclass(frozen=True, slots=True)
 class CacheKnobs:
-    """What a cache-policy simulation reads.  The miss-path fields, the ones
-    with defaults (no hierarchy), keep them under degree-aware caching: that
-    walk never misses, so miss-path variants share one walk."""
+    """What a cache-policy simulation reads: the buffer, γ and the policy."""
 
     input_buffer_bytes_or_default: int
     gamma: int
     enable_degree_aware_caching: bool
-    miss_path_mechanisms: tuple[str, ...] = ()
-    victim_cache_entries: int | None = None
-    miss_cache_entries: int | None = None
-    stream_buffer_count: int | None = None
-    stream_buffer_depth: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -363,11 +317,8 @@ _View = TypeVar("_View", WeightingKnobs, CacheKnobs, AggregationKnobs)
 
 def pricing_view(kind: type[_View], config: AcceleratorConfig) -> _View:
     """The ``kind`` view of ``config``: each of its fields read off the
-    config, except that a :class:`CacheKnobs` keeps its miss-path defaults
-    under degree-aware caching."""
-    miss_path = kind is not CacheKnobs or not config.enable_degree_aware_caching
-    names = [field.name for field in fields(kind) if miss_path or field.default is MISSING]
-    return kind(**{name: getattr(config, name) for name in names})
+    config."""
+    return kind(**{field.name: getattr(config, field.name) for field in fields(kind)})
 
 
 def _uniform_design(name: str, macs_per_cpe: int) -> AcceleratorConfig:

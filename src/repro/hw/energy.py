@@ -93,14 +93,6 @@ class EnergyBreakdown:
         )
 
 
-#: SRAM access energy per byte of each on-chip buffer.
-_BUFFER_PJ_PER_BYTE = {
-    "input": GNNIE_TABLE.input_buffer_pj_per_byte,
-    "output": GNNIE_TABLE.output_buffer_pj_per_byte,
-    "weight": GNNIE_TABLE.weight_buffer_pj_per_byte,
-}
-
-
 class EnergyModel:
     """Per-operation and per-byte energies, read from
     :data:`~repro.hw.config.GNNIE_TABLE`; all results are in picojoules."""
@@ -112,10 +104,11 @@ class EnergyModel:
         return GNNIE_TABLE.sfu_op_energy_pj * num_ops
 
     def buffer_energy(self, buffer_name: str, num_bytes: int) -> float:
-        per_byte = _BUFFER_PJ_PER_BYTE.get(buffer_name)
-        if per_byte is None:
+        """SRAM access energy of ``num_bytes`` through the ``input``,
+        ``output`` or ``weight`` buffer."""
+        if buffer_name not in ("input", "output", "weight"):
             raise ValueError(f"unknown buffer {buffer_name!r}")
-        return per_byte * num_bytes
+        return getattr(GNNIE_TABLE, f"{buffer_name}_buffer_pj_per_byte") * num_bytes
 
     def dram_energy(self, num_bytes: int) -> float:
         return GNNIE_TABLE.dram_pj_per_bit * 8.0 * num_bytes

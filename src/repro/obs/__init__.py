@@ -6,8 +6,8 @@ Three layers, all defaulting to disabled no-ops:
   (``inference → layer → phase-op`` in the GNNIE executor,
   ``sweep → cell`` in the fleet runner), carrying both host wall time and
   modeled attribution (cycles / MACs / DRAM bytes / energy);
-* :mod:`repro.obs.metrics` — a counter/gauge registry fed by the cache
-  miss-path hierarchy, the sweep runner and the tune loop;
+* :mod:`repro.obs.metrics` — a counter/gauge registry fed by the GNNIE
+  executor's cache simulations, the sweep runner and the tune loop;
 * :mod:`repro.obs.export` — Chrome-trace/Perfetto JSON (validated by
   :mod:`repro.obs.schema`), metrics JSON/CSV dumps and flame-style tables.
 

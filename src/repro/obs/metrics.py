@@ -1,10 +1,10 @@
 """Counter/gauge metrics registry for the executor, cache and fleet layers.
 
 A :class:`MetricsRegistry` hands out get-or-create :class:`Counter` and
-:class:`Gauge` instruments keyed by ``(name, labels)`` — e.g. the miss-path
-hierarchy registers ``cache.miss_path.hits{mechanism=victim}`` per
-mechanism, the sweep runner ``sweep.cells.executed`` and the tune loop
-``tune.proposals``.  Instruments are plain attribute-increment objects (no
+:class:`Gauge` instruments keyed by ``(name, labels)`` — e.g. the GNNIE
+executor registers ``executor.cache_sim.runs`` and
+``executor.cache_sim.memo_hits``, the sweep runner ``sweep.cells.executed``
+and the tune loop ``tune.proposals``.  Instruments are plain attribute-increment objects (no
 locks — the repo's fleet parallelism is process-based, each process holds
 its own registry and ships aggregates, not instruments).
 

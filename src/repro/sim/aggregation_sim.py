@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.controller import vertex_record_bytes
-from repro.cache.hierarchy import filter_misses
 from repro.cache.policies import simulate_policy
 from repro.cache.policy import CacheSimulationResult
 from repro.graph.csr import CSRGraph
@@ -44,8 +43,6 @@ def run_cache_simulation(
     adjacency: CSRGraph,
     config: AcceleratorConfig | CacheKnobs,
     feature_length: int,
-    *,
-    metrics=None,
 ) -> CacheSimulationResult:
     """Run the caching policy selected by the configuration.
 
@@ -53,31 +50,17 @@ def run_cache_simulation(
     (sequential DRAM traffic only); otherwise the vertex-id-order baseline is
     simulated, which pays random DRAM accesses for non-resident neighbors.
 
-    When the configuration enables miss-path mechanisms
-    (``config.miss_path_mechanisms``), the policy additionally emits its
-    miss/eviction trace, the hierarchy filters it, and the outcome is
-    attached to the result (``result.miss_path``); downstream cycle/energy
-    models then charge only the *net* random accesses to DRAM.
-
-    ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`; when
-    given, the hierarchy records its per-mechanism hit/miss/eviction
-    counters into it (see :func:`repro.cache.hierarchy.filter_misses`).
-
     The simulation needs nothing but ``adjacency``: the degree-aware walk
     reads its undirected edges from the CSR's upper triangle on each call.
     """
     capacity, record_bytes = input_buffer_capacity(adjacency, config, feature_length)
-    result = simulate_policy(
+    return simulate_policy(
         "degree_aware" if config.enable_degree_aware_caching else "vertex_order",
         adjacency,
         capacity,
         bytes_per_vertex=record_bytes,
         gamma=config.gamma,
-        collect_trace=bool(config.miss_path_mechanisms),
     )
-    if result.trace is not None:
-        result.miss_path = filter_misses(result.trace, config, metrics=metrics)
-    return result
 
 
 def aggregation_phase_from_cache(
@@ -111,28 +94,17 @@ def aggregation_phase_from_cache(
 
     # --- DRAM traffic --------------------------------------------------- #
     # Vertex records stream in sequentially (the policy's key guarantee);
-    # random accesses appear only for the id-order ablation baseline.  The
-    # miss-path hierarchy (when configured) resolves part of those misses:
-    # victim/miss-cache hits are on chip and free, while stream-buffer hits
-    # were prefetched from DRAM — their bytes are charged as sequential
-    # traffic below.  Only *consumed* prefetches are charged (an idealized
-    # prefetch-bypass); the full fill traffic including wasted prefetches is
-    # reported on HierarchyResult.prefetch_fill_records.
-    prefetch_bytes = (
-        cache_result.miss_path.sequential_prefetch_bytes if cache_result.miss_path else 0
-    )
-    fetch_cycles = dram.sequential_transfer_cycles(
-        cache_result.sequential_fetch_bytes + prefetch_bytes
-    )
+    # random accesses appear only for the id-order ablation baseline.
+    fetch_cycles = dram.sequential_transfer_cycles(cache_result.sequential_fetch_bytes)
     random_granule = max(
         GNNIE_TABLE.random_access_granularity_bytes, feature_length * bytes_per_value
     )
-    net_random_accesses = cache_result.net_random_accesses
-    net_random_bytes = cache_result.net_random_access_bytes
+    random_accesses = cache_result.random_accesses
+    random_bytes = cache_result.random_access_bytes
     random_cycles = 0
-    if net_random_accesses:
+    if random_accesses:
         random_cycles = dram.random_transfer_cycles(
-            net_random_accesses, bytes_per_access=random_granule
+            random_accesses, bytes_per_access=random_granule
         )
 
     # Output-buffer partial sums: at the start of each Round the accumulators
@@ -166,10 +138,7 @@ def aggregation_phase_from_cache(
     # vertex records and are already part of sequential_fetch_bytes /
     # alpha_writeback_bytes.
     dram_read_bytes = (
-        cache_result.sequential_fetch_bytes
-        + prefetch_bytes
-        + net_random_bytes
-        + psum_spill_bytes // 2
+        cache_result.sequential_fetch_bytes + random_bytes + psum_spill_bytes // 2
     )
     dram_write_bytes = (
         cache_result.alpha_writeback_bytes + psum_spill_bytes // 2 + final_write_bytes
@@ -193,13 +162,10 @@ def aggregation_phase_from_cache(
         sfu_operations=int(sfu_ops),
         dram_read_bytes=int(dram_read_bytes),
         dram_write_bytes=int(dram_write_bytes),
-        dram_random_accesses=int(net_random_accesses),
-        dram_random_accesses_avoided=int(cache_result.random_accesses_avoided),
+        dram_random_accesses=int(random_accesses),
         input_buffer_bytes=int(input_buffer_bytes),
         output_buffer_bytes=int(output_buffer_bytes),
-        dram_input_stream_bytes=int(
-            cache_result.sequential_fetch_bytes + prefetch_bytes + net_random_bytes
-        ),
+        dram_input_stream_bytes=int(cache_result.sequential_fetch_bytes + random_bytes),
         dram_output_stream_bytes=int(
             psum_spill_bytes + final_write_bytes + cache_result.alpha_writeback_bytes
         ),

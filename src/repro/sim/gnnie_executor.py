@@ -363,9 +363,7 @@ class GNNIEExecutor:
             # memo hits re-use the numbers without double-counting events.
             outcome = "run"
             self.metrics.counter("executor.cache_sim.runs").inc()
-            cache_result = run_cache_simulation(
-                adjacency, cache_knobs, priming_width, metrics=self.metrics
-            )
+            cache_result = run_cache_simulation(adjacency, cache_knobs, priming_width)
             context.cache_results[sim_key] = cache_result
         span.set(
             cache_sim=outcome,

@@ -34,9 +34,6 @@ class PhaseResult:
     dram_read_bytes: int = 0
     dram_write_bytes: int = 0
     dram_random_accesses: int = 0
-    #: Random accesses resolved on chip by the miss-path hierarchy (victim
-    #: cache / miss cache / stream buffers) instead of reaching DRAM.
-    dram_random_accesses_avoided: int = 0
     input_buffer_bytes: int = 0
     output_buffer_bytes: int = 0
     weight_buffer_bytes: int = 0
@@ -74,8 +71,6 @@ class PhaseResult:
             dram_read_bytes=self.dram_read_bytes + other.dram_read_bytes,
             dram_write_bytes=self.dram_write_bytes + other.dram_write_bytes,
             dram_random_accesses=self.dram_random_accesses + other.dram_random_accesses,
-            dram_random_accesses_avoided=self.dram_random_accesses_avoided
-            + other.dram_random_accesses_avoided,
             input_buffer_bytes=self.input_buffer_bytes + other.input_buffer_bytes,
             output_buffer_bytes=self.output_buffer_bytes + other.output_buffer_bytes,
             weight_buffer_bytes=self.weight_buffer_bytes + other.weight_buffer_bytes,

@@ -42,11 +42,11 @@ __all__ = [
 #: (success and ``failed``, single- and multi-chip).  Bumped whenever the
 #: cell-key derivation changes, so resuming a sweep from a store written
 #: before the change fails with a clear error instead of silently
-#: re-executing every cell next to the stale rows.  Format 6 keys every
+#: re-executing every cell next to the stale rows.  Format 7 keys every
 #: cell on its chip count and on every :class:`~repro.hw.AcceleratorConfig`
-#: field; the fixed design (:data:`~repro.hw.config.GNNIE_TABLE`) is in no
-#: key.
-ROW_FORMAT = 6
+#: field (10 since the miss-path hierarchy left the config); the fixed
+#: design (:data:`~repro.hw.config.GNNIE_TABLE`) is in no key.
+ROW_FORMAT = 7
 
 #: Per-process dataset memo: (dataset, scale, seed) -> Graph.  Bounded so
 #: the jobs=1 path (which runs in the caller's process and lives as long as

@@ -10,8 +10,8 @@ This package is the offline analogue over the repo's sweep fleet:
   resumable :class:`~repro.sweep.store.ResultStore`,
 * :mod:`repro.tune.proposer` — the candidate search:
   :class:`ParetoMutationProposer` mutates Pareto survivors along the MAC
-  allocation (under the grid's admissibility rules), buffer sizing, γ and
-  miss-path axes.
+  allocation (under the grid's admissibility rules), buffer sizing and γ
+  axes.
 
 Store-backed reporting lives in :func:`repro.analysis.tune_report`; the
 CLI front end is ``python -m repro tune``.

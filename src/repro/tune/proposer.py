@@ -14,8 +14,7 @@ child across the axes the paper's design-space exploration sweeps
 * input/output buffer capacities (halve/double within bounds — explicit
   ``input_buffer_bytes`` overrides are what the sweep executor now
   respects, which is what makes this axis searchable at all),
-* the cache eviction threshold γ,
-* the miss-path hierarchy (mechanism toggles and structure sizing).
+* the cache eviction threshold γ.
 
 The proposer is deterministic given its ``rng``: the tune loop seeds one
 :class:`random.Random` per generation from the spec seed, so a killed and
@@ -29,7 +28,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from repro.hw.config import MISS_PATH_MECHANISMS, AcceleratorConfig
+from repro.hw.config import AcceleratorConfig
 from repro.sim.design_space import DesignPoint, admissible_mac_allocation
 
 __all__ = ["ParetoMutationProposer", "candidate_name"]
@@ -66,13 +65,6 @@ def candidate_name(config: AcceleratorConfig) -> str:
         f"OB{config.output_buffer_bytes // 1024}K",
         f"g{config.gamma}",
     ]
-    if config.miss_path_mechanisms:
-        parts.append(
-            "MP" + "+".join(config.miss_path_mechanisms)
-            + f"v{config.victim_cache_entries}"
-            + f"m{config.miss_cache_entries}"
-            + f"s{config.stream_buffer_count}x{config.stream_buffer_depth}"
-        )
     return "tune:" + "-".join(parts)
 
 
@@ -94,7 +86,6 @@ class ParetoMutationProposer:
         "input_buffer", "input_buffer",
         "output_buffer",
         "gamma",
-        "miss_path",
     )
 
     def propose(
@@ -178,24 +169,3 @@ class ParetoMutationProposer:
         if not low <= gamma <= high:
             return None
         return replace(parent, gamma=gamma)
-
-    def _mutate_miss_path(
-        self, parent: AcceleratorConfig, rng: random.Random
-    ) -> AcceleratorConfig | None:
-        enabled = set(parent.miss_path_mechanisms)
-        if enabled and rng.random() < 0.3:
-            # Resize the hierarchy instead of toggling membership.
-            knob = rng.choice(
-                ("victim_cache_entries", "miss_cache_entries", "stream_buffer_depth")
-            )
-            value = getattr(parent, knob)
-            value = value * 2 if rng.random() < 0.5 else max(1, value // 2)
-            if value == getattr(parent, knob):
-                return None
-            return replace(parent, **{knob: value})
-        toggled = rng.choice(MISS_PATH_MECHANISMS)
-        enabled.symmetric_difference_update({toggled})
-        # Canonical mechanism order keeps ("victim", "stream") and
-        # ("stream", "victim") one candidate, not two cell keys.
-        ordered = tuple(name for name in MISS_PATH_MECHANISMS if name in enabled)
-        return replace(parent, miss_path_mechanisms=ordered)

@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.datasets import build_dataset
-from repro.hw import MISS_PATH_MECHANISMS, AcceleratorConfig
+from repro.hw import AcceleratorConfig
 from repro.hw.config import AggregationKnobs, CacheKnobs, WeightingKnobs, pricing_view
 from repro.models import MODEL_FAMILIES
 from repro.obs import MetricsRegistry
@@ -33,24 +33,19 @@ def _mixed_configs() -> list[AcceleratorConfig]:
     """A mixed batch of ≥20 configs varying every batch-relevant knob."""
     base = AcceleratorConfig()
     configs = [base]
-    for macs in ((3, 4, 5), (2, 4, 8), (4, 6, 8)):
+    for macs in ((3, 4, 5), (2, 4, 8), (4, 6, 8), (5, 5, 6)):
         configs.append(replace(base, macs_per_group=macs, name=f"macs{macs}"))
-    configs.append(replace(base, rows_per_group=(10, 3, 3), name="rows10-3-3"))
-    for kb in (128, 256, 1024):
+    for rows in ((10, 3, 3), (4, 6, 6)):
+        configs.append(replace(base, rows_per_group=rows, name=f"rows{rows}"))
+    for kb in (64, 128, 256, 1024):
         configs.append(replace(base, input_buffer_bytes=kb * 1024, name=f"buf{kb}k"))
-    for gamma in (2, 3, 8):
+    for gamma in (2, 3, 8, 12):
         configs.append(replace(base, gamma=gamma, name=f"gamma{gamma}"))
-    for mechanisms in (("miss",), ("victim",), ("miss", "stream", "victim")):
-        configs.append(
-            replace(base, miss_path_mechanisms=mechanisms, name="+".join(mechanisms))
-        )
     configs.append(replace(base, output_buffer_bytes=256 * 1024, name="obuf256k"))
     configs.append(replace(base, enable_degree_aware_caching=False, name="nocache"))
     configs.append(replace(base, enable_flexible_mac=False, name="noflex"))
     configs.append(replace(base, enable_load_redistribution=False, name="nolr"))
     configs.append(replace(base, enable_aggregation_load_balancing=False, name="nolb"))
-    configs.append(replace(base, victim_cache_entries=4, name="victim4"))
-    configs.append(replace(base, stream_buffer_count=8, name="stream8"))
     configs.append(
         replace(base, gamma=2, input_buffer_bytes=128 * 1024, name="gamma2buf128k")
     )
@@ -69,11 +64,6 @@ _FIELD_PERTURBATIONS: dict[str, dict] = {
     "input_buffer_bytes": {"input_buffer_bytes": 128 * 1024},
     "output_buffer_bytes": {"output_buffer_bytes": 64 * 1024},
     "gamma": {"gamma": 2},
-    "miss_path_mechanisms": {"miss_path_mechanisms": ("stream",)},
-    "victim_cache_entries": {"victim_cache_entries": 4},
-    "miss_cache_entries": {"miss_cache_entries": 16},
-    "stream_buffer_count": {"stream_buffer_count": 1},
-    "stream_buffer_depth": {"stream_buffer_depth": 2},
     "enable_flexible_mac": {"enable_flexible_mac": False},
     "enable_load_redistribution": {"enable_load_redistribution": False},
     "enable_degree_aware_caching": {"enable_degree_aware_caching": False},
@@ -81,19 +71,17 @@ _FIELD_PERTURBATIONS: dict[str, dict] = {
 }
 
 
-#: Two bases whose 64 KB input buffer is small enough for γ and the miss
-#: path to be priced on a small graph.  The first caches degree-aware,
-#: where γ is read.  The second caches in id order with every miss-path
-#: structure on, where the miss-path sizes are read, and with Flexible MAC
-#: off, which leaves Load Redistribution an imbalance to move.
+#: Two bases whose 64 KB input buffer is small enough for γ to be priced
+#: on a small graph.  The first caches degree-aware, where γ is read.  The
+#: second caches in id order, and turns Flexible MAC off, which leaves Load
+#: Redistribution an imbalance to move.
 _BASES = (
     AcceleratorConfig(input_buffer_bytes=64 * 1024, name="degree-aware"),
     AcceleratorConfig(
         input_buffer_bytes=64 * 1024,
         enable_degree_aware_caching=False,
-        miss_path_mechanisms=MISS_PATH_MECHANISMS,
         enable_flexible_mac=False,
-        name="miss-path",
+        name="id-order",
     ),
 )
 
@@ -295,37 +283,6 @@ class TestCacheSimSharing:
         # Each 2-layer plan prices 2 aggregation ops per config: 12 in all,
         # every one past the three runs served from the memo.
         assert memo_hits == 12 - runs
-
-    @pytest.mark.parametrize(("degree_aware", "walks"), [(True, 1), (False, 3)])
-    def test_miss_path_keys_a_simulation_only_where_a_miss_can_happen(
-        self, degree_aware, walks
-    ):
-        """The degree-aware walk never misses, so configs that differ only in
-        miss-path sizing share one simulation, and their results equal the
-        result without a miss path.  The id-order walk misses, so each
-        sizing is its own walk."""
-        from repro.plan.lowering import lower
-        from repro.sim.gnnie_executor import GNNIEExecutor
-        from repro.sim.trace import result_to_dict
-
-        graph = build_dataset("cora", scale=0.3, seed=0)
-        plan = lower("gcn", graph)
-        metrics = MetricsRegistry()
-        executor = GNNIEExecutor(metrics=metrics)
-        base = AcceleratorConfig(enable_degree_aware_caching=degree_aware)
-        results = [
-            result_to_dict(
-                executor.execute(
-                    plan, graph, base.with_miss_path("victim", victim_cache_entries=entries)
-                )
-            )
-            for entries in (8, 16, 32)
-        ]
-        assert metrics.counter("executor.cache_sim.runs").value == walks
-        if degree_aware:
-            plain = result_to_dict(executor.execute(plan, graph, base))
-            assert results == [plain] * 3
-            assert metrics.counter("executor.cache_sim.runs").value == 1
 
     def test_executor_holds_no_memo_state(self):
         from repro.plan.lowering import lower

@@ -187,24 +187,29 @@ def _log_digest(result) -> str:
     ids=("gamma0", "gamma2", "gamma5"),
 )
 def test_walk_pinned_at_ppi_quarter_scale(
-    ppi_quarter, gamma, rounds, iterations, deadlocks, fetches, writeback, log_sha256,
-    evictions_sha256,
+    ppi_quarter, monkeypatch, gamma, rounds, iterations, deadlocks, fetches, writeback,
+    log_sha256, evictions_sha256,
 ):
     """The oracle stops at 100 vertices; this pins the walk on PPI at scale
     0.25 (14,236 vertices, capacity 1,747 of 300-byte records at width 128).
 
     Its r = 218 deadlock victims per iteration are enough for the order they
-    leave in, (α, id), to show in the eviction trace; the oracle's r ≤ 5
-    cannot tell a sorted pick from a partitioned one."""
+    leave in, (α, id), to show in the eviction sequence its one victim
+    picker returns; the oracle's r ≤ 5 cannot tell a sorted pick from a
+    partitioned one."""
     capacity, record_bytes = input_buffer_capacity(ppi_quarter, AcceleratorConfig(), 128)
     assert (ppi_quarter.num_vertices, capacity, record_bytes) == (14_236, 1_747, 300)
+    pick = controller._select_evictions
+    evicted = []
+
+    def spy(residents, *args):
+        evict_at, deadlocked = pick(residents, *args)
+        evicted.append(residents[evict_at])
+        return evict_at, deadlocked
+
+    monkeypatch.setattr(controller, "_select_evictions", spy)
     result = simulate_policy(
-        "degree_aware",
-        ppi_quarter,
-        capacity,
-        bytes_per_vertex=record_bytes,
-        gamma=gamma,
-        collect_trace=True,
+        "degree_aware", ppi_quarter, capacity, bytes_per_vertex=record_bytes, gamma=gamma
     )
     assert result.total_edges_processed == ppi_quarter.num_edges // 2 == 292_891
     assert (
@@ -216,7 +221,7 @@ def test_walk_pinned_at_ppi_quarter_scale(
     ) == (rounds, iterations, deadlocks, fetches, writeback)
     assert result.sequential_fetch_bytes == fetches * record_bytes
     assert _log_digest(result) == log_sha256
-    evicted = result.trace.vertices.astype(np.int64)
+    evicted = np.concatenate(evicted).astype(np.int64)
     assert hashlib.sha256(evicted.tobytes()).hexdigest() == evictions_sha256
 
 
@@ -258,13 +263,6 @@ class TestStreamOrder:
 
     def test_permutation_is_bijection(self, graph):
         assert sorted(stream_order(graph).tolist()) == list(range(graph.num_vertices))
-
-    def test_trace_positions_invert_the_stream_order(self, graph):
-        result = simulate_policy("degree_aware", graph, 60, collect_trace=True)
-        order = stream_order(graph)
-        np.testing.assert_array_equal(
-            result.trace.stream_positions[order], np.arange(graph.num_vertices)
-        )
 
 
 @settings(max_examples=25, deadline=None)

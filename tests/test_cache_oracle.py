@@ -5,8 +5,11 @@ Small, obviously correct pure-Python references of every policy
 (paper, Section VI) and the id-order edge walk behind the four baselines.
 Over uniform random, hub-heavy and community graphs, capacities from 1 (the
 pairwise fallback) and γ from 0 (deadlocks), every :class:`~repro.cache.CacheSimulationResult` field must
-match: the counters, the four iteration columns, the α snapshots and the
-trace.  The vectorized controller is only allowed to be faster.
+match: the counters, the four iteration columns and the α snapshots.  So
+must the eviction sequence: the degree-aware walk's, observed at its one
+victim picker, and the id-order walk's miss/eviction trace
+(:func:`~repro.cache.miss_trace`).  The vectorized controller is only
+allowed to be faster.
 """
 
 from __future__ import annotations
@@ -14,10 +17,19 @@ from __future__ import annotations
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import EVICT, MISS, POLICY_NAMES, simulate_policy
+from repro.cache import (
+    EVICT,
+    MISS,
+    POLICY_NAMES,
+    VertexAccessTrace,
+    controller,
+    miss_trace,
+    simulate_policy,
+)
 from repro.graph import CSRGraph, community_graph, power_law_graph
 
 BYTES_PER_VERTEX = 48
@@ -100,11 +112,8 @@ def reference_degree_aware(adjacency, capacity_vertices, gamma):
             out["vertex_fetches"] += len(endpoints)
             log.append((out["num_rounds"], len(remaining), max(map(endpoints.count, endpoints)), 2))
             break
-    positions = [0] * num_vertices
-    for index, vertex in enumerate(order):
-        positions[vertex] = index
     out.update(total_edges_processed=len(processed), random_accesses=0, log=log)
-    out["trace"] = ([EVICT] * len(evictions), evictions, positions)
+    out["trace"] = ([EVICT] * len(evictions), evictions)
     out["alpha_round_snapshots"] = snapshots
     return out
 
@@ -147,8 +156,7 @@ def reference_id_order_walk(adjacency, capacity, policy):
                 touch(neighbor, hit_only=False)
     out["log"] = [(1, out["total_edges_processed"], adjacency.max_degree(),
                    min(capacity, adjacency.num_vertices))]
-    out["trace"] = ([kind for kind, _ in events], [vertex for _, vertex in events],
-                    list(range(adjacency.num_vertices)))
+    out["trace"] = ([kind for kind, _ in events], [vertex for _, vertex in events])
     out["alpha_round_snapshots"] = []
     return out
 
@@ -163,7 +171,7 @@ def reference(policy, adjacency, capacity, gamma):
     return out
 
 
-def assert_matches_reference(result, expected, policy, num_vertices):
+def assert_matches_reference(result, trace, expected):
     log = np.array(expected["log"], dtype=np.int64).reshape(-1, 4)
     columns = ("round_index", "edges_processed", "max_edges_per_vertex", "resident_vertices")
     for index, name in enumerate(columns):
@@ -173,32 +181,44 @@ def assert_matches_reference(result, expected, policy, num_vertices):
     assert result.num_iterations == len(log)
     snapshots = result.alpha_round_snapshots
     assert [s.tolist() for s in snapshots] == expected["alpha_round_snapshots"]
-    kinds, vertices, positions = expected["trace"]
-    trace = result.trace
+    kinds, vertices = expected["trace"]
     assert trace.kinds.tolist() == kinds
     assert trace.vertices.tolist() == vertices
-    assert trace.stream_positions.tolist() == positions
-    assert (trace.policy, trace.bytes_per_vertex, trace.num_vertices) == (
-        policy, BYTES_PER_VERTEX, num_vertices
-    )
-    assert result.miss_path is None
-    checked = {*columns, "alpha_round_snapshots", "trace", "miss_path"}
+    checked = {*columns, "alpha_round_snapshots"}
     for field in fields(result):
         if field.name not in checked:
             assert getattr(result, field.name) == expected[field.name], field.name
 
 
+def degree_aware_with_evictions(adjacency, capacity, gamma):
+    """Run the degree-aware walk and return its result with the ids its one
+    victim picker evicted, in order, as an all-EVICT trace."""
+    pick = controller._select_evictions
+    evicted = []
+
+    def spy(residents, *args):
+        evict_at, deadlocked = pick(residents, *args)
+        evicted.extend(residents[evict_at].tolist())
+        return evict_at, deadlocked
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller, "_select_evictions", spy)
+        result = simulate_policy(
+            "degree_aware", adjacency, capacity, bytes_per_vertex=BYTES_PER_VERTEX, gamma=gamma
+        )
+    kinds = np.full(len(evicted), EVICT, dtype=np.int8)
+    return result, VertexAccessTrace(kinds, np.array(evicted, dtype=np.int64))
+
+
 def check_against_reference(policy, adjacency, capacity, gamma):
-    result = simulate_policy(
-        policy,
-        adjacency,
-        capacity,
-        bytes_per_vertex=BYTES_PER_VERTEX,
-        gamma=gamma,
-        collect_trace=True,
-    )
+    if policy == "degree_aware":
+        result, trace = degree_aware_with_evictions(adjacency, capacity, gamma)
+    else:
+        result, trace = miss_trace(
+            policy, adjacency, capacity, bytes_per_vertex=BYTES_PER_VERTEX
+        )
     expected = reference(policy, adjacency, capacity, gamma)
-    assert_matches_reference(result, expected, policy, adjacency.num_vertices)
+    assert_matches_reference(result, trace, expected)
 
 
 @st.composite

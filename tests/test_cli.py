@@ -28,9 +28,10 @@ class TestParser:
         assert args.mechanism == "victim,miss,stream"
         assert args.policy == "vertex_order"
 
-    def test_cache_rejects_unknown_policy(self):
+    @pytest.mark.parametrize("policy", ["belady", "degree_aware"])
+    def test_cache_rejects_unknown_policy(self, policy):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["cache", "--policy", "belady"])
+            build_parser().parse_args(["cache", "--policy", policy])
 
     def test_simulate_defaults(self):
         args = build_parser().parse_args(["simulate"])
@@ -225,12 +226,21 @@ class TestCommands:
             == 0
         )
         output = capsys.readouterr().out
-        assert "degree_aware" in output and "vertex_order" in output
-        assert "mru" in output and "static_partition" in output
+        rows = [line.split("|") for line in output.splitlines() if "| stream" in line]
+        policies = {row[1].strip() for row in rows}
+        assert policies == {"lru", "mru", "static_partition", "vertex_order"}
+        assert "degree_aware" not in output
 
     def test_cache_command_rejects_unknown_mechanism(self, capsys):
         assert main(["cache", "--dataset", "cora", "--mechanism", "belady"]) == 2
         assert "unknown mechanisms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--stream-depth", "--victim-entries"])
+    def test_cache_command_rejects_a_non_positive_size(self, capsys, flag):
+        assert main(["cache", "--dataset", "cora", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid miss-path configuration" in captured.err
+        assert captured.out == ""
 
     def test_cache_command_sizing_flags_reach_the_config(self, capsys):
         def stream_row(depth):

@@ -11,7 +11,6 @@ from repro.hw import (
     DESIGN_PRESETS,
     FIT,
     GNNIE_TABLE,
-    MISS_PATH_MECHANISMS,
     AcceleratorConfig,
     AreaModel,
     EnergyModel,
@@ -21,7 +20,8 @@ from repro.hw import (
 
 #: Names that are not AcceleratorConfig fields: the fixed design's numbers
 #: are GNNIE_TABLE entries, ``num_rows`` is the sum of ``rows_per_group``,
-#: and zero skipping is always on.
+#: zero skipping is always on, and the miss-path hierarchy is an ablation
+#: sized by :func:`repro.cache.filter_misses`'s arguments.
 REMOVED_CONFIG_FIELDS = (
     "num_rows",
     "num_cols",
@@ -32,6 +32,11 @@ REMOVED_CONFIG_FIELDS = (
     "link_bandwidth_bytes_per_s",
     "link_latency_cycles",
     "enable_zero_skipping",
+    "miss_path_mechanisms",
+    "victim_cache_entries",
+    "miss_cache_entries",
+    "stream_buffer_count",
+    "stream_buffer_depth",
 )
 
 
@@ -63,6 +68,21 @@ class TestGNNIETable:
             model(**{knob: 1.0})
         with pytest.raises(TypeError):
             model(1.0)
+
+    def test_buffer_energy_reads_the_table_when_it_prices(self, monkeypatch):
+        from repro.hw import energy
+
+        model = EnergyModel()
+        before = model.buffer_energy("input", 1000)
+        assert before == GNNIE_TABLE.input_buffer_pj_per_byte * 1000
+        doubled = replace(
+            GNNIE_TABLE, input_buffer_pj_per_byte=2 * GNNIE_TABLE.input_buffer_pj_per_byte
+        )
+        monkeypatch.setattr(energy, "GNNIE_TABLE", doubled)
+        assert model.buffer_energy("input", 1000) == 2 * before
+        assert model.buffer_energy("output", 1000) == GNNIE_TABLE.output_buffer_pj_per_byte * 1000
+        with pytest.raises(ValueError, match="unknown buffer 'psum'"):
+            model.buffer_energy("psum", 1000)
 
     @pytest.mark.parametrize("name", REMOVED_CONFIG_FIELDS)
     def test_config_rejects_a_removed_field(self, name):
@@ -141,23 +161,6 @@ class TestAcceleratorConfig:
             AcceleratorConfig(macs_per_group=(), rows_per_group=())
         with pytest.raises(ValueError):
             AcceleratorConfig(gamma=-1)
-
-    def test_validation_miss_path_mechanisms(self):
-        # Unknown names fail at construction, not when a hierarchy is built.
-        with pytest.raises(ValueError, match="unknown mechanisms"):
-            AcceleratorConfig(miss_path_mechanisms=("belady",))
-        with pytest.raises(ValueError):
-            AcceleratorConfig().with_miss_path("victim", "prefetcher-9000")
-        enabled = AcceleratorConfig().with_miss_path(*MISS_PATH_MECHANISMS)
-        assert enabled.miss_path_mechanisms == MISS_PATH_MECHANISMS
-
-    def test_validation_rejects_repeated_miss_path_names(self):
-        # A repeated name would run its mechanism twice and give one piece
-        # of hardware a second cell key.
-        with pytest.raises(ValueError, match=r"duplicate mechanisms \['victim'\]"):
-            AcceleratorConfig().with_miss_path("victim", "victim")
-        with pytest.raises(ValueError, match=r"duplicate mechanisms \['stream'\]"):
-            AcceleratorConfig(miss_path_mechanisms=("stream", "miss", "stream"))
 
     def test_replace_keeps_validation(self):
         config = AcceleratorConfig()

@@ -392,36 +392,16 @@ class TestExecutorInstrumentation:
             "op:aggregation": ["run", "run", "memo_hit", "memo_hit"],
         }
 
-    def test_cache_metrics_recorded_when_miss_path_enabled(self, small_cora):
-        registry = MetricsRegistry()
-        config = AcceleratorConfig(enable_degree_aware_caching=False).with_miss_path(
-            "victim", "stream"
-        )
-        GNNIEExecutor(config, metrics=registry).execute(lower("gcn", small_cora), small_cora)
-        names = {row["name"] for row in registry.snapshot()}
-        assert "cache.input_buffer.misses" in names
-        assert "cache.miss_path.accesses" in names
-        assert "executor.cache_sim.runs" in names
-        mechanisms = {
-            row["labels"].get("mechanism")
-            for row in registry.snapshot()
-            if row["name"] == "cache.miss_path.accesses"
-        }
-        assert {"victim", "stream"} <= mechanisms
-
-    def test_degree_aware_walk_records_no_miss_path_counters(self, small_cora):
-        """The degree-aware walk never misses, so it is simulated without
-        the miss path and no trace is filtered through one."""
+    @pytest.mark.parametrize("degree_aware", [True, False])
+    def test_cache_metrics_count_simulations_and_memo_hits(self, small_cora, degree_aware):
+        """Each cache policy records the executor's two counters and nothing
+        else: one walk, and the second Aggregation op served from its memo."""
         graph = copy.deepcopy(small_cora)  # no memos: the walk must run here
         registry = MetricsRegistry()
-        config = AcceleratorConfig(enable_degree_aware_caching=True).with_miss_path(
-            "victim", "stream"
-        )
+        config = AcceleratorConfig(enable_degree_aware_caching=degree_aware)
         GNNIEExecutor(config, metrics=registry).execute(lower("gcn", graph), graph)
-        names = {row["name"] for row in registry.snapshot()}
-        assert registry.counter("executor.cache_sim.runs").value == 1
-        assert not {name for name in names if name.startswith("cache.miss_path.")}
-        assert "cache.input_buffer.misses" not in names
+        counts = {row["name"]: row["value"] for row in registry.snapshot()}
+        assert counts == {"executor.cache_sim.runs": 1, "executor.cache_sim.memo_hits": 1}
 
 
 # ---------------------------------------------------------------------- #

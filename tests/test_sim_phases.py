@@ -284,7 +284,7 @@ class TestAggregationPhase:
         cache = run_cache_simulation(graph, config, 128)
         phase = self._phase(graph, config, 128, cache)
         random_cycles = HBMModel().random_transfer_cycles(
-            cache.net_random_accesses, bytes_per_access=128
+            cache.random_accesses, bytes_per_access=128
         )
         busy = phase.compute_cycles + phase.sfu_cycles
         assert random_cycles > 0

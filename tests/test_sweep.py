@@ -95,14 +95,14 @@ class TestMatrix:
         spec = SweepCell("cora", 0.1, 1, "gcn", "gnnie", AcceleratorConfig()).spec()
         assert spec["chips"] == 1
         assert set(spec["config"]) == {f.name for f in fields(AcceleratorConfig)}
-        assert len(spec["config"]) == 15
+        assert len(spec["config"]) == 10
 
     def test_config_round_trip_restores_tuples(self):
-        config = design_preset("E").with_miss_path("victim", "stream")
+        config = replace(design_preset("E"), rows_per_group=(10, 3, 3))
         restored = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
         assert restored == config
         assert isinstance(restored.macs_per_group, tuple)
-        assert isinstance(restored.miss_path_mechanisms, tuple)
+        assert isinstance(restored.rows_per_group, tuple)
 
     def test_config_round_trip_preserves_auto_sentinel(self):
         auto = AcceleratorConfig()

@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis import beta_rows, tune_report, tune_table_rows
 from repro.cli import main
-from repro.hw import GNNIE_TABLE, MISS_PATH_MECHANISMS, AcceleratorConfig, design_preset
+from repro.hw import GNNIE_TABLE, AcceleratorConfig, design_preset
 from repro.sim import admissible_mac_allocation
 from repro.sim.design_space import DesignPoint
 from repro.sweep import ResultStore
@@ -138,26 +138,8 @@ class TestProposer:
                             pressed.add(axis)
                     children.append(child)
             population = children[::3][:8]
-        assert moved >= {*bounds, "macs_per_group", "miss_path_mechanisms"}
+        assert moved == {*bounds, "macs_per_group"}
         assert pressed == {*bounds, "macs_per_group"}
-
-    def test_miss_path_children_name_each_mechanism_once_in_canonical_order(self):
-        """Toggles never repeat a mechanism (the config rejects that) and
-        keep one order, so one hierarchy is one cell key."""
-        proposer = ParetoMutationProposer()
-        survivors = [_survivor(design_preset("E"))]
-        hierarchies = set()
-        for generation in range(6):
-            children = proposer.propose(
-                survivors, rng=random.Random(f"g{generation}"), count=16
-            )
-            for child in children:
-                mechanisms = child.miss_path_mechanisms
-                canonical = tuple(n for n in MISS_PATH_MECHANISMS if n in mechanisms)
-                assert mechanisms == canonical
-                hierarchies.add(mechanisms)
-            survivors = [_survivor(child) for child in children]
-        assert any(len(mechanisms) > 1 for mechanisms in hierarchies)
 
     def test_candidate_name_is_a_pure_content_function(self):
         config = design_preset("E")
@@ -165,8 +147,6 @@ class TestProposer:
         from dataclasses import replace
 
         assert candidate_name(config) != candidate_name(replace(config, gamma=7))
-        hierarchy = replace(config, miss_path_mechanisms=("victim", "stream"))
-        assert "MPvictim+stream" in candidate_name(hierarchy)
 
 
 class TestRunTune:
