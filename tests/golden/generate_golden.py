@@ -14,6 +14,11 @@ drifts.
 ``baseline_platforms.json`` snapshots the shared workload derivation and
 the five baseline platform cost models for every (dataset, family) pair.
 
+``idorder.json`` holds the same 25 reports under vertex-id-order caching
+(``enable_degree_aware_caching=False``), keyed ``<dataset>_<family>``.  The
+default reports carry no random DRAM access, so this file is the one golden
+that prices the random-access stall.
+
 Run from the repository root to regenerate after an *intentional* model
 change::
 
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from dataclasses import replace
 
 from repro.baselines import (
     AWBGCNModel,
@@ -34,10 +40,11 @@ from repro.baselines import (
     workload_from_plan,
 )
 from repro.datasets import build_dataset
+from repro.hw import AcceleratorConfig
 from repro.models import MODEL_FAMILIES
 from repro.plan import lower
 from repro.sim import GNNIEExecutor
-from repro.sim.trace import result_to_json
+from repro.sim.trace import result_to_dict, result_to_json
 
 #: (dataset, scale, seed) triples simulated for every family.  Scaled-down
 #: stand-ins keep the 25 simulations fast enough for the tier-1 suite.
@@ -62,10 +69,14 @@ WORKLOAD_TOTALS = (
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
 
+#: The configuration ``idorder.json`` is priced under.
+IDORDER_CONFIG = replace(AcceleratorConfig(), enable_degree_aware_caching=False)
+
 
 def main() -> None:
     platforms = (PyGCPUModel(), PyGGPUModel(), HyGCNModel(), AWBGCNModel(), EnGNModel())
     baseline_snapshot: dict[str, dict] = {}
+    idorder_snapshot: dict[str, dict] = {}
     for dataset, scale, seed in GOLDEN_DATASETS:
         graph = build_dataset(dataset, scale=scale, seed=seed)
         executor = GNNIEExecutor()
@@ -75,6 +86,9 @@ def main() -> None:
             path = GOLDEN_DIR / f"{dataset}_{family}.json"
             path.write_text(result_to_json(result) + "\n")
             print(f"wrote {path.name}: {result.total_cycles} cycles")
+            idorder_snapshot[f"{dataset}_{family}"] = result_to_dict(
+                executor.execute(plan, graph, IDORDER_CONFIG)
+            )
 
             workload = workload_from_plan(plan, graph)
             entry = {name: getattr(workload, name) for name in WORKLOAD_TOTALS}
@@ -90,6 +104,9 @@ def main() -> None:
     baseline_path = GOLDEN_DIR / "baseline_platforms.json"
     baseline_path.write_text(json.dumps(baseline_snapshot, indent=2) + "\n")
     print(f"wrote {baseline_path.name}: {len(baseline_snapshot)} entries")
+    idorder_path = GOLDEN_DIR / "idorder.json"
+    idorder_path.write_text(json.dumps(idorder_snapshot, indent=2) + "\n")
+    print(f"wrote {idorder_path.name}: {len(idorder_snapshot)} entries")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ cache simulations became a pure function of the plan: GINConv aggregates
 first, at the input width, and now sizes its own simulation instead of
 reusing the one an earlier family primed.  ``baseline_platforms.json`` snapshots the shared
 workload derivation and the five platform cost models for every pair.
+``idorder.json`` holds the 25 reports under vertex-id-order caching, the
+only golden inferences that pay random DRAM accesses.
 Simulated results must match exactly (integers) or to 1e-9 relative
 tolerance (energy/latency floats).  Baseline latencies and energies must
 equal the snapshot exactly: they are pure-Python float arithmetic over
@@ -35,6 +37,7 @@ from repro.baselines import (
     workload_from_plan,
 )
 from repro.datasets import build_dataset
+from repro.hw import AcceleratorConfig
 from repro.models import MODEL_FAMILIES
 from repro.plan import lower
 from repro.sim import GNNIEExecutor
@@ -110,6 +113,25 @@ class TestGNNIEGoldenEquivalence:
             got = result_to_dict(executor.execute(lower(family, graph), graph))
             want = json.loads((GOLDEN_DIR / f"{dataset}_{family}.json").read_text())
             _assert_close(got, want, f"{dataset}/{family}")
+
+
+class TestIdOrderGoldenEquivalence:
+    def test_all_pairs_match_snapshot(self, golden_graphs):
+        snapshot = json.loads((GOLDEN_DIR / "idorder.json").read_text())
+        config = replace(AcceleratorConfig(), enable_degree_aware_caching=False)
+        executor = GNNIEExecutor(config)
+        got = {
+            f"{dataset}_{family}": result_to_dict(executor.execute(lower(family, graph), graph))
+            for dataset, graph in golden_graphs.items()
+            for family in MODEL_FAMILIES
+        }
+        assert sum(
+            phase["dram_random_accesses"]
+            for report in got.values()
+            for layer in report["layers"]
+            for phase in layer["phases"]
+        ) > 0
+        _assert_close(got, snapshot, "idorder")
 
 
 class TestBaselineGoldenEquivalence:
