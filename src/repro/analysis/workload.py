@@ -13,15 +13,14 @@ achieves a much higher β than uniformly adding MACs (designs B–D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.hw.config import AcceleratorConfig, design_preset
-from repro.mapping.binning import BlockProfile, baseline_assignment, flexible_mac_assignment
-from repro.mapping.load_redistribution import redistribute_load
-from repro.sparse.feature_matrix import block_nonzero_counts
+from repro.hw.config import GNNIE_TABLE, AcceleratorConfig, design_preset
+from repro.mapping.weighting import WeightingSchedule, schedule_weighting
+from repro.sim.batch import pricing_context
 
 __all__ = ["RowWorkloadProfile", "weighting_row_profile", "beta_metric", "design_beta_study"]
 
@@ -68,23 +67,30 @@ class RowWorkloadProfile:
         return 1.0 - float(self.fm_lr_cycles.max()) / baseline_max
 
 
-def weighting_row_profile(
-    graph: Graph, config: AcceleratorConfig | None = None
-) -> RowWorkloadProfile:
-    """Compute the Fig. 16 per-row cycle profile for one dataset."""
-    cfg = config or AcceleratorConfig()
-    block_size = -(-graph.feature_length // cfg.num_rows)
-    profile = BlockProfile.from_counts(block_nonzero_counts(graph.features, block_size))
-    # The baseline design uses 4 MACs/CPE uniformly (Design A).
-    baseline_cfg = design_preset("A")
-    baseline = baseline_assignment(profile, baseline_cfg)
-    fm = flexible_mac_assignment(profile, cfg)
-    lr = redistribute_load(fm.row_cycles)
+def _input_schedule(graph: Graph, config: AcceleratorConfig) -> WeightingSchedule:
+    """The input layer's Weighting schedule under ``config``: the FM/LR
+    choice and the block profile the executor prices with."""
+    block_size = -(-graph.feature_length // config.num_rows)
+    return schedule_weighting(
+        None,
+        GNNIE_TABLE.num_cols,
+        config,
+        profile=pricing_context(graph).input_profile(block_size),
+        in_features=graph.feature_length,
+    )
+
+
+def weighting_row_profile(graph: Graph) -> RowWorkloadProfile:
+    """Compute the Fig. 16 per-row cycle profile for one dataset.
+
+    The baseline is Design A (4 MACs/CPE uniformly); FM and FM+LR are
+    GNNIE's default array with Load Redistribution off and on.
+    """
+    gnnie = AcceleratorConfig()
+    configs = (design_preset("A"), replace(gnnie, enable_load_redistribution=False), gnnie)
+    baseline, fm, fm_lr = (_input_schedule(graph, cfg).row_cycles_per_pass for cfg in configs)
     return RowWorkloadProfile(
-        dataset=graph.name,
-        baseline_cycles=baseline.row_cycles,
-        fm_cycles=fm.row_cycles,
-        fm_lr_cycles=lr.cycles_after,
+        dataset=graph.name, baseline_cycles=baseline, fm_cycles=fm, fm_lr_cycles=fm_lr
     )
 
 
@@ -105,20 +111,10 @@ def design_beta_study(graph: Graph, designs: tuple[str, ...] = ("B", "C", "D", "
     maximum per-row cycles), which is what added MACs buy down.
     """
     baseline_cfg = design_preset("A")
-    block_size = -(-graph.feature_length // baseline_cfg.num_rows)
-    profile = BlockProfile.from_counts(block_nonzero_counts(graph.features, block_size))
-    baseline = baseline_assignment(profile, baseline_cfg)
-    baseline_cycles = baseline.max_cycles
-    baseline_macs = baseline_cfg.total_macs
-
+    baseline_cycles = _input_schedule(graph, baseline_cfg).cycles_per_pass
     betas: dict[str, float] = {}
     for name in designs:
         cfg = design_preset(name)
-        if cfg.enable_flexible_mac:
-            assignment = flexible_mac_assignment(profile, cfg)
-        else:
-            assignment = baseline_assignment(profile, cfg)
-        betas[name] = beta_metric(
-            baseline_cycles, assignment.max_cycles, baseline_macs, cfg.total_macs
-        )
+        cycles = _input_schedule(graph, cfg).cycles_per_pass
+        betas[name] = beta_metric(baseline_cycles, cycles, baseline_cfg.total_macs, cfg.total_macs)
     return betas

@@ -4,6 +4,10 @@ Combines the cache-controller simulation (which vertices are resident when,
 how many DRAM fetches the policy needs) with the Aggregation cycle model
 (how long the CPE array takes to process each cached-subgraph iteration) and
 with the output-buffer partial-sum traffic model.
+
+The phase reports its streaming traffic and leaves its overlap with compute
+to ``GNNIEExecutor._overlap_layer_memory``; its stall is what no prefetch
+hides, the random accesses of id-order caching.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ def aggregation_phase_from_cache(
     feature_length: int,
     *,
     is_gat: bool = False,
-    name: str = "aggregation",
 ) -> PhaseResult:
     """Convert a cache simulation into the Aggregation :class:`PhaseResult`."""
     model = AggregationCycleModel(config, feature_length, is_gat=is_gat)
@@ -93,19 +96,15 @@ def aggregation_phase_from_cache(
     sfu_ops += finalize.sfu_ops
 
     # --- DRAM traffic --------------------------------------------------- #
-    # Vertex records stream in sequentially (the policy's key guarantee);
-    # random accesses appear only for the id-order ablation baseline.
+    # Vertex records stream in sequentially (the policy's key guarantee).
+    # Random accesses appear only for the id-order ablation baseline; no
+    # prefetch hides them, so their cycles are the phase's stall.
     fetch_cycles = dram.sequential_transfer_cycles(cache_result.sequential_fetch_bytes)
-    random_granule = max(
-        GNNIE_TABLE.random_access_granularity_bytes, feature_length * bytes_per_value
-    )
     random_accesses = cache_result.random_accesses
     random_bytes = cache_result.random_access_bytes
-    random_cycles = 0
-    if random_accesses:
-        random_cycles = dram.random_transfer_cycles(
-            random_accesses, bytes_per_access=random_granule
-        )
+    random_cycles = dram.random_transfer_cycles(
+        random_accesses, bytes_per_access=feature_length * bytes_per_value
+    )
 
     # Output-buffer partial sums: at the start of each Round the accumulators
     # of the still-unfinished vertices must be resident; whatever exceeds the
@@ -127,12 +126,7 @@ def aggregation_phase_from_cache(
         cache_result.alpha_writeback_bytes + final_write_bytes
     )
 
-    # Double buffering overlaps the streaming traffic with computation at the
-    # phase level; only the excess is exposed as stall cycles.  Random
-    # accesses (baseline only) cannot be prefetched and are fully exposed.
-    busy_cycles = compute_cycles + sfu_cycles
     streaming_cycles = fetch_cycles + spill_cycles + writeback_cycles
-    memory_stall_cycles = max(0, streaming_cycles - busy_cycles) + random_cycles
 
     # α writebacks plus the GAT per-vertex (e_i1, e_i2) terms travel with the
     # vertex records and are already part of sequential_fetch_bytes /
@@ -152,9 +146,9 @@ def aggregation_phase_from_cache(
     output_buffer_bytes = 2 * (mac_ops // 2) * bytes_per_value
 
     return PhaseResult(
-        name=name,
+        name="aggregation",
         compute_cycles=int(compute_cycles),
-        memory_stall_cycles=int(memory_stall_cycles),
+        memory_stall_cycles=int(random_cycles),
         streaming_memory_cycles=int(streaming_cycles),
         sfu_cycles=int(sfu_cycles),
         preprocessing_cycles=preprocessing_cycles,

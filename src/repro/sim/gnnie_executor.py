@@ -82,6 +82,22 @@ _ENERGY_MODEL = EnergyModel()
 _AREA_MODEL = AreaModel()
 
 
+def _phase_energy(phase: PhaseResult) -> EnergyBreakdown:
+    """Dynamic energy of one phase (pJ); static energy is a whole-run
+    quantity, added once per inference."""
+    model = _ENERGY_MODEL
+    return EnergyBreakdown(
+        mac_pj=model.mac_energy(phase.mac_operations),
+        sfu_pj=model.sfu_energy(phase.sfu_operations),
+        input_buffer_pj=model.buffer_energy("input", phase.input_buffer_bytes),
+        output_buffer_pj=model.buffer_energy("output", phase.output_buffer_bytes),
+        weight_buffer_pj=model.buffer_energy("weight", phase.weight_buffer_bytes),
+        dram_input_pj=model.dram_energy(phase.dram_input_stream_bytes),
+        dram_weight_pj=model.dram_energy(phase.dram_weight_stream_bytes),
+        dram_output_pj=model.dram_energy(phase.dram_output_stream_bytes),
+    )
+
+
 def _priming_widths(plan: InferencePlan) -> dict[AdjacencyRef, int]:
     """Each adjacency handle's priming width: the width of the plan's first
     aggregation op over it, which sizes that adjacency's cache simulation."""
@@ -212,7 +228,7 @@ class GNNIEExecutor:
                 sfu_cycles=phase.sfu_cycles,
                 mac_operations=phase.mac_operations,
                 dram_bytes=phase.dram_bytes,
-                energy_pj=self._phase_energy_pj(phase),
+                energy_pj=_phase_energy(phase).total_pj,
             )
             busy = phase.compute_cycles + phase.sfu_cycles + phase.preprocessing_cycles
             slot_spans.setdefault(slot, []).append((span, busy))
@@ -427,34 +443,16 @@ class GNNIEExecutor:
     # ------------------------------------------------------------------ #
     # Span attribution
     # ------------------------------------------------------------------ #
-    def _phase_energy_pj(self, phase: PhaseResult) -> float:
-        """Dynamic energy attributable to one phase contribution (pJ).
-
-        Static (leakage) energy is a whole-run quantity and stays on the
-        inference root span only.
-        """
-        model = _ENERGY_MODEL
-        return (
-            model.mac_energy(phase.mac_operations)
-            + model.sfu_energy(phase.sfu_operations)
-            + model.buffer_energy("input", phase.input_buffer_bytes)
-            + model.buffer_energy("output", phase.output_buffer_bytes)
-            + model.buffer_energy("weight", phase.weight_buffer_bytes)
-            + model.dram_energy(phase.dram_input_stream_bytes)
-            + model.dram_energy(phase.dram_weight_stream_bytes)
-            + model.dram_energy(phase.dram_output_stream_bytes)
-        )
-
     def _annotate_spans(self, result: InferenceResult, annotations, root) -> None:
         """Attach final modeled cycle attribution to the recorded spans.
 
-        ``_overlap_layer_memory`` re-derives memory stalls *after* the per-op
-        handlers ran, so per-op numbers captured at op time no longer sum to
-        the layer's final total.  Here each op span gets its own busy cycles
-        (compute + SFU + preprocessing, unchanged by overlap) and the
-        layer's residual — the exposed memory stall the overlap pass charged
-        to the aggregation phase — lands on the layer's aggregation span (or
-        its last op when a layer lowered without one).  The invariant the
+        ``_overlap_layer_memory`` decides the exposed memory stall *after* the
+        per-op handlers ran, so per-op numbers captured at op time do not sum
+        to the layer's final total.  Here each op span gets its own busy
+        cycles (compute + SFU + preprocessing, unchanged by overlap) and the
+        layer's residual — the stall the overlap pass charged to the
+        aggregation phase — lands on the layer's aggregation span (or its
+        last op when a layer lowered without one).  The invariant the
         acceptance tests pin: summing ``cycles`` over every category="op"
         span (including the global-preprocessing span) reproduces
         ``result.total_cycles`` exactly.
@@ -491,35 +489,24 @@ class GNNIEExecutor:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _overlap_layer_memory(layer: LayerResult) -> LayerResult:
-        """The layer with its exposed memory stalls re-derived at layer
-        granularity.
+        """The layer with its exposed memory stall charged to Aggregation.
 
-        The memory access scheduler prefetches streaming traffic (feature
-        blocks, weight columns, cached-vertex records, partial-sum spills)
-        while any phase of the layer computes, so only the traffic exceeding
-        the layer's total busy time is exposed.  Random accesses (present
-        only in the ablation baselines) cannot be prefetched and stay fully
-        exposed where the phase charged them.
+        The model's one memory-overlap rule.  The memory access scheduler
+        prefetches every phase's streaming traffic (Weighting's first fill
+        included) while any phase of the layer computes, so only the
+        layer's streaming cycles beyond its busy cycles are exposed; they
+        are added to Aggregation, where the traffic peaks, on top of the
+        random-access stall (id-order caching) no prefetch hides.  Several
+        aggregation ops in one layer (a multi-hop family) pool the same way.
         """
         phases = layer.phases()
         busy = sum(p.compute_cycles + p.sfu_cycles + p.preprocessing_cycles for p in phases)
-        streaming = sum(p.streaming_memory_cycles for p in phases)
-        random_stalls = sum(
-            max(0, p.memory_stall_cycles - max(0, p.streaming_memory_cycles -
-                (p.compute_cycles + p.sfu_cycles)))
-            for p in phases
-            if p.dram_random_accesses
-        )
-        exposed = max(0, streaming - busy)
-        # Attribute the layer's exposed stall (plus unhideable random-access
-        # stalls) to the aggregation phase, which is where the traffic peaks.
-        attention = layer.attention
+        exposed = max(0, sum(p.streaming_memory_cycles for p in phases) - busy)
+        aggregation = layer.aggregation
         return replace(
             layer,
-            weighting=replace(layer.weighting, memory_stall_cycles=0),
-            attention=None if attention is None else replace(attention, memory_stall_cycles=0),
             aggregation=replace(
-                layer.aggregation, memory_stall_cycles=int(exposed + random_stalls)
+                aggregation, memory_stall_cycles=aggregation.memory_stall_cycles + exposed
             ),
         )
 
@@ -537,22 +524,11 @@ class GNNIEExecutor:
                 )
         return cycles
 
-    def _energy(self, result: InferenceResult) -> EnergyBreakdown:
-        model = _ENERGY_MODEL
-        breakdown = EnergyBreakdown()
-        for layer in result.layers:
-            for phase in layer.phases():
-                breakdown.mac_pj += model.mac_energy(phase.mac_operations)
-                breakdown.sfu_pj += model.sfu_energy(phase.sfu_operations)
-                breakdown.input_buffer_pj += model.buffer_energy("input", phase.input_buffer_bytes)
-                breakdown.output_buffer_pj += model.buffer_energy(
-                    "output", phase.output_buffer_bytes
-                )
-                breakdown.weight_buffer_pj += model.buffer_energy(
-                    "weight", phase.weight_buffer_bytes
-                )
-                breakdown.dram_input_pj += model.dram_energy(phase.dram_input_stream_bytes)
-                breakdown.dram_weight_pj += model.dram_energy(phase.dram_weight_stream_bytes)
-                breakdown.dram_output_pj += model.dram_energy(phase.dram_output_stream_bytes)
-        breakdown.static_pj = model.static_energy(result.total_cycles)
+    @staticmethod
+    def _energy(result: InferenceResult) -> EnergyBreakdown:
+        breakdown = sum(
+            (_phase_energy(phase) for layer in result.layers for phase in layer.phases()),
+            EnergyBreakdown(),
+        )
+        breakdown.static_pj = _ENERGY_MODEL.static_energy(result.total_cycles)
         return breakdown

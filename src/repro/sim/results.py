@@ -20,14 +20,17 @@ class PhaseResult:
 
     name: str
     compute_cycles: int = 0
+    #: As priced, the stall no prefetch can hide: the random-access cycles
+    #: of Aggregation under id-order caching, 0 everywhere else.  After the
+    #: executor's layer pass (``GNNIEExecutor._overlap_layer_memory``), the
+    #: layer's whole exposed stall, all of it on Aggregation.
     memory_stall_cycles: int = 0
     sfu_cycles: int = 0
     preprocessing_cycles: int = 0
     #: Cycles the phase's streaming (prefetchable) DRAM traffic would take at
-    #: full bandwidth.  ``memory_stall_cycles`` holds the *exposed* part; the
-    #: engine re-derives exposure at layer level so that traffic of one phase
-    #: can hide under the compute of another (double buffering across the
-    #: Weighting/Aggregation pipeline).
+    #: full bandwidth; for Weighting this includes the first fill.  The layer
+    #: pass hides a layer's streaming cycles behind the busy cycles of all
+    #: its phases and adds the excess to Aggregation's stall.
     streaming_memory_cycles: int = 0
     mac_operations: int = 0
     sfu_operations: int = 0

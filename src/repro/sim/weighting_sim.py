@@ -10,9 +10,8 @@ dataflow determines the traffic structure:
   buffer,
 * completed output elements stream through the output buffer back to DRAM.
 
-DRAM fetches are overlapped with computation through double buffering; only
-the exposed portion (fetch time exceeding compute time of the overlapping
-pass) shows up as stall cycles.
+All of it is streaming traffic: the phase reports its cycles and no stall,
+and ``GNNIEExecutor._overlap_layer_memory`` decides what is exposed.
 """
 
 from __future__ import annotations
@@ -34,13 +33,16 @@ def weighting_phase_from_schedule(
     out_features: int,
     *,
     input_traffic_bits: int,
-    name: str = "weighting",
 ) -> PhaseResult:
     """Build the Weighting :class:`PhaseResult` from a static schedule.
 
     The schedule holds everything the configuration decides; the value
     width, the array's columns and the HBM bandwidth are fixed
     (:data:`~repro.hw.config.GNNIE_TABLE`).
+
+    The streaming cycles count each pass's fetch (features plus N weight
+    columns) ``num_passes + 1`` times.  The extra fetch is the first fill,
+    which the layer pass may hide behind another phase's compute.
     """
     bytes_per_value = GNNIE_TABLE.bytes_per_value
     compute_cycles = schedule.compute_cycles
@@ -51,15 +53,13 @@ def weighting_phase_from_schedule(
     dram_read_weights = in_features * out_features * bytes_per_value
     dram_write_outputs = num_vertices * out_features * bytes_per_value
 
-    # --- Overlap of fetch and compute (double buffering) ------------------ #
+    # --- Streaming fetch cycles (first fill plus one fetch per pass) ----- #
     bytes_per_cycle = HBMModel().bytes_per_cycle
     fetch_cycles_per_pass = int(np.ceil(input_bytes_per_pass / bytes_per_cycle))
     weight_fetch_per_pass = int(
         np.ceil(in_features * GNNIE_TABLE.num_cols * bytes_per_value / bytes_per_cycle)
     )
     per_pass_fetch = fetch_cycles_per_pass + weight_fetch_per_pass
-    exposed_per_pass = max(0, per_pass_fetch - schedule.cycles_per_pass)
-    memory_stall_cycles = exposed_per_pass * schedule.num_passes + per_pass_fetch  # first fill
     streaming_memory_cycles = per_pass_fetch * (schedule.num_passes + 1)
 
     preprocessing_cycles = int(
@@ -77,9 +77,8 @@ def weighting_phase_from_schedule(
     weight_buffer_bytes = dram_read_weights + out_features * in_features * bytes_per_value
 
     return PhaseResult(
-        name=name,
+        name="weighting",
         compute_cycles=int(compute_cycles),
-        memory_stall_cycles=int(memory_stall_cycles),
         streaming_memory_cycles=int(streaming_memory_cycles),
         preprocessing_cycles=preprocessing_cycles,
         mac_operations=int(schedule.total_nonzero_macs),

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from repro.datasets import build_dataset
-from repro.hw import GNNIE_TABLE, AcceleratorConfig, design_preset
+from repro.hw import GNNIE_TABLE, AcceleratorConfig, HBMModel, design_preset
 from repro.models import MODEL_FAMILIES
 from repro.obs import MetricsRegistry
 from repro.plan import lower
+from repro.plan.ir import AggregationOp
 from repro.sim import GNNIEExecutor, result_to_dict
 
 
@@ -126,6 +127,35 @@ class TestEngineCharges:
         assert phase.compute_cycles == -(-macs // config.total_macs)
         assert phase.sfu_operations == softmax_ops
         assert phase.sfu_cycles == -(-softmax_ops // (GNNIE_TABLE.sfu_columns * config.num_rows))
+
+
+class TestEngineMemoryOverlap:
+    """The layer pass is the one place that decides exposed memory stall."""
+
+    @pytest.mark.parametrize("caching", ["degree_aware", "id_order"])
+    @pytest.mark.parametrize("family", ["gcn", "gat"])
+    def test_aggregation_pays_random_cycles_plus_the_layers_unhidden_streaming(
+        self, family, caching, small_cora
+    ):
+        degree_aware = caching == "degree_aware"
+        config = replace(AcceleratorConfig(), enable_degree_aware_caching=degree_aware)
+        plan = lower(family, small_cora)
+        result = GNNIEExecutor(config).execute(plan, small_cora)
+        for stage, layer in zip(plan.layers, result.layers):
+            (width,) = [op.width for op in stage.ops if isinstance(op, AggregationOp)]
+            random_cycles = HBMModel().random_transfer_cycles(
+                layer.aggregation.dram_random_accesses,
+                bytes_per_access=width * GNNIE_TABLE.bytes_per_value,
+            )
+            phases = layer.phases()
+            busy = sum(p.compute_cycles + p.sfu_cycles + p.preprocessing_cycles for p in phases)
+            streaming = sum(p.streaming_memory_cycles for p in phases)
+            assert (random_cycles > 0) != degree_aware
+            assert layer.weighting.memory_stall_cycles == 0
+            assert layer.attention is None or layer.attention.memory_stall_cycles == 0
+            assert layer.aggregation.memory_stall_cycles == random_cycles + max(
+                0, streaming - busy
+            )
 
 
 class TestEngineOptimizationFlags:
