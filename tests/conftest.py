@@ -43,6 +43,14 @@ def medium_graph() -> Graph:
 
 
 @pytest.fixture(scope="session")
+def reddit_bench_adjacency() -> CSRGraph:
+    """Reddit at the benchmarks' scale, 0.02 (seed 0): 4,659 vertices and
+    806,562 stored edges, with hubs of up to V / 4 neighbours.  Shared by the
+    walk pins and the partition oracle, which both want a heavy-tailed graph."""
+    return build_dataset("reddit", scale=0.02, seed=0).adjacency
+
+
+@pytest.fixture(scope="session")
 def default_config() -> AcceleratorConfig:
     return AcceleratorConfig()
 

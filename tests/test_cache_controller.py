@@ -197,8 +197,52 @@ def test_walk_pinned_at_ppi_quarter_scale(
     leave in, (α, id), to show in the eviction sequence its one victim
     picker returns; the oracle's r ≤ 5 cannot tell a sorted pick from a
     partitioned one."""
-    capacity, record_bytes = input_buffer_capacity(ppi_quarter, AcceleratorConfig(), 128)
-    assert (ppi_quarter.num_vertices, capacity, record_bytes) == (14_236, 1_747, 300)
+    _assert_pinned_walk(
+        ppi_quarter, monkeypatch, (14_236, 1_747, 300), 292_891, gamma,
+        (rounds, iterations, deadlocks, fetches, writeback), log_sha256, evictions_sha256,
+    )
+
+
+@pytest.mark.parametrize(
+    ("gamma", "rounds", "iterations", "deadlocks", "fetches", "writeback", "log_sha256",
+     "evictions_sha256"),
+    [
+        (0, 57, 3029, 2889, 286_166, 1_048_484,
+         "3e7feba7c76cae06803737177e04d91d91995cdc128908c6c63c2e3857a37d19",
+         "c4bb1ed42e05c050e96de13025ecb837c1fb4ab5e0fed99e12e1d229cf0c97c9"),
+        (2, 48, 4016, 2356, 246_311, 884_472,
+         "c1debf7f4f7bdaab475363803a1da665099e8a17c9e92646a2d9bf2ac7fdee15",
+         "ae18e902012c3b812dd5d913bd9f494d0fe6a8692269337d6b7cd42ae1c2d371"),
+        (5, 43, 5899, 1028, 219_988, 790_040,
+         "415b8da37b45a551ea3a92babcfeefdb13d995d98edcb56867d09de0cc00731c",
+         "a62b37f4de47151053f2b209d041c400a00d0a6a6c0054339634d1f1c4df94ae"),
+    ],
+    ids=("gamma0", "gamma2", "gamma5"),
+)
+def test_walk_pinned_at_reddit_bench_scale(
+    reddit_bench_adjacency, monkeypatch, gamma, rounds, iterations, deadlocks, fetches,
+    writeback, log_sha256, evictions_sha256,
+):
+    """Pins the walk where Rounds are many: Reddit at scale 0.02 (4,659
+    vertices, capacity 633 of 828-byte records at width 128) runs 43–57
+    Rounds against PPI 0.25's 14–19, and most of its iterations deadlock, so
+    every Round's edge layout and the deadlock victim order reach the pins."""
+    _assert_pinned_walk(
+        reddit_bench_adjacency, monkeypatch, (4_659, 633, 828), 403_281, gamma,
+        (rounds, iterations, deadlocks, fetches, writeback), log_sha256, evictions_sha256,
+    )
+
+
+def _assert_pinned_walk(
+    adjacency, monkeypatch, sizing, undirected_edges, gamma, counts, log_sha256,
+    evictions_sha256,
+):
+    """Walks ``adjacency`` at width 128 under ``AcceleratorConfig()`` and
+    compares (vertices, capacity, record bytes), the edge total, the
+    (rounds, iterations, deadlocks, fetches, α write-back bytes) counts, the
+    iteration log and the eviction sequence with their pins."""
+    capacity, record_bytes = input_buffer_capacity(adjacency, AcceleratorConfig(), 128)
+    assert (adjacency.num_vertices, capacity, record_bytes) == sizing
     pick = controller._select_evictions
     evicted = []
 
@@ -209,17 +253,17 @@ def test_walk_pinned_at_ppi_quarter_scale(
 
     monkeypatch.setattr(controller, "_select_evictions", spy)
     result = simulate_policy(
-        "degree_aware", ppi_quarter, capacity, bytes_per_vertex=record_bytes, gamma=gamma
+        "degree_aware", adjacency, capacity, bytes_per_vertex=record_bytes, gamma=gamma
     )
-    assert result.total_edges_processed == ppi_quarter.num_edges // 2 == 292_891
+    assert result.total_edges_processed == adjacency.num_edges // 2 == undirected_edges
     assert (
         result.num_rounds,
         result.num_iterations,
         result.deadlock_events,
         result.vertex_fetches,
         result.alpha_writeback_bytes,
-    ) == (rounds, iterations, deadlocks, fetches, writeback)
-    assert result.sequential_fetch_bytes == fetches * record_bytes
+    ) == counts
+    assert result.sequential_fetch_bytes == counts[3] * record_bytes
     assert _log_digest(result) == log_sha256
     evicted = np.concatenate(evicted).astype(np.int64)
     assert hashlib.sha256(evicted.tobytes()).hexdigest() == evictions_sha256

@@ -309,9 +309,17 @@ def test_split_matches_per_part_subgraphs(data, adjacency, method):
     _assert_matches_reference(adjacency, num_parts, method)
 
 
-@pytest.fixture(scope="module", params=[("cora", 1.0), ("ppi", 0.25)], ids=["cora", "ppi0.25"])
+@pytest.fixture(
+    scope="module",
+    params=[("cora", 1.0), ("ppi", 0.25), ("reddit", 0.02)],
+    ids=["cora", "ppi0.25", "reddit0.02"],
+)
 def real_adjacency(request):
+    """Cora, PPI 0.25 (a community graph) and Reddit 0.02, whose hubs sit in
+    nearly every part's halo at 16 parts, where most stored edges are cut."""
     name, scale = request.param
+    if name == "reddit":
+        return request.getfixturevalue("reddit_bench_adjacency")
     return build_dataset(name, scale=scale, seed=0).adjacency
 
 
