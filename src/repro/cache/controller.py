@@ -9,12 +9,13 @@ below γ, and fetches the next vertices of the stream.  When the stream is
 exhausted a *Round* ends; a new Round re-streams the still-unfinished
 vertices.  Every DRAM access is sequential.
 
-The walk reads each undirected edge once from the CSR's upper triangle.
-A Round fixes its fetch queue and lays out its remaining edges when it
-starts, grouped by the queue position of each edge's later endpoint, so
-every iteration decides one contiguous slice of edges and keeps at most
-``capacity`` resident ids in dictionary order (see
-:func:`degree_aware_walk` for why one slice per iteration is exact).
+The walk reads each undirected edge once from the CSR's upper triangle and
+lays the edges out once per simulation, grouped by the stream rank of each
+edge's later endpoint.  A Round fixes its fetch queue when it starts and
+maps those ranks to queue positions, so every iteration decides one
+contiguous slice of edges and keeps at most ``capacity`` resident ids in
+dictionary order (see :func:`degree_aware_walk` for why one layout serves
+every Round and one slice per iteration is exact).
 
 :func:`~repro.cache.policies.simulate_policy` runs it, and the id-order
 baselines it is compared against, by name.
@@ -73,16 +74,27 @@ def degree_aware_walk(
     ``r = max(1, capacity_vertices // 8)`` vertices are replaced per
     iteration.
 
-    Each Round lays out its remaining undirected edges once.  Every
-    resident was fetched from behind the stream cursor, and an edge still
-    unprocessed when the Round starts has α > 0 at both ends, so both ends
-    are in the Round's queue.  The edge cannot be ready before its *later*
-    endpoint (by queue position) is fetched; in that iteration it is ready
-    exactly when its *earlier* endpoint is still resident, and otherwise it
-    waits for a later Round.  So the Round groups its edges by the queue
-    position of their later endpoint, and the iteration that fetches
-    ``queue[lo:cursor]`` decides one contiguous slice of them: every edge
-    is examined once per Round and none needs a "processed" check.
+    The undirected edges are laid out once, before the first Round,
+    grouped by the stream rank of their *later* endpoint.  Every Round's
+    queue, ``order[alpha[order] > 0]``, is a subsequence of the stream
+    order, because α only falls.  An edge still unprocessed when a Round
+    starts has α > 0 at both ends, so both ends are in the queue, and queue
+    positions are monotone in stream rank: the edge's later endpoint by
+    queue position is its later endpoint by rank, in every Round.  So the
+    groups stay in ascending queue position after each Round drops its
+    processed edges, and a Round only maps ranks to positions to find where
+    each group starts.  Every resident was fetched from behind the stream
+    cursor, so the edge cannot be ready before its later endpoint is
+    fetched; in that iteration it is ready exactly when its *earlier*
+    endpoint is still resident, and otherwise it waits for a later Round.
+    So the iteration that fetches ``queue[lo:cursor]`` decides one
+    contiguous slice of edges: every edge is examined once per Round and
+    none needs a "processed" check.
+
+    Nothing reads the order of the edges inside one group: an iteration
+    takes its whole slice, counts the ready edges, and :func:`_consume`
+    counts endpoints with ``np.unique``.  So the layout's sort need not be
+    stable, and no result depends on how it orders the edges of one group.
 
     Every fetch is sequential, so the walk never misses and has no trace for
     the miss-path hierarchy to filter.
@@ -93,7 +105,7 @@ def degree_aware_walk(
     bytes_per_vertex = int(bytes_per_vertex)
     num_vertices = adjacency.num_vertices
     order = stream_order(adjacency)
-    later, earlier = _undirected_edges(adjacency)
+    later, earlier = _edges_by_later_endpoint(adjacency, order)
     num_edges = int(later.size)
     capacity = min(capacity_vertices, num_vertices)
     replacement = min(max(1, capacity_vertices // 8), capacity)
@@ -116,18 +128,12 @@ def degree_aware_walk(
         round_index = result.num_rounds
         # A vertex ahead of the cursor keeps its α for the whole Round, so
         # the Round's fetches are successive slices of its unfinished
-        # vertices in stream order, and its remaining edges are laid out
-        # once, grouped by the queue position of their later endpoint.
+        # vertices in stream order.  The remaining edges are still grouped
+        # by their later endpoint, now in ascending queue position.
         queue = order[alpha[order] > 0]
         position[queue] = np.arange(queue.size)
-        first_pos, second_pos = position[later], position[earlier]
-        swap = first_pos < second_pos
-        later, earlier = np.where(swap, earlier, later), np.where(swap, later, earlier)
-        later_pos = np.maximum(first_pos, second_pos)
-        by_later = np.argsort(later_pos, kind="stable")
-        later, earlier = later[by_later], earlier[by_later]
         edge_ptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(later_pos, minlength=queue.size))]
+            [[0], np.cumsum(np.bincount(position[later], minlength=queue.size))]
         )
         done = np.zeros(later.size, dtype=bool)
         #: Resident vertex ids in ascending (dictionary) order.
@@ -199,6 +205,28 @@ def degree_aware_walk(
     result.total_edges_processed = total_processed
     result.log_iterations(log)
     return result
+
+
+def _edges_by_later_endpoint(
+    adjacency: CSRGraph, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each undirected edge once, as its (later, earlier) endpoints in the
+    stream ``order``, grouped by the later endpoint's stream rank.
+
+    One sort of ``later rank × V + earlier rank`` keys groups the edges; it
+    also orders each group by its earlier endpoint, but the walk never reads
+    the order of the edges inside one group (see :func:`degree_aware_walk`),
+    so no result depends on it, and the sort need not be stable.  Sorting
+    the keys in place needs no argsort index or gather through it, which
+    keeps the walk's peak memory down.
+    """
+    num_vertices = adjacency.num_vertices
+    rank = np.empty(num_vertices, dtype=np.int64)
+    rank[order] = np.arange(num_vertices)
+    first, second = (rank[ends] for ends in _undirected_edges(adjacency))
+    keys = np.maximum(first, second) * num_vertices + np.minimum(first, second)
+    keys.sort()
+    return order[keys // num_vertices], order[keys % num_vertices]
 
 
 def _undirected_edges(adjacency: CSRGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, sorted_unique
+from repro.graph.csr import CSRGraph
 
 __all__ = ["GraphPartition", "PARTITION_METHODS", "partition_graph"]
 
@@ -64,10 +64,10 @@ class GraphPartition:
         return tuple(int(part.size) for part in self.parts)
 
     def imbalance(self) -> float:
-        """``max(part size) / mean(non-zero ideal share)`` — 1.0 is perfect.
+        """``max(part size) / (V / num_parts)`` — 1.0 is perfect.
 
-        Uses the ideal share ``V / num_parts`` as the denominator so an
-        empty part still shows up as imbalance rather than hiding it.
+        Divides by the ideal share ``V / num_parts``, empty parts included,
+        so an empty part still shows up as imbalance rather than hiding it.
         """
         if self.num_vertices == 0 or self.num_parts == 0:
             return 1.0
@@ -94,9 +94,10 @@ def partition_graph(
             the cost of locality.
 
     After assigning, one pass over the stored edges yields every part's
-    owned vertices, induced CSR and halo, and the cut-edge count, so the
-    edge work is one sort of the kept and one of the cut edges however many
-    parts there are.  Both methods are pure functions of the graph content,
+    owned vertices, induced CSR and halo, and the cut-edge count.  The edge
+    work is one sort of the kept edges, however many parts there are, plus
+    a ``num_parts × V`` boolean table that counts the halos (see
+    :func:`_split`).  Both methods are pure functions of the graph content,
     so partitions are byte-reproducible across processes.
     """
     if num_parts < 1:
@@ -141,6 +142,16 @@ def _split(
     ``dst`` appearing as a neighbour of some owned ``src`` — the features
     ``p`` must receive before it can aggregate.  Every other edge belongs to
     its part's induced CSR.
+
+    The halos are counted in a ``num_parts × V`` boolean table, not by
+    sorting the cut: marking ``(part of src, dst)`` for every stored edge
+    and then clearing each vertex's own part leaves exactly the cut's
+    distinct (owning part, remote vertex) pairs.  The table takes
+    ``num_parts × V`` bytes, no more than one int64 array over the stored
+    edges (of which this pass builds several) whenever ``num_parts`` is at
+    most 8 × the average stored degree ``E / V``.  The one sort is of the
+    kept edges' (row, neighbour) keys, which gives every chip row sorted
+    neighbours even when the parent CSR's rows are unsorted.
     """
     num_vertices = adjacency.num_vertices
     # Vertices grouped by part, in id order within a part (a stable sort),
@@ -153,24 +164,28 @@ def _split(
     local = position - bounds[assignments]
 
     degrees = adjacency.degrees()
-    src_part = np.repeat(assignments, degrees)
+    part_of = assignments.astype(np.min_scalar_type(num_parts - 1))
+    src_part = np.repeat(part_of, degrees)
     dst = adjacency.indices
-    kept = src_part == assignments[dst]
-    cut = ~kept
-    # Distinct (owning part, remote vertex) pairs, counted per part.
-    halo = sorted_unique(src_part[cut] * np.int64(num_vertices) + dst[cut])
-    halo_counts = np.bincount(halo // num_vertices, minlength=num_parts)
+    kept = src_part == part_of[dst]
+    # reached[p, v]: an owned vertex of part p has neighbour v.  Clearing
+    # every vertex's own part leaves the (owning part, remote vertex) pairs
+    # of the cut, so each row counts one part's halo.
+    reached = np.zeros((num_parts, num_vertices), dtype=bool)
+    reached[src_part, dst] = True
+    reached[part_of, np.arange(num_vertices)] = False
+    halo_counts = np.count_nonzero(reached, axis=1)
 
     # Kept edges ordered by (part, local row, local neighbour): the grouped
     # position of the row already orders parts and rows, so one scalar sort
     # of position × V + neighbour lays out every part's CSR back to back.
+    # Row r holds the keys in [r × V, (r + 1) × V): a search finds where it
+    # starts, and its neighbours are its keys less r × V.
     rows = np.repeat(position, degrees)[kept]
     keys = np.sort(rows * np.int64(num_vertices) + local[dst[kept]])
-    row_starts = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(
-        np.bincount(keys // num_vertices, minlength=num_vertices), out=row_starts[1:]
-    )
-    neighbours = keys % num_vertices
+    row_bases = np.arange(num_vertices + 1, dtype=np.int64) * num_vertices
+    row_starts = keys.searchsorted(row_bases)
+    neighbours = keys - np.repeat(row_bases[:-1], np.diff(row_starts))
     parts = []
     adjacencies = []
     for part in range(num_parts):
@@ -188,7 +203,7 @@ def _split(
         method=method,
         assignments=assignments,
         parts=tuple(parts),
-        cut_edges=int(np.count_nonzero(cut)),
+        cut_edges=int(kept.size - np.count_nonzero(kept)),
         halo_counts=tuple(int(count) for count in halo_counts),
         adjacencies=tuple(adjacencies),
     )

@@ -329,6 +329,14 @@ def test_split_matches_per_part_subgraphs_on_datasets(real_adjacency, num_parts,
     _assert_matches_reference(real_adjacency, num_parts, method)
 
 
+@pytest.mark.parametrize("method", PARTITION_METHODS)
+def test_split_matches_per_part_subgraphs_past_255_parts(method):
+    # The split gathers part ids in the smallest unsigned dtype that holds
+    # num_parts - 1: 257 parts need two bytes, which the hypothesis sweep's
+    # at most 27 parts never reach.
+    _assert_matches_reference(_ring(600), 257, method)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     degrees=st.lists(st.integers(min_value=0, max_value=3), max_size=60),
