@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import json
+from collections import defaultdict
 
 import pytest
 
@@ -38,7 +39,8 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.plan import lower
+from repro.plan import AggregationOp, InferencePlan, PlanLayer, WeightingOp, lower
+from repro.scaleout import execute_scaleout, partition_workload
 from repro.sim import GNNIEExecutor
 from repro.sim.trace import result_to_json
 
@@ -269,6 +271,58 @@ class TestFlameRows:
 # ---------------------------------------------------------------------- #
 # Executor instrumentation: attribution + zero-cost disabled path
 # ---------------------------------------------------------------------- #
+#: The phase slot each op span's cycles belong to (``op:sample`` and the
+#: global ``preprocess:degree_binning`` span price nothing in a layer).
+_OP_SLOTS = {
+    "op:weighting": "weighting",
+    "op:dense_matmul": "weighting",
+    "op:attention": "attention",
+    "op:aggregation": "aggregation",
+    "op:halo_exchange": "communication",
+}
+
+
+def _sgc_plan(graph) -> InferencePlan:
+    """README's hand-built SGC plan: two aggregation ops in one layer."""
+    in_features, out_features = graph.feature_length, graph.num_label_classes
+    ops = (
+        WeightingOp(in_features, out_features, is_input_layer=True),
+        AggregationOp(in_features, out_features),
+        AggregationOp(out_features, out_features),
+    )
+    return InferencePlan(
+        "sgc", in_features, out_features, layers=(PlanLayer(0, in_features, out_features, ops),)
+    )
+
+
+def _slot_sums(records, inference_id, result) -> list[tuple]:
+    """``(layer, slot, op-span cycle sum, expected cycles)`` for every phase
+    slot with an op span under one inference span; asserts each layer span's
+    ``cycles`` on the way."""
+    children = defaultdict(list)
+    for record in sorted(records, key=lambda record: record.span_id):
+        children[record.parent_id].append(record)
+    layer_spans = [r for r in children[inference_id] if r.category == "layer"]
+    assert len(layer_spans) == len(result.layers)
+    sums = []
+    for layer_span, layer in zip(layer_spans, result.layers):
+        assert layer_span.attrs["cycles"] == layer.total_cycles
+        ops = [r for r in children[layer_span.span_id] if r.name in _OP_SLOTS]
+        spent = defaultdict(int)
+        for op in ops:
+            spent[_OP_SLOTS[op.name]] += op.attrs["cycles"]
+        expected = {
+            slot: phase.total_cycles
+            for slot in ("weighting", "attention", "aggregation", "communication")
+            if (phase := getattr(layer, slot)) is not None
+        }
+        last = _OP_SLOTS[ops[-1].name]
+        for slot in expected.keys() - spent.keys():
+            expected[last] += expected.pop(slot)
+        sums += [(layer.layer_index, slot, spent[slot], expected[slot]) for slot in spent]
+    return sums
+
+
 class TestExecutorInstrumentation:
     @pytest.mark.parametrize("family", ["gcn", "gat", "graphsage", "diffpool"])
     def test_op_span_cycles_sum_to_total_cycles(self, small_cora, family):
@@ -280,6 +334,46 @@ class TestExecutorInstrumentation:
             if record.category == "op"
         )
         assert op_cycles == result.total_cycles
+
+    @pytest.mark.parametrize(
+        "case",
+        ["gcn", "gcn-idorder", "gat-idorder", "diffpool", "sgc-idorder", "gcn-4chips"],
+    )
+    def test_op_spans_sum_to_their_phase_slot(self, small_cora, case):
+        """Per layer, the op spans of each phase slot sum to that phase's
+        final ``total_cycles``, exposed memory stall included, wherever the
+        overlap rule charged it; a slot no op lowered to (DiffPool's
+        coarsening Aggregation) counts toward the layer's last op."""
+        family, _, variant = case.partition("-")
+        config = AcceleratorConfig(enable_degree_aware_caching=variant != "idorder")
+        if family == "sgc":
+            plan = _sgc_plan(small_cora)
+        else:
+            plan = lower(family, small_cora)
+        tracer = Tracer()
+        backend = GNNIEExecutor(config, tracer=tracer)
+        if variant == "4chips":
+            workload = partition_workload(small_cora, plan, 4)
+            execute_scaleout(backend, plan, small_cora, chips=4)
+            chips = {r.span_id: r.attrs["chip"] for r in tracer.records if r.category == "chip"}
+            runs = {
+                r.span_id: GNNIEExecutor(config).execute(
+                    workload.chip_plans[chips[r.parent_id]],
+                    workload.chip_graphs[chips[r.parent_id]],
+                )
+                for r in tracer.records
+                if r.category == "inference"
+            }
+            assert len(runs) == 4
+        else:
+            result = backend.execute(plan, small_cora)
+            (root,) = [r for r in tracer.records if r.category == "inference"]
+            runs = {root.span_id: result}
+        checked = []
+        for span_id, result in runs.items():
+            checked += _slot_sums(tracer.records, span_id, result)
+        assert checked
+        assert [entry for entry in checked if entry[2] != entry[3]] == []
 
     def test_root_span_carries_whole_run_attribution(self, small_cora):
         tracer = Tracer()
