@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = ["GraphPartition", "PARTITION_METHODS", "partition_graph"]
+__all__ = ["GraphPartition", "PARTITION_METHODS", "check_partition_args", "partition_graph"]
 
 #: Supported chip-partitioning strategies, in documentation order.
 PARTITION_METHODS: tuple[str, ...] = ("chunk", "balanced")
@@ -79,6 +79,17 @@ class GraphPartition:
         return int(sum(self.halo_counts))
 
 
+def check_partition_args(num_parts: int, method: str) -> None:
+    """Raise ``ValueError`` unless a graph can be split into ``num_parts``
+    parts by ``method``."""
+    if num_parts < 1:
+        raise ValueError("num_parts must be at least 1")
+    if method not in PARTITION_METHODS:
+        raise ValueError(
+            f"unknown partition method {method!r}; expected one of {PARTITION_METHODS}"
+        )
+
+
 def partition_graph(
     adjacency: CSRGraph, num_parts: int, *, method: str = "chunk"
 ) -> GraphPartition:
@@ -100,12 +111,7 @@ def partition_graph(
     :func:`_split`).  Both methods are pure functions of the graph content,
     so partitions are byte-reproducible across processes.
     """
-    if num_parts < 1:
-        raise ValueError("num_parts must be at least 1")
-    if method not in PARTITION_METHODS:
-        raise ValueError(
-            f"unknown partition method {method!r}; expected one of {PARTITION_METHODS}"
-        )
+    check_partition_args(num_parts, method)
     num_vertices = adjacency.num_vertices
     assignments = np.zeros(num_vertices, dtype=np.int64)
     if method == "chunk":

@@ -3,10 +3,18 @@
 
 The paper fixes the chip it evaluates (Section VIII-A): a 16×16 CPE array
 at 1.3 GHz with 1-byte weights and features, a 128 KB double-buffered
-weight buffer and HBM 2.0 at 256 GB/s.  Those numbers, and every other
-fixed number GNNIE's cost model reads (energies, areas, DRAM timing, SFU
-latencies, preprocessing throughputs, index width, the scale-out link), sit
-in one frozen table, :data:`GNNIE_TABLE`, each with its source.
+weight buffer and HBM 2.0 at 256 GB/s.  Those numbers and the other fixed
+hardware numbers GNNIE's cost model reads (energies, areas, DRAM timing,
+SFU latencies, preprocessing throughputs, index width, the scale-out link)
+sit in one frozen table, :data:`GNNIE_TABLE`, each with its source.
+
+The table does not hold every fixed number on the priced path.  Load
+redistribution's transfer overhead (0.05), cap (half the heavy row's load)
+and ``rows // 4`` row pairs, the degree-aware walk's ``capacity // 8``
+replacement batch, :data:`~repro.plan.ir.HIDDEN_DENSITY` (0.6), the
+256 KB / 512 KB input-buffer auto-sizing below, the neighbor sampler's
+65,536-draw pool, Weighting's ``// 4`` on output-buffer traffic and
+DiffPool's ``hidden // 4`` clusters are fixed where they are read.
 
 What the paper explores, and what the ablations and the tuner vary, is an
 :class:`AcceleratorConfig`:
@@ -65,7 +73,10 @@ def entry(value: float, source: str) -> Any:
 
 @dataclass(frozen=True, slots=True)
 class GNNIETable:
-    """Every fixed number GNNIE's cost model reads, with its source.
+    """GNNIE's fixed hardware numbers, each with its source.
+
+    The fixed modeling constants the module docstring lists are read where
+    they are used, not from this table.
 
     Area is calibrated: the default configuration's chip reads 15.6023 mm²
     against the paper's 15.6 mm².  Power is not: the paper reports 3.9 W,

@@ -82,7 +82,7 @@ class Span:
 
     The record stays referenced after ``__exit__``, so instrumented code can
     attach *final* modeled attribution once it is known (the GNNIE executor
-    re-derives memory stalls at layer level after every op has run).
+    sets each op span's cycles once the overlap rule has priced its layer).
     """
 
     __slots__ = ("_tracer", "record")

@@ -38,8 +38,9 @@ from dataclasses import dataclass
 
 from repro.check.verifier import verify_plan
 from repro.graph.graph import Graph
-from repro.graph.partition import GraphPartition, partition_graph
+from repro.graph.partition import GraphPartition, check_partition_args, partition_graph
 from repro.hw.config import GNNIE_TABLE, AcceleratorConfig
+from repro.obs.tracer import NULL_TRACER
 from repro.plan.ir import AggregationOp, HaloExchangeOp, InferencePlan, PlanLayer
 from repro.sim.batch import pricing_context
 from repro.sim.results import InferenceResult, ScaleOutResult
@@ -168,8 +169,6 @@ def partition_workload(
     graph: Graph, plan: InferencePlan, chips: int, *, method: str = "chunk"
 ) -> PartitionedWorkload:
     """Lower a (graph, plan) pair onto ``chips`` simulated GNNIE chips."""
-    if chips < 1:
-        raise ValueError("chips must be at least 1")
     partition, chip_graphs = chip_subgraphs(graph, chips, method=method)
     chip_plans = tuple(
         _chip_plan(plan, partition.halo_counts[chip], chips)
@@ -191,16 +190,21 @@ def execute_scaleout(
 ) -> InferenceResult:
     """Execute a plan across ``chips`` simulated chips and combine the results.
 
-    ``chips == 1`` returns the backend's plain ``execute`` result unchanged
-    (byte-identity with the unpartitioned path); otherwise every chip runs
-    its local plan on its induced subgraph and the fleet is combined with
-    per-layer ``MAX(local) + MAX(communication)`` timing, summed work
-    counters, and summed energy.  The backend must advertise
-    ``supports_scaleout`` (the GNNIE executor does).  With its tracer
-    enabled, a ``partition`` span (no modeled cycles) records the chip count,
-    method, cut edges, halo vertices and whether the partition was a memo
-    hit, followed by one ``chip`` span per non-empty chip.
+    ``chips`` and ``method`` are checked first, as
+    :func:`~repro.graph.partition.partition_graph` checks them, so a bad
+    argument raises whatever the chip count.  ``chips == 1`` then returns
+    the backend's plain ``execute`` result unchanged (byte-identity with the
+    unpartitioned path); otherwise every chip runs its local plan on its
+    induced subgraph and the fleet is combined with per-layer
+    ``MAX(local) + MAX(communication)`` timing, summed work counters, and
+    summed energy.  The backend must advertise ``supports_scaleout`` (the
+    GNNIE executor does).  On the backend's tracer, a ``partition`` span (no
+    modeled cycles) records the chip count, method, cut edges, halo vertices
+    and whether the partition was a memo hit, followed by one ``chip`` span
+    per non-empty chip; a backend without a tracer runs the same calls on
+    :data:`~repro.obs.tracer.NULL_TRACER`.
     """
+    check_partition_args(chips, method)
     if chips == 1:
         return backend.execute(plan, graph, config)
     # Verify the parent plan before splicing halo ops; each chip plan is
@@ -211,23 +215,20 @@ def execute_scaleout(
             f"backend {getattr(backend, 'name', backend)!r} does not support "
             "multi-chip scale-out"
         )
-    tracer = getattr(backend, "tracer", None)
-    if tracer is not None and tracer.enabled:
-        memoized = (chips, method) in pricing_context(graph).partitions
-        with tracer.span(
-            "partition",
-            category="partition",
-            chips=chips,
-            method=method,
-            partition_memo="memo_hit" if memoized else "run",
-        ) as span:
-            workload = partition_workload(graph, plan, chips, method=method)
-            span.set(
-                cut_edges=workload.partition.cut_edges,
-                halo_vertices=workload.partition.total_halo_vertices(),
-            )
-    else:
+    tracer = getattr(backend, "tracer", NULL_TRACER)
+    memoized = (chips, method) in pricing_context(graph).partitions
+    with tracer.span(
+        "partition",
+        category="partition",
+        chips=chips,
+        method=method,
+        partition_memo="memo_hit" if memoized else "run",
+    ) as span:
         workload = partition_workload(graph, plan, chips, method=method)
+        span.set(
+            cut_edges=workload.partition.cut_edges,
+            halo_vertices=workload.partition.total_halo_vertices(),
+        )
     cfg = (config or backend.config).resolve_input_buffer(graph.name)
     chip_results: list[InferenceResult | None] = []
     for chip in range(chips):
@@ -236,19 +237,15 @@ def execute_scaleout(
             # An empty partition contributes no cycles, work or energy.
             chip_results.append(None)
             continue
-        if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "chip",
-                category="chip",
-                chip=chip,
-                chips=chips,
-                vertices=chip_graph.num_vertices,
-                halo_vertices=workload.partition.halo_counts[chip],
-            ):
-                result = backend.execute(workload.chip_plans[chip], chip_graph, cfg)
-        else:
-            result = backend.execute(workload.chip_plans[chip], chip_graph, cfg)
-        chip_results.append(result)
+        with tracer.span(
+            "chip",
+            category="chip",
+            chip=chip,
+            chips=chips,
+            vertices=chip_graph.num_vertices,
+            halo_vertices=workload.partition.halo_counts[chip],
+        ):
+            chip_results.append(backend.execute(workload.chip_plans[chip], chip_graph, cfg))
     return _combine(workload, chip_results, method)
 
 

@@ -162,7 +162,6 @@ class GNNIEExecutor:
             config=cfg.name,
         ) as root:
             layers = []
-            annotations = []  # (layer span, {slot: [(op span, busy cycles)]})
             for stage in plan.layers:
                 with tracer.span(
                     f"layer{stage.index}",
@@ -171,13 +170,18 @@ class GNNIEExecutor:
                     in_features=stage.in_features,
                     out_features=stage.out_features,
                 ) as layer_span:
-                    layer, slots = self._execute_layer(stage, graph, cfg, context, priming)
-                layers.append(self._overlap_layer_memory(layer))
-                annotations.append((layer_span, slots))
+                    layer = self._execute_layer(stage, graph, cfg, context, priming)
+                layer_span.set(
+                    cycles=layer.total_cycles,
+                    mac_operations=sum(p.mac_operations for p in layer.phases()),
+                    dram_bytes=sum(p.dram_bytes for p in layer.phases()),
+                )
+                layers.append(layer)
             with tracer.span(
                 "preprocess:degree_binning", category="op", layer=-1
             ) as preprocess_span:
                 preprocessing = self._global_preprocessing_cycles(plan, graph, cfg)
+            preprocess_span.set(cycles=preprocessing)
             result = InferenceResult(
                 dataset=graph.name,
                 model=plan.family.upper(),
@@ -186,9 +190,13 @@ class GNNIEExecutor:
                 global_preprocessing_cycles=preprocessing,
             )
             result.energy = self._energy(result)
-            if tracer.enabled:
-                preprocess_span.set(cycles=preprocessing)
-                self._annotate_spans(result, annotations, root)
+            root.set(
+                cycles=result.total_cycles,
+                mac_operations=result.total_mac_operations,
+                dram_bytes=result.total_dram_bytes,
+                energy_pj=result.energy.total_pj,
+                latency_s=result.latency_seconds,
+            )
         return result
 
     def chip_area_mm2(self, config: AcceleratorConfig | None = None) -> float:
@@ -204,53 +212,28 @@ class GNNIEExecutor:
         cfg: AcceleratorConfig,
         context: GraphPricingContext,
         priming: dict[AdjacencyRef, int],
-    ) -> tuple[LayerResult, dict[str, list]]:
-        weighting: PhaseResult | None = None
-        attention: PhaseResult | None = None
-        aggregation: PhaseResult | None = None
-        communication: PhaseResult | None = None
+    ) -> LayerResult:
+        """Price one layer's ops, merge them per phase slot and apply the
+        overlap rule; with tracing on, attribute the final layer to its ops."""
         tracer = self.tracer
-        #: Per phase slot, the (span, pre-overlap busy cycles) of each op —
-        #: the bookkeeping `_annotate_spans` needs to turn the post-overlap
-        #: layer totals into exact per-op cycle attribution.
-        slot_spans: dict[str, list] = {}
-
-        def accumulate(slot: PhaseResult | None, phase: PhaseResult) -> PhaseResult:
-            # A layer may lower to several ops of one kind (e.g. an SGC-style
-            # family with multiple propagation hops); their costs add up.
-            return phase if slot is None else slot.merge(phase)
-
-        def note(span, slot: str, phase: PhaseResult) -> None:
-            if not tracer.enabled:
-                return
-            span.set(
-                compute_cycles=phase.compute_cycles,
-                sfu_cycles=phase.sfu_cycles,
-                mac_operations=phase.mac_operations,
-                dram_bytes=phase.dram_bytes,
-                energy_pj=_phase_energy(phase).total_pj,
-            )
-            busy = phase.compute_cycles + phase.sfu_cycles + phase.preprocessing_cycles
-            slot_spans.setdefault(slot, []).append((span, busy))
-
+        priced = []  # (phase slot, op span, op phase), in op order
         for op in stage.ops:
             if isinstance(op, SampleOp):
                 with tracer.span("op:sample", category="op", layer=stage.index) as span:
                     context.adjacency(AdjacencyRef("sampled", op.sample_size))
                 # Sampling is plan-resolution work, free on the modeled chip.
                 span.set(cycles=0)
-            elif isinstance(op, WeightingOp):
+                continue
+            if isinstance(op, WeightingOp):
                 with tracer.span("op:weighting", category="op", layer=stage.index) as span:
                     phase = self._weighting_phase(
                         op, graph, pricing_view(WeightingKnobs, cfg), context, span
                     )
-                weighting = accumulate(weighting, phase)
-                note(span, "weighting", phase)
+                slot = "weighting"
             elif isinstance(op, AttentionOp):
                 with tracer.span("op:attention", category="op", layer=stage.index) as span:
                     phase = self._attention_phase(op, graph, cfg)
-                attention = accumulate(attention, phase)
-                note(span, "attention", phase)
+                slot = "attention"
             elif isinstance(op, AggregationOp):
                 with tracer.span("op:aggregation", category="op", layer=stage.index) as span:
                     phase = self._aggregation_phase(
@@ -261,13 +244,11 @@ class GNNIEExecutor:
                         priming[op.adjacency],
                         span,
                     )
-                aggregation = accumulate(aggregation, phase)
-                note(span, "aggregation", phase)
+                slot = "aggregation"
             elif isinstance(op, DenseMatmulOp):
                 with tracer.span("op:dense_matmul", category="op", layer=stage.index) as span:
                     phase = self._dense_matmul_phase(op, graph, cfg)
-                weighting = accumulate(weighting, phase)
-                note(span, "weighting", phase)
+                slot = "weighting"
             elif isinstance(op, HaloExchangeOp):
                 with tracer.span(
                     "op:halo_exchange",
@@ -276,24 +257,51 @@ class GNNIEExecutor:
                     halo_vertices=op.halo_vertices,
                 ) as span:
                     phase = self._halo_exchange_phase(op)
-                communication = accumulate(communication, phase)
-                note(span, "communication", phase)
+                slot = "communication"
             else:
                 raise TypeError(f"GNNIE executor cannot handle op {op!r}")
-        if weighting is None:
-            weighting = PhaseResult("weighting")
-        if aggregation is None:
-            aggregation = PhaseResult("aggregation")
-        layer = LayerResult(
-            layer_index=stage.index,
-            in_features=stage.in_features,
-            out_features=stage.out_features,
-            weighting=weighting,
-            attention=attention,
-            aggregation=aggregation,
-            communication=communication,
+            priced.append((slot, span, phase))
+        # A layer may lower to several ops of one kind (e.g. an SGC-style
+        # family with multiple propagation hops); their costs add up.
+        slots: dict[str, PhaseResult] = {}
+        for slot, _, phase in priced:
+            slots[slot] = slots[slot].merge(phase) if slot in slots else phase
+        layer = self._overlap_layer_memory(
+            LayerResult(
+                layer_index=stage.index,
+                in_features=stage.in_features,
+                out_features=stage.out_features,
+                weighting=slots.get("weighting") or PhaseResult("weighting"),
+                attention=slots.get("attention"),
+                aggregation=slots.get("aggregation") or PhaseResult("aggregation"),
+                communication=slots.get("communication"),
+            )
         )
-        return layer, slot_spans
+        if tracer.enabled:
+            # Each op span carries its own busy cycles; the stall the overlap
+            # rule left on a slot's final phase goes to the slot's last op
+            # (the layer's last op when no op lowered to the slot), so each
+            # slot's op spans sum to its final phase.
+            last = {slot: span for slot, span, _ in priced}
+            stalls = {}
+            for slot in ("weighting", "attention", "aggregation", "communication"):
+                phase = getattr(layer, slot)
+                if phase is not None and phase.memory_stall_cycles:
+                    target = last.get(slot, priced[-1][1])
+                    stalls[target] = stalls.get(target, 0) + phase.memory_stall_cycles
+            for _, span, phase in priced:
+                span.set(
+                    compute_cycles=phase.compute_cycles,
+                    sfu_cycles=phase.sfu_cycles,
+                    mac_operations=phase.mac_operations,
+                    dram_bytes=phase.dram_bytes,
+                    energy_pj=_phase_energy(phase).total_pj,
+                    cycles=phase.compute_cycles
+                    + phase.sfu_cycles
+                    + phase.preprocessing_cycles
+                    + stalls.get(span, 0),
+                )
+        return layer
 
     # ------------------------------------------------------------------ #
     # Per-op handlers
@@ -441,50 +449,6 @@ class GNNIEExecutor:
         )
 
     # ------------------------------------------------------------------ #
-    # Span attribution
-    # ------------------------------------------------------------------ #
-    def _annotate_spans(self, result: InferenceResult, annotations, root) -> None:
-        """Attach final modeled cycle attribution to the recorded spans.
-
-        ``_overlap_layer_memory`` decides the exposed memory stall *after* the
-        per-op handlers ran, so per-op numbers captured at op time do not sum
-        to the layer's final total.  Here each op span gets its own busy
-        cycles (compute + SFU + preprocessing, unchanged by overlap) and the
-        layer's residual — the stall the overlap pass charged to the
-        aggregation phase — lands on the layer's aggregation span (or its
-        last op when a layer lowered without one).  The invariant the
-        acceptance tests pin: summing ``cycles`` over every category="op"
-        span (including the global-preprocessing span) reproduces
-        ``result.total_cycles`` exactly.
-        """
-        for layer, (layer_span, slots) in zip(result.layers, annotations):
-            layer_span.set(
-                cycles=layer.total_cycles,
-                mac_operations=sum(p.mac_operations for p in layer.phases()),
-                dram_bytes=sum(p.dram_bytes for p in layer.phases()),
-            )
-            spans = [entry for slot in ("weighting", "attention", "aggregation",
-                                        "communication")
-                     for entry in slots.get(slot, [])]
-            assigned = 0
-            for span, busy in spans:
-                span.set(cycles=busy)
-                assigned += busy
-            residual = layer.total_cycles - assigned
-            if residual and spans:
-                # Prefer the aggregation slot (where the overlap pass parks
-                # exposed stalls); otherwise the layer's last op.
-                target = (slots.get("aggregation") or spans)[-1][0]
-                target.set(cycles=int(target.record.attrs.get("cycles", 0)) + residual)
-        root.set(
-            cycles=result.total_cycles,
-            mac_operations=result.total_mac_operations,
-            dram_bytes=result.total_dram_bytes,
-            energy_pj=result.energy.total_pj,
-            latency_s=result.latency_seconds,
-        )
-
-    # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -498,6 +462,11 @@ class GNNIEExecutor:
         are added to Aggregation, where the traffic peaks, on top of the
         random-access stall (id-order caching) no prefetch hides.  Several
         aggregation ops in one layer (a multi-hop family) pool the same way.
+
+        Span attribution follows the rule instead of restating it:
+        :meth:`_execute_layer` charges each slot's final stall to that slot's
+        last op span, so a rule that charges another phase needs no other
+        change.
         """
         phases = layer.phases()
         busy = sum(p.compute_cycles + p.sfu_cycles + p.preprocessing_cycles for p in phases)

@@ -226,9 +226,7 @@ class _BatchGroup:
         return backend
 
 
-def _run_group_cell(
-    cell: SweepCell, group: _BatchGroup, tracer=None, attempt: int = 1
-) -> dict:
+def _run_group_cell(cell: SweepCell, group: _BatchGroup, tracer, attempt: int) -> dict:
     """Execute one cell of a group and return its result-store row.
 
     Backends that do not support the cell's GNN family (e.g. AWB-GCN beyond
@@ -237,7 +235,7 @@ def _run_group_cell(
     """
     _trip_cell_fault(cell, attempt)
     backend = group.executor(cell.backend)
-    if tracer is not None and hasattr(backend, "tracer"):
+    if hasattr(backend, "tracer"):
         backend.tracer = tracer
     row = _base_row(cell, _abbreviation_for(cell, group.built_graph))
 
@@ -269,34 +267,32 @@ def _run_group_cell(
 def _timed_cell(
     cell: SweepCell, group: _BatchGroup, trace: bool, attempt: int
 ) -> tuple[dict, float, list[dict] | None]:
-    """Run one cell, optionally under a fresh per-cell tracer.
+    """Run one cell under one ``cell`` span, on a fresh tracer when ``trace``
+    is on and on the shared no-op tracer otherwise.
 
     Returns ``(row, wall_seconds, span_records)``: the runner's per-cell
     accounting unit.
     """
-    from repro.obs.tracer import Tracer
+    from repro.obs.tracer import NULL_TRACER, Tracer
 
-    tracer = Tracer() if trace else None
+    tracer = Tracer() if trace else NULL_TRACER
     start = time.perf_counter()
-    if tracer is None:
-        row = _run_group_cell(cell, group, None, attempt)
-    else:
-        with tracer.span(
-            "cell",
-            category="cell",
-            dataset=cell.dataset,
-            family=cell.family,
-            backend=cell.backend,
-            config=cell.config.name,
-            key=cell.key(),
-        ) as span:
-            row = _run_group_cell(cell, group, tracer, attempt)
-        metrics = row.get("metrics") or {}
-        if "cycles" in metrics:
-            span.set(cycles=metrics["cycles"], mac_operations=metrics["mac_operations"])
-        span.set(supported=row["supported"])
+    with tracer.span(
+        "cell",
+        category="cell",
+        dataset=cell.dataset,
+        family=cell.family,
+        backend=cell.backend,
+        config=cell.config.name,
+        key=cell.key(),
+    ) as span:
+        row = _run_group_cell(cell, group, tracer, attempt)
+    metrics = row.get("metrics") or {}
+    if "cycles" in metrics:
+        span.set(cycles=metrics["cycles"], mac_operations=metrics["mac_operations"])
+    span.set(supported=row["supported"])
     wall = time.perf_counter() - start
-    spans = [record.as_dict() for record in tracer.records] if tracer else None
+    spans = [record.as_dict() for record in tracer.records] if trace else None
     return row, wall, spans
 
 

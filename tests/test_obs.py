@@ -6,8 +6,10 @@ The two contracts that matter most:
   ``NULL_METRICS``, every instrumented path produces byte-identical results
   and the number of no-op span calls stays bounded (it scales with layers
   and ops, never with vertices or edges).
-* **Enabled is consistent** — the per-span modeled-cycle attribution of one
-  inference sums exactly to ``result.total_cycles``, and the Chrome-trace
+* **Enabled is consistent** — in every layer the op spans of each phase
+  slot sum to that phase's final cycles, wherever the overlap rule charged
+  stall; the per-span modeled-cycle attribution of one inference sums
+  exactly to ``result.total_cycles``; and the Chrome-trace
   export always satisfies the trace-event invariants the schema validator
   checks (matched B/E pairs, monotonic timestamps).
 """
@@ -346,10 +348,7 @@ class TestExecutorInstrumentation:
         coarsening Aggregation) counts toward the layer's last op."""
         family, _, variant = case.partition("-")
         config = AcceleratorConfig(enable_degree_aware_caching=variant != "idorder")
-        if family == "sgc":
-            plan = _sgc_plan(small_cora)
-        else:
-            plan = lower(family, small_cora)
+        plan = _sgc_plan(small_cora) if family == "sgc" else lower(family, small_cora)
         tracer = Tracer()
         backend = GNNIEExecutor(config, tracer=tracer)
         if variant == "4chips":

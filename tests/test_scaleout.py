@@ -94,6 +94,19 @@ class TestExecuteScaleout:
         with pytest.raises(ValueError, match="scale-out"):
             execute_scaleout(executor("pyg-cpu"), plan, graph, None, chips=2)
 
+    @pytest.mark.parametrize("chips", [0, -3])
+    @pytest.mark.parametrize("name", ["gnnie", "awb-gcn"])
+    def test_non_positive_chip_count_raises_before_the_backend_check(self, graph, name, chips):
+        plan = lower("gcn", graph)
+        with pytest.raises(ValueError, match="num_parts must be at least 1"):
+            execute_scaleout(executor(name), plan, graph, None, chips=chips)
+
+    @pytest.mark.parametrize("chips", [1, 2])
+    def test_unknown_method_raises_at_every_chip_count(self, graph, backend, chips):
+        plan = lower("gcn", graph)
+        with pytest.raises(ValueError, match="unknown partition method 'bogus'"):
+            execute_scaleout(backend, plan, graph, None, chips=chips, method="bogus")
+
     def test_summary_gains_scaleout_keys_only_when_multi_chip(self, graph, backend):
         plan = lower("gcn", graph)
         single = execute_scaleout(backend, plan, graph, None, chips=1).summary()
