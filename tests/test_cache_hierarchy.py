@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import fields
 from itertools import combinations
 
@@ -23,7 +25,9 @@ from repro.cache import (
     stream_hits,
     victim_hits,
 )
+from repro.analysis import miss_path_ablation_rows
 from repro.graph import power_law_graph
+from repro.hw import AcceleratorConfig
 
 #: Every non-empty subset of the mechanisms, in their listed order.
 MECHANISM_SUBSETS = [
@@ -217,6 +221,33 @@ class TestHierarchy:
         assert outcome.total_misses == 0
         assert outcome.resolved == 0
         assert outcome.hit_rate == 0.0
+
+
+#: sha256 of every id-order table on the module graph at 60 resident
+#: records of 168 bytes: each sizing, each mechanism subset, all four
+#: policies (128 rows).
+TABLES_DIGEST = "eabc8f09ff0df2c976025a522ba987efdb81d0d922e562f6450c4c637e3b9ec5"
+
+
+def test_every_id_order_table_is_pinned(graph):
+    config = AcceleratorConfig(input_buffer_bytes=60 * 168)
+    rows = [
+        row
+        for sizing in sorted(SIZINGS)
+        for subset in MECHANISM_SUBSETS
+        for row in miss_path_ablation_rows(
+            graph,
+            config,
+            128,
+            policies=ID_ORDER_POLICIES,
+            mechanisms=subset,
+            **SIZINGS[sizing],
+        )
+    ]
+    assert len(rows) == 128
+    assert {row["sequential_fetches"] for row in rows} == {graph.num_vertices}
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == TABLES_DIGEST
 
 
 class TestValidation:
