@@ -21,8 +21,8 @@ Asserted invariants:
 
 from __future__ import annotations
 
-from repro.analysis import format_table, miss_path_ablation_rows
-from repro.cache import MISS_PATH_MECHANISMS, filter_misses, miss_trace, simulate_policy
+from repro.analysis import format_table
+from repro.cache import MISS_PATH_MECHANISMS, miss_path_ablation_rows, simulate_policy
 from repro.hw import AcceleratorConfig
 from repro.sim import input_buffer_capacity
 
@@ -34,13 +34,19 @@ def _config(graph):
     return AcceleratorConfig().resolve_input_buffer(graph.name)
 
 
+def _capacity(graph):
+    """Vertex records the input buffer the simulator charges holds."""
+    capacity, _ = input_buffer_capacity(graph.adjacency, _config(graph), FEATURE_LENGTH)
+    return capacity
+
+
 def test_ablation_miss_path_mechanisms(benchmark, record, datasets):
     def compute():
         results = {}
         for name in DATASETS:
             graph = datasets[name]
             results[name] = miss_path_ablation_rows(
-                graph.adjacency, _config(graph), FEATURE_LENGTH, dataset=graph.name
+                graph.adjacency, _capacity(graph), dataset=graph.name
             )
         return results
 
@@ -93,11 +99,12 @@ def test_degree_aware_walk_has_no_miss_to_filter(datasets):
 def test_miss_path_recovers_traffic_for_classic_policies(datasets):
     """VC+SB and MC+SB composites also help LRU / static partition."""
     graph = datasets["cora"]
-    capacity, record_bytes = input_buffer_capacity(
-        graph.adjacency, _config(graph), FEATURE_LENGTH
-    )
-    for policy in ("lru", "static_partition"):
-        result, trace = miss_trace(policy, graph.adjacency, capacity, bytes_per_vertex=record_bytes)
-        for pair in (("victim", "stream"), ("miss", "stream")):
-            outcome = filter_misses(trace, pair)
-            assert 0 < outcome.resolved <= result.random_accesses, (policy, pair)
+    policies = ("lru", "static_partition")
+    for pair in (("victim", "stream"), ("miss", "stream")):
+        rows = miss_path_ablation_rows(
+            graph.adjacency, _capacity(graph), policies=policies, mechanisms=pair
+        )
+        combined = [row for row in rows if row["mechanism"] == "+".join(pair)]
+        assert [row["policy"] for row in combined] == list(policies)
+        for row in combined:
+            assert 0 < row["hits"] <= row["accesses"], (row["policy"], pair)

@@ -20,8 +20,8 @@ Run with:  python examples/miss_path_hierarchy.py
 
 from __future__ import annotations
 
-from repro.analysis import format_table, miss_path_ablation_rows
-from repro.cache import simulate_policy
+from repro.analysis import format_table
+from repro.cache import miss_path_ablation_rows, simulate_policy
 from repro.datasets import build_dataset
 from repro.hw import AcceleratorConfig
 from repro.sim import input_buffer_capacity
@@ -43,8 +43,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     rows = miss_path_ablation_rows(
         graph.adjacency,
-        config,
-        feature_length,
+        capacity,
         policies=("vertex_order", "lru"),
         dataset=graph.name,
     )
@@ -58,8 +57,7 @@ def main() -> None:
         for depth in (4, 16, 64):
             [row] = miss_path_ablation_rows(
                 graph.adjacency,
-                config,
-                feature_length,
+                capacity,
                 mechanisms=("stream",),
                 stream_buffers=count,
                 stream_depth=depth,

@@ -1,7 +1,10 @@
-"""Analysis and reporting helpers backing the figure/table reproductions."""
+"""Analysis and reporting helpers backing the figure/table reproductions.
+
+The miss-path ablation builds its own table rows
+(:func:`repro.cache.miss_path_ablation_rows`).
+"""
 
 from repro.analysis.alpha_rounds import AlphaRoundHistogram, alpha_round_histograms
-from repro.analysis.miss_path import miss_path_ablation_rows
 from repro.analysis.reporting import format_scientific, format_series, format_table
 from repro.analysis.roofline import PhaseRoofline, RooflineSummary, roofline_analysis
 from repro.analysis.sparsity import NonzeroHistogram, feature_nonzero_histogram
@@ -30,7 +33,6 @@ from repro.analysis.workload import (
 __all__ = [
     "AlphaRoundHistogram",
     "alpha_round_histograms",
-    "miss_path_ablation_rows",
     "NonzeroHistogram",
     "PhaseRoofline",
     "RooflineSummary",

@@ -72,11 +72,10 @@ def _input_schedule(graph: Graph, config: AcceleratorConfig) -> WeightingSchedul
     choice and the block profile the executor prices with."""
     block_size = -(-graph.feature_length // config.num_rows)
     return schedule_weighting(
-        None,
+        pricing_context(graph).input_profile(block_size),
+        graph.feature_length,
         GNNIE_TABLE.num_cols,
         config,
-        profile=pricing_context(graph).input_profile(block_size),
-        in_features=graph.feature_length,
     )
 
 

@@ -3,27 +3,31 @@
 :func:`simulate_policy` runs any hit-path policy in :data:`POLICY_NAMES`
 (GNNIE's degree-aware walk in :mod:`repro.cache.controller`, and the
 LRU/MRU, static-partition and vertex-order baselines) and returns a
-:class:`CacheSimulationResult`.  The package also contains a trace-driven
-**miss-path hierarchy**, an ablation over the id-order baselines, the
-policies that miss: :func:`miss_trace` records one's miss/eviction
-sequence (:mod:`repro.cache.trace`), and :func:`filter_misses` filters it
-through the classic hardware structures in :data:`MISS_PATH_MECHANISMS` —
-victim cache, miss cache, stream buffers (:mod:`repro.cache.mechanisms`) —
-sized by its arguments.  GNNIE's degree-aware walk streams every record,
-so it has no miss to filter.
+:class:`CacheSimulationResult`.  :mod:`repro.cache.miss_path` holds the
+miss-path ablation over the id-order baselines, the policies that miss:
+:func:`miss_trace` hands back one's misses and evictions as two arrays, the
+victim cache, miss cache and stream buffers of :data:`MISS_PATH_MECHANISMS`
+filter them, and :func:`miss_path_ablation_rows` builds the table.  GNNIE's
+degree-aware walk streams every record, so it has no miss to filter.
 """
 
 from repro.cache.controller import vertex_record_bytes
-from repro.cache.hierarchy import (
+from repro.cache.miss_path import (
     MISS_PATH_MECHANISMS,
-    HierarchyResult,
-    check_miss_path,
-    filter_misses,
+    miss_cache_hits,
+    miss_path_ablation_rows,
+    stream_hits,
+    victim_hits,
 )
-from repro.cache.mechanisms import MechanismStats, miss_cache_hits, stream_hits, victim_hits
-from repro.cache.policies import ID_ORDER_POLICIES, POLICY_NAMES, miss_trace, simulate_policy
+from repro.cache.policies import (
+    EVICT,
+    ID_ORDER_POLICIES,
+    MISS,
+    POLICY_NAMES,
+    miss_trace,
+    simulate_policy,
+)
 from repro.cache.policy import CacheSimulationResult
-from repro.cache.trace import EVICT, MISS, TraceRecorder, VertexAccessTrace
 
 __all__ = [
     "CacheSimulationResult",
@@ -31,20 +35,13 @@ __all__ = [
     "POLICY_NAMES",
     "simulate_policy",
     "vertex_record_bytes",
-    # Miss-path trace
+    # Miss-path ablation
     "miss_trace",
     "MISS",
     "EVICT",
-    "TraceRecorder",
-    "VertexAccessTrace",
-    # Miss-path mechanisms
     "MISS_PATH_MECHANISMS",
-    "MechanismStats",
     "victim_hits",
     "miss_cache_hits",
     "stream_hits",
-    # Hierarchy
-    "HierarchyResult",
-    "check_miss_path",
-    "filter_misses",
+    "miss_path_ablation_rows",
 ]

@@ -96,8 +96,8 @@ def degree_aware_walk(
     counts endpoints with ``np.unique``.  So the layout's sort need not be
     stable, and no result depends on how it orders the edges of one group.
 
-    Every fetch is sequential, so the walk never misses and has no trace for
-    the miss-path hierarchy to filter.
+    Every fetch is sequential, so the walk never misses and leaves the
+    miss-path ablation (:mod:`repro.cache.miss_path`) nothing to filter.
 
     Raises :class:`RuntimeError` rather than return a truncated result when
     the walk reaches :data:`MAX_ITERATIONS` with edges left.

@@ -21,8 +21,8 @@ They differ only in how the buffer evicts:
 :func:`simulate_policy` runs any of the five by name and returns a
 :class:`~repro.cache.policy.CacheSimulationResult`, so they all plug into
 the same Aggregation cycle model and benchmarks.  :func:`miss_trace` runs
-an id-order policy and also hands back its miss/eviction trace, which the
-miss-path hierarchy (:func:`~repro.cache.hierarchy.filter_misses`) filters.
+an id-order policy and also hands back its misses and evictions as two
+arrays, which the miss-path ablation (:mod:`repro.cache.miss_path`) filters.
 """
 
 from __future__ import annotations
@@ -33,10 +33,13 @@ import numpy as np
 
 from repro.cache.controller import degree_aware_walk
 from repro.cache.policy import CacheSimulationResult
-from repro.cache.trace import TraceRecorder, VertexAccessTrace
 from repro.graph.csr import CSRGraph
 
-__all__ = ["ID_ORDER_POLICIES", "POLICY_NAMES", "miss_trace", "simulate_policy"]
+__all__ = ["EVICT", "ID_ORDER_POLICIES", "MISS", "POLICY_NAMES", "miss_trace", "simulate_policy"]
+
+#: Kinds of the events :func:`miss_trace` hands back.
+MISS: int = 0
+EVICT: int = 1
 
 #: Buffer eviction of each id-order baseline.
 _EVICTION = {"lru": "lru", "mru": "mru", "static_partition": "lru", "vertex_order": "fifo"}
@@ -82,9 +85,11 @@ def miss_trace(
     capacity_vertices: int,
     *,
     bytes_per_vertex: int = 256,
-) -> tuple[CacheSimulationResult, VertexAccessTrace]:
+) -> tuple[CacheSimulationResult, np.ndarray, np.ndarray]:
     """Simulate the id-order ``policy`` as :func:`simulate_policy` does, and
-    hand back its chronological miss/eviction trace beside the result.
+    hand back its misses and evictions in order beside the result: each
+    event's kind (:data:`MISS` or :data:`EVICT`, ``int8``) and vertex
+    (``int64``).
 
     Raises :class:`ValueError` for ``degree_aware``: every one of its
     fetches is sequential, so it has no miss to trace.
@@ -95,9 +100,11 @@ def miss_trace(
             f"{policy!r} never misses; only the id-order policies "
             f"{list(ID_ORDER_POLICIES)} have a miss trace"
         )
-    recorder = TraceRecorder()
-    result = _id_order_walk(policy, adjacency, capacity_vertices, bytes_per_vertex, recorder)
-    return result, recorder.finish()
+    events: list[tuple[int, int]] = []
+    result = _id_order_walk(policy, adjacency, capacity_vertices, bytes_per_vertex, events)
+    kinds = np.array([kind for kind, _ in events], dtype=np.int8)
+    vertices = np.array([vertex for _, vertex in events], dtype=np.int64)
+    return result, kinds, vertices
 
 
 def _id_order_walk(
@@ -105,7 +112,7 @@ def _id_order_walk(
     adjacency: CSRGraph,
     capacity: int,
     bytes_per_vertex: int,
-    recorder: TraceRecorder | None = None,
+    events: list[tuple[int, int]] | None = None,
 ) -> CacheSimulationResult:
     """Process vertices in id order through the policy's vertex buffer.
 
@@ -113,7 +120,7 @@ def _id_order_walk(
     the buffer costs one random DRAM access and admits the neighbor.  Pinned
     vertices never leave the buffer and do not occupy the replaceable
     capacity.  LRU and MRU refresh a resident vertex on every access; FIFO
-    does not.  A ``recorder`` receives every miss and eviction in order.
+    does not.  ``events`` receives every miss and eviction in order.
     """
     eviction = _EVICTION[policy]
     pinned: set[int] = set()
@@ -136,8 +143,8 @@ def _id_order_walk(
             return
         if len(buffer) >= replaceable_capacity:
             evicted, _ = buffer.popitem(last=evict_newest)
-            if recorder is not None:
-                recorder.evict(evicted)
+            if events is not None:
+                events.append((EVICT, evicted))
         buffer[vertex] = None
 
     for vertex in range(adjacency.num_vertices):
@@ -156,8 +163,8 @@ def _id_order_walk(
                 continue
             result.random_accesses += 1
             result.random_access_bytes += bytes_per_vertex
-            if recorder is not None:
-                recorder.miss(neighbor)
+            if events is not None:
+                events.append((MISS, neighbor))
             admit(neighbor)
 
     result.num_rounds = 1

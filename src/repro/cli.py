@@ -88,11 +88,12 @@ import time
 from typing import Sequence
 
 import repro
-from repro.analysis import compare_against_platform, format_table, miss_path_ablation_rows
+from repro.analysis import compare_against_platform, format_table
 from repro.analysis.roofline import roofline_analysis
 from repro.baselines import AWBGCNModel, HyGCNModel, PyGCPUModel, PyGGPUModel
 from repro.baselines.engn import EnGNModel
-from repro.cache import ID_ORDER_POLICIES, MISS_PATH_MECHANISMS, check_miss_path
+from repro.cache import ID_ORDER_POLICIES, MISS_PATH_MECHANISMS, miss_path_ablation_rows
+from repro.cache.miss_path import _validate_ablation
 from repro.datasets import build_dataset, dataset_names, dataset_spec
 from repro.hw import AcceleratorConfig, design_preset
 from repro.models import MODEL_FAMILIES
@@ -151,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="GNN family (Table III); --model is accepted as an alias",
     )
     profile_parser.add_argument(
-        "--scale", type=float, default=None, help="dataset scale factor in (0, 1]"
+        "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
     )
     profile_parser.add_argument("--seed", type=int, default=0, help="dataset generation seed")
     profile_parser.add_argument(
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dataset", default="cora", choices=dataset_names(), help="benchmark dataset"
     )
     cache_parser.add_argument(
-        "--scale", type=float, default=None, help="dataset scale factor in (0, 1]"
+        "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
     )
     cache_parser.add_argument("--seed", type=int, default=0, help="dataset generation seed")
     cache_parser.add_argument(
@@ -259,16 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(MISS_PATH_MECHANISMS),
         help=(
             "comma-separated miss-path mechanisms to evaluate "
-            f"(known: {', '.join(MISS_PATH_MECHANISMS)}); each is evaluated alone "
-            "plus one combined hierarchy row when several are given"
+            f"(known: {', '.join(MISS_PATH_MECHANISMS)}); each is evaluated alone, "
+            "plus one combined row when several are given"
         ),
     )
     cache_parser.add_argument(
         "--policy",
         default="vertex_order",
         choices=[*ID_ORDER_POLICIES, "all"],
-        help="id-order policy whose miss trace is filtered (default: the "
-        "vertex-order baseline, Fig. 18's no-caching policy)",
+        help="id-order policy whose misses are filtered, or all four (default: "
+        "the vertex-order baseline, Fig. 18's no-caching policy)",
     )
     cache_parser.add_argument(
         "--feature-length",
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "silicon and are swept once regardless",
     )
     sweep_parser.add_argument(
-        "--scale", type=float, default=None,
+        "--scale", type=_scale, default=None,
         help="dataset scale override in (0, 1] applied to every dataset "
         "(default: each dataset's registry scale)",
     )
@@ -418,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--model", default="gcn", choices=list(MODEL_FAMILIES), help="GNN family (Table III)"
     )
     tune_parser.add_argument(
-        "--scale", type=float, default=None, help="dataset scale factor in (0, 1]"
+        "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
     )
     tune_parser.add_argument(
         "--seed", type=int, default=0,
@@ -460,6 +461,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _scale(text: str) -> float:
+    """``--scale``'s argparse type: a dataset scale factor in (0, 1]."""
+    try:
+        scale = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < scale <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return scale
+
+
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dataset", default="cora", choices=dataset_names(), help="benchmark dataset"
@@ -468,7 +480,7 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         "--model", default="gcn", choices=list(MODEL_FAMILIES), help="GNN family (Table III)"
     )
     parser.add_argument(
-        "--scale", type=float, default=None, help="dataset scale factor in (0, 1]"
+        "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
     )
     parser.add_argument("--seed", type=int, default=0, help="dataset generation seed")
     parser.add_argument(
@@ -863,7 +875,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if value is not None
     }
     try:
-        check_miss_path(mechanisms, **sizing)
+        _validate_ablation(mechanisms, sizing)
     except ValueError as error:
         print(f"invalid miss-path configuration: {error}", file=sys.stderr)
         return 2
@@ -876,12 +888,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"invalid --feature-length: {error}", file=sys.stderr)
         return 2
-    policies = ID_ORDER_POLICIES if args.policy == "all" else [args.policy]
     rows = miss_path_ablation_rows(
         graph.adjacency,
-        config,
-        args.feature_length,
-        policies=policies,
+        capacity,
+        policies=ID_ORDER_POLICIES if args.policy == "all" else [args.policy],
         dataset=graph.name,
         mechanisms=mechanisms,
         **sizing,
@@ -914,8 +924,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
-        if args.scale is not None and not 0 < args.scale <= 1:
-            raise ValueError("--scale must be in (0, 1]")
         datasets = _split_axis(args.datasets, all_values=dataset_names(), axis="datasets")
         models = _split_axis(args.models, all_values=list(MODEL_FAMILIES), axis="models")
         backends = _split_axis(args.backends, all_values=executor_names(), axis="backends")
@@ -1071,8 +1079,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     try:
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
-        if args.scale is not None and not 0 < args.scale <= 1:
-            raise ValueError("--scale must be in (0, 1]")
         spec = TuneSpec(
             dataset=args.dataset,
             family=args.model,

@@ -29,7 +29,8 @@ What the paper explores, and what the ablations and the tuner vary, is an
 The victim / miss / stream hierarchy behind the input buffer is not part of
 the priced design: degree-aware caching streams every record, so it has no
 miss to filter.  It is an ablation over the id-order policies' misses in
-:mod:`repro.cache`, sized by its function arguments.
+:mod:`repro.cache.miss_path`, sized by the arguments of its one table
+function.
 
 The named design points of the optimization analysis (Section VIII-E) are
 provided as constructors: Design A (uniform 4 MACs/CPE baseline), B (5), C

@@ -17,8 +17,7 @@ the dense weight matrix ``W^l`` under a weight-stationary dataflow:
 
 :func:`schedule_weighting` builds the static schedule (block size, passes,
 per-row assignment under the configured policy) from the input's
-:class:`~repro.mapping.binning.BlockProfile`, which it reduces a feature
-matrix to when it is given one, and
+:class:`~repro.mapping.binning.BlockProfile`, and
 :func:`weighting_functional` carries out the same blocked computation
 numerically so tests can confirm the mapping is exact (every nonzero touched
 exactly once, result equal to the dense GEMM).
@@ -38,7 +37,6 @@ from repro.mapping.binning import (
     flexible_mac_assignment,
 )
 from repro.mapping.load_redistribution import LoadRedistributionResult, redistribute_load
-from repro.sparse.feature_matrix import block_nonzero_counts
 
 __all__ = ["WeightingSchedule", "schedule_weighting", "weighting_functional"]
 
@@ -87,52 +85,35 @@ class WeightingSchedule:
 
 
 def schedule_weighting(
-    features: np.ndarray | None,
+    profile: BlockProfile,
+    in_features: int,
     out_features: int,
     config: AcceleratorConfig | WeightingKnobs,
-    *,
-    profile: BlockProfile | None = None,
-    in_features: int | None = None,
 ) -> WeightingSchedule:
-    """Build the Weighting schedule for a feature matrix and output width.
+    """Build the Weighting schedule of one layer from its input's block profile.
 
     Args:
-        features: ``(V, F_in)`` input feature matrix of the layer (only its
-            nonzero structure matters).  May be ``None`` when a ``profile``
-            (plus ``in_features``) is supplied instead.
+        profile: :class:`~repro.mapping.binning.BlockProfile` of the layer's
+            input at block size ``k = ceil(F_in / num_rows)`` (the simulator
+            memoizes the input layer's and builds one-bin profiles for later
+            layers, whose features are modeled statistically).  A profile
+            whose block count is not ``ceil(F_in / k)``, or whose largest
+            block count exceeds ``k``, is rejected.
+        in_features: F_in, the length of the input feature vectors.
         out_features: F_out, the number of weight-matrix columns.
         config: Accelerator configuration (array rows, MAC allocation,
             policy flags).
-        profile: Optional :class:`~repro.mapping.binning.BlockProfile` of the
-            layer's input at block size ``k = ceil(F_in / num_rows)`` (the
-            simulator memoizes the input layer's and builds one-bin profiles
-            for later layers, whose features are modeled statistically).
-        in_features: F_in; required when ``profile`` is given.  A profile
-            whose block count is not ``ceil(F_in / k)``, or whose largest
-            block count exceeds ``k``, is rejected.
     """
-    if out_features <= 0:
-        raise ValueError("out_features must be positive")
-    if profile is None:
-        if features is None:
-            raise ValueError("either features or profile must be provided")
-        features = np.asarray(features)
-        if features.ndim != 2:
-            raise ValueError("features must be (V, F_in)")
-        in_features = features.shape[1]
-        block_size = -(-in_features // config.num_rows)
-        profile = BlockProfile.from_counts(block_nonzero_counts(features, block_size))
-    else:
-        if in_features is None or in_features <= 0:
-            raise ValueError("a positive in_features is required with a profile")
-        block_size = -(-in_features // config.num_rows)
-        num_blocks = -(-in_features // block_size)
-        if profile.num_blocks != num_blocks or profile.max_count > block_size:
-            raise ValueError(
-                f"profile of {profile.num_blocks} blocks of at most {profile.max_count} "
-                f"nonzeros contradicts F_in={in_features}: {num_blocks} blocks of "
-                f"at most k={block_size}"
-            )
+    if in_features <= 0 or out_features <= 0:
+        raise ValueError("in_features and out_features must be positive")
+    block_size = -(-in_features // config.num_rows)
+    num_blocks = -(-in_features // block_size)
+    if profile.num_blocks != num_blocks or profile.max_count > block_size:
+        raise ValueError(
+            f"profile of {profile.num_blocks} blocks of at most {profile.max_count} "
+            f"nonzeros contradicts F_in={in_features}: {num_blocks} blocks of "
+            f"at most k={block_size}"
+        )
     num_passes = -(-out_features // GNNIE_TABLE.num_cols)
 
     if config.enable_flexible_mac:

@@ -340,9 +340,7 @@ class GNNIEExecutor:
                 int(round(density * block_size)),
             )
             input_bits = graph.num_vertices * op.in_features * 8 * GNNIE_TABLE.bytes_per_value
-        schedule = schedule_weighting(
-            None, op.out_features, knobs, profile=profile, in_features=op.in_features
-        )
+        schedule = schedule_weighting(profile, op.in_features, op.out_features, knobs)
         phase = context.phase_memo[key] = weighting_phase_from_schedule(
             schedule,
             graph.num_vertices,

@@ -12,7 +12,8 @@ import pytest
 from repro.datasets import build_dataset, tiny_dataset
 from repro.graph import CSRGraph, Graph, power_law_graph
 from repro.hw import AcceleratorConfig
-from repro.sparse import generate_sparse_features
+from repro.mapping import BlockProfile
+from repro.sparse import block_nonzero_counts, generate_sparse_features
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +54,19 @@ def reddit_bench_adjacency() -> CSRGraph:
 @pytest.fixture(scope="session")
 def default_config() -> AcceleratorConfig:
     return AcceleratorConfig()
+
+
+@pytest.fixture(scope="session")
+def profile_of():
+    """``profile_of(features, config)``: the block profile of an explicit
+    ``(V, F_in)`` feature matrix in ``ceil(F_in / num_rows)``-column blocks,
+    the input :func:`repro.mapping.schedule_weighting` reads."""
+
+    def block_profile(features: np.ndarray, config: AcceleratorConfig) -> BlockProfile:
+        block_size = -(-features.shape[1] // config.num_rows)
+        return BlockProfile.from_counts(block_nonzero_counts(features, block_size))
+
+    return block_profile
 
 
 @pytest.fixture()

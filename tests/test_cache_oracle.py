@@ -7,9 +7,9 @@ Over uniform random, hub-heavy and community graphs, capacities from 1 (the
 pairwise fallback) and γ from 0 (deadlocks), every :class:`~repro.cache.CacheSimulationResult` field must
 match: the counters, the four iteration columns and the α snapshots.  So
 must the eviction sequence: the degree-aware walk's, observed at its one
-victim picker, and the id-order walk's miss/eviction trace
-(:func:`~repro.cache.miss_trace`).  The vectorized controller is only
-allowed to be faster.
+victim picker, and the id-order walk's misses and evictions, which
+:func:`~repro.cache.miss_trace` hands back as ``(kinds, vertices)`` arrays.
+The vectorized controller is only allowed to be faster.
 """
 
 from __future__ import annotations
@@ -21,15 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import (
-    EVICT,
-    MISS,
-    POLICY_NAMES,
-    VertexAccessTrace,
-    controller,
-    miss_trace,
-    simulate_policy,
-)
+from repro.cache import EVICT, MISS, POLICY_NAMES, controller, miss_trace, simulate_policy
 from repro.graph import CSRGraph, community_graph, power_law_graph
 
 BYTES_PER_VERTEX = 48
@@ -171,7 +163,7 @@ def reference(policy, adjacency, capacity, gamma):
     return out
 
 
-def assert_matches_reference(result, trace, expected):
+def assert_matches_reference(result, kinds, vertices, expected):
     log = np.array(expected["log"], dtype=np.int64).reshape(-1, 4)
     columns = ("round_index", "edges_processed", "max_edges_per_vertex", "resident_vertices")
     for index, name in enumerate(columns):
@@ -181,9 +173,7 @@ def assert_matches_reference(result, trace, expected):
     assert result.num_iterations == len(log)
     snapshots = result.alpha_round_snapshots
     assert [s.tolist() for s in snapshots] == expected["alpha_round_snapshots"]
-    kinds, vertices = expected["trace"]
-    assert trace.kinds.tolist() == kinds
-    assert trace.vertices.tolist() == vertices
+    assert (kinds.tolist(), vertices.tolist()) == expected["trace"]
     checked = {*columns, "alpha_round_snapshots"}
     for field in fields(result):
         if field.name not in checked:
@@ -192,7 +182,7 @@ def assert_matches_reference(result, trace, expected):
 
 def degree_aware_with_evictions(adjacency, capacity, gamma):
     """Run the degree-aware walk and return its result with the ids its one
-    victim picker evicted, in order, as an all-EVICT trace."""
+    victim picker evicted, in order, as all-EVICT ``(kinds, vertices)``."""
     pick = controller._select_evictions
     evicted = []
 
@@ -207,18 +197,18 @@ def degree_aware_with_evictions(adjacency, capacity, gamma):
             "degree_aware", adjacency, capacity, bytes_per_vertex=BYTES_PER_VERTEX, gamma=gamma
         )
     kinds = np.full(len(evicted), EVICT, dtype=np.int8)
-    return result, VertexAccessTrace(kinds, np.array(evicted, dtype=np.int64))
+    return result, kinds, np.array(evicted, dtype=np.int64)
 
 
 def check_against_reference(policy, adjacency, capacity, gamma):
     if policy == "degree_aware":
-        result, trace = degree_aware_with_evictions(adjacency, capacity, gamma)
+        result, kinds, vertices = degree_aware_with_evictions(adjacency, capacity, gamma)
     else:
-        result, trace = miss_trace(
+        result, kinds, vertices = miss_trace(
             policy, adjacency, capacity, bytes_per_vertex=BYTES_PER_VERTEX
         )
     expected = reference(policy, adjacency, capacity, gamma)
-    assert_matches_reference(result, trace, expected)
+    assert_matches_reference(result, kinds, vertices, expected)
 
 
 @st.composite

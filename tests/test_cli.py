@@ -47,6 +47,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--model", "transformer"])
 
+    @pytest.mark.parametrize(
+        "command",
+        ["simulate", "profile", "plan", "compare", "designs", "cache", "sweep", "tune"],
+    )
+    def test_scale_outside_the_unit_interval_is_a_usage_error(self, command, capsys):
+        for scale in ("0", "-1", "1.5"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--scale", scale])
+            assert excinfo.value.code == 2
+            error = capsys.readouterr().err
+            assert f"argument --scale: must be in (0, 1], got {scale}" in error
+        for scale, value in (("1", 1.0), ("0.25", 0.25), ("1e-3", 0.001)):
+            assert build_parser().parse_args([command, "--scale", scale]).scale == value
+        assert build_parser().parse_args([command]).scale is None
+
 
 class TestCommands:
     def test_datasets_command(self, capsys):
@@ -231,12 +246,23 @@ class TestCommands:
         assert policies == {"lru", "mru", "static_partition", "vertex_order"}
         assert "degree_aware" not in output
 
-    def test_cache_command_rejects_unknown_mechanism(self, capsys):
+    @staticmethod
+    def _forbid_dataset_build(monkeypatch):
+        """A rejected miss-path flag must fail before the dataset is built."""
+
+        def build_dataset(*args, **kwargs):
+            raise AssertionError("the dataset was built before the flags were checked")
+
+        monkeypatch.setattr("repro.cli.build_dataset", build_dataset)
+
+    def test_cache_command_rejects_unknown_mechanism(self, capsys, monkeypatch):
+        self._forbid_dataset_build(monkeypatch)
         assert main(["cache", "--dataset", "cora", "--mechanism", "belady"]) == 2
         assert "unknown mechanisms" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--stream-depth", "--victim-entries"])
-    def test_cache_command_rejects_a_non_positive_size(self, capsys, flag):
+    def test_cache_command_rejects_a_non_positive_size(self, capsys, monkeypatch, flag):
+        self._forbid_dataset_build(monkeypatch)
         assert main(["cache", "--dataset", "cora", flag, "0"]) == 2
         captured = capsys.readouterr()
         assert "invalid miss-path configuration" in captured.err

@@ -21,7 +21,7 @@ from repro.hw import (
 #: Names that are not AcceleratorConfig fields: the fixed design's numbers
 #: are GNNIE_TABLE entries, ``num_rows`` is the sum of ``rows_per_group``,
 #: zero skipping is always on, and the miss-path hierarchy is an ablation
-#: sized by :func:`repro.cache.filter_misses`'s arguments.
+#: sized by :func:`repro.cache.miss_path_ablation_rows`'s arguments.
 REMOVED_CONFIG_FIELDS = (
     "num_rows",
     "num_cols",

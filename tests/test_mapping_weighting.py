@@ -20,23 +20,25 @@ def features():
 
 
 class TestScheduleWeighting:
-    def test_block_size_and_pass_count(self, features):
+    def test_block_size_and_pass_count(self, features, profile_of):
         config = AcceleratorConfig()
-        schedule = schedule_weighting(features, out_features=128, config=config)
+        schedule = schedule_weighting(profile_of(features, config), 200, 128, config)
         assert schedule.block_size == -(-200 // 16)
         assert schedule.num_passes == 8
         assert schedule.num_blocks <= config.num_rows
 
-    def test_mac_counts(self, features):
-        schedule = schedule_weighting(features, 64, AcceleratorConfig())
+    def test_mac_counts(self, features, profile_of):
+        config = AcceleratorConfig()
+        schedule = schedule_weighting(profile_of(features, config), 200, 64, config)
         assert schedule.total_nonzero_macs == np.count_nonzero(features) * 64
 
-    def test_compute_cycles_are_pass_times_max_row(self, features):
-        schedule = schedule_weighting(features, 128, AcceleratorConfig())
+    def test_compute_cycles_are_pass_times_max_row(self, features, profile_of):
+        config = AcceleratorConfig()
+        schedule = schedule_weighting(profile_of(features, config), 200, 128, config)
         assert schedule.compute_cycles == schedule.num_passes * schedule.cycles_per_pass
         assert schedule.cycles_per_pass == schedule.row_cycles_per_pass.max()
 
-    def test_flexible_mac_beats_disabled(self, features):
+    def test_flexible_mac_beats_disabled(self, features, profile_of):
         config = AcceleratorConfig()
         baseline_cfg = replace(
             config,
@@ -45,26 +47,23 @@ class TestScheduleWeighting:
             enable_flexible_mac=False,
             enable_load_redistribution=False,
         )
-        fm = schedule_weighting(features, 128, config)
-        base = schedule_weighting(features, 128, baseline_cfg)
+        fm = schedule_weighting(profile_of(features, config), 200, 128, config)
+        base = schedule_weighting(profile_of(features, baseline_cfg), 200, 128, baseline_cfg)
         assert fm.compute_cycles < base.compute_cycles
 
-    def test_load_redistribution_applied_when_enabled(self, features):
+    def test_load_redistribution_applied_when_enabled(self, features, profile_of):
         config = AcceleratorConfig()
-        schedule = schedule_weighting(features, 64, config)
+        schedule = schedule_weighting(profile_of(features, config), 200, 64, config)
         assert schedule.load_redistribution is not None
-        no_lr = schedule_weighting(
-            features, 64, replace(config, enable_load_redistribution=False)
-        )
+        no_lr_cfg = replace(config, enable_load_redistribution=False)
+        no_lr = schedule_weighting(profile_of(features, no_lr_cfg), 200, 64, no_lr_cfg)
         assert no_lr.load_redistribution is None
         assert schedule.cycles_per_pass <= no_lr.cycles_per_pass
 
     def test_statistical_block_nonzeros_path(self):
         config = AcceleratorConfig()
         blocks = np.full((100, 16), 3, dtype=np.int64)
-        schedule = schedule_weighting(
-            None, 32, config, profile=BlockProfile.from_counts(blocks), in_features=64
-        )
+        schedule = schedule_weighting(BlockProfile.from_counts(blocks), 64, 32, config)
         assert schedule.total_nonzero_macs == blocks.sum() * 32
         assert schedule.block_size == 4
 
@@ -77,24 +76,23 @@ class TestScheduleWeighting:
         """F_in = 64 means k = 4: 16 blocks of at most 4 nonzeros each."""
         profile = BlockProfile.from_counts(np.full(shape, per_block))
         with pytest.raises(ValueError, match="contradicts"):
-            schedule_weighting(None, 32, AcceleratorConfig(), profile=profile, in_features=64)
+            schedule_weighting(profile, 64, 32, AcceleratorConfig())
 
-    def test_missing_inputs_rejected(self):
+    @pytest.mark.parametrize("in_features, out_features", [(64, 0), (0, 32)])
+    def test_non_positive_widths_rejected(self, in_features, out_features):
+        profile = BlockProfile.from_counts(np.ones((4, 16)))
+        with pytest.raises(ValueError, match="must be positive"):
+            schedule_weighting(profile, in_features, out_features, AcceleratorConfig())
+
+    def test_average_row_utilization_bounded(self, features, profile_of):
         config = AcceleratorConfig()
-        with pytest.raises(ValueError):
-            schedule_weighting(None, 32, config)
-        with pytest.raises(ValueError):
-            schedule_weighting(None, 32, config, profile=BlockProfile.from_counts(np.ones((4, 4))))
-        with pytest.raises(ValueError):
-            schedule_weighting(np.ones((4, 4)), 0, config)
-
-    def test_average_row_utilization_bounded(self, features):
-        schedule = schedule_weighting(features, 64, AcceleratorConfig())
+        schedule = schedule_weighting(profile_of(features, config), 200, 64, config)
         assert 0.0 < schedule.average_row_utilization <= 1.0
 
-    def test_all_zero_features_need_no_compute_with_zero_skipping(self):
+    def test_all_zero_features_need_no_compute_with_zero_skipping(self, profile_of):
+        config = AcceleratorConfig()
         zeros = np.zeros((50, 64))
-        skipping = schedule_weighting(zeros, 32, AcceleratorConfig())
+        skipping = schedule_weighting(profile_of(zeros, config), 64, 32, config)
         assert skipping.total_nonzero_macs == 0
         assert skipping.compute_cycles == 0
 

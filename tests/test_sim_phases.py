@@ -58,13 +58,19 @@ class TestPhaseResult:
             layer.aggregation = PhaseResult("aggregation")
 
 
-def _weighting(config, out_features, features, *, rlc=True):
+@pytest.fixture(scope="module")
+def profile(features, profile_of):
+    """Block profile of ``features`` on the default 16-row array."""
+    return profile_of(features, AcceleratorConfig())
+
+
+def _weighting(config, out_features, features, profile, *, rlc=True):
     """Schedule and price one layer's Weighting on an explicit feature matrix.
 
     Input-layer features travel RLC-compressed; later layers travel dense.
     """
-    schedule = schedule_weighting(features, out_features, config)
     num_vertices, in_features = features.shape
+    schedule = schedule_weighting(profile, in_features, out_features, config)
     value_bits = 8 * GNNIE_TABLE.bytes_per_value
     if rlc:
         input_bits = rlc_compressed_bits(features, value_bits=value_bits)
@@ -77,61 +83,53 @@ def _weighting(config, out_features, features, *, rlc=True):
 
 
 class TestWeightingPhase:
-    def test_input_layer_uses_rlc_traffic(self, features):
+    def test_input_layer_uses_rlc_traffic(self, features, profile):
         config = AcceleratorConfig()
-        rlc_phase, _ = _weighting(config, 128, features, rlc=True)
-        dense_phase, _ = _weighting(config, 128, features, rlc=False)
+        rlc_phase, _ = _weighting(config, 128, features, profile, rlc=True)
+        dense_phase, _ = _weighting(config, 128, features, profile, rlc=False)
         assert rlc_phase.dram_input_stream_bytes < dense_phase.dram_input_stream_bytes
 
-    def test_mac_operations_match_schedule(self, features):
-        phase, schedule = _weighting(AcceleratorConfig(), 64, features)
+    def test_mac_operations_match_schedule(self, features, profile):
+        phase, schedule = _weighting(AcceleratorConfig(), 64, features, profile)
         assert phase.mac_operations == schedule.total_nonzero_macs
 
-    def test_weight_traffic_counts_whole_matrix(self, features):
-        phase, _ = _weighting(AcceleratorConfig(), 64, features)
+    def test_weight_traffic_counts_whole_matrix(self, features, profile):
+        phase, _ = _weighting(AcceleratorConfig(), 64, features, profile)
         assert phase.dram_weight_stream_bytes == features.shape[1] * 64
 
-    def test_output_traffic_counts_results(self, features):
-        phase, _ = _weighting(AcceleratorConfig(), 64, features)
+    def test_output_traffic_counts_results(self, features, profile):
+        phase, _ = _weighting(AcceleratorConfig(), 64, features, profile)
         assert phase.dram_output_stream_bytes == features.shape[0] * 64
 
     def test_statistical_path_matches_explicit_shape(self):
         config = AcceleratorConfig()
         blocks = np.full((200, 16), 3, dtype=np.int64)
-        schedule = schedule_weighting(
-            None, 32, config, profile=BlockProfile.from_counts(blocks), in_features=256
-        )
+        schedule = schedule_weighting(BlockProfile.from_counts(blocks), 256, 32, config)
         phase = weighting_phase_from_schedule(
             schedule, 200, 256, 32, input_traffic_bits=200 * 256 * 8
         )
         assert phase.mac_operations == blocks.sum() * 32
         assert schedule.num_passes == 2
 
-    def test_missing_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            schedule_weighting(
-                None, 32, AcceleratorConfig(), profile=BlockProfile.from_counts(np.ones((4, 4)))
-            )
-
-    def test_cycles_positive_and_bounded_below_by_ideal(self, features):
+    def test_cycles_positive_and_bounded_below_by_ideal(self, features, profile):
         config = AcceleratorConfig()
-        phase, schedule = _weighting(config, 128, features)
+        phase, schedule = _weighting(config, 128, features, profile)
         ideal = schedule.total_nonzero_macs / config.total_macs
         assert phase.compute_cycles >= ideal
         assert phase.total_cycles > 0
 
-    def test_input_features_stream_once_per_pass(self, features):
+    def test_input_features_stream_once_per_pass(self, features, profile):
         config = AcceleratorConfig()
-        phase, schedule = _weighting(config, 128, features)
+        phase, schedule = _weighting(config, 128, features, profile)
         input_bytes = rlc_compressed_bits(features, value_bits=8) // 8
         assert schedule.num_passes == 8
         assert phase.dram_input_stream_bytes == input_bytes * schedule.num_passes
 
     @staticmethod
-    def _price_input_traffic(features, input_traffic_bits):
+    def _price_input_traffic(features, profile, input_traffic_bits):
         """One input layer's Weighting, its input traffic set explicitly."""
-        schedule = schedule_weighting(features, 128, AcceleratorConfig())
         num_vertices, in_features = features.shape
+        schedule = schedule_weighting(profile, in_features, 128, AcceleratorConfig())
         phase = weighting_phase_from_schedule(
             schedule, num_vertices, in_features, 128, input_traffic_bits=input_traffic_bits
         )
@@ -139,11 +137,11 @@ class TestWeightingPhase:
 
     @pytest.mark.parametrize("input_traffic_bits", [8 * 1024, 8 * 10**8], ids=["light", "heavy"])
     def test_streaming_counts_the_first_fill_and_exposes_nothing(
-        self, features, input_traffic_bits
+        self, features, profile, input_traffic_bits
     ):
         # Light traffic fetches a pass faster than the pass computes, heavy
         # traffic slower; either way exposure is the layer pass's decision.
-        phase, schedule = self._price_input_traffic(features, input_traffic_bits)
+        phase, schedule = self._price_input_traffic(features, profile, input_traffic_bits)
         bytes_per_cycle = HBMModel().bytes_per_cycle
         weight_bytes = features.shape[1] * GNNIE_TABLE.num_cols * GNNIE_TABLE.bytes_per_value
         per_pass_fetch = int(np.ceil(input_traffic_bits // 8 / bytes_per_cycle)) + int(
@@ -154,14 +152,14 @@ class TestWeightingPhase:
         assert phase.streaming_memory_cycles == per_pass_fetch * (schedule.num_passes + 1)
         assert phase.memory_stall_cycles == 0
 
-    def test_preprocessing_charges_flexible_mac_binning(self, features):
+    def test_preprocessing_charges_flexible_mac_binning(self, features, profile):
         config = AcceleratorConfig()
-        phase, schedule = _weighting(config, 64, features)
+        phase, schedule = _weighting(config, 64, features, profile)
         operations = schedule.assignment.preprocessing_operations
         assert operations > 0
         # The binning classifies 32 block records per cycle.
         assert phase.preprocessing_cycles == -(-operations // 32)
-        unbinned, _ = _weighting(replace(config, enable_flexible_mac=False), 64, features)
+        unbinned, _ = _weighting(replace(config, enable_flexible_mac=False), 64, features, profile)
         assert unbinned.preprocessing_cycles == 0
 
 

@@ -653,7 +653,9 @@ class TestSweepCLI:
         store = str(tmp_path / "x.jsonl")
         assert main(["sweep", "--jobs", "0", "--store", store]) == 2
         assert "--jobs" in capsys.readouterr().err
-        assert main(["sweep", "--scale", "2.0", "--store", store]) == 2
+        with pytest.raises(SystemExit) as excinfo:  # an argparse usage error
+            main(["sweep", "--scale", "2.0", "--store", store])
+        assert excinfo.value.code == 2
         assert "(0, 1]" in capsys.readouterr().err
 
     def test_sweep_survives_corrupt_store(self, tmp_path, capsys):
