@@ -19,6 +19,13 @@ the five baseline platform cost models for every (dataset, family) pair.
 default reports carry no random DRAM access, so this file is the one golden
 that prices the random-access stall.
 
+``gnnie_table_variants.json`` pins GNNIE's table as a pricing input: for the
+default table and for each entry's variant (+1 on an integer entry, x1.1 on
+a float one), the cycles, DRAM bytes, energy, latency and chip area of
+three cases on a freshly built Cora 0.25 graph (seed 0): GAT, GCN under
+id-order caching and GCN on 2 chips.  Between them the cases reach the
+id-order-only and link-only entries.
+
 Run from the repository root to regenerate after an *intentional* model
 change::
 
@@ -27,9 +34,11 @@ change::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pathlib
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
 
 from repro.baselines import (
     AWBGCNModel,
@@ -40,9 +49,10 @@ from repro.baselines import (
     workload_from_plan,
 )
 from repro.datasets import build_dataset
-from repro.hw import AcceleratorConfig
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
 from repro.models import MODEL_FAMILIES
 from repro.plan import lower
+from repro.scaleout import execute_scaleout
 from repro.sim import GNNIEExecutor
 from repro.sim.trace import result_to_dict, result_to_json
 
@@ -71,6 +81,70 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
 
 #: The configuration ``idorder.json`` is priced under.
 IDORDER_CONFIG = replace(AcceleratorConfig(), enable_degree_aware_caching=False)
+
+#: The (dataset, scale, seed) ``gnnie_table_variants.json`` is priced on.
+VARIANT_GRAPH = ("cora", 0.25, 0)
+
+
+def table_variants():
+    """``(entry name, table)`` for each entry of GNNIE's table, the table
+    with that entry +1 (an integer entry) or x1.1 (a float one)."""
+    for entry in fields(GNNIE_TABLE):
+        value = getattr(GNNIE_TABLE, entry.name)
+        value = value + 1 if isinstance(value, int) else value * 1.1
+        yield entry.name, replace(GNNIE_TABLE, **{entry.name: value})
+
+
+def price_variant_cases(executor: GNNIEExecutor, graph) -> dict[str, dict]:
+    """The pinned numbers of the three variant cases on ``graph``."""
+    gcn = lower("gcn", graph)
+    cases = {
+        "gat": (executor.execute(lower("gat", graph), graph), executor.config),
+        "gcn_idorder": (executor.execute(gcn, graph, IDORDER_CONFIG), IDORDER_CONFIG),
+        "gcn_2chips": (execute_scaleout(executor, gcn, graph, chips=2), executor.config),
+    }
+    return {
+        case: {
+            "total_cycles": result.total_cycles,
+            "total_dram_bytes": result.total_dram_bytes,
+            "energy_joules": result.energy_joules,
+            "latency_seconds": result.latency_seconds,
+            "chip_area_mm2": executor.chip_area_mm2(config),
+        }
+        for case, (result, config) in cases.items()
+    }
+
+
+@contextlib.contextmanager
+def table_bound(table):
+    """Bind ``table`` as ``GNNIE_TABLE`` in every ``repro`` module that
+    names it, and restore the default table on exit."""
+    modules = [
+        module
+        for name, module in list(sys.modules.items())
+        if (name == "repro" or name.startswith("repro."))
+        and getattr(module, "GNNIE_TABLE", None) is GNNIE_TABLE
+    ]
+    for module in modules:
+        module.GNNIE_TABLE = table
+    try:
+        yield
+    finally:
+        for module in modules:
+            module.GNNIE_TABLE = GNNIE_TABLE
+
+
+def variant_snapshot() -> dict[str, dict]:
+    """The default table's cases and each variant's, each priced on a
+    freshly built graph."""
+    dataset, scale, seed = VARIANT_GRAPH
+    graph = build_dataset(dataset, scale=scale, seed=seed)
+    snapshot = {"default": price_variant_cases(GNNIEExecutor(), graph)}
+    for name, table in table_variants():
+        with table_bound(table):
+            graph = build_dataset(dataset, scale=scale, seed=seed)
+            snapshot[name] = price_variant_cases(GNNIEExecutor(), graph)
+    return snapshot
 
 
 def main() -> None:
@@ -107,6 +181,10 @@ def main() -> None:
     idorder_path = GOLDEN_DIR / "idorder.json"
     idorder_path.write_text(json.dumps(idorder_snapshot, indent=2) + "\n")
     print(f"wrote {idorder_path.name}: {len(idorder_snapshot)} entries")
+    variants_path = GOLDEN_DIR / "gnnie_table_variants.json"
+    variants = variant_snapshot()
+    variants_path.write_text(json.dumps(variants, indent=2) + "\n")
+    print(f"wrote {variants_path.name}: {len(variants)} tables")
 
 
 if __name__ == "__main__":

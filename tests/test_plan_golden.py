@@ -12,6 +12,9 @@ reusing the one an earlier family primed.  ``baseline_platforms.json`` snapshots
 workload derivation and the five platform cost models for every pair.
 ``idorder.json`` holds the 25 reports under vertex-id-order caching, the
 only golden inferences that pay random DRAM accesses.
+``gnnie_table_variants.json`` pins three cases on Cora 0.25 under the
+default GNNIE table and under each entry's variant, as priced on freshly
+built graphs.
 Simulated results must match exactly (integers) or to 1e-9 relative
 tolerance (energy/latency floats).  Baseline latencies and energies must
 equal the snapshot exactly: they are pure-Python float arithmetic over
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import pathlib
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -37,9 +41,10 @@ from repro.baselines import (
     workload_from_plan,
 )
 from repro.datasets import build_dataset
-from repro.hw import AcceleratorConfig
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
 from repro.models import MODEL_FAMILIES
 from repro.plan import lower
+from repro.scaleout import execute_scaleout
 from repro.sim import GNNIEExecutor
 from repro.sim.trace import result_to_dict
 
@@ -190,3 +195,55 @@ class TestBaselineGoldenEquivalence:
                     assert moved == 0, f"{label} moves {moved} pricings; it is not inert"
                 else:
                     assert moved > 0, f"{label} moves no golden pair"
+
+
+def _table_variants():
+    """Each entry of GNNIE's table with its variant table: the entry +1
+    (integer) or x1.1 (float)."""
+    for entry in fields(GNNIE_TABLE):
+        value = getattr(GNNIE_TABLE, entry.name)
+        value = value + 1 if isinstance(value, int) else value * 1.1
+        yield entry.name, replace(GNNIE_TABLE, **{entry.name: value})
+
+
+def _variant_cases(executor, graph):
+    """GAT, GCN under id-order caching and GCN on 2 chips: the numbers
+    ``gnnie_table_variants.json`` pins for each."""
+    idorder = replace(AcceleratorConfig(), enable_degree_aware_caching=False)
+    gcn = lower("gcn", graph)
+    cases = {
+        "gat": (executor.execute(lower("gat", graph), graph), executor.config),
+        "gcn_idorder": (executor.execute(gcn, graph, idorder), idorder),
+        "gcn_2chips": (execute_scaleout(executor, gcn, graph, chips=2), executor.config),
+    }
+    return {
+        case: {
+            "total_cycles": result.total_cycles,
+            "total_dram_bytes": result.total_dram_bytes,
+            "energy_joules": result.energy_joules,
+            "latency_seconds": result.latency_seconds,
+            "chip_area_mm2": executor.chip_area_mm2(config),
+        }
+        for case, (result, config) in cases.items()
+    }
+
+
+class TestGNNIETableVariants:
+    def test_every_table_variant_matches_its_pin(self, monkeypatch):
+        """Each variant, bound as ``GNNIE_TABLE`` in every ``repro`` module,
+        prices a fresh graph to its pinned numbers."""
+        pins = json.loads((GOLDEN_DIR / "gnnie_table_variants.json").read_text())
+        assert len(pins) == 1 + len(fields(GNNIE_TABLE))
+        modules = [
+            module
+            for name, module in list(sys.modules.items())
+            if name.startswith("repro") and getattr(module, "GNNIE_TABLE", None) is GNNIE_TABLE
+        ]
+        graph = build_dataset("cora", scale=0.25, seed=0)
+        assert _variant_cases(GNNIEExecutor(), graph) == pins["default"]
+        for name, table in _table_variants():
+            with monkeypatch.context() as patch:
+                for module in modules:
+                    patch.setattr(module, "GNNIE_TABLE", table)
+                graph = build_dataset("cora", scale=0.25, seed=0)
+                assert _variant_cases(GNNIEExecutor(), graph) == pins[name], name
