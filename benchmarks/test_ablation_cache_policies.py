@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from repro.analysis import format_table
 from repro.cache import simulate_policy, vertex_record_bytes
-from repro.hw import AcceleratorConfig
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.config import CacheKnobs, pricing_view
 
 CITATION = ("cora", "pubmed")
 POLICIES = ("degree_aware", "lru", "mru", "static_partition")
@@ -26,13 +27,18 @@ def test_ablation_cache_policy_comparison(benchmark, record, datasets):
         for name in CITATION:
             graph = datasets[name]
             config = AcceleratorConfig().resolve_input_buffer(graph.name)
-            record_bytes = vertex_record_bytes(128, graph.adjacency.average_degree())
+            knobs = pricing_view(CacheKnobs, config, GNNIE_TABLE)
+            record_bytes = vertex_record_bytes(128, graph.adjacency.average_degree(), knobs)
             capacity = max(1, config.input_buffer_bytes // record_bytes)
             results[name] = (
                 capacity,
                 {
                     policy: simulate_policy(
-                        policy, graph.adjacency, capacity, bytes_per_vertex=record_bytes
+                        policy,
+                        graph.adjacency,
+                        capacity,
+                        bytes_per_vertex=record_bytes,
+                        index_bytes=knobs.index_bytes,
                     )
                     for policy in POLICIES
                 },

@@ -23,20 +23,23 @@ from __future__ import annotations
 
 from repro.analysis import format_table
 from repro.cache import MISS_PATH_MECHANISMS, miss_path_ablation_rows, simulate_policy
-from repro.hw import AcceleratorConfig
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.config import CacheKnobs, pricing_view
 from repro.sim import input_buffer_capacity
 
 DATASETS = ("cora", "citeseer", "pubmed")
 FEATURE_LENGTH = 128
 
 
-def _config(graph):
-    return AcceleratorConfig().resolve_input_buffer(graph.name)
+def _knobs(graph):
+    """The default chip's cache view for ``graph``'s input buffer."""
+    config = AcceleratorConfig().resolve_input_buffer(graph.name)
+    return pricing_view(CacheKnobs, config, GNNIE_TABLE)
 
 
 def _capacity(graph):
     """Vertex records the input buffer the simulator charges holds."""
-    capacity, _ = input_buffer_capacity(graph.adjacency, _config(graph), FEATURE_LENGTH)
+    capacity, _ = input_buffer_capacity(graph.adjacency, _knobs(graph), FEATURE_LENGTH)
     return capacity
 
 
@@ -82,14 +85,15 @@ def test_ablation_miss_path_mechanisms(benchmark, record, datasets):
 def test_degree_aware_walk_has_no_miss_to_filter(datasets):
     for name in DATASETS:
         graph = datasets[name]
-        config = _config(graph)
-        capacity, record_bytes = input_buffer_capacity(graph.adjacency, config, FEATURE_LENGTH)
+        knobs = _knobs(graph)
+        capacity, record_bytes = input_buffer_capacity(graph.adjacency, knobs, FEATURE_LENGTH)
         result = simulate_policy(
             "degree_aware",
             graph.adjacency,
             capacity,
             bytes_per_vertex=record_bytes,
-            gamma=config.gamma,
+            gamma=knobs.gamma,
+            index_bytes=knobs.index_bytes,
         )
         assert result.random_accesses == 0, name
         assert result.random_access_bytes == 0, name

@@ -9,16 +9,18 @@ tail round by round.
 from __future__ import annotations
 
 from repro.analysis import alpha_round_histograms, format_table
-from repro.hw import AcceleratorConfig
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.config import CacheKnobs, pricing_view
 from repro.sim import run_cache_simulation
 
 
 def test_fig10_alpha_distribution_across_rounds(benchmark, record, datasets):
     pubmed = datasets["pubmed"]
     config = AcceleratorConfig().resolve_input_buffer(pubmed.name)
+    knobs = pricing_view(CacheKnobs, config, GNNIE_TABLE)
 
     def compute():
-        result = run_cache_simulation(pubmed.adjacency, config, feature_length=128)
+        result = run_cache_simulation(pubmed.adjacency, knobs, feature_length=128)
         return result, alpha_round_histograms(result)
 
     cache_result, histograms = benchmark.pedantic(compute, rounds=1, iterations=1)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.analysis import format_table
-from repro.hw import AcceleratorConfig
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.config import CacheKnobs, pricing_view
 from repro.sim import run_cache_simulation
 
 GAMMAS = (2, 5, 10, 25)
@@ -25,7 +26,9 @@ def test_fig11_gamma_sweep(benchmark, record, citation_datasets):
             config = AcceleratorConfig().resolve_input_buffer(graph.name)
             table[name] = {
                 gamma: run_cache_simulation(
-                    graph.adjacency, replace(config, gamma=gamma), feature_length=128
+                    graph.adjacency,
+                    pricing_view(CacheKnobs, replace(config, gamma=gamma), GNNIE_TABLE),
+                    feature_length=128,
                 )
                 for gamma in GAMMAS
             }

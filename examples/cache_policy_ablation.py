@@ -20,7 +20,8 @@ from dataclasses import replace
 from repro.analysis import alpha_round_histograms, format_table
 from repro.cache import simulate_policy, vertex_record_bytes
 from repro.datasets import build_dataset
-from repro.hw import AcceleratorConfig
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.config import CacheKnobs, pricing_view
 from repro.sim import run_cache_simulation
 
 
@@ -28,7 +29,8 @@ def main() -> None:
     graph = build_dataset("pubmed", seed=0)
     config = AcceleratorConfig().resolve_input_buffer(graph.name)
     feature_length = 128
-    record_bytes = vertex_record_bytes(feature_length, graph.adjacency.average_degree())
+    knobs = pricing_view(CacheKnobs, config, GNNIE_TABLE)
+    record_bytes = vertex_record_bytes(feature_length, graph.adjacency.average_degree(), knobs)
     capacity = config.input_buffer_bytes // record_bytes
     print(f"Pubmed stand-in: {graph.num_vertices} vertices, "
           f"{graph.num_edges // 2} undirected edges")
@@ -38,9 +40,13 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 1. Degree-aware policy vs id-order baseline.
     # ------------------------------------------------------------------ #
-    policy_result = run_cache_simulation(graph.adjacency, config, feature_length)
+    policy_result = run_cache_simulation(graph.adjacency, knobs, feature_length)
     baseline_result = simulate_policy(
-        "vertex_order", graph.adjacency, capacity, bytes_per_vertex=record_bytes
+        "vertex_order",
+        graph.adjacency,
+        capacity,
+        bytes_per_vertex=record_bytes,
+        index_bytes=knobs.index_bytes,
     )
     rows = [
         {
@@ -81,7 +87,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     gamma_rows = []
     for gamma in (2, 5, 10, 25):
-        sweep = run_cache_simulation(graph.adjacency, replace(config, gamma=gamma), feature_length)
+        sweep = run_cache_simulation(graph.adjacency, replace(knobs, gamma=gamma), feature_length)
         gamma_rows.append(
             {
                 "gamma": gamma,

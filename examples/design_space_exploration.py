@@ -20,7 +20,9 @@ from dataclasses import replace
 
 from repro.analysis import design_beta_study, format_table
 from repro.datasets import build_dataset
-from repro.hw import AcceleratorConfig, AreaModel, design_preset
+from repro.hw import GNNIE_TABLE, AcceleratorConfig, design_preset
+from repro.hw.config import CacheKnobs, pricing_view
+from repro.hw.energy import chip_area_mm2
 from repro.plan import lower
 from repro.sim import GNNIEExecutor, run_cache_simulation
 
@@ -28,7 +30,6 @@ from repro.sim import GNNIEExecutor, run_cache_simulation
 def main() -> None:
     cora = build_dataset("cora", seed=0)
     pubmed = build_dataset("pubmed", seed=0)
-    area_model = AreaModel()
 
     # ------------------------------------------------------------------ #
     # 1. Designs A-E: cycles, area, and speedup per added MAC.
@@ -44,7 +45,7 @@ def main() -> None:
             {
                 "design": config.name,
                 "total_macs": config.total_macs,
-                "area_mm2": round(area_model.chip_area_mm2(config), 2),
+                "area_mm2": round(chip_area_mm2(GNNIE_TABLE, config), 2),
                 "gcn_cycles": result.total_cycles,
                 "speedup_vs_A": round(reference.total_cycles / result.total_cycles, 3),
             }
@@ -67,7 +68,8 @@ def main() -> None:
     buffer_rows = []
     for kilobytes in (128, 256, 512, 1024, 2048):
         config = replace(AcceleratorConfig(), input_buffer_bytes=kilobytes * 1024)
-        cache = run_cache_simulation(pubmed.adjacency, config, feature_length=128)
+        knobs = pricing_view(CacheKnobs, config, GNNIE_TABLE)
+        cache = run_cache_simulation(pubmed.adjacency, knobs, feature_length=128)
         buffer_rows.append(
             {
                 "input_buffer_KB": kilobytes,

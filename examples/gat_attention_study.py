@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.datasets import build_dataset
-from repro.hw import AcceleratorConfig
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
 from repro.mapping import naive_attention_operations, schedule_attention
 from repro.models import GATLayer, gat_attention_scores_naive, gat_attention_scores_reordered
 from repro.plan import lower
@@ -64,7 +64,7 @@ def main() -> None:
     print(f"  host time: reordered {reordered_seconds * 1e3:.1f} ms, "
           f"naive (extrapolated) {naive_seconds * 1e3:.1f} ms")
 
-    schedule = schedule_attention(graph.num_vertices, feature_length, config)
+    schedule = schedule_attention(graph.num_vertices, feature_length, config, GNNIE_TABLE)
     naive_ops = naive_attention_operations(graph.num_vertices, edges.shape[0], feature_length)
     print(f"  accelerator MACs: reordered {schedule.total_macs:,} vs naive {naive_ops:,} "
           f"({naive_ops / schedule.total_macs:.1f}x reduction)\n")

@@ -23,15 +23,17 @@ from __future__ import annotations
 from repro.analysis import format_table
 from repro.cache import miss_path_ablation_rows, simulate_policy
 from repro.datasets import build_dataset
-from repro.hw import AcceleratorConfig
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.config import CacheKnobs, pricing_view
 from repro.sim import input_buffer_capacity
 
 
 def main() -> None:
     graph = build_dataset("cora", seed=0)
     config = AcceleratorConfig().resolve_input_buffer(graph.name)
+    knobs = pricing_view(CacheKnobs, config, GNNIE_TABLE)
     feature_length = 128
-    capacity, record_bytes = input_buffer_capacity(graph.adjacency, config, feature_length)
+    capacity, record_bytes = input_buffer_capacity(graph.adjacency, knobs, feature_length)
     print(
         f"Cora stand-in: {graph.num_vertices} vertices, "
         f"{graph.num_edges // 2} undirected edges; "
@@ -81,7 +83,8 @@ def main() -> None:
         graph.adjacency,
         capacity,
         bytes_per_vertex=record_bytes,
-        gamma=config.gamma,
+        gamma=knobs.gamma,
+        index_bytes=knobs.index_bytes,
     )
     best = min(int(row["dram_random_remaining"]) for row in rows)
     print(

@@ -20,7 +20,8 @@ import numpy as np
 from repro.analysis import compare_against_platform, format_table
 from repro.baselines import PyGCPUModel, PyGGPUModel
 from repro.datasets import build_dataset
-from repro.hw import GNNIE_TABLE, AcceleratorConfig
+from repro.hw import AcceleratorConfig
+from repro.hw.config import array_macs
 from repro.models import build_model
 from repro.plan import lower
 from repro.sim import GNNIEExecutor
@@ -60,8 +61,9 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     config = AcceleratorConfig()
     executor = GNNIEExecutor(config)
-    print(f"\nGNNIE configuration: {config.num_rows}x{GNNIE_TABLE.num_cols} CPEs, "
-          f"{config.total_macs} MACs @ {GNNIE_TABLE.frequency_hz / 1e9:.1f} GHz, "
+    table = executor.table  # the fixed design every price reads
+    print(f"\nGNNIE configuration: {config.num_rows}x{table.num_cols} CPEs, "
+          f"{array_macs(config, table)} MACs @ {table.frequency_hz / 1e9:.1f} GHz, "
           f"chip area ~{executor.chip_area_mm2():.1f} mm^2")
 
     rows = []

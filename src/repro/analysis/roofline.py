@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.config import AcceleratorConfig
-from repro.hw.dram import HBMModel
+from repro.hw.config import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.dram import dram_bytes_per_cycle
 from repro.sim.results import InferenceResult, PhaseResult
 
 __all__ = ["PhaseRoofline", "RooflineSummary", "roofline_analysis"]
@@ -75,10 +75,10 @@ def _classify(phase: PhaseResult, machine_balance: float) -> tuple[float, str]:
 def roofline_analysis(
     result: InferenceResult, config: AcceleratorConfig | None = None
 ) -> RooflineSummary:
-    """Classify every phase of a simulated inference."""
+    """Classify every phase of a simulated inference on the default chip."""
     cfg = config or AcceleratorConfig()
     # Machine balance: MACs the array can retire per byte of DRAM bandwidth.
-    machine_balance = cfg.total_macs / HBMModel().bytes_per_cycle
+    machine_balance = cfg.total_macs / dram_bytes_per_cycle(GNNIE_TABLE)
     phases: list[PhaseRoofline] = []
     for layer in result.layers:
         for phase in layer.phases():

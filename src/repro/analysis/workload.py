@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.hw.config import GNNIE_TABLE, AcceleratorConfig, design_preset
+from repro.hw.config import GNNIE_TABLE, AcceleratorConfig, WeightingKnobs, design_preset
+from repro.hw.config import pricing_view
 from repro.mapping.weighting import WeightingSchedule, schedule_weighting
 from repro.sim.batch import pricing_context
 
@@ -75,7 +76,7 @@ def _input_schedule(graph: Graph, config: AcceleratorConfig) -> WeightingSchedul
         pricing_context(graph).input_profile(block_size),
         graph.feature_length,
         GNNIE_TABLE.num_cols,
-        config,
+        pricing_view(WeightingKnobs, config, GNNIE_TABLE),
     )
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.cache.policy import CacheSimulationResult
 from repro.graph.csr import CSRGraph
-from repro.hw.config import GNNIE_TABLE
+from repro.hw.config import CacheKnobs
 
 __all__ = [
     "MAX_ITERATIONS",
@@ -40,18 +40,19 @@ __all__ = [
 MAX_ITERATIONS = 2_000_000
 
 
-def vertex_record_bytes(feature_length: int, average_degree: float) -> int:
+def vertex_record_bytes(feature_length: int, average_degree: float, knobs: CacheKnobs) -> int:
     """Bytes of one vertex's record in the input buffer.
 
     A resident vertex carries its weighted feature vector ηw (``feature_length``
     values), its neighbor list in CSR form (``average_degree`` indices on
-    average), and the α counter plus the CSR offset (two words).
+    average), and the α counter plus the CSR offset (two words), at the
+    value and index widths of the cache view ``knobs``.
     """
     if feature_length <= 0:
         raise ValueError("feature_length must be positive")
-    index_bytes = GNNIE_TABLE.index_bytes
+    index_bytes = knobs.index_bytes
     return int(
-        feature_length * GNNIE_TABLE.bytes_per_value
+        feature_length * knobs.bytes_per_value
         + round(average_degree) * index_bytes
         + 2 * index_bytes
     )
@@ -68,11 +69,13 @@ def degree_aware_walk(
     capacity_vertices: int,
     bytes_per_vertex: int,
     gamma: int,
+    index_bytes: int,
 ) -> CacheSimulationResult:
     """Run Aggregation caching until every edge has been processed.
 
     ``r = max(1, capacity_vertices // 8)`` vertices are replaced per
-    iteration.
+    iteration.  An unfinished vertex leaving the buffer writes its α back
+    in one ``index_bytes`` word.
 
     The undirected edges are laid out once, before the first Round,
     grouped by the stream rank of their *later* endpoint.  Every Round's
@@ -172,7 +175,7 @@ def degree_aware_walk(
                 result.deadlock_events += 1
             resident[residents[evict_at]] = False
             unfinished_evicted = int(np.count_nonzero(resident_alpha[evict_at]))
-            result.alpha_writeback_bytes += unfinished_evicted * GNNIE_TABLE.index_bytes
+            result.alpha_writeback_bytes += unfinished_evicted * index_bytes
             # Each eviction frees a slot and the queue ahead is unfinished, so
             # the cursor advances every iteration and the Round ends.
             lo, cursor = cursor, min(cursor + evict_at.size, queue.size)
@@ -185,7 +188,7 @@ def degree_aware_walk(
         # the α distribution (Fig. 10).
         result.vertex_fetches += cursor
         unfinished_resident = int(np.count_nonzero(alpha[residents] > 0))
-        result.alpha_writeback_bytes += unfinished_resident * GNNIE_TABLE.index_bytes
+        result.alpha_writeback_bytes += unfinished_resident * index_bytes
         resident[residents] = False
         result.alpha_round_snapshots.append(alpha[alpha > 0])
         later, earlier = later[~done], earlier[~done]

@@ -65,17 +65,21 @@ def simulate_policy(
     *,
     bytes_per_vertex: int = 256,
     gamma: int = 5,
+    index_bytes: int,
 ) -> CacheSimulationResult:
     """Simulate one named cache policy over Aggregation on ``adjacency``.
 
-    ``gamma`` only matters to ``degree_aware``, which reads its edge list
+    ``gamma`` and ``index_bytes`` (the width of the α an unfinished vertex
+    writes back) only matter to ``degree_aware``, which reads its edge list
     straight from ``adjacency``.
     """
     _check(policy, capacity_vertices)
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     if policy == "degree_aware":
-        return degree_aware_walk(adjacency, capacity_vertices, bytes_per_vertex, gamma)
+        return degree_aware_walk(
+            adjacency, capacity_vertices, bytes_per_vertex, gamma, index_bytes
+        )
     return _id_order_walk(policy, adjacency, capacity_vertices, bytes_per_vertex)
 
 

@@ -96,6 +96,7 @@ from repro.cache import ID_ORDER_POLICIES, MISS_PATH_MECHANISMS, miss_path_ablat
 from repro.cache.miss_path import _validate_ablation
 from repro.datasets import build_dataset, dataset_names, dataset_spec
 from repro.hw import AcceleratorConfig, design_preset
+from repro.hw.config import CacheKnobs, pricing_view
 from repro.models import MODEL_FAMILIES
 from repro.plan import executor_names, lower
 from repro.sim import GNNIEExecutor, input_buffer_capacity
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument(
         "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
     )
-    profile_parser.add_argument("--seed", type=int, default=0, help="dataset generation seed")
+    profile_parser.add_argument("--seed", type=_seed, default=0, help="dataset generation seed")
     profile_parser.add_argument(
         "--design",
         default=None,
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_parser.add_argument(
         "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
     )
-    cache_parser.add_argument("--seed", type=int, default=0, help="dataset generation seed")
+    cache_parser.add_argument("--seed", type=_seed, default=0, help="dataset generation seed")
     cache_parser.add_argument(
         "--mechanism",
         default=",".join(MISS_PATH_MECHANISMS),
@@ -472,6 +473,17 @@ def _scale(text: str) -> float:
     return scale
 
 
+def _seed(text: str) -> int:
+    """``--seed``'s argparse type for a dataset seed: numpy needs it >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return seed
+
+
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dataset", default="cora", choices=dataset_names(), help="benchmark dataset"
@@ -482,7 +494,7 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
     )
-    parser.add_argument("--seed", type=int, default=0, help="dataset generation seed")
+    parser.add_argument("--seed", type=_seed, default=0, help="dataset generation seed")
     parser.add_argument(
         "--design",
         default=None,
@@ -881,10 +893,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 2
     graph = build_dataset(args.dataset, scale=args.scale, seed=args.seed)
     config = AcceleratorConfig().resolve_input_buffer(graph.name)
+    knobs = pricing_view(CacheKnobs, config, GNNIEExecutor.table)
     try:
-        capacity, record_bytes = input_buffer_capacity(
-            graph.adjacency, config, args.feature_length
-        )
+        capacity, record_bytes = input_buffer_capacity(graph.adjacency, knobs, args.feature_length)
     except ValueError as error:
         print(f"invalid --feature-length: {error}", file=sys.stderr)
         return 2

@@ -1,10 +1,11 @@
-"""GNNIE's fixed design, its explored knobs, HBM timing and energy/area models.
+"""GNNIE's fixed design, its explored knobs, HBM timing and energy/area.
 
 Cycles come from the plan executors pricing the :mod:`repro.mapping`
-schedules and the cache simulation; this package supplies the fixed numbers
-they read (:data:`GNNIE_TABLE`), the knobs a design point varies
-(:class:`AcceleratorConfig`), the DRAM transfer timing (:class:`HBMModel`)
-and the per-event energy and chip-area figures.
+schedules and the cache simulation; this package supplies the default
+chip's fixed numbers (:data:`GNNIE_TABLE`), the knobs a design point varies
+(:class:`AcceleratorConfig`), and the DRAM transfer timing
+(:mod:`repro.hw.dram`) and per-event energy and chip-area figures
+(:mod:`repro.hw.energy`) as functions of the table they price on.
 """
 
 from repro.hw.config import (
@@ -16,8 +17,7 @@ from repro.hw.config import (
     design_preset,
     entry,
 )
-from repro.hw.dram import HBMModel
-from repro.hw.energy import AreaModel, EnergyBreakdown, EnergyModel
+from repro.hw.energy import EnergyBreakdown
 
 __all__ = [
     "AcceleratorConfig",
@@ -27,8 +27,5 @@ __all__ = [
     "GNNIETable",
     "design_preset",
     "entry",
-    "HBMModel",
-    "EnergyModel",
     "EnergyBreakdown",
-    "AreaModel",
 ]

@@ -36,10 +36,13 @@ The named design points of the optimization analysis (Section VIII-E) are
 provided as constructors: Design A (uniform 4 MACs/CPE baseline), B (5), C
 (6), D (7) and E (the flexible-MAC GNNIE configuration).
 
-Each memoized pricing stage reads a frozen view of the configuration built
-by :func:`pricing_view`: exactly the values the stage reads, under the
-configuration's own names.  The view is the stage's memo key and all of the
-configuration it sees; reading any other name raises ``AttributeError``.
+The executor prices on its own table (``GNNIEExecutor.table``, by default
+:data:`GNNIE_TABLE`); the config's MAC-count properties describe the
+default chip.  Each memoized stage reads a frozen view of a config and a
+table, built by :func:`pricing_view`: its memo key and all it sees, so
+reading any other name raises ``AttributeError``.  The phase views carry
+the table and count MACs with its columns; the cache view carries the two
+entries the walk reads, so any other entry re-prices from the memoized walk.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "GNNIE_TABLE",
     "GNNIETable",
     "WeightingKnobs",
+    "array_macs",
     "design_preset",
     "entry",
     "pricing_view",
@@ -233,9 +237,8 @@ class AcceleratorConfig:
 
     @property
     def total_macs(self) -> int:
-        """Total MAC units across the CPE array (paper: 1216 for GNNIE)."""
-        num_cols = GNNIE_TABLE.num_cols
-        return sum(macs * num_cols for macs in self.macs_per_row)
+        """Total MAC units across the default chip's array (paper: 1216)."""
+        return array_macs(self, GNNIE_TABLE)
 
     @property
     def num_cpes(self) -> int:
@@ -289,10 +292,15 @@ class AcceleratorConfig:
         )
 
 
+def array_macs(config: AcceleratorConfig, table: GNNIETable) -> int:
+    """MAC units across ``config``'s CPE array with ``table``'s columns."""
+    return sum(macs * table.num_cols for macs in config.macs_per_row)
+
+
 @dataclass(frozen=True, slots=True)
 class WeightingKnobs:
-    """What Weighting pricing reads: the array's rows, the MAC allocation
-    and the two balancing flags."""
+    """What Weighting pricing reads: the array's rows, the MAC allocation,
+    the two balancing flags and the table."""
 
     num_rows: int
     macs_per_group: tuple[int, ...]
@@ -300,15 +308,18 @@ class WeightingKnobs:
     macs_per_row: tuple[int, ...]
     enable_flexible_mac: bool
     enable_load_redistribution: bool
+    table: GNNIETable
 
 
 @dataclass(frozen=True, slots=True)
 class CacheKnobs:
-    """What a cache-policy simulation reads: the buffer, γ and the policy."""
+    """What a cache simulation reads: buffer, γ, policy, value and index widths."""
 
     input_buffer_bytes_or_default: int
     gamma: int
     enable_degree_aware_caching: bool
+    bytes_per_value: int
+    index_bytes: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,20 +328,30 @@ class AggregationKnobs:
     cycle model reads the total MAC count, not how it is allocated."""
 
     num_rows: int
-    num_cpes: int
     total_macs: int
     enable_aggregation_load_balancing: bool
     enable_degree_aware_caching: bool
     output_buffer_bytes: int
+    table: GNNIETable
 
 
 _View = TypeVar("_View", WeightingKnobs, CacheKnobs, AggregationKnobs)
 
 
-def pricing_view(kind: type[_View], config: AcceleratorConfig) -> _View:
-    """The ``kind`` view of ``config``: each of its fields read off the
-    config."""
-    return kind(**{field.name: getattr(config, field.name) for field in fields(kind)})
+def pricing_view(kind: type[_View], config: AcceleratorConfig, table: GNNIETable) -> _View:
+    """The ``kind`` view of ``config`` on ``table``: the table and the MAC
+    count priced on it, each table entry off it, every other field off ``config``."""
+    values: dict[str, Any] = {}
+    for name in (field.name for field in fields(kind)):
+        if name == "table":
+            values[name] = table
+        elif name == "total_macs":
+            values[name] = array_macs(config, table)
+        elif name in GNNIETable.__dataclass_fields__:
+            values[name] = getattr(table, name)
+        else:
+            values[name] = getattr(config, name)
+    return kind(**values)
 
 
 def _uniform_design(name: str, macs_per_cpe: int) -> AcceleratorConfig:

@@ -9,24 +9,32 @@ at 32 nm and CACTI 6.5 for the on-chip buffers, and reports:
   buffer (partial-sum spills), and
 * energy efficiency between 7.4×10³ and 6.7×10⁶ inferences/kJ (Fig. 15).
 
-The per-event energies and component areas in
-:data:`~repro.hw.config.GNNIE_TABLE` are representative of a 32 nm node
-(MAC ≈ 1 pJ, SRAM access below 1.5 pJ/byte, larger buffers costing more per
-access).  Only the area is calibrated to the paper: the default
-configuration's chip reads 15.6023 mm².  Power is not: the five families
-on Cora, Citeseer and Pubmed at full scale (seed 0, default configuration)
-average 5.12–10.28 W including DRAM energy and 1.01–2.66 W without it,
-against the paper's 3.9 W.  The *breakdown shape* is what the benchmarks
-check.
+Each function reads the :class:`~repro.hw.config.GNNIETable` it is given;
+energies are in picojoules.  The per-event energies and component areas of
+the default table are representative of a 32 nm node (MAC ≈ 1 pJ, SRAM
+access below 1.5 pJ/byte, larger buffers costing more per access).  Only
+the area is calibrated to the paper: the default configuration's chip reads
+15.6023 mm².  Power is not: the five families on Cora, Citeseer and Pubmed
+at full scale (seed 0, default configuration) average 5.12–10.28 W
+including DRAM energy and 1.01–2.66 W without it, against the paper's
+3.9 W.  The *breakdown shape* is what the benchmarks check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
-from repro.hw.config import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.config import AcceleratorConfig, GNNIETable, array_macs
 
-__all__ = ["EnergyModel", "EnergyBreakdown", "AreaModel"]
+__all__ = [
+    "EnergyBreakdown",
+    "buffer_energy",
+    "chip_area_mm2",
+    "dram_energy",
+    "mac_energy",
+    "sfu_energy",
+    "static_energy",
+]
 
 
 @dataclass
@@ -66,74 +74,52 @@ class EnergyBreakdown:
         return self.total_pj * 1e-12
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "mac_pj": self.mac_pj,
-            "sfu_pj": self.sfu_pj,
-            "input_buffer_pj": self.input_buffer_pj,
-            "output_buffer_pj": self.output_buffer_pj,
-            "weight_buffer_pj": self.weight_buffer_pj,
-            "dram_input_pj": self.dram_input_pj,
-            "dram_output_pj": self.dram_output_pj,
-            "dram_weight_pj": self.dram_weight_pj,
-            "static_pj": self.static_pj,
-            "total_pj": self.total_pj,
-        }
+        """Every component in field order, then the total."""
+        return {**asdict(self), "total_pj": self.total_pj}
 
     def __add__(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
-        return EnergyBreakdown(
-            mac_pj=self.mac_pj + other.mac_pj,
-            sfu_pj=self.sfu_pj + other.sfu_pj,
-            input_buffer_pj=self.input_buffer_pj + other.input_buffer_pj,
-            output_buffer_pj=self.output_buffer_pj + other.output_buffer_pj,
-            weight_buffer_pj=self.weight_buffer_pj + other.weight_buffer_pj,
-            dram_input_pj=self.dram_input_pj + other.dram_input_pj,
-            dram_output_pj=self.dram_output_pj + other.dram_output_pj,
-            dram_weight_pj=self.dram_weight_pj + other.dram_weight_pj,
-            static_pj=self.static_pj + other.static_pj,
-        )
+        """Component-wise sum."""
+        names = [part.name for part in fields(self)]
+        return EnergyBreakdown(**{n: getattr(self, n) + getattr(other, n) for n in names})
 
 
-class EnergyModel:
-    """Per-operation and per-byte energies, read from
-    :data:`~repro.hw.config.GNNIE_TABLE`; all results are in picojoules."""
-
-    def mac_energy(self, num_macs: int) -> float:
-        return GNNIE_TABLE.mac_energy_pj * num_macs
-
-    def sfu_energy(self, num_ops: int) -> float:
-        return GNNIE_TABLE.sfu_op_energy_pj * num_ops
-
-    def buffer_energy(self, buffer_name: str, num_bytes: int) -> float:
-        """SRAM access energy of ``num_bytes`` through the ``input``,
-        ``output`` or ``weight`` buffer."""
-        if buffer_name not in ("input", "output", "weight"):
-            raise ValueError(f"unknown buffer {buffer_name!r}")
-        return getattr(GNNIE_TABLE, f"{buffer_name}_buffer_pj_per_byte") * num_bytes
-
-    def dram_energy(self, num_bytes: int) -> float:
-        return GNNIE_TABLE.dram_pj_per_bit * 8.0 * num_bytes
-
-    def static_energy(self, cycles: int) -> float:
-        """Leakage and clock energy over ``cycles`` at GNNIE's clock."""
-        seconds = cycles / GNNIE_TABLE.frequency_hz
-        return GNNIE_TABLE.static_power_watts * seconds * 1e12
+def mac_energy(table: GNNIETable, num_macs: int) -> float:
+    return table.mac_energy_pj * num_macs
 
 
-class AreaModel:
-    """Chip area at 32 nm from :data:`~repro.hw.config.GNNIE_TABLE`: MACs,
-    SRAM, SFU lanes and a fixed overhead (calibrated to the paper's
-    15.6 mm²)."""
+def sfu_energy(table: GNNIETable, num_ops: int) -> float:
+    return table.sfu_op_energy_pj * num_ops
 
-    def chip_area_mm2(self, config: AcceleratorConfig) -> float:
-        table = GNNIE_TABLE
-        buffer_mb = (
-            config.input_buffer_bytes_or_default
-            + config.output_buffer_bytes
-            + table.weight_buffer_bytes
-        ) / (1024 * 1024)
-        return (
-            table.mac_area_mm2 * config.total_macs
-            + table.sram_area_mm2_per_mb * buffer_mb
-            + table.sfu_area_mm2 * table.sfu_columns * config.num_rows
-            + table.fixed_overhead_mm2
-        )
+
+def buffer_energy(table: GNNIETable, buffer_name: str, num_bytes: int) -> float:
+    """SRAM access energy of ``num_bytes`` through the ``input``, ``output``
+    or ``weight`` buffer."""
+    if buffer_name not in ("input", "output", "weight"):
+        raise ValueError(f"unknown buffer {buffer_name!r}")
+    return getattr(table, f"{buffer_name}_buffer_pj_per_byte") * num_bytes
+
+
+def dram_energy(table: GNNIETable, num_bytes: int) -> float:
+    return table.dram_pj_per_bit * 8.0 * num_bytes
+
+
+def static_energy(table: GNNIETable, cycles: int) -> float:
+    """Leakage and clock energy over ``cycles`` at the table's clock."""
+    seconds = cycles / table.frequency_hz
+    return table.static_power_watts * seconds * 1e12
+
+
+def chip_area_mm2(table: GNNIETable, config: AcceleratorConfig) -> float:
+    """Chip area at 32 nm: MACs, SRAM, SFU lanes and a fixed overhead (the
+    default table is calibrated to the paper's 15.6 mm²)."""
+    buffer_mb = (
+        config.input_buffer_bytes_or_default
+        + config.output_buffer_bytes
+        + table.weight_buffer_bytes
+    ) / (1024 * 1024)
+    return (
+        table.mac_area_mm2 * array_macs(config, table)
+        + table.sram_area_mm2_per_mb * buffer_mb
+        + table.sfu_area_mm2 * table.sfu_columns * config.num_rows
+        + table.fixed_overhead_mm2
+    )

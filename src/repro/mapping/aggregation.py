@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.config import GNNIE_TABLE, AcceleratorConfig, AggregationKnobs
+from repro.hw.config import AggregationKnobs
 
 __all__ = ["IterationCost", "AggregationCycleModel"]
 
@@ -49,21 +49,22 @@ class AggregationCycleModel:
 
     def __init__(
         self,
-        config: AcceleratorConfig | AggregationKnobs,
+        knobs: AggregationKnobs,
         feature_length: int,
         *,
         is_gat: bool = False,
     ) -> None:
         if feature_length <= 0:
             raise ValueError("feature_length must be positive")
-        self.config = config
+        self.knobs = knobs
         self.feature_length = int(feature_length)
         self.is_gat = is_gat
-        self._total_macs = float(config.total_macs)
-        self._average_macs_per_cpe = float(config.total_macs) / float(config.num_cpes)
+        self._total_macs = float(knobs.total_macs)
+        self._num_cpes = float(knobs.num_rows * knobs.table.num_cols)
+        self._average_macs_per_cpe = self._total_macs / self._num_cpes
         #: SFU scalar throughput per cycle: one op per SFU lane, with one
         #: lane per CPE row in each interleaved SFU column.
-        self._sfu_lanes = float(GNNIE_TABLE.sfu_columns * config.num_rows)
+        self._sfu_lanes = float(knobs.table.sfu_columns * knobs.num_rows)
 
     def iteration_totals(
         self,
@@ -109,7 +110,7 @@ class AggregationCycleModel:
             sfu_ops = np.zeros_like(edges)
         mac_ops = addition_ops + multiply_ops
 
-        if self.config.enable_aggregation_load_balancing:
+        if self.knobs.enable_aggregation_load_balancing:
             compute_cycles = np.where(
                 mac_ops > 0, np.ceil(mac_ops / self._total_macs), 0.0
             ).astype(np.int64)
@@ -119,16 +120,15 @@ class AggregationCycleModel:
             # per-CPE share plus the largest single-vertex accumulation
             # serialized on one CPE.
             per_vertex_factor = 2 if self.is_gat else 1
-            average_share = mac_ops / float(self.config.num_cpes)
+            average_share = mac_ops / self._num_cpes
             worst_vertex = max_edges_per_vertex * feature * per_vertex_factor
             bottleneck = average_share + worst_vertex
             compute_cycles = np.where(
                 mac_ops > 0, np.ceil(bottleneck / self._average_macs_per_cpe), 0.0
             ).astype(np.int64)
 
-        per_op_latency = max(
-            GNNIE_TABLE.exp_latency_cycles, GNNIE_TABLE.leaky_relu_latency_cycles
-        )
+        table = self.knobs.table
+        per_op_latency = max(table.exp_latency_cycles, table.leaky_relu_latency_cycles)
         sfu_cycles = np.where(
             sfu_ops > 0, np.ceil(sfu_ops * per_op_latency / self._sfu_lanes), 0.0
         ).astype(np.int64)
@@ -156,7 +156,7 @@ class AggregationCycleModel:
             return IterationCost(0, 0, 0, 0, 0, 0)
         divide_ops = num_vertices * self.feature_length
         sfu_cycles = int(
-            np.ceil(divide_ops * GNNIE_TABLE.divide_latency_cycles / self._sfu_lanes)
+            np.ceil(divide_ops * self.knobs.table.divide_latency_cycles / self._sfu_lanes)
         )
         return IterationCost(
             edges_processed=0,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.config import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.config import AcceleratorConfig, GNNIETable, array_macs
 
 __all__ = ["AttentionSchedule", "schedule_attention", "attention_terms_functional", "naive_attention_operations"]
 
@@ -51,13 +51,13 @@ class AttentionSchedule:
 
 
 def schedule_attention(
-    num_vertices: int, feature_length: int, config: AcceleratorConfig
+    num_vertices: int, feature_length: int, config: AcceleratorConfig, table: GNNIETable
 ) -> AttentionSchedule:
     """Build the cycle model of the e_{i,1}/e_{i,2} computation phase."""
     if num_vertices < 0 or feature_length <= 0:
         raise ValueError("num_vertices must be >= 0 and feature_length positive")
-    num_cols = GNNIE_TABLE.num_cols
-    value_bytes = GNNIE_TABLE.bytes_per_value
+    num_cols = table.num_cols
+    value_bytes = table.bytes_per_value
     chunk = -(-feature_length // num_cols)
     vertices_per_column = max(
         1, config.output_buffer_bytes // max(1, num_cols * feature_length * value_bytes)
@@ -66,7 +66,7 @@ def schedule_attention(
     # Dense and perfectly balanced: the array retires total_macs at its full
     # MAC bandwidth; the two sequential passes (a1 then a2) are already
     # included in total_macs.
-    total_mac_bandwidth = float(config.total_macs)
+    total_mac_bandwidth = float(array_macs(config, table))
     compute_cycles = int(np.ceil(total_macs / total_mac_bandwidth)) if total_macs else 0
     output_bytes = 2 * num_vertices * value_bytes
     return AttentionSchedule(
@@ -84,6 +84,7 @@ def attention_terms_functional(
     weighted: np.ndarray,
     attention_left: np.ndarray,
     attention_right: np.ndarray,
+    table: GNNIETable,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Blocked computation of (e_{i,1}, e_{i,2}) mirroring the CPE mapping.
 
@@ -97,7 +98,7 @@ def attention_terms_functional(
     if weighted.shape[1] != attention_left.size or weighted.shape[1] != attention_right.size:
         raise ValueError("attention vector length must match the feature length")
     feature_length = weighted.shape[1]
-    chunk = -(-feature_length // GNNIE_TABLE.num_cols)
+    chunk = -(-feature_length // table.num_cols)
     center = np.zeros(weighted.shape[0], dtype=np.float64)
     neighbor = np.zeros(weighted.shape[0], dtype=np.float64)
     for start in range(0, feature_length, chunk):

@@ -6,7 +6,7 @@ the dense weight matrix ``W^l`` under a weight-stationary dataflow:
 * the feature dimension is split into blocks of ``k = ceil(F^{l-1} / M)``
   elements, one block per CPE row,
 * ``N`` columns of ``W^l`` are resident at a time (one column per CPE
-  column, ``N = GNNIE_TABLE.num_cols``); a *pass* streams every vertex's
+  column, ``N`` the table's ``num_cols``); a *pass* streams every vertex's
   blocks against those columns, and ``ceil(F^l / N)`` passes complete the
   layer,
 * zero feature elements are skipped (zero-detection buffer), so a block's
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hw.config import GNNIE_TABLE, AcceleratorConfig, WeightingKnobs
+from repro.hw.config import WeightingKnobs
 from repro.mapping.binning import (
     BlockAssignment,
     BlockProfile,
@@ -88,7 +88,7 @@ def schedule_weighting(
     profile: BlockProfile,
     in_features: int,
     out_features: int,
-    config: AcceleratorConfig | WeightingKnobs,
+    knobs: WeightingKnobs,
 ) -> WeightingSchedule:
     """Build the Weighting schedule of one layer from its input's block profile.
 
@@ -101,12 +101,12 @@ def schedule_weighting(
             block count exceeds ``k``, is rejected.
         in_features: F_in, the length of the input feature vectors.
         out_features: F_out, the number of weight-matrix columns.
-        config: Accelerator configuration (array rows, MAC allocation,
-            policy flags).
+        knobs: The Weighting view of a configuration (array rows, MAC
+            allocation, policy flags) and of the table (array columns).
     """
     if in_features <= 0 or out_features <= 0:
         raise ValueError("in_features and out_features must be positive")
-    block_size = -(-in_features // config.num_rows)
+    block_size = -(-in_features // knobs.num_rows)
     num_blocks = -(-in_features // block_size)
     if profile.num_blocks != num_blocks or profile.max_count > block_size:
         raise ValueError(
@@ -114,16 +114,16 @@ def schedule_weighting(
             f"nonzeros contradicts F_in={in_features}: {num_blocks} blocks of "
             f"at most k={block_size}"
         )
-    num_passes = -(-out_features // GNNIE_TABLE.num_cols)
+    num_passes = -(-out_features // knobs.table.num_cols)
 
-    if config.enable_flexible_mac:
-        assignment = flexible_mac_assignment(profile, config)
+    if knobs.enable_flexible_mac:
+        assignment = flexible_mac_assignment(profile, knobs)
     else:
-        assignment = baseline_assignment(profile, config)
+        assignment = baseline_assignment(profile, knobs)
 
     load_redistribution = None
     row_cycles = assignment.row_cycles
-    if config.enable_load_redistribution:
+    if knobs.enable_load_redistribution:
         load_redistribution = redistribute_load(row_cycles)
         row_cycles = load_redistribution.cycles_after
 
@@ -139,7 +139,7 @@ def schedule_weighting(
 
 
 def weighting_functional(
-    features: np.ndarray, weight: np.ndarray, config: AcceleratorConfig
+    features: np.ndarray, weight: np.ndarray, knobs: WeightingKnobs
 ) -> np.ndarray:
     """Blocked, zero-skipping Weighting that mirrors the hardware mapping.
 
@@ -155,8 +155,8 @@ def weighting_functional(
         raise ValueError("feature and weight dimensions do not agree")
     num_vertices, in_features = features.shape
     out_features = weight.shape[1]
-    num_rows = config.num_rows
-    num_cols = GNNIE_TABLE.num_cols
+    num_rows = knobs.num_rows
+    num_cols = knobs.table.num_cols
     block_size = -(-in_features // num_rows)
     num_passes = -(-out_features // num_cols)
     output = np.zeros((num_vertices, out_features), dtype=np.float64)

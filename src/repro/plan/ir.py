@@ -178,7 +178,7 @@ class HaloExchangeOp:
     ``halo_vertices`` counts those remote vertices for the chip this plan
     belongs to; the traffic is ``halo_vertices * features`` values at the
     layer's aggregation width, priced by the executor against the
-    link-bandwidth/latency model on :class:`~repro.hw.config.AcceleratorConfig`.
+    link-bandwidth/latency model of its :class:`~repro.hw.config.GNNIETable`.
     """
 
     halo_vertices: int

@@ -16,7 +16,7 @@ CSR in one pass over the edges); each chip's compute graph is the subgraph
 induced by its owned vertices, and the features of its *halo* — the
 distinct remote neighbors of owned vertices — arrive over the chip-to-chip
 link as a :class:`~repro.plan.ir.HaloExchangeOp` priced by the executor
-against the link model of :data:`~repro.hw.config.GNNIE_TABLE`.
+against the link model of its table.
 
 Modeling notes
 --------------
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from repro.check.verifier import verify_plan
 from repro.graph.graph import Graph
 from repro.graph.partition import GraphPartition, check_partition_args, partition_graph
-from repro.hw.config import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.config import AcceleratorConfig, GNNIETable
 from repro.obs.tracer import NULL_TRACER
 from repro.plan.ir import AggregationOp, HaloExchangeOp, InferencePlan, PlanLayer
 from repro.sim.batch import pricing_context
@@ -73,10 +73,10 @@ class PartitionedWorkload:
     def num_chips(self) -> int:
         return self.partition.num_parts
 
-    def halo_bytes(self) -> int:
-        """Total inter-chip traffic across all chips and layers, in bytes."""
+    def halo_bytes(self, table: GNNIETable) -> int:
+        """Inter-chip traffic of all chips and layers, in bytes of ``table``."""
         return sum(
-            op.halo_vertices * op.features * GNNIE_TABLE.bytes_per_value
+            op.halo_vertices * op.features * table.bytes_per_value
             for plan in self.chip_plans
             for layer in plan.layers
             for op in layer.ops
@@ -198,10 +198,11 @@ def execute_scaleout(
     induced subgraph and the fleet is combined with per-layer
     ``MAX(local) + MAX(communication)`` timing, summed work counters, and
     summed energy.  The backend must advertise ``supports_scaleout`` (the
-    GNNIE executor does).  On the backend's tracer, a ``partition`` span (no
-    modeled cycles) records the chip count, method, cut edges, halo vertices
-    and whether the partition was a memo hit, followed by one ``chip`` span
-    per non-empty chip; a backend without a tracer runs the same calls on
+    GNNIE executor does) and hold the ``table`` its chips price on.  On the
+    backend's tracer, a ``partition`` span (no modeled cycles) records the
+    chip count, method, cut edges, halo vertices and whether the partition
+    was a memo hit, followed by one ``chip`` span per non-empty chip; a
+    backend without a tracer runs the same calls on
     :data:`~repro.obs.tracer.NULL_TRACER`.
     """
     check_partition_args(chips, method)
@@ -246,13 +247,14 @@ def execute_scaleout(
             halo_vertices=workload.partition.halo_counts[chip],
         ):
             chip_results.append(backend.execute(workload.chip_plans[chip], chip_graph, cfg))
-    return _combine(workload, chip_results, method)
+    return _combine(workload, chip_results, method, backend.table)
 
 
 def _combine(
     workload: PartitionedWorkload,
     chip_results: list[InferenceResult | None],
     method: str,
+    table: GNNIETable,
 ) -> ScaleOutResult:
     """Fold per-chip results into one fleet-level :class:`ScaleOutResult`.
 
@@ -287,6 +289,7 @@ def _combine(
         dataset=reference.dataset,
         model=reference.model,
         config_name=reference.config_name,
+        frequency_hz=reference.frequency_hz,
         layers=[],
         energy=energy,
         global_preprocessing_cycles=preprocessing,
@@ -303,7 +306,7 @@ def _combine(
             for result in chip_results
         ),
         halo_vertices=workload.partition.total_halo_vertices(),
-        halo_bytes=workload.halo_bytes(),
+        halo_bytes=workload.halo_bytes(table),
         combined_cycles=combined_cycles,
         combined_communication_cycles=communication_cycles,
         combined_macs=sum(result.total_mac_operations for result in live),

@@ -18,8 +18,8 @@ from repro.cache.controller import vertex_record_bytes
 from repro.cache.policies import simulate_policy
 from repro.cache.policy import CacheSimulationResult
 from repro.graph.csr import CSRGraph
-from repro.hw.config import GNNIE_TABLE, AcceleratorConfig, AggregationKnobs, CacheKnobs
-from repro.hw.dram import HBMModel
+from repro.hw import dram
+from repro.hw.config import AggregationKnobs, CacheKnobs
 from repro.mapping.aggregation import AggregationCycleModel
 from repro.sim.results import PhaseResult
 
@@ -31,7 +31,7 @@ __all__ = [
 
 
 def input_buffer_capacity(
-    adjacency: CSRGraph, config: AcceleratorConfig | CacheKnobs, feature_length: int
+    adjacency: CSRGraph, knobs: CacheKnobs, feature_length: int
 ) -> tuple[int, int]:
     """``(capacity_vertices, record_bytes)`` of the configured input buffer.
 
@@ -39,13 +39,13 @@ def input_buffer_capacity(
     per-vertex record size; the CLI and the benchmarks reuse it so their
     tables are computed at exactly the capacity the simulator charges.
     """
-    record_bytes = vertex_record_bytes(feature_length, adjacency.average_degree())
-    return max(1, config.input_buffer_bytes_or_default // record_bytes), record_bytes
+    record_bytes = vertex_record_bytes(feature_length, adjacency.average_degree(), knobs)
+    return max(1, knobs.input_buffer_bytes_or_default // record_bytes), record_bytes
 
 
 def run_cache_simulation(
     adjacency: CSRGraph,
-    config: AcceleratorConfig | CacheKnobs,
+    knobs: CacheKnobs,
     feature_length: int,
 ) -> CacheSimulationResult:
     """Run the caching policy selected by the configuration.
@@ -54,32 +54,33 @@ def run_cache_simulation(
     (sequential DRAM traffic only); otherwise the vertex-id-order baseline is
     simulated, which pays random DRAM accesses for non-resident neighbors.
 
-    The simulation needs nothing but ``adjacency``: the degree-aware walk
-    reads its undirected edges from the CSR's upper triangle on each call.
+    The simulation needs no graph index: the degree-aware walk reads its
+    undirected edges from the CSR's upper triangle on each call.
     """
-    capacity, record_bytes = input_buffer_capacity(adjacency, config, feature_length)
+    capacity, record_bytes = input_buffer_capacity(adjacency, knobs, feature_length)
     return simulate_policy(
-        "degree_aware" if config.enable_degree_aware_caching else "vertex_order",
+        "degree_aware" if knobs.enable_degree_aware_caching else "vertex_order",
         adjacency,
         capacity,
         bytes_per_vertex=record_bytes,
-        gamma=config.gamma,
+        gamma=knobs.gamma,
+        index_bytes=knobs.index_bytes,
     )
 
 
 def aggregation_phase_from_cache(
     cache_result: CacheSimulationResult,
     adjacency: CSRGraph,
-    config: AcceleratorConfig | AggregationKnobs,
+    knobs: AggregationKnobs,
     feature_length: int,
     *,
     is_gat: bool = False,
 ) -> PhaseResult:
-    """Convert a cache simulation into the Aggregation :class:`PhaseResult`."""
-    model = AggregationCycleModel(config, feature_length, is_gat=is_gat)
-    dram = HBMModel()
+    """Price a cache simulation as the Aggregation :class:`PhaseResult`."""
+    model = AggregationCycleModel(knobs, feature_length, is_gat=is_gat)
+    table = knobs.table
     num_vertices = adjacency.num_vertices
-    bytes_per_value = GNNIE_TABLE.bytes_per_value
+    bytes_per_value = table.bytes_per_value
 
     totals = model.iteration_totals(
         cache_result.edges_processed,
@@ -99,11 +100,11 @@ def aggregation_phase_from_cache(
     # Vertex records stream in sequentially (the policy's key guarantee).
     # Random accesses appear only for the id-order ablation baseline; no
     # prefetch hides them, so their cycles are the phase's stall.
-    fetch_cycles = dram.sequential_transfer_cycles(cache_result.sequential_fetch_bytes)
+    fetch_cycles = dram.sequential_transfer_cycles(table, cache_result.sequential_fetch_bytes)
     random_accesses = cache_result.random_accesses
     random_bytes = cache_result.random_access_bytes
     random_cycles = dram.random_transfer_cycles(
-        random_accesses, bytes_per_access=feature_length * bytes_per_value
+        table, random_accesses, bytes_per_access=feature_length * bytes_per_value
     )
 
     # Output-buffer partial sums: at the start of each Round the accumulators
@@ -119,11 +120,11 @@ def aggregation_phase_from_cache(
         else:
             unfinished = num_vertices
         live_bytes = unfinished * feature_length * bytes_per_value
-        psum_spill_bytes += 2 * max(0, live_bytes - config.output_buffer_bytes)
+        psum_spill_bytes += 2 * max(0, live_bytes - knobs.output_buffer_bytes)
     final_write_bytes = num_vertices * feature_length * bytes_per_value
-    spill_cycles = dram.sequential_transfer_cycles(psum_spill_bytes)
+    spill_cycles = dram.sequential_transfer_cycles(table, psum_spill_bytes)
     writeback_cycles = dram.sequential_transfer_cycles(
-        cache_result.alpha_writeback_bytes + final_write_bytes
+        table, cache_result.alpha_writeback_bytes + final_write_bytes
     )
 
     streaming_cycles = fetch_cycles + spill_cycles + writeback_cycles
@@ -138,8 +139,8 @@ def aggregation_phase_from_cache(
         cache_result.alpha_writeback_bytes + psum_spill_bytes // 2 + final_write_bytes
     )
 
-    preprocessing_cycles = int(np.ceil(num_vertices / GNNIE_TABLE.degree_binning_ops_per_cycle))
-    if not config.enable_degree_aware_caching:
+    preprocessing_cycles = int(np.ceil(num_vertices / table.degree_binning_ops_per_cycle))
+    if not knobs.enable_degree_aware_caching:
         preprocessing_cycles = 0
 
     input_buffer_bytes = 2 * mac_ops * bytes_per_value // max(1, feature_length) * feature_length

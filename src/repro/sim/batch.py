@@ -10,9 +10,8 @@ their :class:`~repro.hw.config.AcceleratorConfig`.  A
   multi-chip partitions and the baseline platforms' per-plan workloads;
 * cache-policy simulations and priced phases, keyed by
   :class:`~repro.sim.gnnie_executor.GNNIEExecutor` on the op's widths and
-  the frozen config view its stage reads
-  (:func:`~repro.hw.config.pricing_view`), which is all the config that
-  stage ever sees.
+  the frozen view of the config and the executor's table that its stage
+  reads (:func:`~repro.hw.config.pricing_view`), all the stage ever sees.
 
 A context belongs to one graph, and an
 :class:`~repro.plan.ir.AdjacencyRef` names one adjacency of that graph, so
@@ -73,13 +72,13 @@ class GraphPricingContext:
         #: hash by content, so equal plans share one derivation.
         self.workloads: dict[InferencePlan, object] = {}
         #: Priced-phase memo: frozen phase results, keyed by the op's widths
-        #: and the stage's config view (a Weighting key ends in a
-        #: ``WeightingKnobs``, an Aggregation key in an ``AggregationKnobs``).
+        #: and the stage's view (a Weighting key ends in a ``WeightingKnobs``,
+        #: an Aggregation key in an ``AggregationKnobs``; both hold the table).
         self.phase_memo: dict[tuple, object] = {}
         #: Cache-policy simulation memo, keyed by (adjacency handle,
         #: ``CacheKnobs``, priming width), so every plan that primes an
-        #: adjacency at the same width under the same cache knobs shares
-        #: one run.
+        #: adjacency at the same width under the same cache knobs (and value
+        #: and index widths) shares one run.
         self.cache_results: dict[tuple, object] = {}
         #: (chips, method) -> ``(partition, chip graphs)`` from
         #: :func:`repro.scaleout.chip_subgraphs`: one pass over the edges

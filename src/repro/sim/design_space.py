@@ -27,7 +27,6 @@ from typing import Iterable, Sequence
 
 from repro.graph.graph import Graph
 from repro.hw.config import GNNIE_TABLE, AcceleratorConfig
-from repro.hw.energy import AreaModel
 
 __all__ = [
     "DesignPoint",
@@ -100,13 +99,14 @@ def sweep_designs(
     Each configuration is one cell of a single-dataset
     :class:`~repro.sweep.matrix.ScenarioMatrix` executed by
     :func:`~repro.sweep.run_sweep`; ``jobs > 1`` fans the configurations
-    across worker processes.
+    across worker processes.  The points are the sweep rows' own
+    (:func:`~repro.analysis.sweep_aggregate.design_points_from_rows`), area
+    included.
     """
+    from repro.analysis.sweep_aggregate import design_points_from_rows
     from repro.sweep.matrix import DatasetCase, ScenarioMatrix
     from repro.sweep.runner import run_sweep
 
-    area = AreaModel()
-    configs = list(configs)
     matrix = ScenarioMatrix(
         datasets=(DatasetCase(name=graph.name, seed=0),),
         families=(family.lower(),),
@@ -114,21 +114,7 @@ def sweep_designs(
         configs=tuple(configs),
     )
     summary = run_sweep(matrix, jobs=jobs, graphs={graph.name: graph})
-    points: list[DesignPoint] = []
-    for config, row in zip(configs, summary.rows):
-        metrics = row["metrics"]
-        points.append(
-            DesignPoint(
-                name=config.name,
-                config=config,
-                total_macs=config.total_macs,
-                area_mm2=area.chip_area_mm2(config),
-                cycles=metrics["cycles"],
-                latency_seconds=metrics["latency_seconds"],
-                energy_joules=metrics["energy_joules"],
-            )
-        )
-    return points
+    return design_points_from_rows(summary.rows)
 
 
 def sweep_mac_allocations(

@@ -26,12 +26,12 @@ Modeling notes
   per-vertex record size, and hence the buffer's vertex capacity.  It
   stands until the simulation is keyed per width (ROADMAP direction 2).
 * Simulations and priced phases are memoized on the graph's pricing
-  context.  Each memoized stage receives a frozen view of the config
-  (:func:`~repro.hw.config.pricing_view`) that holds exactly what the stage
-  reads, and that view is the stage's memo key, so no config field can be
-  read yet left out of a key.  The executor holds no memo of its own, so a
-  result is a pure function of plan, graph and config: it never depends on
-  what ran before.
+  context.  Each memoized stage receives a frozen view of the config and
+  the executor's table (:func:`~repro.hw.config.pricing_view`) that holds
+  exactly what the stage reads, and that view is the stage's memo key, so
+  no config field or table entry can be read yet left out of a key.  The
+  executor holds no memo of its own, so a result is a pure function of
+  plan, graph, config and table: it never depends on what ran before.
 """
 
 from __future__ import annotations
@@ -41,15 +41,17 @@ from dataclasses import replace
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.hw import energy
 from repro.hw.config import (
     GNNIE_TABLE,
     AcceleratorConfig,
     AggregationKnobs,
     CacheKnobs,
+    GNNIETable,
     WeightingKnobs,
+    array_macs,
     pricing_view,
 )
-from repro.hw.energy import AreaModel, EnergyBreakdown, EnergyModel
 from repro.mapping.attention import schedule_attention
 from repro.mapping.binning import BlockProfile
 from repro.mapping.weighting import schedule_weighting
@@ -77,24 +79,18 @@ from repro.sim.weighting_sim import weighting_phase_from_schedule
 __all__ = ["GNNIEExecutor"]
 
 
-#: The energy and area models GNNIE is priced with (both immutable).
-_ENERGY_MODEL = EnergyModel()
-_AREA_MODEL = AreaModel()
-
-
-def _phase_energy(phase: PhaseResult) -> EnergyBreakdown:
+def _phase_energy(table: GNNIETable, phase: PhaseResult) -> energy.EnergyBreakdown:
     """Dynamic energy of one phase (pJ); static energy is a whole-run
     quantity, added once per inference."""
-    model = _ENERGY_MODEL
-    return EnergyBreakdown(
-        mac_pj=model.mac_energy(phase.mac_operations),
-        sfu_pj=model.sfu_energy(phase.sfu_operations),
-        input_buffer_pj=model.buffer_energy("input", phase.input_buffer_bytes),
-        output_buffer_pj=model.buffer_energy("output", phase.output_buffer_bytes),
-        weight_buffer_pj=model.buffer_energy("weight", phase.weight_buffer_bytes),
-        dram_input_pj=model.dram_energy(phase.dram_input_stream_bytes),
-        dram_weight_pj=model.dram_energy(phase.dram_weight_stream_bytes),
-        dram_output_pj=model.dram_energy(phase.dram_output_stream_bytes),
+    return energy.EnergyBreakdown(
+        mac_pj=energy.mac_energy(table, phase.mac_operations),
+        sfu_pj=energy.sfu_energy(table, phase.sfu_operations),
+        input_buffer_pj=energy.buffer_energy(table, "input", phase.input_buffer_bytes),
+        output_buffer_pj=energy.buffer_energy(table, "output", phase.output_buffer_bytes),
+        weight_buffer_pj=energy.buffer_energy(table, "weight", phase.weight_buffer_bytes),
+        dram_input_pj=energy.dram_energy(table, phase.dram_input_stream_bytes),
+        dram_weight_pj=energy.dram_energy(table, phase.dram_weight_stream_bytes),
+        dram_output_pj=energy.dram_energy(table, phase.dram_output_stream_bytes),
     )
 
 
@@ -114,10 +110,14 @@ class GNNIEExecutor:
 
     name = "gnnie"
     #: This backend can price multi-chip plans (it handles
-    #: :class:`~repro.plan.ir.HaloExchangeOp` with the link model of
-    #: :data:`~repro.hw.config.GNNIE_TABLE`), so ``repro.scaleout`` and the
-    #: sweep worker may partition workloads across several instances of it.
+    #: :class:`~repro.plan.ir.HaloExchangeOp` with its table's link model),
+    #: so ``repro.scaleout`` and the sweep worker may partition workloads
+    #: across several instances of it.
     supports_scaleout = True
+    #: The fixed design every price reads.  A variant, as for a baseline
+    #: platform, sets ``table`` to ``dataclasses.replace(executor.table, ...)``;
+    #: it is not a tuning knob, so sweeps, the tuner and cell keys keep it.
+    table: GNNIETable = GNNIE_TABLE
 
     def __init__(
         self,
@@ -148,6 +148,7 @@ class GNNIEExecutor:
         # Auto-sizing sentinel only: an explicit input_buffer_bytes override
         # (e.g. a buffer-sweep cell) is simulated at the capacity it names.
         cfg = (config or self.config).resolve_input_buffer(graph.name)
+        table = self.table
         tracer = self.tracer
         # Every memo (sampled adjacencies, block nonzero counts, RLC sizes,
         # cache simulations, priced phases) lives on the graph's pricing
@@ -170,7 +171,7 @@ class GNNIEExecutor:
                     in_features=stage.in_features,
                     out_features=stage.out_features,
                 ) as layer_span:
-                    layer = self._execute_layer(stage, graph, cfg, context, priming)
+                    layer = self._execute_layer(stage, graph, cfg, table, context, priming)
                 layer_span.set(
                     cycles=layer.total_cycles,
                     mac_operations=sum(p.mac_operations for p in layer.phases()),
@@ -180,16 +181,17 @@ class GNNIEExecutor:
             with tracer.span(
                 "preprocess:degree_binning", category="op", layer=-1
             ) as preprocess_span:
-                preprocessing = self._global_preprocessing_cycles(plan, graph, cfg)
+                preprocessing = self._global_preprocessing_cycles(plan, graph, cfg, table)
             preprocess_span.set(cycles=preprocessing)
             result = InferenceResult(
                 dataset=graph.name,
                 model=plan.family.upper(),
                 config_name=cfg.name,
+                frequency_hz=table.frequency_hz,
                 layers=layers,
                 global_preprocessing_cycles=preprocessing,
             )
-            result.energy = self._energy(result)
+            result.energy = self._energy(result, table)
             root.set(
                 cycles=result.total_cycles,
                 mac_operations=result.total_mac_operations,
@@ -200,7 +202,7 @@ class GNNIEExecutor:
         return result
 
     def chip_area_mm2(self, config: AcceleratorConfig | None = None) -> float:
-        return _AREA_MODEL.chip_area_mm2(config or self.config)
+        return energy.chip_area_mm2(self.table, config or self.config)
 
     # ------------------------------------------------------------------ #
     # Layer construction
@@ -210,6 +212,7 @@ class GNNIEExecutor:
         stage: PlanLayer,
         graph: Graph,
         cfg: AcceleratorConfig,
+        table: GNNIETable,
         context: GraphPricingContext,
         priming: dict[AdjacencyRef, int],
     ) -> LayerResult:
@@ -227,19 +230,19 @@ class GNNIEExecutor:
             if isinstance(op, WeightingOp):
                 with tracer.span("op:weighting", category="op", layer=stage.index) as span:
                     phase = self._weighting_phase(
-                        op, graph, pricing_view(WeightingKnobs, cfg), context, span
+                        op, graph, pricing_view(WeightingKnobs, cfg, table), context, span
                     )
                 slot = "weighting"
             elif isinstance(op, AttentionOp):
                 with tracer.span("op:attention", category="op", layer=stage.index) as span:
-                    phase = self._attention_phase(op, graph, cfg)
+                    phase = self._attention_phase(op, graph, cfg, table)
                 slot = "attention"
             elif isinstance(op, AggregationOp):
                 with tracer.span("op:aggregation", category="op", layer=stage.index) as span:
                     phase = self._aggregation_phase(
                         op,
-                        pricing_view(CacheKnobs, cfg),
-                        pricing_view(AggregationKnobs, cfg),
+                        pricing_view(CacheKnobs, cfg, table),
+                        pricing_view(AggregationKnobs, cfg, table),
                         context,
                         priming[op.adjacency],
                         span,
@@ -247,7 +250,7 @@ class GNNIEExecutor:
                 slot = "aggregation"
             elif isinstance(op, DenseMatmulOp):
                 with tracer.span("op:dense_matmul", category="op", layer=stage.index) as span:
-                    phase = self._dense_matmul_phase(op, graph, cfg)
+                    phase = self._dense_matmul_phase(op, graph, cfg, table)
                 slot = "weighting"
             elif isinstance(op, HaloExchangeOp):
                 with tracer.span(
@@ -256,7 +259,7 @@ class GNNIEExecutor:
                     layer=stage.index,
                     halo_vertices=op.halo_vertices,
                 ) as span:
-                    phase = self._halo_exchange_phase(op)
+                    phase = self._halo_exchange_phase(op, table)
                 slot = "communication"
             else:
                 raise TypeError(f"GNNIE executor cannot handle op {op!r}")
@@ -295,7 +298,7 @@ class GNNIEExecutor:
                     sfu_cycles=phase.sfu_cycles,
                     mac_operations=phase.mac_operations,
                     dram_bytes=phase.dram_bytes,
-                    energy_pj=_phase_energy(phase).total_pj,
+                    energy_pj=_phase_energy(table, phase).total_pj,
                     cycles=phase.compute_cycles
                     + phase.sfu_cycles
                     + phase.preprocessing_cycles
@@ -330,7 +333,7 @@ class GNNIEExecutor:
             # functions of (graph, block size | value width), shared across
             # configs via the pricing context.
             profile = context.input_profile(block_size)
-            input_bits = context.input_rlc_bits(8 * GNNIE_TABLE.bytes_per_value)
+            input_bits = context.input_rlc_bits(8 * knobs.table.bytes_per_value)
         else:
             # Later layers: statistical block nonzeros at the modeled density,
             # and dense traffic (the RLC decoder is bypassed after layer 1).
@@ -339,7 +342,7 @@ class GNNIEExecutor:
                 -(-op.in_features // block_size),
                 int(round(density * block_size)),
             )
-            input_bits = graph.num_vertices * op.in_features * 8 * GNNIE_TABLE.bytes_per_value
+            input_bits = graph.num_vertices * op.in_features * 8 * knobs.table.bytes_per_value
         schedule = schedule_weighting(profile, op.in_features, op.out_features, knobs)
         phase = context.phase_memo[key] = weighting_phase_from_schedule(
             schedule,
@@ -347,13 +350,14 @@ class GNNIEExecutor:
             op.in_features,
             op.out_features,
             input_traffic_bits=input_bits,
+            table=knobs.table,
         )
         return phase
 
     def _attention_phase(
-        self, op: AttentionOp, graph: Graph, cfg: AcceleratorConfig
+        self, op: AttentionOp, graph: Graph, cfg: AcceleratorConfig, table: GNNIETable
     ) -> PhaseResult:
-        schedule = schedule_attention(graph.num_vertices, op.out_features, cfg)
+        schedule = schedule_attention(graph.num_vertices, op.out_features, cfg, table)
         return PhaseResult(
             name="attention",
             compute_cycles=schedule.compute_cycles,
@@ -409,7 +413,7 @@ class GNNIEExecutor:
         return phase
 
     @staticmethod
-    def _halo_exchange_phase(op: HaloExchangeOp) -> PhaseResult:
+    def _halo_exchange_phase(op: HaloExchangeOp, table: GNNIETable) -> PhaseResult:
         """Inter-chip boundary-feature transfer before aggregation.
 
         Cost model: one fixed link latency (synchronization + first flit)
@@ -421,24 +425,23 @@ class GNNIEExecutor:
         """
         if op.halo_vertices <= 0:
             return PhaseResult(name="communication")
-        table = GNNIE_TABLE
         payload_bytes = op.halo_vertices * op.features * table.bytes_per_value
         link_bytes_per_cycle = table.link_bandwidth_bytes_per_s / table.frequency_hz
         cycles = table.link_latency_cycles + int(np.ceil(payload_bytes / link_bytes_per_cycle))
         return PhaseResult(name="communication", compute_cycles=cycles)
 
     def _dense_matmul_phase(
-        self, op: DenseMatmulOp, graph: Graph, cfg: AcceleratorConfig
+        self, op: DenseMatmulOp, graph: Graph, cfg: AcceleratorConfig, table: GNNIETable
     ) -> PhaseResult:
         """Graph-scaled dense products (DiffPool's Sᵀ A S and Sᵀ Z)."""
         macs = graph.num_edges * op.macs_per_edge + graph.num_vertices * op.macs_per_vertex
-        compute_cycles = int(np.ceil(macs / cfg.total_macs))
+        compute_cycles = int(np.ceil(macs / array_macs(cfg, table)))
         softmax_ops = graph.num_vertices * op.softmax_ops_per_vertex
-        output_bytes = op.output_values * GNNIE_TABLE.bytes_per_value
+        output_bytes = op.output_values * table.bytes_per_value
         return PhaseResult(
             name="weighting",
             compute_cycles=compute_cycles,
-            sfu_cycles=int(np.ceil(softmax_ops / (GNNIE_TABLE.sfu_columns * cfg.num_rows))),
+            sfu_cycles=int(np.ceil(softmax_ops / (table.sfu_columns * cfg.num_rows))),
             mac_operations=int(macs),
             sfu_operations=int(softmax_ops),
             dram_write_bytes=int(output_bytes),
@@ -478,7 +481,7 @@ class GNNIEExecutor:
         )
 
     def _global_preprocessing_cycles(
-        self, plan: InferencePlan, graph: Graph, cfg: AcceleratorConfig
+        self, plan: InferencePlan, graph: Graph, cfg: AcceleratorConfig, table: GNNIETable
     ) -> int:
         """Degree-based vertex reordering (binning), charged once per inference."""
         if not cfg.enable_degree_aware_caching:
@@ -487,15 +490,15 @@ class GNNIEExecutor:
         for op in plan.global_ops:
             if isinstance(op, PreprocessOp) and op.kind == "degree_binning":
                 cycles += int(
-                    np.ceil(graph.num_vertices / GNNIE_TABLE.degree_binning_ops_per_cycle)
+                    np.ceil(graph.num_vertices / table.degree_binning_ops_per_cycle)
                 )
         return cycles
 
     @staticmethod
-    def _energy(result: InferenceResult) -> EnergyBreakdown:
+    def _energy(result: InferenceResult, table: GNNIETable) -> energy.EnergyBreakdown:
         breakdown = sum(
-            (_phase_energy(phase) for layer in result.layers for phase in layer.phases()),
-            EnergyBreakdown(),
+            (_phase_energy(table, phase) for layer in result.layers for phase in layer.phases()),
+            energy.EnergyBreakdown(),
         )
-        breakdown.static_pj = _ENERGY_MODEL.static_energy(result.total_cycles)
+        breakdown.static_pj = energy.static_energy(table, result.total_cycles)
         return breakdown

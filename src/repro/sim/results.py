@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from repro.hw.config import GNNIE_TABLE
 from repro.hw.energy import EnergyBreakdown
 
 __all__ = ["PhaseResult", "LayerResult", "InferenceResult", "ScaleOutResult"]
@@ -59,29 +58,11 @@ class PhaseResult:
         return self.dram_read_bytes + self.dram_write_bytes
 
     def merge(self, other: "PhaseResult") -> "PhaseResult":
-        """Combine two phase results: the executor sums the ops of one kind
-        within one layer."""
+        """Combine two phase results, every count summed: the executor sums
+        the ops of one kind within one layer."""
+        counts = (item.name for item in fields(self) if item.name != "name")
         return PhaseResult(
-            name=self.name,
-            compute_cycles=self.compute_cycles + other.compute_cycles,
-            memory_stall_cycles=self.memory_stall_cycles + other.memory_stall_cycles,
-            streaming_memory_cycles=self.streaming_memory_cycles
-            + other.streaming_memory_cycles,
-            sfu_cycles=self.sfu_cycles + other.sfu_cycles,
-            preprocessing_cycles=self.preprocessing_cycles + other.preprocessing_cycles,
-            mac_operations=self.mac_operations + other.mac_operations,
-            sfu_operations=self.sfu_operations + other.sfu_operations,
-            dram_read_bytes=self.dram_read_bytes + other.dram_read_bytes,
-            dram_write_bytes=self.dram_write_bytes + other.dram_write_bytes,
-            dram_random_accesses=self.dram_random_accesses + other.dram_random_accesses,
-            input_buffer_bytes=self.input_buffer_bytes + other.input_buffer_bytes,
-            output_buffer_bytes=self.output_buffer_bytes + other.output_buffer_bytes,
-            weight_buffer_bytes=self.weight_buffer_bytes + other.weight_buffer_bytes,
-            dram_input_stream_bytes=self.dram_input_stream_bytes + other.dram_input_stream_bytes,
-            dram_weight_stream_bytes=self.dram_weight_stream_bytes
-            + other.dram_weight_stream_bytes,
-            dram_output_stream_bytes=self.dram_output_stream_bytes
-            + other.dram_output_stream_bytes,
+            self.name, **{name: getattr(self, name) + getattr(other, name) for name in counts}
         )
 
 
@@ -133,6 +114,8 @@ class InferenceResult:
     dataset: str
     model: str
     config_name: str
+    #: The clock of the table the inference was priced on.
+    frequency_hz: float
     layers: list[LayerResult] = field(default_factory=list)
     energy: EnergyBreakdown = field(default_factory=EnergyBreakdown)
     #: Preprocessing cycles charged once per inference (degree sorting).
@@ -144,7 +127,7 @@ class InferenceResult:
 
     @property
     def latency_seconds(self) -> float:
-        return self.total_cycles / GNNIE_TABLE.frequency_hz
+        return self.total_cycles / self.frequency_hz
 
     @property
     def total_mac_operations(self) -> int:

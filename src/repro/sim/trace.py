@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 
-from repro.hw.config import GNNIE_TABLE
 from repro.sim.results import InferenceResult
 
 __all__ = [
@@ -25,7 +24,7 @@ def result_to_dict(result: InferenceResult) -> dict:
         "dataset": result.dataset,
         "model": result.model,
         "config": result.config_name,
-        "frequency_hz": GNNIE_TABLE.frequency_hz,
+        "frequency_hz": result.frequency_hz,
         "total_cycles": result.total_cycles,
         "latency_seconds": result.latency_seconds,
         "effective_tops": result.effective_tops,

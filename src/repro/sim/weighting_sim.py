@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hw.config import GNNIE_TABLE
-from repro.hw.dram import HBMModel
+from repro.hw.config import GNNIETable
+from repro.hw.dram import dram_bytes_per_cycle
 from repro.mapping.weighting import WeightingSchedule
 from repro.sim.results import PhaseResult
 
@@ -33,18 +33,19 @@ def weighting_phase_from_schedule(
     out_features: int,
     *,
     input_traffic_bits: int,
+    table: GNNIETable,
 ) -> PhaseResult:
     """Build the Weighting :class:`PhaseResult` from a static schedule.
 
     The schedule holds everything the configuration decides; the value
-    width, the array's columns and the HBM bandwidth are fixed
-    (:data:`~repro.hw.config.GNNIE_TABLE`).
+    width, the array's columns, the HBM bandwidth and the binning
+    throughput are ``table``'s.
 
     The streaming cycles count each pass's fetch (features plus N weight
     columns) ``num_passes + 1`` times.  The extra fetch is the first fill,
     which the layer pass may hide behind another phase's compute.
     """
-    bytes_per_value = GNNIE_TABLE.bytes_per_value
+    bytes_per_value = table.bytes_per_value
     compute_cycles = schedule.compute_cycles
 
     # --- DRAM traffic ---------------------------------------------------- #
@@ -54,17 +55,17 @@ def weighting_phase_from_schedule(
     dram_write_outputs = num_vertices * out_features * bytes_per_value
 
     # --- Streaming fetch cycles (first fill plus one fetch per pass) ----- #
-    bytes_per_cycle = HBMModel().bytes_per_cycle
+    bytes_per_cycle = dram_bytes_per_cycle(table)
     fetch_cycles_per_pass = int(np.ceil(input_bytes_per_pass / bytes_per_cycle))
     weight_fetch_per_pass = int(
-        np.ceil(in_features * GNNIE_TABLE.num_cols * bytes_per_value / bytes_per_cycle)
+        np.ceil(in_features * table.num_cols * bytes_per_value / bytes_per_cycle)
     )
     per_pass_fetch = fetch_cycles_per_pass + weight_fetch_per_pass
     streaming_memory_cycles = per_pass_fetch * (schedule.num_passes + 1)
 
     preprocessing_cycles = int(
         np.ceil(
-            schedule.assignment.preprocessing_operations / GNNIE_TABLE.binning_ops_per_cycle
+            schedule.assignment.preprocessing_operations / table.binning_ops_per_cycle
         )
     )
 

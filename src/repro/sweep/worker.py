@@ -44,8 +44,8 @@ __all__ = [
 #: before the change fails with a clear error instead of silently
 #: re-executing every cell next to the stale rows.  Format 7 keys every
 #: cell on its chip count and on every :class:`~repro.hw.AcceleratorConfig`
-#: field (10 since the miss-path hierarchy left the config); the fixed
-#: design (:data:`~repro.hw.config.GNNIE_TABLE`) is in no key.
+#: field (10 since the miss-path hierarchy left the config).  Sweeps price
+#: on the default :data:`~repro.hw.config.GNNIE_TABLE`, so it is in no key.
 ROW_FORMAT = 7
 
 #: Per-process dataset memo: (dataset, scale, seed) -> Graph.  Bounded so

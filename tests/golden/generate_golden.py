@@ -24,7 +24,9 @@ default table and for each entry's variant (+1 on an integer entry, x1.1 on
 a float one), the cycles, DRAM bytes, energy, latency and chip area of
 three cases on a freshly built Cora 0.25 graph (seed 0): GAT, GCN under
 id-order caching and GCN on 2 chips.  Between them the cases reach the
-id-order-only and link-only entries.
+id-order-only and link-only entries.  It was first generated with each
+variant bound as ``GNNIE_TABLE`` in every ``repro`` module; this script
+sets it on ``executor.table`` and must write the same bytes.
 
 Run from the repository root to regenerate after an *intentional* model
 change::
@@ -34,10 +36,8 @@ change::
 
 from __future__ import annotations
 
-import contextlib
 import json
 import pathlib
-import sys
 from dataclasses import fields, replace
 
 from repro.baselines import (
@@ -115,25 +115,6 @@ def price_variant_cases(executor: GNNIEExecutor, graph) -> dict[str, dict]:
     }
 
 
-@contextlib.contextmanager
-def table_bound(table):
-    """Bind ``table`` as ``GNNIE_TABLE`` in every ``repro`` module that
-    names it, and restore the default table on exit."""
-    modules = [
-        module
-        for name, module in list(sys.modules.items())
-        if (name == "repro" or name.startswith("repro."))
-        and getattr(module, "GNNIE_TABLE", None) is GNNIE_TABLE
-    ]
-    for module in modules:
-        module.GNNIE_TABLE = table
-    try:
-        yield
-    finally:
-        for module in modules:
-            module.GNNIE_TABLE = GNNIE_TABLE
-
-
 def variant_snapshot() -> dict[str, dict]:
     """The default table's cases and each variant's, each priced on a
     freshly built graph."""
@@ -141,9 +122,10 @@ def variant_snapshot() -> dict[str, dict]:
     graph = build_dataset(dataset, scale=scale, seed=seed)
     snapshot = {"default": price_variant_cases(GNNIEExecutor(), graph)}
     for name, table in table_variants():
-        with table_bound(table):
-            graph = build_dataset(dataset, scale=scale, seed=seed)
-            snapshot[name] = price_variant_cases(GNNIEExecutor(), graph)
+        executor = GNNIEExecutor()
+        executor.table = table
+        graph = build_dataset(dataset, scale=scale, seed=seed)
+        snapshot[name] = price_variant_cases(executor, graph)
     return snapshot
 
 

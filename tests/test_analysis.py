@@ -18,7 +18,8 @@ from repro.analysis import (
     weighting_row_profile,
 )
 from repro.baselines import PyGCPUModel
-from repro.hw import AcceleratorConfig
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.config import CacheKnobs, pricing_view
 from repro.plan import lower
 from repro.sim import GNNIEExecutor, run_cache_simulation
 
@@ -42,7 +43,8 @@ class TestSparsityHistogram:
 class TestAlphaRounds:
     def test_histograms_flatten(self, medium_graph):
         config = AcceleratorConfig(input_buffer_bytes=16 * 1024)
-        result = run_cache_simulation(medium_graph.adjacency, config, 64)
+        knobs = pricing_view(CacheKnobs, config, GNNIE_TABLE)
+        result = run_cache_simulation(medium_graph.adjacency, knobs, 64)
         histograms = alpha_round_histograms(result)
         assert len(histograms) >= 2
         maxima = [h.max_alpha for h in histograms]

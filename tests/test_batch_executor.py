@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.datasets import build_dataset
-from repro.hw import AcceleratorConfig
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
 from repro.hw.config import AggregationKnobs, CacheKnobs, WeightingKnobs, pricing_view
 from repro.models import MODEL_FAMILIES
 from repro.obs import MetricsRegistry
@@ -88,7 +88,8 @@ _BASES = (
 
 def _views(config: AcceleratorConfig) -> tuple:
     return tuple(
-        pricing_view(kind, config) for kind in (WeightingKnobs, CacheKnobs, AggregationKnobs)
+        pricing_view(kind, config, GNNIE_TABLE)
+        for kind in (WeightingKnobs, CacheKnobs, AggregationKnobs)
     )
 
 
@@ -215,11 +216,26 @@ class TestPricingViews:
     def test_a_view_rejects_other_names(self):
         config = AcceleratorConfig()
         with pytest.raises(AttributeError):
-            pricing_view(WeightingKnobs, config).gamma
+            pricing_view(WeightingKnobs, config, GNNIE_TABLE).gamma
         with pytest.raises(AttributeError):
-            pricing_view(AggregationKnobs, config).macs_per_group
+            pricing_view(AggregationKnobs, config, GNNIE_TABLE).macs_per_group
         with pytest.raises(AttributeError):
-            pricing_view(CacheKnobs, config).num_rows
+            pricing_view(CacheKnobs, config, GNNIE_TABLE).num_rows
+        with pytest.raises(AttributeError):
+            pricing_view(CacheKnobs, config, GNNIE_TABLE).exp_latency_cycles
+
+    def test_views_price_on_the_table_they_are_given(self):
+        """The phase views carry the table and count MACs with its columns;
+        the cache view carries the two entries the walk reads."""
+        config = AcceleratorConfig()
+        table = replace(GNNIE_TABLE, num_cols=8, bytes_per_value=2, index_bytes=8)
+        assert pricing_view(WeightingKnobs, config, table).table is table
+        aggregation = pricing_view(AggregationKnobs, config, table)
+        assert aggregation.table is table
+        assert aggregation.total_macs == 608
+        cache = pricing_view(CacheKnobs, config, table)
+        assert (cache.bytes_per_value, cache.index_bytes) == (2, 8)
+        assert cache != pricing_view(CacheKnobs, config, GNNIE_TABLE)
 
     def test_allocations_of_equal_total_share_one_aggregation(self, monkeypatch):
         """(4, 5, 6) and (3, 6, 7) MACs per CPE over rows (8, 4, 4) both

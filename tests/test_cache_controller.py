@@ -13,7 +13,7 @@ from repro.cache import controller, simulate_policy, vertex_record_bytes
 from repro.cache.controller import stream_order
 from repro.datasets import build_dataset
 from repro.graph import CSRGraph, power_law_graph
-from repro.hw.config import AcceleratorConfig
+from repro.hw.config import GNNIE_TABLE, AcceleratorConfig, CacheKnobs, pricing_view
 from repro.sim.aggregation_sim import input_buffer_capacity
 
 
@@ -24,26 +24,36 @@ def graph():
 
 def run_controller(graph, capacity, gamma=5):
     return simulate_policy(
-        "degree_aware", graph, capacity, bytes_per_vertex=128, gamma=gamma
+        "degree_aware",
+        graph,
+        capacity,
+        bytes_per_vertex=128,
+        gamma=gamma,
+        index_bytes=GNNIE_TABLE.index_bytes,
     )
 
 
 def vertex_order(graph, capacity_vertices):
-    return simulate_policy("vertex_order", graph, capacity_vertices)
+    return simulate_policy(
+        "vertex_order", graph, capacity_vertices, index_bytes=GNNIE_TABLE.index_bytes
+    )
 
 
 class TestPolicyConfig:
     def test_validation(self, graph):
         with pytest.raises(ValueError):
-            simulate_policy("degree_aware", graph, 0)
+            simulate_policy("degree_aware", graph, 0, index_bytes=GNNIE_TABLE.index_bytes)
         with pytest.raises(ValueError):
-            simulate_policy("degree_aware", graph, 8, gamma=-1)
+            simulate_policy(
+                "degree_aware", graph, 8, gamma=-1, index_bytes=GNNIE_TABLE.index_bytes
+            )
 
     def test_vertex_record_bytes(self):
-        record = vertex_record_bytes(128, 10.0)
+        knobs = pricing_view(CacheKnobs, AcceleratorConfig(), GNNIE_TABLE)
+        record = vertex_record_bytes(128, 10.0, knobs)
         assert record == 128 + 40 + 8
         with pytest.raises(ValueError):
-            vertex_record_bytes(0, 5.0)
+            vertex_record_bytes(0, 5.0, knobs)
 
 
 class TestDegreeAwareController:
@@ -241,7 +251,8 @@ def _assert_pinned_walk(
     compares (vertices, capacity, record bytes), the edge total, the
     (rounds, iterations, deadlocks, fetches, α write-back bytes) counts, the
     iteration log and the eviction sequence with their pins."""
-    capacity, record_bytes = input_buffer_capacity(adjacency, AcceleratorConfig(), 128)
+    knobs = pricing_view(CacheKnobs, AcceleratorConfig(), GNNIE_TABLE)
+    capacity, record_bytes = input_buffer_capacity(adjacency, knobs, 128)
     assert (adjacency.num_vertices, capacity, record_bytes) == sizing
     pick = controller._select_evictions
     evicted = []
@@ -253,7 +264,12 @@ def _assert_pinned_walk(
 
     monkeypatch.setattr(controller, "_select_evictions", spy)
     result = simulate_policy(
-        "degree_aware", adjacency, capacity, bytes_per_vertex=record_bytes, gamma=gamma
+        "degree_aware",
+        adjacency,
+        capacity,
+        bytes_per_vertex=record_bytes,
+        gamma=gamma,
+        index_bytes=knobs.index_bytes,
     )
     assert result.total_edges_processed == adjacency.num_edges // 2 == undirected_edges
     assert (
@@ -341,7 +357,12 @@ def test_controller_completeness_property(num_vertices, num_edges, capacity, gam
     aggregated exactly once and the α counters drain to zero."""
     graph = power_law_graph(num_vertices, num_edges, seed=seed)
     result = simulate_policy(
-        "degree_aware", graph, capacity, bytes_per_vertex=64, gamma=gamma
+        "degree_aware",
+        graph,
+        capacity,
+        bytes_per_vertex=64,
+        gamma=gamma,
+        index_bytes=GNNIE_TABLE.index_bytes,
     )
     assert result.total_edges_processed == graph.num_edges // 2
     if result.alpha_round_snapshots:

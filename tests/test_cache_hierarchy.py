@@ -23,6 +23,7 @@ from repro.cache import (
     victim_hits,
 )
 from repro.graph import CSRGraph, power_law_graph
+from repro.hw import GNNIE_TABLE
 
 #: Every non-empty subset of the mechanisms, in their listed order.
 MECHANISM_SUBSETS = [
@@ -75,7 +76,9 @@ class TestTrace:
     @pytest.mark.parametrize("policy", ID_ORDER_POLICIES)
     def test_tracing_leaves_the_simulation_unchanged(self, graph, policy):
         traced, _, _ = miss_trace(policy, graph, 60, bytes_per_vertex=96)
-        plain = simulate_policy(policy, graph, 60, bytes_per_vertex=96)
+        plain = simulate_policy(
+            policy, graph, 60, bytes_per_vertex=96, index_bytes=GNNIE_TABLE.index_bytes
+        )
         for field in fields(plain):
             np.testing.assert_array_equal(
                 getattr(traced, field.name), getattr(plain, field.name), err_msg=field.name
@@ -84,7 +87,8 @@ class TestTrace:
     def test_degree_aware_walk_has_no_miss_trace(self, graph):
         with pytest.raises(ValueError, match="never misses"):
             miss_trace("degree_aware", graph, 60)
-        assert simulate_policy("degree_aware", graph, 60).random_accesses == 0
+        walk = simulate_policy("degree_aware", graph, 60, index_bytes=GNNIE_TABLE.index_bytes)
+        assert walk.random_accesses == 0
 
     def test_unknown_policy_rejected(self, graph):
         with pytest.raises(KeyError):

@@ -194,7 +194,12 @@ def degree_aware_with_evictions(adjacency, capacity, gamma):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(controller, "_select_evictions", spy)
         result = simulate_policy(
-            "degree_aware", adjacency, capacity, bytes_per_vertex=BYTES_PER_VERTEX, gamma=gamma
+            "degree_aware",
+            adjacency,
+            capacity,
+            bytes_per_vertex=BYTES_PER_VERTEX,
+            gamma=gamma,
+            index_bytes=INDEX_BYTES,
         )
     kinds = np.full(len(evicted), EVICT, dtype=np.int8)
     return result, kinds, np.array(evicted, dtype=np.int64)
@@ -287,9 +292,10 @@ def test_reference_covers_deadlocks_and_the_pairwise_fallback():
         check_against_reference("degree_aware", adjacency, capacity, gamma)
     # Capacity 1 never co-locates two endpoints: one pairwise-fallback
     # iteration (two residents) processes every edge.
-    fallback = simulate_policy("degree_aware", path, 1)
+    fallback = simulate_policy("degree_aware", path, 1, index_bytes=INDEX_BYTES)
     assert fallback.resident_vertices[-1] == 2
     assert fallback.edges_processed[-1] == 9
     # The two unconnected hubs fill the buffer first; with γ = 0 neither is
     # an eviction candidate, so the controller must break the deadlock.
-    assert simulate_policy("degree_aware", two_stars, 2, gamma=0).deadlock_events > 0
+    deadlocked = simulate_policy("degree_aware", two_stars, 2, gamma=0, index_bytes=INDEX_BYTES)
+    assert deadlocked.deadlock_events > 0

@@ -62,6 +62,28 @@ class TestParser:
             assert build_parser().parse_args([command, "--scale", scale]).scale == value
         assert build_parser().parse_args([command]).scale is None
 
+    @pytest.mark.parametrize(
+        "command", ["simulate", "profile", "plan", "compare", "designs", "cache"]
+    )
+    def test_negative_seed_is_a_usage_error(self, command, capsys):
+        for seed in ("-1", "-7"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--seed", seed])
+            assert excinfo.value.code == 2
+            error = capsys.readouterr().err
+            assert f"argument --seed: must be a non-negative integer, got {seed}" in error
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--seed", "1.5"])
+        assert "argument --seed: invalid int value: '1.5'" in capsys.readouterr().err
+        for seed in ("0", "3"):
+            assert build_parser().parse_args([command, "--seed", seed]).seed == int(seed)
+
+    @pytest.mark.parametrize("command", ["sweep", "tune"])
+    def test_a_negative_base_seed_stays_valid(self, command):
+        """Sweeps and the tuner hash their base seed into per-dataset seeds,
+        so a negative one is a valid base."""
+        assert build_parser().parse_args([command, "--seed", "-1"]).seed == -1
+
 
 class TestCommands:
     def test_datasets_command(self, capsys):

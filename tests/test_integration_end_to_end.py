@@ -15,6 +15,7 @@ from repro.cache import simulate_policy
 from repro.datasets import tiny_dataset
 from repro.graph import CSRGraph, Graph
 from repro.hw import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.config import WeightingKnobs, pricing_view
 from repro.mapping import (
     AggregationCycleModel,
     attention_terms_functional,
@@ -38,11 +39,11 @@ class TestMappingMatchesReferenceModels:
     def test_gcn_layer_via_blocked_weighting_and_cached_aggregation(self, graph):
         """Weighting in k-blocks + aggregation in cache-controller order ==
         the reference GCN layer (up to float tolerance)."""
-        config = AcceleratorConfig()
+        knobs = pricing_view(WeightingKnobs, AcceleratorConfig(), GNNIE_TABLE)
         layer = GCNLayer(graph.feature_length, 16, activation="none", seed=4)
 
         # Hardware-order Weighting.
-        weighted = weighting_functional(graph.features, layer.weight, config)
+        weighted = weighting_functional(graph.features, layer.weight, knobs)
 
         # Hardware-order Aggregation: process edges in the order the cache
         # controller schedules them (subgraph by subgraph).
@@ -50,7 +51,12 @@ class TestMappingMatchesReferenceModels:
         degrees = adjacency.degrees().astype(np.float64) + 1.0
         inv_sqrt = 1.0 / np.sqrt(degrees)
         cache_result = simulate_policy(
-            "degree_aware", adjacency, 12, bytes_per_vertex=64, gamma=3
+            "degree_aware",
+            adjacency,
+            12,
+            bytes_per_vertex=64,
+            gamma=3,
+            index_bytes=GNNIE_TABLE.index_bytes,
         )
         assert cache_result.total_edges_processed == adjacency.num_edges // 2
 
@@ -67,11 +73,11 @@ class TestMappingMatchesReferenceModels:
         """The blocked e_{i,1}/e_{i,2} terms reproduce the reference GAT layer
         when combined per edge — validating the O(|V|+|E|) reordering end to
         end."""
-        config = AcceleratorConfig()
+        knobs = pricing_view(WeightingKnobs, AcceleratorConfig(), GNNIE_TABLE)
         layer = GATLayer(graph.feature_length, 12, activation="none", seed=5)
-        weighted = weighting_functional(graph.features, layer.weight, config)
+        weighted = weighting_functional(graph.features, layer.weight, knobs)
         center, neighbor = attention_terms_functional(
-            weighted, layer.attention_left, layer.attention_right
+            weighted, layer.attention_left, layer.attention_right, GNNIE_TABLE
         )
         adjacency = graph.adjacency
         edges = np.concatenate(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.graph import power_law_graph
 from repro.hw import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.config import AggregationKnobs, pricing_view
 from repro.mapping import (
     AggregationCycleModel,
     IterationCost,
@@ -21,36 +22,43 @@ from repro.mapping import (
 from repro.models import segment_sum
 
 
+def _knobs(config):
+    """``config``'s Aggregation view on the default table."""
+    return pricing_view(AggregationKnobs, config, GNNIE_TABLE)
+
+
 class TestAttentionSchedule:
     def test_mac_count_is_linear(self):
         config = AcceleratorConfig()
-        schedule = schedule_attention(1000, 128, config)
+        schedule = schedule_attention(1000, 128, config, GNNIE_TABLE)
         assert schedule.total_macs == 2 * 1000 * 128
 
     def test_linear_vs_naive_operation_count(self):
         """GNNIE's reordering is O(V+E); the naive scheme is O(E*F)."""
         num_vertices, num_edges, feature = 1000, 20_000, 128
-        reordered = schedule_attention(num_vertices, feature, AcceleratorConfig()).total_macs
+        reordered = schedule_attention(
+            num_vertices, feature, AcceleratorConfig(), GNNIE_TABLE
+        ).total_macs
         naive = naive_attention_operations(num_vertices, num_edges, feature)
         assert naive > 5 * reordered
 
     def test_cycles_scale_with_vertices(self):
         config = AcceleratorConfig()
-        small = schedule_attention(100, 128, config)
-        large = schedule_attention(10_000, 128, config)
+        small = schedule_attention(100, 128, config, GNNIE_TABLE)
+        large = schedule_attention(10_000, 128, config, GNNIE_TABLE)
         assert large.compute_cycles > 50 * small.compute_cycles
 
     def test_chunk_and_column_batch(self):
         config = AcceleratorConfig()
-        schedule = schedule_attention(500, 130, config)
+        schedule = schedule_attention(500, 130, config, GNNIE_TABLE)
         assert schedule.chunk_size == -(-130 // GNNIE_TABLE.num_cols)
         assert schedule.vertices_per_column >= 1
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            schedule_attention(-1, 128, AcceleratorConfig())
+            schedule_attention(-1, 128, AcceleratorConfig(), GNNIE_TABLE)
         with pytest.raises(ValueError):
-            schedule_attention(10, 0, AcceleratorConfig())
+            schedule_attention(10, 0, AcceleratorConfig(), GNNIE_TABLE)
         with pytest.raises(ValueError):
             naive_attention_operations(-1, 2, 3)
 
@@ -59,13 +67,13 @@ class TestAttentionSchedule:
         weighted = rng.normal(size=(50, 70))
         left = rng.normal(size=70)
         right = rng.normal(size=70)
-        center, neighbor = attention_terms_functional(weighted, left, right)
+        center, neighbor = attention_terms_functional(weighted, left, right, GNNIE_TABLE)
         np.testing.assert_allclose(center, weighted @ left, atol=1e-10)
         np.testing.assert_allclose(neighbor, weighted @ right, atol=1e-10)
 
     def test_functional_rejects_mismatched_vector(self):
         with pytest.raises(ValueError):
-            attention_terms_functional(np.ones((4, 8)), np.ones(5), np.ones(8))
+            attention_terms_functional(np.ones((4, 8)), np.ones(5), np.ones(8), GNNIE_TABLE)
 
 
 def _one_iteration(model, edges, *, max_edges_per_vertex=0, resident_vertices=0):
@@ -78,29 +86,29 @@ def _one_iteration(model, edges, *, max_edges_per_vertex=0, resident_vertices=0)
 class TestAggregationCycleModel:
     def test_load_balanced_uses_full_array(self):
         config = AcceleratorConfig()
-        model = AggregationCycleModel(config, feature_length=128)
+        model = AggregationCycleModel(_knobs(config), feature_length=128)
         cost = _one_iteration(model, 1000, max_edges_per_vertex=50, resident_vertices=500)
         ideal = int(np.ceil(2 * 1000 * 128 / config.total_macs))
         assert cost.compute_cycles == ideal
 
     def test_no_load_balancing_pays_for_hub_vertices(self):
         config = replace(AcceleratorConfig(), enable_aggregation_load_balancing=False)
-        model = AggregationCycleModel(config, feature_length=128)
-        balanced = AggregationCycleModel(AcceleratorConfig(), feature_length=128)
+        model = AggregationCycleModel(_knobs(config), feature_length=128)
+        balanced = AggregationCycleModel(_knobs(AcceleratorConfig()), feature_length=128)
         skewed = _one_iteration(model, 1000, max_edges_per_vertex=400)
         level = _one_iteration(balanced, 1000, max_edges_per_vertex=400)
         assert skewed.compute_cycles > level.compute_cycles
 
     def test_no_lb_cost_grows_with_hub_degree(self):
         config = replace(AcceleratorConfig(), enable_aggregation_load_balancing=False)
-        model = AggregationCycleModel(config, feature_length=64)
+        model = AggregationCycleModel(_knobs(config), feature_length=64)
         small_hub = _one_iteration(model, 1000, max_edges_per_vertex=10)
         large_hub = _one_iteration(model, 1000, max_edges_per_vertex=500)
         assert large_hub.compute_cycles > small_hub.compute_cycles
 
     def test_gat_adds_multiplies_and_sfu_work(self):
-        plain = AggregationCycleModel(AcceleratorConfig(), 128, is_gat=False)
-        gat = AggregationCycleModel(AcceleratorConfig(), 128, is_gat=True)
+        plain = AggregationCycleModel(_knobs(AcceleratorConfig()), 128, is_gat=False)
+        gat = AggregationCycleModel(_knobs(AcceleratorConfig()), 128, is_gat=True)
         plain_cost = _one_iteration(plain, 500, resident_vertices=300)
         gat_cost = _one_iteration(gat, 500, resident_vertices=300)
         assert gat_cost.multiply_ops > 0 and plain_cost.multiply_ops == 0
@@ -108,34 +116,34 @@ class TestAggregationCycleModel:
         assert gat_cost.compute_cycles > plain_cost.compute_cycles
 
     def test_finalization_only_for_gat(self):
-        plain = AggregationCycleModel(AcceleratorConfig(), 128, is_gat=False)
-        gat = AggregationCycleModel(AcceleratorConfig(), 128, is_gat=True)
+        plain = AggregationCycleModel(_knobs(AcceleratorConfig()), 128, is_gat=False)
+        gat = AggregationCycleModel(_knobs(AcceleratorConfig()), 128, is_gat=True)
         assert plain.finalization_cost(1000).sfu_cycles == 0
         assert gat.finalization_cost(1000).sfu_cycles > 0
 
     def test_zero_edges(self):
-        model = AggregationCycleModel(AcceleratorConfig(), 64)
+        model = AggregationCycleModel(_knobs(AcceleratorConfig()), 64)
         cost = _one_iteration(model, 0)
         assert cost.compute_cycles == 0 and cost.addition_ops == 0
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            AggregationCycleModel(AcceleratorConfig(), 0)
-        model = AggregationCycleModel(AcceleratorConfig(), 16)
+            AggregationCycleModel(_knobs(AcceleratorConfig()), 0)
+        model = AggregationCycleModel(_knobs(AcceleratorConfig()), 16)
         with pytest.raises(ValueError, match="edges"):
             _one_iteration(model, -1)
         with pytest.raises(ValueError):
             model.finalization_cost(-1)
 
     def test_load_balanced_cycles_round_up_to_whole_array(self):
-        model = AggregationCycleModel(AcceleratorConfig(), 8)
+        model = AggregationCycleModel(_knobs(AcceleratorConfig()), 8)
         # 76 edges x 2 endpoints x 8 elements = 1216 adds: one array cycle.
         assert _one_iteration(model, 76).compute_cycles == 1
         assert _one_iteration(model, 77).compute_cycles == 2
 
     def test_no_lb_bottleneck_is_average_share_plus_worst_vertex(self):
         config = replace(AcceleratorConfig(), enable_aggregation_load_balancing=False)
-        model = AggregationCycleModel(config, 64)
+        model = AggregationCycleModel(_knobs(config), 64)
         cost = _one_iteration(model, 1000, max_edges_per_vertex=40)
         average_share = 2 * 1000 * 64 / config.num_cpes
         worst_vertex = 40 * 64
@@ -144,7 +152,7 @@ class TestAggregationCycleModel:
 
     def test_gat_no_lb_serializes_multiply_and_add_on_the_worst_vertex(self):
         config = replace(AcceleratorConfig(), enable_aggregation_load_balancing=False)
-        model = AggregationCycleModel(config, 64, is_gat=True)
+        model = AggregationCycleModel(_knobs(config), 64, is_gat=True)
         cost = _one_iteration(model, 1000, max_edges_per_vertex=40)
         average_share = 4 * 1000 * 64 / config.num_cpes
         worst_vertex = 2 * 40 * 64
@@ -153,7 +161,7 @@ class TestAggregationCycleModel:
 
     def test_gat_sfu_work_per_edge_and_resident_vertex(self):
         config = AcceleratorConfig()
-        model = AggregationCycleModel(config, 16, is_gat=True)
+        model = AggregationCycleModel(_knobs(config), 16, is_gat=True)
         cost = _one_iteration(model, 100, resident_vertices=30)
         # LeakyReLU and exp on both directions of every edge, plus one
         # softmax-denominator add per resident vertex.
@@ -166,7 +174,7 @@ class TestAggregationCycleModel:
 
     def test_gat_finalization_divides_every_output_element(self):
         config = AcceleratorConfig()
-        cost = AggregationCycleModel(config, 16, is_gat=True).finalization_cost(100)
+        cost = AggregationCycleModel(_knobs(config), 16, is_gat=True).finalization_cost(100)
         assert cost.sfu_ops == 100 * 16
         # A division takes 4 cycles on each of the 64 SFU lanes.
         assert GNNIE_TABLE.sfu_columns * config.num_rows == 64
@@ -175,14 +183,14 @@ class TestAggregationCycleModel:
         assert cost.compute_cycles == 0
 
     def test_sfu_lanes_follow_array_rows(self):
-        full = AggregationCycleModel(AcceleratorConfig(), 16, is_gat=True)
+        full = AggregationCycleModel(_knobs(AcceleratorConfig()), 16, is_gat=True)
         half_config = AcceleratorConfig(macs_per_group=(4,), rows_per_group=(8,))
-        half = AggregationCycleModel(half_config, 16, is_gat=True)
+        half = AggregationCycleModel(_knobs(half_config), 16, is_gat=True)
         full_cycles = full.finalization_cost(100).sfu_cycles
         assert half.finalization_cost(100).sfu_cycles == 2 * full_cycles
 
     def test_each_iteration_rounds_up_separately(self):
-        model = AggregationCycleModel(AcceleratorConfig(), 8)
+        model = AggregationCycleModel(_knobs(AcceleratorConfig()), 8)
         zeros = np.zeros(3, dtype=np.int64)
         cost = model.iteration_totals(np.array([77, 77, 0]), zeros, zeros)
         assert cost.edges_processed == 154
@@ -194,7 +202,7 @@ class TestAggregationCycleModel:
     @pytest.mark.parametrize("load_balancing", [True, False], ids=["lb", "no_lb"])
     def test_totals_sum_the_per_iteration_costs(self, is_gat, load_balancing):
         config = replace(AcceleratorConfig(), enable_aggregation_load_balancing=load_balancing)
-        model = AggregationCycleModel(config, 48, is_gat=is_gat)
+        model = AggregationCycleModel(_knobs(config), 48, is_gat=is_gat)
         rng = np.random.default_rng(17)
         edges = rng.integers(0, 3000, size=25)
         max_edges = rng.integers(0, 60, size=25)
@@ -215,7 +223,7 @@ class TestAggregationCycleModel:
             assert getattr(totals, field) == sum(getattr(cost, field) for cost in singles)
 
     def test_empty_columns_cost_nothing(self):
-        model = AggregationCycleModel(AcceleratorConfig(), 64, is_gat=True)
+        model = AggregationCycleModel(_knobs(AcceleratorConfig()), 64, is_gat=True)
         empty = np.empty(0, dtype=np.int64)
         assert model.iteration_totals(empty, empty, empty) == IterationCost(0, 0, 0, 0, 0, 0)
 
@@ -238,7 +246,7 @@ class TestAggregationCycleModel:
     )
     def test_lb_cycles_formula_property(self, edges, feature):
         config = AcceleratorConfig()
-        model = AggregationCycleModel(config, feature)
+        model = AggregationCycleModel(_knobs(config), feature)
         cost = _one_iteration(model, edges)
         assert cost.addition_ops == 2 * edges * feature
         if edges:

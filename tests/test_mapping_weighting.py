@@ -9,9 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw import AcceleratorConfig
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.config import WeightingKnobs, pricing_view
 from repro.mapping import BlockProfile, schedule_weighting, weighting_functional
 from repro.sparse import generate_sparse_features
+
+
+def _knobs(config):
+    """``config``'s Weighting view on the default table."""
+    return pricing_view(WeightingKnobs, config, GNNIE_TABLE)
 
 
 @pytest.fixture(scope="module")
@@ -22,19 +28,19 @@ def features():
 class TestScheduleWeighting:
     def test_block_size_and_pass_count(self, features, profile_of):
         config = AcceleratorConfig()
-        schedule = schedule_weighting(profile_of(features, config), 200, 128, config)
+        schedule = schedule_weighting(profile_of(features, config), 200, 128, _knobs(config))
         assert schedule.block_size == -(-200 // 16)
         assert schedule.num_passes == 8
         assert schedule.num_blocks <= config.num_rows
 
     def test_mac_counts(self, features, profile_of):
         config = AcceleratorConfig()
-        schedule = schedule_weighting(profile_of(features, config), 200, 64, config)
+        schedule = schedule_weighting(profile_of(features, config), 200, 64, _knobs(config))
         assert schedule.total_nonzero_macs == np.count_nonzero(features) * 64
 
     def test_compute_cycles_are_pass_times_max_row(self, features, profile_of):
         config = AcceleratorConfig()
-        schedule = schedule_weighting(profile_of(features, config), 200, 128, config)
+        schedule = schedule_weighting(profile_of(features, config), 200, 128, _knobs(config))
         assert schedule.compute_cycles == schedule.num_passes * schedule.cycles_per_pass
         assert schedule.cycles_per_pass == schedule.row_cycles_per_pass.max()
 
@@ -47,23 +53,25 @@ class TestScheduleWeighting:
             enable_flexible_mac=False,
             enable_load_redistribution=False,
         )
-        fm = schedule_weighting(profile_of(features, config), 200, 128, config)
-        base = schedule_weighting(profile_of(features, baseline_cfg), 200, 128, baseline_cfg)
+        fm = schedule_weighting(profile_of(features, config), 200, 128, _knobs(config))
+        base = schedule_weighting(
+            profile_of(features, baseline_cfg), 200, 128, _knobs(baseline_cfg)
+        )
         assert fm.compute_cycles < base.compute_cycles
 
     def test_load_redistribution_applied_when_enabled(self, features, profile_of):
         config = AcceleratorConfig()
-        schedule = schedule_weighting(profile_of(features, config), 200, 64, config)
+        schedule = schedule_weighting(profile_of(features, config), 200, 64, _knobs(config))
         assert schedule.load_redistribution is not None
         no_lr_cfg = replace(config, enable_load_redistribution=False)
-        no_lr = schedule_weighting(profile_of(features, no_lr_cfg), 200, 64, no_lr_cfg)
+        no_lr = schedule_weighting(profile_of(features, no_lr_cfg), 200, 64, _knobs(no_lr_cfg))
         assert no_lr.load_redistribution is None
         assert schedule.cycles_per_pass <= no_lr.cycles_per_pass
 
     def test_statistical_block_nonzeros_path(self):
         config = AcceleratorConfig()
         blocks = np.full((100, 16), 3, dtype=np.int64)
-        schedule = schedule_weighting(BlockProfile.from_counts(blocks), 64, 32, config)
+        schedule = schedule_weighting(BlockProfile.from_counts(blocks), 64, 32, _knobs(config))
         assert schedule.total_nonzero_macs == blocks.sum() * 32
         assert schedule.block_size == 4
 
@@ -76,23 +84,23 @@ class TestScheduleWeighting:
         """F_in = 64 means k = 4: 16 blocks of at most 4 nonzeros each."""
         profile = BlockProfile.from_counts(np.full(shape, per_block))
         with pytest.raises(ValueError, match="contradicts"):
-            schedule_weighting(profile, 64, 32, AcceleratorConfig())
+            schedule_weighting(profile, 64, 32, _knobs(AcceleratorConfig()))
 
     @pytest.mark.parametrize("in_features, out_features", [(64, 0), (0, 32)])
     def test_non_positive_widths_rejected(self, in_features, out_features):
         profile = BlockProfile.from_counts(np.ones((4, 16)))
         with pytest.raises(ValueError, match="must be positive"):
-            schedule_weighting(profile, in_features, out_features, AcceleratorConfig())
+            schedule_weighting(profile, in_features, out_features, _knobs(AcceleratorConfig()))
 
     def test_average_row_utilization_bounded(self, features, profile_of):
         config = AcceleratorConfig()
-        schedule = schedule_weighting(profile_of(features, config), 200, 64, config)
+        schedule = schedule_weighting(profile_of(features, config), 200, 64, _knobs(config))
         assert 0.0 < schedule.average_row_utilization <= 1.0
 
     def test_all_zero_features_need_no_compute_with_zero_skipping(self, profile_of):
         config = AcceleratorConfig()
         zeros = np.zeros((50, 64))
-        skipping = schedule_weighting(profile_of(zeros, config), 64, 32, config)
+        skipping = schedule_weighting(profile_of(zeros, config), 64, 32, _knobs(config))
         assert skipping.total_nonzero_macs == 0
         assert skipping.compute_cycles == 0
 
@@ -103,7 +111,7 @@ class TestWeightingFunctional:
         weight = rng.normal(size=(features.shape[1], 48))
         config = AcceleratorConfig()
         np.testing.assert_allclose(
-            weighting_functional(features, weight, config), features @ weight, atol=1e-9
+            weighting_functional(features, weight, _knobs(config)), features @ weight, atol=1e-9
         )
 
     def test_dimension_mismatch_rejected(self):
@@ -127,5 +135,5 @@ class TestWeightingFunctional:
         weight = rng.normal(size=(in_features, out_features))
         config = AcceleratorConfig()
         np.testing.assert_allclose(
-            weighting_functional(features, weight, config), features @ weight, atol=1e-8
+            weighting_functional(features, weight, _knobs(config)), features @ weight, atol=1e-8
         )

@@ -13,8 +13,11 @@ workload derivation and the five platform cost models for every pair.
 ``idorder.json`` holds the 25 reports under vertex-id-order caching, the
 only golden inferences that pay random DRAM accesses.
 ``gnnie_table_variants.json`` pins three cases on Cora 0.25 under the
-default GNNIE table and under each entry's variant, as priced on freshly
-built graphs.
+default GNNIE table and under each entry's variant.  It was generated
+with each variant bound as ``GNNIE_TABLE`` in every ``repro`` module and
+priced on freshly built graphs; the executor now holds its table, and a
+variant set on ``executor.table`` must reach those numbers on a graph
+whose memos the default table already filled.
 Simulated results must match exactly (integers) or to 1e-9 relative
 tolerance (energy/latency floats).  Baseline latencies and energies must
 equal the snapshot exactly: they are pure-Python float arithmetic over
@@ -27,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 import pathlib
-import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -229,21 +231,19 @@ def _variant_cases(executor, graph):
 
 
 class TestGNNIETableVariants:
-    def test_every_table_variant_matches_its_pin(self, monkeypatch):
-        """Each variant, bound as ``GNNIE_TABLE`` in every ``repro`` module,
-        prices a fresh graph to its pinned numbers."""
+    def test_every_table_variant_on_the_executor_matches_its_pin(self):
+        """Each variant set on ``executor.table`` prices the graph the
+        default table already priced to the variant's pinned numbers: no
+        memo hands one table's price to another.  The input-buffer energy
+        variant is the pin of ``buffer_energy`` reading the table it is
+        given."""
         pins = json.loads((GOLDEN_DIR / "gnnie_table_variants.json").read_text())
         assert len(pins) == 1 + len(fields(GNNIE_TABLE))
-        modules = [
-            module
-            for name, module in list(sys.modules.items())
-            if name.startswith("repro") and getattr(module, "GNNIE_TABLE", None) is GNNIE_TABLE
-        ]
         graph = build_dataset("cora", scale=0.25, seed=0)
-        assert _variant_cases(GNNIEExecutor(), graph) == pins["default"]
+        executor = GNNIEExecutor()
+        assert _variant_cases(executor, graph) == pins["default"]
         for name, table in _table_variants():
-            with monkeypatch.context() as patch:
-                for module in modules:
-                    patch.setattr(module, "GNNIE_TABLE", table)
-                graph = build_dataset("cora", scale=0.25, seed=0)
-                assert _variant_cases(GNNIEExecutor(), graph) == pins[name], name
+            executor.table = table
+            assert _variant_cases(executor, graph) == pins[name], name
+        executor.table = GNNIE_TABLE
+        assert _variant_cases(executor, graph) == pins["default"]

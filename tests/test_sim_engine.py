@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import build_dataset
-from repro.hw import GNNIE_TABLE, AcceleratorConfig, HBMModel, design_preset
+from repro.hw import GNNIE_TABLE, AcceleratorConfig, design_preset
+from repro.hw.dram import random_transfer_cycles
 from repro.models import MODEL_FAMILIES
 from repro.obs import MetricsRegistry
 from repro.plan import lower
@@ -143,7 +144,8 @@ class TestEngineMemoryOverlap:
         result = GNNIEExecutor(config).execute(plan, small_cora)
         for stage, layer in zip(plan.layers, result.layers):
             (width,) = [op.width for op in stage.ops if isinstance(op, AggregationOp)]
-            random_cycles = HBMModel().random_transfer_cycles(
+            random_cycles = random_transfer_cycles(
+                GNNIE_TABLE,
                 layer.aggregation.dram_random_accesses,
                 bytes_per_access=width * GNNIE_TABLE.bytes_per_value,
             )

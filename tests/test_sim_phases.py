@@ -9,7 +9,9 @@ import pytest
 
 from repro.cache import vertex_record_bytes
 from repro.graph import power_law_graph
-from repro.hw import GNNIE_TABLE, AcceleratorConfig, HBMModel
+from repro.hw import GNNIE_TABLE, AcceleratorConfig
+from repro.hw.dram import dram_bytes_per_cycle, random_transfer_cycles
+from repro.hw.config import AggregationKnobs, CacheKnobs, WeightingKnobs, pricing_view
 from repro.mapping import AggregationCycleModel, BlockProfile, schedule_weighting
 from repro.sim import (
     LayerResult,
@@ -25,6 +27,11 @@ from repro.sparse import generate_sparse_features, rlc_compressed_bits
 @pytest.fixture(scope="module")
 def features():
     return generate_sparse_features(400, 256, 0.96, seed=13)
+
+
+def _view(kind, config):
+    """``config``'s ``kind`` pricing view on the default table."""
+    return pricing_view(kind, config, GNNIE_TABLE)
 
 
 class TestPhaseResult:
@@ -70,14 +77,21 @@ def _weighting(config, out_features, features, profile, *, rlc=True):
     Input-layer features travel RLC-compressed; later layers travel dense.
     """
     num_vertices, in_features = features.shape
-    schedule = schedule_weighting(profile, in_features, out_features, config)
+    schedule = schedule_weighting(
+        profile, in_features, out_features, _view(WeightingKnobs, config)
+    )
     value_bits = 8 * GNNIE_TABLE.bytes_per_value
     if rlc:
         input_bits = rlc_compressed_bits(features, value_bits=value_bits)
     else:
         input_bits = features.size * value_bits
     phase = weighting_phase_from_schedule(
-        schedule, num_vertices, in_features, out_features, input_traffic_bits=input_bits
+        schedule,
+        num_vertices,
+        in_features,
+        out_features,
+        input_traffic_bits=input_bits,
+        table=GNNIE_TABLE,
     )
     return phase, schedule
 
@@ -104,9 +118,11 @@ class TestWeightingPhase:
     def test_statistical_path_matches_explicit_shape(self):
         config = AcceleratorConfig()
         blocks = np.full((200, 16), 3, dtype=np.int64)
-        schedule = schedule_weighting(BlockProfile.from_counts(blocks), 256, 32, config)
+        schedule = schedule_weighting(
+            BlockProfile.from_counts(blocks), 256, 32, _view(WeightingKnobs, config)
+        )
         phase = weighting_phase_from_schedule(
-            schedule, 200, 256, 32, input_traffic_bits=200 * 256 * 8
+            schedule, 200, 256, 32, input_traffic_bits=200 * 256 * 8, table=GNNIE_TABLE
         )
         assert phase.mac_operations == blocks.sum() * 32
         assert schedule.num_passes == 2
@@ -129,9 +145,16 @@ class TestWeightingPhase:
     def _price_input_traffic(features, profile, input_traffic_bits):
         """One input layer's Weighting, its input traffic set explicitly."""
         num_vertices, in_features = features.shape
-        schedule = schedule_weighting(profile, in_features, 128, AcceleratorConfig())
+        schedule = schedule_weighting(
+            profile, in_features, 128, _view(WeightingKnobs, AcceleratorConfig())
+        )
         phase = weighting_phase_from_schedule(
-            schedule, num_vertices, in_features, 128, input_traffic_bits=input_traffic_bits
+            schedule,
+            num_vertices,
+            in_features,
+            128,
+            input_traffic_bits=input_traffic_bits,
+            table=GNNIE_TABLE,
         )
         return phase, schedule
 
@@ -142,7 +165,7 @@ class TestWeightingPhase:
         # Light traffic fetches a pass faster than the pass computes, heavy
         # traffic slower; either way exposure is the layer pass's decision.
         phase, schedule = self._price_input_traffic(features, profile, input_traffic_bits)
-        bytes_per_cycle = HBMModel().bytes_per_cycle
+        bytes_per_cycle = dram_bytes_per_cycle(GNNIE_TABLE)
         weight_bytes = features.shape[1] * GNNIE_TABLE.num_cols * GNNIE_TABLE.bytes_per_value
         per_pass_fetch = int(np.ceil(input_traffic_bits // 8 / bytes_per_cycle)) + int(
             np.ceil(weight_bytes / bytes_per_cycle)
@@ -170,13 +193,14 @@ class TestInputBufferCapacity:
 
     def test_capacity_is_buffer_over_record_size(self, graph):
         config = AcceleratorConfig(input_buffer_bytes=64 * 1024)
-        capacity, record_bytes = input_buffer_capacity(graph, config, 128)
-        assert record_bytes == vertex_record_bytes(128, graph.average_degree())
+        knobs = _view(CacheKnobs, config)
+        capacity, record_bytes = input_buffer_capacity(graph, knobs, 128)
+        assert record_bytes == vertex_record_bytes(128, graph.average_degree(), knobs)
         assert capacity == 64 * 1024 // record_bytes
 
     def test_at_least_one_vertex(self, graph):
         config = AcceleratorConfig(input_buffer_bytes=16)
-        capacity, record_bytes = input_buffer_capacity(graph, config, 4096)
+        capacity, record_bytes = input_buffer_capacity(graph, _view(CacheKnobs, config), 4096)
         assert record_bytes > 16
         assert capacity == 1
 
@@ -186,18 +210,19 @@ class TestInputBufferCapacity:
         sparse = power_law_graph(300, 600, seed=21)
         dense = power_law_graph(300, 6000, seed=21)
         assert dense.average_degree() > sparse.average_degree()
-        dense_capacity = input_buffer_capacity(dense, config, 64)[0]
-        assert dense_capacity < input_buffer_capacity(sparse, config, 64)[0]
+        dense_capacity = input_buffer_capacity(dense, _view(CacheKnobs, config), 64)[0]
+        assert dense_capacity < input_buffer_capacity(sparse, _view(CacheKnobs, config), 64)[0]
 
     def test_auto_sizing_uses_the_large_dataset_buffer(self, graph):
         explicit = AcceleratorConfig(input_buffer_bytes=512 * 1024)
-        assert input_buffer_capacity(graph, AcceleratorConfig(), 128) == input_buffer_capacity(
-            graph, explicit, 128
+        auto = _view(CacheKnobs, AcceleratorConfig())
+        assert input_buffer_capacity(graph, auto, 128) == input_buffer_capacity(
+            graph, _view(CacheKnobs, explicit), 128
         )
 
     def test_invalid_feature_length(self, graph):
         with pytest.raises(ValueError):
-            input_buffer_capacity(graph, AcceleratorConfig(), 0)
+            input_buffer_capacity(graph, _view(CacheKnobs, AcceleratorConfig()), 0)
 
 
 class TestAggregationPhase:
@@ -210,12 +235,14 @@ class TestAggregationPhase:
     @staticmethod
     def _phase(graph, config, width, cache=None, is_gat=False):
         if cache is None:
-            cache = run_cache_simulation(graph, config, width)
-        return aggregation_phase_from_cache(cache, graph, config, width, is_gat=is_gat)
+            cache = run_cache_simulation(graph, _view(CacheKnobs, config), width)
+        return aggregation_phase_from_cache(
+            cache, graph, _view(AggregationKnobs, config), width, is_gat=is_gat
+        )
 
     def test_phase_prices_a_complete_simulation(self, graph):
         config = AcceleratorConfig()
-        cache = run_cache_simulation(graph, config, 128)
+        cache = run_cache_simulation(graph, _view(CacheKnobs, config), 128)
         phase = self._phase(graph, config, 128, cache)
         assert phase.compute_cycles > 0
         assert cache.total_edges_processed == graph.num_edges // 2
@@ -223,7 +250,7 @@ class TestAggregationPhase:
 
     def test_gat_costs_more_than_gcn(self, graph):
         config = AcceleratorConfig()
-        cache = run_cache_simulation(graph, config, 128)
+        cache = run_cache_simulation(graph, _view(CacheKnobs, config), 128)
         gcn_phase = self._phase(graph, config, 128, cache, is_gat=False)
         gat_phase = self._phase(graph, config, 128, cache, is_gat=True)
         assert gat_phase.compute_cycles > gcn_phase.compute_cycles
@@ -231,7 +258,7 @@ class TestAggregationPhase:
 
     def test_baseline_policy_pays_random_access_penalty(self, graph):
         config = replace(AcceleratorConfig(), enable_degree_aware_caching=False)
-        cache = run_cache_simulation(graph, config, 128)
+        cache = run_cache_simulation(graph, _view(CacheKnobs, config), 128)
         phase = self._phase(graph, config, 128, cache)
         assert cache.random_accesses > 0
         assert phase.dram_random_accesses > 0
@@ -240,7 +267,7 @@ class TestAggregationPhase:
 
     def test_wider_features_cost_more(self, graph):
         config = AcceleratorConfig()
-        cache = run_cache_simulation(graph, config, 128)
+        cache = run_cache_simulation(graph, _view(CacheKnobs, config), 128)
         narrow = self._phase(graph, config, 32, cache)
         wide = self._phase(graph, config, 256, cache)
         assert wide.compute_cycles > narrow.compute_cycles
@@ -262,9 +289,9 @@ class TestAggregationPhase:
     @pytest.mark.parametrize("is_gat", [False, True], ids=["gcn", "gat"])
     def test_compute_prices_the_cache_iteration_columns(self, graph, is_gat):
         config = AcceleratorConfig()
-        cache = run_cache_simulation(graph, config, 64)
+        cache = run_cache_simulation(graph, _view(CacheKnobs, config), 64)
         phase = self._phase(graph, config, 64, cache, is_gat=is_gat)
-        model = AggregationCycleModel(config, 64, is_gat=is_gat)
+        model = AggregationCycleModel(_view(AggregationKnobs, config), 64, is_gat=is_gat)
         totals = model.iteration_totals(
             cache.edges_processed, cache.max_edges_per_vertex, cache.resident_vertices
         )
@@ -282,10 +309,10 @@ class TestAggregationPhase:
 
     def test_random_access_cycles_are_the_whole_stall(self, graph):
         config = replace(AcceleratorConfig(), enable_degree_aware_caching=False)
-        cache = run_cache_simulation(graph, config, 128)
+        cache = run_cache_simulation(graph, _view(CacheKnobs, config), 128)
         phase = self._phase(graph, config, 128, cache)
-        random_cycles = HBMModel().random_transfer_cycles(
-            cache.random_accesses, bytes_per_access=128
+        random_cycles = random_transfer_cycles(
+            GNNIE_TABLE, cache.random_accesses, bytes_per_access=128
         )
         assert random_cycles > 0
         assert phase.streaming_memory_cycles > 0
@@ -294,7 +321,7 @@ class TestAggregationPhase:
     def test_small_output_buffer_spills_partial_sums(self, graph):
         roomy = AcceleratorConfig()
         cramped = replace(roomy, output_buffer_bytes=1024)
-        cache = run_cache_simulation(graph, roomy, 128)
+        cache = run_cache_simulation(graph, _view(CacheKnobs, roomy), 128)
         spill_free = self._phase(graph, roomy, 128, cache)
         spilling = self._phase(graph, cramped, 128, cache)
         final_write = graph.num_vertices * 128
