@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.datasets import build_dataset
-from repro.graph import Graph
+from repro.graph import PARTITION_METHODS, Graph
 from repro.hw import AcceleratorConfig
 from repro.models import MODEL_FAMILIES
 from repro.obs import Tracer
@@ -321,3 +322,40 @@ class TestScaleoutAggregation:
             / reference["metrics"]["latency_seconds"]
         )
 
+
+
+#: sha256 of every fleet number on Cora 0.25 (seed 0): each family at 2, 3
+#: and 16 chips under both partition methods, plus each family's 4-chip
+#: sweep row (35 cases).
+FLEET_DIGEST = "dcadc25aa9c89430c5185c1cfb98b00cbe284a1e8f9857975c306ac372b784a7"
+
+
+def test_every_fleet_number_is_pinned():
+    graph = build_dataset("cora", scale=0.25, seed=0)
+    backend = GNNIEExecutor()
+    cases = {}
+    for family in MODEL_FAMILIES:
+        plan = lower(family, graph)
+        for chips in (2, 3, 16):
+            for method in PARTITION_METHODS:
+                result = execute_scaleout(backend, plan, graph, None, chips=chips, method=method)
+                cases[f"{family}/x{chips}/{method}"] = {
+                    "summary": result.summary(),
+                    "energy": result.energy.as_dict(),
+                    "global_preprocessing_cycles": result.global_preprocessing_cycles,
+                    "chip_cycles": result.chip_cycles,
+                    "chip_local_cycles": result.chip_local_cycles,
+                }
+        cell = SweepCell(
+            dataset="cora",
+            scale=0.25,
+            seed=0,
+            family=family,
+            backend="gnnie",
+            config=AcceleratorConfig(),
+            chips=4,
+        )
+        cases[f"{family}/x4/sweep"] = _row(cell, graph)
+    assert len(cases) == 35
+    digest = hashlib.sha256(json.dumps(cases, sort_keys=True).encode()).hexdigest()
+    assert digest == FLEET_DIGEST
