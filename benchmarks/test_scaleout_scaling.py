@@ -3,7 +3,7 @@
 Partitions two workloads — the Reddit stand-in at its bench scale and a
 dense synthetic power-law graph — across 1, 2, 4, 8 and 16 chips through
 :func:`repro.scaleout.execute_scaleout` and records the scaling curve:
-combined cycles, the per-chip compute critical path, communication cycles
+fleet cycles, the per-chip compute critical path, communication cycles
 and halo traffic at every chip count.
 
 Two shape invariants are asserted (the acceptance criteria of the scale-out
@@ -59,7 +59,7 @@ def _scaling_curve(graph: Graph, family: str) -> list[dict]:
                 "chips": chips,
                 "cycles": int(result.total_cycles),
                 "max_chip_local_cycles": int(max(local)),
-                "communication_cycles": int(getattr(result, "communication_cycles", 0)),
+                "communication_cycles": int(result.communication_cycles),
                 "halo_vertices": int(getattr(result, "halo_vertices", 0)),
                 "halo_bytes": int(getattr(result, "halo_bytes", 0)),
                 "chip_imbalance": round(float(getattr(result, "chip_imbalance", 1.0)), 4),

@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_arguments(plan_parser)
     plan_parser.add_argument(
         "--chips",
-        type=int,
+        type=_chips,
         default=1,
         help="partition across N simulated chips and show each chip's plan "
         "with its spliced halo-exchange ops (default: 1, the plain plan)",
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_arguments(compare_parser)
     compare_parser.add_argument(
         "--chips",
-        type=int,
+        type=_chips,
         default=1,
         help="run GNNIE scaled out across N simulated chips (baselines model "
         "fixed silicon and always run single-chip; default: 1)",
@@ -475,13 +475,23 @@ def _scale(text: str) -> float:
 
 def _seed(text: str) -> int:
     """``--seed``'s argparse type for a dataset seed: numpy needs it >= 0."""
+    return _int_at_least(text, 0, "a non-negative integer")
+
+
+def _chips(text: str) -> int:
+    """``--chips``'s argparse type for one chip count (``plan``, ``compare``)."""
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _int_at_least(text: str, low: int, what: str) -> int:
+    """``text`` as an int of at least ``low``; an argparse error says it must be ``what``."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return seed
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+    return value
 
 
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
@@ -661,9 +671,6 @@ def _check_plans(plans: "list[tuple[str, object]]") -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    if args.chips < 1:
-        print("--chips must be >= 1", file=sys.stderr)
-        return 2
     graph, _ = _load(args)
     plan = lower(args.model, graph)
     if args.check and args.chips == 1:
@@ -793,9 +800,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.scaleout import execute_scaleout
 
-    if args.chips < 1:
-        print("--chips must be >= 1", file=sys.stderr)
-        return 2
     graph, config = _load(args)
     result = execute_scaleout(
         GNNIEExecutor(config), lower(args.model, graph), graph, config, chips=args.chips

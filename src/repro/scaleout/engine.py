@@ -9,6 +9,10 @@ synchronize on the slowest inter-chip halo exchange, so each layer costs
     ``MAX(per-chip local cycles) + MAX(per-chip communication cycles)``
 
 and the whole inference additionally pays ``MAX(per-chip preprocessing)``.
+The fleet's :class:`~repro.sim.results.ScaleOutResult` keeps every chip's
+result, and each of its layers is the critical chip's layer (its cycles)
+with the work, traffic and buffer counts summed over the chips, so whatever
+reads one chip's result reads a fleet's the same way.
 
 Partitioning is *edge-cut* (every vertex owned by exactly one chip, via
 :func:`repro.graph.partition.partition_graph`, which builds every chip's
@@ -28,13 +32,16 @@ Modeling notes
 * The halo size is derived from the *full* adjacency; families aggregating
   over a sampled adjacency (GraphSAGE) exchange the full halo, a conservative
   approximation.
+* Each chip's static energy covers only that chip's own cycles, not the
+  fleet's wall time.
 * ``chips == 1`` short-circuits to the backend's plain ``execute`` — rows are
   byte-identical to the unpartitioned path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from functools import reduce
 
 from repro.check.verifier import verify_plan
 from repro.graph.graph import Graph
@@ -43,7 +50,7 @@ from repro.hw.config import AcceleratorConfig, GNNIETable
 from repro.obs.tracer import NULL_TRACER
 from repro.plan.ir import AggregationOp, HaloExchangeOp, InferencePlan, PlanLayer
 from repro.sim.batch import pricing_context
-from repro.sim.results import InferenceResult, ScaleOutResult
+from repro.sim.results import InferenceResult, PhaseResult, ScaleOutResult
 
 __all__ = [
     "PartitionedWorkload",
@@ -68,10 +75,6 @@ class PartitionedWorkload:
     partition: GraphPartition
     chip_graphs: tuple[Graph, ...]
     chip_plans: tuple[InferencePlan, ...]
-
-    @property
-    def num_chips(self) -> int:
-        return self.partition.num_parts
 
     def halo_bytes(self, table: GNNIETable) -> int:
         """Inter-chip traffic of all chips and layers, in bytes of ``table``."""
@@ -195,9 +198,10 @@ def execute_scaleout(
     argument raises whatever the chip count.  ``chips == 1`` then returns
     the backend's plain ``execute`` result unchanged (byte-identity with the
     unpartitioned path); otherwise every chip runs its local plan on its
-    induced subgraph and the fleet is combined with per-layer
-    ``MAX(local) + MAX(communication)`` timing, summed work counters, and
-    summed energy.  The backend must advertise ``supports_scaleout`` (the
+    induced subgraph and :func:`_combine` folds the chips' results into
+    fleet layers with per-layer ``MAX(local) + MAX(communication)`` timing,
+    summed work counters, and summed energy; ``chip_results`` keeps each
+    chip's own result.  The backend must advertise ``supports_scaleout`` (the
     GNNIE executor does) and hold the ``table`` its chips price on.  On the
     backend's tracer, a ``partition`` span (no modeled cycles) records the
     chip count, method, cut edges, halo vertices and whether the partition
@@ -258,59 +262,47 @@ def _combine(
 ) -> ScaleOutResult:
     """Fold per-chip results into one fleet-level :class:`ScaleOutResult`.
 
-    Per layer, the critical-path chip (largest local cycles, lowest index on
-    ties) contributes the layer's weighting/aggregation attribution, so the
-    reported phase breakdown sums exactly to the combined cycle count.
+    Fleet layer *l* is the critical chip's layer *l* (largest local cycles,
+    lowest index on ties): its phases keep that chip's cycle fields and sum
+    every count field over the live chips, and its ``communication`` is the
+    slowest chip's exchange.  So the fleet's per-phase cycles sum exactly to
+    its total, per layer ``MAX(local) + MAX(communication)``.  Preprocessing
+    is the chips' maximum and energy their sum.
     """
     live = [result for result in chip_results if result is not None]
     if not live:
         raise ValueError("cannot combine an all-empty partition")
-    num_layers = len(live[0].layers)
-    combined_cycles = 0
-    communication_cycles = 0
-    weighting_cycles = 0
-    aggregation_cycles = 0
-    for index in range(num_layers):
-        layers = [result.layers[index] for result in live]
-        critical = max(layers, key=lambda layer: layer.local_cycles)
-        combined_cycles += critical.local_cycles
-        weighting_cycles += critical.weighting.total_cycles
-        aggregation_cycles += critical.local_cycles - critical.weighting.total_cycles
-        layer_comm = max(layer.communication_cycles for layer in layers)
-        combined_cycles += layer_comm
-        communication_cycles += layer_comm
-    preprocessing = max(result.global_preprocessing_cycles for result in live)
-    combined_cycles += preprocessing
-    energy = live[0].energy
-    for result in live[1:]:
-        energy = energy + result.energy
-    reference = live[0]
+    layers = []
+    for chip_layers in zip(*(result.layers for result in live)):
+        critical = max(chip_layers, key=lambda layer: layer.local_cycles)
+        slowest = max(chip_layers, key=lambda layer: layer.communication_cycles)
+        phases = {
+            slot: _fleet_phase(
+                getattr(critical, slot), [getattr(layer, slot) for layer in chip_layers]
+            )
+            for slot in ("weighting", "attention", "aggregation")
+        }
+        layers.append(replace(critical, communication=slowest.communication, **phases))
     return ScaleOutResult(
-        dataset=reference.dataset,
-        model=reference.model,
-        config_name=reference.config_name,
-        frequency_hz=reference.frequency_hz,
-        layers=[],
-        energy=energy,
-        global_preprocessing_cycles=preprocessing,
-        num_chips=workload.num_chips,
+        dataset=live[0].dataset,
+        model=live[0].model,
+        config_name=live[0].config_name,
+        frequency_hz=live[0].frequency_hz,
+        layers=layers,
+        energy=sum((result.energy for result in live[1:]), live[0].energy),
+        global_preprocessing_cycles=max(result.global_preprocessing_cycles for result in live),
+        chip_results=tuple(chip_results),
         partition_method=method,
-        chip_cycles=tuple(
-            result.total_cycles if result is not None else 0
-            for result in chip_results
-        ),
-        chip_local_cycles=tuple(
-            result.total_cycles - sum(layer.communication_cycles for layer in result.layers)
-            if result is not None
-            else 0
-            for result in chip_results
-        ),
         halo_vertices=workload.partition.total_halo_vertices(),
         halo_bytes=workload.halo_bytes(table),
-        combined_cycles=combined_cycles,
-        combined_communication_cycles=communication_cycles,
-        combined_macs=sum(result.total_mac_operations for result in live),
-        combined_dram_bytes=sum(result.total_dram_bytes for result in live),
-        combined_weighting_cycles=weighting_cycles,
-        combined_aggregation_cycles=aggregation_cycles,
     )
+
+
+def _fleet_phase(critical: PhaseResult | None, phases: list[PhaseResult]) -> PhaseResult | None:
+    """One fleet phase: the critical chip's ``*_cycles`` fields, every other
+    (count) field summed over the chips' ``phases``."""
+    if critical is None:
+        return None
+    cycles = (item.name for item in fields(critical) if item.name.endswith("_cycles"))
+    summed = reduce(PhaseResult.merge, phases)
+    return replace(summed, **{name: getattr(critical, name) for name in cycles})

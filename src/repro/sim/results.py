@@ -77,10 +77,11 @@ class LayerResult:
     attention: PhaseResult | None
     aggregation: PhaseResult
     #: Inter-chip halo-exchange cost of this layer (multi-chip scale-out
-    #: only; ``None`` on a single chip).  Included in :attr:`total_cycles`
-    #: but *not* in :meth:`phases` — the memory-overlap pass and the energy
-    #: model reason about on-chip phases only, so a chip's internal
-    #: accounting is byte-identical with or without a communication slot.
+    #: only; ``None`` on a single chip).  On a fleet layer, the slowest
+    #: chip's exchange.  Included in :attr:`total_cycles` but *not* in
+    #: :meth:`phases` — the memory-overlap pass and the energy model reason
+    #: about on-chip phases only, so a chip's internal accounting is
+    #: byte-identical with or without a communication slot.
     communication: PhaseResult | None = None
 
     @property
@@ -144,6 +145,11 @@ class InferenceResult:
         return sum(layer.weighting.total_cycles for layer in self.layers)
 
     @property
+    def communication_cycles(self) -> int:
+        """Inter-chip halo-exchange cycles; 0 on one chip."""
+        return sum(layer.communication_cycles for layer in self.layers)
+
+    @property
     def aggregation_cycles(self) -> int:
         cycles = sum(layer.aggregation.total_cycles for layer in self.layers)
         cycles += sum(
@@ -187,63 +193,53 @@ class InferenceResult:
         }
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ScaleOutResult(InferenceResult):
-    """Combined outcome of one inference partitioned across ``num_chips`` chips.
+    """One inference partitioned across the chips of a fleet.
 
-    Per-layer time is ``MAX(per-chip local cycles) + MAX(per-chip halo
-    communication cycles)`` — the chips compute in parallel, then synchronize
-    on the slowest halo exchange before the next layer.  Aggregate counters
-    (MACs, DRAM traffic, energy) are *sums* over chips; the stored
-    ``combined_*`` fields carry the pre-combined totals so the inherited
-    properties (and therefore :meth:`summary`) report fleet-level numbers
-    without per-chip ``layers`` being retained.
+    ``chip_results[i]`` is chip *i*'s own result (``None`` for a chip that
+    owns no vertex), and the inherited fields describe the fleet, as
+    :func:`repro.scaleout.engine._combine` builds them from those results:
+    each fleet layer is the layer of its critical chip (largest local
+    cycles, lowest index on ties) with every count field summed over the
+    chips, and the slowest halo exchange as its ``communication``.  So the
+    inherited totals, :func:`~repro.sim.trace.result_to_dict`,
+    :func:`~repro.sim.trace.phase_table` and the roofline analysis read a
+    fleet as they read one chip: a fleet phase takes its cycles from the
+    critical chip and its intensity from the fleet's summed MACs over its
+    summed bytes.  ``energy`` is the chips' sum; each chip's static energy
+    covers only that chip's own cycles.
     """
 
-    num_chips: int = 1
-    partition_method: str = "chunk"
-    #: Per-chip total cycles (local + that chip's communication), for
-    #: imbalance reporting.
-    chip_cycles: tuple[int, ...] = ()
-    #: Per-chip on-chip compute cycles (communication excluded).  The
-    #: scaling benchmark pins ``max(chip_local_cycles)`` monotonically
-    #: non-increasing in the chip count: partitions only shrink, while the
-    #: halo wait in :attr:`chip_cycles` grows with the cut.
-    chip_local_cycles: tuple[int, ...] = ()
+    chip_results: tuple[InferenceResult | None, ...]
+    partition_method: str
     #: Sum over chips of distinct remote vertices received per layer stack.
-    halo_vertices: int = 0
+    halo_vertices: int
     #: Total inter-chip traffic in bytes across all layers and chips.
-    halo_bytes: int = 0
-    combined_cycles: int = 0
-    combined_communication_cycles: int = 0
-    combined_macs: int = 0
-    combined_dram_bytes: int = 0
-    combined_weighting_cycles: int = 0
-    combined_aggregation_cycles: int = 0
+    halo_bytes: int
 
     @property
-    def total_cycles(self) -> int:
-        return self.combined_cycles
+    def num_chips(self) -> int:
+        return len(self.chip_results)
 
     @property
-    def total_mac_operations(self) -> int:
-        return self.combined_macs
+    def chip_cycles(self) -> tuple[int, ...]:
+        """Per-chip total cycles (local + that chip's communication), for
+        imbalance reporting; 0 for an empty chip."""
+        return tuple(
+            result.total_cycles if result is not None else 0 for result in self.chip_results
+        )
 
     @property
-    def total_dram_bytes(self) -> int:
-        return self.combined_dram_bytes
-
-    @property
-    def weighting_cycles(self) -> int:
-        return self.combined_weighting_cycles
-
-    @property
-    def aggregation_cycles(self) -> int:
-        return self.combined_aggregation_cycles
-
-    @property
-    def communication_cycles(self) -> int:
-        return self.combined_communication_cycles
+    def chip_local_cycles(self) -> tuple[int, ...]:
+        """Per-chip on-chip cycles (communication excluded).  The scaling
+        benchmark pins ``max(chip_local_cycles)`` monotonically non-increasing
+        in the chip count: partitions only shrink, while the halo wait in
+        :attr:`chip_cycles` grows with the cut."""
+        return tuple(
+            result.total_cycles - result.communication_cycles if result is not None else 0
+            for result in self.chip_results
+        )
 
     @property
     def chip_imbalance(self) -> float:
@@ -255,11 +251,10 @@ class ScaleOutResult(InferenceResult):
 
     def summary(self) -> dict[str, float]:
         row = super().summary()
-        if self.num_chips > 1:
-            row["chips"] = self.num_chips
-            row["partition_method"] = self.partition_method
-            row["chip_imbalance"] = self.chip_imbalance
-            row["communication_cycles"] = self.communication_cycles
-            row["halo_vertices"] = self.halo_vertices
-            row["halo_bytes"] = self.halo_bytes
+        row["chips"] = self.num_chips
+        row["partition_method"] = self.partition_method
+        row["chip_imbalance"] = self.chip_imbalance
+        row["communication_cycles"] = self.communication_cycles
+        row["halo_vertices"] = self.halo_vertices
+        row["halo_bytes"] = self.halo_bytes
         return row

@@ -171,18 +171,16 @@ def _result_metrics(cell: SweepCell, backend, result) -> dict:
             mac_operations=int(result.total_mac_operations),
             dram_bytes=int(result.total_dram_bytes),
             total_macs=int(cell.config.total_macs),
-            area_mm2=float(backend.chip_area_mm2(cell.config)),
+            # Fleet silicon: N chips' worth of area.
+            area_mm2=float(backend.chip_area_mm2(cell.config)) * cell.chips,
         )
-    num_chips = int(getattr(result, "num_chips", 1))
-    if num_chips > 1:
+    if cell.chips > 1:
         metrics.update(
-            chips=num_chips,
+            chips=cell.chips,
             chip_imbalance=float(result.chip_imbalance),
             communication_cycles=int(result.communication_cycles),
             halo_vertices=int(result.halo_vertices),
             halo_bytes=int(result.halo_bytes),
-            # Fleet silicon: N chips' worth of area.
-            area_mm2=float(backend.chip_area_mm2(cell.config)) * num_chips,
         )
     return metrics
 
@@ -249,17 +247,15 @@ def _run_group_cell(cell: SweepCell, group: _BatchGroup, tracer, attempt: int) -
         row["supported"] = False
         return row
 
-    graph = group.graph(cell)
-    plan = group.plan(cell)
-    if cell.chips != 1:
-        from repro.scaleout import execute_scaleout
+    from repro.scaleout import execute_scaleout
 
-        # The group's graph keeps its identity across the batch, so the
-        # partition (and every chip subgraph's pricing context) is shared
-        # through GraphPricingContext.partitions.
-        result = execute_scaleout(backend, plan, graph, cell.config, chips=cell.chips)
-    else:
-        result = backend.execute(plan, graph, cell.config)
+    # One chip is the backend's plain execute.  The group's graph keeps its
+    # identity across the batch, so a fleet's partition (and every chip
+    # subgraph's pricing context) is shared through
+    # GraphPricingContext.partitions.
+    result = execute_scaleout(
+        backend, group.plan(cell), group.graph(cell), cell.config, chips=cell.chips
+    )
     row["metrics"] = _result_metrics(cell, backend, result)
     return row
 

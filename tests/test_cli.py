@@ -78,6 +78,17 @@ class TestParser:
         for seed in ("0", "3"):
             assert build_parser().parse_args([command, "--seed", seed]).seed == int(seed)
 
+    @pytest.mark.parametrize("chips", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["plan", "compare"])
+    def test_non_positive_chips_is_a_usage_error(self, command, chips, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--chips", chips])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert f"argument --chips: must be a positive integer, got {chips}" in error
+        assert build_parser().parse_args([command, "--chips", "4"]).chips == 4
+        assert build_parser().parse_args([command]).chips == 1
+
     @pytest.mark.parametrize("command", ["sweep", "tune"])
     def test_a_negative_base_seed_stays_valid(self, command):
         """Sweeps and the tuner hash their base seed into per-dataset seeds,

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from repro.analysis import roofline_analysis
 from repro.datasets import build_dataset
 from repro.graph import PARTITION_METHODS, Graph
 from repro.hw import AcceleratorConfig
@@ -16,7 +18,13 @@ from repro.obs import Tracer
 from repro.plan import HaloExchangeOp, lower
 from repro.plan.executor import executor
 from repro.scaleout import chip_subgraphs, execute_scaleout, partition_workload
-from repro.sim import GNNIEExecutor, ScaleOutResult
+from repro.sim import (
+    GNNIEExecutor,
+    PhaseResult,
+    ScaleOutResult,
+    phase_table,
+    result_to_dict,
+)
 from repro.sim.batch import pricing_context
 from repro.sweep import (
     ROW_FORMAT,
@@ -55,9 +63,22 @@ class TestExecuteScaleout:
         assert len(result.chip_cycles) == 4
         assert result.halo_bytes > 0
         assert result.communication_cycles > 0
-        assert result.total_cycles == result.combined_cycles
+        # The fleet totals, rebuilt from the chips' own results.
+        live = [chip for chip in result.chip_results if chip is not None]
+        cycles = max(chip.global_preprocessing_cycles for chip in live)
+        for layers in zip(*(chip.layers for chip in live)):
+            cycles += max(layer.local_cycles for layer in layers)
+            cycles += max(layer.communication_cycles for layer in layers)
+        assert result.total_cycles == cycles
+        assert result.total_mac_operations == sum(chip.total_mac_operations for chip in live)
+        assert result.total_dram_bytes == sum(chip.total_dram_bytes for chip in live)
+        parts = [name for name in result.energy.as_dict() if name != "total_pj"]
+        assert result.energy.as_dict() == {
+            **{name: sum(chip.energy.as_dict()[name] for chip in live) for name in parts},
+            "total_pj": result.energy.total_pj,
+        }
 
-    def test_phase_attribution_sums_to_combined_cycles(self, graph, backend):
+    def test_phase_attribution_sums_to_total_cycles(self, graph, backend):
         plan = lower("gat", graph)
         result = execute_scaleout(backend, plan, graph, None, chips=3)
         assert (
@@ -67,6 +88,56 @@ class TestExecuteScaleout:
             + result.global_preprocessing_cycles
             == result.total_cycles
         )
+
+    @pytest.mark.parametrize("family", MODEL_FAMILIES)
+    def test_fleet_layers_explain_the_fleet_totals(self, graph, backend, family):
+        result = execute_scaleout(backend, lower(family, graph), graph, None, chips=4)
+        report = result_to_dict(result)
+        layers = report["layers"]
+        assert len(layers) == len(result.chip_results[0].layers) > 0
+        assert (
+            sum(layer["total_cycles"] for layer in layers)
+            + report["global_preprocessing_cycles"]
+            == report["total_cycles"]
+            == result.total_cycles
+        )
+        assert (
+            sum(phase["mac_operations"] for layer in layers for phase in layer["phases"])
+            == result.total_mac_operations
+        )
+        fleet_phases = [
+            (layer.layer_index, phase.name) for layer in result.layers for phase in layer.phases()
+        ]
+        assert [(row["layer"], row["phase"]) for row in phase_table(result)] == fleet_phases
+        assert [
+            (phase.layer_index, phase.phase) for phase in roofline_analysis(result).phases
+        ] == fleet_phases
+
+    def test_fleet_phase_takes_critical_cycles_and_summed_counts(self, graph, backend):
+        result = execute_scaleout(backend, lower("gat", graph), graph, None, chips=3)
+        live = [chip for chip in result.chip_results if chip is not None]
+        assert len(result.layers) == len(live[0].layers) > 0
+        cycle_fields = {
+            "compute_cycles",
+            "memory_stall_cycles",
+            "sfu_cycles",
+            "preprocessing_cycles",
+            "streaming_memory_cycles",
+        }
+        for index, layer in enumerate(result.layers):
+            chip_layers = [chip.layers[index] for chip in live]
+            critical = max(chip_layers, key=lambda chip_layer: chip_layer.local_cycles)
+            assert layer.communication_cycles == max(
+                chip_layer.communication_cycles for chip_layer in chip_layers
+            )
+            for position, phase in enumerate(layer.phases()):
+                chip_phases = [chip_layer.phases()[position] for chip_layer in chip_layers]
+                for item in fields(PhaseResult)[1:]:
+                    if item.name in cycle_fields:
+                        expected = getattr(critical.phases()[position], item.name)
+                    else:
+                        expected = sum(getattr(chip_phase, item.name) for chip_phase in chip_phases)
+                    assert getattr(phase, item.name) == expected, (index, phase.name, item.name)
 
     def test_max_chip_cycles_shrink_while_halo_grows(self, graph, backend):
         plan = lower("gcn", graph)
